@@ -3,7 +3,7 @@
 
 GOFLAGS ?=
 
-.PHONY: build test race race-resilience bench bench-smoke metrics-smoke chaos-smoke overlay-smoke wire-conformance datastore-smoke tenant-smoke drain-smoke groups-smoke
+.PHONY: build test race race-resilience bench bench-smoke gridbench gridbench-compare metrics-smoke chaos-smoke overlay-smoke wire-conformance datastore-smoke tenant-smoke drain-smoke groups-smoke
 
 build:
 	go build ./...
@@ -14,15 +14,28 @@ test:
 race:
 	go test -race ./internal/engine/... ./internal/jxtaserve/... ./internal/dsp/...
 
-# Race detector over the concurrency-heavy resilience stack: speculative
-# farming, the health tracker, and the fault-injecting network.
+# Race detector over the concurrency-heavy resilience stack: the chunk
+# runner, the health tracker, and the fault-injecting network — then the
+# farm suites three times over, since their interleavings differ run to
+# run.
 race-resilience:
 	go test -race ./internal/service/... ./internal/simnet/... ./internal/health/...
+	go test -race -count=3 ./internal/service/ -run 'Farm|Quorum|Speculat|Straggler|Chaos|Redespatch|Tenant|Group'
 
 # Full benchmark snapshot: runs the whole suite and writes BENCH_<date>.json,
 # comparing against the previous snapshot.
 bench:
 	go run ./tools/benchreg -benchtime 300ms
+
+# gridbench (BENCHMARK.json): the one end-to-end benchmark, every
+# workload and metric. A refactor's no-regression check is one run on
+# each commit and one compare:
+#   make gridbench-compare A=<parent>/bench/out/result-1.json B=bench/out/result-1.json
+gridbench:
+	go run ./bench
+
+gridbench-compare:
+	go run ./bench -compare $(A) $(B)
 
 # Short CI smoke: only the kernel + codec + fan-out hot paths, gated at a
 # 25% ns/op regression against the committed snapshot.
@@ -71,7 +84,7 @@ datastore-smoke:
 # contention suite, the daemon flag-validation table, and the T7
 # fairness experiment end to end.
 tenant-smoke:
-	go test ./internal/controller/ -run 'TestTenantSmoke|TestDonorPoolShard|TestDonorPoolDefaultShards' -count=1 -v
+	go test ./internal/controller/ -run 'TestTenantSmoke|TestDonorPoolShard|TestDonorPoolDefaultShards|TestThinShardQuorum' -count=1 -v
 	go test -race ./internal/service/ -run 'TestAdmission|TestTenant' -count=1
 	go test ./cmd/trianad/ ./internal/policy/ -run 'TestValidate|TestParseTenants|TestJain|TestWeightedJain' -count=1
 	go test ./internal/experiments/ -run 'TestEveryExperimentRunsAndHoldsShape/T7' -count=1

@@ -268,7 +268,7 @@ func (c *Controller) RunFarm(ctx context.Context, chunks [][]types.Data, opts Fa
 	// run shard-locally. An empty pool (or no pool) falls back to a
 	// pull query.
 	farmKey := fmt.Sprintf("tenant/%s/farm/%d", tenant, c.farmSeq.Add(1))
-	peers, group, members, err := c.farmCandidates(farmKey, opts.Discovery)
+	peers, group, members, err := c.farmCandidates(farmKey, opts.Discovery, opts.Quorum)
 	if err != nil {
 		return nil, fmt.Errorf("controller: farm discovery: %w", err)
 	}
@@ -303,57 +303,54 @@ func (c *Controller) RunFarm(ctx context.Context, chunks [][]types.Data, opts Fa
 }
 
 // farmCandidates picks one farm's candidate set. With a capability
-// requirement, the donor pool's group index (or, poolless, a pull
-// query over group adverts) resolves it to one capability group whose
-// members become the candidates — and the farm commits to that group.
-// No populated matching group falls back to the ungrouped path,
-// counted on capgroup_fallback_total, so a momentarily empty group
-// never fails a farm. Without a requirement: the farm's pool shard,
-// then a pull query.
-func (c *Controller) farmCandidates(farmKey string, opts RunOptions) (peers []service.PeerRef, group string, members map[string]bool, err error) {
+// requirement, the group index — the donor pool's live one or,
+// poolless, a transient one built from a pull query over group adverts
+// — resolves it to one capability group whose members become the
+// candidates, and the farm commits to that group. No populated
+// matching group falls back to the ungrouped path, counted on
+// capgroup_fallback_total, so a momentarily empty group never fails a
+// farm. Without a requirement: the farm's pool shard when it can seat
+// the farm's quorum, else the whole pool, else a pull query.
+func (c *Controller) farmCandidates(farmKey string, opts RunOptions, quorum int) (peers []service.PeerRef, group string, members map[string]bool, err error) {
 	if len(opts.RequireCaps) > 0 {
-		c.mu.Lock()
-		p := c.pool
-		c.mu.Unlock()
-		var refs []service.PeerRef
-		var ok bool
-		if p != nil {
-			group, refs, ok = p.MatchGroup(opts.RequireCaps)
-		} else {
-			group, refs, ok = c.discoverGroup(opts.RequireCaps)
-		}
-		if ok {
+		if key, refs, ok := matchGroup(c.groupIndex(), c.svc.PeerID(), opts.RequireCaps); ok {
 			refs = capPeers(refs, opts.MaxPeers)
 			members = make(map[string]bool, len(refs))
 			for _, r := range refs {
 				members[r.ID] = true
 			}
-			return refs, group, members, nil
+			return refs, key, members, nil
 		}
 		capgroup.CountFallback()
 		c.log("controller: no populated capability group matches %v; falling back to the whole pool", opts.RequireCaps)
-		group = ""
 		// The fallback deliberately drops the requirement: a pull query
 		// still carrying the cap filters would find nothing either.
 		opts.RequireCaps = nil
 	}
-	peers = c.pooledShardPeers(opts.MaxPeers, farmKey)
+	peers = c.pooledShardPeers(opts.MaxPeers, farmKey, max(1, quorum))
 	if peers == nil {
 		peers, err = c.DiscoverPeers(opts)
 	}
 	return peers, "", nil, err
 }
 
-// discoverGroup is the pull-path group resolution for controllers
-// without a running donor pool: query group adverts, build a transient
-// index, match. The transient index never touches the pool's gauges.
-func (c *Controller) discoverGroup(req map[string]string) (string, []service.PeerRef, bool) {
+// groupIndex is where group requirements resolve: the pool's live
+// membership index, or for a controller without a running pool a
+// transient one built from a pull query over group adverts (it never
+// touches the pool's gauges).
+func (c *Controller) groupIndex() *capgroup.Index {
+	c.mu.Lock()
+	p := c.pool
+	c.mu.Unlock()
+	if p != nil {
+		return p.groups
+	}
+	idx := capgroup.NewIndex()
 	ads, err := c.svc.Discovery().Discover(advert.Query{Kind: advert.KindGroup}, 0)
 	if err != nil {
 		c.log("controller: group discovery failed: %v", err)
-		return "", nil, false
+		return idx
 	}
-	idx := capgroup.NewIndex()
 	for _, ad := range ads {
 		caps, key, ok := capgroup.FromAdvert(ad)
 		if !ok {
@@ -362,46 +359,21 @@ func (c *Controller) discoverGroup(req map[string]string) (string, []service.Pee
 		cpu, _ := strconv.ParseFloat(ad.Attr(advert.AttrCPUMHz), 64)
 		idx.Put(key, caps, capgroup.Member{PeerID: ad.PeerID, Addr: ad.Addr, CPUMHz: cpu})
 	}
-	for _, key := range idx.MatchAll(req) {
-		var refs []service.PeerRef
-		for _, m := range idx.Members(key) {
-			if m.PeerID == c.svc.PeerID() {
-				continue
-			}
-			refs = append(refs, service.PeerRef{ID: m.PeerID, Addr: m.Addr})
-		}
-		if len(refs) > 0 {
-			return key, refs, true
-		}
-	}
-	return "", nil, false
+	return idx
 }
 
-// pooledPeers snapshots the donor pool, capped to max when positive.
-// Returns nil (not an empty slice) when no pool is running or the pool
-// has not seen any donors yet, signalling the caller to fall back to a
-// pull query.
-func (c *Controller) pooledPeers(max int) []service.PeerRef {
+// pooledShardPeers snapshots the shard owning key when it holds at
+// least need donors (the whole pool otherwise), capped to max when
+// positive. Nil when no pool is running or no donor is known anywhere,
+// signalling the caller to fall back to a pull query.
+func (c *Controller) pooledShardPeers(max int, key string, need int) []service.PeerRef {
 	c.mu.Lock()
 	p := c.pool
 	c.mu.Unlock()
 	if p == nil {
 		return nil
 	}
-	return capPeers(p.Peers(), max)
-}
-
-// pooledShardPeers snapshots the shard owning key (whole-pool fallback
-// when that shard is empty), capped to max when positive. Nil when no
-// pool is running or no donor is known anywhere.
-func (c *Controller) pooledShardPeers(max int, key string) []service.PeerRef {
-	c.mu.Lock()
-	p := c.pool
-	c.mu.Unlock()
-	if p == nil {
-		return nil
-	}
-	return capPeers(p.ShardPeers(key), max)
+	return capPeers(p.shardPeers(key, need), max)
 }
 
 func capPeers(peers []service.PeerRef, max int) []service.PeerRef {

@@ -241,27 +241,28 @@ func (p *DonorPool) GroupIndex() *capgroup.Index { return p.groups }
 // Groups snapshots every group the pool has observed.
 func (p *DonorPool) Groups() []capgroup.GroupInfo { return p.groups.Snapshot() }
 
-// GroupPeers snapshots the members of one group, strongest advertised
-// CPU first and the controller's own peer excluded.
-func (p *DonorPool) GroupPeers(key string) []service.PeerRef {
-	var out []service.PeerRef
-	for _, m := range p.groups.Members(key) {
-		if m.PeerID == p.ctl.svc.PeerID() {
-			continue
-		}
-		out = append(out, service.PeerRef{ID: m.PeerID, Addr: m.Addr})
-	}
-	return out
-}
-
 // MatchGroup resolves a capability requirement to the best-populated
 // matching group that holds at least one despatchable member. False
 // means no populated group matches — the caller falls back to the
 // health-ranked whole pool.
 func (p *DonorPool) MatchGroup(req map[string]string) (string, []service.PeerRef, bool) {
-	for _, key := range p.groups.MatchAll(req) {
-		if peers := p.GroupPeers(key); len(peers) > 0 {
-			return key, peers, true
+	return matchGroup(p.groups, p.ctl.svc.PeerID(), req)
+}
+
+// matchGroup is the one group-resolution routine, serving the pool's
+// live index and the poolless pull path's transient one alike: the
+// first group in best-populated-first match order with a member other
+// than self wins, its members listed strongest advertised CPU first.
+func matchGroup(idx *capgroup.Index, self string, req map[string]string) (string, []service.PeerRef, bool) {
+	for _, key := range idx.MatchAll(req) {
+		var refs []service.PeerRef
+		for _, m := range idx.Members(key) {
+			if m.PeerID != self {
+				refs = append(refs, service.PeerRef{ID: m.PeerID, Addr: m.Addr})
+			}
+		}
+		if len(refs) > 0 {
+			return key, refs, true
 		}
 	}
 	return "", nil, false
@@ -319,8 +320,13 @@ func (p *DonorPool) Peers() []service.PeerRef {
 // shard-local candidate set a farm despatches over. A shard that holds
 // no donors (small grids, uneven hash) falls back to the whole pool so
 // a farm never starves while donors exist elsewhere.
-func (p *DonorPool) ShardPeers(key string) []service.PeerRef {
-	if peers := p.peersOf(p.shardFor(key)); len(peers) > 0 {
+func (p *DonorPool) ShardPeers(key string) []service.PeerRef { return p.shardPeers(key, 1) }
+
+// shardPeers is ShardPeers for a farm that must seat need donors at
+// once (its quorum): a shard thinner than that defers to the whole
+// pool, which may still hold the electorate the shard cannot.
+func (p *DonorPool) shardPeers(key string, need int) []service.PeerRef {
+	if peers := p.peersOf(p.shardFor(key)); len(peers) >= need {
 		return peers
 	}
 	return p.Peers()

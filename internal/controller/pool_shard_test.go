@@ -120,6 +120,59 @@ func TestDonorPoolDefaultShardsFollowRing(t *testing.T) {
 	}
 }
 
+// TestThinShardQuorumUsesWholePool: a farm whose shard seats fewer
+// donors than its Quorum must draw its electorate from the whole pool,
+// not fail on the shard's head count while the pool could seat it.
+func TestThinShardQuorumUsesWholePool(t *testing.T) {
+	const nChunks, perChunk, quorum = 3, 2, 3
+	net := newOverlayNet(t, []int{1500, 1500, 1500, 1500})
+	pool, err := net.ctl.StartDonorPool(RunOptions{PoolShards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	for _, w := range net.workers {
+		if err := w.Advertise(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "all donors pooled", func() bool { return pool.Size() == len(net.workers) })
+
+	// Pick a tenant whose first farm key lands on a shard that is
+	// populated but thinner than the quorum — with 4 donors over 2
+	// shards one always is, unless the hash left a shard empty (the
+	// case the old empty-shard fallback already covered).
+	tenant := ""
+	for i := 0; i < 64 && tenant == ""; i++ {
+		cand := fmt.Sprintf("thin-%d", i)
+		key := fmt.Sprintf("tenant/%s/farm/%d", cand, net.ctl.farmSeq.Load()+1)
+		if n := len(pool.peersOf(pool.shardFor(key))); n > 0 && n < quorum {
+			tenant = cand
+		}
+	}
+	if tenant == "" {
+		t.Skipf("no populated thin shard in split %v", pool.ShardSizes())
+	}
+
+	rep, err := net.ctl.RunFarm(context.Background(), smokeChunks(nChunks, perChunk, 1), FarmOptions{
+		Body:           func() *taskgraph.Graph { return smokeBody(t) },
+		AttemptTimeout: 10 * time.Second,
+		Quorum:         quorum,
+		Tenant:         tenant,
+	})
+	if err != nil {
+		t.Fatalf("Quorum %d farm on a thin shard (split %v): %v", quorum, pool.ShardSizes(), err)
+	}
+	committed := 0
+	for _, n := range rep.PeerChunks {
+		committed += n
+	}
+	if committed != nChunks || len(rep.Outputs) != nChunks*perChunk {
+		t.Fatalf("committed %d chunks / %d outputs, want %d / %d",
+			committed, len(rep.Outputs), nChunks, nChunks*perChunk)
+	}
+}
+
 // smokeBody builds the one-task stateful accumulator group body the
 // farm despatches.
 func smokeBody(t *testing.T) *taskgraph.Graph {

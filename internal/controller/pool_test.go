@@ -100,13 +100,14 @@ func TestDonorPoolTracksAdverts(t *testing.T) {
 		t.Fatalf("pool order = %v, want strongest CPU first", peers)
 	}
 
-	// RunFarm's peer source is pooledPeers; check it reads the pool and
-	// honours MaxPeers.
-	if got := net.ctl.pooledPeers(0); len(got) != 2 {
-		t.Fatalf("pooledPeers = %v, want both workers", got)
+	// RunFarm's peer source is pooledShardPeers; check it reads the pool
+	// and honours MaxPeers. Needing both donors seated takes shard
+	// placement out of the picture: a thinner shard defers to the pool.
+	if got := net.ctl.pooledShardPeers(0, "farm", 2); len(got) != 2 {
+		t.Fatalf("pooledShardPeers = %v, want both workers", got)
 	}
-	if got := net.ctl.pooledPeers(1); len(got) != 1 || got[0].ID != workerID(1) {
-		t.Fatalf("pooledPeers(1) = %v, want just the strongest", got)
+	if got := net.ctl.pooledShardPeers(1, "farm", 2); len(got) != 1 || got[0].ID != workerID(1) {
+		t.Fatalf("pooledShardPeers(max 1) = %v, want just the strongest", got)
 	}
 
 	// worker-a's advert expires; the sweep's retraction push removes it.
@@ -128,14 +129,14 @@ func TestDonorPoolTracksAdverts(t *testing.T) {
 // for flat deployments.
 func TestDonorPoolFallback(t *testing.T) {
 	net := newOverlayNet(t, []int{2000})
-	if got := net.ctl.pooledPeers(0); got != nil {
-		t.Fatalf("pooledPeers without a pool = %v, want nil", got)
+	if got := net.ctl.pooledShardPeers(0, "farm", 1); got != nil {
+		t.Fatalf("pooledShardPeers without a pool = %v, want nil", got)
 	}
 	pool, err := net.ctl.StartDonorPool(RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := net.ctl.pooledPeers(0); got != nil {
+	if got := net.ctl.pooledShardPeers(0, "farm", 1); got != nil {
 		t.Fatalf("empty pool should defer to pull discovery, got %v", got)
 	}
 	// Closing deregisters the pool from the controller.

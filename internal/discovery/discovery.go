@@ -126,29 +126,25 @@ type Node struct {
 	nextQID   uint64
 }
 
-// seenRing is a fixed-capacity FIFO set of flood query IDs: O(1)
-// membership via the map, strict insertion-order eviction via the
-// circular buffer. The previous implementation appended to a slice and
-// evicted with seenOrder[1:], which kept the whole backing array alive
-// (the front of the slice advances but the array never shrinks) and
-// re-allocated on every append once full; the ring's memory is fixed at
-// capacity forever and a recent ID can never be evicted before a staler
+// seenRing is a bounded FIFO set of flood query IDs: O(1) membership
+// via the map, strict insertion-order eviction via the circular buffer.
+// Only flood mode ever fills it, so it allocates nothing up front: the
+// buffer grows by append until it holds capacity IDs, after which each
+// insertion overwrites the oldest slot — memory is fixed at capacity
+// from then on and a recent ID can never be evicted before a staler
 // one.
 type seenRing struct {
-	ids  []string
-	set  map[string]struct{}
-	next int // slot the next insertion overwrites
-	n    int // live entries (== len(ids) once full)
+	ids      []string
+	set      map[string]struct{}
+	capacity int
+	next     int // once full, the slot the next insertion overwrites
 }
 
 func newSeenRing(capacity int) *seenRing {
 	if capacity <= 0 {
 		capacity = maxSeen
 	}
-	return &seenRing{
-		ids: make([]string, capacity),
-		set: make(map[string]struct{}, capacity),
-	}
+	return &seenRing{set: make(map[string]struct{}), capacity: capacity}
 }
 
 // observe records id, reporting whether it was already present. When
@@ -157,14 +153,14 @@ func (r *seenRing) observe(id string) (dup bool) {
 	if _, ok := r.set[id]; ok {
 		return true
 	}
-	if r.n == len(r.ids) {
-		delete(r.set, r.ids[r.next])
+	if len(r.ids) < r.capacity {
+		r.ids = append(r.ids, id)
 	} else {
-		r.n++
+		delete(r.set, r.ids[r.next])
+		r.ids[r.next] = id
+		r.next = (r.next + 1) % r.capacity
 	}
-	r.ids[r.next] = id
 	r.set[id] = struct{}{}
-	r.next = (r.next + 1) % len(r.ids)
 	return false
 }
 
@@ -175,7 +171,7 @@ func (r *seenRing) has(id string) bool {
 }
 
 // len reports the live entry count.
-func (r *seenRing) len() int { return r.n }
+func (r *seenRing) len() int { return len(r.ids) }
 
 type pendingQuery struct {
 	mu      sync.Mutex

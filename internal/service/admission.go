@@ -288,6 +288,13 @@ func (a *admission) acquire(ctx context.Context, shutdown <-chan struct{}, tenan
 	if a == nil {
 		return nil
 	}
+	// A dead context is never granted a slot, free or not: the despatch
+	// it would admit sends its request before noticing the cancel, and
+	// the job the donor accepted is then orphaned — nobody holds its ID
+	// to cancel it.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()

@@ -345,68 +345,49 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 		// Failover: a replica that refuses or cannot be reached (gone
 		// offline, owner active, not certified) is skipped, per §3.6.2:
 		// "simply distributing the code to as many computers that are
-		// available". A replica whose circuit breaker is open is skipped
-		// without touching the network at all — unless every replica is
-		// gated, in which case they are all tried rather than failing a
-		// run that might still succeed. The run fails only when no
-		// replica accepts.
+		// available". Two passes: usable replicas first — one whose
+		// circuit breaker is open is skipped without touching the network
+		// — and the gated rest only if nobody accepted. A gated replica
+		// is a better bet than failing the run: its breaker reflects
+		// stale RPC history, not the despatch about to be attempted, and
+		// under churn an idle-but-gated donor is often the only one left.
+		// The run fails only when no replica accepts.
 		var despatchErr error
-		allGated := true
-		for _, peerID := range plan.Replicas {
-			if s.health.Usable(peerID) {
-				allGated = false
-				break
-			}
-		}
-		tryReplica := func(r int, peerID string) {
-			part := RemotePart{
-				Peer:       peers[peerID],
-				Body:       body.Clone(),
-				InLabels:   replicaLabels(inLabels, r),
-				OutTargets: outTargets,
-				Iterations: opts.Iterations,
-				Seed:       opts.Seed + int64(r)*1000003,
-			}
-			job, err := s.Despatch(part, opts.CodeAddr)
-			if err != nil {
-				despatchErr = err
-				s.health.ReportFailure(peerID)
-				s.logf("service: replica %s unavailable, skipping: %v", peerID, err)
-				return
-			}
-			s.health.ReportSuccess(peerID, 0)
-			jobs = append(jobs, job)
-			for j := range inLabels {
-				inputAds[j] = append(inputAds[j], job.InAds[j])
-			}
-		}
-		var gated []struct {
-			r      int
-			peerID string
-		} // breaker-skipped replicas, kept for a second pass
-		for r, peerID := range plan.Replicas {
-			if _, ok := peers[peerID]; !ok {
-				closeLocalPipes()
-				return nil, fmt.Errorf("service: plan names unknown peer %q", peerID)
-			}
-			if !allGated && !s.health.Usable(peerID) {
-				s.logf("service: replica %s breaker open, skipping", peerID)
-				gated = append(gated, struct {
-					r      int
-					peerID string
-				}{r, peerID})
-				continue
-			}
-			tryReplica(r, peerID)
-		}
-		if len(jobs) == 0 && len(gated) > 0 {
-			// Every usable replica refused. A gated replica is a better
-			// bet than failing the run: its breaker reflects stale RPC
-			// history, not the despatch we are about to attempt — under
-			// churn an idle-but-gated donor is often the only one left.
-			for _, g := range gated {
-				s.logf("service: retrying breaker-gated replica %s (no other replica accepted)", g.peerID)
-				tryReplica(g.r, g.peerID)
+		tried := make([]bool, len(plan.Replicas))
+		for pass := 0; pass < 2 && len(jobs) == 0; pass++ {
+			for r, peerID := range plan.Replicas {
+				if _, ok := peers[peerID]; !ok {
+					closeLocalPipes()
+					return nil, fmt.Errorf("service: plan names unknown peer %q", peerID)
+				}
+				if tried[r] {
+					continue
+				}
+				if pass == 0 && !s.health.Usable(peerID) {
+					s.logf("service: replica %s breaker open, skipping", peerID)
+					continue
+				}
+				tried[r] = true
+				// The replica index, not the try order, fixes labels and seed.
+				job, err := s.Despatch(RemotePart{
+					Peer:       peers[peerID],
+					Body:       body.Clone(),
+					InLabels:   replicaLabels(inLabels, r),
+					OutTargets: outTargets,
+					Iterations: opts.Iterations,
+					Seed:       opts.Seed + int64(r)*1000003,
+				}, opts.CodeAddr)
+				if err != nil {
+					despatchErr = err
+					s.health.ReportFailure(peerID)
+					s.logf("service: replica %s unavailable, skipping: %v", peerID, err)
+					continue
+				}
+				s.health.ReportSuccess(peerID, 0)
+				jobs = append(jobs, job)
+				for j := range inLabels {
+					inputAds[j] = append(inputAds[j], job.InAds[j])
+				}
 			}
 		}
 		if len(jobs) == 0 {

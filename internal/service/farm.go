@@ -1,27 +1,39 @@
-// Chunked resilient farming with adaptive peer selection, speculative
-// replicated despatch and result quorum — the untrusted-consumer-peer
-// layer over the §3.6.2 checkpointed re-despatch path.
+// Chunked resilient farming: one chunk runner, an attempt-set state
+// machine, over the §3.6.2 checkpointed re-despatch path — the
+// untrusted-consumer-peer layer. Plain, speculative and quorum farming
+// are parameter values of that one machine (votes required K =
+// max(1, Quorum), and a backup policy), not separate loops.
+//
+// A farmRun holds what is constant across a farm's chunks; a chunkRun
+// is one chunk's attempt set. Its rules, each stated once:
 //
 // Selection: candidates are ranked by the live health tracker (EWMA
-// success score, then observed latency) instead of blind round-robin.
-// Open-breaker peers are skipped entirely; a heartbeat-declared-dead
-// peer whose cooldown has elapsed is pinged before it gets real work.
-// Only when every usable candidate is exhausted does the farm force the
-// best gated peer, so progress never stalls while budget remains.
+// success score, then observed latency). Open-breaker peers are
+// skipped; a heartbeat-declared-dead peer whose cooldown has elapsed is
+// pinged before it gets real work. A gated peer is forced only when the
+// chunk has no ballot and nothing in flight, so progress never stalls
+// while budget remains. A committed capability group narrows the
+// candidates up front; nothing ever votes from outside it.
 //
-// Speculation: with Speculate set, an attempt running past a
-// quantile-based straggler threshold (p90 of the peer's observed
-// attempt latencies × StragglerFactor, or SpeculateAfter before enough
-// history exists) triggers a backup attempt of the same chunk on the
-// next-healthiest peer under fresh pipe labels. The first clean result
-// commits; losers are cancelled (their remote jobs too) and reaped
-// before FarmChunks returns.
+// Launching: primaries launch while ballots + attempts in flight < K
+// and attempt budget remains. The chunk blocks for an admission slot
+// only while it holds none; otherwise a refused slot means "skip now,
+// drain a result, retry". With Speculate (and K = 1) each launch arms a
+// straggler timer — the peer's observed p90 attempt latency ×
+// StragglerFactor, or SpeculateAfter before history exists — whose
+// firing launches a backup on the next-healthiest peer.
 //
-// Quorum: with Quorum = K > 1, each chunk is despatched to K peers up
-// front and commits only when a majority (K/2+1) of returned result
-// digests agree. Minority results are discarded and their peers take a
-// byzantine health penalty — the paper's §3.8 "hostile peer" case made
-// survivable without trusting any single volunteer.
+// Deciding: every clean full-length result is a ballot. K = 1 commits
+// the first ballot at once and abandons its racers. K > 1 tallies
+// result digests only when nothing is in flight, so the outcome is
+// independent of arrival order: a majority (K/2+1) commits, an
+// inconclusive vote widens the electorate by exactly one fresh voter
+// with prior ballots live, and no budget or candidate left is terminal.
+// The books close once per chunk: agreeing voters earn a success,
+// voters outside the plurality take the byzantine penalty (§3.8's
+// hostile peer), and every non-committed ballot's outputs are waste.
+// Losers are cancelled (their remote jobs too) and reaped before
+// FarmChunks returns.
 package service
 
 import (
@@ -116,17 +128,6 @@ type FarmOptions struct {
 	// committed chunk is despatched — or billed — twice. Empty disables
 	// journaling for this farm.
 	ResumeKey string
-
-	// datums holds every chunk's canonical payloads (and digests),
-	// computed once per farm; manifests is the data-tier state when the
-	// controller runs the chunk store; tstats caches the tenant's farm
-	// series; eligible is the group-filtered candidate slice selection
-	// draws from (all of Peers when no group is committed). All are
-	// farm-internal: FarmChunks populates them after applying defaults.
-	datums    [][]manifestDatum
-	manifests *farmManifests
-	tstats    *tenantFarmStats
-	eligible  []PeerRef
 }
 
 func (o FarmOptions) withFarmDefaults(res ResilienceOptions) FarmOptions {
@@ -186,6 +187,85 @@ type FarmReport struct {
 	ResumedChunks int
 }
 
+// stragglerRetry is how soon a fired-but-skipped straggler timer is
+// re-armed: the backup launch was blocked (no admission slot, no free
+// peer), not rejected, so the detector keeps watching.
+const stragglerRetry = 25 * time.Millisecond
+
+// farmRun is what stays constant across one farm's chunks.
+type farmRun struct {
+	s    *Service
+	opts FarmOptions
+	id   int64
+	// votes is the ballots a chunk needs before it can commit:
+	// max(1, Quorum). Plain and speculative farming are votes == 1.
+	votes int
+
+	// datums holds every chunk's canonical payloads (and digests),
+	// computed once per farm; manifests is the data-tier state when the
+	// controller runs the chunk store; tstats caches the tenant's farm
+	// series.
+	datums    [][]manifestDatum
+	manifests *farmManifests
+	tstats    *tenantFarmStats
+
+	// ids and byID are the eligible candidates — the group-filtered
+	// subset of opts.Peers (all of them when no group is committed) —
+	// in the shape selection ranks, built once per farm.
+	ids  []string
+	byID map[string]PeerRef
+
+	report *FarmReport
+	// losers reaps abandoned racing attempts: they are cancelled, keep
+	// running until the cancel lands, and must be accounted (waste,
+	// admission slots) before the farm returns.
+	losers sync.WaitGroup
+}
+
+// chunkRun is one chunk's attempt set: everything launched for the
+// chunk, in launch order, and the budgets left.
+type chunkRun struct {
+	*farmRun
+	ctx   context.Context
+	c     int
+	chunk []types.Data
+	state map[string][]byte
+
+	results  chan farmResult
+	attempts []farmAttempt
+	running  int // attempts in flight, each holding an admission slot
+	ballots  int // attempts that voted
+	backups  int // attempts launched by the straggler timer
+	spent    int // of ChunkAttempts: launches plus failed probes
+
+	straggler *time.Timer
+}
+
+// farmAttempt is the coordinator's record of one launched attempt.
+type farmAttempt struct {
+	peer   PeerRef
+	cancel context.CancelFunc
+	backup bool
+	start  time.Time
+	phase  attemptPhase
+
+	// The ballot, once voted: a clean, full-length result. digest is
+	// computed only when votes > 1; with one vote required every ballot
+	// agrees.
+	got      []types.Data
+	newState map[string][]byte
+	digest   string
+	elapsed  time.Duration
+}
+
+type attemptPhase int
+
+const (
+	attemptRunning attemptPhase = iota
+	attemptVoted
+	attemptFailed
+)
+
 // farmResult is one attempt's terminal report, delivered on the chunk
 // coordinator's results channel.
 type farmResult struct {
@@ -193,19 +273,6 @@ type farmResult struct {
 	got      []types.Data
 	newState map[string][]byte
 	err      error
-}
-
-// stragglerRetry is how soon a fired-but-skipped straggler timer is
-// re-armed: the speculative launch was blocked (no admission slot, no
-// free peer), not rejected, so the detector keeps watching.
-const stragglerRetry = 25 * time.Millisecond
-
-// farmInflight is the coordinator's record of one running attempt.
-type farmInflight struct {
-	peer   PeerRef
-	cancel context.CancelFunc
-	spec   bool
-	start  time.Time
 }
 
 // FarmChunks streams chunks of work through the body on the given
@@ -233,30 +300,34 @@ func (s *Service) FarmChunks(ctx context.Context, chunks [][]types.Data, opts Fa
 		return nil, fmt.Errorf("service: FarmChunks Quorum %d exceeds %d peers — majority unreachable",
 			opts.Quorum, len(opts.Peers))
 	}
+	fr := &farmRun{
+		s:      s,
+		votes:  max(1, opts.Quorum),
+		byID:   make(map[string]PeerRef, len(opts.Peers)),
+		report: &FarmReport{PeerChunks: make(map[string]int)},
+	}
 	// A committed group narrows the eligible candidates before any
 	// despatch: out-of-group peers are invisible to selection, failover,
 	// speculation and quorum ballots alike. A quorum that cannot seat
 	// its electorate inside the group fails fast, same reasoning as the
 	// peer-count check above.
-	opts.eligible = opts.Peers
-	if opts.Group != "" {
-		opts.eligible = nil
-		for _, p := range opts.Peers {
-			if opts.GroupMembers[p.ID] {
-				opts.eligible = append(opts.eligible, p)
-			}
-		}
-		if len(opts.eligible) == 0 {
-			return nil, fmt.Errorf("service: FarmChunks committed to group %s but no candidate peer is a member",
-				opts.Group)
-		}
-		if opts.Quorum > len(opts.eligible) {
-			capgroup.CountQuorumCapacity()
-			return nil, fmt.Errorf("service: FarmChunks Quorum %d exceeds the %d members of group %s: %w",
-				opts.Quorum, len(opts.eligible), opts.Group, ErrNoQuorumCapacity)
+	for _, p := range opts.Peers {
+		if opts.Group == "" || opts.GroupMembers[p.ID] {
+			fr.ids = append(fr.ids, p.ID)
+			fr.byID[p.ID] = p
 		}
 	}
+	if len(fr.ids) == 0 {
+		return nil, fmt.Errorf("service: FarmChunks committed to group %s but no candidate peer is a member",
+			opts.Group)
+	}
+	if opts.Quorum > len(fr.ids) {
+		capgroup.CountQuorumCapacity()
+		return nil, fmt.Errorf("service: FarmChunks Quorum %d exceeds the %d members of group %s: %w",
+			opts.Quorum, len(fr.ids), opts.Group, ErrNoQuorumCapacity)
+	}
 	opts = opts.withFarmDefaults(s.res)
+	fr.opts = opts
 	// Register with the admission scheduler before any slot is taken: a
 	// draining daemon refuses the farm here (ErrDraining), while farms
 	// registered before the drain keep acquiring slots for their
@@ -265,22 +336,22 @@ func (s *Service) FarmChunks(ctx context.Context, chunks [][]types.Data, opts Fa
 		return nil, err
 	}
 	defer s.admit.endFarm()
-	opts.tstats = s.tenantFarm(opts.Tenant)
-	opts.tstats.farms.Inc()
+	fr.tstats = s.tenantFarm(opts.Tenant)
+	fr.tstats.farms.Inc()
 	// Canonically encode every datum once: the payloads feed the digests,
 	// the attempt streams, and (data tier on) the pinned chunks and ring
 	// replicas — so re-despatches and speculative backups never re-pay
 	// the marshal, and a chunk's identity is fixed before attempt one.
 	var err error
-	if opts.datums, err = digestFarmChunks(chunks); err != nil {
+	if fr.datums, err = digestFarmChunks(chunks); err != nil {
 		return nil, err
 	}
 	if s.chunks != nil {
-		opts.manifests = s.prepareFarmManifests(opts.datums)
-		defer opts.manifests.release()
+		fr.manifests = s.prepareFarmManifests(fr.datums)
+		defer fr.manifests.release()
 	}
-	farmID := s.nextRunID.Add(1)
-	report := &FarmReport{PeerChunks: make(map[string]int)}
+	fr.id = s.nextRunID.Add(1)
+	report := fr.report
 	state := opts.InitialState
 
 	// Resume: a journal restored from a checkpoint replays the
@@ -307,38 +378,26 @@ func (s *Service) FarmChunks(ctx context.Context, chunks [][]types.Data, opts Fa
 		}
 	}
 
-	// losers reaps abandoned racing attempts: they are cancelled, keep
-	// running until the cancel lands, and must be accounted (waste,
-	// admission slots) before the farm returns.
-	var losers sync.WaitGroup
-	defer losers.Wait()
+	defer fr.losers.Wait()
 
 	for c := resumeFrom; c < len(chunks); c++ {
-		chunk := chunks[c]
-		got, newState, peerID, err := func() ([]types.Data, map[string][]byte, string, error) {
-			chunksInflight.Add(1)
-			defer chunksInflight.Add(-1)
-			if opts.Quorum > 1 {
-				return s.runChunkQuorum(ctx, chunk, state, farmID, c, opts, report, &losers)
-			}
-			return s.runChunkSpeculative(ctx, chunk, state, farmID, c, opts, report, &losers)
-		}()
+		won, err := fr.runChunk(ctx, c, chunks[c], state)
 		if err != nil {
 			return report, err
 		}
-		report.Outputs = append(report.Outputs, got...)
-		if len(newState) > 0 {
-			state = newState
+		report.Outputs = append(report.Outputs, won.got...)
+		if len(won.newState) > 0 {
+			state = won.newState
 		}
-		report.PeerChunks[peerID]++
+		report.PeerChunks[won.peer.ID]++
 		chunksCommitted.Inc()
-		opts.tstats.chunks.Inc()
+		fr.tstats.chunks.Inc()
 		if opts.ResumeKey != "" {
 			// Journal the commit, then make it durable before AfterChunk
 			// (the chaos tests crash there): a kill after this point
 			// resumes past this chunk instead of re-running it.
-			marshalled := make([][]byte, 0, len(got))
-			for _, d := range got {
+			marshalled := make([][]byte, 0, len(won.got))
+			for _, d := range won.got {
 				p, merr := types.Marshal(d)
 				if merr != nil {
 					return report, fmt.Errorf("service: journaling chunk %d: %w", c, merr)
@@ -370,50 +429,248 @@ func (s *Service) FarmChunks(ctx context.Context, chunks [][]types.Data, opts Fa
 	return report, nil
 }
 
-// nextFarmPeer picks the best candidate not already working this chunk.
+// runChunk drives chunk c to a committed ballot or a terminal error —
+// the one loop plain, speculative and quorum farming all run.
+func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, state map[string][]byte) (farmAttempt, error) {
+	cr := &chunkRun{
+		farmRun: fr, ctx: ctx, c: c, chunk: chunk, state: state,
+		// Buffered to the attempt budget — every launch spends from it —
+		// so attempt goroutines never block on delivery, even after the
+		// coordinator has moved on.
+		results:  make(chan farmResult, fr.opts.ChunkAttempts),
+		attempts: make([]farmAttempt, 0, fr.votes+1),
+	}
+	chunksInflight.Add(1)
+	defer chunksInflight.Add(-1)
+	defer func() {
+		if cr.straggler != nil {
+			cr.straggler.Stop()
+		}
+	}()
+	s, tenant := fr.s, fr.opts.Tenant
+
+	for {
+		// Top up toward the votes required while candidates and budget
+		// remain. An attempt in flight, backup included, is a ballot
+		// that may yet arrive.
+		for cr.ballots+cr.running < cr.votes {
+			launched, err := cr.launch(false)
+			if err != nil {
+				cr.abandon(false)
+				return farmAttempt{}, err
+			}
+			if !launched {
+				break
+			}
+		}
+		// Decide. One vote required: the first ballot commits at once.
+		// More: only when every launched attempt has resolved, so the
+		// outcome is independent of arrival order.
+		if cr.running == 0 || (cr.votes == 1 && cr.ballots > 0) {
+			plurality, winner := cr.tally()
+			if winner >= 0 {
+				cr.abandon(true)
+				cr.settle(plurality, winner)
+				won := cr.attempts[winner]
+				if won.backup {
+					fr.report.SpeculationWins++
+					s.resStats.SpeculationWins.Inc()
+				}
+				if cr.votes > 1 {
+					s.resStats.QuorumCommits.Inc()
+				}
+				return won, nil
+			}
+			// Inconclusive. Widen the electorate by exactly one fresh
+			// voter — existing ballots stay live (they may yet join a
+			// majority) and their peers stay busy, so every pass either
+			// adds a voter or ends the chunk.
+			launched, err := cr.launch(false)
+			if err != nil {
+				return farmAttempt{}, err
+			}
+			if !launched {
+				// Terminal: no budget or no fresh candidate.
+				cr.settle(plurality, -1)
+				if fr.opts.Group != "" && len(fr.ids) < len(fr.opts.Peers) && cr.spent < fr.opts.ChunkAttempts {
+					// Budget remained but every fresh in-group voter is
+					// spent: the out-of-group candidates were deliberately
+					// skipped rather than mixed into the electorate, and
+					// the typed error says so.
+					capgroup.CountQuorumCapacity()
+					return farmAttempt{}, fmt.Errorf(
+						"service: farm chunk %d: widening needs a fresh voter but group %s has none left (%d out-of-group candidates skipped): %w",
+						c, fr.opts.Group, len(fr.opts.Peers)-len(fr.ids), ErrNoQuorumCapacity)
+				}
+				return farmAttempt{}, fmt.Errorf(
+					"service: farm chunk %d failed after %d attempts: no %d of its %d results agree",
+					c, cr.spent, cr.votes/2+1, cr.ballots)
+			}
+		}
+		var stragglerC <-chan time.Time
+		if cr.straggler != nil {
+			stragglerC = cr.straggler.C
+		}
+		select {
+		case <-ctx.Done():
+			cr.abandon(false)
+			return farmAttempt{}, ctx.Err()
+		case <-stragglerC:
+			if cr.backups < fr.opts.MaxSpeculative && cr.running > 0 {
+				// The chunk holds a slot, so this launch never blocks
+				// and cannot fail — it starts a backup or skips.
+				if launched, _ := cr.launch(true); launched {
+					fr.report.SpeculationLaunches++
+					s.resStats.SpeculationLaunches.Inc()
+				} else if cr.spent < fr.opts.ChunkAttempts {
+					// Skipped, not spent: no admission slot or free
+					// peer right now. Re-arm shortly — a slot or a
+					// half-open peer may free while the straggler is
+					// still running.
+					cr.straggler.Reset(stragglerRetry)
+				}
+			}
+		case r := <-cr.results:
+			a := &cr.attempts[r.idx]
+			cr.running--
+			s.admit.release(tenant)
+			if r.err == nil && len(r.got) != len(chunk) {
+				r.err = errors.New("short result")
+			}
+			if r.err == nil && cr.votes > 1 {
+				// Only a vote needs the digest; a lone ballot has
+				// nothing to be compared with.
+				a.digest, r.err = resultDigest(r.got, r.newState)
+			}
+			if r.err != nil {
+				// The peer is free to be picked again.
+				a.phase = attemptFailed
+				s.health.ReportFailure(a.peer.ID)
+				fr.waste(len(r.got), false)
+				s.logf("service: farm %d chunk %d attempt %d on %s failed (%d/%d outputs): %v",
+					fr.id, c, r.idx, a.peer.ID, len(r.got), len(chunk), r.err)
+				continue
+			}
+			// The peer stays busy: it has voted.
+			a.phase, a.got, a.newState, a.elapsed = attemptVoted, r.got, r.newState, time.Since(a.start)
+			cr.ballots++
+			if fr.manifests != nil {
+				// A voter resolved the chunk's digests even before the
+				// vote commits — later attempts can fetch from it
+				// instead of the controller.
+				fr.manifests.recordResolved(c, a.peer.Addr)
+			}
+		}
+	}
+}
+
+// launch starts the chunk on the best admitted candidate, as a primary
+// or a straggler backup. A formerly-dead peer is pinged first; a failed
+// probe releases the slot, spends an attempt and moves to the next
+// candidate. It reports false — skipped, not failed — when no budget,
+// candidate or (for a chunk already holding one) admission slot is
+// available right now.
+func (cr *chunkRun) launch(backup bool) (bool, error) {
+	s, tenant := cr.s, cr.opts.Tenant
+	for cr.spent < cr.opts.ChunkAttempts {
+		holding := cr.running > 0
+		// A gated peer is forced only when the chunk would otherwise
+		// fail outright — never for a backup or a quorum top-up.
+		peer, needsProbe, ok := cr.nextPeer(!holding && cr.ballots == 0)
+		if !ok {
+			return false, nil
+		}
+		// Deadlock discipline: block for a slot only while holding none.
+		// Attempts in flight hold slots that this chunk's own loop
+		// releases when it drains results, so a blocking acquire here
+		// would be hold-and-wait — with a budget below the votes
+		// required, or several farms racing, the despatch plane would
+		// seize. Launches past the first are opportunistic instead:
+		// skip now, drain a result, retry with the freed slot.
+		if holding {
+			if !s.admit.tryAcquire(tenant) {
+				return false, nil
+			}
+		} else if err := s.admit.acquire(cr.ctx, s.shutdown, tenant); err != nil {
+			return false, err
+		}
+		cr.spent++
+		if needsProbe {
+			// One unretried ping before real work is committed to a
+			// formerly-dead peer: it is either back or it is not.
+			start := time.Now()
+			if _, err := s.host.RequestTimeout(peer.Addr, MethodPing, nil, nil, s.res.HeartbeatTimeout); err != nil {
+				s.health.ReportFailure(peer.ID)
+				s.admit.release(tenant)
+				s.logf("service: farm %d chunk %d probe of %s failed: %v", cr.id, cr.c, peer.ID, err)
+				continue
+			}
+			s.health.ReportSuccess(peer.ID, time.Since(start))
+		}
+		idx := len(cr.attempts)
+		if backup {
+			cr.backups++
+		} else if idx-cr.backups >= cr.votes {
+			// Primaries beyond the first `votes` replace failed or
+			// inconclusive ones.
+			cr.report.Redespatches++
+			s.resStats.Redespatches.Inc()
+		}
+		actx, cancel := context.WithCancel(cr.ctx)
+		cr.attempts = append(cr.attempts, farmAttempt{peer: peer, cancel: cancel, backup: backup, start: time.Now()})
+		cr.running++
+		go func() {
+			got, newState, err := cr.attempt(actx, peer, idx)
+			cancel()
+			cr.results <- farmResult{idx: idx, got: got, newState: newState, err: err}
+		}()
+		if cr.opts.Speculate && cr.votes == 1 {
+			if cr.straggler != nil {
+				cr.straggler.Stop()
+			}
+			cr.straggler = time.NewTimer(s.stragglerThreshold(peer.ID, cr.opts))
+		}
+		return true, nil
+	}
+	return false, nil
+}
+
+// busy reports whether the peer is already working — or has voted on —
+// this chunk: one peer, one vote. A peer whose attempt failed is free
+// to be picked again.
+func (cr *chunkRun) busy(peerID string) bool {
+	for i := range cr.attempts {
+		if a := &cr.attempts[i]; a.peer.ID == peerID && a.phase != attemptFailed {
+			return true
+		}
+	}
+	return false
+}
+
+// nextPeer picks the best eligible candidate not busy on this chunk.
 // Usable (non-open-breaker) peers are tried in health rank order; a
 // half-open peer claims its single probe slot, and needsProbe marks the
 // ones whose last verdict was dead, so the launcher pings before
 // trusting them. With allowGated set and nothing usable, the best
 // open-breaker peer is forced — the attempt doubles as its probe.
-func (s *Service) nextFarmPeer(peers []PeerRef, busy map[string]bool, allowGated bool) (ref PeerRef, needsProbe, ok bool) {
-	byID := make(map[string]PeerRef, len(peers))
-	ids := make([]string, 0, len(peers))
-	for _, p := range peers {
-		byID[p.ID] = p
-		ids = append(ids, p.ID)
-	}
-	usable, gated := s.health.Rank(ids)
+func (cr *chunkRun) nextPeer(allowGated bool) (ref PeerRef, needsProbe, ok bool) {
+	usable, gated := cr.s.health.Rank(cr.ids)
 	for _, id := range usable {
-		if busy[id] {
+		if cr.busy(id) {
 			continue
 		}
-		if admitted, probe := s.health.Admit(id); admitted {
-			return byID[id], probe, true
+		if admitted, probe := cr.s.health.Admit(id); admitted {
+			return cr.byID[id], probe, true
 		}
 	}
 	if allowGated {
 		for _, id := range gated {
-			if busy[id] {
-				continue
+			if !cr.busy(id) {
+				return cr.byID[id], false, true
 			}
-			return byID[id], false, true
 		}
 	}
 	return PeerRef{}, false, false
-}
-
-// probeFarmPeer pings a formerly-dead peer once before real work is
-// committed to it. A single unretried probe: the peer is either back or
-// it is not.
-func (s *Service) probeFarmPeer(peer PeerRef) error {
-	start := time.Now()
-	if _, err := s.host.RequestTimeout(peer.Addr, MethodPing, nil, nil, s.res.HeartbeatTimeout); err != nil {
-		s.health.ReportFailure(peer.ID)
-		return err
-	}
-	s.health.ReportSuccess(peer.ID, time.Since(start))
-	return nil
 }
 
 // stragglerThreshold derives the speculation trigger for an attempt on
@@ -431,405 +688,107 @@ func (s *Service) stragglerThreshold(peerID string, opts FarmOptions) time.Durat
 	return opts.SpeculateAfter
 }
 
-// abandonRacers cancels every still-running attempt and hands their
+// tally counts the ballots by digest. plurality is the most-voted
+// digest (ties to the smaller); winner is the earliest-launched attempt
+// carrying it when it has reached the majority votes/2+1, else -1.
+func (cr *chunkRun) tally() (plurality string, winner int) {
+	best := 0
+	for i := range cr.attempts {
+		a := &cr.attempts[i]
+		if a.phase != attemptVoted {
+			continue
+		}
+		n := 0
+		for j := range cr.attempts {
+			if o := &cr.attempts[j]; o.phase == attemptVoted && o.digest == a.digest {
+				n++
+			}
+		}
+		if n > best || (n == best && a.digest < plurality) {
+			plurality, best, winner = a.digest, n, i
+		}
+	}
+	if best < cr.votes/2+1 {
+		winner = -1
+	}
+	return plurality, winner
+}
+
+// settle closes the chunk's books — once, at commit (winner is the
+// committed attempt) or at terminal failure (winner < 0). Voters that
+// agreed with a committed majority earn their success; voters outside
+// the plurality lost the vote, or kept one from forming, and take the
+// byzantine penalty either way; every ballot but the committed one is
+// discarded work, agreeing duplicates included.
+func (cr *chunkRun) settle(plurality string, winner int) {
+	s := cr.s
+	for i := range cr.attempts {
+		a := &cr.attempts[i]
+		if a.phase != attemptVoted {
+			continue
+		}
+		switch {
+		case a.digest != plurality:
+			s.health.ReportByzantine(a.peer.ID)
+			cr.report.QuorumDisagreements++
+			s.resStats.QuorumDisagreements.Inc()
+			s.logf("service: farm %d chunk %d quorum: peer %s voted outside the plurality",
+				cr.id, cr.c, a.peer.ID)
+		case winner >= 0:
+			s.health.ReportSuccess(a.peer.ID, a.elapsed)
+		}
+		if i != winner {
+			cr.waste(len(a.got), false)
+		}
+	}
+}
+
+// waste counts outputs that were produced but will never be committed.
+// specRace marks waste caused by a speculative race (vs. a failure, a
+// lost vote or a farm-level cancellation).
+func (fr *farmRun) waste(outputs int, specRace bool) {
+	n := int64(outputs)
+	atomic.AddInt64(&fr.report.WastedOutputs, n)
+	fr.s.resStats.WastedItems.Add(n)
+	if specRace {
+		atomic.AddInt64(&fr.report.SpeculationWaste, n)
+		fr.s.resStats.SpeculationWaste.Add(n)
+	}
+}
+
+// abandon cancels every still-running attempt and hands their
 // accounting to a reaper goroutine: waste is tallied and admission
 // slots released as each loser drains, and the farm-level WaitGroup
-// holds FarmChunks open until all are reaped. specRace marks waste
-// caused by a speculative race (vs. a farm-level cancellation).
-func (s *Service) abandonRacers(inflight map[int]*farmInflight, results <-chan farmResult,
-	report *FarmReport, losers *sync.WaitGroup, tenant string, specRace bool) {
-	if len(inflight) == 0 {
+// holds FarmChunks open until all are reaped.
+func (cr *chunkRun) abandon(specRace bool) {
+	remaining := cr.running
+	if remaining == 0 {
 		return
 	}
-	remaining := len(inflight)
-	for _, fl := range inflight {
-		fl.cancel()
+	for i := range cr.attempts {
+		if a := &cr.attempts[i]; a.phase == attemptRunning {
+			a.cancel()
+		}
 	}
-	losers.Add(1)
+	cr.losers.Add(1)
 	go func() {
-		defer losers.Done()
+		defer cr.losers.Done()
 		for i := 0; i < remaining; i++ {
-			r := <-results
-			s.admit.release(tenant)
-			n := int64(len(r.got))
-			atomic.AddInt64(&report.WastedOutputs, n)
-			s.resStats.WastedItems.Add(n)
-			if specRace {
-				atomic.AddInt64(&report.SpeculationWaste, n)
-				s.resStats.SpeculationWaste.Add(n)
-			}
+			r := <-cr.results
+			cr.s.admit.release(cr.opts.Tenant)
+			cr.waste(len(r.got), specRace)
 		}
 	}()
 }
 
-// runChunkSpeculative despatches one chunk with health-ranked failover
-// and optional speculative backups; it returns the winning attempt's
-// outputs, new checkpoint state and peer.
-func (s *Service) runChunkSpeculative(ctx context.Context, chunk []types.Data,
-	state map[string][]byte, farmID int64, c int, opts FarmOptions,
-	report *FarmReport, losers *sync.WaitGroup) ([]types.Data, map[string][]byte, string, error) {
-
-	// Buffered past the launch budget so attempt goroutines never block
-	// on delivery, even after the coordinator has moved on.
-	results := make(chan farmResult, opts.ChunkAttempts+opts.MaxSpeculative+2)
-	inflight := make(map[int]*farmInflight)
-	busy := make(map[string]bool)
-	attemptsUsed, launches, specLaunched, nextIdx := 0, 0, 0, 0
-
-	var straggler *time.Timer
-	var stragglerC <-chan time.Time
-	defer func() {
-		if straggler != nil {
-			straggler.Stop()
-		}
-	}()
-
-	// launchOne starts the chunk on the best admitted candidate. A
-	// formerly-dead peer is pinged first; a failed probe consumes an
-	// attempt and moves to the next candidate. Speculative launches are
-	// opportunistic: they skip (not fail) when no slot or peer is free.
-	launchOne := func(spec bool) (bool, error) {
-		for attemptsUsed < opts.ChunkAttempts {
-			peer, needsProbe, ok := s.nextFarmPeer(opts.eligible, busy, !spec)
-			if !ok {
-				return false, nil
-			}
-			if spec {
-				if !s.admit.tryAcquire(opts.Tenant) {
-					return false, nil
-				}
-			} else if err := s.admit.acquire(ctx, s.shutdown, opts.Tenant); err != nil {
-				return false, err
-			}
-			if needsProbe {
-				if err := s.probeFarmPeer(peer); err != nil {
-					s.admit.release(opts.Tenant)
-					attemptsUsed++
-					s.logf("service: farm %d chunk %d probe of %s failed: %v", farmID, c, peer.ID, err)
-					continue
-				}
-			}
-			idx := nextIdx
-			nextIdx++
-			attemptsUsed++
-			if !spec {
-				if launches > 0 {
-					report.Redespatches++
-					s.resStats.Redespatches.Inc()
-				}
-				launches++
-			}
-			actx, cancel := context.WithCancel(ctx)
-			fl := &farmInflight{peer: peer, cancel: cancel, spec: spec, start: time.Now()}
-			inflight[idx] = fl
-			busy[peer.ID] = true
-			go func() {
-				got, newState, err := s.farmAttempt(actx, fl.peer, chunk, state, farmID, c, idx, opts)
-				cancel()
-				results <- farmResult{idx: idx, got: got, newState: newState, err: err}
-			}()
-			if opts.Speculate {
-				if straggler != nil {
-					straggler.Stop()
-				}
-				straggler = time.NewTimer(s.stragglerThreshold(peer.ID, opts))
-				stragglerC = straggler.C
-			}
-			return true, nil
-		}
-		return false, nil
-	}
-
-	for {
-		if len(inflight) == 0 {
-			launched, err := launchOne(false)
-			if err != nil {
-				return nil, nil, "", err
-			}
-			if !launched {
-				return nil, nil, "", fmt.Errorf("service: farm chunk %d failed after %d attempts", c, attemptsUsed)
-			}
-		}
-		select {
-		case <-ctx.Done():
-			s.abandonRacers(inflight, results, report, losers, opts.Tenant, false)
-			return nil, nil, "", ctx.Err()
-		case <-stragglerC:
-			stragglerC = nil
-			if specLaunched < opts.MaxSpeculative && len(inflight) > 0 {
-				launched, _ := launchOne(true)
-				if launched {
-					specLaunched++
-					report.SpeculationLaunches++
-					s.resStats.SpeculationLaunches.Inc()
-				} else if attemptsUsed < opts.ChunkAttempts {
-					// Skipped, not spent: no admission slot or free peer
-					// right now. Re-arm shortly — a slot or a half-open
-					// peer may free while the straggler is still running.
-					straggler.Reset(stragglerRetry)
-					stragglerC = straggler.C
-				}
-			}
-		case r := <-results:
-			fl := inflight[r.idx]
-			delete(inflight, r.idx)
-			delete(busy, fl.peer.ID)
-			s.admit.release(opts.Tenant)
-			if r.err == nil && len(r.got) == len(chunk) {
-				s.health.ReportSuccess(fl.peer.ID, time.Since(fl.start))
-				if opts.manifests != nil {
-					// The winner materialised this chunk's digests; later
-					// manifests can offer it as a peer fetch source.
-					opts.manifests.recordResolved(c, fl.peer.Addr)
-				}
-				if fl.spec {
-					report.SpeculationWins++
-					s.resStats.SpeculationWins.Inc()
-				}
-				s.abandonRacers(inflight, results, report, losers, opts.Tenant, true)
-				return r.got, r.newState, fl.peer.ID, nil
-			}
-			s.health.ReportFailure(fl.peer.ID)
-			n := int64(len(r.got))
-			atomic.AddInt64(&report.WastedOutputs, n)
-			s.resStats.WastedItems.Add(n)
-			s.logf("service: farm %d chunk %d attempt %d on %s failed (%d/%d outputs): %v",
-				farmID, c, r.idx, fl.peer.ID, len(r.got), len(chunk), r.err)
-		}
-	}
-}
-
-// runChunkQuorum despatches one chunk to Quorum peers concurrently and
-// commits only a majority-agreed result digest. Fast failures are
-// replaced from the remaining candidates while the attempt budget
-// lasts; the vote happens once every launched attempt has resolved, so
-// the outcome is independent of arrival order. Under a tight admission
-// budget the k voters ballot in smaller concurrent batches rather than
-// all at once — prior ballots stay live across batches, so the vote is
-// unchanged, and the chunk never blocks on a slot while holding one. An inconclusive vote
-// (all attempts resolved, no digest at majority) widens the electorate
-// by one fresh voter per pass — prior ballots stay live, so an honest
-// early voter can still anchor the eventual majority — and ends the
-// chunk when neither budget nor candidates remain. Peers whose digest
-// loses the vote, or blocks a terminal one, take the byzantine penalty;
-// wasted outputs are tallied exactly once, at commit or final failure.
-func (s *Service) runChunkQuorum(ctx context.Context, chunk []types.Data,
-	state map[string][]byte, farmID int64, c int, opts FarmOptions,
-	report *FarmReport, losers *sync.WaitGroup) ([]types.Data, map[string][]byte, string, error) {
-
-	k := opts.Quorum
-	majority := k/2 + 1
-	results := make(chan farmResult, opts.ChunkAttempts+k+2)
-	inflight := make(map[int]*farmInflight)
-	// busy excludes a chunk's in-flight AND already-successful peers
-	// from re-selection: one peer, one vote.
-	busy := make(map[string]bool)
-	attemptsUsed, nextIdx := 0, 0
-
-	type vote struct {
-		peer    PeerRef
-		got     []types.Data
-		state   map[string][]byte
-		digest  string
-		elapsed time.Duration
-	}
-	var successes []vote
-
-	launchOne := func() (bool, error) {
-		for attemptsUsed < opts.ChunkAttempts {
-			// Gated peers are forced only when the chunk would otherwise
-			// fail outright — never to top up a quorum.
-			allowGated := len(successes) == 0 && len(inflight) == 0
-			peer, needsProbe, ok := s.nextFarmPeer(opts.eligible, busy, allowGated)
-			if !ok {
-				return false, nil
-			}
-			// Deadlock discipline (same as the speculative path): block
-			// for a slot only while holding none. Votes still in flight
-			// hold slots that this very loop releases when it drains
-			// results, so a blocking acquire here would be hold-and-wait
-			// — with a budget below k, or several quorum farms racing,
-			// the despatch plane would seize. Top-ups past the first
-			// voter are opportunistic instead: skip now, drain a result,
-			// retry with the freed slot.
-			if len(inflight) > 0 {
-				if !s.admit.tryAcquire(opts.Tenant) {
-					return false, nil
-				}
-			} else if err := s.admit.acquire(ctx, s.shutdown, opts.Tenant); err != nil {
-				return false, err
-			}
-			if needsProbe {
-				if err := s.probeFarmPeer(peer); err != nil {
-					s.admit.release(opts.Tenant)
-					attemptsUsed++
-					continue
-				}
-			}
-			idx := nextIdx
-			nextIdx++
-			attemptsUsed++
-			if idx >= k {
-				report.Redespatches++
-				s.resStats.Redespatches.Inc()
-			}
-			actx, cancel := context.WithCancel(ctx)
-			fl := &farmInflight{peer: peer, cancel: cancel, start: time.Now()}
-			inflight[idx] = fl
-			busy[peer.ID] = true
-			go func() {
-				got, newState, err := s.farmAttempt(actx, fl.peer, chunk, state, farmID, c, idx, opts)
-				cancel()
-				results <- farmResult{idx: idx, got: got, newState: newState, err: err}
-			}()
-			return true, nil
-		}
-		return false, nil
-	}
-
-	for {
-		// Top up toward k concurrent votes while candidates and budget
-		// remain.
-		for len(successes)+len(inflight) < k {
-			launched, err := launchOne()
-			if err != nil {
-				s.abandonRacers(inflight, results, report, losers, opts.Tenant, false)
-				return nil, nil, "", err
-			}
-			if !launched {
-				break
-			}
-		}
-		if len(inflight) == 0 {
-			// Every launched attempt has resolved: vote.
-			counts := make(map[string]int)
-			for _, v := range successes {
-				counts[v.digest]++
-			}
-			bestDigest, best := "", 0
-			for d, n := range counts {
-				if n > best || (n == best && d < bestDigest) {
-					bestDigest, best = d, n
-				}
-			}
-			if best >= majority {
-				var winner *vote
-				for i := range successes {
-					v := &successes[i]
-					if v.digest == bestDigest {
-						s.health.ReportSuccess(v.peer.ID, v.elapsed)
-						if winner == nil {
-							winner = v
-							continue
-						}
-						// Agreeing duplicates are intentional redundancy,
-						// still discarded work.
-						n := int64(len(v.got))
-						atomic.AddInt64(&report.WastedOutputs, n)
-						s.resStats.WastedItems.Add(n)
-					} else {
-						s.health.ReportByzantine(v.peer.ID)
-						report.QuorumDisagreements++
-						s.resStats.QuorumDisagreements.Inc()
-						n := int64(len(v.got))
-						atomic.AddInt64(&report.WastedOutputs, n)
-						s.resStats.WastedItems.Add(n)
-						s.logf("service: farm %d chunk %d quorum: peer %s disagreed with majority",
-							farmID, c, v.peer.ID)
-					}
-				}
-				s.resStats.QuorumCommits.Inc()
-				return winner.got, winner.state, winner.peer.ID, nil
-			}
-			// Inconclusive vote. While budget remains, widen the
-			// electorate by one fresh voter — existing votes stay live
-			// (they may yet join a majority), and their peers stay busy,
-			// so every pass either adds a voter or ends the chunk.
-			if attemptsUsed < opts.ChunkAttempts {
-				launched, err := launchOne()
-				if err != nil {
-					return nil, nil, "", err
-				}
-				if launched {
-					continue
-				}
-			}
-			// Terminal: no budget or no fresh candidate. The voters
-			// outside the plurality kept quorum from forming — they take
-			// the byzantine penalty exactly as a committed round's
-			// minority would, and every ballot's outputs are waste.
-			for _, v := range successes {
-				n := int64(len(v.got))
-				atomic.AddInt64(&report.WastedOutputs, n)
-				s.resStats.WastedItems.Add(n)
-				if v.digest != bestDigest {
-					s.health.ReportByzantine(v.peer.ID)
-					report.QuorumDisagreements++
-					s.resStats.QuorumDisagreements.Inc()
-					s.logf("service: farm %d chunk %d quorum: peer %s blocked quorum with minority digest",
-						farmID, c, v.peer.ID)
-				}
-			}
-			if opts.Group != "" && len(opts.eligible) < len(opts.Peers) && attemptsUsed < opts.ChunkAttempts {
-				// Budget remained but every fresh in-group voter is spent:
-				// the out-of-group candidates were deliberately skipped
-				// rather than mixed into the electorate, and the typed
-				// error says so.
-				capgroup.CountQuorumCapacity()
-				return nil, nil, "", fmt.Errorf(
-					"service: farm chunk %d: widening needs a fresh voter but group %s has none left (%d out-of-group candidates skipped): %w",
-					c, opts.Group, len(opts.Peers)-len(opts.eligible), ErrNoQuorumCapacity)
-			}
-			return nil, nil, "", fmt.Errorf(
-				"service: farm chunk %d found no quorum of %d among %d results after %d attempts",
-				c, majority, len(successes), attemptsUsed)
-		}
-		select {
-		case <-ctx.Done():
-			s.abandonRacers(inflight, results, report, losers, opts.Tenant, false)
-			return nil, nil, "", ctx.Err()
-		case r := <-results:
-			fl := inflight[r.idx]
-			delete(inflight, r.idx)
-			s.admit.release(opts.Tenant)
-			if r.err == nil && len(r.got) == len(chunk) {
-				digest, derr := resultDigest(r.got, r.newState)
-				if derr == nil {
-					successes = append(successes, vote{
-						peer: fl.peer, got: r.got, state: r.newState,
-						digest: digest, elapsed: time.Since(fl.start),
-					})
-					if opts.manifests != nil {
-						// A voter resolved the chunk's digests even before
-						// the vote commits — later quorum siblings can fetch
-						// from it instead of the controller.
-						opts.manifests.recordResolved(c, fl.peer.Addr)
-					}
-					// Peer stays busy: it has voted.
-					continue
-				}
-				r.err = derr
-			}
-			delete(busy, fl.peer.ID)
-			s.health.ReportFailure(fl.peer.ID)
-			n := int64(len(r.got))
-			atomic.AddInt64(&report.WastedOutputs, n)
-			s.resStats.WastedItems.Add(n)
-			s.logf("service: farm %d chunk %d quorum attempt %d on %s failed (%d/%d outputs): %v",
-				farmID, c, r.idx, fl.peer.ID, len(r.got), len(chunk), r.err)
-		}
-	}
-}
-
-// farmAttempt runs one chunk on one peer: despatch with restored state,
+// attempt runs the chunk on one peer: despatch with restored state,
 // stream the chunk in, collect outputs until the sink pipe closes, then
 // fetch the completion state. Every pipe label is scoped to the
 // (farm, chunk, attempt) triple so residue from a lost attempt can
-// never leak into a later one — racing speculative attempts of the same
-// chunk get distinct attempt indices and therefore disjoint pipes.
-func (s *Service) farmAttempt(ctx context.Context, peer PeerRef, chunk []types.Data,
-	state map[string][]byte, farmID int64, c, a int, opts FarmOptions) ([]types.Data, map[string][]byte, error) {
-
+// never leak into a later one — racing attempts of the same chunk get
+// distinct attempt indices and therefore disjoint pipes.
+func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int) ([]types.Data, map[string][]byte, error) {
+	s, opts, c := cr.s, cr.opts, cr.c
 	attemptCtx, cancel := context.WithTimeout(ctx, opts.AttemptTimeout)
 	defer cancel()
 
@@ -841,8 +800,8 @@ func (s *Service) farmAttempt(ctx context.Context, peer PeerRef, chunk []types.D
 		defer stop()
 	}
 
-	prefix := fmt.Sprintf("farm/%s/%d/c%d/a%d", s.opts.PeerID, farmID, c, a)
-	pipe, _, err := s.host.OpenInput(prefix+"/out", len(chunk)+1)
+	prefix := fmt.Sprintf("farm/%s/%d/c%d/a%d", s.opts.PeerID, cr.id, c, a)
+	pipe, _, err := s.host.OpenInput(prefix+"/out", len(cr.chunk)+1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -856,7 +815,7 @@ func (s *Service) farmAttempt(ctx context.Context, peer PeerRef, chunk []types.D
 		OutTargets:   []PipeTarget{{Label: prefix + "/out", Addr: s.Addr()}},
 		Iterations:   1,
 		Seed:         opts.Seed,
-		RestoreState: state,
+		RestoreState: cr.state,
 		Tenant:       opts.Tenant,
 		Group:        opts.Group,
 	}, opts.CodeAddr)
@@ -876,16 +835,16 @@ func (s *Service) farmAttempt(ctx context.Context, peer PeerRef, chunk []types.D
 	// gets the payloads streamed, checking the context between items so
 	// an abandoned attempt stops feeding the loser promptly.
 	var sendErr error
-	if opts.manifests != nil && job.ChunkCapable {
+	if cr.manifests != nil && job.ChunkCapable {
 		if attemptCtx.Err() == nil {
-			payload := opts.manifests.manifestFor(c, peer.Addr)
+			payload := cr.manifests.manifestFor(c, peer.Addr)
 			if sendErr = out.SendManifest(payload); sendErr == nil {
 				s.resStats.FarmEgressBytes.Add(int64(len(payload)))
-				opts.tstats.egress.Add(int64(len(payload)))
+				cr.tstats.egress.Add(int64(len(payload)))
 			}
 		}
 	} else {
-		for _, d := range opts.datums[c] {
+		for _, d := range cr.datums[c] {
 			if attemptCtx.Err() != nil {
 				break
 			}
@@ -893,7 +852,7 @@ func (s *Service) farmAttempt(ctx context.Context, peer PeerRef, chunk []types.D
 				break
 			}
 			s.resStats.FarmEgressBytes.Add(int64(len(d.payload)))
-			opts.tstats.egress.Add(int64(len(d.payload)))
+			cr.tstats.egress.Add(int64(len(d.payload)))
 		}
 	}
 	// Abandoned mid-stream: cancel the remote job before signalling

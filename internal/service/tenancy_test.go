@@ -73,6 +73,19 @@ func TestTenantContentionSuite(t *testing.T) {
 	// to lie: every pipe payload crossing its links is corrupted.
 	n.SetLinkFaults("mt-w1", simnet.LinkFaults{CorruptEvery: 1})
 
+	// The registry is process-wide and outlives the test, so the series
+	// are read as deltas — the suite must hold under -count=N.
+	base := map[string]int64{}
+	for _, family := range []string{"service_tenant_admits_total", "service_tenant_shed_total",
+		"service_tenant_farms_total", "service_tenant_chunks_committed_total"} {
+		for _, tenant := range []string{"t0", "t1", "t2"} {
+			base[family+tenant] = tenantCounter(family, "mt-ctl", tenant)
+		}
+	}
+	delta := func(family, tenant string) int64 {
+		return tenantCounter(family, "mt-ctl", tenant) - base[family+tenant]
+	}
+
 	// A sampler races the farms, asserting the no-leakage invariant the
 	// whole time: per-tenant inflights sum to the scheduler total and
 	// never exceed the budget.
@@ -161,18 +174,18 @@ func TestTenantContentionSuite(t *testing.T) {
 		}
 		// The registry series and the scheduler's own books are written
 		// at the same decision point, so they must agree exactly.
-		if c := tenantCounter("service_tenant_admits_total", "mt-ctl", tenant); c != ts.Admits {
+		if c := delta("service_tenant_admits_total", tenant); c != ts.Admits {
 			t.Errorf("tenant %s registry admits %d != ledger %d", tenant, c, ts.Admits)
 		}
-		if c := tenantCounter("service_tenant_shed_total", "mt-ctl", tenant); c != ts.Sheds {
+		if c := delta("service_tenant_shed_total", tenant); c != ts.Sheds {
 			t.Errorf("tenant %s registry sheds %d != ledger %d", tenant, c, ts.Sheds)
 		}
 		// Farm-side per-tenant series: every farm and every committed
 		// chunk is attributed to its tenant.
-		if c := tenantCounter("service_tenant_farms_total", "mt-ctl", tenant); c != farmsPer {
+		if c := delta("service_tenant_farms_total", tenant); c != farmsPer {
 			t.Errorf("tenant %s farms counter = %d, want %d", tenant, c, farmsPer)
 		}
-		if c := tenantCounter("service_tenant_chunks_committed_total", "mt-ctl", tenant); c != farmsPer*nChunks {
+		if c := delta("service_tenant_chunks_committed_total", tenant); c != farmsPer*nChunks {
 			t.Errorf("tenant %s chunk counter = %d, want %d", tenant, c, farmsPer*nChunks)
 		}
 	}
