@@ -125,15 +125,15 @@ drain-smoke:
 # Capability identity groups: the capgroup canonicalisation / advert /
 # index unit suite, the mixed-ring controller acceptance battery (group
 # despatch, single-group quorum electorates, counted whole-pool
-# fallback, poolless pull resolution), the group-committed farm and
-# ErrNoQuorumCapacity regressions, the group-shard overlay resilience
-# trio (super kill, anti-entropy repair, bounded ring remap), and the
-# -caps / -require-caps flag-validation table.
+# fallback, poolless pull resolution), the pooled farm's
+# discovery-filter regression, the group-committed farm and
+# ErrNoQuorumCapacity regressions, and the -caps / -require-caps
+# flag-validation table. Membership rides the service advert, so the
+# overlay's replication and repair of it are the overlay-smoke battery.
 groups-smoke:
 	go test ./internal/capgroup/ -count=1
-	go test ./internal/controller/ -run 'TestGroup' -count=1 -v
+	go test ./internal/controller/ -run 'TestGroup|TestPooledFarmHonoursDiscoveryFilters' -count=1 -v
 	go test ./internal/service/ -run 'TestGroup' -count=1
-	go test ./internal/overlay/ -run 'TestGroup' -count=1
 	go test ./cmd/trianad/ -run 'TestValidate|TestParseCaps' -count=1
 
 # Discovery-overlay chaos: seeded simnet with 3 super-peers (R=2), one

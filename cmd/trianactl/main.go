@@ -347,8 +347,8 @@ func cmdTenant(args []string) error {
 }
 
 // cmdGroups dumps the capability groups a daemon can see — its own
-// capability set and group key, then every group/<key> membership
-// shard on the overlay with the members ranked by advertised CPU.
+// capability set and group key, then every group the service adverts
+// on the overlay declare, with the members ranked by advertised CPU.
 func cmdGroups(args []string) error {
 	fs := flag.NewFlagSet("groups", flag.ExitOnError)
 	addr := fs.String("addr", "", "daemon address")

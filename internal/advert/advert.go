@@ -29,10 +29,6 @@ const (
 	KindPipe    Kind = "pipe"
 	KindModule  Kind = "module"
 	KindService Kind = "service"
-	// KindGroup adverts declare capability-group membership: the Name is
-	// the group key, so the overlay's topical placement replicates each
-	// group's membership shard on the R owners of its key.
-	KindGroup Kind = "group"
 )
 
 // Well-known attribute names.
@@ -104,7 +100,7 @@ func (a *Advertisement) Clone() *Advertisement {
 // Validate reports structural problems.
 func (a *Advertisement) Validate() error {
 	switch a.Kind {
-	case KindPeer, KindPipe, KindModule, KindService, KindGroup:
+	case KindPeer, KindPipe, KindModule, KindService:
 	default:
 		return fmt.Errorf("advert: unknown kind %q", a.Kind)
 	}

@@ -3,15 +3,15 @@ package capgroup
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"consumergrid/internal/advert"
 )
 
 // BenchmarkGroupMatch measures the despatch-path group resolution: one
-// pushed advert decoded into the index, then a requirement resolved to
-// its best-populated group — the per-farm cost RunFarm pays when
-// RequireCaps is set against a live donor pool of 32 groups x 8 peers.
+// pushed service advert decoded into the index, then a requirement
+// resolved to its best-populated group — the per-farm cost RunFarm
+// pays when RequireCaps is set against a live donor pool of 32 groups
+// x 8 peers.
 func BenchmarkGroupMatch(b *testing.B) {
 	idx := NewIndex()
 	var ads []*advert.Advertisement
@@ -24,20 +24,18 @@ func BenchmarkGroupMatch(b *testing.B) {
 		}
 		for p := 0; p < 8; p++ {
 			id := fmt.Sprintf("worker-%d-%d", g, p)
-			ads = append(ads, MembershipAdvert(id, "127.0.0.1:0", caps, 1000+p, time.Minute))
-			idx.Put(caps.Key(), caps, Member{PeerID: id, CPUMHz: float64(1000 + p)})
+			ad := serviceAd(id, caps, 1000+p)
+			ads = append(ads, ad)
+			idx.PutAdvert(ad)
 		}
 	}
 	req := map[string]string{KeyUnits: "r-00000002", KeyCPUClass: "high"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ad := ads[i%len(ads)]
-		caps, key, ok := FromAdvert(ad)
-		if !ok {
+		if _, ok := idx.PutAdvert(ads[i%len(ads)]); !ok {
 			b.Fatal("fixture advert failed to decode")
 		}
-		idx.Put(key, caps, Member{PeerID: ad.PeerID, CPUMHz: 1000})
 		if _, ok := idx.Match(req); !ok {
 			b.Fatal("requirement stopped matching")
 		}

@@ -8,12 +8,12 @@
 // one group produces result digests that are comparable by
 // construction.
 //
-// Membership is declared with ordinary adverts (Kind "group", Name =
-// group key), so the existing super-peer ring replicates each group's
-// membership shard R ways and pushes membership changes to subscribers
-// exactly like donor adverts. Nothing here talks to the network: this
-// package owns the capability vocabulary, the canonicalisation, the
-// advert codec and the in-memory membership index.
+// Membership rides the peer's one service advert: Stamp writes the set
+// as cap.* attributes plus the group key, so the super-peer ring
+// replicates and pushes membership exactly as it does the donor itself.
+// Nothing here talks to the network: this package owns the capability
+// vocabulary, the canonicalisation, the advert encoding and the
+// in-memory membership index.
 package capgroup
 
 import (
@@ -23,7 +23,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"consumergrid/internal/advert"
 	"consumergrid/internal/sandbox"
@@ -48,15 +47,13 @@ const (
 	KeyDataTier = "datatier"
 )
 
-// Advert attribute names for capability adverts.
+// Service-advert attribute names for the capability set.
 const (
 	// AttrCap prefixes one capability pair per attribute ("cap.units",
-	// "cap.cpuclass", ...) on both group and service adverts, so pull
-	// queries can filter donors by exact capability match.
+	// "cap.cpuclass", ...), so queries can filter donors by exact
+	// capability match.
 	AttrCap = "cap."
-	// AttrCanon carries the full canonical capability string.
-	AttrCanon = "capcanon"
-	// AttrGroupKey carries the derived group key on service adverts.
+	// AttrGroupKey carries the derived group key.
 	AttrGroupKey = "capgroup"
 )
 
@@ -238,46 +235,32 @@ func ParseList(spec string) (map[string]string, error) {
 	return out, nil
 }
 
-// MembershipAdvert declares the peer's membership of its capability
-// group. The advert's Name is the group key, so the overlay's topical
-// placement stores it on — and serves subscriptions from — the R ring
-// owners of "group/<key>", exactly like a donor advert's topic.
-func MembershipAdvert(peerID, addr string, caps Set, cpuMHz int, ttl time.Duration) *advert.Advertisement {
-	key := caps.Key()
-	ad := &advert.Advertisement{
-		Kind:   advert.KindGroup,
-		ID:     "group/" + key + "/" + peerID,
-		PeerID: peerID,
-		Name:   key,
-		Addr:   addr,
-	}
-	for k, v := range caps {
+// Stamp writes the set onto a service advert: one cap.* attribute per
+// pair plus the derived group key, the form FromAdvert decodes.
+func (s Set) Stamp(ad *advert.Advertisement) {
+	for k, v := range s {
 		ad.SetAttr(AttrCap+k, v)
 	}
-	ad.SetAttr(AttrCanon, caps.Canon())
-	ad.SetAttr(advert.AttrCPUMHz, strconv.Itoa(cpuMHz))
-	if ttl > 0 {
-		ad.Expires = time.Now().Add(ttl)
-	}
-	return ad
+	ad.SetAttr(AttrGroupKey, s.Key())
 }
 
-// FromAdvert decodes a group advert back into its capability set and
-// key. It re-derives the key from the carried pairs and rejects adverts
-// whose Name disagrees — a peer cannot smuggle itself into a group its
+// FromAdvert decodes a service advert's capability set and group key.
+// It re-derives the key from the carried pairs and rejects adverts
+// whose key disagrees — a peer cannot smuggle itself into a group its
 // capabilities don't hash to.
 func FromAdvert(ad *advert.Advertisement) (Set, string, bool) {
-	if ad == nil || ad.Kind != advert.KindGroup || ad.Name == "" {
+	if ad == nil || ad.Kind != advert.KindService {
 		return nil, "", false
 	}
+	key := ad.Attr(AttrGroupKey)
 	caps := make(Set)
 	for k, v := range ad.Attributes {
 		if strings.HasPrefix(k, AttrCap) && len(k) > len(AttrCap) {
 			caps[k[len(AttrCap):]] = v
 		}
 	}
-	if len(caps) == 0 || caps.Key() != ad.Name {
+	if len(caps) == 0 || caps.Key() != key {
 		return nil, "", false
 	}
-	return caps, ad.Name, true
+	return caps, key, true
 }

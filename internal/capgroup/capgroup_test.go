@@ -1,10 +1,11 @@
 package capgroup
 
 import (
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
+	"consumergrid/internal/advert"
 	"consumergrid/internal/sandbox"
 
 	_ "consumergrid/internal/units/signal"
@@ -98,14 +99,14 @@ func TestParseList(t *testing.T) {
 		t.Fatalf("blank spec = (%v, %v), want (nil, nil)", m, err)
 	}
 	bad := []string{
-		"gpu",          // no '='
-		"=cuda",        // empty key
-		"gpu=",         // empty value
-		"gpu= ",        // whitespace value
-		"gpu=none,,",   // empty entry
-		"a=1,a=2",      // duplicate key
-		"gpu=a;b",      // reserved ';'
-		"g=pu=cuda",    // '=' in value
+		"gpu",        // no '='
+		"=cuda",      // empty key
+		"gpu=",       // empty value
+		"gpu= ",      // whitespace value
+		"gpu=none,,", // empty entry
+		"a=1,a=2",    // duplicate key
+		"gpu=a;b",    // reserved ';'
+		"g=pu=cuda",  // '=' in value
 	}
 	for _, spec := range bad {
 		if _, err := ParseList(spec); err == nil {
@@ -114,14 +115,25 @@ func TestParseList(t *testing.T) {
 	}
 }
 
+// serviceAd builds the service advert a peer with caps publishes.
+func serviceAd(peerID string, caps Set, cpuMHz int) *advert.Advertisement {
+	ad := &advert.Advertisement{
+		Kind: advert.KindService, ID: "svc/" + peerID, PeerID: peerID,
+		Name: "triana", Addr: "addr:" + peerID,
+	}
+	ad.SetAttr(advert.AttrCPUMHz, strconv.Itoa(cpuMHz))
+	caps.Stamp(ad)
+	return ad
+}
+
 func TestAdvertRoundTrip(t *testing.T) {
 	caps := Derive(Profile{CPUMHz: 2000, FreeRAMMB: 512, DataTier: true})
-	ad := MembershipAdvert("worker-a", "127.0.0.1:9001", caps, 2000, time.Minute)
-	if ad.Name != caps.Key() || ad.ID != "group/"+caps.Key()+"/worker-a" {
-		t.Fatalf("advert Name/ID = %q/%q", ad.Name, ad.ID)
+	ad := serviceAd("worker-a", caps, 2000)
+	if ad.Attr(AttrGroupKey) != caps.Key() || ad.Attr(AttrCap+KeyUnits) != caps[KeyUnits] {
+		t.Fatalf("stamped advert attributes = %v", ad.Attributes)
 	}
 	if err := ad.Validate(); err != nil {
-		t.Fatalf("membership advert invalid: %v", err)
+		t.Fatalf("stamped service advert invalid: %v", err)
 	}
 	got, key, ok := FromAdvert(ad)
 	if !ok || key != caps.Key() {
@@ -131,22 +143,49 @@ func TestAdvertRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip caps %q != %q", got.Canon(), caps.Canon())
 	}
 
-	// Tampered Name: a peer cannot smuggle into a group its caps don't
+	// Tampered key: a peer cannot smuggle into a group its caps don't
 	// hash to.
-	forged := MembershipAdvert("worker-b", "127.0.0.1:9002", caps, 2000, time.Minute)
-	forged.Name = "cg-deadbeef0000"
-	forged.ID = "group/cg-deadbeef0000/worker-b"
+	forged := serviceAd("worker-b", caps, 2000)
+	forged.SetAttr(AttrGroupKey, "cg-deadbeef0000")
 	if _, _, ok := FromAdvert(forged); ok {
-		t.Fatal("FromAdvert accepted an advert whose Name disagrees with its caps")
+		t.Fatal("FromAdvert accepted an advert whose key disagrees with its caps")
 	}
 	// Tampered pair: changing one capability without re-deriving the key.
-	forged2 := MembershipAdvert("worker-c", "127.0.0.1:9003", caps, 2000, time.Minute)
+	forged2 := serviceAd("worker-c", caps, 2000)
 	forged2.SetAttr(AttrCap+KeyCPUClass, "turbo")
 	if _, _, ok := FromAdvert(forged2); ok {
-		t.Fatal("FromAdvert accepted an advert whose caps disagree with its Name")
+		t.Fatal("FromAdvert accepted an advert whose caps disagree with its key")
 	}
-	if _, _, ok := FromAdvert(nil); ok {
-		t.Fatal("FromAdvert accepted nil")
+	// Only service adverts carry membership, and only stamped ones.
+	pipe := serviceAd("worker-d", caps, 2000)
+	pipe.Kind = advert.KindPipe
+	bare := &advert.Advertisement{Kind: advert.KindService, ID: "svc/e", PeerID: "e", Name: "triana"}
+	for _, ad := range []*advert.Advertisement{pipe, bare, nil} {
+		if _, _, ok := FromAdvert(ad); ok {
+			t.Fatalf("FromAdvert accepted %+v", ad)
+		}
+	}
+}
+
+// TestIndexPutAdvert: the index ingests service adverts, keyed by the
+// group their caps hash to, and refuses forged ones.
+func TestIndexPutAdvert(t *testing.T) {
+	idx := NewIndex()
+	caps := Set{KeyUnits: "r-v1", KeyCPUClass: "high"}
+	key, ok := idx.PutAdvert(serviceAd("a", caps, 3000))
+	if !ok || key != caps.Key() {
+		t.Fatalf("PutAdvert = (%q, %v), want (%q, true)", key, ok, caps.Key())
+	}
+	if ms := idx.Members(key); len(ms) != 1 || ms[0].PeerID != "a" || ms[0].Addr != "addr:a" || ms[0].CPUMHz != 3000 {
+		t.Fatalf("Members = %+v", ms)
+	}
+	forged := serviceAd("b", caps, 3000)
+	forged.SetAttr(AttrCap+KeyUnits, "r-v2")
+	if key, ok := idx.PutAdvert(forged); ok || key != "" {
+		t.Fatalf("PutAdvert(forged) = (%q, %v), want refused", key, ok)
+	}
+	if g, m := idx.Counts(); g != 1 || m != 1 {
+		t.Fatalf("Counts = (%d, %d), want the forged advert unindexed", g, m)
 	}
 }
 

@@ -2,7 +2,10 @@ package capgroup
 
 import (
 	"sort"
+	"strconv"
 	"sync"
+
+	"consumergrid/internal/advert"
 )
 
 // Member is one peer's entry in a group's membership list.
@@ -20,9 +23,9 @@ type GroupInfo struct {
 }
 
 // Index is a thread-safe membership index: group key -> capability set
-// and members. The controller's donor pool feeds one from group-advert
+// and members. The controller's donor pool feeds one from service-advert
 // pushes; observability surfaces build transient ones from pull
-// queries.
+// queries. Both feed it through PutAdvert.
 type Index struct {
 	mu     sync.Mutex
 	groups map[string]*groupState
@@ -48,6 +51,20 @@ func (x *Index) Put(key string, caps Set, m Member) {
 		x.groups[key] = g
 	}
 	g.members[m.PeerID] = m
+}
+
+// PutAdvert records the publisher of a service advert as a member of
+// the group its capability set hashes to, and reports that group's key.
+// It is the one place a group is decoded from an advert: an advert
+// without a verifiable set (see FromAdvert) is refused, not indexed.
+func (x *Index) PutAdvert(ad *advert.Advertisement) (key string, ok bool) {
+	caps, key, ok := FromAdvert(ad)
+	if !ok {
+		return "", false
+	}
+	cpu, _ := strconv.ParseFloat(ad.Attr(advert.AttrCPUMHz), 64)
+	x.Put(key, caps, Member{PeerID: ad.PeerID, Addr: ad.Addr, CPUMHz: cpu})
+	return key, true
 }
 
 // Drop removes a member; a group left empty is deleted.

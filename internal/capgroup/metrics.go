@@ -11,8 +11,8 @@ var (
 	// index: distinct groups and total memberships observed.
 	groupsGauge  = metrics.Default().Gauge("capgroup_groups")
 	membersGauge = metrics.Default().Gauge("capgroup_members")
-	// publishTotal counts group-membership adverts published by this
-	// process's peers.
+	// publishTotal counts service adverts, and so group memberships,
+	// published by this process's peers.
 	publishTotal = metrics.Default().Counter("capgroup_publish_total")
 	// matchTotal counts requirement -> group resolutions attempted.
 	matchTotal = metrics.Default().Counter("capgroup_match_total")
@@ -34,7 +34,7 @@ func SetIndexGauges(groups, members int) {
 	membersGauge.Set(float64(members))
 }
 
-// CountPublish records one membership-advert publication.
+// CountPublish records one membership publication.
 func CountPublish() { publishTotal.Inc() }
 
 // CountFallback records one whole-pool fallback.

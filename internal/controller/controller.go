@@ -100,32 +100,53 @@ type Report struct {
 func (r *Report) Result() *engine.Result { return r.Dist.Local }
 
 // DiscoverPeers queries the discovery layer for usable Triana services,
-// excluding this controller's own peer. Results are sorted by descending
-// advertised CPU so the policy gets the strongest peers first.
+// ranked by candidates: strongest advertised CPU first, so the policy
+// gets the strongest peers first, and this controller's own peer
+// excluded.
 func (c *Controller) DiscoverPeers(opts RunOptions) ([]service.PeerRef, error) {
 	ads, err := c.svc.Discover(discoveryQuery(opts), 0)
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(ads, func(i, j int) bool {
-		ci, _ := strconv.ParseFloat(ads[i].Attr(advert.AttrCPUMHz), 64)
-		cj, _ := strconv.ParseFloat(ads[j].Attr(advert.AttrCPUMHz), 64)
-		if ci != cj {
-			return ci > cj
-		}
-		return ads[i].PeerID < ads[j].PeerID
-	})
-	var peers []service.PeerRef
+	return c.candidates(ads, opts), nil
+}
+
+// candidates is the one routine every candidate list passes through,
+// pulled or pooled: it keeps the donor adverts matching the run's
+// discovery filters, orders them by advertised CPU, strongest first
+// (ties by peer ID), drops the controller's own peer and caps the list
+// at MaxPeers. Nil when nothing qualifies.
+func (c *Controller) candidates(ads []*advert.Advertisement, opts RunOptions) []service.PeerRef {
+	type ranked struct {
+		ad  *advert.Advertisement
+		cpu float64
+	}
+	q := discoveryQuery(opts)
+	keep := make([]ranked, 0, len(ads))
 	for _, ad := range ads {
-		if ad.PeerID == c.svc.PeerID() {
+		if ad.PeerID == c.svc.PeerID() || !q.Matches(ad) {
 			continue
 		}
-		peers = append(peers, service.PeerRef{ID: ad.PeerID, Addr: ad.Addr})
-		if opts.MaxPeers > 0 && len(peers) >= opts.MaxPeers {
-			break
-		}
+		cpu, _ := strconv.ParseFloat(ad.Attr(advert.AttrCPUMHz), 64)
+		keep = append(keep, ranked{ad, cpu})
 	}
-	return peers, nil
+	if len(keep) == 0 {
+		return nil
+	}
+	sort.Slice(keep, func(i, j int) bool {
+		if keep[i].cpu != keep[j].cpu {
+			return keep[i].cpu > keep[j].cpu
+		}
+		return keep[i].ad.PeerID < keep[j].ad.PeerID
+	})
+	if opts.MaxPeers > 0 && len(keep) > opts.MaxPeers {
+		keep = keep[:opts.MaxPeers]
+	}
+	refs := make([]service.PeerRef, len(keep))
+	for i, k := range keep {
+		refs[i] = service.PeerRef{ID: k.ad.PeerID, Addr: k.ad.Addr}
+	}
+	return refs
 }
 
 // distributableGroups lists top-level groups carrying a non-local
@@ -302,19 +323,22 @@ func (c *Controller) RunFarm(ctx context.Context, chunks [][]types.Data, opts Fa
 	})
 }
 
-// farmCandidates picks one farm's candidate set. With a capability
-// requirement, the group index — the donor pool's live one or,
-// poolless, a transient one built from a pull query over group adverts
-// — resolves it to one capability group whose members become the
-// candidates, and the farm commits to that group. No populated
+// farmCandidates picks one farm's candidate set from the running donor
+// pool's adverts when there is a pool, else from one pull query; either
+// way the list passes through candidates, so the farm's discovery
+// filters hold. With a capability requirement, the group index over the
+// same adverts resolves it to one capability group whose members become
+// the candidates, and the farm commits to that group. No populated
 // matching group falls back to the ungrouped path, counted on
 // capgroup_fallback_total, so a momentarily empty group never fails a
 // farm. Without a requirement: the farm's pool shard when it can seat
 // the farm's quorum, else the whole pool, else a pull query.
 func (c *Controller) farmCandidates(farmKey string, opts RunOptions, quorum int) (peers []service.PeerRef, group string, members map[string]bool, err error) {
+	c.mu.Lock()
+	p := c.pool
+	c.mu.Unlock()
 	if len(opts.RequireCaps) > 0 {
-		if key, refs, ok := matchGroup(c.groupIndex(), c.svc.PeerID(), opts.RequireCaps); ok {
-			refs = capPeers(refs, opts.MaxPeers)
+		if key, refs, ok := c.matchGroup(p, opts); ok {
 			members = make(map[string]bool, len(refs))
 			for _, r := range refs {
 				members[r.ID] = true
@@ -327,49 +351,48 @@ func (c *Controller) farmCandidates(farmKey string, opts RunOptions, quorum int)
 		// still carrying the cap filters would find nothing either.
 		opts.RequireCaps = nil
 	}
-	peers = c.pooledShardPeers(opts.MaxPeers, farmKey, max(1, quorum))
-	if peers == nil {
-		peers, err = c.DiscoverPeers(opts)
+	if p != nil {
+		if peers = p.shardPeers(farmKey, opts, max(1, quorum)); peers != nil {
+			return peers, "", nil, nil
+		}
 	}
+	peers, err = c.DiscoverPeers(opts)
 	return peers, "", nil, err
 }
 
-// groupIndex is where group requirements resolve: the pool's live
-// membership index, or for a controller without a running pool the
-// service's transient pull-path index (it never touches the pool's
-// gauges).
-func (c *Controller) groupIndex() *capgroup.Index {
-	c.mu.Lock()
-	p := c.pool
-	c.mu.Unlock()
+// matchGroup resolves opts.RequireCaps over the pool's live group index
+// and adverts or, poolless, over an index of one pull: the first group
+// in best-populated-first match order with a candidate wins, its
+// members ranked by candidates like any other list.
+func (c *Controller) matchGroup(p *DonorPool, opts RunOptions) (string, []service.PeerRef, bool) {
+	var idx *capgroup.Index
+	var ads []*advert.Advertisement
 	if p != nil {
-		return p.groups
+		idx, ads = p.groups, p.adverts()
+	} else {
+		// A failed pull leaves the index empty: the caller falls back.
+		ads, _ = c.svc.Discover(discoveryQuery(opts), 0)
+		idx = capgroup.NewIndex()
+		for _, ad := range ads {
+			idx.PutAdvert(ad)
+		}
 	}
-	return c.svc.CapabilityIndex()
-}
-
-// pooledShardPeers snapshots the shard owning key when it holds at
-// least need donors (the whole pool otherwise), capped to max when
-// positive. Nil when no pool is running or no donor is known anywhere,
-// signalling the caller to fall back to a pull query.
-func (c *Controller) pooledShardPeers(max int, key string, need int) []service.PeerRef {
-	c.mu.Lock()
-	p := c.pool
-	c.mu.Unlock()
-	if p == nil {
-		return nil
+	for _, key := range idx.MatchAll(opts.RequireCaps) {
+		members := make(map[string]bool)
+		for _, m := range idx.Members(key) {
+			members[m.PeerID] = true
+		}
+		var in []*advert.Advertisement
+		for _, ad := range ads {
+			if members[ad.PeerID] {
+				in = append(in, ad)
+			}
+		}
+		if refs := c.candidates(in, opts); len(refs) > 0 {
+			return key, refs, true
+		}
 	}
-	return capPeers(p.shardPeers(key, need), max)
-}
-
-func capPeers(peers []service.PeerRef, max int) []service.PeerRef {
-	if len(peers) == 0 {
-		return nil
-	}
-	if max > 0 && len(peers) > max {
-		peers = peers[:max]
-	}
-	return peers
+	return "", nil, false
 }
 
 func (c *Controller) log(format string, args ...any) {

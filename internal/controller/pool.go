@@ -3,7 +3,6 @@ package controller
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 
 	"consumergrid/internal/advert"
@@ -38,38 +37,45 @@ type DonorPool struct {
 	shards map[string]*poolShard
 	names  []string // sorted shard names
 
-	// byAdvert resolves retractions (which carry only the advert ID)
-	// back to the peer, and thus the owning shard. Touched only by the
-	// single event-loop goroutine, so it needs no lock.
-	byAdvert map[string]string
-
-	// groups is the capability-group partition of the pool: a second
-	// push-maintained subscription (Kind "group") feeds a live
-	// membership index, so "any member of group G" resolves without a
-	// discovery round trip. gsubID names that subscription.
+	// groups is the capability-group partition of the pool: the same
+	// service adverts that seat donors in their shards also index their
+	// group membership, so "any member of group G" resolves without a
+	// discovery round trip.
 	groups *capgroup.Index
-	gsubID string
+
+	// byAdvert resolves retractions (which carry only the advert ID)
+	// back to the peer, and thus its shard, and to the group it was
+	// indexed under. Touched only by the event loop, so it needs no
+	// lock.
+	byAdvert map[string]pooledAdvert
 
 	wg sync.WaitGroup
 }
 
+// pooledAdvert is what the pool remembers of one live advert ID.
+type pooledAdvert struct{ peerID, group string }
+
 // poolShard is one independently-locked slice of the donor pool.
 type poolShard struct {
-	name string
-
 	mu     sync.Mutex
-	donors map[string]donorEntry // by peer ID
-	events int
+	donors map[string]*advert.Advertisement // service advert, by peer ID
 }
 
-type donorEntry struct {
-	ref service.PeerRef
-	cpu float64
+// adverts snapshots the shard's donor adverts.
+func (sh *poolShard) adverts() []*advert.Advertisement {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	ads := make([]*advert.Advertisement, 0, len(sh.donors))
+	for _, ad := range sh.donors {
+		ads = append(ads, ad)
+	}
+	return ads
 }
 
 // discoveryQuery translates the discovery filters of RunOptions into an
-// advert query — shared by DiscoverPeers (pull) and StartDonorPool
-// (push) so both paths select identical donors.
+// advert query — what DiscoverPeers pulls, what StartDonorPool
+// subscribes to, and what candidates filters every list by, so every
+// path selects identical donors.
 func discoveryQuery(opts RunOptions) advert.Query {
 	q := advert.Query{Kind: advert.KindService, Name: service.ServiceType}
 	if opts.MinCPUMHz > 0 || opts.MinFreeRAMMB > 0 {
@@ -127,33 +133,20 @@ func (c *Controller) StartDonorPool(opts RunOptions) (*DonorPool, error) {
 		ring:     overlay.NewRing(0, names...),
 		shards:   make(map[string]*poolShard, len(names)),
 		names:    names,
-		byAdvert: make(map[string]string),
+		groups:   capgroup.NewIndex(),
+		byAdvert: make(map[string]pooledAdvert),
 	}
 	for _, n := range names {
-		p.shards[n] = &poolShard{name: n, donors: make(map[string]donorEntry)}
+		p.shards[n] = &poolShard{donors: make(map[string]*advert.Advertisement)}
 	}
 	events, err := cl.Subscribe(p.subID, discoveryQuery(opts))
 	if err != nil {
 		return nil, err
 	}
-	// The group partition: membership adverts push through their own
-	// subscription into a live index, each event loop owning its own
-	// advert-ID map.
-	p.groups = capgroup.NewIndex()
-	p.gsubID = p.subID + "/groups"
-	gevents, err := cl.Subscribe(p.gsubID, advert.Query{Kind: advert.KindGroup})
-	if err != nil {
-		cl.Unsubscribe(p.subID)
-		return nil, err
-	}
-	p.wg.Add(2)
+	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
 		p.loop(events)
-	}()
-	go func() {
-		defer p.wg.Done()
-		p.groupLoop(gevents)
 	}()
 	c.mu.Lock()
 	c.pool = p
@@ -176,59 +169,35 @@ func (p *DonorPool) shardFor(key string) *poolShard {
 	return p.shards[p.names[0]]
 }
 
+// loop absorbs the pushes: each advert seats (or unseats) its donor in
+// the owning shard and its group membership in the index.
 func (p *DonorPool) loop(events <-chan overlay.Event) {
 	for ev := range events {
-		if ev.Retracted {
-			peerID, ok := p.byAdvert[ev.ID]
-			if !ok {
+		prev, known := p.byAdvert[ev.ID]
+		switch {
+		case ev.Retracted:
+			if !known {
 				continue
 			}
 			delete(p.byAdvert, ev.ID)
+			sh := p.shardForDonor(prev.peerID)
+			sh.mu.Lock()
+			delete(sh.donors, prev.peerID)
+			sh.mu.Unlock()
+			p.groups.Drop(prev.group, prev.peerID)
+		case ev.Ad != nil:
+			peerID := ev.Ad.PeerID
+			group, _ := p.groups.PutAdvert(ev.Ad)
+			if known && prev.group != group {
+				// Re-advertised under a new capability set.
+				p.groups.Drop(prev.group, peerID)
+			}
+			p.byAdvert[ev.ID] = pooledAdvert{peerID: peerID, group: group}
 			sh := p.shardForDonor(peerID)
 			sh.mu.Lock()
-			sh.events++
-			delete(sh.donors, peerID)
+			sh.donors[peerID] = ev.Ad
 			sh.mu.Unlock()
-		} else if ev.Ad != nil {
-			cpu, _ := strconv.ParseFloat(ev.Ad.Attr(advert.AttrCPUMHz), 64)
-			p.byAdvert[ev.ID] = ev.Ad.PeerID
-			sh := p.shardForDonor(ev.Ad.PeerID)
-			sh.mu.Lock()
-			sh.events++
-			sh.donors[ev.Ad.PeerID] = donorEntry{
-				ref: service.PeerRef{ID: ev.Ad.PeerID, Addr: ev.Ad.Addr},
-				cpu: cpu,
-			}
-			sh.mu.Unlock()
-		}
-	}
-}
-
-// groupLoop absorbs membership pushes into the group index. Like loop,
-// it owns its advert-ID map outright — retractions carry only the
-// advert ID, and only this goroutine touches the map.
-func (p *DonorPool) groupLoop(events <-chan overlay.Event) {
-	type groupRef struct{ key, peerID string }
-	byAdvert := make(map[string]groupRef)
-	for ev := range events {
-		if ev.Retracted {
-			ref, ok := byAdvert[ev.ID]
-			if !ok {
-				continue
-			}
-			delete(byAdvert, ev.ID)
-			p.groups.Drop(ref.key, ref.peerID)
-		} else if ev.Ad != nil {
-			caps, key, ok := capgroup.FromAdvert(ev.Ad)
-			if !ok {
-				continue
-			}
-			cpu, _ := strconv.ParseFloat(ev.Ad.Attr(advert.AttrCPUMHz), 64)
-			byAdvert[ev.ID] = groupRef{key: key, peerID: ev.Ad.PeerID}
-			p.groups.Put(key, caps, capgroup.Member{
-				PeerID: ev.Ad.PeerID, Addr: ev.Ad.Addr, CPUMHz: cpu,
-			})
-		} else {
+		default:
 			continue
 		}
 		capgroup.SetIndexGauges(p.groups.Counts())
@@ -238,98 +207,37 @@ func (p *DonorPool) groupLoop(events <-chan overlay.Event) {
 // GroupIndex exposes the live membership index.
 func (p *DonorPool) GroupIndex() *capgroup.Index { return p.groups }
 
-// Groups snapshots every group the pool has observed.
-func (p *DonorPool) Groups() []capgroup.GroupInfo { return p.groups.Snapshot() }
-
-// MatchGroup resolves a capability requirement to the best-populated
-// matching group that holds at least one despatchable member. False
-// means no populated group matches — the caller falls back to the
-// health-ranked whole pool.
-func (p *DonorPool) MatchGroup(req map[string]string) (string, []service.PeerRef, bool) {
-	return matchGroup(p.groups, p.ctl.svc.PeerID(), req)
-}
-
-// matchGroup is the one group-resolution routine, serving the pool's
-// live index and the poolless pull path's transient one alike: the
-// first group in best-populated-first match order with a member other
-// than self wins, its members listed strongest advertised CPU first.
-func matchGroup(idx *capgroup.Index, self string, req map[string]string) (string, []service.PeerRef, bool) {
-	for _, key := range idx.MatchAll(req) {
-		var refs []service.PeerRef
-		for _, m := range idx.Members(key) {
-			if m.PeerID != self {
-				refs = append(refs, service.PeerRef{ID: m.PeerID, Addr: m.Addr})
-			}
-		}
-		if len(refs) > 0 {
-			return key, refs, true
-		}
-	}
-	return "", nil, false
-}
-
-// peersOf snapshots one shard's donors, strongest advertised CPU first
-// and the controller's own peer excluded.
-func (p *DonorPool) peersOf(sh *poolShard) []service.PeerRef {
-	sh.mu.Lock()
-	entries := make([]donorEntry, 0, len(sh.donors))
-	for id, e := range sh.donors {
-		if id == p.ctl.svc.PeerID() {
-			continue
-		}
-		entries = append(entries, e)
-	}
-	sh.mu.Unlock()
-	return sortedRefs(entries)
-}
-
-func sortedRefs(entries []donorEntry) []service.PeerRef {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].cpu != entries[j].cpu {
-			return entries[i].cpu > entries[j].cpu
-		}
-		return entries[i].ref.ID < entries[j].ref.ID
-	})
-	out := make([]service.PeerRef, len(entries))
-	for i, e := range entries {
-		out[i] = e.ref
-	}
-	return out
-}
-
-// Peers snapshots the live donors across every shard, strongest
-// advertised CPU first and the controller's own peer excluded — the
-// same order DiscoverPeers produces, minus the round trips.
-func (p *DonorPool) Peers() []service.PeerRef {
-	var entries []donorEntry
+// adverts snapshots every pooled donor advert across the shards.
+func (p *DonorPool) adverts() []*advert.Advertisement {
+	var ads []*advert.Advertisement
 	for _, name := range p.names {
-		sh := p.shards[name]
-		sh.mu.Lock()
-		for id, e := range sh.donors {
-			if id == p.ctl.svc.PeerID() {
-				continue
-			}
-			entries = append(entries, e)
-		}
-		sh.mu.Unlock()
+		ads = append(ads, p.shards[name].adverts()...)
 	}
-	return sortedRefs(entries)
+	return ads
 }
+
+// Peers lists the live donors across every shard, ranked like
+// DiscoverPeers (strongest advertised CPU first, self excluded), minus
+// the round trips.
+func (p *DonorPool) Peers() []service.PeerRef { return p.ctl.candidates(p.adverts(), RunOptions{}) }
 
 // ShardPeers snapshots the donors of the shard owning key — the
 // shard-local candidate set a farm despatches over. A shard that holds
 // no donors (small grids, uneven hash) falls back to the whole pool so
 // a farm never starves while donors exist elsewhere.
-func (p *DonorPool) ShardPeers(key string) []service.PeerRef { return p.shardPeers(key, 1) }
+func (p *DonorPool) ShardPeers(key string) []service.PeerRef {
+	return p.shardPeers(key, RunOptions{}, 1)
+}
 
-// shardPeers is ShardPeers for a farm that must seat need donors at
-// once (its quorum): a shard thinner than that defers to the whole
-// pool, which may still hold the electorate the shard cannot.
-func (p *DonorPool) shardPeers(key string, need int) []service.PeerRef {
-	if peers := p.peersOf(p.shardFor(key)); len(peers) >= need {
+// shardPeers is ShardPeers under a farm's discovery filters, for a farm
+// that must seat need donors at once (its quorum): a shard with fewer
+// matching donors than that defers to the whole pool, which may still
+// hold the electorate the shard cannot.
+func (p *DonorPool) shardPeers(key string, opts RunOptions, need int) []service.PeerRef {
+	if peers := p.ctl.candidates(p.shardFor(key).adverts(), opts); len(peers) >= need {
 		return peers
 	}
-	return p.Peers()
+	return p.ctl.candidates(p.adverts(), opts)
 }
 
 // ShardCount reports the number of shards.
@@ -351,24 +259,10 @@ func (p *DonorPool) ShardSizes() map[string]int {
 // Size reports the current donor count (excluding self).
 func (p *DonorPool) Size() int { return len(p.Peers()) }
 
-// Events reports how many pushes the pool has absorbed across shards —
-// observability for the /overlay page and tests.
-func (p *DonorPool) Events() int {
-	total := 0
-	for _, name := range p.names {
-		sh := p.shards[name]
-		sh.mu.Lock()
-		total += sh.events
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// Close withdraws both subscriptions and stops the pool.
+// Close withdraws the subscription and stops the pool.
 func (p *DonorPool) Close() {
 	if cl := p.ctl.svc.Overlay(); cl != nil {
-		cl.Unsubscribe(p.subID)  // closes the event channel; loop exits
-		cl.Unsubscribe(p.gsubID) // same for the group partition
+		cl.Unsubscribe(p.subID) // closes the event channel; loop exits
 	}
 	p.wg.Wait()
 	p.ctl.mu.Lock()

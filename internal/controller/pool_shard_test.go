@@ -146,7 +146,7 @@ func TestThinShardQuorumUsesWholePool(t *testing.T) {
 	for i := 0; i < 64 && tenant == ""; i++ {
 		cand := fmt.Sprintf("thin-%d", i)
 		key := fmt.Sprintf("tenant/%s/farm/%d", cand, net.ctl.farmSeq.Load()+1)
-		if n := len(pool.peersOf(pool.shardFor(key))); n > 0 && n < quorum {
+		if n := len(pool.shardFor(key).adverts()); n > 0 && n < quorum {
 			tenant = cand
 		}
 	}

@@ -1,8 +1,13 @@
 package controller
 
 import (
+	"context"
 	"testing"
 	"time"
+
+	"consumergrid/internal/metrics"
+	"consumergrid/internal/service"
+	"consumergrid/internal/taskgraph"
 )
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -45,14 +50,14 @@ func TestDonorPoolTracksAdverts(t *testing.T) {
 		t.Fatalf("pool order = %v, want strongest CPU first", peers)
 	}
 
-	// RunFarm's peer source is pooledShardPeers; check it reads the pool
+	// RunFarm's pooled peer source is shardPeers; check it reads the pool
 	// and honours MaxPeers. Needing both donors seated takes shard
 	// placement out of the picture: a thinner shard defers to the pool.
-	if got := net.ctl.pooledShardPeers(0, "farm", 2); len(got) != 2 {
-		t.Fatalf("pooledShardPeers = %v, want both workers", got)
+	if got := pool.shardPeers("farm", RunOptions{}, 2); len(got) != 2 {
+		t.Fatalf("shardPeers = %v, want both workers", got)
 	}
-	if got := net.ctl.pooledShardPeers(1, "farm", 2); len(got) != 1 || got[0].ID != workerID(1) {
-		t.Fatalf("pooledShardPeers(max 1) = %v, want just the strongest", got)
+	if got := pool.shardPeers("farm", RunOptions{MaxPeers: 1}, 1); len(got) != 1 || got[0].ID != workerID(1) {
+		t.Fatalf("shardPeers(max 1) = %v, want just the strongest", got)
 	}
 
 	// worker-a's advert expires; the sweep's retraction push removes it.
@@ -74,14 +79,11 @@ func TestDonorPoolTracksAdverts(t *testing.T) {
 // for one-shot controllers.
 func TestDonorPoolFallback(t *testing.T) {
 	net := newNet(t, 1, cpus(2000))
-	if got := net.ctl.pooledShardPeers(0, "farm", 1); got != nil {
-		t.Fatalf("pooledShardPeers without a pool = %v, want nil", got)
-	}
 	pool, err := net.ctl.StartDonorPool(RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := net.ctl.pooledShardPeers(0, "farm", 1); got != nil {
+	if got := pool.shardPeers("farm", RunOptions{}, 1); got != nil {
 		t.Fatalf("empty pool should defer to pull discovery, got %v", got)
 	}
 	// Closing deregisters the pool from the controller.
@@ -96,11 +98,113 @@ func TestDonorPoolFallback(t *testing.T) {
 	if err := net.workers[0].Advertise(time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	peers, err := net.ctl.DiscoverPeers(RunOptions{})
+	peers, _, _, err := net.ctl.farmCandidates("farm", RunOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(peers) != 1 || peers[0].ID != workerID(0) {
-		t.Fatalf("fallback DiscoverPeers = %v, want worker-a", peers)
+		t.Fatalf("poolless farm candidates = %v, want worker-a", peers)
+	}
+}
+
+// TestPooledFarmHonoursDiscoveryFilters: a running pool is only a
+// cheaper source of candidates, so a farm's discovery filters must hold
+// on it exactly as they do on a pull query.
+func TestPooledFarmHonoursDiscoveryFilters(t *testing.T) {
+	net := newNet(t, 2, func(i int) service.Options {
+		return []service.Options{
+			{CPUMHz: 3000, FreeRAMMB: 256, PeerGroup: "swansea"},
+			{CPUMHz: 1000, FreeRAMMB: 1024, PeerGroup: "cardiff"},
+		}[i]
+	})
+	pool, err := net.ctl.StartDonorPool(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	advertiseAll(t, net)
+	waitFor(t, "donors pooled", func() bool { return pool.Size() == 2 })
+
+	for _, tc := range []struct {
+		filter RunOptions
+		want   string
+	}{
+		{RunOptions{PeerGroup: "cardiff"}, workerID(1)},
+		{RunOptions{MinCPUMHz: 2000}, workerID(0)},
+		{RunOptions{MinFreeRAMMB: 512}, workerID(1)},
+	} {
+		rep, err := net.ctl.RunFarm(context.Background(), smokeChunks(4, 2, 0), FarmOptions{
+			Discovery:      tc.filter,
+			Body:           func() *taskgraph.Graph { return smokeBody(t) },
+			AttemptTimeout: 10 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("farm with %+v: %v", tc.filter, err)
+		}
+		if n := rep.PeerChunks[tc.want]; n != 4 {
+			t.Errorf("farm with %+v committed %v, want all 4 chunks on %s", tc.filter, rep.PeerChunks, tc.want)
+		}
+	}
+}
+
+// TestAdvertTrafficIsOneAdvertPerPeer pins what one donor costs the
+// overlay with two supers at R=2 and one pooled controller. The service
+// advert is the donor's only advert, group membership included, so an
+// Advertise is one client publish, one replica and one push per super;
+// a drain is one retraction and one push per super; and each super
+// stores one entry for the donor.
+func TestAdvertTrafficIsOneAdvertPerPeer(t *testing.T) {
+	net := newNet(t, 1, nil)
+	pool, err := net.ctl.StartDonorPool(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	w := net.workers[0]
+	counter := func(family, peer string) int64 {
+		return metrics.Default().Counter(metrics.Series(family, "peer", peer)).Value()
+	}
+	supers := func(family string) int64 { return counter(family, "sp-0") + counter(family, "sp-1") }
+	type traffic struct{ publishes, replicas, retractions, notifies int64 }
+	read := func() traffic {
+		return traffic{
+			publishes:   counter("overlay_client_publishes_total", w.PeerID()),
+			replicas:    supers("overlay_replicas_total"),
+			retractions: supers("overlay_retractions_total"),
+			notifies:    supers("overlay_notifies_total"),
+		}
+	}
+	// since waits for the two pushes to land, then for any straggler a
+	// second advert would add, and reports the traffic since base.
+	since := func(base traffic) traffic {
+		waitFor(t, "pushes to both supers' subscriber", func() bool { return read().notifies-base.notifies >= 2 })
+		time.Sleep(50 * time.Millisecond)
+		now := read()
+		return traffic{now.publishes - base.publishes, now.replicas - base.replicas,
+			now.retractions - base.retractions, now.notifies - base.notifies}
+	}
+
+	base := read()
+	if err := w.Advertise(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "donor pooled", func() bool { return pool.Size() == 1 })
+	if got, want := since(base), (traffic{publishes: 1, replicas: 1, notifies: 2}); got != want {
+		t.Errorf("one Advertise cost %+v, want %+v", got, want)
+	}
+	for _, sp := range net.supers {
+		if live, _ := sp.Entries(); live != 1 {
+			t.Errorf("a super stores %d entries for one advertised donor, want 1", live)
+		}
+	}
+
+	base = read()
+	<-w.BeginDrain(time.Second)
+	waitFor(t, "donor unpooled", func() bool { return pool.Size() == 0 })
+	if got, want := since(base), (traffic{retractions: 2, notifies: 2}); got != want {
+		t.Errorf("one drain cost %+v, want %+v", got, want)
+	}
+	if _, members := pool.GroupIndex().Counts(); members != 0 {
+		t.Errorf("drained donor still indexed in %d group memberships", members)
 	}
 }

@@ -113,8 +113,7 @@ type tenantQueue struct {
 	waitH     *metrics.Histogram
 }
 
-// admission is the fair-share despatch scheduler. A nil admission
-// admits everything (tests and embedded uses that opt out).
+// admission is the fair-share despatch scheduler.
 type admission struct {
 	mu        sync.Mutex
 	limit     int
@@ -199,7 +198,7 @@ func (a *admission) queueLocked(tenant string) *tenantQueue {
 // setWeight adjusts a tenant's weight at runtime (trianactl tenant
 // -weight). Weights <= 0 are ignored.
 func (a *admission) setWeight(tenant string, w int) {
-	if a == nil || w <= 0 {
+	if w <= 0 {
 		return
 	}
 	a.mu.Lock()
@@ -285,9 +284,6 @@ func (a *admission) dispatchLocked() {
 // is granted, the context ends, or the service shuts down; in shed
 // mode a full budget returns a per-tenant *OverloadError at once.
 func (a *admission) acquire(ctx context.Context, shutdown <-chan struct{}, tenant string) error {
-	if a == nil {
-		return nil
-	}
 	// A dead context is never granted a slot, free or not: the despatch
 	// it would admit sends its request before noticing the cancel, and
 	// the job the donor accepted is then orphaned — nobody holds its ID
@@ -365,9 +361,6 @@ func (a *admission) abandon(t *ticket) {
 // and should never queue behind the budget, fail the chunk when
 // refused, or barge past farms already waiting in line.
 func (a *admission) tryAcquire(tenant string) bool {
-	if a == nil {
-		return true
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed || a.inflight >= a.limit || a.waiting > 0 {
@@ -382,9 +375,6 @@ func (a *admission) tryAcquire(tenant string) bool {
 // release returns the tenant's slot and hands it to the next waiter
 // per the stride schedule.
 func (a *admission) release(tenant string) {
-	if a == nil {
-		return
-	}
 	a.mu.Lock()
 	a.releaseLocked(a.queueLocked(tenant))
 	a.mu.Unlock()
@@ -402,9 +392,6 @@ func (a *admission) releaseLocked(q *tenantQueue) {
 // all future acquires. Slots already granted stay valid; their releases
 // still balance the books.
 func (a *admission) close() {
-	if a == nil {
-		return
-	}
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
@@ -436,9 +423,6 @@ func (a *admission) close() {
 // in-flight work instead of failing it. Pair every successful
 // beginFarm with endFarm.
 func (a *admission) beginFarm(tenant string) error {
-	if a == nil {
-		return nil
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
@@ -453,9 +437,6 @@ func (a *admission) beginFarm(tenant string) error {
 
 // endFarm balances a successful beginFarm.
 func (a *admission) endFarm() {
-	if a == nil {
-		return
-	}
 	a.mu.Lock()
 	a.farms--
 	a.mu.Unlock()
@@ -464,9 +445,6 @@ func (a *admission) endFarm() {
 // beginDrain flips the scheduler into drain mode: beginFarm starts
 // refusing, everything else keeps working. Idempotent.
 func (a *admission) beginDrain() {
-	if a == nil {
-		return
-	}
 	a.mu.Lock()
 	a.draining = true
 	a.mu.Unlock()
@@ -475,9 +453,6 @@ func (a *admission) beginDrain() {
 // counts reports the live farms and in-flight slots, for drain
 // progress gauges.
 func (a *admission) counts() (farms, inflight int) {
-	if a == nil {
-		return 0, 0
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.farms, a.inflight
@@ -488,9 +463,6 @@ func (a *admission) counts() (farms, inflight int) {
 // progress, when non-nil, observes each poll — the drain path feeds
 // the drain_inflight gauge from it.
 func (a *admission) awaitIdle(timeout time.Duration, progress func(farms, inflight int)) bool {
-	if a == nil {
-		return true
-	}
 	deadline := time.Now().Add(timeout)
 	for {
 		farms, inflight := a.counts()
@@ -513,9 +485,6 @@ func (a *admission) awaitIdle(timeout time.Duration, progress func(farms, inflig
 // awaitIdle it ignores registered farms, which can legitimately
 // outlive Close (their next acquire fails with errAdmissionClosed).
 func (a *admission) awaitInflightDrained(timeout time.Duration) bool {
-	if a == nil {
-		return true
-	}
 	deadline := time.Now().Add(timeout)
 	for {
 		_, inflight := a.counts()
@@ -548,9 +517,6 @@ type TenantSnapshot struct {
 // inflights is what the contention suite leans on to prove budget
 // accounting never leaks across tenants.
 func (a *admission) snapshot() (tenants []TenantSnapshot, totalInflight, limit int) {
-	if a == nil {
-		return nil, 0, 0
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, q := range a.tenants {

@@ -324,12 +324,15 @@ func (l *farmLedger) restore(b []byte) (int, error) {
 			return int(i), fmt.Errorf("service: farm journal %d: %w", i, err)
 		}
 		committed, n1 := binary.Uvarint(rest)
-		rest = rest[n1:]
-		nOut, n2 := binary.Uvarint(rest)
-		rest = rest[n2:]
-		if n1 <= 0 || n2 <= 0 {
+		if n1 <= 0 {
 			return int(i), fmt.Errorf("service: farm journal %q truncated", key)
 		}
+		rest = rest[n1:]
+		nOut, n2 := binary.Uvarint(rest)
+		if n2 <= 0 {
+			return int(i), fmt.Errorf("service: farm journal %q truncated", key)
+		}
+		rest = rest[n2:]
 		j := &farmJournal{committed: int(committed), restored: true}
 		for o := uint64(0); o < nOut; o++ {
 			var out []byte
@@ -340,12 +343,14 @@ func (l *farmLedger) restore(b []byte) (int, error) {
 			j.outputs = append(j.outputs, out)
 		}
 		nState, n3 := binary.Uvarint(rest)
-		rest = rest[n3:]
 		if n3 <= 0 {
 			return int(i), fmt.Errorf("service: farm journal %q truncated state", key)
 		}
+		rest = rest[n3:]
 		if nState > 0 {
-			j.state = make(map[string][]byte, nState)
+			// The count is untrusted: every entry needs at least its two
+			// length bytes, so what is left bounds the size hint.
+			j.state = make(map[string][]byte, min(nState, uint64(len(rest)/2)))
 		}
 		for k := uint64(0); k < nState; k++ {
 			var sk, sv []byte

@@ -420,18 +420,7 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 
 	// Bind local outputs to the remote input pipes and bridge channels.
 	extOut := make(map[int]chan<- types.Data, gt.In)
-	var bridgeWG sync.WaitGroup
-	var bridgeErr error
-	var bridgeMu sync.Mutex
-	// bridgeQuit releases the bridges once the engine has returned or a
-	// later bind failed: an engine that errors out early never closes its
-	// external outputs, and a bridge blocked on `range ch` would leak.
-	bridgeQuit := make(chan struct{})
-	var bridgeQuitOnce sync.Once
-	stopBridges := func() {
-		bridgeQuitOnce.Do(func() { close(bridgeQuit) })
-		bridgeWG.Wait()
-	}
+	bridges := newPipePump()
 	for j := 0; j < gt.In; j++ {
 		var outs []*jxtaserve.OutputPipe
 		for _, ad := range inputAds[j] {
@@ -440,7 +429,7 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 				for _, o := range outs {
 					o.Close()
 				}
-				stopBridges()
+				bridges.stop()
 				closeLocalPipes()
 				return nil, fmt.Errorf("service: binding group input %d: %w", j, err)
 			}
@@ -448,67 +437,8 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 		}
 		ch := make(chan types.Data, opts.PipeBuffer)
 		extOut[j] = ch
-		bridgeWG.Add(1)
-		go func(ch chan types.Data, outs []*jxtaserve.OutputPipe) {
-			defer bridgeWG.Done()
-			defer func() {
-				for _, op := range outs {
-					op.Close()
-				}
-			}()
-			i := 0
-			// Round-robin across replicas; single target for pipelines.
-			send := func(d types.Data) bool {
-				op := outs[i%len(outs)]
-				i++
-				if err := op.Send(d); err != nil {
-					bridgeMu.Lock()
-					if bridgeErr == nil {
-						bridgeErr = err
-					}
-					bridgeMu.Unlock()
-					return false
-				}
-				return true
-			}
-			for {
-				select {
-				case d, ok := <-ch:
-					if !ok {
-						return
-					}
-					if !send(d) {
-						// Drain so the engine never blocks, but give up
-						// once it has exited.
-						for {
-							select {
-							case _, ok := <-ch:
-								if !ok {
-									return
-								}
-							case <-bridgeQuit:
-								return
-							}
-						}
-					}
-				case <-bridgeQuit:
-					// Engine done; flush what it buffered before exiting.
-					for {
-						select {
-						case d, ok := <-ch:
-							if !ok {
-								return
-							}
-							if !send(d) {
-								return
-							}
-						default:
-							return
-						}
-					}
-				}
-			}
-		}(ch, outs)
+		// Round-robin across replicas; single target for pipelines.
+		bridges.forward(ch, outs)
 	}
 
 	// Run the local portion.
@@ -524,7 +454,7 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 		ExternalIn:  extIn,
 		ExternalOut: extOut,
 	})
-	stopBridges()
+	bridgeErr := bridges.stop()
 
 	// Collect the remote jobs (their inputs have seen EOF by now).
 	remote := make(map[string]map[string]int, len(jobs))
@@ -552,14 +482,101 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 		return nil, runErr
 	case waitErr != nil:
 		return nil, waitErr
-	default:
-		bridgeMu.Lock()
-		defer bridgeMu.Unlock()
-		if bridgeErr != nil {
-			return nil, bridgeErr
-		}
+	case bridgeErr != nil:
+		return nil, bridgeErr
 	}
 	return &DistResult{Local: local, Remote: remote}, nil
+}
+
+// pipePump forwards engine output channels into output pipes: the
+// hosting side's one pipe per output and RunDistributed's round-robin
+// over replicas alike. Each forwarder keeps the first send error,
+// drains its channel after a failure so the engine never blocks, and
+// closes its pipes when done.
+type pipePump struct {
+	wg   sync.WaitGroup
+	once sync.Once
+	// quit releases the forwarders once the engine has returned: a clean
+	// run closes every output channel, but an early error leaves them
+	// open, and a forwarder blocked on the channel would leak.
+	quit chan struct{}
+
+	mu  sync.Mutex
+	err error
+}
+
+func newPipePump() *pipePump { return &pipePump{quit: make(chan struct{})} }
+
+// forward pumps ch into outs, round-robin, until ch closes or stop.
+func (p *pipePump) forward(ch <-chan types.Data, outs []*jxtaserve.OutputPipe) {
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		defer func() {
+			for _, op := range outs {
+				op.Close()
+			}
+		}()
+		i := 0
+		send := func(d types.Data) bool {
+			op := outs[i%len(outs)]
+			i++
+			if err := op.Send(d); err != nil {
+				p.mu.Lock()
+				if p.err == nil {
+					p.err = err
+				}
+				p.mu.Unlock()
+				return false
+			}
+			return true
+		}
+		for {
+			select {
+			case d, ok := <-ch:
+				if !ok {
+					return
+				}
+				if !send(d) {
+					// Drain so the engine never blocks, but give up once
+					// it has exited.
+					for {
+						select {
+						case _, ok := <-ch:
+							if !ok {
+								return
+							}
+						case <-p.quit:
+							return
+						}
+					}
+				}
+			case <-p.quit:
+				// Engine done; flush what it buffered before it closed
+				// (or abandoned) the channel.
+				for {
+					select {
+					case d, ok := <-ch:
+						if !ok || !send(d) {
+							return
+						}
+					default:
+						return
+					}
+				}
+			}
+		}
+	}()
+}
+
+// stop releases the forwarders, waits for them and reports the first
+// send error. Idempotent.
+func (p *pipePump) stop() error {
+	p.once.Do(func() { close(p.quit) })
+	p.wg.Wait()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.err
 }
 
 // replicaLabels namespaces the group-input pipe names per replica so the

@@ -305,12 +305,6 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("acquire after release = %v", err)
 	}
 	b.release("")
-
-	var nilAdm *admission
-	if err := nilAdm.acquire(context.Background(), nil, ""); err != nil {
-		t.Fatalf("nil admission refused: %v", err)
-	}
-	nilAdm.release("")
 }
 
 // TestFarmShedsOverBudget: with a 1-slot shedding budget, the farm's

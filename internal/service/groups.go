@@ -5,7 +5,6 @@ package service
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"consumergrid/internal/advert"
@@ -26,25 +25,20 @@ func (s *Service) GroupKey() string { return s.groupKey }
 // when despatching farms (trianad -require-caps); nil means none.
 func (s *Service) RequiredCaps() map[string]string { return s.opts.RequireCaps }
 
-// CapabilityIndex builds a capability-group index from every group
-// advert Discover can see (local cache plus the overlay ring) — the one
-// pull-path group index: trianactl groups, webstatus and a poolless
-// controller's group resolution all read it. It is transient, so it
-// never perturbs the capgroup_groups / capgroup_members gauges the
-// donor pool owns.
+// CapabilityIndex builds a capability-group index from every service
+// advert Discover can see (local cache plus the overlay ring), pulled
+// with the same query an unfiltered controller pull sends — the group
+// view trianactl groups and webstatus read. It is transient, so it never
+// perturbs the capgroup_groups / capgroup_members gauges the donor pool
+// owns.
 func (s *Service) CapabilityIndex() *capgroup.Index {
 	idx := capgroup.NewIndex()
-	ads, err := s.Discover(advert.Query{Kind: advert.KindGroup}, 0)
+	ads, err := s.Discover(advert.Query{Kind: advert.KindService, Name: ServiceType}, 0)
 	if err != nil {
 		s.logf("service: %s: discovering groups: %v", s.opts.PeerID, err)
 	}
 	for _, ad := range ads {
-		caps, key, ok := capgroup.FromAdvert(ad)
-		if !ok {
-			continue
-		}
-		cpu, _ := strconv.ParseFloat(ad.Attr(advert.AttrCPUMHz), 64)
-		idx.Put(key, caps, capgroup.Member{PeerID: ad.PeerID, Addr: ad.Addr, CPUMHz: cpu})
+		idx.PutAdvert(ad)
 	}
 	return idx
 }

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"runtime"
+
 	"consumergrid/internal/advert"
 )
 
@@ -10,4 +12,13 @@ func advertQueryMinCPU(min float64) advert.Query {
 		Kind: advert.KindService, Name: ServiceType,
 		MinAttrs: map[string]float64{advert.AttrCPUMHz: min},
 	}
+}
+
+// allocatedBy reports the bytes the process allocated while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"consumergrid/internal/jxtaserve"
@@ -143,5 +144,42 @@ func TestRunPayloadCodec(t *testing.T) {
 	}
 	if _, _, err := decodeRunPayload(nil); err == nil {
 		t.Error("nil payload parsed")
+	}
+}
+
+// hostileCountBound is what decoding a few-byte frame that claims tens
+// of millions of entries may allocate: far below the gigabytes a size
+// hint taken from the claimed count would reserve.
+const hostileCountBound = 1 << 20
+
+// TestRunPayloadHostileStateCount: a run payload is untrusted (a
+// donor's triana.run request, a controller's triana.wait reply), so a
+// state count the bytes cannot back must fail without reserving room
+// for it.
+func TestRunPayloadHostileStateCount(t *testing.T) {
+	p := appendBlob(appendBlob(nil, nil), []byte("30000000"))
+	var err error
+	if n := allocatedBy(func() { _, _, err = decodeRunPayload(p) }); n > hostileCountBound {
+		t.Fatalf("%d-byte payload claiming 30M state entries allocated %d bytes", len(p), n)
+	}
+	if err == nil {
+		t.Fatal("payload with a state count it cannot back decoded")
+	}
+}
+
+// TestFarmJournalRestoreHostileStateCount: the same bound on the
+// checkpoint's farm journals, read back from disk at start.
+func TestFarmJournalRestoreHostileStateCount(t *testing.T) {
+	b := binary.AppendUvarint(nil, 1) // one journal
+	b = appendBlob(b, []byte("farm"))
+	b = binary.AppendUvarint(b, 0)        // committed
+	b = binary.AppendUvarint(b, 0)        // outputs
+	b = binary.AppendUvarint(b, 30000000) // claimed state entries
+	var err error
+	if n := allocatedBy(func() { _, err = newFarmLedger().restore(b) }); n > hostileCountBound {
+		t.Fatalf("%d-byte journal claiming 30M state entries allocated %d bytes", len(b), n)
+	}
+	if err == nil {
+		t.Fatal("journal with a state count it cannot back restored")
 	}
 }

@@ -446,35 +446,22 @@ func (s *Service) ServiceAdvert(ttl time.Duration) *advert.Advertisement {
 	if s.opts.PeerGroup != "" {
 		ad.SetAttr(advert.AttrGroup, s.opts.PeerGroup)
 	}
-	// Capability pairs and the derived group key ride the service advert
-	// too, so pull-path discovery can filter donors by capability even
-	// before any group index exists.
-	for k, v := range s.caps {
-		ad.SetAttr(capgroup.AttrCap+k, v)
-	}
-	ad.SetAttr(capgroup.AttrGroupKey, s.groupKey)
+	// The capability set and its group key ride the same advert: it is
+	// the peer's capability-group membership, so discovery filters
+	// donors by capability and a group index reads membership from it.
+	s.caps.Stamp(ad)
 	if ttl > 0 {
 		ad.Expires = time.Now().Add(ttl)
 	}
 	return ad
 }
 
-// GroupAdvert builds this peer's capability-group membership advert.
-// Its Name is the group key, so the overlay places it — and serves its
-// subscriptions — on the R ring owners of the group's topic.
-func (s *Service) GroupAdvert(ttl time.Duration) *advert.Advertisement {
-	return capgroup.MembershipAdvert(s.opts.PeerID, s.Addr(), s.caps, s.opts.CPUMHz, ttl)
-}
-
-// Advertise publishes the peer's service advertisement — the "enrol in
-// the Triana environment" step — together with its capability-group
-// membership advert. Both are retracted by a drain and age out with the
-// same TTL.
+// Advertise publishes the peer's one advertisement, the service advert
+// — the "enrol in the Triana environment" step, and with it the peer's
+// capability-group membership. A drain retracts it; otherwise it ages
+// out with its TTL.
 func (s *Service) Advertise(ttl time.Duration) error {
 	if err := s.publish(s.ServiceAdvert(ttl)); err != nil {
-		return err
-	}
-	if err := s.publish(s.GroupAdvert(ttl)); err != nil {
 		return err
 	}
 	capgroup.CountPublish()
@@ -526,9 +513,9 @@ func (s *Service) Discover(q advert.Query, limit int) ([]*advert.Advertisement, 
 	return acc, nil
 }
 
-// StartAdvertising re-publishes the service advertisement every interval
-// with the given TTL, so the overlay ages out peers that vanish and
-// keep the live ones fresh. It returns a stop function. Publishing skips
+// StartAdvertising re-publishes the service advertisement (and so the
+// peer's group membership) every interval with the given TTL, so the
+// overlay ages out peers that vanish and keeps the live ones fresh. It returns a stop function. Publishing skips
 // silently while the idle gate is closed, which lets busy machines fall
 // out of discovery until they are donatable again.
 func (s *Service) StartAdvertising(interval, ttl time.Duration) (stop func()) {
@@ -640,7 +627,9 @@ func decodeRunPayload(p []byte) (graphXML []byte, state map[string][]byte, err e
 		return nil, nil, fmt.Errorf("service: bad state count %q", countBytes)
 	}
 	if count > 0 {
-		state = make(map[string][]byte, count)
+		// The count is untrusted: every entry needs at least its two
+		// length bytes, so what is left bounds the size hint.
+		state = make(map[string][]byte, min(count, len(p)/2))
 	}
 	for i := 0; i < count; i++ {
 		var k, v []byte
@@ -853,68 +842,9 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		span.SetAttr("job", id)
 		span.SetAttr("tenant", tenant)
 		defer span.End()
-		var wg sync.WaitGroup
-		var sendErr error
-		var sendMu sync.Mutex
-		// quit releases the senders once the engine has returned: on a
-		// clean run the engine closes every output channel, but an early
-		// validation error leaves them open, and a sender blocked on
-		// `range ch` would leak for the life of the process.
-		quit := make(chan struct{})
-		for i := range outChans {
-			wg.Add(1)
-			go func(ch chan types.Data, op *jxtaserve.OutputPipe) {
-				defer wg.Done()
-				defer op.Close()
-				for {
-					select {
-					case d, ok := <-ch:
-						if !ok {
-							return
-						}
-						if err := op.Send(d); err != nil {
-							sendMu.Lock()
-							if sendErr == nil {
-								sendErr = err
-							}
-							sendMu.Unlock()
-							// Drain so the engine never blocks, but give up
-							// once it has exited.
-							for {
-								select {
-								case _, ok := <-ch:
-									if !ok {
-										return
-									}
-								case <-quit:
-									return
-								}
-							}
-						}
-					case <-quit:
-						// Engine is done; flush whatever it buffered before
-						// it closed (or abandoned) the channel.
-						for {
-							select {
-							case d, ok := <-ch:
-								if !ok {
-									return
-								}
-								if err := op.Send(d); err != nil {
-									sendMu.Lock()
-									if sendErr == nil {
-										sendErr = err
-									}
-									sendMu.Unlock()
-									return
-								}
-							default:
-								return
-							}
-						}
-					}
-				}
-			}(outChans[i], outPipes[i])
+		senders := newPipePump()
+		for i, ch := range outChans {
+			senders.forward(ch, outPipes[i:i+1])
 		}
 		res, err := engine.Run(ctx, g, engine.Options{
 			Iterations:   iterations,
@@ -928,14 +858,11 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 			TraceID:      span.TraceID(),
 			TraceParent:  span.SpanID(),
 		})
-		close(quit)
-		wg.Wait()
+		sendErr := senders.stop()
 		cleanup()
-		sendMu.Lock()
-		if err == nil && sendErr != nil {
+		if err == nil {
 			err = sendErr
 		}
-		sendMu.Unlock()
 		span.Fail(err)
 		j.mu.Lock()
 		j.result = res

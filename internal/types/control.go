@@ -131,10 +131,9 @@ func decodeControl(r io.Reader) (Data, error) {
 	if err != nil {
 		return nil, err
 	}
+	// n is untrusted, so it sizes nothing: SetAttr grows the map one
+	// decoded entry at a time.
 	c := &ControlSignal{Kind: ControlKind(kb[0]), Seq: seq}
-	if n > 0 {
-		c.Attributes = make(map[string]string, n)
-	}
 	for i := uint64(0); i < n; i++ {
 		k, err := readString(r, maxCellLen)
 		if err != nil {
@@ -144,7 +143,7 @@ func decodeControl(r io.Reader) (Data, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.Attributes[k] = v
+		c.SetAttr(k, v)
 	}
 	return c, nil
 }

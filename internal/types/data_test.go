@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -344,6 +345,27 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 	if _, err := Unmarshal(huge.b); err == nil {
 		t.Error("oversized name length should fail")
+	}
+}
+
+// TestControlSignalHostileAttrCount: a control frame is untrusted
+// (every ControlSignal in a pipe.data frame), so an attribute count the
+// bytes cannot back must fail without reserving room for it.
+func TestControlSignalHostileAttrCount(t *testing.T) {
+	var frame writerBuf
+	writeString(&frame, NameControl)
+	frame.b = append(frame.b, byte(CtlRewire))
+	writeUvarint(&frame, 1)        // seq
+	writeUvarint(&frame, 30000000) // claimed attributes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unmarshal(frame.b)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("%d-byte frame claiming 30M attributes allocated %d bytes", len(frame.b), n)
+	}
+	if err == nil {
+		t.Fatal("frame with an attribute count it cannot back decoded")
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 //	GET /overlay   the discovery overlay: ring membership, publishes,
 //	               subscriptions and (for super-peers) the advert store
 //	GET /groups    capability groups: this peer's identity and every
-//	               group/<key> membership shard it can see
+//	               group its discovery can see, read from service adverts
 //	GET /healthz   liveness probe: 200 while the daemon serves HTTP
 //	GET /readyz    readiness probe: 200 while admitting, 503 once
 //	               draining or stopped
@@ -249,8 +249,8 @@ func chunkstoreTable(b *strings.Builder, svc *service.Service) {
 	b.WriteString("</table>")
 }
 
-// groupsTable renders this peer's capability identity and every
-// group/<key> membership shard discovery can see, members ranked the
+// groupsTable renders this peer's capability identity and every group
+// the service adverts discovery can see declare, members ranked the
 // same way despatch ranks them (CPU descending).
 func groupsTable(b *strings.Builder, svc *service.Service) {
 	fmt.Fprintf(b, "<p>this peer's group: <code>%s</code></p>", html.EscapeString(svc.GroupKey()))

@@ -249,10 +249,10 @@ func TestOverlayPage(t *testing.T) {
 			t.Errorf("/overlay missing %q", want)
 		}
 	}
-	// The daemon advertised itself through the overlay — its peer
-	// advert plus its capability-group membership — so the page
-	// reports two maintained adverts.
-	if !strings.Contains(page, "<tr><td>published adverts</td><td>2</td></tr>") {
+	// The daemon advertised itself through the overlay — one service
+	// advert, which carries its capability-group membership too — so
+	// the page reports one maintained advert.
+	if !strings.Contains(page, "<tr><td>published adverts</td><td>1</td></tr>") {
 		t.Errorf("/overlay published count wrong:\n%s", page)
 	}
 }
