@@ -115,10 +115,14 @@ chaos-smoke:
 # late farms, adverts retracted, super-peer handoff), crash-restart
 # resume from the -state-dir checkpoint with byte-identical outputs,
 # wire-level method quiescing, 50 Start->Drain->Stop cycles without a
-# goroutine leak, and the /healthz / /readyz probe flip.
+# goroutine leak, and the /healthz / /readyz probe flip. A short fuzz
+# pass feeds arbitrary bytes to the six checkpoint-section decoders
+# (none may panic), and the parent-written snapshot fixture must
+# restore with its contents intact.
 drain-smoke:
 	go test -race ./internal/lifecycle/ -count=1
-	go test -race ./internal/service/ -run 'TestAdmissionDrainGatesFarmsNotSlots|TestDrainUnderTenantLoad|TestDrainRPCReportsProgress|TestCheckpointRestoreRoundTrip|TestRestartRecoveryResumesCheckpointedFarm|TestLifecycleCyclesDoNotLeakGoroutines' -count=1 -v
+	go test ./internal/service/ -run '^$$' -fuzz FuzzCheckpointSections -fuzztime 10s
+	go test -race ./internal/service/ -run 'TestAdmissionDrainGatesFarmsNotSlots|TestDrainUnderTenantLoad|TestDrainRPCReportsProgress|TestCheckpointRestoreRoundTrip|TestCheckpointRestoresParentSnapshot|TestBillingRestoreRejectsOverlongUvarint|TestRestartRecoveryResumesCheckpointedFarm|TestLifecycleCyclesDoNotLeakGoroutines' -count=1 -v
 	go test -race ./internal/jxtaserve/ -run 'TestQuiesce' -count=1
 	go test -race ./internal/webstatus/ -run 'TestProbesFlipOnDrain' -count=1
 

@@ -18,6 +18,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"consumergrid/internal/frame"
 )
 
 // Kind classifies an advertisement.
@@ -390,77 +392,33 @@ func (c *Cache) Len() int {
 // EncodeList frames a slice of advertisements for transport payloads
 // (each item XML-encoded, length-prefixed).
 func EncodeList(ads []*Advertisement) ([]byte, error) {
-	var out []byte
-	var tmp [10]byte
-	n := putUvarint(tmp[:], uint64(len(ads)))
-	out = append(out, tmp[:n]...)
+	out := frame.AppendUvarint(nil, uint64(len(ads)))
 	for _, ad := range ads {
 		b, err := ad.MarshalText()
 		if err != nil {
 			return nil, err
 		}
-		n := putUvarint(tmp[:], uint64(len(b)))
-		out = append(out, tmp[:n]...)
-		out = append(out, b...)
+		out = frame.AppendBytes(out, b)
 	}
 	return out, nil
 }
 
 // DecodeList parses a payload written by EncodeList.
 func DecodeList(b []byte) ([]*Advertisement, error) {
-	count, n := getUvarint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("advert: bad list header")
-	}
-	if count > 1<<20 {
-		return nil, fmt.Errorf("advert: list too large (%d)", count)
-	}
-	b = b[n:]
-	out := make([]*Advertisement, 0, count)
-	for i := uint64(0); i < count; i++ {
-		l, n := getUvarint(b)
-		if n <= 0 || uint64(len(b[n:])) < l {
-			return nil, fmt.Errorf("advert: truncated list")
+	r := frame.NewReader(b)
+	out := make([]*Advertisement, r.Count(1))
+	for i := range out {
+		adXML := r.Bytes(r.Len())
+		if r.Err() != nil {
+			break
 		}
-		b = b[n:]
-		ad := new(Advertisement)
-		if err := ad.UnmarshalText(b[:l]); err != nil {
+		out[i] = new(Advertisement)
+		if err := out[i].UnmarshalText(adXML); err != nil {
 			return nil, err
 		}
-		b = b[l:]
-		out = append(out, ad)
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("advert: list: %w", err)
 	}
 	return out, nil
-}
-
-// putUvarint and getUvarint mirror encoding/binary to keep the import
-// list stable.
-func putUvarint(buf []byte, x uint64) int {
-	i := 0
-	for x >= 0x80 {
-		buf[i] = byte(x) | 0x80
-		x >>= 7
-		i++
-	}
-	buf[i] = byte(x)
-	return i + 1
-}
-
-func getUvarint(buf []byte) (uint64, int) {
-	var x uint64
-	var s uint
-	for i, b := range buf {
-		if i == 10 {
-			return 0, -(i + 1)
-		}
-		if b < 0x80 {
-			if i == 9 && b > 1 {
-				return 0, -(i + 1)
-			}
-			return x | uint64(b)<<s, i + 1
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-	return 0, 0
 }

@@ -1,6 +1,7 @@
 package advert
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -315,5 +316,22 @@ func TestQuickDecodeListNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDecodeListHostileCount: a list is untrusted (every discovery
+// reply, every donor's triana.run reply), so a count the bytes cannot
+// back must fail without reserving room for it.
+func TestDecodeListHostileCount(t *testing.T) {
+	frame := []byte{0x80, 0x80, 0x40} // claims 2^20 adverts
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeList(frame)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("%d-byte list claiming 2^20 adverts allocated %d bytes", len(frame), n)
+	}
+	if err == nil {
+		t.Fatal("list with a count it cannot back decoded")
 	}
 }

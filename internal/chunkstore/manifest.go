@@ -8,8 +8,9 @@
 package chunkstore
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"consumergrid/internal/frame"
 )
 
 // Manifest is the metadata a donor turns back into chunk payloads.
@@ -59,30 +60,29 @@ const (
 
 // EncodeManifest renders a manifest to its wire payload.
 func EncodeManifest(m *Manifest) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	size := 1 + uvarintLen(uint64(len(m.Origin))) + len(m.Origin) + uvarintLen(uint64(len(m.Items)))
+	size := 1 + frame.StringLen(m.Origin) + frame.UvarintLen(uint64(len(m.Items)))
 	for _, it := range m.Items {
-		size += blobLen(it.Digest) + uvarintLen(uint64(len(it.Ring))) + uvarintLen(uint64(len(it.Peers)))
+		size += frame.StringLen(it.Digest) + frame.UvarintLen(uint64(len(it.Ring))) + frame.UvarintLen(uint64(len(it.Peers)))
 		for _, a := range it.Ring {
-			size += blobLen(a)
+			size += frame.StringLen(a)
 		}
 		for _, a := range it.Peers {
-			size += blobLen(a)
+			size += frame.StringLen(a)
 		}
 	}
 	out := make([]byte, 0, size)
 	out = append(out, manifestVersion)
-	out = appendBlobBytes(out, tmp[:], m.Origin)
-	out = appendUvarintBytes(out, tmp[:], uint64(len(m.Items)))
+	out = frame.AppendString(out, m.Origin)
+	out = frame.AppendUvarint(out, uint64(len(m.Items)))
 	for _, it := range m.Items {
-		out = appendBlobBytes(out, tmp[:], it.Digest)
-		out = appendUvarintBytes(out, tmp[:], uint64(len(it.Ring)))
+		out = frame.AppendString(out, it.Digest)
+		out = frame.AppendUvarint(out, uint64(len(it.Ring)))
 		for _, a := range it.Ring {
-			out = appendBlobBytes(out, tmp[:], a)
+			out = frame.AppendString(out, a)
 		}
-		out = appendUvarintBytes(out, tmp[:], uint64(len(it.Peers)))
+		out = frame.AppendUvarint(out, uint64(len(it.Peers)))
 		for _, a := range it.Peers {
-			out = appendBlobBytes(out, tmp[:], a)
+			out = frame.AppendString(out, a)
 		}
 	}
 	return out
@@ -97,111 +97,39 @@ func DecodeManifest(p []byte) (*Manifest, error) {
 	if p[0] != manifestVersion {
 		return nil, fmt.Errorf("chunkstore: manifest version %d not supported", p[0])
 	}
-	p = p[1:]
-	origin, p, err := readBlobBytes(p, maxManifestAddr)
-	if err != nil {
-		return nil, fmt.Errorf("chunkstore: manifest origin: %w", err)
-	}
-	n, p, err := readUvarintBytes(p)
-	if err != nil {
-		return nil, fmt.Errorf("chunkstore: manifest item count: %w", err)
-	}
+	r := frame.NewReader(p[1:])
+	m := &Manifest{Origin: r.String(maxManifestAddr)}
+	// An item is at least a digest and two hint counts.
+	n := r.Count(4)
 	if n > maxManifestItems {
 		return nil, fmt.Errorf("chunkstore: manifest lists %d items (max %d)", n, maxManifestItems)
 	}
-	m := &Manifest{Origin: origin, Items: make([]Item, 0, min(int(n), 1024))}
-	for i := uint64(0); i < n; i++ {
-		var it Item
-		it.Digest, p, err = readBlobBytes(p, maxManifestAddr)
-		if err != nil {
-			return nil, fmt.Errorf("chunkstore: manifest item %d digest: %w", i, err)
+	m.Items = make([]Item, n)
+	for i := range m.Items {
+		it := &m.Items[i]
+		if it.Digest = r.String(maxManifestAddr); it.Digest == "" {
+			r.Fail(fmt.Errorf("item %d: empty digest", i))
 		}
-		if it.Digest == "" {
-			return nil, fmt.Errorf("chunkstore: manifest item %d: empty digest", i)
-		}
-		it.Ring, p, err = readAddrList(p)
-		if err != nil {
-			return nil, fmt.Errorf("chunkstore: manifest item %d ring: %w", i, err)
-		}
-		it.Peers, p, err = readAddrList(p)
-		if err != nil {
-			return nil, fmt.Errorf("chunkstore: manifest item %d peers: %w", i, err)
-		}
-		m.Items = append(m.Items, it)
+		it.Ring = readAddrList(&r)
+		it.Peers = readAddrList(&r)
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("chunkstore: %d trailing bytes after manifest", len(p))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("chunkstore: manifest: %w", err)
 	}
 	return m, nil
 }
 
-func readAddrList(p []byte) ([]string, []byte, error) {
-	n, p, err := readUvarintBytes(p)
-	if err != nil {
-		return nil, nil, err
-	}
+func readAddrList(r *frame.Reader) []string {
+	n := r.Count(1)
 	if n > maxManifestHints {
-		return nil, nil, fmt.Errorf("%d hints (max %d)", n, maxManifestHints)
+		r.Fail(fmt.Errorf("%d hints (max %d)", n, maxManifestHints))
 	}
-	if n == 0 {
-		return nil, p, nil
+	if n == 0 || r.Err() != nil {
+		return nil
 	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var a string
-		a, p, err = readBlobBytes(p, maxManifestAddr)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, a)
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.String(maxManifestAddr)
 	}
-	return out, p, nil
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-func blobLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
-
-func appendUvarintBytes(out, tmp []byte, v uint64) []byte {
-	n := binary.PutUvarint(tmp, v)
-	return append(out, tmp[:n]...)
-}
-
-func appendBlobBytes(out, tmp []byte, s string) []byte {
-	out = appendUvarintBytes(out, tmp, uint64(len(s)))
-	return append(out, s...)
-}
-
-func readUvarintBytes(p []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("truncated uvarint")
-	}
-	// Insist on the minimal encoding so decode∘encode is a fixpoint:
-	// two manifests are byte-equal iff they say the same thing.
-	if n != uvarintLen(v) {
-		return 0, nil, fmt.Errorf("non-minimal uvarint")
-	}
-	return v, p[n:], nil
-}
-
-func readBlobBytes(p []byte, maxLen int) (string, []byte, error) {
-	n, p, err := readUvarintBytes(p)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > uint64(maxLen) {
-		return "", nil, fmt.Errorf("blob of %d bytes (max %d)", n, maxLen)
-	}
-	if uint64(len(p)) < n {
-		return "", nil, fmt.Errorf("blob truncated: want %d bytes, have %d", n, len(p))
-	}
-	return string(p[:n]), p[n:], nil
+	return out
 }

@@ -1,9 +1,9 @@
 package chunkstore
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
+
+	"consumergrid/internal/frame"
 )
 
 // Digests lists every resident digest, pinned or not — the enumeration
@@ -33,10 +33,10 @@ func (s *Store) ExportPinned() []byte {
 			pinned = append(pinned, e)
 		}
 	}
-	out := binary.AppendUvarint(nil, uint64(len(pinned)))
+	out := frame.AppendUvarint(nil, uint64(len(pinned)))
 	for _, e := range pinned {
-		out = appendChunkBlob(out, []byte(e.digest))
-		out = appendChunkBlob(out, e.data)
+		out = frame.AppendString(out, e.digest)
+		out = frame.AppendBytes(out, e.data)
 	}
 	return out
 }
@@ -46,45 +46,22 @@ func (s *Store) ExportPinned() []byte {
 // same distrust as bytes fetched from a peer). Returns how many chunks
 // were restored.
 func (s *Store) RestorePinned(b []byte) (int, error) {
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, errors.New("chunkstore: bad pinned-set count")
-	}
-	b = b[n:]
+	r := frame.NewReader(b)
+	count := r.Count(2)
 	restored := 0
-	for i := uint64(0); i < count; i++ {
-		dig, rest, err := readChunkBlob(b)
-		if err != nil {
-			return restored, fmt.Errorf("chunkstore: pinned entry %d digest: %w", i, err)
+	for ; restored < count; restored++ {
+		dig, data := r.String(len(b)), r.Bytes(len(b))
+		if r.Err() != nil {
+			break
 		}
-		data, rest, err := readChunkBlob(rest)
-		if err != nil {
-			return restored, fmt.Errorf("chunkstore: pinned entry %q data: %w", dig, err)
-		}
-		b = rest
-		if got := Digest(data); got != string(dig) {
+		if got := Digest(data); got != dig {
 			s.digestMismatch.Inc()
-			return restored, fmt.Errorf("chunkstore: restored chunk %s hashes to %s", short(string(dig)), short(got))
+			return restored, fmt.Errorf("chunkstore: restored chunk %s hashes to %s", short(dig), short(got))
 		}
-		s.Pin(string(dig), append([]byte(nil), data...))
-		restored++
+		s.Pin(dig, append([]byte(nil), data...))
+	}
+	if err := r.Err(); err != nil {
+		return restored, fmt.Errorf("chunkstore: pinned set: %w", err)
 	}
 	return restored, nil
-}
-
-func appendChunkBlob(out, b []byte) []byte {
-	out = binary.AppendUvarint(out, uint64(len(b)))
-	return append(out, b...)
-}
-
-func readChunkBlob(p []byte) (blob, rest []byte, err error) {
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return nil, nil, errors.New("bad blob length")
-	}
-	p = p[sz:]
-	if uint64(len(p)) < n {
-		return nil, nil, errors.New("blob truncated")
-	}
-	return p[:n], p[n:], nil
 }

@@ -2,10 +2,11 @@ package health
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"time"
+
+	"consumergrid/internal/frame"
 )
 
 // Export serialises every peer's durable health state — score, breaker
@@ -18,14 +19,13 @@ import (
 func (t *Tracker) Export() []byte {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := binary.AppendUvarint(nil, uint64(len(t.peers)))
+	out := frame.AppendUvarint(nil, uint64(len(t.peers)))
 	for id, p := range t.peers {
-		out = binary.AppendUvarint(out, uint64(len(id)))
-		out = append(out, id...)
+		out = frame.AppendString(out, id)
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(p.score))
-		out = binary.AppendUvarint(out, uint64(p.state))
-		out = binary.AppendUvarint(out, uint64(p.consecFails))
-		out = binary.AppendUvarint(out, uint64(p.cooldown))
+		out = frame.AppendUvarint(out, uint64(p.state))
+		out = frame.AppendUvarint(out, uint64(p.consecFails))
+		out = frame.AppendUvarint(out, uint64(p.cooldown))
 		var flags byte
 		if p.dead {
 			flags |= 1
@@ -44,39 +44,22 @@ func (t *Tracker) Export() []byte {
 // the usual pace). Peers already tracked are overwritten. Returns how
 // many peers were restored.
 func (t *Tracker) Restore(b []byte) (int, error) {
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, errors.New("health: bad peer count")
-	}
-	b = b[n:]
+	r := frame.NewReader(b)
+	// A record is an id, a score, three uvarints and the flags.
+	count := r.Count(13)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.opts.Now()
-	for i := uint64(0); i < count; i++ {
-		idLen, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b[n:])) < idLen {
-			return int(i), fmt.Errorf("health: peer %d: truncated id", i)
+	for i := 0; i < count; i++ {
+		id := r.String(r.Len())
+		score := math.Float64frombits(r.Uint64())
+		state, fails, cooldown := r.Uvarint(), r.Uvarint(), r.Uvarint()
+		flags := r.Byte()
+		if err := r.Err(); err != nil {
+			return i, fmt.Errorf("health: peer %d: %w", i, err)
 		}
-		id := string(b[n : n+int(idLen)])
-		b = b[n+int(idLen):]
-		if len(b) < 8 {
-			return int(i), fmt.Errorf("health: peer %s: truncated score", id)
-		}
-		score := math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-		state, n1 := binary.Uvarint(b)
-		b = b[n1:]
-		fails, n2 := binary.Uvarint(b)
-		b = b[n2:]
-		cooldown, n3 := binary.Uvarint(b)
-		b = b[n3:]
-		if n1 <= 0 || n2 <= 0 || n3 <= 0 || len(b) < 1 {
-			return int(i), fmt.Errorf("health: peer %s: truncated record", id)
-		}
-		flags := b[0]
-		b = b[1:]
-		if math.IsNaN(score) || score < 0 || score > 1 || State(state) > Open {
-			return int(i), fmt.Errorf("health: peer %s: implausible record", id)
+		if math.IsNaN(score) || score < 0 || score > 1 || state > uint64(Open) {
+			return i, fmt.Errorf("health: peer %s: implausible record", id)
 		}
 		p := t.get(id)
 		p.score = score
@@ -98,5 +81,8 @@ func (t *Tracker) Restore(b []byte) (int, error) {
 		p.scoreGauge.Set(p.score)
 		p.stateGauge.Set(float64(p.state))
 	}
-	return int(count), nil
+	if err := r.Err(); err != nil {
+		return 0, fmt.Errorf("health: %w", err)
+	}
+	return count, nil
 }

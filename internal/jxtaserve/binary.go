@@ -32,11 +32,14 @@ import (
 	"errors"
 	"io"
 	"sync"
+
+	"consumergrid/internal/frame"
 )
 
 // ErrBadFrame is returned when a binary envelope is structurally
-// invalid: truncated varints, lengths overrunning the envelope, or
-// trailing bytes after the last header.
+// invalid under the internal/frame rules: truncated or non-minimal
+// varints, lengths overrunning the envelope, a header count the
+// envelope cannot hold, or trailing bytes after the last header.
 var ErrBadFrame = errors.New("jxtaserve: malformed binary envelope")
 
 // WriteBinaryMessage frames m onto w in binary v1. The payload is
@@ -59,10 +62,7 @@ func WriteBinaryMessage(w io.Writer, m *Message) error {
 
 	buf := &scratch.buf
 	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(x uint64) {
-		n := binary.PutUvarint(tmp[:], x)
-		buf.Write(tmp[:n])
-	}
+	putUvarint := func(x uint64) { buf.Write(frame.AppendUvarint(tmp[:0], x)) }
 	putString := func(s string) {
 		putUvarint(uint64(len(s)))
 		buf.WriteString(s)
@@ -78,10 +78,9 @@ func WriteBinaryMessage(w io.Writer, m *Message) error {
 	if buf.Len() > maxEnvelopeLen || len(m.Payload) > maxPayloadLen {
 		return ErrFrameTooLarge
 	}
-	var hdr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(buf.Len()))
-	n += binary.PutUvarint(hdr[n:], uint64(len(m.Payload)))
-	if _, err := w.Write(hdr[:n]); err != nil {
+	var hdrBuf [2 * binary.MaxVarintLen64]byte
+	hdr := frame.AppendUvarint(frame.AppendUvarint(hdrBuf[:0], uint64(buf.Len())), uint64(len(m.Payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := w.Write(buf.Bytes()); err != nil {
@@ -93,7 +92,7 @@ func WriteBinaryMessage(w io.Writer, m *Message) error {
 		}
 	}
 	wireMsgsOut.Inc()
-	wireBytesOut.Add(int64(n) + int64(buf.Len()) + int64(len(m.Payload)))
+	wireBytesOut.Add(int64(len(hdr)) + int64(buf.Len()) + int64(len(m.Payload)))
 	return nil
 }
 
@@ -127,42 +126,23 @@ func ReadBinaryMessage(r io.Reader) (*Message, error) {
 		return nil, err
 	}
 
-	stream, env, err := envUvarint(env)
-	if err != nil {
-		return nil, err
-	}
-	kindBytes, env, err := envBytes(env)
-	if err != nil {
-		return nil, err
-	}
-	if len(kindBytes) == 0 {
+	er := frame.NewReader(env)
+	stream := er.Uvarint()
+	kind := er.Bytes(len(env))
+	// Each header needs at least its two length bytes.
+	nHeaders := er.Count(2)
+	if er.Err() == nil && len(kind) == 0 {
 		return nil, errors.New("jxtaserve: envelope without kind")
 	}
-	nHeaders, env, err := envUvarint(env)
-	if err != nil {
-		return nil, err
-	}
-	// Each header needs at least two length bytes, so the count can never
-	// legitimately exceed half the remaining envelope — reject early
-	// rather than sizing a map from a lying prefix.
-	if nHeaders > uint64(len(env))/2 {
-		return nil, ErrBadFrame
-	}
-	m := &Message{Kind: internString(kindBytes), Stream: stream}
+	m := &Message{Kind: internString(kind), Stream: stream}
 	if nHeaders > 0 {
 		m.Headers = make(map[string]string, nHeaders)
-		for i := uint64(0); i < nHeaders; i++ {
-			var k, v []byte
-			if k, env, err = envBytes(env); err != nil {
-				return nil, err
-			}
-			if v, env, err = envBytes(env); err != nil {
-				return nil, err
-			}
-			m.Headers[internString(k)] = string(v)
+		for i := 0; i < nHeaders && er.Err() == nil; i++ {
+			k := er.Bytes(len(env))
+			m.Headers[internString(k)] = string(er.Bytes(len(env)))
 		}
 	}
-	if len(env) != 0 {
+	if er.Done() != nil {
 		return nil, ErrBadFrame
 	}
 	if payloadLen > 0 {
@@ -175,28 +155,6 @@ func ReadBinaryMessage(r io.Reader) (*Message, error) {
 	wireMsgsIn.Inc()
 	wireBytesIn.Add(int64(envLen) + int64(payloadLen))
 	return m, nil
-}
-
-// envUvarint decodes one varint from the envelope slice.
-func envUvarint(env []byte) (uint64, []byte, error) {
-	x, n := binary.Uvarint(env)
-	if n <= 0 {
-		return 0, nil, ErrBadFrame
-	}
-	return x, env[n:], nil
-}
-
-// envBytes decodes one length-prefixed byte string from the envelope
-// slice, returning a view into it (valid only until the slab is pooled).
-func envBytes(env []byte) ([]byte, []byte, error) {
-	n, env, err := envUvarint(env)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(env)) {
-		return nil, nil, ErrBadFrame
-	}
-	return env[:n], env[n:], nil
 }
 
 // internTab maps the recurring envelope vocabulary (kinds, header keys)

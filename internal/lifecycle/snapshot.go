@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"consumergrid/internal/frame"
 )
 
 // Snapshot is a versioned container of named state sections — each
@@ -67,10 +69,10 @@ func (s *Snapshot) Names() []string {
 // order so identical contents encode identically.
 func (s *Snapshot) Encode() []byte {
 	out := append([]byte(nil), snapMagic...)
-	out = binary.AppendUvarint(out, uint64(len(s.sections)))
+	out = frame.AppendUvarint(out, uint64(len(s.sections)))
 	for _, name := range s.Names() {
-		out = appendSnapBlob(out, []byte(name))
-		out = appendSnapBlob(out, s.sections[name])
+		out = frame.AppendString(out, name)
+		out = frame.AppendBytes(out, s.sections[name])
 	}
 	sum := crc32.ChecksumIEEE(out)
 	return binary.LittleEndian.AppendUint32(out, sum)
@@ -92,27 +94,15 @@ func Decode(b []byte) (*Snapshot, error) {
 			return nil, fmt.Errorf("%w: bad magic or version", ErrCorrupt)
 		}
 	}
-	p := body[len(snapMagic):]
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: bad section count", ErrCorrupt)
-	}
-	p = p[n:]
+	r := frame.NewReader(body[len(snapMagic):])
+	count := r.Count(2)
 	snap := NewSnapshot()
-	for i := uint64(0); i < count; i++ {
-		name, rest, err := readSnapBlob(p)
-		if err != nil {
-			return nil, fmt.Errorf("%w: section %d name: %v", ErrCorrupt, i, err)
-		}
-		data, rest, err := readSnapBlob(rest)
-		if err != nil {
-			return nil, fmt.Errorf("%w: section %q data: %v", ErrCorrupt, name, err)
-		}
-		snap.sections[string(name)] = data
-		p = rest
+	for i := 0; i < count && r.Err() == nil; i++ {
+		name := r.String(r.Len())
+		snap.sections[name] = r.Bytes(r.Len())
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(p))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return snap, nil
 }
@@ -164,21 +154,4 @@ func Load(dir, name string) (*Snapshot, error) {
 		return nil, fmt.Errorf("lifecycle: reading snapshot: %w", err)
 	}
 	return Decode(b)
-}
-
-func appendSnapBlob(out, b []byte) []byte {
-	out = binary.AppendUvarint(out, uint64(len(b)))
-	return append(out, b...)
-}
-
-func readSnapBlob(p []byte) (blob, rest []byte, err error) {
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return nil, nil, errors.New("bad blob length")
-	}
-	p = p[sz:]
-	if uint64(len(p)) < n {
-		return nil, nil, errors.New("blob truncated")
-	}
-	return p[:n], p[n:], nil
 }

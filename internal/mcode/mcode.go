@@ -15,12 +15,12 @@ package mcode
 
 import (
 	"container/list"
-	"encoding/binary"
 	"encoding/xml"
 	"fmt"
 	"hash/fnv"
 	"sync"
 
+	"consumergrid/internal/frame"
 	"consumergrid/internal/metrics"
 	"consumergrid/internal/units"
 )
@@ -121,53 +121,24 @@ func BundleFor(unit string) (*Bundle, error) {
 
 // Marshal frames the bundle for the wire.
 func (b *Bundle) Marshal() []byte {
-	var out []byte
-	out = appendString(out, b.Unit)
-	out = appendString(out, b.Version)
-	out = appendString(out, b.Checksum)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(b.Payload)))
-	out = append(out, tmp[:n]...)
-	return append(out, b.Payload...)
+	out := frame.AppendString(nil, b.Unit)
+	out = frame.AppendString(out, b.Version)
+	out = frame.AppendString(out, b.Checksum)
+	return frame.AppendBytes(out, b.Payload)
 }
 
 // UnmarshalBundle parses a framed bundle and verifies its checksum.
 func UnmarshalBundle(p []byte) (*Bundle, error) {
-	b := new(Bundle)
-	var err error
-	if b.Unit, p, err = readString(p); err != nil {
-		return nil, err
+	r := frame.NewReader(p)
+	b := &Bundle{Unit: r.String(len(p)), Version: r.String(len(p)), Checksum: r.String(len(p))}
+	b.Payload = append([]byte(nil), r.Bytes(len(p))...)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("mcode: bundle: %w", err)
 	}
-	if b.Version, p, err = readString(p); err != nil {
-		return nil, err
-	}
-	if b.Checksum, p, err = readString(p); err != nil {
-		return nil, err
-	}
-	l, n := binary.Uvarint(p)
-	if n <= 0 || uint64(len(p[n:])) != l {
-		return nil, fmt.Errorf("mcode: truncated bundle payload")
-	}
-	b.Payload = append([]byte(nil), p[n:]...)
 	if !b.Verify() {
 		return nil, fmt.Errorf("mcode: checksum mismatch for %s", b.Unit)
 	}
 	return b, nil
-}
-
-func appendString(out []byte, s string) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(s)))
-	out = append(out, tmp[:n]...)
-	return append(out, s...)
-}
-
-func readString(p []byte) (string, []byte, error) {
-	l, n := binary.Uvarint(p)
-	if n <= 0 || uint64(len(p[n:])) < l {
-		return "", nil, fmt.Errorf("mcode: truncated string")
-	}
-	return string(p[n : n+int(l)]), p[n+int(l):], nil
 }
 
 // --- store ------------------------------------------------------------------

@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"consumergrid/internal/advert"
+	"consumergrid/internal/frame"
 )
 
 // Entry is one replicated advert record: the advertisement plus the
@@ -193,18 +193,15 @@ func (s *store) shardEntries(want map[int]bool, shards int) []Entry {
 // version, the tombstone flag, the ID and (for live entries) the advert
 // XML, all length-prefixed.
 func encodeEntries(entries []Entry) ([]byte, error) {
-	var out []byte
-	var tmp [binary.MaxVarintLen64]byte
-	out = appendUvarint(out, tmp[:], uint64(len(entries)))
+	out := frame.AppendUvarint(nil, uint64(len(entries)))
 	for _, e := range entries {
-		out = appendUvarint(out, tmp[:], e.Version)
+		out = frame.AppendUvarint(out, e.Version)
 		flag := uint64(0)
 		if e.Tombstone {
 			flag = 1
 		}
-		out = appendUvarint(out, tmp[:], flag)
-		out = appendUvarint(out, tmp[:], uint64(len(e.ID)))
-		out = append(out, e.ID...)
+		out = frame.AppendUvarint(out, flag)
+		out = frame.AppendString(out, e.ID)
 		var adBytes []byte
 		if e.Ad != nil && !e.Tombstone {
 			b, err := e.Ad.MarshalText()
@@ -213,107 +210,58 @@ func encodeEntries(entries []Entry) ([]byte, error) {
 			}
 			adBytes = b
 		}
-		out = appendUvarint(out, tmp[:], uint64(len(adBytes)))
-		out = append(out, adBytes...)
+		out = frame.AppendBytes(out, adBytes)
 	}
 	return out, nil
 }
 
 // decodeEntries parses an encodeEntries payload.
 func decodeEntries(b []byte) ([]Entry, error) {
-	count, b, err := readUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	if count > 1<<20 {
-		return nil, fmt.Errorf("overlay: entry list too large (%d)", count)
-	}
-	out := make([]Entry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var e Entry
-		if e.Version, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		var flag uint64
-		if flag, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		e.Tombstone = flag == 1
-		var idLen uint64
-		if idLen, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if uint64(len(b)) < idLen {
-			return nil, fmt.Errorf("overlay: truncated entry ID")
-		}
-		e.ID = string(b[:idLen])
-		b = b[idLen:]
-		var adLen uint64
-		if adLen, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if uint64(len(b)) < adLen {
-			return nil, fmt.Errorf("overlay: truncated entry advert")
-		}
-		if adLen > 0 {
-			ad := new(advert.Advertisement)
-			if err := ad.UnmarshalText(b[:adLen]); err != nil {
+	r := frame.NewReader(b)
+	// An entry is at least a version, a flag and two lengths.
+	out := make([]Entry, r.Count(4))
+	for i := range out {
+		e := &out[i]
+		e.Version = r.Uvarint()
+		e.Tombstone = r.Uvarint() == 1
+		e.ID = r.String(r.Len())
+		if adXML := r.Bytes(r.Len()); len(adXML) > 0 {
+			e.Ad = new(advert.Advertisement)
+			if err := e.Ad.UnmarshalText(adXML); err != nil {
 				return nil, err
 			}
-			e.Ad = ad
 		}
-		b = b[adLen:]
-		out = append(out, e)
+		if r.Err() != nil {
+			break
+		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("overlay: entries: %w", err)
 	}
 	return out, nil
 }
 
 // encodeDigests frames a digest vector for sync-digest exchanges.
 func encodeDigests(ds []ShardDigest) []byte {
-	var out []byte
-	var tmp [binary.MaxVarintLen64]byte
-	out = appendUvarint(out, tmp[:], uint64(len(ds)))
+	out := frame.AppendUvarint(nil, uint64(len(ds)))
 	for _, d := range ds {
-		out = appendUvarint(out, tmp[:], d.Count)
-		out = appendUvarint(out, tmp[:], d.Hash)
+		out = frame.AppendUvarint(out, d.Count)
+		out = frame.AppendUvarint(out, d.Hash)
 	}
 	return out
 }
 
 // decodeDigests parses an encodeDigests payload.
 func decodeDigests(b []byte) ([]ShardDigest, error) {
-	count, b, err := readUvarint(b)
-	if err != nil {
-		return nil, err
+	r := frame.NewReader(b)
+	out := make([]ShardDigest, r.Count(2))
+	for i := range out {
+		out[i] = ShardDigest{Count: r.Uvarint(), Hash: r.Uvarint()}
 	}
-	if count > 1<<16 {
-		return nil, fmt.Errorf("overlay: digest vector too large (%d)", count)
-	}
-	out := make([]ShardDigest, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var d ShardDigest
-		if d.Count, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if d.Hash, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		out = append(out, d)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("overlay: digests: %w", err)
 	}
 	return out, nil
-}
-
-func appendUvarint(out, tmp []byte, x uint64) []byte {
-	n := binary.PutUvarint(tmp, x)
-	return append(out, tmp[:n]...)
-}
-
-func readUvarint(b []byte) (uint64, []byte, error) {
-	x, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("overlay: bad varint")
-	}
-	return x, b[n:], nil
 }
 
 // parseShardList decodes the comma-separated shard header of a sync

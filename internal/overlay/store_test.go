@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -160,5 +161,37 @@ func TestParseShardList(t *testing.T) {
 	}
 	if _, err := parseShardList("x", 32); err == nil {
 		t.Fatal("non-numeric shard accepted")
+	}
+}
+
+// allocatedBy reports the bytes the process allocated while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeHostileCounts: sync replies and checkpoint sections are
+// untrusted, so a count the bytes cannot back must fail without
+// reserving room for it.
+func TestDecodeHostileCounts(t *testing.T) {
+	for name, decode := range map[string]func([]byte) error{
+		"entries": func(b []byte) error { _, err := decodeEntries(b); return err },
+		"digests": func(b []byte) error { _, err := decodeDigests(b); return err },
+	} {
+		for _, frame := range [][]byte{
+			{0x80, 0x80, 0x40}, // claims 2^20
+			{0x80, 0x80, 0x04}, // claims 2^16
+		} {
+			var err error
+			if n := allocatedBy(func() { err = decode(frame) }); n >= 1<<20 {
+				t.Errorf("%s: %d-byte frame %x allocated %d bytes", name, len(frame), frame, n)
+			}
+			if err == nil {
+				t.Errorf("%s: frame %x with a count it cannot back decoded", name, frame)
+			}
+		}
 	}
 }

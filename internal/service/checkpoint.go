@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -9,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"consumergrid/internal/frame"
 	"consumergrid/internal/lifecycle"
 )
 
@@ -152,47 +152,38 @@ func (s *Service) restoreCheckpoint() error {
 
 func (l *ledger) export() []byte {
 	entries := l.snapshot()
-	out := binary.AppendUvarint(nil, uint64(len(entries)))
+	out := frame.AppendUvarint(nil, uint64(len(entries)))
 	for _, e := range entries {
-		out = appendBlob(out, []byte(e.Requester))
-		out = binary.AppendUvarint(out, uint64(e.Jobs))
-		out = binary.AppendUvarint(out, uint64(e.CPU))
-		out = binary.AppendUvarint(out, uint64(e.Processed))
+		out = frame.AppendString(out, e.Requester)
+		out = frame.AppendUvarint(out, uint64(e.Jobs))
+		out = frame.AppendUvarint(out, uint64(e.CPU))
+		out = frame.AppendUvarint(out, uint64(e.Processed))
 	}
 	return out
 }
 
+// restore merges an export into the ledger, keeping the entries read
+// before any malformed one.
 func (l *ledger) restore(b []byte) (int, error) {
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, errors.New("service: bad billing entry count")
-	}
-	b = b[n:]
+	r := frame.NewReader(b)
+	count := r.Count(4)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := uint64(0); i < count; i++ {
-		req, rest, err := readBlob(b)
-		if err != nil {
-			return int(i), fmt.Errorf("service: billing entry %d: %w", i, err)
+	restored := 0
+	for ; restored < count; restored++ {
+		e := &BillingEntry{Requester: r.String(len(b))}
+		e.Jobs = int(r.Uvarint())
+		e.CPU = time.Duration(r.Uvarint())
+		e.Processed = int(r.Uvarint())
+		if r.Err() != nil {
+			break
 		}
-		jobs, n1 := binary.Uvarint(rest)
-		rest = rest[n1:]
-		cpu, n2 := binary.Uvarint(rest)
-		rest = rest[n2:]
-		proc, n3 := binary.Uvarint(rest)
-		rest = rest[n3:]
-		if n1 <= 0 || n2 <= 0 || n3 <= 0 {
-			return int(i), fmt.Errorf("service: billing entry %q truncated", req)
-		}
-		b = rest
-		l.entries[string(req)] = &BillingEntry{
-			Requester: string(req),
-			Jobs:      int(jobs),
-			CPU:       time.Duration(cpu),
-			Processed: int(proc),
-		}
+		l.entries[e.Requester] = e
 	}
-	return int(count), nil
+	if err := r.Err(); err != nil {
+		return restored, fmt.Errorf("service: billing ledger: %w", err)
+	}
+	return count, nil
 }
 
 // --- resumable farm journals -------------------------------------------------
@@ -287,84 +278,60 @@ func (l *farmLedger) export() []byte {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := binary.AppendUvarint(nil, uint64(len(keys)))
+	out := frame.AppendUvarint(nil, uint64(len(keys)))
 	for _, k := range keys {
 		j := l.m[k]
-		out = appendBlob(out, []byte(k))
-		out = binary.AppendUvarint(out, uint64(j.committed))
-		out = binary.AppendUvarint(out, uint64(len(j.outputs)))
+		out = frame.AppendString(out, k)
+		out = frame.AppendUvarint(out, uint64(j.committed))
+		out = frame.AppendUvarint(out, uint64(len(j.outputs)))
 		for _, o := range j.outputs {
-			out = appendBlob(out, o)
+			out = frame.AppendBytes(out, o)
 		}
-		out = binary.AppendUvarint(out, uint64(len(j.state)))
+		out = frame.AppendUvarint(out, uint64(len(j.state)))
 		skeys := make([]string, 0, len(j.state))
 		for sk := range j.state {
 			skeys = append(skeys, sk)
 		}
 		sort.Strings(skeys)
 		for _, sk := range skeys {
-			out = appendBlob(out, []byte(sk))
-			out = appendBlob(out, j.state[sk])
+			out = frame.AppendString(out, sk)
+			out = frame.AppendBytes(out, j.state[sk])
 		}
 	}
 	return out
 }
 
+// restore loads exported journals, keeping those read before any
+// malformed one.
 func (l *farmLedger) restore(b []byte) (int, error) {
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, errors.New("service: bad farm journal count")
-	}
-	b = b[n:]
+	r := frame.NewReader(b)
+	count := r.Count(4)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := uint64(0); i < count; i++ {
-		key, rest, err := readBlob(b)
-		if err != nil {
-			return int(i), fmt.Errorf("service: farm journal %d: %w", i, err)
-		}
-		committed, n1 := binary.Uvarint(rest)
-		if n1 <= 0 {
-			return int(i), fmt.Errorf("service: farm journal %q truncated", key)
-		}
-		rest = rest[n1:]
-		nOut, n2 := binary.Uvarint(rest)
-		if n2 <= 0 {
-			return int(i), fmt.Errorf("service: farm journal %q truncated", key)
-		}
-		rest = rest[n2:]
-		j := &farmJournal{committed: int(committed), restored: true}
-		for o := uint64(0); o < nOut; o++ {
-			var out []byte
-			out, rest, err = readBlob(rest)
-			if err != nil {
-				return int(i), fmt.Errorf("service: farm journal %q output %d: %w", key, o, err)
+	restored := 0
+	for ; restored < count; restored++ {
+		key := r.String(len(b))
+		j := &farmJournal{committed: int(r.Uvarint()), restored: true}
+		if n := r.Count(1); n > 0 {
+			j.outputs = make([][]byte, n)
+			for o := range j.outputs {
+				j.outputs[o] = r.Bytes(len(b))
 			}
-			j.outputs = append(j.outputs, out)
 		}
-		nState, n3 := binary.Uvarint(rest)
-		if n3 <= 0 {
-			return int(i), fmt.Errorf("service: farm journal %q truncated state", key)
-		}
-		rest = rest[n3:]
-		if nState > 0 {
-			// The count is untrusted: every entry needs at least its two
-			// length bytes, so what is left bounds the size hint.
-			j.state = make(map[string][]byte, min(nState, uint64(len(rest)/2)))
-		}
-		for k := uint64(0); k < nState; k++ {
-			var sk, sv []byte
-			sk, rest, err = readBlob(rest)
-			if err == nil {
-				sv, rest, err = readBlob(rest)
+		if n := r.Count(2); n > 0 {
+			j.state = make(map[string][]byte, n)
+			for k := 0; k < n && r.Err() == nil; k++ {
+				sk := r.String(len(b))
+				j.state[sk] = r.Bytes(len(b))
 			}
-			if err != nil {
-				return int(i), fmt.Errorf("service: farm journal %q state: %w", key, err)
-			}
-			j.state[string(sk)] = sv
 		}
-		b = rest
-		l.m[string(key)] = j
+		if r.Err() != nil {
+			break
+		}
+		l.m[key] = j
 	}
-	return int(count), nil
+	if err := r.Err(); err != nil {
+		return restored, fmt.Errorf("service: farm journals: %w", err)
+	}
+	return count, nil
 }

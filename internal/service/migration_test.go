@@ -1,9 +1,9 @@
 package service
 
 import (
-	"encoding/binary"
 	"testing"
 
+	"consumergrid/internal/frame"
 	"consumergrid/internal/jxtaserve"
 	"consumergrid/internal/taskgraph"
 	"consumergrid/internal/types"
@@ -157,7 +157,7 @@ const hostileCountBound = 1 << 20
 // state count the bytes cannot back must fail without reserving room
 // for it.
 func TestRunPayloadHostileStateCount(t *testing.T) {
-	p := appendBlob(appendBlob(nil, nil), []byte("30000000"))
+	p := frame.AppendString(frame.AppendBytes(nil, nil), "30000000")
 	var err error
 	if n := allocatedBy(func() { _, _, err = decodeRunPayload(p) }); n > hostileCountBound {
 		t.Fatalf("%d-byte payload claiming 30M state entries allocated %d bytes", len(p), n)
@@ -170,11 +170,11 @@ func TestRunPayloadHostileStateCount(t *testing.T) {
 // TestFarmJournalRestoreHostileStateCount: the same bound on the
 // checkpoint's farm journals, read back from disk at start.
 func TestFarmJournalRestoreHostileStateCount(t *testing.T) {
-	b := binary.AppendUvarint(nil, 1) // one journal
-	b = appendBlob(b, []byte("farm"))
-	b = binary.AppendUvarint(b, 0)        // committed
-	b = binary.AppendUvarint(b, 0)        // outputs
-	b = binary.AppendUvarint(b, 30000000) // claimed state entries
+	b := frame.AppendUvarint(nil, 1) // one journal
+	b = frame.AppendString(b, "farm")
+	b = frame.AppendUvarint(b, 0)        // committed
+	b = frame.AppendUvarint(b, 0)        // outputs
+	b = frame.AppendUvarint(b, 30000000) // claimed state entries
 	var err error
 	if n := allocatedBy(func() { _, err = newFarmLedger().restore(b) }); n > hostileCountBound {
 		t.Fatalf("%d-byte journal claiming 30M state entries allocated %d bytes", len(b), n)

@@ -28,6 +28,7 @@ import (
 	"consumergrid/internal/capgroup"
 	"consumergrid/internal/chunkstore"
 	"consumergrid/internal/engine"
+	"consumergrid/internal/frame"
 	"consumergrid/internal/gateway"
 	"consumergrid/internal/health"
 	"consumergrid/internal/jxtaserve"
@@ -599,86 +600,34 @@ func (s *Service) Jobs() []JobInfo {
 // migration path ("a check-pointing mechanism may also be employed to
 // migrate computation if necessary").
 func encodeRunPayload(graphXML []byte, state map[string][]byte) []byte {
-	out := appendBlob(nil, graphXML)
+	out := frame.AppendBytes(nil, graphXML)
 	keys := make([]string, 0, len(state))
 	for k := range state {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out = appendBlob(out, []byte(strconv.Itoa(len(keys))))
+	out = frame.AppendString(out, strconv.Itoa(len(keys)))
 	for _, k := range keys {
-		out = appendBlob(out, []byte(k))
-		out = appendBlob(out, state[k])
+		out = frame.AppendString(out, k)
+		out = frame.AppendBytes(out, state[k])
 	}
 	return out
 }
 
 func decodeRunPayload(p []byte) (graphXML []byte, state map[string][]byte, err error) {
-	graphXML, p, err = readBlob(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	countBytes, p, err := readBlob(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	count, err := strconv.Atoi(string(countBytes))
-	if err != nil || count < 0 {
-		return nil, nil, fmt.Errorf("service: bad state count %q", countBytes)
-	}
-	if count > 0 {
-		// The count is untrusted: every entry needs at least its two
-		// length bytes, so what is left bounds the size hint.
-		state = make(map[string][]byte, min(count, len(p)/2))
-	}
-	for i := 0; i < count; i++ {
-		var k, v []byte
-		if k, p, err = readBlob(p); err != nil {
-			return nil, nil, err
+	r := frame.NewReader(p)
+	graphXML = r.Bytes(len(p))
+	if count := r.DecimalCount(2); count > 0 {
+		state = make(map[string][]byte, count)
+		for i := 0; i < count && r.Err() == nil; i++ {
+			k := r.String(len(p))
+			state[k] = r.Bytes(len(p))
 		}
-		if v, p, err = readBlob(p); err != nil {
-			return nil, nil, err
-		}
-		state[string(k)] = v
+	}
+	if err := r.Err(); err != nil {
+		return nil, nil, fmt.Errorf("service: run payload: %w", err)
 	}
 	return graphXML, state, nil
-}
-
-func appendBlob(out, b []byte) []byte {
-	var tmp [10]byte
-	n := 0
-	x := uint64(len(b))
-	for x >= 0x80 {
-		tmp[n] = byte(x) | 0x80
-		x >>= 7
-		n++
-	}
-	tmp[n] = byte(x)
-	out = append(out, tmp[:n+1]...)
-	return append(out, b...)
-}
-
-func readBlob(p []byte) ([]byte, []byte, error) {
-	var x uint64
-	var s uint
-	i := 0
-	for {
-		if i >= len(p) || i > 9 {
-			return nil, nil, fmt.Errorf("service: truncated payload frame")
-		}
-		b := p[i]
-		i++
-		if b < 0x80 {
-			x |= uint64(b) << s
-			break
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-	if uint64(len(p[i:])) < x {
-		return nil, nil, fmt.Errorf("service: truncated payload frame")
-	}
-	return p[i : i+int(x)], p[i+int(x):], nil
 }
 
 // collectUnits gathers unit -> version over a graph, recursing groups.

@@ -511,11 +511,36 @@ func readStringSlice(r io.Reader, maxEach int) ([]string, error) {
 	if n > maxSliceLen {
 		return nil, fmt.Errorf("types: slice length %d exceeds limit", n)
 	}
-	ss := make([]string, n)
-	for i := range ss {
-		if ss[i], err = readString(r, maxEach); err != nil {
+	hint, err := sizeHint(r, n, 1)
+	if err != nil {
+		return nil, err
+	}
+	ss := make([]string, 0, hint)
+	for i := uint64(0); i < n; i++ {
+		s, err := readString(r, maxEach)
+		if err != nil {
 			return nil, err
 		}
+		ss = append(ss, s)
 	}
 	return ss, nil
+}
+
+// streamHint caps the size hint for a count read from a stream, whose
+// remaining length is unknown; the slice grows by append past it.
+const streamHint = 64
+
+// sizeHint turns a decoded count of elements, each at least minEach
+// (≥ 1) bytes long, into an allocation hint. An in-memory buffer fails
+// a count its remaining bytes cannot hold; a stream gets at most
+// streamHint, so a lying count costs no more than the bytes that
+// actually arrive.
+func sizeHint(r io.Reader, n uint64, minEach int) (int, error) {
+	if rb, ok := r.(*readerBuf); ok {
+		if n > uint64((len(rb.b)-rb.off)/minEach) {
+			return 0, io.ErrUnexpectedEOF
+		}
+		return int(n), nil
+	}
+	return int(min(n, streamHint)), nil
 }

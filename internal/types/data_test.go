@@ -2,6 +2,8 @@ package types
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
@@ -588,5 +590,62 @@ func TestFloatsAndLikeWithNonFamily(t *testing.T) {
 	like := LikeWith(h, []float64{9}).(*Histogram)
 	if like.Lo != 1 || like.Width != 2 || like.Counts[0] != 9 {
 		t.Errorf("LikeWith(Histogram) = %+v", like)
+	}
+}
+
+// TestTableHostileCounts: a table frame is untrusted, so neither a
+// column count nor a row count the bytes cannot back may reserve room.
+func TestTableHostileCounts(t *testing.T) {
+	frames := map[string]func(w *writerBuf){
+		"columns":           func(w *writerBuf) { writeUvarint(w, 1<<24) },
+		"rows":              func(w *writerBuf) { writeStringSlice(w, []string{"a"}); writeUvarint(w, 1<<24) },
+		"rows of no column": func(w *writerBuf) { writeUvarint(w, 0); writeUvarint(w, 1<<24) },
+	}
+	for name, body := range frames {
+		var frame writerBuf
+		writeString(&frame, NameTable)
+		body(&frame)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Unmarshal(frame.b)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%s: %d-byte frame allocated %d bytes", name, len(frame.b), n)
+		}
+		if err == nil {
+			t.Errorf("%s: frame with a count it cannot back decoded", name)
+		}
+	}
+}
+
+// TestZeroColumnTable: rows without columns carry no bytes, so the
+// codec refuses them both ways; a table with neither round-trips.
+func TestZeroColumnTable(t *testing.T) {
+	if _, err := Marshal(&Table{Rows: [][]string{{}, {}}}); err == nil {
+		t.Error("encoded a table with rows but no columns")
+	}
+	got := roundTrip(t, &Table{}).(*Table)
+	if len(got.Columns) != 0 || len(got.Rows) != 0 {
+		t.Errorf("empty table round-tripped to %+v", got)
+	}
+}
+
+// TestStreamedTableGrowsPastHint: a table read from a stream, where
+// the bytes left are unknown, still decodes in full past the size hint.
+func TestStreamedTableGrowsPastHint(t *testing.T) {
+	tab := &Table{Columns: []string{"i"}}
+	for i := 0; i < 3*streamHint; i++ {
+		tab.Rows = append(tab.Rows, []string{fmt.Sprint(i)})
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, tab); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Read(struct{ io.Reader }{&buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d.(*Table).Rows, tab.Rows) {
+		t.Error("streamed table lost rows")
 	}
 }

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -189,6 +190,9 @@ func (t *Table) encode(w io.Writer) error {
 	if !t.Valid() {
 		return fmt.Errorf("types: ragged table (want %d columns)", len(t.Columns))
 	}
+	if len(t.Columns) == 0 && len(t.Rows) > 0 {
+		return errRowsWithoutColumns
+	}
 	if err := writeStringSlice(w, t.Columns); err != nil {
 		return err
 	}
@@ -205,6 +209,10 @@ func (t *Table) encode(w io.Writer) error {
 	return nil
 }
 
+// errRowsWithoutColumns rejects, on both encode and decode, a table
+// whose rows carry no cells: its row count would be backed by no bytes.
+var errRowsWithoutColumns = errors.New("types: table has rows but no columns")
+
 func decodeTable(r io.Reader) (Data, error) {
 	cols, err := readStringSlice(r, maxCellLen)
 	if err != nil {
@@ -217,15 +225,22 @@ func decodeTable(r io.Reader) (Data, error) {
 	if nRows > maxSliceLen {
 		return nil, fmt.Errorf("types: table row count %d exceeds limit", nRows)
 	}
-	t := &Table{Columns: cols, Rows: make([][]string, nRows)}
-	for i := range t.Rows {
+	if len(cols) == 0 && nRows > 0 {
+		return nil, errRowsWithoutColumns
+	}
+	hint, err := sizeHint(r, nRows, max(len(cols), 1))
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{Columns: cols, Rows: make([][]string, 0, hint)}
+	for i := uint64(0); i < nRows; i++ {
 		row := make([]string, len(cols))
 		for j := range row {
 			if row[j], err = readString(r, maxCellLen); err != nil {
 				return nil, err
 			}
 		}
-		t.Rows[i] = row
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }
