@@ -145,4 +145,4 @@ groups-smoke:
 # discoverable, failover pushes reach subscribers, and anti-entropy
 # repairs a healed partition. Deterministic seeds.
 overlay-smoke:
-	go test ./internal/overlay/ -run 'TestChaosSuperPeerFailover|TestAntiEntropyRepairsPartition|TestPublishAndQueryMessageCost' -count=1 -v
+	go test ./internal/overlay/ -run 'TestChaosSuperPeerFailover|TestAntiEntropyRepairsPartition|TestPublishAndQueryMessageCost|TestQueryAllocBudget' -count=1 -v

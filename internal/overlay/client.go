@@ -69,6 +69,7 @@ type Client struct {
 	health  *health.Tracker
 	metrics *clientMetrics
 	tracer  *trace.Recorder
+	memo    *adMemo // shared by query replies and pushes
 
 	mu        sync.Mutex
 	versions  map[string]uint64 // per published advert ID
@@ -101,6 +102,7 @@ func NewClient(host *jxtaserve.Host, opts ClientOptions) (*Client, error) {
 		health:    opts.Health,
 		metrics:   newClientMetrics(opts.Registry, host.PeerID()),
 		tracer:    opts.Tracer,
+		memo:      newAdMemo(),
 		versions:  make(map[string]uint64),
 		published: make(map[string]*advert.Advertisement),
 		subs:      make(map[string]*clientSub),
@@ -274,7 +276,8 @@ func (c *Client) firstAck(targets []string, method string, payload []byte, heade
 
 // Query asks the overlay for matching adverts. Topic queries cost one
 // RPC to the first live owner; open queries fan out to every super and
-// merge, deduplicating by advert ID.
+// merge, deduplicating by advert ID. Each distinct advert is decoded
+// once across replies and pushes; the caller owns what it gets.
 func (c *Client) Query(q advert.Query, limit int) ([]*advert.Advertisement, error) {
 	c.metrics.queries.Inc()
 	payload, err := q.MarshalText()
@@ -300,7 +303,7 @@ func (c *Client) Query(q advert.Query, limit int) ([]*advert.Advertisement, erro
 				continue
 			}
 			c.health.ReportSuccess(addr, time.Since(start))
-			return advert.DecodeList(reply.Payload)
+			return c.memo.decodeList(reply.Payload)
 		}
 		return nil, lastErr
 	}
@@ -317,7 +320,7 @@ func (c *Client) Query(q advert.Query, limit int) ([]*advert.Advertisement, erro
 		}
 		c.health.ReportSuccess(addr, time.Since(start))
 		reached = true
-		ads, err := advert.DecodeList(reply.Payload)
+		ads, err := c.memo.decodeList(reply.Payload)
 		if err != nil {
 			return nil, err
 		}
@@ -427,29 +430,29 @@ func (c *Client) handleNotify(req *jxtaserve.Message) (*jxtaserve.Message, error
 	}
 	ev := Event{SubID: subID, ID: id, Version: version, Retracted: req.Header("event") == eventRetract}
 	if !ev.Retracted {
-		ad := new(advert.Advertisement)
-		if err := ad.UnmarshalText(req.Payload); err != nil {
+		// Drop a copy already delivered before paying for its decode.
+		c.mu.Lock()
+		_, stale := c.stale(subID, id, version)
+		c.mu.Unlock()
+		if stale {
+			return &jxtaserve.Message{}, nil
+		}
+		ad, err := c.memo.decode(req.Payload)
+		if err != nil {
 			return nil, err
 		}
 		ev.Ad = ad
 	}
 	c.metrics.events.Inc()
 	c.mu.Lock()
-	sub := c.subs[subID]
-	if sub == nil {
+	// Check again: a concurrent copy may have landed during the decode.
+	sub, stale := c.stale(subID, id, version)
+	if stale {
 		c.mu.Unlock()
-		// Stale push from a super that has not processed the
-		// unsubscribe yet; acking quietly stops the retry.
 		return &jxtaserve.Message{}, nil
 	}
-	// Dedup by version: R owners push every write, the subscriber must
-	// see it once. A retraction for an advert this subscriber never saw
-	// is also suppressed — there is nothing to retract downstream.
-	if last, ok := sub.seen[id]; ok && version <= last {
-		c.mu.Unlock()
-		c.metrics.deduped.Inc()
-		return &jxtaserve.Message{}, nil
-	}
+	// A retraction for an advert this subscriber never saw is also
+	// suppressed — there is nothing to retract downstream.
 	if ev.Retracted {
 		if _, everSeen := sub.seen[id]; !everSeen {
 			sub.seen[id] = version
@@ -476,6 +479,23 @@ func (c *Client) handleNotify(req *jxtaserve.Message) (*jxtaserve.Message, error
 	}
 	c.mu.Unlock()
 	return &jxtaserve.Message{}, nil
+}
+
+// stale reports whether a push is no news, returning its subscription
+// when it is news. It is no news when the subscription is gone (a super
+// that has not processed the unsubscribe yet; acking quietly stops the
+// retry) or has already delivered this version: R owners push every
+// write, and the subscriber must see it once. Callers hold c.mu.
+func (c *Client) stale(subID, id string, version uint64) (*clientSub, bool) {
+	sub := c.subs[subID]
+	if sub == nil {
+		return nil, true
+	}
+	if last, ok := sub.seen[id]; ok && version <= last {
+		c.metrics.deduped.Inc()
+		return nil, true
+	}
+	return sub, false
 }
 
 func (c *Client) logf(format string, args ...any) {

@@ -44,11 +44,7 @@ func (c *Client) RetractAll() (int, error) {
 // sync-pull reply uses, so a checkpoint section and a repair payload
 // are one format.
 func (s *SuperPeer) ExportEntries() ([]byte, error) {
-	want := make(map[int]bool, s.opts.Shards)
-	for i := 0; i < s.opts.Shards; i++ {
-		want[i] = true
-	}
-	return encodeEntries(s.store.shardEntries(want, s.opts.Shards))
+	return encodeEntries(s.store.all()), nil
 }
 
 // RestoreEntries merges an ExportEntries payload into the store.
@@ -108,23 +104,11 @@ func (s *SuperPeer) Handoff() (HandoffReport, error) {
 	headers := map[string]string{}
 	trace.Inject(span, func(k, v string) { headers[k] = v })
 
-	want := make(map[int]bool, s.opts.Shards)
-	for i := 0; i < s.opts.Shards; i++ {
-		want[i] = true
-	}
-	for _, e := range s.store.shardEntries(want, s.opts.Shards) {
+	for _, e := range s.store.all() {
 		method := methodPublish
-		var payload []byte
 		if e.Tombstone {
 			method = methodRetract
-		} else if e.Ad != nil {
-			b, err := e.Ad.MarshalText()
-			if err != nil {
-				rep.Errors++
-				continue
-			}
-			payload = b
-		} else {
+		} else if e.xml == nil {
 			continue // live entry with no body cannot be re-published
 		}
 		h := map[string]string{
@@ -139,7 +123,7 @@ func (s *SuperPeer) Handoff() (HandoffReport, error) {
 		}
 		delivered := false
 		for _, owner := range succ.Owners(placementKey(e), s.opts.Replication) {
-			if _, err := s.host.Request(owner, method, payload, h); err != nil {
+			if _, err := s.host.Request(owner, method, e.xml, h); err != nil {
 				rep.Errors++
 				s.logf("overlay: %s handoff %s to %s: %v", s.host.PeerID(), e.ID, owner, err)
 				continue

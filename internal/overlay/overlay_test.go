@@ -16,6 +16,7 @@ type cluster struct {
 	t      *testing.T
 	net    *simnet.Network
 	ring   *Ring
+	r      int // the supers' replication factor
 	supers []*SuperPeer
 	hosts  []*jxtaserve.Host
 }
@@ -25,7 +26,7 @@ type cluster struct {
 // for determinism.
 func newCluster(t *testing.T, n, r int, now func() time.Time) *cluster {
 	t.Helper()
-	c := &cluster{t: t, net: simnet.New(), ring: NewRing(0)}
+	c := &cluster{t: t, net: simnet.New(), ring: NewRing(0), r: r}
 	for i := 0; i < n; i++ {
 		label := fmt.Sprintf("super-%d", i)
 		h, err := jxtaserve.NewHost(label, c.net.Peer(label), "")

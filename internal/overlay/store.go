@@ -2,7 +2,7 @@ package overlay
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -17,11 +17,19 @@ import (
 // deletion replicable — a retraction must win against a stale copy of
 // the advert arriving later via anti-entropy, which a plain delete
 // cannot do.
+//
+// A live entry the store accepted also holds its advert's canonical
+// XML, encoded once on acceptance and sent as-is by every outgoing copy:
+// query replies, notify pushes, replication, handoff, sync pulls and
+// checkpoints. Those bytes and the Ad they encode are shared across
+// concurrent sends and, on in-process transports, with the receiving
+// handler, so nothing may write into either.
 type Entry struct {
 	Ad        *advert.Advertisement
 	ID        string // == Ad.ID when Ad != nil; tombstones carry only the ID
 	Version   uint64
 	Tombstone bool
+	xml       []byte // canonical MarshalText of Ad; nil on tombstones
 }
 
 // digestWord folds the entry's identity, version and tombstone flag
@@ -55,27 +63,43 @@ func newStore(now func() time.Time) *store {
 // idempotent no-ops, which is what makes replication and anti-entropy
 // safe to repeat.
 func (s *store) put(e Entry) bool {
-	accepted, _ := s.putVersioned(e)
+	accepted, _ := s.putVersioned(&e)
 	return accepted
 }
 
 // putVersioned is put plus the version now stored for the ID, so a
 // rejecting super can tell the publisher what it must outbid. A
 // publisher's renewal can otherwise collide forever with the tombstone
-// an expiry sweep minted at version+1 behind its back.
-func (s *store) putVersioned(e Entry) (accepted bool, current uint64) {
+// an expiry sweep minted at version+1 behind its back. An accepted live
+// entry leaves with its canonical bytes set in *e, so the caller's
+// pushes and replicas send exactly what the store will serve. The bytes
+// come from re-encoding the decoded advert, never from the publisher's
+// payload, so a non-canonical or hostile encoding is never echoed.
+func (s *store) putVersioned(e *Entry) (accepted bool, current uint64) {
 	if e.ID == "" && e.Ad != nil {
 		e.ID = e.Ad.ID
 	}
 	if e.ID == "" {
 		return false, 0
 	}
+	if !e.Tombstone && e.Ad != nil {
+		// Encode only what can win: a stale replica or a repeated sync
+		// entry costs a map lookup, not an XML encode.
+		if prev, ok := s.get(e.ID); ok && prev.Version >= e.Version {
+			return false, prev.Version
+		}
+		b, err := e.Ad.MarshalText()
+		if err != nil {
+			return false, 0
+		}
+		e.xml = b
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev, ok := s.entries[e.ID]; ok && prev.Version >= e.Version {
 		return false, prev.Version
 	}
-	s.entries[e.ID] = e
+	s.entries[e.ID] = *e
 	return true, e.Version
 }
 
@@ -87,23 +111,28 @@ func (s *store) get(id string) (Entry, bool) {
 	return e, ok
 }
 
-// find returns up to limit live, unexpired matches, sorted by ID.
-func (s *store) find(q advert.Query, limit int) []*advert.Advertisement {
+// find returns up to limit live, unexpired matching entries, sorted by
+// ID. The entries share the store's adverts and bytes: read-only.
+func (s *store) find(q advert.Query, limit int) []Entry {
 	now := s.now()
 	s.mu.Lock()
-	var out []*advert.Advertisement
+	var out []Entry
 	for _, e := range s.entries {
 		if e.Tombstone || e.Ad == nil || e.Ad.Expired(now) || !q.Matches(e.Ad) {
 			continue
 		}
-		out = append(out, e.Ad.Clone())
+		out = append(out, e)
 	}
 	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	sortEntries(out)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
 	return out
+}
+
+func sortEntries(es []Entry) {
+	slices.SortFunc(es, func(a, b Entry) int { return strings.Compare(a.ID, b.ID) })
 }
 
 // sweepExpired tombstones every live entry past its expiry, returning
@@ -122,7 +151,7 @@ func (s *store) sweepExpired() []Entry {
 		swept = append(swept, t)
 	}
 	s.mu.Unlock()
-	sort.Slice(swept, func(i, j int) bool { return swept[i].ID < swept[j].ID })
+	sortEntries(swept)
 	return swept
 }
 
@@ -166,8 +195,21 @@ func (s *store) digest(shards int) []ShardDigest {
 	return out
 }
 
+// all snapshots every entry, live and tombstone, sorted by ID. Like
+// find, it shares adverts and bytes.
+func (s *store) all() []Entry {
+	s.mu.Lock()
+	out := make([]Entry, 0, len(s.entries))
+	for _, e := range s.entries {
+		out = append(out, e)
+	}
+	s.mu.Unlock()
+	sortEntries(out)
+	return out
+}
+
 // shardEntries snapshots every entry (live and tombstone) in the given
-// shards, sorted by ID.
+// shards, sorted by ID. Like find, it shares adverts and bytes.
 func (s *store) shardEntries(want map[int]bool, shards int) []Entry {
 	if shards <= 0 {
 		shards = DefaultShards
@@ -176,23 +218,36 @@ func (s *store) shardEntries(want map[int]bool, shards int) []Entry {
 	var out []Entry
 	for id, e := range s.entries {
 		if want[ShardOf(id, shards)] {
-			if e.Ad != nil {
-				e.Ad = e.Ad.Clone()
-			}
 			out = append(out, e)
 		}
 	}
 	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	sortEntries(out)
 	return out
 }
 
 // --- wire codecs -------------------------------------------------------------
 
-// encodeEntries frames entries for sync-pull replies: per entry the
-// version, the tombstone flag, the ID and (for live entries) the advert
-// XML, all length-prefixed.
-func encodeEntries(entries []Entry) ([]byte, error) {
+// encodeAdverts frames the stored bytes of live entries exactly as
+// advert.EncodeList frames their adverts, in one buffer sized up front.
+// The two must change together; TestEveryWritePathServesCanonicalBytes
+// compares them.
+func encodeAdverts(entries []Entry) []byte {
+	n := frame.UvarintLen(uint64(len(entries)))
+	for _, e := range entries {
+		n += frame.UvarintLen(uint64(len(e.xml))) + len(e.xml)
+	}
+	out := frame.AppendUvarint(make([]byte, 0, n), uint64(len(entries)))
+	for _, e := range entries {
+		out = frame.AppendBytes(out, e.xml)
+	}
+	return out
+}
+
+// encodeEntries frames store entries for sync-pull replies and
+// checkpoints: per entry the version, the tombstone flag, the ID and
+// (for live entries) the stored advert XML, all length-prefixed.
+func encodeEntries(entries []Entry) []byte {
 	out := frame.AppendUvarint(nil, uint64(len(entries)))
 	for _, e := range entries {
 		out = frame.AppendUvarint(out, e.Version)
@@ -202,17 +257,9 @@ func encodeEntries(entries []Entry) ([]byte, error) {
 		}
 		out = frame.AppendUvarint(out, flag)
 		out = frame.AppendString(out, e.ID)
-		var adBytes []byte
-		if e.Ad != nil && !e.Tombstone {
-			b, err := e.Ad.MarshalText()
-			if err != nil {
-				return nil, err
-			}
-			adBytes = b
-		}
-		out = frame.AppendBytes(out, adBytes)
+		out = frame.AppendBytes(out, e.xml)
 	}
-	return out, nil
+	return out
 }
 
 // decodeEntries parses an encodeEntries payload.

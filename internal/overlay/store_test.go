@@ -103,15 +103,10 @@ func TestStoreDigestDetectsDifference(t *testing.T) {
 }
 
 func TestEntryCodecRoundTrip(t *testing.T) {
-	in := []Entry{
-		{Ad: ad("a1", "triana", time.Time{}), ID: "a1", Version: 7},
-		{ID: "gone", Version: 9, Tombstone: true},
-	}
-	b, err := encodeEntries(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := decodeEntries(b)
+	s := newStore(nil)
+	s.put(Entry{Ad: ad("a1", "triana", time.Time{}), ID: "a1", Version: 7})
+	s.put(Entry{ID: "gone", Version: 9, Tombstone: true})
+	out, err := decodeEntries(encodeEntries(s.all()))
 	if err != nil {
 		t.Fatal(err)
 	}

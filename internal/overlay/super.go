@@ -222,7 +222,7 @@ func (s *SuperPeer) handlePublish(req *jxtaserve.Message) (*jxtaserve.Message, e
 		return nil, fmt.Errorf("overlay: bad version %q", req.Header("version"))
 	}
 	e := Entry{Ad: &ad, ID: ad.ID, Version: version}
-	accepted, current := s.store.putVersioned(e)
+	accepted, current := s.store.putVersioned(&e)
 	isReplica := req.Header("replica") == "1"
 	if isReplica {
 		s.metrics.replicas.Inc()
@@ -235,7 +235,7 @@ func (s *SuperPeer) handlePublish(req *jxtaserve.Message) (*jxtaserve.Message, e
 			// Synchronous replication: the publisher's ack means the
 			// advert is on every reachable owner, which is what makes a
 			// super-peer death immediately after publish lossless.
-			s.replicate(methodPublish, e, req.Payload, traceID, parent)
+			s.replicate(methodPublish, e, traceID, parent)
 		}
 		s.notifyMatching(e, traceID, parent)
 		s.updateStoreGauges()
@@ -263,7 +263,7 @@ func (s *SuperPeer) handleRetract(req *jxtaserve.Message) (*jxtaserve.Message, e
 		s.metrics.retractions.Inc()
 		traceID, parent := trace.Extract(req.Header)
 		if req.Header("replica") != "1" {
-			s.replicate(methodRetract, e, nil, traceID, parent)
+			s.replicate(methodRetract, e, traceID, parent)
 		}
 		s.notifyMatching(e, traceID, parent)
 		s.updateStoreGauges()
@@ -273,10 +273,12 @@ func (s *SuperPeer) handleRetract(req *jxtaserve.Message) (*jxtaserve.Message, e
 	return reply, nil
 }
 
-// replicate pushes an accepted write to the other owners of its key.
-// Errors are logged, not returned: a dead replica is repaired later by
+// replicate pushes an accepted write to the other owners of its key,
+// sending the entry's stored bytes (nil for a retraction) to each: the
+// payload is shared by every send and must not be written into. Errors
+// are logged, not returned: a dead replica is repaired later by
 // anti-entropy, and the write is already durable here.
-func (s *SuperPeer) replicate(method string, e Entry, payload []byte, traceID, parent string) {
+func (s *SuperPeer) replicate(method string, e Entry, traceID, parent string) {
 	key := placementKey(e)
 	for _, owner := range s.opts.Ring.Owners(key, s.opts.Replication) {
 		if owner == s.host.Addr() {
@@ -293,7 +295,7 @@ func (s *SuperPeer) replicate(method string, e Entry, payload []byte, traceID, p
 			headers["id"] = e.ID
 		}
 		trace.Inject(span, func(k, v string) { headers[k] = v })
-		_, err := s.host.Request(owner, method, payload, headers)
+		_, err := s.host.Request(owner, method, e.xml, headers)
 		span.Fail(err)
 		span.End()
 		if err != nil {
@@ -322,11 +324,9 @@ func (s *SuperPeer) handleQuery(req *jxtaserve.Message) (*jxtaserve.Message, err
 		return nil, err
 	}
 	limit, _ := strconv.Atoi(req.Header("limit"))
-	payload, err := advert.EncodeList(s.store.find(q, limit))
-	if err != nil {
-		return nil, err
-	}
-	return &jxtaserve.Message{Payload: payload}, nil
+	// The reply is the matches' stored bytes, framed as advert.EncodeList
+	// frames them: no advert is cloned or encoded per query.
+	return &jxtaserve.Message{Payload: encodeAdverts(s.store.find(q, limit))}, nil
 }
 
 // --- pub/sub -----------------------------------------------------------------
@@ -348,11 +348,7 @@ func (s *SuperPeer) handleSubscribe(req *jxtaserve.Message) (*jxtaserve.Message,
 	// Seed the subscriber with the current matches through the same
 	// push path new adverts take: one delivery mechanism, one dedup.
 	traceID, parent := trace.Extract(req.Header)
-	for _, ad := range s.store.find(q, 0) {
-		e, ok := s.store.get(ad.ID)
-		if !ok {
-			continue
-		}
+	for _, e := range s.store.find(q, 0) {
 		s.pushAsync(sub, e, traceID, parent)
 	}
 	return &jxtaserve.Message{}, nil
@@ -387,7 +383,9 @@ func (s *SuperPeer) notifyMatching(e Entry, traceID, parent string) {
 }
 
 // pushAsync delivers one entry to one subscriber without blocking the
-// write path. The goroutine is lifecycle-owned: Close reaps it.
+// write path. The goroutine is lifecycle-owned: Close reaps it. The
+// payload is the entry's stored bytes, shared with every other push and
+// reply of the same entry, so no send path may write into it.
 func (s *SuperPeer) pushAsync(sub *subscription, e Entry, traceID, parent string) {
 	select {
 	case <-s.shutdown:
@@ -404,21 +402,12 @@ func (s *SuperPeer) pushAsync(sub *subscription, e Entry, traceID, parent string
 			"version": strconv.FormatUint(e.Version, 10),
 			"event":   eventUpdate,
 		}
-		var payload []byte
 		if e.Tombstone {
 			headers["event"] = eventRetract
-		} else if e.Ad != nil {
-			b, err := e.Ad.MarshalText()
-			if err != nil {
-				span.Fail(err)
-				span.End()
-				return
-			}
-			payload = b
 		}
 		trace.Inject(span, func(k, v string) { headers[k] = v })
 		start := time.Now()
-		_, err := s.host.Request(sub.addr, methodNotify, payload, headers)
+		_, err := s.host.Request(sub.addr, methodNotify, e.xml, headers)
 		s.metrics.notifies.Inc()
 		s.metrics.pushLatency.Observe(time.Since(start).Seconds())
 		span.Fail(err)
@@ -511,13 +500,14 @@ func (s *SuperPeer) SyncWith(peer string) (pulled int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, e := range entries {
-		if s.store.put(e) {
+	for i := range entries {
+		e := &entries[i]
+		if accepted, _ := s.store.putVersioned(e); accepted {
 			pulled++
 			// A repaired entry is news to this super's subscribers too:
 			// staleness after a partition heals is bounded by the sync
 			// interval, for pull and push consumers alike.
-			s.notifyMatching(e, "", "")
+			s.notifyMatching(*e, "", "")
 		}
 	}
 	if pulled > 0 {
@@ -536,11 +526,7 @@ func (s *SuperPeer) handleSyncPull(req *jxtaserve.Message) (*jxtaserve.Message, 
 	if err != nil {
 		return nil, err
 	}
-	payload, err := encodeEntries(s.store.shardEntries(want, s.opts.Shards))
-	if err != nil {
-		return nil, err
-	}
-	return &jxtaserve.Message{Payload: payload}, nil
+	return &jxtaserve.Message{Payload: encodeEntries(s.store.shardEntries(want, s.opts.Shards))}, nil
 }
 
 func boolHeader(b bool) string {
