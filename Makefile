@@ -19,10 +19,14 @@ test-386:
 
 # One discovery path: daemons discover only through the super-peer
 # overlay, so internal/discovery (the T2/T6 baselines) must stay off the
-# daemon, controller and core import graphs.
+# daemon, controller and core import graphs, and no daemon-side package
+# may keep an advert.Cache beside the ring as a second discovery source.
 layering:
 	@if go list -deps ./cmd/trianad ./cmd/trianactl ./internal/core ./internal/controller ./internal/service | grep -qx consumergrid/internal/discovery; then \
 		echo "layering: internal/discovery is reachable from a daemon path; only internal/experiments may import it"; exit 1; \
+	fi
+	@if grep -rnE --include='*.go' 'advert\.(New)?Cache\b' internal/service internal/controller internal/core cmd; then \
+		echo "layering: a daemon path references advert.Cache; Service.Discover answers from the ring alone"; exit 1; \
 	fi
 
 race:
@@ -143,6 +147,9 @@ groups-smoke:
 # Discovery-overlay chaos: seeded simnet with 3 super-peers (R=2), one
 # killed mid-run. Asserts every advert published before the kill stays
 # discoverable, failover pushes reach subscribers, and anti-entropy
-# repairs a healed partition. Deterministic seeds.
+# repairs a healed partition. Deterministic seeds. Then the daemon's
+# side: Service.Discover is exactly the ring's answer, and its cost per
+# returned advert stays within budget.
 overlay-smoke:
 	go test ./internal/overlay/ -run 'TestChaosSuperPeerFailover|TestAntiEntropyRepairsPartition|TestPublishAndQueryMessageCost|TestQueryAllocBudget' -count=1 -v
+	go test ./internal/service/ -run 'TestDiscoverIsTheRingsAnswer|TestServiceDiscoverAllocBudget' -count=1 -v

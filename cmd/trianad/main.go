@@ -294,9 +294,10 @@ func run() int {
 		log.Printf("trianad: %v", err)
 		return 1
 	}
-	runner.SetState(lifecycle.Running)
-	log.Printf("trianad: peer %s listening at %s (%d units, cpu %d MHz, ram %d MB)",
-		*id, svc.Addr(), len(units.Names()), *cpuMHz, *ramMB)
+	// The service holds the lifecycle state machine; the runner only
+	// orders the components around it.
+	log.Printf("trianad: peer %s %s, listening at %s (%d units, cpu %d MHz, ram %d MB)",
+		*id, svc.LifecycleState(), svc.Addr(), len(units.Names()), *cpuMHz, *ramMB)
 
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -309,7 +310,6 @@ func run() int {
 	}
 
 	log.Printf("trianad: SIGTERM — draining (timeout %v); send another signal to abort", *drainTimeout)
-	runner.SetState(lifecycle.Draining)
 	select {
 	case <-svc.BeginDrain(*drainTimeout):
 		rep := svc.DrainReport()

@@ -388,37 +388,72 @@ func (c *Cache) Len() int {
 }
 
 // --- list codec ---------------------------------------------------------
+//
+// An advert list is a count followed by each advert's XML,
+// length-prefixed. EncodeRawList and DecodeListFunc are the one place
+// that framing is written; EncodeList and DecodeList are them over
+// MarshalText and UnmarshalText, and a super-peer serves its stored
+// encodings through the same pair.
 
-// EncodeList frames a slice of advertisements for transport payloads
-// (each item XML-encoded, length-prefixed).
-func EncodeList(ads []*Advertisement) ([]byte, error) {
-	out := frame.AppendUvarint(nil, uint64(len(ads)))
-	for _, ad := range ads {
-		b, err := ad.MarshalText()
-		if err != nil {
-			return nil, err
-		}
-		out = frame.AppendBytes(out, b)
+// EncodeRawList frames n already-encoded adverts, item(i) being the
+// i-th one's XML, in one buffer sized up front.
+func EncodeRawList(n int, item func(i int) []byte) []byte {
+	size := frame.UvarintLen(uint64(n))
+	for i := 0; i < n; i++ {
+		b := item(i)
+		size += frame.UvarintLen(uint64(len(b))) + len(b)
 	}
-	return out, nil
+	out := frame.AppendUvarint(make([]byte, 0, size), uint64(n))
+	for i := 0; i < n; i++ {
+		out = frame.AppendBytes(out, item(i))
+	}
+	return out
 }
 
-// DecodeList parses a payload written by EncodeList.
-func DecodeList(b []byte) ([]*Advertisement, error) {
+// DecodeListFunc parses an advert list, turning each item's XML into
+// an advert with decode. decode is also told the list's length, so it
+// can choose how to decode by the size of the reply. The item bytes
+// alias b.
+func DecodeListFunc(b []byte, decode func(item []byte, n int) (*Advertisement, error)) ([]*Advertisement, error) {
 	r := frame.NewReader(b)
 	out := make([]*Advertisement, r.Count(1))
 	for i := range out {
-		adXML := r.Bytes(r.Len())
+		item := r.Bytes(r.Len())
 		if r.Err() != nil {
 			break
 		}
-		out[i] = new(Advertisement)
-		if err := out[i].UnmarshalText(adXML); err != nil {
+		ad, err := decode(item, len(out))
+		if err != nil {
 			return nil, err
 		}
+		out[i] = ad
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("advert: list: %w", err)
 	}
 	return out, nil
+}
+
+// EncodeList frames a slice of advertisements for transport payloads.
+func EncodeList(ads []*Advertisement) ([]byte, error) {
+	items := make([][]byte, len(ads))
+	for i, ad := range ads {
+		b, err := ad.MarshalText()
+		if err != nil {
+			return nil, err
+		}
+		items[i] = b
+	}
+	return EncodeRawList(len(items), func(i int) []byte { return items[i] }), nil
+}
+
+// DecodeList parses a payload written by EncodeList.
+func DecodeList(b []byte) ([]*Advertisement, error) {
+	return DecodeListFunc(b, func(item []byte, _ int) (*Advertisement, error) {
+		ad := new(Advertisement)
+		if err := ad.UnmarshalText(item); err != nil {
+			return nil, err
+		}
+		return ad, nil
+	})
 }

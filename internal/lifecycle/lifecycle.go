@@ -1,8 +1,9 @@
 // Package lifecycle gives the daemon a supervised spine: an ordered
 // component runner (start in registration order, stop in reverse), a
-// four-state lifecycle machine surfaced as a gauge, bounded-backoff
-// supervision for components that crash, and a versioned CRC-checked
-// snapshot container for crash-safe state (snapshot.go).
+// four-state lifecycle machine surfaced as a gauge (the service holds
+// the daemon's one Machine), bounded-backoff supervision for components
+// that crash, and a versioned CRC-checked snapshot container for
+// crash-safe state (snapshot.go).
 //
 // The CERN peer-group work argues that availability in a JXTA-style
 // grid comes from services that hand off and resume cleanly, not from
@@ -52,6 +53,44 @@ func (s State) String() string {
 	}
 }
 
+// Machine is a daemon's lifecycle position and its exported
+// lifecycle_state{peer} gauge. Moves are monotone except that any state
+// may move to Stopped. Safe for concurrent use.
+type Machine struct {
+	state atomic.Int32
+	gauge *metrics.Gauge
+}
+
+// NewMachine builds a machine in the Starting state whose gauge is
+// registered on reg (default metrics.Default()) under owner.
+func NewMachine(reg *metrics.Registry, owner string) *Machine {
+	if reg == nil {
+		reg = metrics.Default()
+	}
+	m := &Machine{gauge: reg.Gauge(metrics.Series("lifecycle_state", "peer", owner))}
+	m.gauge.Set(float64(Starting))
+	return m
+}
+
+// State reads the current lifecycle position.
+func (m *Machine) State() State { return State(m.state.Load()) }
+
+// SetState moves the machine and the exported gauge. Moves backwards
+// (e.g. Draining → Running) are refused so a late goroutine cannot
+// resurrect a draining daemon; Stopped is reachable from anywhere.
+func (m *Machine) SetState(s State) {
+	for {
+		cur := m.state.Load()
+		if s != Stopped && int32(s) < cur {
+			return
+		}
+		if m.state.CompareAndSwap(cur, int32(s)) {
+			m.gauge.Set(float64(s))
+			return
+		}
+	}
+}
+
 // Component is one runner-owned daemon part. Start and Stop may each
 // be nil (a component that only needs ordered teardown registers only
 // Stop, and vice versa).
@@ -75,52 +114,17 @@ type Options struct {
 // registration order (unwinding already-started components on
 // failure), StopAll tears them down in reverse, and Supervise wraps a
 // crash-prone run loop in bounded-backoff restarts. All methods are
-// safe for concurrent use; state transitions are monotone except that
-// any state may move to Stopped.
+// safe for concurrent use.
 type Runner struct {
-	opts  Options
-	state atomic.Int32
-
-	stateGauge *metrics.Gauge
+	opts Options
 
 	mu      sync.Mutex
 	comps   []Component
 	started int // prefix of comps currently running
 }
 
-// NewRunner builds a runner in the Starting state.
-func NewRunner(opts Options) *Runner {
-	reg := opts.Registry
-	if reg == nil {
-		reg = metrics.Default()
-	}
-	r := &Runner{
-		opts:       opts,
-		stateGauge: reg.Gauge(metrics.Series("lifecycle_state", "peer", opts.Owner)),
-	}
-	r.stateGauge.Set(float64(Starting))
-	return r
-}
-
-// State reads the current lifecycle position.
-func (r *Runner) State() State { return State(r.state.Load()) }
-
-// SetState moves the lifecycle machine and the exported gauge. Moves
-// backwards (e.g. Draining → Running) are refused so a late goroutine
-// cannot resurrect a draining daemon; Stopped is reachable from
-// anywhere.
-func (r *Runner) SetState(s State) {
-	for {
-		cur := r.state.Load()
-		if s != Stopped && int32(s) < cur {
-			return
-		}
-		if r.state.CompareAndSwap(cur, int32(s)) {
-			r.stateGauge.Set(float64(s))
-			return
-		}
-	}
-}
+// NewRunner builds a runner with no components.
+func NewRunner(opts Options) *Runner { return &Runner{opts: opts} }
 
 // Register appends a component. Components registered while the runner
 // is already running are started by the next StartAll only; register
@@ -149,19 +153,16 @@ func (r *Runner) StartAll() error {
 		r.logf("lifecycle: component %s started", c.Name)
 		r.started = i + 1
 	}
-	r.SetState(Running)
 	return nil
 }
 
 // StopAll stops every started component in reverse registration order.
 // Every Stop runs even when an earlier one errors; the first error is
-// returned. The runner lands in Stopped.
+// returned.
 func (r *Runner) StopAll() error {
 	r.mu.Lock()
-	err := r.stopPrefixLocked()
-	r.mu.Unlock()
-	r.SetState(Stopped)
-	return err
+	defer r.mu.Unlock()
+	return r.stopPrefixLocked()
 }
 
 // stopPrefixLocked unwinds the started prefix in reverse. Callers hold

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -164,14 +165,14 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// targets returns the supers responsible for a query, healthiest first.
-// A fully-specified topic (kind + exact name) routes to its O(R)
-// owners; wildcard or open queries fan out to every super — still
-// O(supers), never O(peers).
-func (c *Client) targets(q advert.Query) []string {
+// targets returns the supers responsible for a ring key, healthiest
+// first: the key's O(R) owners, or every super when the key is "" (a
+// query that may match across topics — still O(supers), never
+// O(peers)).
+func (c *Client) targets(key string) []string {
 	var owners []string
-	if q.Kind != "" && q.Name != "" && !strings.HasSuffix(q.Name, "*") {
-		owners = c.opts.Ring.Owners(TopicKey(string(q.Kind), q.Name), c.opts.Replication)
+	if key != "" {
+		owners = c.opts.Ring.Owners(key, c.opts.Replication)
 	} else {
 		owners = c.opts.Ring.Nodes()
 	}
@@ -179,11 +180,13 @@ func (c *Client) targets(q advert.Query) []string {
 	return append(usable, gated...)
 }
 
-// adTargets returns the owners of one advert's topic, healthiest first.
-func (c *Client) adTargets(ad *advert.Advertisement) []string {
-	owners := c.opts.Ring.Owners(TopicKey(string(ad.Kind), ad.Name), c.opts.Replication)
-	usable, gated := c.health.Rank(owners)
-	return append(usable, gated...)
+// queryKey is the topic a fully-specified query (kind + exact name) is
+// confined to, or "" for a wildcard or open query.
+func queryKey(q advert.Query) string {
+	if q.Kind == "" || q.Name == "" || strings.HasSuffix(q.Name, "*") {
+		return ""
+	}
+	return TopicKey(string(q.Kind), q.Name)
 }
 
 // Publish registers (or renews) an advert on the overlay. Each publish
@@ -208,7 +211,8 @@ func (c *Client) Publish(ad *advert.Advertisement) error {
 	defer span.End()
 	headers := map[string]string{"version": strconv.FormatUint(version, 10)}
 	trace.Inject(span, func(k, v string) { headers[k] = v })
-	reply, err := c.firstAck(c.adTargets(ad), methodPublish, payload, headers)
+	key := TopicKey(string(ad.Kind), ad.Name)
+	reply, err := c.firstAck(c.targets(key), methodPublish, payload, headers)
 	if err == nil && reply.Header("accepted") == "0" {
 		// The ring holds a higher version than our counter — typically
 		// the tombstone an expiry sweep minted for our previous copy.
@@ -220,7 +224,7 @@ func (c *Client) Publish(ad *advert.Advertisement) error {
 			}
 			headers["version"] = strconv.FormatUint(c.versions[ad.ID], 10)
 			c.mu.Unlock()
-			_, err = c.firstAck(c.adTargets(ad), methodPublish, payload, headers)
+			_, err = c.firstAck(c.targets(key), methodPublish, payload, headers)
 		}
 	}
 	span.Fail(err)
@@ -247,31 +251,62 @@ func (c *Client) Retract(id string) error {
 		"version": strconv.FormatUint(version, 10),
 	}
 	trace.Inject(span, func(k, v string) { headers[k] = v })
-	_, err := c.firstAck(c.adTargets(ad), methodRetract, nil, headers)
+	_, err := c.firstAck(c.targets(TopicKey(string(ad.Kind), ad.Name)), methodRetract, nil, headers)
 	span.Fail(err)
 	return err
 }
 
-// firstAck tries targets in order until one answers the request,
-// reporting outcomes to the health tracker so dead supers sink in the
-// candidate order.
-func (c *Client) firstAck(targets []string, method string, payload []byte, headers map[string]string) (*jxtaserve.Message, error) {
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("overlay: no super-peers on the ring")
+// ask sends one request to one super, reporting the outcome to the
+// health tracker so dead supers sink in the candidate order.
+func (c *Client) ask(addr, method string, payload []byte, headers map[string]string) (*jxtaserve.Message, error) {
+	start := time.Now()
+	reply, err := c.host.Request(addr, method, payload, headers)
+	if err != nil {
+		c.health.ReportFailure(addr)
+		c.logf("overlay: %s %s via %s: %v", c.host.PeerID(), method, addr, err)
+		return nil, err
 	}
-	var lastErr error
+	c.health.ReportSuccess(addr, time.Since(start))
+	return reply, nil
+}
+
+var errNoSupers = errors.New("overlay: no super-peers on the ring")
+
+// firstAck tries targets in order until one answers the request.
+func (c *Client) firstAck(targets []string, method string, payload []byte, headers map[string]string) (*jxtaserve.Message, error) {
+	err := errNoSupers
 	for _, addr := range targets {
-		start := time.Now()
-		reply, err := c.host.Request(addr, method, payload, headers)
-		if err == nil {
-			c.health.ReportSuccess(addr, time.Since(start))
+		var reply *jxtaserve.Message
+		if reply, err = c.ask(addr, method, payload, headers); err == nil {
 			return reply, nil
 		}
-		c.health.ReportFailure(addr)
-		lastErr = err
-		c.logf("overlay: %s %s via %s: %v", c.host.PeerID(), method, addr, err)
 	}
-	return nil, lastErr
+	return nil, err
+}
+
+// askEach sends the request to every target and hands each reply to
+// use, when use is not nil; an error from use ends the walk. Otherwise
+// it fails only when no target answered, with the last failure.
+func (c *Client) askEach(targets []string, method string, payload []byte, headers map[string]string, use func(*jxtaserve.Message) error) error {
+	lastErr := errNoSupers
+	answered := false
+	for _, addr := range targets {
+		reply, err := c.ask(addr, method, payload, headers)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		answered = true
+		if use != nil {
+			if err := use(reply); err != nil {
+				return err
+			}
+		}
+	}
+	if answered {
+		return nil
+	}
+	return lastErr
 }
 
 // Query asks the overlay for matching adverts. Topic queries cost one
@@ -285,51 +320,25 @@ func (c *Client) Query(q advert.Query, limit int) ([]*advert.Advertisement, erro
 		return nil, err
 	}
 	headers := map[string]string{"limit": strconv.Itoa(limit)}
-	targets := c.targets(q)
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("overlay: no super-peers on the ring")
-	}
-	topical := q.Kind != "" && q.Name != "" && !strings.HasSuffix(q.Name, "*")
-	if topical {
+	if key := queryKey(q); key != "" {
 		// All owners hold the same replicated topic: the first answer
 		// is the answer.
-		var lastErr error
-		for _, addr := range targets {
-			start := time.Now()
-			reply, err := c.host.Request(addr, methodQuery, payload, headers)
-			if err != nil {
-				c.health.ReportFailure(addr)
-				lastErr = err
-				continue
-			}
-			c.health.ReportSuccess(addr, time.Since(start))
-			return c.memo.decodeList(reply.Payload)
-		}
-		return nil, lastErr
-	}
-	byID := make(map[string]*advert.Advertisement)
-	var reached bool
-	var lastErr error
-	for _, addr := range targets {
-		start := time.Now()
-		reply, err := c.host.Request(addr, methodQuery, payload, headers)
-		if err != nil {
-			c.health.ReportFailure(addr)
-			lastErr = err
-			continue
-		}
-		c.health.ReportSuccess(addr, time.Since(start))
-		reached = true
-		ads, err := c.memo.decodeList(reply.Payload)
+		reply, err := c.firstAck(c.targets(key), methodQuery, payload, headers)
 		if err != nil {
 			return nil, err
 		}
+		return c.memo.decodeList(reply.Payload)
+	}
+	byID := make(map[string]*advert.Advertisement)
+	err = c.askEach(c.targets(""), methodQuery, payload, headers, func(reply *jxtaserve.Message) error {
+		ads, err := c.memo.decodeList(reply.Payload)
 		for _, ad := range ads {
 			byID[ad.ID] = ad
 		}
-	}
-	if !reached {
-		return nil, lastErr
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*advert.Advertisement, 0, len(byID))
 	for _, ad := range byID {
@@ -372,23 +381,9 @@ func (c *Client) Subscribe(subID string, q advert.Query) (<-chan Event, error) {
 		return nil, err
 	}
 	headers := map[string]string{"sub": subID, "addr": c.host.Addr()}
-	registered := 0
-	var lastErr error
-	for _, addr := range c.targets(q) {
-		if _, err := c.host.Request(addr, methodSubscribe, payload, headers); err != nil {
-			c.health.ReportFailure(addr)
-			lastErr = err
-			c.logf("overlay: %s subscribe via %s: %v", c.host.PeerID(), addr, err)
-			continue
-		}
-		registered++
-	}
-	if registered == 0 {
+	if err := c.askEach(c.targets(queryKey(q)), methodSubscribe, payload, headers, nil); err != nil {
 		c.dropSub(subID)
-		if lastErr == nil {
-			lastErr = fmt.Errorf("overlay: no super-peers on the ring")
-		}
-		return nil, lastErr
+		return nil, err
 	}
 	return sub.ch, nil
 }
@@ -414,11 +409,7 @@ func (c *Client) dropSub(subID string) *clientSub {
 
 func (c *Client) tellUnsubscribe(sub *clientSub) {
 	headers := map[string]string{"sub": sub.id, "addr": c.host.Addr()}
-	for _, addr := range c.targets(sub.query) {
-		if _, err := c.host.Request(addr, methodUnsub, nil, headers); err != nil {
-			c.logf("overlay: %s unsubscribe via %s: %v", c.host.PeerID(), addr, err)
-		}
-	}
+	c.askEach(c.targets(queryKey(sub.query)), methodUnsub, nil, headers, nil)
 }
 
 // handleNotify receives one pushed update from a super-peer.

@@ -43,8 +43,8 @@ func (c *Client) RetractAll() (int, error) {
 // tombstones, versions intact — in the same framing the anti-entropy
 // sync-pull reply uses, so a checkpoint section and a repair payload
 // are one format.
-func (s *SuperPeer) ExportEntries() ([]byte, error) {
-	return encodeEntries(s.store.all()), nil
+func (s *SuperPeer) ExportEntries() []byte {
+	return encodeEntries(s.store.all())
 }
 
 // RestoreEntries merges an ExportEntries payload into the store.
@@ -101,26 +101,12 @@ func (s *SuperPeer) Handoff() (HandoffReport, error) {
 
 	span := s.tracer.Start("", "", "overlay.handoff", s.host.PeerID())
 	defer span.End()
-	headers := map[string]string{}
-	trace.Inject(span, func(k, v string) { headers[k] = v })
 
 	for _, e := range s.store.all() {
-		method := methodPublish
-		if e.Tombstone {
-			method = methodRetract
-		} else if e.xml == nil {
+		if !e.Tombstone && e.xml == nil {
 			continue // live entry with no body cannot be re-published
 		}
-		h := map[string]string{
-			"version": strconv.FormatUint(e.Version, 10),
-			"replica": "1", // direct placement: successors must not re-fan-out
-		}
-		if e.Tombstone {
-			h["id"] = e.ID
-		}
-		for k, v := range headers {
-			h[k] = v
-		}
+		method, h := replicaRequest(e, span)
 		delivered := false
 		for _, owner := range succ.Owners(placementKey(e), s.opts.Replication) {
 			if _, err := s.host.Request(owner, method, e.xml, h); err != nil {
@@ -142,9 +128,7 @@ func (s *SuperPeer) Handoff() (HandoffReport, error) {
 				continue
 			}
 			h := map[string]string{"digest": digest}
-			for k, v := range headers {
-				h[k] = v
-			}
+			trace.Inject(span, func(k, v string) { h[k] = v })
 			delivered := false
 			for _, owner := range succ.Owners(ChunkKey(digest), s.opts.Replication) {
 				if _, err := s.host.Request(owner, methodChunkPut, data, h); err != nil {

@@ -1,11 +1,9 @@
 package overlay
 
 import (
-	"fmt"
 	"sync"
 
 	"consumergrid/internal/advert"
-	"consumergrid/internal/frame"
 )
 
 // memoCap bounds how many decoded adverts a client remembers: two
@@ -46,11 +44,7 @@ func newAdMemo() *adMemo {
 // decodes outside the lock; the memo keeps its own copy of the bytes.
 func (m *adMemo) decode(b []byte) (*advert.Advertisement, error) {
 	if len(b) > memoMaxAdvert {
-		ad := new(advert.Advertisement)
-		if err := ad.UnmarshalText(b); err != nil {
-			return nil, err
-		}
-		return ad, nil
+		return unmarshalAdvert(b)
 	}
 	m.mu.Lock()
 	m.lookups++
@@ -64,8 +58,8 @@ func (m *adMemo) decode(b []byte) (*advert.Advertisement, error) {
 	}
 	m.mu.Unlock()
 	if !ok {
-		ad = new(advert.Advertisement)
-		if err := ad.UnmarshalText(b); err != nil {
+		var err error
+		if ad, err = unmarshalAdvert(b); err != nil {
 			return nil, err
 		}
 		m.mu.Lock()
@@ -95,32 +89,27 @@ func (m *adMemo) len() int {
 	return len(m.cur) + len(m.prev)
 }
 
-// decodeList parses an advert.EncodeList payload, decoding each advert
-// through the memo. A reply of more adverts than one generation holds
-// decodes directly: the memo could not keep it whole until it repeats,
-// and past memoCap adverts every lookup would miss, each costing more
-// than a plain decode. Framing as advert.DecodeList; the two must
-// change together.
+// decodeList parses an advert list, decoding each advert through the
+// memo.
 func (m *adMemo) decodeList(b []byte) ([]*advert.Advertisement, error) {
-	r := frame.NewReader(b)
-	n := r.Count(1)
+	return advert.DecodeListFunc(b, m.decodeItem)
+}
+
+// decodeItem decodes one advert of an n-advert reply. A reply of more
+// adverts than one generation holds decodes directly: the memo could
+// not keep it whole until it repeats, and past memoCap adverts every
+// lookup would miss, each costing more than a plain decode.
+func (m *adMemo) decodeItem(b []byte, n int) (*advert.Advertisement, error) {
 	if n > memoCap/2 {
-		return advert.DecodeList(b)
+		return unmarshalAdvert(b)
 	}
-	out := make([]*advert.Advertisement, n)
-	for i := range out {
-		adXML := r.Bytes(r.Len())
-		if r.Err() != nil {
-			break
-		}
-		ad, err := m.decode(adXML)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ad
+	return m.decode(b)
+}
+
+func unmarshalAdvert(b []byte) (*advert.Advertisement, error) {
+	ad := new(advert.Advertisement)
+	if err := ad.UnmarshalText(b); err != nil {
+		return nil, err
 	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("overlay: advert list: %w", err)
-	}
-	return out, nil
+	return ad, nil
 }

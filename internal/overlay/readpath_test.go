@@ -198,11 +198,7 @@ func TestEveryWritePathServesCanonicalBytes(t *testing.T) {
 		}},
 		{"checkpoint restore", 2, 1, func(t *testing.T, c *cluster, p *probe) ([]*SuperPeer, bool) {
 			publishAll(t, c)
-			snap, err := c.owner().ExportEntries()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n, err := c.other().RestoreEntries(snap); err != nil || n != len(richAds()) {
+			if n, err := c.other().RestoreEntries(c.owner().ExportEntries()); err != nil || n != len(richAds()) {
 				t.Fatalf("restored %d, %v", n, err)
 			}
 			return []*SuperPeer{c.other()}, false

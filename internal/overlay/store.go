@@ -228,22 +228,6 @@ func (s *store) shardEntries(want map[int]bool, shards int) []Entry {
 
 // --- wire codecs -------------------------------------------------------------
 
-// encodeAdverts frames the stored bytes of live entries exactly as
-// advert.EncodeList frames their adverts, in one buffer sized up front.
-// The two must change together; TestEveryWritePathServesCanonicalBytes
-// compares them.
-func encodeAdverts(entries []Entry) []byte {
-	n := frame.UvarintLen(uint64(len(entries)))
-	for _, e := range entries {
-		n += frame.UvarintLen(uint64(len(e.xml))) + len(e.xml)
-	}
-	out := frame.AppendUvarint(make([]byte, 0, n), uint64(len(entries)))
-	for _, e := range entries {
-		out = frame.AppendBytes(out, e.xml)
-	}
-	return out
-}
-
 // encodeEntries frames store entries for sync-pull replies and
 // checkpoints: per entry the version, the tombstone flag, the ID and
 // (for live entries) the stored advert XML, all length-prefixed.

@@ -235,7 +235,7 @@ func (s *SuperPeer) handlePublish(req *jxtaserve.Message) (*jxtaserve.Message, e
 			// Synchronous replication: the publisher's ack means the
 			// advert is on every reachable owner, which is what makes a
 			// super-peer death immediately after publish lossless.
-			s.replicate(methodPublish, e, traceID, parent)
+			s.replicate(e, traceID, parent)
 		}
 		s.notifyMatching(e, traceID, parent)
 		s.updateStoreGauges()
@@ -263,7 +263,7 @@ func (s *SuperPeer) handleRetract(req *jxtaserve.Message) (*jxtaserve.Message, e
 		s.metrics.retractions.Inc()
 		traceID, parent := trace.Extract(req.Header)
 		if req.Header("replica") != "1" {
-			s.replicate(methodRetract, e, traceID, parent)
+			s.replicate(e, traceID, parent)
 		}
 		s.notifyMatching(e, traceID, parent)
 		s.updateStoreGauges()
@@ -278,7 +278,7 @@ func (s *SuperPeer) handleRetract(req *jxtaserve.Message) (*jxtaserve.Message, e
 // payload is shared by every send and must not be written into. Errors
 // are logged, not returned: a dead replica is repaired later by
 // anti-entropy, and the write is already durable here.
-func (s *SuperPeer) replicate(method string, e Entry, traceID, parent string) {
+func (s *SuperPeer) replicate(e Entry, traceID, parent string) {
 	key := placementKey(e)
 	for _, owner := range s.opts.Ring.Owners(key, s.opts.Replication) {
 		if owner == s.host.Addr() {
@@ -287,14 +287,7 @@ func (s *SuperPeer) replicate(method string, e Entry, traceID, parent string) {
 		span := s.tracer.Start(traceID, parent, "overlay.replicate", s.host.PeerID())
 		span.SetAttr("to", owner)
 		span.SetAttr("advert", e.ID)
-		headers := map[string]string{
-			"version": strconv.FormatUint(e.Version, 10),
-			"replica": "1",
-		}
-		if method == methodRetract {
-			headers["id"] = e.ID
-		}
-		trace.Inject(span, func(k, v string) { headers[k] = v })
+		method, headers := replicaRequest(e, span)
 		_, err := s.host.Request(owner, method, e.xml, headers)
 		span.Fail(err)
 		span.End()
@@ -302,6 +295,24 @@ func (s *SuperPeer) replicate(method string, e Entry, traceID, parent string) {
 			s.logf("overlay: %s replicate %s to %s: %v", s.host.PeerID(), e.ID, owner, err)
 		}
 	}
+}
+
+// replicaRequest builds the request that places an entry on another
+// owner directly: a publish of its stored bytes, or a retraction naming
+// its ID for a tombstone, at the entry's version, marked replica=1 so
+// the receiver does not fan it out again, in span's trace.
+func replicaRequest(e Entry, span *trace.Active) (method string, headers map[string]string) {
+	method = methodPublish
+	headers = map[string]string{
+		"version": strconv.FormatUint(e.Version, 10),
+		"replica": "1",
+	}
+	if e.Tombstone {
+		method = methodRetract
+		headers["id"] = e.ID
+	}
+	trace.Inject(span, func(k, v string) { headers[k] = v })
+	return method, headers
 }
 
 // placementKey returns the ring key for an entry: its topic when the
@@ -324,9 +335,11 @@ func (s *SuperPeer) handleQuery(req *jxtaserve.Message) (*jxtaserve.Message, err
 		return nil, err
 	}
 	limit, _ := strconv.Atoi(req.Header("limit"))
-	// The reply is the matches' stored bytes, framed as advert.EncodeList
-	// frames them: no advert is cloned or encoded per query.
-	return &jxtaserve.Message{Payload: encodeAdverts(s.store.find(q, limit))}, nil
+	// The reply is the matches' stored bytes in advert's list framing:
+	// no advert is cloned or encoded per query.
+	matches := s.store.find(q, limit)
+	payload := advert.EncodeRawList(len(matches), func(i int) []byte { return matches[i].xml })
+	return &jxtaserve.Message{Payload: payload}, nil
 }
 
 // --- pub/sub -----------------------------------------------------------------

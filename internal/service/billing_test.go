@@ -122,7 +122,7 @@ func TestStartAdvertisingRefreshesAndRespectsIdleGate(t *testing.T) {
 	tr := jxtaserve.NewInProc()
 	sp, ring := superRing(t, tr)
 	worker := newService(t, tr, "adv-worker", Options{Overlay: ring})
-	// The ring as the super holds it, without the worker's local cache.
+	// The ring as the super holds it.
 	onRing := func() []*advert.Advertisement {
 		ads, err := sp.Overlay().Query(advert.Query{Kind: advert.KindService}, 0)
 		if err != nil {

@@ -68,13 +68,7 @@ func (s *Service) CheckpointNow() error {
 		snap.Set(ckptPins, s.chunks.ExportPinned())
 	}
 	if s.overlaySuper != nil {
-		b, err := s.overlaySuper.ExportEntries()
-		if err != nil {
-			s.lcMetrics.ckptErrors.Inc()
-			span.Fail(err)
-			return fmt.Errorf("service: exporting advert store: %w", err)
-		}
-		snap.Set(ckptAdverts, b)
+		snap.Set(ckptAdverts, s.overlaySuper.ExportEntries())
 	}
 	written, err := snap.Save(s.opts.StateDir, stateFileName)
 	if err != nil {

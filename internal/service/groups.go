@@ -26,11 +26,11 @@ func (s *Service) GroupKey() string { return s.groupKey }
 func (s *Service) RequiredCaps() map[string]string { return s.opts.RequireCaps }
 
 // CapabilityIndex builds a capability-group index from every service
-// advert Discover can see (local cache plus the overlay ring), pulled
-// with the same query an unfiltered controller pull sends — the group
-// view trianactl groups and webstatus read. It is transient, so it never
-// perturbs the capgroup_groups / capgroup_members gauges the donor pool
-// owns.
+// advert the overlay ring returns to Discover (none on a standalone
+// peer), pulled with the same query an unfiltered controller pull sends
+// — the group view trianactl groups and webstatus read. It is
+// transient, so it never perturbs the capgroup_groups /
+// capgroup_members gauges the donor pool owns.
 func (s *Service) CapabilityIndex() *capgroup.Index {
 	idx := capgroup.NewIndex()
 	ads, err := s.Discover(advert.Query{Kind: advert.KindService, Name: ServiceType}, 0)

@@ -25,7 +25,6 @@ const DefaultDrainTimeout = 30 * time.Second
 // lifecycleMetrics are the daemon-lifecycle series, registered eagerly
 // in New so a fresh daemon's first scrape lists them.
 type lifecycleMetrics struct {
-	stateG        *metrics.Gauge     // lifecycle_state: 0 starting … 3 stopped
 	drainInflight *metrics.Gauge     // farms + slots still live during a drain
 	ckptTotal     *metrics.Counter   // state_checkpoint_total
 	ckptErrors    *metrics.Counter   // state_checkpoint_errors_total
@@ -38,7 +37,6 @@ func (s *Service) registerLifecycleMetrics() {
 	reg := metrics.Default()
 	peer := s.opts.PeerID
 	s.lcMetrics = lifecycleMetrics{
-		stateG:        reg.Gauge(metrics.Series("lifecycle_state", "peer", peer)),
 		drainInflight: reg.Gauge(metrics.Series("drain_inflight", "peer", peer)),
 		ckptTotal:     reg.Counter(metrics.Series("state_checkpoint_total", "peer", peer)),
 		ckptErrors:    reg.Counter(metrics.Series("state_checkpoint_errors_total", "peer", peer)),
@@ -48,24 +46,9 @@ func (s *Service) registerLifecycleMetrics() {
 	}
 }
 
-// setLifecycleState moves the daemon's lifecycle gauge forward; like
-// lifecycle.Runner, backward moves are refused (except to Stopped).
-func (s *Service) setLifecycleState(st lifecycle.State) {
-	for {
-		cur := s.lcState.Load()
-		if st != lifecycle.Stopped && int32(st) < cur {
-			return
-		}
-		if s.lcState.CompareAndSwap(cur, int32(st)) {
-			s.lcMetrics.stateG.Set(float64(st))
-			return
-		}
-	}
-}
-
 // LifecycleState reports where the daemon is in its lifecycle.
 func (s *Service) LifecycleState() lifecycle.State {
-	return lifecycle.State(s.lcState.Load())
+	return s.lc.State()
 }
 
 // Draining reports whether a drain has begun (or the daemon has
@@ -125,7 +108,7 @@ func (s *Service) BeginDrain(timeout time.Duration) <-chan struct{} {
 		if timeout <= 0 {
 			timeout = DefaultDrainTimeout
 		}
-		s.setLifecycleState(lifecycle.Draining)
+		s.lc.SetState(lifecycle.Draining)
 		s.mu.Lock()
 		closed := s.closed
 		s.mu.Unlock()

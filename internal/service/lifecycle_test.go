@@ -19,8 +19,35 @@ import (
 
 	"consumergrid/internal/chunkstore"
 	"consumergrid/internal/jxtaserve"
+	"consumergrid/internal/lifecycle"
+	"consumergrid/internal/metrics"
 	"consumergrid/internal/taskgraph"
 )
+
+// TestLifecycleStateRefusesBackwardMoves: the daemon's one lifecycle
+// machine moves forward only, so a late goroutine cannot resurrect a
+// draining daemon, but Stopped is reachable from anywhere; the
+// lifecycle_state gauge follows every accepted move.
+func TestLifecycleStateRefusesBackwardMoves(t *testing.T) {
+	s := newService(t, jxtaserve.NewInProc(), "lc-moves", Options{})
+	gauge := metrics.Default().Gauge(metrics.Series("lifecycle_state", "peer", "lc-moves"))
+	check := func(want lifecycle.State) {
+		t.Helper()
+		if got := s.LifecycleState(); got != want {
+			t.Fatalf("state = %v, want %v", got, want)
+		}
+		if got := gauge.Value(); got != float64(want) {
+			t.Fatalf("lifecycle_state gauge = %v, want %v", got, float64(want))
+		}
+	}
+	check(lifecycle.Running)
+	s.lc.SetState(lifecycle.Draining)
+	s.lc.SetState(lifecycle.Running) // must be ignored
+	s.lc.SetState(lifecycle.Starting)
+	check(lifecycle.Draining)
+	s.lc.SetState(lifecycle.Stopped)
+	check(lifecycle.Stopped)
+}
 
 // TestAdmissionDrainGatesFarmsNotSlots: drain mode refuses new farms
 // with the typed sentinel but keeps granting despatch slots, so farms

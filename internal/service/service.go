@@ -118,7 +118,7 @@ type Options struct {
 	RequireCaps map[string]string
 	// Overlay opts the daemon into the super-peer discovery overlay,
 	// the only way a daemon discovers. Nil leaves the peer standalone:
-	// it publishes and discovers against its local cache only.
+	// it publishes nothing and discovers no one.
 	Overlay *OverlayOptions
 	// Wire selects transport features: Wire.Mux multiplexes all traffic
 	// to a peer over one connection, Wire.Binary offers the binary codec
@@ -152,7 +152,6 @@ type Service struct {
 	opts    Options
 	host    *jxtaserve.Host
 	muxT    *jxtaserve.MuxTransport // nil unless Options.Wire.Mux
-	ads     *advert.Cache           // local knowledge: own and pipe adverts
 	fetcher *mcode.Fetcher
 	rm      gateway.ResourceManager
 	ownRM   bool
@@ -180,10 +179,13 @@ type Service struct {
 
 	tracer *trace.Recorder // span recorder for despatch lifecycles
 
+	tenantFarmMu sync.Mutex
+	tenantFarms  map[string]*tenantFarmStats // by tenant; see tenancy.go
+
 	// Lifecycle: the daemon's state machine position, its single drain,
 	// and the crash-safe checkpoint plumbing (see lifecycle.go and
 	// checkpoint.go).
-	lcState      atomic.Int32 // lifecycle.State
+	lc           *lifecycle.Machine // lifecycle_state gauge included
 	drains       drainState
 	lcMetrics    lifecycleMetrics
 	farms        *farmLedger // resumable farm journals
@@ -218,7 +220,6 @@ type job struct {
 
 	mu     sync.Mutex
 	result *engine.Result
-	err    error
 }
 
 // New starts a service daemon.
@@ -243,23 +244,23 @@ func New(opts Options) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		opts:     opts,
-		res:      opts.Resilience.withDefaults(),
-		resStats: new(metrics.ResilienceStats),
-		host:     host,
-		muxT:     muxT,
-		ads:      advert.NewCache(),
-		fetcher:  mcode.NewFetcher(host, mcode.NewStore(opts.CodeBudget)),
-		rm:       opts.RM,
-		jobs:     make(map[string]*job),
-		billing:  newLedger(),
-		tracer:   trace.Default(),
-		shutdown: make(chan struct{}),
-		farms:    newFarmLedger(),
+		opts:        opts,
+		res:         opts.Resilience.withDefaults(),
+		resStats:    new(metrics.ResilienceStats),
+		host:        host,
+		muxT:        muxT,
+		fetcher:     mcode.NewFetcher(host, mcode.NewStore(opts.CodeBudget)),
+		rm:          opts.RM,
+		jobs:        make(map[string]*job),
+		tenantFarms: make(map[string]*tenantFarmStats),
+		billing:     newLedger(),
+		tracer:      trace.Default(),
+		shutdown:    make(chan struct{}),
+		farms:       newFarmLedger(),
 	}
 	s.drains.done = make(chan struct{})
+	s.lc = lifecycle.NewMachine(metrics.Default(), opts.PeerID)
 	s.registerLifecycleMetrics()
-	s.setLifecycleState(lifecycle.Starting)
 	registerResilience(opts.PeerID, s.resStats)
 	healthOpts := opts.Health
 	healthOpts.Owner = opts.PeerID
@@ -345,7 +346,7 @@ func New(opts Options) (*Service, error) {
 			})
 		}
 	}
-	s.setLifecycleState(lifecycle.Running)
+	s.lc.SetState(lifecycle.Running)
 	return s, nil
 }
 
@@ -413,7 +414,7 @@ func (s *Service) Close() error {
 		s.muxT.Close()
 	}
 	s.bg.Wait()
-	s.setLifecycleState(lifecycle.Stopped)
+	s.lc.SetState(lifecycle.Stopped)
 	return err
 }
 
@@ -459,59 +460,28 @@ func (s *Service) ServiceAdvert(ttl time.Duration) *advert.Advertisement {
 
 // Advertise publishes the peer's one advertisement, the service advert
 // — the "enrol in the Triana environment" step, and with it the peer's
-// capability-group membership. A drain retracts it; otherwise it ages
-// out with its TTL.
+// capability-group membership — on the super-peer ring. A drain
+// retracts it; otherwise it ages out with its TTL. A standalone peer
+// has nowhere to publish, so it is a no-op there.
 func (s *Service) Advertise(ttl time.Duration) error {
-	if err := s.publish(s.ServiceAdvert(ttl)); err != nil {
+	if s.overlay == nil {
+		return nil
+	}
+	if err := s.overlay.Publish(s.ServiceAdvert(ttl)); err != nil {
 		return err
 	}
 	capgroup.CountPublish()
 	return nil
 }
 
-// publish records an advert in the local cache and, on the overlay, in
-// the super-peer ring.
-func (s *Service) publish(ad *advert.Advertisement) error {
-	if err := s.ads.Put(ad); err != nil {
-		return err
-	}
-	if s.overlay == nil {
-		return nil
-	}
-	return s.overlay.Publish(ad)
-}
-
-// Discover runs a query and returns up to limit matches (limit <= 0
-// means unlimited): local cache hits first, then the overlay ring's
-// answer merged in, deduplicated by advert ID. When the ring fails the
-// local hits, if any, are still the answer; a standalone peer sees only
-// its local cache.
+// Discover runs a query on the super-peer ring and returns its answer,
+// up to limit matches (limit <= 0 means unlimited). A standalone peer
+// finds nothing.
 func (s *Service) Discover(q advert.Query, limit int) ([]*advert.Advertisement, error) {
-	acc := s.ads.Find(q, limit)
 	if s.overlay == nil {
-		return acc, nil
+		return nil, nil
 	}
-	remote, err := s.overlay.Query(q, limit)
-	if err != nil {
-		if len(acc) > 0 {
-			return acc, nil // local knowledge beats a dead ring
-		}
-		return nil, err
-	}
-	seen := make(map[string]bool, len(acc))
-	for _, ad := range acc {
-		seen[ad.ID] = true
-	}
-	for _, ad := range remote {
-		if !seen[ad.ID] {
-			seen[ad.ID] = true
-			acc = append(acc, ad)
-		}
-	}
-	if limit > 0 && len(acc) > limit {
-		acc = acc[:limit]
-	}
-	return acc, nil
+	return s.overlay.Query(q, limit)
 }
 
 // StartAdvertising re-publishes the service advertisement (and so the
@@ -731,10 +701,6 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		inPipes = append(inPipes, pipe)
 		inAds = append(inAds, ad)
 		extIn[i] = pipe.C
-		// Publish so late binders can find the pipe through discovery too.
-		if err := s.ads.Put(ad); err != nil {
-			s.logf("service: caching pipe advert: %v", err)
-		}
 	}
 
 	// Bind output pipes to the supplied downstream targets.
@@ -815,7 +781,6 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		span.Fail(err)
 		j.mu.Lock()
 		j.result = res
-		j.err = err
 		j.mu.Unlock()
 		if res != nil {
 			total := 0

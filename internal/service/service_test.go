@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"consumergrid/internal/advert"
 	"consumergrid/internal/gateway"
 	"consumergrid/internal/jxtaserve"
 	"consumergrid/internal/policy"
@@ -334,11 +336,12 @@ func TestAdvertiseAndDiscoverService(t *testing.T) {
 	}
 }
 
-// TestDiscoverMergesLocalAndRing pins Discover's rules: local hits come
-// first, the ring's answer is merged in without duplicates, the limit
-// caps the merge, local hits survive a dead ring, and a standalone peer
-// sees only its own cache.
-func TestDiscoverMergesLocalAndRing(t *testing.T) {
+// TestDiscoverIsTheRingsAnswer pins Discover's one source: it returns
+// exactly what the overlay client's Query returns for the same query
+// and limit, a hosted job's pipe advert is never discoverable, a dead
+// ring's error is the answer even for a peer that advertised, and a
+// standalone peer finds nothing.
+func TestDiscoverIsTheRingsAnswer(t *testing.T) {
 	tr := jxtaserve.NewInProc()
 	sp, ring := superRing(t, tr)
 	a := newService(t, tr, "peer-a", Options{Overlay: ring, CPUMHz: 2000})
@@ -349,33 +352,82 @@ func TestDiscoverMergesLocalAndRing(t *testing.T) {
 		}
 	}
 	q := advertQueryMinCPU(0)
-	got, err := a.Discover(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a's own advert is both local and on the ring: it appears once, first.
-	if len(got) != 2 || got[0].PeerID != "peer-a" || got[1].PeerID != "peer-b" {
-		t.Fatalf("merged discover = %+v, want peer-a then peer-b", got)
-	}
-	if got, _ := a.Discover(q, 1); len(got) != 1 || got[0].PeerID != "peer-a" {
-		t.Fatalf("limited discover = %+v, want just the local hit", got)
+	for _, tc := range []struct{ limit, n int }{{0, 2}, {1, 1}, {2, 2}, {3, 2}} {
+		got, err := a.Discover(q, tc.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := a.Overlay().Query(q, tc.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != tc.n || !reflect.DeepEqual(got, want) {
+			t.Fatalf("limit %d: Discover = %+v, want the ring's %d adverts %+v", tc.limit, got, tc.n, want)
+		}
 	}
 
-	// Kill the ring: local knowledge still answers, nothing else does.
-	sp.Close()
-	if got, err := a.Discover(q, 0); err != nil || len(got) != 1 || got[0].PeerID != "peer-a" {
-		t.Fatalf("discover with a dead ring = %+v, %v; want peer-a's local advert", got, err)
+	// b hosts a job, whose input pipe advert travels only in the run
+	// reply: nobody can discover it, b included.
+	plan := &policy.Plan{Kind: policy.KindParallel, Replicas: []string{"peer-b"}}
+	peers := map[string]PeerRef{"peer-b": {ID: "peer-b", Addr: b.Addr()}}
+	if _, err := a.RunDistributed(context.Background(), figure1(t, policy.NameParallel), "GroupTask",
+		plan, peers, DistOptions{Iterations: 2, Seed: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := b.Discover(advertQueryMinCPU(5000), 0); err == nil {
-		t.Fatal("a dead ring with no local hit must report the ring's error")
+	for _, s := range []*Service{a, b} {
+		if got, err := s.Discover(advert.Query{Kind: advert.KindPipe}, 0); err != nil || len(got) != 0 {
+			t.Fatalf("%s discovers pipe adverts %+v, %v; want none", s.PeerID(), got, err)
+		}
+	}
+
+	sp.Close()
+	if got, err := a.Discover(q, 0); err == nil || got != nil {
+		t.Fatalf("discover with a dead ring = %+v, %v; want the ring's error", got, err)
 	}
 
 	solo := newService(t, tr, "solo", Options{CPUMHz: 500})
 	if err := solo.Advertise(time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := solo.Discover(q, 0); err != nil || len(got) != 1 || got[0].PeerID != "solo" {
-		t.Fatalf("standalone discover = %+v, %v; want only its own advert", got, err)
+	if got, err := solo.Discover(q, 0); err != nil || len(got) != 0 {
+		t.Fatalf("standalone discover = %+v, %v; want nothing", got, err)
+	}
+}
+
+// TestServiceDiscoverAllocBudget gates what a daemon's discovery answer
+// costs per returned advert, end to end through Service.Discover, on
+// two in-process supers at R=2 holding 24 donors: the ring's reply and
+// nothing on top of it.
+func TestServiceDiscoverAllocBudget(t *testing.T) {
+	const donors = 24
+	// 5.9 on amd64 and 386, with or without -race. A Discover that merged
+	// a local advert cache into the ring's answer took 6.3.
+	const budget = 6.1 // allocations per returned advert
+	tr := jxtaserve.NewInProc()
+	supers := []string{"ab-super-0", "ab-super-1"}
+	for _, addr := range supers {
+		newService(t, tr, addr, Options{Addr: addr, Overlay: &OverlayOptions{
+			SuperPeers: supers, SuperPeer: true, Replication: 2, SyncInterval: -1, SweepInterval: -1}})
+	}
+	ring := &OverlayOptions{SuperPeers: supers, Replication: 2}
+	for i := 0; i < donors; i++ {
+		d := newService(t, tr, fmt.Sprintf("ab-donor-%02d", i), Options{Overlay: ring, CPUMHz: 2000})
+		if err := d.Advertise(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctl := newService(t, tr, "ab-ctl", Options{Overlay: ring})
+	q := advert.Query{Kind: advert.KindService, Name: ServiceType}
+	discover := func() {
+		if got, err := ctl.Discover(q, 0); err != nil || len(got) != donors {
+			t.Fatalf("discover returned %d adverts, %v", len(got), err)
+		}
+	}
+	discover() // warm: connections dialled, adverts decoded once
+	perAdvert := testing.AllocsPerRun(50, discover) / donors
+	t.Logf("warm Service.Discover: %.2f allocations per returned advert", perAdvert)
+	if perAdvert > budget {
+		t.Fatalf("Service.Discover allocates %.2f objects per returned advert, budget %.1f", perAdvert, budget)
 	}
 }
 

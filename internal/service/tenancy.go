@@ -25,21 +25,15 @@ type tenantFarmStats struct {
 	egress *metrics.Counter
 }
 
-var (
-	tenantFarmMu  sync.Mutex
-	tenantFarmMap = map[string]*tenantFarmStats{}
-)
-
 // tenantFarm returns the tenant's farm series, creating the
 // {peer, tenant}-labelled counters on first sight.
 func (s *Service) tenantFarm(tenant string) *tenantFarmStats {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
-	key := s.opts.PeerID + "\x00" + tenant
-	tenantFarmMu.Lock()
-	defer tenantFarmMu.Unlock()
-	if tf, ok := tenantFarmMap[key]; ok {
+	s.tenantFarmMu.Lock()
+	defer s.tenantFarmMu.Unlock()
+	if tf, ok := s.tenantFarms[tenant]; ok {
 		return tf
 	}
 	reg := metrics.Default()
@@ -48,7 +42,7 @@ func (s *Service) tenantFarm(tenant string) *tenantFarmStats {
 		chunks: reg.Counter(metrics.Series("service_tenant_chunks_committed_total", "peer", s.opts.PeerID, "tenant", tenant)),
 		egress: reg.Counter(metrics.Series("service_tenant_farm_egress_bytes_total", "peer", s.opts.PeerID, "tenant", tenant)),
 	}
-	tenantFarmMap[key] = tf
+	s.tenantFarms[tenant] = tf
 	return tf
 }
 
