@@ -322,7 +322,7 @@ func cmdTraces(args []string) error {
 }
 
 // cmdTenant dumps a daemon's fair-share scheduler ledger: per-tenant
-// weights, in-flight slots, queue depth, admit/shed totals and the p99
+// weights, in-flight slots, queue depth, admit totals and the p99
 // scheduling wait. With -tenant and -weight it first adjusts that
 // tenant's fair-share weight on the daemon.
 func cmdTenant(args []string) error {

@@ -72,8 +72,6 @@ type RunOptions struct {
 	// capgroup_fallback_total. Pull-path discovery filters service
 	// adverts by the same pairs.
 	RequireCaps map[string]string
-	// MaxPeers bounds the candidate list (0 = unbounded).
-	MaxPeers int
 	// ForceLocal skips discovery and runs everything in-process.
 	ForceLocal bool
 	// PoolShards forces the donor-pool shard count. 0 derives one shard
@@ -114,8 +112,8 @@ func (c *Controller) DiscoverPeers(opts RunOptions) ([]service.PeerRef, error) {
 // candidates is the one routine every candidate list passes through,
 // pulled or pooled: it keeps the donor adverts matching the run's
 // discovery filters, orders them by advertised CPU, strongest first
-// (ties by peer ID), drops the controller's own peer and caps the list
-// at MaxPeers. Nil when nothing qualifies.
+// (ties by peer ID) and drops the controller's own peer. Nil when
+// nothing qualifies.
 func (c *Controller) candidates(ads []*advert.Advertisement, opts RunOptions) []service.PeerRef {
 	type ranked struct {
 		ad  *advert.Advertisement
@@ -139,9 +137,6 @@ func (c *Controller) candidates(ads []*advert.Advertisement, opts RunOptions) []
 		}
 		return keep[i].ad.PeerID < keep[j].ad.PeerID
 	})
-	if opts.MaxPeers > 0 && len(keep) > opts.MaxPeers {
-		keep = keep[:opts.MaxPeers]
-	}
 	refs := make([]service.PeerRef, len(keep))
 	for i, k := range keep {
 		refs[i] = service.PeerRef{ID: k.ad.PeerID, Addr: k.ad.Addr}
@@ -214,7 +209,8 @@ func (c *Controller) Run(ctx context.Context, g *taskgraph.Graph, opts RunOption
 	// Discovery ranks by advertised CPU; live health observations trump
 	// the brochure. Peers that have actually been failing sink, peers
 	// behind an open breaker go last.
-	ids = policy.OrderByHealth(ids, c.svc.Health())
+	usable, gated := c.svc.Health().Rank(ids)
+	ids = append(usable, gated...)
 	plan, err := pol.Plan(gt, ids)
 	if err != nil {
 		return nil, err
@@ -250,11 +246,10 @@ type FarmOptions struct {
 	// Body builds the farmed group body (one external input, one
 	// external output) — fresh per attempt.
 	Body func() *taskgraph.Graph
-	// ChunkAttempts, AttemptTimeout, InitialState, Heartbeat, Seed and
-	// AfterChunk forward to service.FarmOptions.
+	// ChunkAttempts, AttemptTimeout, Heartbeat, Seed and AfterChunk
+	// forward to service.FarmOptions.
 	ChunkAttempts  int
 	AttemptTimeout time.Duration
-	InitialState   map[string][]byte
 	Heartbeat      bool
 	Seed           int64
 	AfterChunk     func(chunk int)
@@ -308,7 +303,6 @@ func (c *Controller) RunFarm(ctx context.Context, chunks [][]types.Data, opts Fa
 		CodeAddr:        c.svc.Addr(),
 		ChunkAttempts:   opts.ChunkAttempts,
 		AttemptTimeout:  opts.AttemptTimeout,
-		InitialState:    opts.InitialState,
 		Heartbeat:       opts.Heartbeat,
 		Seed:            opts.Seed,
 		AfterChunk:      opts.AfterChunk,

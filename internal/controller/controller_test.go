@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -228,10 +229,22 @@ func TestControllerCapabilityFiltering(t *testing.T) {
 	if peers[0].ID != workerID(2) || peers[1].ID != workerID(1) {
 		t.Errorf("order = %s, %s", peers[0].ID, peers[1].ID)
 	}
-	// MaxPeers bound.
-	peers, _ = net.ctl.DiscoverPeers(RunOptions{MaxPeers: 1})
-	if len(peers) != 1 {
-		t.Errorf("MaxPeers ignored: %d", len(peers))
+}
+
+// TestControllerPlansOpenBreakerPeerLast: Run orders its plan through
+// the controller's health tracker, so the strongest-CPU peer, once its
+// breaker is open, is planned after the healthy ones.
+func TestControllerPlansOpenBreakerPeerLast(t *testing.T) {
+	net := enrolledNet(t, 3, nil) // CPU ranks c, b, a
+	net.ctl.Service().Health().ReportDead(workerID(2))
+	rep, err := net.ctl.Run(context.Background(), figure1(t, policy.NameParallel),
+		RunOptions{Iterations: 3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{workerID(1), workerID(0), workerID(2)}
+	if !reflect.DeepEqual(rep.Plan.Replicas, want) {
+		t.Fatalf("plan replicas = %v, want %v", rep.Plan.Replicas, want)
 	}
 }
 

@@ -51,13 +51,13 @@ func TestDonorPoolTracksAdverts(t *testing.T) {
 	}
 
 	// RunFarm's pooled peer source is shardPeers; check it reads the pool
-	// and honours MaxPeers. Needing both donors seated takes shard
+	// and honours the farm's filters. Needing both donors seated takes shard
 	// placement out of the picture: a thinner shard defers to the pool.
 	if got := pool.shardPeers("farm", RunOptions{}, 2); len(got) != 2 {
 		t.Fatalf("shardPeers = %v, want both workers", got)
 	}
-	if got := pool.shardPeers("farm", RunOptions{MaxPeers: 1}, 1); len(got) != 1 || got[0].ID != workerID(1) {
-		t.Fatalf("shardPeers(max 1) = %v, want just the strongest", got)
+	if got := pool.shardPeers("farm", RunOptions{MinCPUMHz: 2000}, 1); len(got) != 1 || got[0].ID != workerID(1) {
+		t.Fatalf("shardPeers(MinCPUMHz 2000) = %v, want just the strongest", got)
 	}
 
 	// worker-a's advert expires; the sweep's retraction push removes it.

@@ -334,6 +334,11 @@ func (n *Node) discoverFlood(q advert.Query, limit int, acc []*advert.Advertisem
 		pq.ids[ad.ID] = true
 	}
 	n.pending[qid] = pq
+	// The origin has seen its own query: an echo from a neighbour is
+	// dropped here rather than re-forwarded with a lower TTL, where it
+	// could reach another neighbour before the full-TTL copy and shorten
+	// that branch's reach.
+	n.seen.observe(qid)
 	neighbors := append([]string(nil), n.neighbors...)
 	n.mu.Unlock()
 	defer func() {

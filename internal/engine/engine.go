@@ -36,6 +36,10 @@ var (
 	fanoutShared = metrics.Default().Counter("engine_fanout_shared_total")
 )
 
+// connBuffer is the per-connection channel depth: any depth >= 1 lets a
+// pipeline stream rather than lock-step.
+const connBuffer = 4
+
 // Options configures a run.
 type Options struct {
 	// Iterations is how many times each source unit fires. Non-source
@@ -46,9 +50,6 @@ type Options struct {
 	// Seed makes the run deterministic: each task's random source is
 	// derived from Seed and the task name.
 	Seed int64
-	// BufferSize is the per-connection channel depth (default 4). A depth
-	// of >= 1 lets a pipeline stream rather than lock-step.
-	BufferSize int
 	// Logf receives unit diagnostics; may be nil.
 	Logf func(format string, args ...any)
 	// ExternalIn supplies data for the graph's ExternalIn endpoints when
@@ -103,9 +104,6 @@ type connKey struct {
 func Run(ctx context.Context, g *taskgraph.Graph, opts Options) (*Result, error) {
 	if opts.Iterations < 1 {
 		return nil, fmt.Errorf("engine: Iterations must be >= 1")
-	}
-	if opts.BufferSize <= 0 {
-		opts.BufferSize = 4
 	}
 	if opts.Sandbox == nil {
 		opts.Sandbox = sandbox.New(sandbox.Deny())
@@ -164,7 +162,7 @@ func Run(ctx context.Context, g *taskgraph.Graph, opts Options) (*Result, error)
 		if c.Control {
 			continue // control traffic is a policy-layer concern
 		}
-		ch := make(chan types.Data, opts.BufferSize)
+		ch := make(chan types.Data, connBuffer)
 		inChans[connKey{c.To.Task, c.To.Node}] = ch
 		outs[c.From.Task][c.From.Node] = append(outs[c.From.Task][c.From.Node], ch)
 	}

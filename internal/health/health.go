@@ -8,14 +8,14 @@
 // ring of observed attempt latencies for quantile estimates, and a
 // three-state breaker:
 //
-//	Closed ──(FailureThreshold consecutive failures, or a dead
+//	Closed ──(three consecutive failures, or a dead
 //	          verdict from the failure detector)──▶ Open
 //	Open ──(cooldown elapses)──▶ HalfOpen
 //	HalfOpen ──(probe succeeds)──▶ Closed
 //	HalfOpen ──(probe fails)──▶ Open (cooldown doubled)
 //
 // The cooldown is the decaying penalty: every re-open doubles it up to
-// MaxOpenTimeout, every close halves it back toward OpenTimeout, so a
+// a minute, every close halves it back toward OpenTimeout, so a
 // peer that flaps pays increasingly long exile while one that recovers
 // earns its way back quickly. Byzantine verdicts (a quorum vote that
 // went against the peer) do not open the breaker — the peer answered,
@@ -56,29 +56,34 @@ func (s State) String() string {
 	}
 }
 
+// Breaker and score tuning. No deployment has needed other values, so
+// they are constants rather than options.
+const (
+	// failureThreshold consecutive failures open a closed breaker.
+	failureThreshold = 3
+	// maxOpenTimeout caps the cooldown, which doubles on every re-open.
+	maxOpenTimeout = 60 * time.Second
+	// alpha weights each new success/failure observation into the EWMA
+	// score.
+	alpha = 0.3
+	// byzantineFactor multiplies a peer's score on each byzantine
+	// verdict.
+	byzantineFactor = 0.25
+	// suspectThreshold is the score below which a peer counts as
+	// suspect. Suspects stay selectable — their score already ranks
+	// them last — but are flagged in snapshots.
+	suspectThreshold = 0.5
+	// latencyWindow bounds the per-peer latency ring.
+	latencyWindow = 64
+)
+
 // Options tunes a Tracker. The zero value selects the defaults noted
 // per field.
 type Options struct {
-	// FailureThreshold consecutive failures open a closed breaker
-	// (default 3).
-	FailureThreshold int
 	// OpenTimeout is the initial open→half-open cooldown (default 5s);
-	// it doubles on every re-open up to MaxOpenTimeout (default 60s)
-	// and halves on every close back toward OpenTimeout.
-	OpenTimeout    time.Duration
-	MaxOpenTimeout time.Duration
-	// Alpha weights each new success/failure observation into the EWMA
-	// score (default 0.3).
-	Alpha float64
-	// ByzantineFactor multiplies a peer's score on each byzantine
-	// verdict (default 0.25).
-	ByzantineFactor float64
-	// SuspectThreshold is the score below which a peer counts as
-	// suspect (default 0.5). Suspects stay selectable — their score
-	// already ranks them last — but are flagged in snapshots.
-	SuspectThreshold float64
-	// LatencyWindow bounds the per-peer latency ring (default 64).
-	LatencyWindow int
+	// it doubles on every re-open up to maxOpenTimeout and halves on
+	// every close back toward OpenTimeout.
+	OpenTimeout time.Duration
 	// Owner labels this tracker's metric series with the observing
 	// peer's ID, so several trackers share one registry.
 	Owner string
@@ -89,26 +94,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FailureThreshold <= 0 {
-		o.FailureThreshold = 3
-	}
 	if o.OpenTimeout <= 0 {
 		o.OpenTimeout = 5 * time.Second
-	}
-	if o.MaxOpenTimeout <= 0 {
-		o.MaxOpenTimeout = 60 * time.Second
-	}
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		o.Alpha = 0.3
-	}
-	if o.ByzantineFactor <= 0 || o.ByzantineFactor >= 1 {
-		o.ByzantineFactor = 0.25
-	}
-	if o.SuspectThreshold <= 0 || o.SuspectThreshold >= 1 {
-		o.SuspectThreshold = 0.5
-	}
-	if o.LatencyWindow <= 0 {
-		o.LatencyWindow = 64
 	}
 	if o.Registry == nil {
 		o.Registry = metrics.Default()
@@ -159,7 +146,7 @@ func (t *Tracker) get(id string) *peer {
 	if !ok {
 		p = &peer{
 			score:      1.0,
-			latencies:  make([]time.Duration, t.opts.LatencyWindow),
+			latencies:  make([]time.Duration, latencyWindow),
 			cooldown:   t.opts.OpenTimeout,
 			scoreGauge: t.opts.Registry.Gauge(metrics.Series("health_peer_score", "observer", t.opts.Owner, "peer", id)),
 			stateGauge: t.opts.Registry.Gauge(metrics.Series("health_breaker_state", "observer", t.opts.Owner, "peer", id)),
@@ -187,7 +174,7 @@ func (t *Tracker) ReportSuccess(id string, d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.get(id)
-	p.score += t.opts.Alpha * (1 - p.score)
+	p.score += alpha * (1 - p.score)
 	p.consecFails = 0
 	p.dead = false
 	p.probing = false
@@ -218,12 +205,12 @@ func (t *Tracker) ReportFailure(id string) {
 	defer t.mu.Unlock()
 	p := t.get(id)
 	t.advance(p)
-	p.score *= 1 - t.opts.Alpha
+	p.score *= 1 - alpha
 	p.consecFails++
 	p.probing = false
 	switch p.state {
 	case Closed:
-		if p.consecFails >= t.opts.FailureThreshold {
+		if p.consecFails >= failureThreshold {
 			t.openLocked(p, false)
 		}
 	case HalfOpen, Open:
@@ -239,7 +226,7 @@ func (t *Tracker) ReportDead(id string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.get(id)
-	p.score *= 1 - t.opts.Alpha
+	p.score *= 1 - alpha
 	p.consecFails++
 	p.probing = false
 	p.dead = true
@@ -255,7 +242,7 @@ func (t *Tracker) ReportByzantine(id string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.get(id)
-	p.score *= t.opts.ByzantineFactor
+	p.score *= byzantineFactor
 	p.suspect = true
 	p.scoreGauge.Set(p.score)
 }
@@ -265,8 +252,8 @@ func (t *Tracker) ReportByzantine(id string) {
 func (t *Tracker) openLocked(p *peer, escalate bool) {
 	if escalate {
 		p.cooldown *= 2
-		if p.cooldown > t.opts.MaxOpenTimeout {
-			p.cooldown = t.opts.MaxOpenTimeout
+		if p.cooldown > maxOpenTimeout {
+			p.cooldown = maxOpenTimeout
 		}
 	}
 	p.state = Open
@@ -299,7 +286,7 @@ func (t *Tracker) State(id string) State {
 }
 
 // Usable reports whether selection may consider the peer at all: any
-// state but Open. This is the policy.Scorer gate.
+// state but Open.
 func (t *Tracker) Usable(id string) bool { return t.State(id) != Open }
 
 // Suspect reports whether the peer's score has fallen below the
@@ -311,7 +298,7 @@ func (t *Tracker) Suspect(id string) bool {
 	if !ok {
 		return false
 	}
-	return p.suspect || p.score < t.opts.SuspectThreshold
+	return p.suspect || p.score < suspectThreshold
 }
 
 // Admit asks permission to despatch to the peer. Closed peers are
@@ -351,12 +338,19 @@ func (t *Tracker) LatencyQuantile(id string, q float64) (time.Duration, bool) {
 	if !okP {
 		return 0, false
 	}
+	d, n := p.latencyQuantile(q)
+	return d, n >= 3
+}
+
+// latencyQuantile returns the q-th quantile of the latency ring and how
+// many samples it was read from (0 if none). Callers hold t.mu.
+func (p *peer) latencyQuantile(q float64) (time.Duration, int) {
 	n := p.latIdx
 	if p.latFull {
 		n = len(p.latencies)
 	}
-	if n < 3 {
-		return 0, false
+	if n == 0 {
+		return 0, 0
 	}
 	samples := make([]time.Duration, n)
 	copy(samples, p.latencies[:n])
@@ -365,26 +359,7 @@ func (t *Tracker) LatencyQuantile(id string, q float64) (time.Duration, bool) {
 	if idx >= n {
 		idx = n - 1
 	}
-	return samples[idx], true
-}
-
-// latencyP90Locked is Rank's tie-break key. Callers hold t.mu.
-func (t *Tracker) latencyP90Locked(p *peer) (time.Duration, bool) {
-	n := p.latIdx
-	if p.latFull {
-		n = len(p.latencies)
-	}
-	if n < 1 {
-		return 0, false
-	}
-	samples := make([]time.Duration, n)
-	copy(samples, p.latencies[:n])
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := int(0.9 * float64(n))
-	if idx >= n {
-		idx = n - 1
-	}
-	return samples[idx], true
+	return samples[idx], n
 }
 
 // Rank orders candidate peers for selection. usable holds every
@@ -409,7 +384,9 @@ func (t *Tracker) Rank(peers []string) (usable, gated []string) {
 		if p, ok := t.peers[id]; ok {
 			t.advance(p)
 			c.score = p.score
-			c.p90, c.known = t.latencyP90Locked(p)
+			var n int
+			c.p90, n = p.latencyQuantile(0.9)
+			c.known = n > 0
 			c.gated = p.state == Open
 		}
 		cands = append(cands, c)
@@ -469,7 +446,7 @@ func (t *Tracker) Snapshot() []PeerHealth {
 			Score:   p.score,
 			State:   p.state,
 			Dead:    p.dead,
-			Suspect: p.suspect || p.score < t.opts.SuspectThreshold,
+			Suspect: p.suspect || p.score < suspectThreshold,
 		}
 		t.mu.Unlock()
 		h.P50, _ = t.LatencyQuantile(id, 0.5)

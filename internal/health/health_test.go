@@ -1,6 +1,7 @@
 package health
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -157,6 +158,61 @@ func TestRankStableAmongUnknownPeers(t *testing.T) {
 	usable, _ := tr.Rank([]string{"w1", "w2", "w3"})
 	if usable[0] != "w1" || usable[1] != "w2" || usable[2] != "w3" {
 		t.Fatalf("unknown peers reordered: %v", usable)
+	}
+}
+
+// TestRankGatesOpenPeersLast: an open-breaker peer goes after every
+// usable one, even one with a worse score.
+func TestRankGatesOpenPeersLast(t *testing.T) {
+	tr := newTestTracker(&fakeClock{t: time.Unix(0, 0)})
+	tr.ReportDead("d") // open, score 0.7
+	tr.ReportByzantine("a")
+	usable, gated := tr.Rank([]string{"d", "a"})
+	if !reflect.DeepEqual(usable, []string{"a"}) || !reflect.DeepEqual(gated, []string{"d"}) {
+		t.Fatalf("Rank = %v, %v; want [a], [d]", usable, gated)
+	}
+}
+
+// TestRankAllGatedOrderedByScore: when every peer's breaker is open, the
+// gated list is still ordered best score first, as the forced fallback.
+func TestRankAllGatedOrderedByScore(t *testing.T) {
+	tr := newTestTracker(&fakeClock{t: time.Unix(0, 0)})
+	tr.ReportDead("d") // open, score 0.7
+	for i := 0; i < 3; i++ {
+		tr.ReportFailure("b") // open, score 0.343
+	}
+	usable, gated := tr.Rank([]string{"b", "d"})
+	if len(usable) != 0 || !reflect.DeepEqual(gated, []string{"d", "b"}) {
+		t.Fatalf("all-gated Rank = %v, %v; want [], [d b]", usable, gated)
+	}
+}
+
+// TestRankReadsLatencyQuantileRing: Rank's p90 tie-break and
+// LatencyQuantile read one quantile of one ring — only the last
+// latencyWindow samples count — and Rank uses it from the first sample,
+// where LatencyQuantile waits for three.
+func TestRankReadsLatencyQuantileRing(t *testing.T) {
+	tr := newTestTracker(&fakeClock{t: time.Unix(0, 0)})
+	for i := 0; i < latencyWindow; i++ {
+		tr.ReportSuccess("x", 100*time.Millisecond)
+		tr.ReportSuccess("y", 10*time.Millisecond)
+	}
+	for i := 0; i < latencyWindow; i++ {
+		tr.ReportSuccess("x", time.Millisecond) // overwrites every 100ms sample
+	}
+	tr.ReportSuccess("z", 5*time.Millisecond)
+
+	for id, want := range map[string]time.Duration{"x": time.Millisecond, "y": 10 * time.Millisecond} {
+		if got, ok := tr.LatencyQuantile(id, 0.9); !ok || got != want {
+			t.Errorf("LatencyQuantile(%s, 0.9) = %v, %v; want %v", id, got, ok, want)
+		}
+	}
+	if _, ok := tr.LatencyQuantile("z", 0.9); ok {
+		t.Error("LatencyQuantile answered from one sample")
+	}
+	usable, _ := tr.Rank([]string{"u", "y", "z", "x"})
+	if want := []string{"x", "z", "y", "u"}; !reflect.DeepEqual(usable, want) {
+		t.Fatalf("Rank = %v, want %v (ascending p90, unknown u last)", usable, want)
 	}
 }
 

@@ -69,8 +69,8 @@ func (t *Tracker) Restore(b []byte) (int, error) {
 		if p.cooldown < t.opts.OpenTimeout {
 			p.cooldown = t.opts.OpenTimeout
 		}
-		if p.cooldown > t.opts.MaxOpenTimeout {
-			p.cooldown = t.opts.MaxOpenTimeout
+		if p.cooldown > maxOpenTimeout {
+			p.cooldown = maxOpenTimeout
 		}
 		p.dead = flags&1 != 0
 		p.suspect = flags&2 != 0

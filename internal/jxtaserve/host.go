@@ -28,9 +28,6 @@ type Host struct {
 	resolver ManifestResolver      // materialises pipe.manifest frames
 	closed   bool
 	wg       sync.WaitGroup
-	// DefaultTTL is the advert lifetime attached to OpenInput adverts;
-	// zero means no expiry.
-	DefaultTTL time.Duration
 }
 
 // Handler serves one RPC method. It receives the request and returns the
@@ -432,9 +429,6 @@ func (h *Host) OpenInput(name string, buf int) (*InputPipe, *advert.Advertisemen
 		Addr:   h.Addr(),
 	}
 	ad.SetAttr(advert.AttrDirection, "input")
-	if h.DefaultTTL > 0 {
-		ad.Expires = time.Now().Add(h.DefaultTTL)
-	}
 	return p, ad, nil
 }
 

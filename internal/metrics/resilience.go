@@ -22,9 +22,6 @@ type ResilienceStats struct {
 	SpeculationWaste    Counter
 	QuorumCommits       Counter
 	QuorumDisagreements Counter
-	// DespatchSheds counts despatch attempts refused by admission
-	// control because the in-flight budget was exhausted.
-	DespatchSheds Counter
 	// FarmEgressBytes counts the controller's data-plane bytes per farm:
 	// streamed payloads on the legacy path; manifests, ring write-through
 	// replicas, and controller-direct chunk serves on the data-tier path.
@@ -45,7 +42,6 @@ type ResilienceSnapshot struct {
 	SpeculationWaste    int64
 	QuorumCommits       int64
 	QuorumDisagreements int64
-	DespatchSheds       int64
 	FarmEgressBytes     int64
 }
 
@@ -62,7 +58,6 @@ func (s *ResilienceStats) Snapshot() ResilienceSnapshot {
 		SpeculationWaste:    s.SpeculationWaste.Value(),
 		QuorumCommits:       s.QuorumCommits.Value(),
 		QuorumDisagreements: s.QuorumDisagreements.Value(),
-		DespatchSheds:       s.DespatchSheds.Value(),
 		FarmEgressBytes:     s.FarmEgressBytes.Value(),
 	}
 }

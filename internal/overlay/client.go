@@ -39,10 +39,6 @@ type ClientOptions struct {
 	// receives the client's RPC outcomes. Optional; nil builds a
 	// private tracker.
 	Health *health.Tracker
-	// EventBuffer is each subscription channel's depth (default 64).
-	// A full channel drops the oldest pending event, never blocks the
-	// push path.
-	EventBuffer int
 	// Registry receives overlay_client_* series (default metrics.Default()).
 	Registry *metrics.Registry
 	// Tracer records publish spans (default trace.Default()).
@@ -50,6 +46,10 @@ type ClientOptions struct {
 	// Logf receives diagnostics; may be nil.
 	Logf func(format string, args ...any)
 }
+
+// eventBuffer is each subscription channel's depth. A full channel
+// drops the oldest pending event, never blocks the push path.
+const eventBuffer = 64
 
 // clientSub is one live subscription with its per-advert version dedup
 // table: the same write reaches the client once per owner pushing it,
@@ -87,9 +87,6 @@ func NewClient(host *jxtaserve.Host, opts ClientOptions) (*Client, error) {
 	}
 	if opts.Replication <= 0 {
 		opts.Replication = DefaultReplication
-	}
-	if opts.EventBuffer <= 0 {
-		opts.EventBuffer = 64
 	}
 	if opts.Health == nil {
 		opts.Health = health.New(health.Options{Owner: host.PeerID()})
@@ -359,7 +356,7 @@ func (c *Client) Subscribe(subID string, q advert.Query) (<-chan Event, error) {
 	sub := &clientSub{
 		id:    subID,
 		query: q,
-		ch:    make(chan Event, c.opts.EventBuffer),
+		ch:    make(chan Event, eventBuffer),
 		seen:  make(map[string]uint64),
 	}
 	c.mu.Lock()

@@ -67,12 +67,10 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// ShardOf folds a key into one of shards anti-entropy buckets.
-func ShardOf(key string, shards int) int {
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	return int(hash64(key) % uint64(shards))
+// ShardOf folds a key into one of the DefaultShards anti-entropy
+// buckets.
+func ShardOf(key string) int {
+	return int(hash64(key) % DefaultShards)
 }
 
 // TopicKey is the placement key for an advertisement: adverts are

@@ -103,7 +103,7 @@ func TestOwnersSpreadAcrossNodes(t *testing.T) {
 
 func TestShardOfInRange(t *testing.T) {
 	for i := 0; i < 1000; i++ {
-		s := ShardOf(fmt.Sprintf("id-%d", i), DefaultShards)
+		s := ShardOf(fmt.Sprintf("id-%d", i))
 		if s < 0 || s >= DefaultShards {
 			t.Fatalf("ShardOf out of range: %d", s)
 		}

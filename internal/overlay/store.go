@@ -179,15 +179,12 @@ type ShardDigest struct {
 	Hash  uint64
 }
 
-// digest summarises the store into shards buckets.
-func (s *store) digest(shards int) []ShardDigest {
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	out := make([]ShardDigest, shards)
+// digest summarises the store into DefaultShards buckets.
+func (s *store) digest() []ShardDigest {
+	out := make([]ShardDigest, DefaultShards)
 	s.mu.Lock()
 	for id, e := range s.entries {
-		i := ShardOf(id, shards)
+		i := ShardOf(id)
 		out[i].Count++
 		out[i].Hash ^= e.digestWord()
 	}
@@ -210,14 +207,11 @@ func (s *store) all() []Entry {
 
 // shardEntries snapshots every entry (live and tombstone) in the given
 // shards, sorted by ID. Like find, it shares adverts and bytes.
-func (s *store) shardEntries(want map[int]bool, shards int) []Entry {
-	if shards <= 0 {
-		shards = DefaultShards
-	}
+func (s *store) shardEntries(want map[int]bool) []Entry {
 	s.mu.Lock()
 	var out []Entry
 	for id, e := range s.entries {
-		if want[ShardOf(id, shards)] {
+		if want[ShardOf(id)] {
 			out = append(out, e)
 		}
 	}
@@ -297,7 +291,7 @@ func decodeDigests(b []byte) ([]ShardDigest, error) {
 
 // parseShardList decodes the comma-separated shard header of a sync
 // pull ("3,17,22").
-func parseShardList(s string, shards int) (map[int]bool, error) {
+func parseShardList(s string) (map[int]bool, error) {
 	want := make(map[int]bool)
 	if s == "" {
 		return want, nil
@@ -307,7 +301,7 @@ func parseShardList(s string, shards int) (map[int]bool, error) {
 		if _, err := fmt.Sscanf(part, "%d", &i); err != nil {
 			return nil, fmt.Errorf("overlay: bad shard %q", part)
 		}
-		if i < 0 || i >= shards {
+		if i < 0 || i >= DefaultShards {
 			return nil, fmt.Errorf("overlay: shard %d out of range", i)
 		}
 		want[i] = true

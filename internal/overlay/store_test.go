@@ -74,19 +74,19 @@ func TestStoreDigestDetectsDifference(t *testing.T) {
 		a.put(e)
 		b.put(e)
 	}
-	da, db := a.digest(DefaultShards), b.digest(DefaultShards)
+	da, db := a.digest(), b.digest()
 	for i := range da {
 		if da[i] != db[i] {
 			t.Fatalf("identical stores differ at shard %d", i)
 		}
 	}
 	b.put(Entry{Ad: ad("four", "triana", time.Time{}), Version: 1})
-	da, db = a.digest(DefaultShards), b.digest(DefaultShards)
+	da, db = a.digest(), b.digest()
 	diff := 0
 	for i := range da {
 		if da[i] != db[i] {
 			diff++
-			if i != ShardOf("four", DefaultShards) {
+			if i != ShardOf("four") {
 				t.Fatalf("unexpected shard %d differs", i)
 			}
 		}
@@ -96,8 +96,8 @@ func TestStoreDigestDetectsDifference(t *testing.T) {
 	}
 	// Version bumps change the digest too (same ID, same shard).
 	a.put(Entry{Ad: ad("one", "triana", time.Time{}), Version: 2})
-	da, db = a.digest(DefaultShards), b.digest(DefaultShards)
-	if da[ShardOf("one", DefaultShards)] == db[ShardOf("one", DefaultShards)] {
+	da, db = a.digest(), b.digest()
+	if da[ShardOf("one")] == db[ShardOf("one")] {
 		t.Fatal("version bump invisible to digest")
 	}
 }
@@ -147,14 +147,14 @@ func TestDecodeEntriesRejectsGarbage(t *testing.T) {
 }
 
 func TestParseShardList(t *testing.T) {
-	want, err := parseShardList("0,5,31", 32)
+	want, err := parseShardList("0,5,31")
 	if err != nil || len(want) != 3 || !want[0] || !want[5] || !want[31] {
 		t.Fatalf("parseShardList = %v, %v", want, err)
 	}
-	if _, err := parseShardList("40", 32); err == nil {
+	if _, err := parseShardList("40"); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
-	if _, err := parseShardList("x", 32); err == nil {
+	if _, err := parseShardList("x"); err == nil {
 		t.Fatal("non-numeric shard accepted")
 	}
 }

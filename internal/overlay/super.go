@@ -40,9 +40,6 @@ type SuperOptions struct {
 	// Replication is the advert replication factor R (default
 	// DefaultReplication, capped by ring size at placement time).
 	Replication int
-	// Shards is the anti-entropy digest granularity (default
-	// DefaultShards). All supers in one ring must agree on it.
-	Shards int
 	// SyncInterval enables the periodic anti-entropy loop; zero leaves
 	// sync to explicit SyncOnce calls (tests, smoke harnesses).
 	SyncInterval time.Duration
@@ -102,9 +99,6 @@ func NewSuper(host *jxtaserve.Host, opts SuperOptions) (*SuperPeer, error) {
 	}
 	if opts.Replication <= 0 {
 		opts.Replication = DefaultReplication
-	}
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
 	}
 	if opts.SweepInterval == 0 {
 		opts.SweepInterval = time.Second
@@ -483,7 +477,7 @@ func (s *SuperPeer) SyncOnce() (pulled int, err error) {
 func (s *SuperPeer) SyncWith(peer string) (pulled int, err error) {
 	s.metrics.syncRounds.Inc()
 	s.metrics.ringSize.Set(float64(s.opts.Ring.Len()))
-	mine := s.store.digest(s.opts.Shards)
+	mine := s.store.digest()
 	reply, err := s.host.Request(peer, methodSyncDigest, encodeDigests(mine), nil)
 	if err != nil {
 		return 0, err
@@ -531,15 +525,15 @@ func (s *SuperPeer) SyncWith(peer string) (pulled int, err error) {
 }
 
 func (s *SuperPeer) handleSyncDigest(req *jxtaserve.Message) (*jxtaserve.Message, error) {
-	return &jxtaserve.Message{Payload: encodeDigests(s.store.digest(s.opts.Shards))}, nil
+	return &jxtaserve.Message{Payload: encodeDigests(s.store.digest())}, nil
 }
 
 func (s *SuperPeer) handleSyncPull(req *jxtaserve.Message) (*jxtaserve.Message, error) {
-	want, err := parseShardList(req.Header("shards"), s.opts.Shards)
+	want, err := parseShardList(req.Header("shards"))
 	if err != nil {
 		return nil, err
 	}
-	return &jxtaserve.Message{Payload: encodeEntries(s.store.shardEntries(want, s.opts.Shards))}, nil
+	return &jxtaserve.Message{Payload: encodeEntries(s.store.shardEntries(want))}, nil
 }
 
 func boolHeader(b bool) string {

@@ -17,22 +17,17 @@
 // in arrival order, which bounds wait-time skew between two competing
 // farms of the same tenant.
 //
-// Backpressure is either blocking (the default — the farm paces itself
-// to the budget) or shedding: with ShedDespatchOverload set, a full
-// budget fails the acquire with a per-tenant *OverloadError at once.
+// Backpressure is blocking: a full budget queues the acquire, so the
+// farm paces itself to the budget.
 //
-// Every acquire has exactly one outcome — granted, shed, cancelled, or
-// closed — decided under the scheduler mutex. The PR 4 semaphore
-// decided "shed" with a lock-free select and bumped the shed counter
-// outside it, so an acquire racing Close could count a shed AND return
-// success; here the counters are bumped at the same decision point
-// that picks the outcome, so they are exact under contention.
+// Every acquire has exactly one outcome — granted, cancelled, or closed
+// — decided under the scheduler mutex, and an admit is booked only for
+// a grant its caller takes, so the ledger is exact under contention.
 package service
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -45,30 +40,13 @@ import (
 // need to name tenants and keep working unchanged.
 const DefaultTenant = "default"
 
-// OverloadError is the typed shed verdict: the despatch was refused
-// because the tenant's fair share of the in-flight budget was
-// exhausted, not because anything is wrong with the work or the peer.
-// Callers can retry later or fall back to blocking.
-type OverloadError struct {
-	// Tenant is the tenant whose acquire was shed.
-	Tenant string
-	// Limit is the configured in-flight despatch budget.
-	Limit int
-}
-
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("service: despatch budget exhausted for tenant %q (%d in flight)", e.Tenant, e.Limit)
-}
-
-// errAdmissionClosed is the single "service shutting down" outcome; it
-// is distinct from a shed and never bumps shed counters.
+// errAdmissionClosed is the single "service shutting down" outcome.
 var errAdmissionClosed = errors.New("service: shutting down")
 
 // ErrDraining is the typed refusal a draining controller gives new
 // farms: the daemon is finishing its in-flight work before exiting and
-// admits nothing new. Distinct from an *OverloadError (retry soon) —
-// a draining daemon is going away, so callers should resubmit to
-// another controller. Detect it with errors.Is.
+// admits nothing new. A draining daemon is going away, so callers
+// should resubmit to another controller. Detect it with errors.Is.
 var ErrDraining = errors.New("service: draining, not admitting new farms")
 
 // defaultMaxInflightDespatches bounds concurrent despatch attempts when
@@ -103,12 +81,10 @@ type tenantQueue struct {
 	inflight int
 	waiters  []*ticket
 	admits   int64
-	sheds    int64
 
 	// Registry-backed series, labelled {peer, tenant}. Created when the
 	// queue is, so configured tenants appear on /metrics immediately.
 	admitsC   *metrics.Counter
-	shedsC    *metrics.Counter
 	inflightG *metrics.Gauge
 	waitH     *metrics.Histogram
 }
@@ -117,7 +93,6 @@ type tenantQueue struct {
 type admission struct {
 	mu        sync.Mutex
 	limit     int
-	shed      bool
 	closed    bool
 	draining  bool // beginFarm refuses; slot acquires keep working
 	farms     int  // farms between beginFarm and endFarm
@@ -127,13 +102,12 @@ type admission struct {
 	owner     string // peer ID, labels the per-tenant series
 	defWeight int
 	tenants   map[string]*tenantQueue
-	onShed    func(tenant string) // bumps process-level shed counters; may be nil
 }
 
 // newAdmission builds the scheduler. weights seeds the configured
 // tenants (plus the default tenant) so their metric series register
 // eagerly; unknown tenants are admitted on first use at defWeight.
-func newAdmission(limit int, shed bool, owner string, weights map[string]int, defWeight int, onShed func(tenant string)) *admission {
+func newAdmission(limit int, owner string, weights map[string]int, defWeight int) *admission {
 	if limit <= 0 {
 		limit = defaultMaxInflightDespatches
 	}
@@ -142,11 +116,9 @@ func newAdmission(limit int, shed bool, owner string, weights map[string]int, de
 	}
 	a := &admission{
 		limit:     limit,
-		shed:      shed,
 		owner:     owner,
 		defWeight: defWeight,
 		tenants:   make(map[string]*tenantQueue),
-		onShed:    onShed,
 	}
 	a.queueLocked(DefaultTenant)
 	for name, w := range weights {
@@ -187,7 +159,6 @@ func (a *admission) queueLocked(tenant string) *tenantQueue {
 		stride:    strideFor(a.defWeight),
 		pass:      a.vtime,
 		admitsC:   reg.Counter(metrics.Series("service_tenant_admits_total", "peer", a.owner, "tenant", tenant)),
-		shedsC:    reg.Counter(metrics.Series("service_tenant_shed_total", "peer", a.owner, "tenant", tenant)),
 		inflightG: reg.Gauge(metrics.Series("service_tenant_inflight", "peer", a.owner, "tenant", tenant)),
 		waitH:     reg.Histogram(metrics.Series("service_tenant_sched_wait_seconds", "peer", a.owner, "tenant", tenant)),
 	}
@@ -215,15 +186,22 @@ func (a *admission) setWeight(tenant string, w int) {
 func (a *admission) grantLocked(q *tenantQueue) {
 	a.inflight++
 	q.inflight++
-	q.admits++
 	if q.pass < a.vtime {
 		q.pass = a.vtime
 	}
 	a.vtime = q.pass
 	q.pass += q.stride
-	q.admitsC.Inc()
 	q.inflightG.Add(1)
 	despatchInflight.Add(1)
+}
+
+// admitLocked books a grant its caller has taken. A queued grant is
+// booked when its waiter wakes, not when dispatch hands it over, so a
+// grant the waiter abandons to a cancelled context is never counted.
+// Callers hold a.mu.
+func (q *tenantQueue) admitLocked() {
+	q.admits++
+	q.admitsC.Inc()
 }
 
 // nextQueueLocked picks the backlogged tenant with the lowest pass —
@@ -279,10 +257,9 @@ func (a *admission) dispatchLocked() {
 	}
 }
 
-// acquire claims a slot for tenant. In blocking mode it waits — FIFO
-// within the tenant, weighted fair-share across tenants — until a slot
-// is granted, the context ends, or the service shuts down; in shed
-// mode a full budget returns a per-tenant *OverloadError at once.
+// acquire claims a slot for tenant. It waits — FIFO within the tenant,
+// weighted fair-share across tenants — until a slot is granted, the
+// context ends, or the service shuts down.
 func (a *admission) acquire(ctx context.Context, shutdown <-chan struct{}, tenant string) error {
 	// A dead context is never granted a slot, free or not: the despatch
 	// it would admit sends its request before noticing the cancel, and
@@ -301,19 +278,10 @@ func (a *admission) acquire(ctx context.Context, shutdown <-chan struct{}, tenan
 	// stops late arrivals barging past tickets already in line.
 	if a.inflight < a.limit && a.waiting == 0 {
 		a.grantLocked(q)
+		q.admitLocked()
 		q.waitH.Observe(0)
 		a.mu.Unlock()
 		return nil
-	}
-	if a.shed {
-		q.sheds++
-		q.shedsC.Inc()
-		onShed := a.onShed
-		a.mu.Unlock()
-		if onShed != nil {
-			onShed(q.name)
-		}
-		return &OverloadError{Tenant: q.name, Limit: a.limit}
 	}
 	t := &ticket{q: q, ready: make(chan struct{}), enqueued: time.Now()}
 	q.waiters = append(q.waiters, t)
@@ -323,11 +291,11 @@ func (a *admission) acquire(ctx context.Context, shutdown <-chan struct{}, tenan
 	select {
 	case <-t.ready:
 		a.mu.Lock()
-		closed := t.closed
-		a.mu.Unlock()
-		if closed {
+		defer a.mu.Unlock()
+		if t.closed {
 			return errAdmissionClosed
 		}
+		q.admitLocked()
 		return nil
 	case <-ctx.Done():
 		a.abandon(t)
@@ -368,6 +336,7 @@ func (a *admission) tryAcquire(tenant string) bool {
 	}
 	q := a.queueLocked(tenant)
 	a.grantLocked(q)
+	q.admitLocked()
 	q.waitH.Observe(0)
 	return true
 }
@@ -458,37 +427,13 @@ func (a *admission) counts() (farms, inflight int) {
 	return a.farms, a.inflight
 }
 
-// awaitIdle waits (polling) until no farm is registered and no slot is
-// held, or the timeout passes, and reports whether idle was reached.
-// progress, when non-nil, observes each poll — the drain path feeds
-// the drain_inflight gauge from it.
-func (a *admission) awaitIdle(timeout time.Duration, progress func(farms, inflight int)) bool {
+// await polls the live farm and slot counts every 2ms until done
+// accepts them or the timeout passes, and reports whether done did.
+// done sees every poll, so a drain can feed its progress gauge from it.
+func (a *admission) await(timeout time.Duration, done func(farms, inflight int) bool) bool {
 	deadline := time.Now().Add(timeout)
 	for {
-		farms, inflight := a.counts()
-		if progress != nil {
-			progress(farms, inflight)
-		}
-		if farms == 0 && inflight == 0 {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// awaitInflightDrained waits until every granted slot is released (or
-// the timeout passes). Close uses it so overlay teardown cannot race
-// in-flight despatch attempts against a vanishing ring; unlike
-// awaitIdle it ignores registered farms, which can legitimately
-// outlive Close (their next acquire fails with errAdmissionClosed).
-func (a *admission) awaitInflightDrained(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		_, inflight := a.counts()
-		if inflight == 0 {
+		if done(a.counts()) {
 			return true
 		}
 		if time.Now().After(deadline) {
@@ -506,7 +451,6 @@ type TenantSnapshot struct {
 	Inflight int
 	Queued   int
 	Admits   int64
-	Sheds    int64
 	// P99WaitMS is the reservoir-sampled 99th-percentile scheduling
 	// wait (acquire to grant) in milliseconds.
 	P99WaitMS float64
@@ -532,7 +476,6 @@ func (a *admission) snapshot() (tenants []TenantSnapshot, totalInflight, limit i
 			Inflight:  q.inflight,
 			Queued:    queued,
 			Admits:    q.admits,
-			Sheds:     q.sheds,
 			P99WaitMS: q.waitH.Quantile(99) * 1e3,
 		})
 	}

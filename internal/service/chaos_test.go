@@ -31,7 +31,6 @@ func chaosResilience() ResilienceOptions {
 		MaxAttempts:       4,
 		BaseDelay:         10 * time.Millisecond,
 		MaxDelay:          80 * time.Millisecond,
-		RetrySeed:         1,
 		HeartbeatInterval: 20 * time.Millisecond,
 		HeartbeatTimeout:  200 * time.Millisecond,
 		HeartbeatMisses:   3,

@@ -219,18 +219,17 @@ func (s *Service) CancelRemote(job *RemoteJob) error {
 
 // --- distributed group execution ---------------------------------------------
 
-// DistOptions configures RunDistributed.
+// distPipeBuffer is the depth of RunDistributed's local input pipes
+// and of the channels feeding its output pipes.
+const distPipeBuffer = 8
+
+// DistOptions configures RunDistributed. Remote peers fetch modules
+// from this service, which serves every registered unit, and the local
+// portion runs under the service's sandbox policy.
 type DistOptions struct {
 	// Iterations drives the local sources.
 	Iterations int
 	Seed       int64
-	// CodeAddr is the module owner the remote peers fetch from; empty
-	// uses this service's own address (it serves every registered unit).
-	CodeAddr string
-	// Sandbox for the local portion; nil = service default.
-	Sandbox *sandbox.Sandbox
-	// PipeBuffer is the local input-pipe depth (default 8).
-	PipeBuffer int
 }
 
 // DistResult reports a distributed run.
@@ -253,15 +252,9 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 	if opts.Iterations < 1 {
 		return nil, fmt.Errorf("service: Iterations must be >= 1")
 	}
-	if opts.PipeBuffer <= 0 {
-		opts.PipeBuffer = 8
-	}
-	if opts.CodeAddr == "" {
-		opts.CodeAddr = s.Addr()
-	}
 	if plan.Kind == policy.KindLocal {
 		res, err := s.RunLocal(ctx, g, engine.Options{
-			Iterations: opts.Iterations, Seed: opts.Seed, Sandbox: opts.Sandbox,
+			Iterations: opts.Iterations, Seed: opts.Seed,
 		})
 		if err != nil {
 			return nil, err
@@ -320,7 +313,7 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 		}
 	}
 	for k := 0; k < gt.Out; k++ {
-		pipe, _, err := s.host.OpenInput(outLabels[k], opts.PipeBuffer)
+		pipe, _, err := s.host.OpenInput(outLabels[k], distPipeBuffer)
 		if err != nil {
 			closeLocalPipes()
 			return nil, err
@@ -376,7 +369,7 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 					OutTargets: outTargets,
 					Iterations: opts.Iterations,
 					Seed:       opts.Seed + int64(r)*1000003,
-				}, opts.CodeAddr)
+				}, s.Addr())
 				if err != nil {
 					despatchErr = err
 					s.health.ReportFailure(peerID)
@@ -435,21 +428,17 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 			}
 			outs = append(outs, op)
 		}
-		ch := make(chan types.Data, opts.PipeBuffer)
+		ch := make(chan types.Data, distPipeBuffer)
 		extOut[j] = ch
 		// Round-robin across replicas; single target for pipelines.
 		bridges.forward(ch, outs)
 	}
 
 	// Run the local portion.
-	sb := opts.Sandbox
-	if sb == nil {
-		sb = sandbox.New(s.opts.Sandbox)
-	}
 	local, runErr := engine.Run(ctx, work, engine.Options{
 		Iterations:  opts.Iterations,
 		Seed:        opts.Seed,
-		Sandbox:     sb,
+		Sandbox:     sandbox.New(s.opts.Sandbox),
 		Logf:        s.opts.Logf,
 		ExternalIn:  extIn,
 		ExternalOut: extOut,
@@ -716,7 +705,7 @@ func (s *Service) despatchPipeline(body *taskgraph.Graph, plan *policy.Plan,
 			Iterations: opts.Iterations,
 			Seed:       opts.Seed,
 		}
-		job, err := s.Despatch(part, opts.CodeAddr)
+		job, err := s.Despatch(part, s.Addr())
 		if err != nil {
 			return nil, err
 		}

@@ -73,9 +73,6 @@ type FarmOptions struct {
 	ChunkAttempts int
 	// AttemptTimeout bounds one chunk attempt end to end (default 30s).
 	AttemptTimeout time.Duration
-	// InitialState primes the first chunk's RestoreState (resuming an
-	// earlier farm).
-	InitialState map[string][]byte
 	// Heartbeat runs the failure detector against the attempt's peer,
 	// cancelling the attempt when the peer is declared dead.
 	Heartbeat bool
@@ -159,8 +156,7 @@ func (o FarmOptions) withFarmDefaults(res ResilienceOptions) FarmOptions {
 type FarmReport struct {
 	// Outputs are the committed sink outputs, in chunk order.
 	Outputs []types.Data
-	// FinalState is the checkpoint after the last chunk, despatchable as
-	// the next farm's InitialState.
+	// FinalState is the checkpoint after the last chunk.
 	FinalState map[string][]byte
 	// Redespatches counts non-speculative chunk attempts beyond each
 	// chunk's first.
@@ -357,7 +353,7 @@ func (s *Service) FarmChunks(ctx context.Context, chunks [][]types.Data, opts Fa
 	}
 	fr.id = s.nextRunID.Add(1)
 	report := fr.report
-	state := opts.InitialState
+	var state map[string][]byte
 
 	// Resume: a journal restored from a checkpoint replays the
 	// committed prefix — outputs byte for byte, carried state intact —

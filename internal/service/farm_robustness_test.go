@@ -264,59 +264,42 @@ func TestFarmContextCancelMidChunk(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl exercises the despatch budget directly: shed
-// mode refuses over-budget acquires with the typed overload error and
-// counts the shed; blocking mode waits until a slot frees or the
-// context dies.
+// TestAdmissionControl exercises the despatch budget directly: an
+// over-budget acquire waits until a slot frees or the context dies,
+// and tryAcquire never waits.
 func TestAdmissionControl(t *testing.T) {
-	var sheds int
-	a := newAdmission(1, true, "adm-test", nil, 0, func(string) { sheds++ })
-	if err := a.acquire(context.Background(), nil, "alice"); err != nil {
+	a := newAdmission(1, "adm-test", nil, 0)
+	if err := a.acquire(context.Background(), nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	err := a.acquire(context.Background(), nil, "alice")
-	var overload *OverloadError
-	if !errors.As(err, &overload) || overload.Limit != 1 || overload.Tenant != "alice" {
-		t.Fatalf("over-budget acquire = %v, want *OverloadError{Tenant:alice, Limit:1}", err)
-	}
-	if sheds != 1 {
-		t.Errorf("shed counter = %d, want 1", sheds)
-	}
-	if a.tryAcquire("alice") {
+	if a.tryAcquire("") {
 		t.Error("tryAcquire succeeded over budget")
-	}
-	a.release("alice")
-	if !a.tryAcquire("alice") {
-		t.Error("tryAcquire failed with a free slot")
-	}
-	a.release("alice")
-
-	b := newAdmission(1, false, "adm-test-b", nil, 0, nil)
-	if err := b.acquire(context.Background(), nil, ""); err != nil {
-		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if err := b.acquire(ctx, nil, ""); !errors.Is(err, context.DeadlineExceeded) {
+	if err := a.acquire(ctx, nil, ""); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("blocked acquire = %v, want deadline exceeded", err)
 	}
-	b.release("")
-	if err := b.acquire(context.Background(), nil, ""); err != nil {
+	a.release("")
+	if !a.tryAcquire("") {
+		t.Error("tryAcquire failed with a free slot")
+	}
+	a.release("")
+	if err := a.acquire(context.Background(), nil, ""); err != nil {
 		t.Fatalf("acquire after release = %v", err)
 	}
-	b.release("")
+	a.release("")
 }
 
-// TestFarmShedsOverBudget: with a 1-slot shedding budget, the farm's
-// single primary attempt fits, so farms still complete — but a direct
-// second acquire observes the shed path end to end through service
-// options.
-func TestFarmShedsOverBudget(t *testing.T) {
+// TestFarmWithinOneSlotBudget: Options.MaxInflightDespatches reaches
+// the scheduler. With one slot, the farm's single primary attempt fits,
+// so the farm completes, and while a slot is held the next acquire
+// waits rather than despatching past the budget.
+func TestFarmWithinOneSlotBudget(t *testing.T) {
 	tr := simnet.New()
 	ctl := newService(t, tr.Peer("sh-ctl"), "sh-ctl", Options{
 		Resilience:            chaosResilience(),
 		MaxInflightDespatches: 1,
-		ShedDespatchOverload:  true,
 	})
 	w := newService(t, tr.Peer("sh-w1"), "sh-w1", Options{})
 
@@ -326,18 +309,15 @@ func TestFarmShedsOverBudget(t *testing.T) {
 		t.Fatalf("budgeted farm produced %d outputs", len(rep.Outputs))
 	}
 
-	// Hold the only slot; the next acquire must shed and count it.
 	if err := ctl.admit.acquire(context.Background(), nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	var overload *OverloadError
-	if err := ctl.admit.acquire(context.Background(), nil, ""); !errors.As(err, &overload) {
-		t.Fatalf("held-budget acquire = %v, want *OverloadError", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := ctl.admit.acquire(ctx, nil, ""); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("held-budget acquire = %v, want it to wait out its context", err)
 	}
 	ctl.admit.release("")
-	if got := ctl.Resilience().Snapshot().DespatchSheds; got != 1 {
-		t.Errorf("despatch sheds = %d, want 1", got)
-	}
 }
 
 // TestQuorumInsufficientAgreement: with only one peer and Quorum:3 a

@@ -155,8 +155,9 @@ func (s *Service) drain(timeout time.Duration) {
 
 	// 3. Finish in-flight work. Farms registered before the drain keep
 	// acquiring slots; we wait for them, feeding the progress gauge.
-	rep.Drained = s.admit.awaitIdle(timeout, func(farms, inflight int) {
+	rep.Drained = s.admit.await(timeout, func(farms, inflight int) bool {
 		s.lcMetrics.drainInflight.Set(float64(farms + inflight))
+		return farms == 0 && inflight == 0
 	})
 	if !rep.Drained {
 		s.logf("service: %s drain: timeout after %v with work in flight", s.opts.PeerID, timeout)

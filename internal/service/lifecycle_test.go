@@ -53,7 +53,7 @@ func TestLifecycleStateRefusesBackwardMoves(t *testing.T) {
 // with the typed sentinel but keeps granting despatch slots, so farms
 // registered before the drain can finish their remaining chunks.
 func TestAdmissionDrainGatesFarmsNotSlots(t *testing.T) {
-	a := newAdmission(2, false, "drain-unit", nil, 1, nil)
+	a := newAdmission(2, "drain-unit", nil, 1)
 	defer a.close()
 	if err := a.beginFarm("alice"); err != nil {
 		t.Fatalf("beginFarm before drain: %v", err)
@@ -65,20 +65,21 @@ func TestAdmissionDrainGatesFarmsNotSlots(t *testing.T) {
 	if !a.tryAcquire("alice") {
 		t.Fatal("draining admission refused a slot for an in-flight farm")
 	}
-	if a.awaitIdle(30*time.Millisecond, nil) {
-		t.Fatal("awaitIdle reported idle with a farm and a slot live")
+	idle := func(farms, inflight int) bool { return farms == 0 && inflight == 0 }
+	if a.await(30*time.Millisecond, idle) {
+		t.Fatal("await reported idle with a farm and a slot live")
 	}
-	var sawProgress bool
+	polls := 0
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		a.release("alice")
 		a.endFarm()
 	}()
-	if !a.awaitIdle(2*time.Second, func(farms, inflight int) { sawProgress = true }) {
-		t.Fatal("awaitIdle never settled after release")
+	if !a.await(2*time.Second, func(farms, inflight int) bool { polls++; return idle(farms, inflight) }) {
+		t.Fatal("await never settled after release")
 	}
-	if !sawProgress {
-		t.Fatal("awaitIdle progress callback never fired")
+	if polls < 2 {
+		t.Fatalf("await polled %d times; a drain's progress gauge sees every poll", polls)
 	}
 }
 

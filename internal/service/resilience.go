@@ -43,9 +43,6 @@ type ResilienceOptions struct {
 	// sleep is jittered to 50–100% of the nominal value.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// RetrySeed seeds the backoff jitter (default 1) so retry schedules
-	// replay deterministically in tests.
-	RetrySeed int64
 	// HeartbeatInterval spaces failure-detector pings (default 1s);
 	// each ping gets HeartbeatTimeout (default 1s). HeartbeatMisses
 	// consecutive failures declare the peer dead (default 3).
@@ -68,9 +65,6 @@ func (r ResilienceOptions) withDefaults() ResilienceOptions {
 	if r.MaxDelay <= 0 {
 		r.MaxDelay = 500 * time.Millisecond
 	}
-	if r.RetrySeed == 0 {
-		r.RetrySeed = 1
-	}
 	if r.HeartbeatInterval <= 0 {
 		r.HeartbeatInterval = time.Second
 	}
@@ -87,15 +81,19 @@ func (r ResilienceOptions) withDefaults() ResilienceOptions {
 // them; tests assert on them).
 func (s *Service) Resilience() *metrics.ResilienceStats { return s.resStats }
 
-// jitterRNG derives a per-request RNG from the configured seed and the
-// request identity. Each requestRetry call owns its RNG outright — no
+// retrySeed seeds the backoff jitter so retry schedules replay
+// deterministically.
+const retrySeed = 1
+
+// jitterRNG derives a per-request RNG from retrySeed and the request
+// identity. Each requestRetry call owns its RNG outright — no
 // shared lock on the retry hot path, and no cross-request coupling where
 // one despatch's retries perturb another's schedule — while a given
 // (seed, addr, method) still replays the identical backoff sequence, so
 // tests stay deterministic.
 func (s *Service) jitterRNG(addr, method string) *rand.Rand {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s/%s", s.res.RetrySeed, addr, method)
+	fmt.Fprintf(h, "%d/%s/%s", retrySeed, addr, method)
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 

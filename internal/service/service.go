@@ -47,7 +47,6 @@ import (
 const (
 	MethodRun    = "triana.run"
 	MethodWait   = "triana.wait"
-	MethodStatus = "triana.status"
 	MethodCancel = "triana.cancel"
 	MethodPing   = "triana.ping"
 )
@@ -92,10 +91,9 @@ type Options struct {
 	// by the service.
 	Health health.Options
 	// MaxInflightDespatches bounds concurrent outbound despatch attempts
-	// (default 64). ShedDespatchOverload selects shed-with-typed-error
-	// backpressure instead of blocking when the budget is exhausted.
+	// (default 64); a full budget blocks the next attempt until a slot
+	// frees.
 	MaxInflightDespatches int
-	ShedDespatchOverload  bool
 	// Tenants seeds the fair-share admission scheduler with named
 	// tenants and their weights (a tenant with weight 2 drains its
 	// despatch backlog twice as fast as one with weight 1). Tenants not
@@ -265,9 +263,7 @@ func New(opts Options) (*Service, error) {
 	healthOpts := opts.Health
 	healthOpts.Owner = opts.PeerID
 	s.health = health.New(healthOpts)
-	s.admit = newAdmission(opts.MaxInflightDespatches, opts.ShedDespatchOverload,
-		opts.PeerID, opts.Tenants, opts.TenantDefaultWeight,
-		func(string) { s.resStats.DespatchSheds.Inc() })
+	s.admit = newAdmission(opts.MaxInflightDespatches, opts.PeerID, opts.Tenants, opts.TenantDefaultWeight)
 	if len(opts.Certified) > 0 {
 		s.certified = make(map[string]bool, len(opts.Certified))
 		for _, u := range opts.Certified {
@@ -311,7 +307,6 @@ func New(opts Options) (*Service, error) {
 	mcode.Attach(host) // every peer can serve the modules it knows
 	host.Handle(MethodRun, s.handleRun)
 	host.Handle(MethodWait, s.handleWait)
-	host.Handle(MethodStatus, s.handleStatus)
 	host.Handle(MethodCancel, s.handleCancel)
 	host.Handle(MethodPing, s.handlePing)
 	host.Handle(MethodBilling, s.handleBilling)
@@ -355,8 +350,8 @@ func (s *Service) Host() *jxtaserve.Host { return s.host }
 
 // Health exposes the live peer-health tracker: EWMA scores, latency
 // quantiles and circuit breakers for every peer this service has
-// despatched to. It satisfies policy.Scorer, so planners can order
-// candidates by it.
+// despatched to. Its Rank orders every candidate list: the controller's
+// plan, the farm runner and the overlay client's owner walk.
 func (s *Service) Health() *health.Tracker { return s.health }
 
 // Fetcher exposes the module fetcher (for code-distribution metrics).
@@ -388,7 +383,9 @@ func (s *Service) Close() error {
 	// farm goroutine mid-despatch racing a vanished overlay produced
 	// spurious shard-fallback warnings. Attempts either finish against
 	// the still-live transports or fail fast once the wait expires.
-	if !s.admit.awaitInflightDrained(2 * time.Second) {
+	// Registered farms are not waited for: they can legitimately outlive
+	// Close, and their next acquire fails with errAdmissionClosed.
+	if !s.admit.await(2*time.Second, func(_, inflight int) bool { return inflight == 0 }) {
 		s.logf("service: %s: closing with despatch attempts still in flight", s.opts.PeerID)
 	}
 	// On-shutdown checkpoint, after in-flight commits landed their
@@ -850,16 +847,6 @@ func (s *Service) handleWait(req *jxtaserve.Message) (*jxtaserve.Message, error)
 		// migrate the computation to another peer.
 		reply.Payload = encodeRunPayload(nil, j.result.State)
 	}
-	return reply, nil
-}
-
-func (s *Service) handleStatus(req *jxtaserve.Message) (*jxtaserve.Message, error) {
-	j, err := s.findJob(req.Header("job"))
-	if err != nil {
-		return nil, err
-	}
-	reply := &jxtaserve.Message{}
-	reply.SetHeader("state", j.handle.State().String())
 	return reply, nil
 }
 

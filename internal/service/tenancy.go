@@ -85,7 +85,7 @@ type SchedTenantResult struct {
 func SchedulerTrial(owner string, tenants map[string]int, budget, streamsPerTenant,
 	despatchesPerStream int, svcTime time.Duration, seed int64) []SchedTenantResult {
 
-	adm := newAdmission(budget, false, owner, tenants, 0, nil)
+	adm := newAdmission(budget, owner, tenants, 0)
 	defer adm.close()
 
 	names := make([]string, 0, len(tenants))
@@ -159,11 +159,11 @@ func (s *Service) TenantsText() string {
 	tenants, inflight, limit := s.Tenants()
 	var b strings.Builder
 	fmt.Fprintf(&b, "despatch budget %d, %d in flight\n", limit, inflight)
-	fmt.Fprintf(&b, "%-16s %6s %8s %6s %8s %8s %12s\n",
-		"TENANT", "WEIGHT", "INFLIGHT", "QUEUED", "ADMITS", "SHEDS", "P99WAIT(MS)")
+	fmt.Fprintf(&b, "%-16s %6s %8s %6s %8s %12s\n",
+		"TENANT", "WEIGHT", "INFLIGHT", "QUEUED", "ADMITS", "P99WAIT(MS)")
 	for _, t := range tenants {
-		fmt.Fprintf(&b, "%-16s %6d %8d %6d %8d %8d %12.2f\n",
-			t.Tenant, t.Weight, t.Inflight, t.Queued, t.Admits, t.Sheds, t.P99WaitMS)
+		fmt.Fprintf(&b, "%-16s %6d %8d %6d %8d %12.2f\n",
+			t.Tenant, t.Weight, t.Inflight, t.Queued, t.Admits, t.P99WaitMS)
 	}
 	return b.String()
 }

@@ -184,7 +184,6 @@ func resilienceTable(b *strings.Builder, svc *service.Service) {
 		{"speculation waste", snap.SpeculationWaste},
 		{"quorum commits", snap.QuorumCommits},
 		{"quorum disagreements", snap.QuorumDisagreements},
-		{"despatches shed", snap.DespatchSheds},
 		{"farm egress bytes", snap.FarmEgressBytes},
 	}
 	for _, r := range rows {
@@ -196,8 +195,7 @@ func resilienceTable(b *strings.Builder, svc *service.Service) {
 }
 
 // tenantTable renders the fair-share scheduler's per-tenant ledger:
-// who is using the despatch budget, who is queued behind it, and who
-// has been shed.
+// who is using the despatch budget and who is queued behind it.
 func tenantTable(b *strings.Builder, svc *service.Service) {
 	tenants, inflight, limit := svc.Tenants()
 	b.WriteString("<h2>tenants</h2>")
@@ -207,12 +205,12 @@ func tenantTable(b *strings.Builder, svc *service.Service) {
 		return
 	}
 	b.WriteString("<table><tr><th>tenant</th><th>weight</th><th>inflight</th>" +
-		"<th>queued</th><th>admits</th><th>sheds</th><th>p99 wait (ms)</th></tr>")
+		"<th>queued</th><th>admits</th><th>p99 wait (ms)</th></tr>")
 	for _, t := range tenants {
 		fmt.Fprintf(b, "<tr><td><code>%s</code></td><td>%d</td><td>%d</td>"+
-			"<td>%d</td><td>%d</td><td>%d</td><td>%.2f</td></tr>",
+			"<td>%d</td><td>%d</td><td>%.2f</td></tr>",
 			html.EscapeString(t.Tenant), t.Weight, t.Inflight, t.Queued,
-			t.Admits, t.Sheds, t.P99WaitMS)
+			t.Admits, t.P99WaitMS)
 	}
 	b.WriteString("</table>")
 }

@@ -107,7 +107,7 @@ func TestStatusPages(t *testing.T) {
 	defer ctlSrv.Close()
 	res := get(t, ctlSrv, "/resilience")
 	for _, want := range []string{
-		"speculative launches", "quorum disagreements", "despatches shed",
+		"speculative launches", "quorum disagreements",
 		"peer health", "web-worker", "closed",
 	} {
 		if !strings.Contains(res, want) {
