@@ -34,11 +34,11 @@ race:
 
 # Race detector over the concurrency-heavy resilience stack: the chunk
 # runner, the health tracker, and the fault-injecting network — then the
-# farm suites three times over, since their interleavings differ run to
-# run.
+# farm suites and the hosted-job lifecycle (reaping, waits after a job
+# ended) three times over, since their interleavings differ run to run.
 race-resilience:
 	go test -race ./internal/service/... ./internal/simnet/... ./internal/health/...
-	go test -race -count=3 ./internal/service/ -run 'Farm|Quorum|Speculat|Straggler|Chaos|Redespatch|Tenant|Group'
+	go test -race -count=3 ./internal/service/ -run 'Farm|Quorum|Speculat|Straggler|Chaos|Redespatch|Tenant|Group|HostedJob|WaitAfterEnd'
 
 # Full benchmark snapshot: runs the whole suite and writes BENCH_<date>.json,
 # comparing against the previous snapshot.
@@ -116,7 +116,10 @@ chaos-smoke:
 # Graceful-lifecycle battery under the race detector: the lifecycle
 # runner/supervisor and crash-safe snapshot unit suites, a drain under
 # live 4-tenant farm load (zero in-flight failures, ErrDraining for
-# late farms, adverts retracted, super-peer handoff), crash-restart
+# late farms, adverts retracted, super-peer handoff), a donor draining
+# mid-job finishing it with no redespatch, a drain waiting for a run
+# handler still binding pipes, a job with an unbound input holding a
+# drain to its timeout, crash-restart
 # resume from the -state-dir checkpoint with byte-identical outputs,
 # wire-level method quiescing, 50 Start->Drain->Stop cycles without a
 # goroutine leak, and the /healthz / /readyz probe flip. A short fuzz
@@ -126,7 +129,7 @@ chaos-smoke:
 drain-smoke:
 	go test -race ./internal/lifecycle/ -count=1
 	go test ./internal/service/ -run '^$$' -fuzz FuzzCheckpointSections -fuzztime 10s
-	go test -race ./internal/service/ -run 'TestAdmissionDrainGatesFarmsNotSlots|TestDrainUnderTenantLoad|TestDrainRPCReportsProgress|TestCheckpointRestoreRoundTrip|TestCheckpointRestoresParentSnapshot|TestBillingRestoreRejectsOverlongUvarint|TestRestartRecoveryResumesCheckpointedFarm|TestLifecycleCyclesDoNotLeakGoroutines' -count=1 -v
+	go test -race ./internal/service/ -run 'TestAdmissionDrainGatesFarmsNotSlots|TestDrainUnderTenantLoad|TestDrainWaitsForHostedJobs|TestDrainWaitsForRunHandlers|TestDrainTimesOutOnUnboundHostedJob|TestDrainRPCReportsProgress|TestCheckpointRestoreRoundTrip|TestCheckpointRestoresParentSnapshot|TestBillingRestoreRejectsOverlongUvarint|TestRestartRecoveryResumesCheckpointedFarm|TestLifecycleCyclesDoNotLeakGoroutines' -count=1 -v
 	go test -race ./internal/jxtaserve/ -run 'TestQuiesce' -count=1
 	go test -race ./internal/webstatus/ -run 'TestProbesFlipOnDrain' -count=1
 

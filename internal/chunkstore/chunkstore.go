@@ -71,9 +71,10 @@ type FetchFunc func(addr, digest string) ([]byte, error)
 
 // Options configures a Store.
 type Options struct {
-	// MaxBytes bounds the unpinned cache payload; 0 means the 64 MiB
-	// default. Pinned entries (a controller's live farm chunks) are
-	// exempt from eviction and from the budget.
+	// MaxBytes bounds the unpinned cache, each entry charged its
+	// payload plus entryOverhead; 0 means the 64 MiB default. Pinned
+	// entries (a controller's live farm chunks) are exempt from
+	// eviction and from the budget.
 	MaxBytes int64
 	// Owner labels this store's metric series, normally the peer ID.
 	Owner string
@@ -86,6 +87,16 @@ type Options struct {
 
 // DefaultMaxBytes is the cache budget when Options.MaxBytes is zero.
 const DefaultMaxBytes int64 = 64 << 20
+
+// entryOverhead is what an entry costs the heap beyond its payload:
+// the hex digest key, the entry, its LRU element and its map slot
+// (211–229 B measured on amd64). Charging it keeps the budget a bound
+// on real memory when chunks are tiny, where the overhead outweighs
+// the payload.
+const entryOverhead = 224
+
+// charge is what an entry of n payload bytes counts against the budget.
+func charge(n int) int64 { return int64(n) + entryOverhead }
 
 type entry struct {
 	digest string
@@ -109,7 +120,7 @@ type Store struct {
 	mu       sync.Mutex
 	entries  map[string]*entry
 	lru      *list.List // front = most recent
-	bytes    int64      // unpinned payload bytes
+	bytes    int64      // unpinned charge: payload + entryOverhead per entry
 	inflight map[string]*call
 
 	hits, misses    *metrics.Counter
@@ -221,7 +232,7 @@ func (s *Store) Unpin(digest string) {
 	e.pins--
 	if e.pins == 0 {
 		e.elem = s.lru.PushFront(e)
-		s.bytes += int64(len(e.data))
+		s.bytes += charge(len(e.data))
 		s.evictLocked()
 	}
 	s.cacheBytes.Set(float64(s.bytes))
@@ -233,7 +244,7 @@ func (s *Store) putLocked(digest string, data []byte, pin bool) {
 			if e.pins == 0 && e.elem != nil {
 				s.lru.Remove(e.elem)
 				e.elem = nil
-				s.bytes -= int64(len(e.data))
+				s.bytes -= charge(len(e.data))
 			}
 			e.pins++
 		} else if e.elem != nil {
@@ -248,7 +259,7 @@ func (s *Store) putLocked(digest string, data []byte, pin bool) {
 		e.pins = 1
 	} else {
 		e.elem = s.lru.PushFront(e)
-		s.bytes += int64(len(data))
+		s.bytes += charge(len(data))
 		s.evictLocked()
 	}
 	s.cacheBytes.Set(float64(s.bytes))
@@ -263,7 +274,7 @@ func (s *Store) evictLocked() {
 		e := back.Value.(*entry)
 		s.lru.Remove(back)
 		delete(s.entries, e.digest)
-		s.bytes -= int64(len(e.data))
+		s.bytes -= charge(len(e.data))
 		s.evictions.Inc()
 	}
 }
@@ -275,7 +286,9 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Bytes reports the unpinned cache payload currently held.
+// Bytes reports what the unpinned entries count against the budget:
+// their payload plus entryOverhead each. The chunkstore_cache_bytes
+// gauge and Stats.CacheBytes report the same figure.
 func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -384,7 +397,7 @@ type Stats struct {
 	BytesSaved      int64
 	Evictions       int64
 	DigestMismatch  int64
-	CacheBytes      int64
+	CacheBytes      int64 // as Store.Bytes: payload + entryOverhead per unpinned entry
 	Entries         int
 }
 

@@ -54,7 +54,8 @@ func TestDigestDataMatchesMarshal(t *testing.T) {
 }
 
 func TestStoreLRUEviction(t *testing.T) {
-	s := newTestStore(t, 300)
+	budget := 3 * charge(100)
+	s := newTestStore(t, budget)
 	var digests []string
 	for i := 0; i < 4; i++ {
 		dg, data := chunkOf(100, byte(i))
@@ -83,14 +84,36 @@ func TestStoreLRUEviction(t *testing.T) {
 	if _, ok := s.Get(digests[2]); ok {
 		t.Fatalf("untouched chunk survived over the touched one")
 	}
-	if s.Bytes() > 300 {
-		t.Fatalf("cache holds %d bytes over the 300 budget", s.Bytes())
+	if s.Bytes() > budget {
+		t.Fatalf("cache holds %d bytes over the %d budget", s.Bytes(), budget)
+	}
+}
+
+// TestStoreChargesEntryOverhead: on tiny chunks the per-entry overhead
+// outweighs the payload, so the budget must count it or it bounds
+// several times its size in real heap.
+func TestStoreChargesEntryOverhead(t *testing.T) {
+	const budget, payload = 1 << 20, 16
+	s := newTestStore(t, budget)
+	for i := 0; i < 100000; i++ {
+		data := []byte(fmt.Sprintf("%016d", i))
+		s.Put(Digest(data), data)
+	}
+	if max := budget / (payload + entryOverhead); s.Len() > max {
+		t.Fatalf("%d entries resident, budget holds at most %d", s.Len(), max)
+	}
+	if s.Bytes() > budget {
+		t.Fatalf("cache charges %d bytes over the %d budget", s.Bytes(), budget)
+	}
+	if got, want := s.Bytes(), int64(s.Len())*charge(payload); got != want {
+		t.Fatalf("Bytes() = %d, want %d entries x %d", got, s.Len(), charge(payload))
 	}
 }
 
 func TestStorePinExemptFromEviction(t *testing.T) {
-	s := newTestStore(t, 100)
-	pinDg, pinData := chunkOf(500, 1) // five times the whole budget
+	budget := charge(100)
+	s := newTestStore(t, budget)
+	pinDg, pinData := chunkOf(500, 1) // over the whole budget
 	s.Pin(pinDg, pinData)
 	for i := 0; i < 5; i++ {
 		dg, data := chunkOf(60, byte(10+i))
@@ -99,7 +122,7 @@ func TestStorePinExemptFromEviction(t *testing.T) {
 	if _, ok := s.Get(pinDg); !ok {
 		t.Fatalf("pinned chunk was evicted")
 	}
-	if s.Bytes() > 100 {
+	if s.Bytes() > budget {
 		t.Fatalf("unpinned bytes %d over budget", s.Bytes())
 	}
 	// After Unpin the oversized chunk rejoins the LRU and, being over

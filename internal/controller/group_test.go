@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"consumergrid/internal/capgroup"
+	"consumergrid/internal/metrics"
 	"consumergrid/internal/service"
 	"consumergrid/internal/taskgraph"
 )
@@ -38,22 +39,26 @@ func groupFarmOpts(t *testing.T, req map[string]string) FarmOptions {
 	}
 }
 
-// jobCounts snapshots how many jobs each worker has ever hosted, so a
-// farm's despatch footprint can be asserted as a delta (earlier farms
-// in the same test legitimately leave jobs behind).
-func jobCounts(net *testNet) map[string]int {
-	out := make(map[string]int, len(net.workers))
+// jobCounts snapshots how many jobs each worker has ever hosted, read
+// from its service_jobs_hosted_total series (Jobs forgets old ended
+// jobs), so a farm's despatch footprint can be asserted as a delta.
+func jobCounts(net *testNet) map[string]int64 {
+	out := make(map[string]int64, len(net.workers))
 	for _, w := range net.workers {
-		out[w.PeerID()] = len(w.Jobs())
+		out[w.PeerID()] = jobsHosted(w.PeerID())
 	}
 	return out
+}
+
+func jobsHosted(peer string) int64 {
+	return metrics.Default().Counter(metrics.Series("service_jobs_hosted_total", "peer", peer)).Value()
 }
 
 // assertGroupOnly fails if any chunk committed outside the wanted
 // member set, or any out-of-group worker hosted a new job since the
 // before snapshot.
 func assertGroupOnly(t *testing.T, net *testNet, rep *service.FarmReport,
-	members map[string]bool, before map[string]int) {
+	members map[string]bool, before map[string]int64) {
 	t.Helper()
 	for peer, n := range rep.PeerChunks {
 		if !members[peer] {
@@ -64,7 +69,7 @@ func assertGroupOnly(t *testing.T, net *testNet, rep *service.FarmReport,
 		if members[w.PeerID()] {
 			continue
 		}
-		if got := len(w.Jobs()); got != before[w.PeerID()] {
+		if got := jobsHosted(w.PeerID()); got != before[w.PeerID()] {
 			t.Errorf("out-of-group worker %s hosted %d new jobs",
 				w.PeerID(), got-before[w.PeerID()])
 		}

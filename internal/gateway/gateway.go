@@ -54,6 +54,23 @@ func (s State) String() string {
 	}
 }
 
+// Terminal reports whether the state is final: Done, Failed or
+// Canceled.
+func (s State) Terminal() bool { return s >= Done }
+
+// StateOf is the terminal state a job's Run error puts it in: nil is
+// Done, context.Canceled is Canceled, anything else is Failed.
+func StateOf(err error) State {
+	switch {
+	case err == nil:
+		return Done
+	case err == context.Canceled:
+		return Canceled
+	default:
+		return Failed
+	}
+}
+
 // Job is one unit of local execution.
 type Job struct {
 	// ID labels the job in handles and logs.
@@ -162,20 +179,12 @@ func (h *Handle) markActive(cancel context.CancelFunc) bool {
 func (h *Handle) finish(err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.state == Done || h.state == Failed || h.state == Canceled {
+	if h.state.Terminal() {
 		return
 	}
 	h.finished = time.Now()
-	switch {
-	case err == nil:
-		h.state = Done
-	case err == context.Canceled:
-		h.state = Canceled
-		h.err = err
-	default:
-		h.state = Failed
-		h.err = err
-	}
+	h.state = StateOf(err)
+	h.err = err
 	close(h.done)
 }
 

@@ -312,18 +312,24 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 			}
 		}
 	}
+	// Despatched jobs are waited for from the moment each is accepted.
+	waits := s.newRemoteWaits()
+	// fail is the cleanup of every path on which the run cannot go on.
+	fail := func(err error) (*DistResult, error) {
+		waits.abandon()
+		closeLocalPipes()
+		return nil, err
+	}
 	for k := 0; k < gt.Out; k++ {
 		pipe, _, err := s.host.OpenInput(outLabels[k], distPipeBuffer)
 		if err != nil {
-			closeLocalPipes()
-			return nil, err
+			return fail(err)
 		}
 		localPipes[k] = pipe
 		extIn[k] = pipe.C
 	}
 
 	// Despatch the remote parts and learn their input-pipe adverts.
-	var jobs []*RemoteJob
 	// inputAds[j] lists, per group input node j, the remote input pipes
 	// the local side must feed (one per replica for parallel; exactly one
 	// for pipeline).
@@ -347,11 +353,10 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 		// The run fails only when no replica accepts.
 		var despatchErr error
 		tried := make([]bool, len(plan.Replicas))
-		for pass := 0; pass < 2 && len(jobs) == 0; pass++ {
+		for pass := 0; pass < 2 && len(waits.jobs) == 0; pass++ {
 			for r, peerID := range plan.Replicas {
 				if _, ok := peers[peerID]; !ok {
-					closeLocalPipes()
-					return nil, fmt.Errorf("service: plan names unknown peer %q", peerID)
+					return fail(fmt.Errorf("service: plan names unknown peer %q", peerID))
 				}
 				if tried[r] {
 					continue
@@ -377,35 +382,30 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 					continue
 				}
 				s.health.ReportSuccess(peerID, 0)
-				jobs = append(jobs, job)
+				waits.start(job)
 				for j := range inLabels {
 					inputAds[j] = append(inputAds[j], job.InAds[j])
 				}
 			}
 		}
-		if len(jobs) == 0 {
-			closeLocalPipes()
-			return nil, fmt.Errorf("service: no replica accepted the group: %w", despatchErr)
+		if len(waits.jobs) == 0 {
+			return fail(fmt.Errorf("service: no replica accepted the group: %w", despatchErr))
 		}
-		producersPerOutput = len(jobs)
+		producersPerOutput = len(waits.jobs)
 	case policy.KindPipeline:
-		jobsByStage, err := s.despatchPipeline(body, plan, peers, inLabels, outLabels, opts)
+		groupInputAds, err := s.despatchPipeline(body, plan, peers, inLabels, outLabels, opts, waits)
 		if err != nil {
-			closeLocalPipes()
-			return nil, err
+			return fail(err)
 		}
-		jobs = jobsByStage.jobs
 		for j := range inLabels {
-			ad, ok := jobsByStage.groupInputAds[j]
+			ad, ok := groupInputAds[j]
 			if !ok {
-				closeLocalPipes()
-				return nil, fmt.Errorf("service: group input %d not bound by any stage", j)
+				return fail(fmt.Errorf("service: group input %d not bound by any stage", j))
 			}
 			inputAds[j] = []*advert.Advertisement{ad}
 		}
 	default:
-		closeLocalPipes()
-		return nil, fmt.Errorf("service: unsupported plan kind %v", plan.Kind)
+		return fail(fmt.Errorf("service: unsupported plan kind %v", plan.Kind))
 	}
 	for _, pipe := range localPipes {
 		pipe.ExpectEOFs(producersPerOutput)
@@ -423,8 +423,7 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 					o.Close()
 				}
 				bridges.stop()
-				closeLocalPipes()
-				return nil, fmt.Errorf("service: binding group input %d: %w", j, err)
+				return fail(fmt.Errorf("service: binding group input %d: %w", j, err))
 			}
 			outs = append(outs, op)
 		}
@@ -446,24 +445,7 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 	bridgeErr := bridges.stop()
 
 	// Collect the remote jobs (their inputs have seen EOF by now).
-	remote := make(map[string]map[string]int, len(jobs))
-	var waitErr error
-	for _, job := range jobs {
-		counts, err := s.WaitRemote(job)
-		if err != nil && waitErr == nil {
-			waitErr = err
-		}
-		if counts != nil {
-			merged := remote[job.Part.Peer.ID]
-			if merged == nil {
-				merged = make(map[string]int)
-				remote[job.Part.Peer.ID] = merged
-			}
-			for task, n := range counts {
-				merged[task] += n
-			}
-		}
-	}
+	remote, waitErr := waits.collect()
 	closeLocalPipes()
 
 	switch {
@@ -475,6 +457,72 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 		return nil, bridgeErr
 	}
 	return &DistResult{Local: local, Remote: remote}, nil
+}
+
+// remoteWaits collects RunDistributed's remote jobs. Each job's wait
+// starts as soon as the job is despatched, so it blocks on the live job
+// and is answered when the job ends: the answer never depends on the
+// donor still retaining the ended job's record (DESIGN §13.5), however
+// long the local portion runs after the remote jobs end.
+type remoteWaits struct {
+	s      *Service
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+	jobs   []*RemoteJob // despatched, in order
+
+	mu     sync.Mutex
+	remote map[string]map[string]int // peer ID -> per-task processed counts
+	err    error                     // the first wait to fail
+}
+
+func (s *Service) newRemoteWaits() *remoteWaits {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &remoteWaits{s: s, ctx: ctx, cancel: cancel, remote: make(map[string]map[string]int)}
+}
+
+// start begins waiting for a job the moment it is despatched.
+func (w *remoteWaits) start(job *RemoteJob) {
+	w.jobs = append(w.jobs, job)
+	w.wg.Add(1)
+	go func() {
+		defer w.wg.Done()
+		counts, _, err := w.s.waitRemoteStateCtx(w.ctx, job)
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if err != nil && w.err == nil {
+			w.err = err
+		}
+		if counts == nil {
+			return
+		}
+		merged := w.remote[job.Part.Peer.ID]
+		if merged == nil {
+			merged = make(map[string]int)
+			w.remote[job.Part.Peer.ID] = merged
+		}
+		for task, n := range counts {
+			merged[task] += n
+		}
+	}()
+}
+
+// collect waits for every job to end and returns their counts merged
+// per peer, with the first wait error.
+func (w *remoteWaits) collect() (map[string]map[string]int, error) {
+	w.wg.Wait()
+	w.cancel()
+	return w.remote, w.err
+}
+
+// abandon stops waiting and cancels every despatched job: the run
+// failed before it could feed them, so none would otherwise end.
+func (w *remoteWaits) abandon() {
+	w.cancel()
+	for _, job := range w.jobs {
+		w.s.CancelRemote(job)
+	}
+	w.wg.Wait()
 }
 
 // pipePump forwards engine output channels into output pipes: the
@@ -579,19 +627,14 @@ func replicaLabels(labels []string, r int) []string {
 	return out
 }
 
-// pipelineJobs carries despatchPipeline results.
-type pipelineJobs struct {
-	jobs []*RemoteJob
-	// groupInputAds maps group input node -> the advert of the stage
-	// input pipe that should receive it.
-	groupInputAds map[int]*advert.Advertisement
-}
-
 // despatchPipeline ships each group member to its planned peer, in
 // reverse flow order so every consumer's pipes exist before its producer
-// despatches.
+// despatches, and starts waiting for each job it despatches. It returns,
+// per group input node, the advert of the stage input pipe that should
+// receive it.
 func (s *Service) despatchPipeline(body *taskgraph.Graph, plan *policy.Plan,
-	peers map[string]PeerRef, inLabels, outLabels []string, opts DistOptions) (*pipelineJobs, error) {
+	peers map[string]PeerRef, inLabels, outLabels []string, opts DistOptions,
+	waits *remoteWaits) (map[int]*advert.Advertisement, error) {
 
 	// Pre-compute stage boundary wiring from the body graph.
 	type stageSpec struct {
@@ -654,7 +697,7 @@ func (s *Service) despatchPipeline(body *taskgraph.Graph, plan *policy.Plan,
 		spec.outs[e.Node] = PipeTarget{Label: outLabels[k], Addr: s.Addr()}
 	}
 
-	result := &pipelineJobs{groupInputAds: make(map[int]*advert.Advertisement)}
+	groupInputAds := make(map[int]*advert.Advertisement)
 	// Adverts of stage input pipes, by label, filled as stages despatch.
 	adByLabel := make(map[string]*advert.Advertisement)
 
@@ -709,13 +752,13 @@ func (s *Service) despatchPipeline(body *taskgraph.Graph, plan *policy.Plan,
 		if err != nil {
 			return nil, err
 		}
-		result.jobs = append(result.jobs, job)
+		waits.start(job)
 		for node, ad := range job.InAds {
 			adByLabel[spec.ins[node]] = ad
 			if j, isGroupIn := spec.groupIn[node]; isGroupIn {
-				result.groupInputAds[j] = ad
+				groupInputAds[j] = ad
 			}
 		}
 	}
-	return result, nil
+	return groupInputAds, nil
 }

@@ -25,7 +25,7 @@ const DefaultDrainTimeout = 30 * time.Second
 // lifecycleMetrics are the daemon-lifecycle series, registered eagerly
 // in New so a fresh daemon's first scrape lists them.
 type lifecycleMetrics struct {
-	drainInflight *metrics.Gauge     // farms + slots still live during a drain
+	drainInflight *metrics.Gauge     // farms + slots + hosted jobs still live during a drain
 	ckptTotal     *metrics.Counter   // state_checkpoint_total
 	ckptErrors    *metrics.Counter   // state_checkpoint_errors_total
 	ckptBytes     *metrics.Counter   // state_checkpoint_bytes_total
@@ -72,8 +72,8 @@ type DrainReport struct {
 	// chunk replicas accepted by ring successors.
 	HandoffAdverts int
 	HandoffChunks  int
-	// Drained is true when every in-flight farm and despatch slot
-	// finished inside the drain timeout.
+	// Drained is true when every in-flight farm, despatch slot and
+	// hosted job finished inside the drain timeout.
 	Drained bool
 }
 
@@ -93,9 +93,11 @@ type drainState struct {
 //  1. stop admitting — new farms get ErrDraining, triana.run is
 //     quiesced at the wire, advert renewal stops;
 //  2. retract our published adverts from the overlay;
-//  3. wait (bounded by timeout) for in-flight farms and despatch
-//     slots to finish — in-flight farms still acquire slots for their
-//     remaining chunks, so they complete rather than fail;
+//  3. wait (bounded by timeout) for in-flight farms, despatch slots
+//     and hosted jobs to finish — in-flight farms still acquire slots
+//     for their remaining chunks, so they complete rather than fail,
+//     and jobs this daemon accepted run to their end instead of being
+//     cancelled by the Close that follows the drain;
 //  4. hand off super-peer store entries and chunk replicas to ring
 //     successors;
 //  5. write a final state checkpoint.
@@ -141,7 +143,9 @@ func (s *Service) drain(timeout time.Duration) {
 	// 1. Stop admitting. Order matters: the admission gate first so no
 	// farm slips in between the wire quiesce and the scheduler flip.
 	s.admit.beginDrain()
+	s.mu.Lock() // see enterRun
 	s.host.Quiesce(MethodRun)
+	s.mu.Unlock()
 
 	// 2. Retract our adverts so no controller discovers us mid-exit.
 	if s.overlay != nil {
@@ -154,10 +158,13 @@ func (s *Service) drain(timeout time.Duration) {
 	s.drains.setReport(rep)
 
 	// 3. Finish in-flight work. Farms registered before the drain keep
-	// acquiring slots; we wait for them, feeding the progress gauge.
+	// acquiring slots, and hosted jobs run on, as do run handlers that
+	// got past the quiesce; we wait for all of them, feeding the
+	// progress gauge.
 	rep.Drained = s.admit.await(timeout, func(farms, inflight int) bool {
-		s.lcMetrics.drainInflight.Set(float64(farms + inflight))
-		return farms == 0 && inflight == 0
+		hosted := s.hostedWork()
+		s.lcMetrics.drainInflight.Set(float64(farms + inflight + hosted))
+		return farms == 0 && inflight == 0 && hosted == 0
 	})
 	if !rep.Drained {
 		s.logf("service: %s drain: timeout after %v with work in flight", s.opts.PeerID, timeout)

@@ -18,10 +18,13 @@ import (
 	"time"
 
 	"consumergrid/internal/chunkstore"
+	"consumergrid/internal/gateway"
 	"consumergrid/internal/jxtaserve"
 	"consumergrid/internal/lifecycle"
 	"consumergrid/internal/metrics"
+	"consumergrid/internal/simnet"
 	"consumergrid/internal/taskgraph"
+	"consumergrid/internal/types"
 )
 
 // TestLifecycleStateRefusesBackwardMoves: the daemon's one lifecycle
@@ -192,6 +195,189 @@ func TestDrainUnderTenantLoad(t *testing.T) {
 	}
 	if rep.HandoffAdverts == 0 {
 		t.Fatalf("super-peer handoff pushed nothing to the ring successor: %+v", rep)
+	}
+}
+
+// TestDrainWaitsForHostedJobs: a donor asked to drain while it hosts a
+// job finishes that job before the drain reports done, so a supervisor
+// that closes the daemon at that moment cancels nothing and the farm
+// commits without a redespatch.
+func TestDrainWaitsForHostedJobs(t *testing.T) {
+	n := simnet.New()
+	ctl := newService(t, n.Peer("dh-ctl"), "dh-ctl", Options{Resilience: chaosResilience()})
+	workers := make([]*Service, 0, 2)
+	var peers []PeerRef
+	for _, label := range []string{"dh-w1", "dh-w2"} {
+		w := newService(t, n.Peer(label), label, Options{})
+		workers = append(workers, w)
+		peers = append(peers, PeerRef{ID: label, Addr: w.Addr()})
+		// Every frame a donor sends takes 20ms, so its job outlives the
+		// drain's start by several frames; requests to it stay fast.
+		n.SetLinkFaults(w.Addr(), simnet.LinkFaults{Latency: time.Nanosecond})
+		n.SetLinkFaults(label, simnet.LinkFaults{Latency: 20 * time.Millisecond})
+	}
+	chunks := chaosChunks(3, 1, 4)
+	type outcome struct {
+		rep *FarmReport
+		err error
+	}
+	farmed := make(chan outcome, 1)
+	go func() {
+		rep, err := ctl.FarmChunks(context.Background(), chunks, FarmOptions{
+			Body:           func() *taskgraph.Graph { return accumBody(t) },
+			Peers:          peers,
+			AttemptTimeout: 10 * time.Second,
+		})
+		farmed <- outcome{rep, err}
+	}()
+
+	var donor *Service
+	eventually(t, "a donor to accept the chunk", func() bool {
+		for _, w := range workers {
+			if w.liveJobs() > 0 {
+				donor = w
+				return true
+			}
+		}
+		return false
+	})
+	<-donor.BeginDrain(10 * time.Second)
+	if !donor.DrainReport().Drained {
+		t.Fatal("drain timed out with the hosted job in flight")
+	}
+	if live := donor.liveJobs(); live != 0 {
+		t.Fatalf("drain completed with %d hosted jobs live", live)
+	}
+	donor.Close() // the supervisor's move once the drain completes
+
+	var got outcome
+	select {
+	case got = <-farmed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("farm never finished")
+	}
+	if got.err != nil {
+		t.Fatalf("farm failed: %v", got.err)
+	}
+	if got.rep.Redespatches != 0 {
+		t.Fatalf("the drained donor's job was redespatched: %+v", got.rep)
+	}
+	if len(got.rep.Outputs) != len(chunks[0]) {
+		t.Fatalf("farm committed %d outputs, want %d", len(got.rep.Outputs), len(chunks[0]))
+	}
+}
+
+// TestDrainWaitsForRunHandlers: a triana.run handler that got past the
+// wire's quiesce before the drain began is hosted work from its first
+// line. The drain does not complete while the handler binds its pipes,
+// and it waits for the job the handler accepts to run to its end.
+func TestDrainWaitsForRunHandlers(t *testing.T) {
+	n := simnet.New()
+	ctl := newService(t, n.Peer("drh-ctl"), "drh-ctl", Options{})
+	w := newService(t, n.Peer("drh-w"), "drh-w", Options{})
+	peer := PeerRef{ID: "drh-w", Addr: w.Addr()}
+	sink, _, err := ctl.Host().OpenInput("drh-sink", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	sink.ExpectEOFs(1)
+	// Only the donor's connection to the controller's sink is slow, so
+	// the run handler spends 300ms binding its output pipe.
+	n.SetLinkFaults(ctl.Addr(), simnet.LinkFaults{Latency: 300 * time.Millisecond})
+
+	entered := make(chan struct{}, 1)
+	w.Host().Handle(MethodRun, func(req *jxtaserve.Message) (*jxtaserve.Message, error) {
+		entered <- struct{}{}
+		return w.handleRun(req)
+	})
+
+	type outcome struct {
+		job *RemoteJob
+		err error
+	}
+	despatched := make(chan outcome, 1)
+	go func() {
+		job, err := ctl.Despatch(RemotePart{Peer: peer, Body: accumBody(t), InLabels: []string{"drh-in"},
+			OutTargets: []PipeTarget{{Label: "drh-sink", Addr: ctl.Addr()}}, Iterations: 1}, "")
+		despatched <- outcome{job, err}
+	}()
+	<-entered
+	time.Sleep(50 * time.Millisecond) // well into the handler's 300ms bind
+	done := w.BeginDrain(10 * time.Second)
+
+	got := <-despatched
+	if got.err != nil {
+		t.Fatalf("a run that got past the quiesce was refused: %v", got.err)
+	}
+	select {
+	case <-done:
+		t.Fatal("the drain completed while a run handler was in flight")
+	default:
+	}
+	if _, err := ctl.Despatch(RemotePart{Peer: peer, Body: accumBody(t), InLabels: []string{"drh-late"},
+		OutTargets: []PipeTarget{{Label: "drh-sink", Addr: ctl.Addr()}}, Iterations: 1}, ""); err == nil ||
+		!strings.Contains(err.Error(), "draining") {
+		t.Fatalf("a run sent after the drain began: %v, want a draining refusal", err)
+	}
+
+	out, err := ctl.Host().BindOutput(got.job.InAds[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Send(&types.Spectrum{Resolution: 1, Amplitudes: []float64{3, 6}}); err != nil {
+		t.Fatal(err)
+	}
+	out.Close()
+	for range sink.C {
+	}
+	if _, err := ctl.WaitRemote(got.job); err != nil {
+		t.Fatalf("the accepted job did not finish: %v", err)
+	}
+	<-done
+	if !w.DrainReport().Drained {
+		t.Fatal("drain timed out")
+	}
+	if n := w.hostedWork(); n != 0 {
+		t.Fatalf("drain completed with %d hosted jobs or run handlers", n)
+	}
+}
+
+// TestDrainTimesOutOnUnboundHostedJob: a hosted job whose producer
+// never binds its input pipe never ends by itself. The drain waits for
+// it until the timeout and reports Drained false; the Close that
+// follows cancels it.
+func TestDrainTimesOutOnUnboundHostedJob(t *testing.T) {
+	tr := jxtaserve.NewInProc()
+	ctl := newService(t, tr, "dub-ctl", Options{})
+	w := newService(t, tr, "dub-w", Options{})
+	sink, _, err := ctl.Host().OpenInput("dub-sink", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	sink.ExpectEOFs(1)
+	job, err := ctl.Despatch(RemotePart{Peer: PeerRef{ID: "dub-w", Addr: w.Addr()}, Body: accumBody(t),
+		InLabels:   []string{"dub-in"},
+		OutTargets: []PipeTarget{{Label: "dub-sink", Addr: ctl.Addr()}}, Iterations: 1}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	<-w.BeginDrain(100 * time.Millisecond)
+	if w.DrainReport().Drained {
+		t.Fatal("drain reported clean with a hosted job still live")
+	}
+	if n := w.liveJobs(); n != 1 {
+		t.Fatalf("%d live jobs after the drain timed out, want the unbound one", n)
+	}
+	w.Close()
+	if n := w.liveJobs(); n != 0 {
+		t.Fatalf("%d live jobs after Close", n)
+	}
+	jobs := w.Jobs()
+	if len(jobs) != 1 || jobs[0].ID != job.JobID || jobs[0].State != gateway.Canceled {
+		t.Fatalf("after Close the donor lists %+v, want %s canceled", jobs, job.JobID)
 	}
 }
 

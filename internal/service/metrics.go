@@ -1,9 +1,10 @@
 // Live despatch-plane series. Registered eagerly at package init so a
 // fresh daemon's /metrics already lists every core service family, and
-// incremented from the despatch, hosting and farming paths. Per-peer
-// resilience counters are bound separately in New via RegisterCounter,
-// so the same Counter instance feeds both the ResilienceStats snapshot
-// API and the registry without double counting.
+// incremented from the despatch and farming paths. Per-peer series are
+// registered in New: the hosted-job counter and live-job gauge, and the
+// resilience counters, bound via RegisterCounter so the same Counter
+// instance feeds both the ResilienceStats snapshot API and the registry
+// without double counting.
 package service
 
 import "consumergrid/internal/metrics"
@@ -15,9 +16,6 @@ var (
 	// despatchFailures counts despatch attempts whose RPC ultimately
 	// failed after retries.
 	despatchFailures = metrics.Default().Counter("service_despatch_failures_total")
-	// jobsHosted counts triana.run requests this peer accepted as the
-	// hosting side.
-	jobsHosted = metrics.Default().Counter("service_jobs_hosted_total")
 	// chunksInflight gauges farm chunks currently being attempted.
 	chunksInflight = metrics.Default().Gauge("service_farm_chunks_inflight")
 	// chunksCommitted counts farm chunks whose output was committed.

@@ -69,6 +69,10 @@ func redespatchUnderFaults(t *testing.T, seed int64, chunks [][]types.Data, ref 
 	n.SetLinkFaults(peers[1+int(seed%3)].ID, simnet.LinkFaults{Latency: 5 * time.Millisecond})
 
 	despatched, refused := despatchesTotal.Value(), despatchFailures.Value()
+	hosted := make([]int64, len(workers))
+	for i, w := range workers {
+		hosted[i] = w.jobsHosted.Value()
+	}
 	goroutines := runtime.NumGoroutine()
 
 	fo.Seed = seed
@@ -93,27 +97,35 @@ func redespatchUnderFaults(t *testing.T, seed int64, chunks [][]types.Data, ref 
 	if _, inflight := ctl.admit.counts(); inflight != 0 {
 		t.Errorf("%d admission slots still held after FarmChunks returned", inflight)
 	}
-	// ...and every accepted despatch is resolved on its donor.
-	var jobs []JobInfo
-	eventually(t, "every hosted job to reach a terminal state", func() bool {
-		jobs = jobs[:0]
+	// ...and every accepted despatch is resolved on its donor: no
+	// donor has a live job left, and each one it hosted ended.
+	eventually(t, "every donor's hosted jobs to end", func() bool {
 		for _, w := range workers {
-			jobs = append(jobs, w.Jobs()...)
-		}
-		for _, j := range jobs {
-			if j.State != gateway.Done && j.State != gateway.Failed && j.State != gateway.Canceled {
+			if w.liveJobs() != 0 {
 				return false
 			}
 		}
 		return true
 	})
+	var jobs []JobInfo
+	var hostedJobs int64
+	for i, w := range workers {
+		hostedJobs += w.jobsHosted.Value() - hosted[i]
+		jobs = append(jobs, w.Jobs()...)
+	}
+	for _, j := range jobs {
+		if !j.State.Terminal() {
+			t.Errorf("job %s is %v with no live jobs on its donor", j.ID, j.State)
+		}
+	}
 
 	// Despatch books. The runner's own count of launches
 	// (first-round primaries, replacements, backups) equals the
 	// despatch calls the wire saw, accepted or refused; and the
-	// accepted ones equal the jobs donors hosted, each of which
-	// ended as a commit or duplicate ballot (Done), a failed
-	// attempt (Failed) or an abandoned one (Canceled).
+	// accepted ones equal the jobs donors hosted (their
+	// service_jobs_hosted_total series), each of which ended as a
+	// commit or duplicate ballot (Done), a failed attempt (Failed) or
+	// an abandoned one (Canceled).
 	despatched = despatchesTotal.Value() - despatched
 	refused = despatchFailures.Value() - refused
 	launched := int64(len(chunks)*votes) + rep.Redespatches + rep.SpeculationLaunches
@@ -121,8 +133,13 @@ func redespatchUnderFaults(t *testing.T, seed int64, chunks [][]types.Data, ref 
 		t.Errorf("despatches %d accepted + %d refused != %d launches on the runner's books (%+v)",
 			despatched, refused, launched, rep)
 	}
-	if despatched != int64(len(jobs)) {
-		t.Errorf("service_despatches_total moved %d, donors hosted %d jobs", despatched, len(jobs))
+	if despatched != hostedJobs {
+		t.Errorf("service_despatches_total moved %d, donors hosted %d jobs", despatched, hostedJobs)
+	}
+	// The waste books below read every job from Jobs, which keeps the
+	// most recent maxEndedJobs ended ones: far more than one farm hosts.
+	if int64(len(jobs)) != hostedJobs {
+		t.Errorf("donors list %d jobs, hosted %d", len(jobs), hostedJobs)
 	}
 
 	// Waste books: outputs returned minus outputs committed. A job that

@@ -196,10 +196,21 @@ type Service struct {
 	bg       sync.WaitGroup
 	shutdown chan struct{}
 
-	mu      sync.Mutex
-	jobs    map[string]*job
-	nextJob int
-	closed  bool
+	// Hosted jobs (see job and endedJob): live holds only jobs that
+	// have not ended; an ended job leaves only its compact record, kept
+	// in a FIFO bounded by maxEndedJobs and maxEndedPayloadBytes.
+	// runHandlers counts triana.run handlers in flight, whose job is not
+	// yet live (see enterRun).
+	mu           sync.Mutex
+	live         map[string]*job
+	runHandlers  int
+	ended        map[string]*endedJob
+	endedQ       []*endedJob // oldest first
+	endedPayload int         // payload bytes endedQ retains
+	nextJob      int
+	closed       bool
+	jobsHosted   *metrics.Counter // service_jobs_hosted_total{peer}
+	jobsLive     *metrics.Gauge   // service_jobs_live{peer}
 }
 
 // goBG runs f as a service-owned goroutine tracked by the lifecycle
@@ -212,12 +223,139 @@ func (s *Service) goBG(f func()) {
 	}()
 }
 
+// Retention of ended hosted jobs. A wait that arrives after its job
+// ended (a retried triana.wait) is answered from the job's record for
+// as long as the record is kept; past that it gets "unknown job", which
+// the chunk runner turns into a redespatch. Both bounds are per daemon:
+// the count keeps a job for well over the wait's retry window at farm
+// rates, and the byte cap bounds the checkpoint payloads stateful bulk
+// bodies return.
+const (
+	maxEndedJobs         = 256
+	maxEndedPayloadBytes = 4 << 20
+)
+
+// job is a hosted job that has not ended. Ending it (endJob) replaces
+// it with an endedJob, so nothing keeps its engine result, its unit
+// instances or its handle once the job is over.
 type job struct {
 	id     string
-	handle *gateway.Handle
+	handle *gateway.Handle // set before the job joins Service.live
+	ended  *endedJob       // set once, by endJob; guarded by Service.mu
+	// The job's pipes, opened and bound by handleRun. A run closes its
+	// inputs and its pump the outputs; a job that never runs is
+	// abandoned instead.
+	in  []*jxtaserve.InputPipe
+	out []*jxtaserve.OutputPipe
+}
 
-	mu     sync.Mutex
-	result *engine.Result
+func (j *job) closeIn() {
+	for _, p := range j.in {
+		p.Close()
+	}
+}
+
+// abandon releases every pipe opened or bound so far: the cleanup of
+// each path on which the job never runs.
+func (j *job) abandon() {
+	j.closeIn()
+	for _, p := range j.out {
+		p.Close()
+	}
+}
+
+// endedJob is what a donor keeps of a job once it has ended: the
+// answer to triana.wait, built once, and the figures Jobs reports.
+type endedJob struct {
+	id        string
+	state     gateway.State
+	processed int
+	// err answers the wait when state is not Done; otherwise headers
+	// and payload are the reply's, shared read-only by every wait.
+	err     error
+	headers map[string]string
+	payload []byte
+}
+
+// newEndedJob builds a job's record from how its run ended; res may
+// be nil (a job cancelled before it ran, or a run that failed early).
+func newEndedJob(id string, err error, res *engine.Result) *endedJob {
+	rec := &endedJob{id: id, state: gateway.StateOf(err)}
+	if res != nil {
+		for _, n := range res.Processed {
+			rec.processed += n
+		}
+	}
+	if rec.state != gateway.Done {
+		rec.err = err
+		return rec
+	}
+	rec.headers = map[string]string{"state": rec.state.String()}
+	if res != nil {
+		for task, n := range res.Processed {
+			rec.headers["proc."+task] = strconv.Itoa(n)
+		}
+		rec.headers["processed"] = strconv.Itoa(rec.processed)
+		rec.headers["elapsedMicros"] = strconv.FormatInt(res.Elapsed.Microseconds(), 10)
+		// Ship the stateful units' checkpoints back so the caller can
+		// migrate the computation to another peer.
+		rec.payload = encodeRunPayload(nil, res.State)
+	}
+	return rec
+}
+
+// reply is a fresh wait reply over the record's shared headers and
+// payload: the host stamps kind and stream on the message it sends.
+func (e *endedJob) reply() (*jxtaserve.Message, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	return &jxtaserve.Message{Headers: e.headers, Payload: e.payload}, nil
+}
+
+// endJob moves j from the live map to the ended FIFO, evicting the
+// oldest records past either bound (the newest always stays). Only the
+// first call for a job counts, and reports first; every call returns
+// the job's record.
+func (s *Service) endJob(j *job, err error, res *engine.Result) (rec *endedJob, first bool) {
+	rec = newEndedJob(j.id, err, res)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.ended != nil {
+		return j.ended, false
+	}
+	j.ended = rec
+	delete(s.live, j.id)
+	s.jobsLive.Set(float64(len(s.live)))
+	s.ended[rec.id] = rec
+	s.endedQ = append(s.endedQ, rec)
+	s.endedPayload += len(rec.payload)
+	for len(s.endedQ) > 1 && (len(s.endedQ) > maxEndedJobs || s.endedPayload > maxEndedPayloadBytes) {
+		old := s.endedQ[0]
+		s.endedQ[0] = nil
+		s.endedQ = s.endedQ[1:]
+		s.endedPayload -= len(old.payload)
+		delete(s.ended, old.id)
+	}
+	return rec, true
+}
+
+// settle returns the record of a job whose handle has finished. A job
+// its run ended already has one (run ends the job before its handle
+// finishes); a job cancelled before it ran gets one from the handle's
+// error, and its pipes are released here since no run will.
+func (s *Service) settle(j *job, err error) *endedJob {
+	s.mu.Lock()
+	rec := j.ended
+	s.mu.Unlock()
+	if rec != nil {
+		return rec
+	}
+	rec, first := s.endJob(j, err, nil)
+	if first {
+		j.abandon()
+	}
+	return rec
 }
 
 // New starts a service daemon.
@@ -249,7 +387,8 @@ func New(opts Options) (*Service, error) {
 		muxT:        muxT,
 		fetcher:     mcode.NewFetcher(host, mcode.NewStore(opts.CodeBudget)),
 		rm:          opts.RM,
-		jobs:        make(map[string]*job),
+		live:        make(map[string]*job),
+		ended:       make(map[string]*endedJob),
 		tenantFarms: make(map[string]*tenantFarmStats),
 		billing:     newLedger(),
 		tracer:      trace.Default(),
@@ -259,6 +398,8 @@ func New(opts Options) (*Service, error) {
 	s.drains.done = make(chan struct{})
 	s.lc = lifecycle.NewMachine(metrics.Default(), opts.PeerID)
 	s.registerLifecycleMetrics()
+	s.jobsHosted = metrics.Default().Counter(metrics.Series("service_jobs_hosted_total", "peer", opts.PeerID))
+	s.jobsLive = metrics.Default().Gauge(metrics.Series("service_jobs_live", "peer", opts.PeerID))
 	registerResilience(opts.PeerID, s.resStats)
 	healthOpts := opts.Health
 	healthOpts.Owner = opts.PeerID
@@ -532,32 +673,58 @@ type JobInfo struct {
 	Processed int
 }
 
-// Jobs snapshots every job the daemon has accepted, sorted by ID — the
-// data behind the §3.2 browser progress view.
+// Jobs snapshots the daemon's live jobs plus the most recent ended
+// ones (at most maxEndedJobs), sorted by ID — the data behind the §3.2
+// browser progress view. Older ended jobs are forgotten.
 func (s *Service) Jobs() []JobInfo {
 	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
+	out := make([]JobInfo, 0, len(s.live)+len(s.endedQ))
+	for _, j := range s.live {
+		out = append(out, JobInfo{ID: j.id, State: j.handle.State()})
+	}
+	for _, e := range s.endedQ {
+		out = append(out, JobInfo{ID: e.id, State: e.state, Processed: e.processed})
 	}
 	s.mu.Unlock()
-	out := make([]JobInfo, 0, len(jobs))
-	for _, j := range jobs {
-		info := JobInfo{ID: j.id}
-		if j.handle != nil {
-			info.State = j.handle.State()
-		}
-		j.mu.Lock()
-		if j.result != nil {
-			for _, n := range j.result.Processed {
-				info.Processed += n
-			}
-		}
-		j.mu.Unlock()
-		out = append(out, info)
-	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
+}
+
+// liveJobs counts the jobs accepted and not yet ended.
+func (s *Service) liveJobs() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.live)
+}
+
+// hostedWork counts what a drain waits for on the hosting side: live
+// jobs and triana.run handlers still deciding whether to accept one.
+func (s *Service) hostedWork() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.live) + s.runHandlers
+}
+
+// enterRun admits a triana.run handler as hosted work from its first
+// line, so a drain that quiesces triana.run while the handler fetches
+// code or binds pipes waits for the job it may accept. The check and
+// the count share s.mu with the drain's quiesce, so a handler either
+// is counted before the quiesce or is refused by it.
+func (s *Service) enterRun() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.host.Quiesced(MethodRun) {
+		// The wire's own refusal, word for word.
+		return fmt.Errorf("draining: %s refused at %s", MethodRun, s.opts.PeerID)
+	}
+	s.runHandlers++
+	return nil
+}
+
+func (s *Service) exitRun() {
+	s.mu.Lock()
+	s.runHandlers--
+	s.mu.Unlock()
 }
 
 // --- remote execution protocol ----------------------------------------------
@@ -609,6 +776,10 @@ func collectUnits(g *taskgraph.Graph, into map[string]string) {
 }
 
 func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) {
+	if err := s.enterRun(); err != nil {
+		return nil, err
+	}
+	defer s.exitRun()
 	graphXML, restoreState, err := decodeRunPayload(req.Payload)
 	if err != nil {
 		return nil, err
@@ -672,22 +843,17 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 			nIn, len(g.ExternalIn))
 	}
 	extIn := make(map[int]<-chan types.Data, nIn)
-	var inPipes []*jxtaserve.InputPipe
+	j := &job{}
 	var inAds []*advert.Advertisement
-	cleanup := func() {
-		for _, p := range inPipes {
-			p.Close()
-		}
-	}
 	for i := 0; i < nIn; i++ {
 		label := req.Header(fmt.Sprintf("in.%d.label", i))
 		if label == "" {
-			cleanup()
+			j.abandon()
 			return nil, fmt.Errorf("service: input %d has no label", i)
 		}
 		pipe, ad, err := s.host.OpenInput(label, 8)
 		if err != nil {
-			cleanup()
+			j.abandon()
 			return nil, err
 		}
 		eofs, _ := strconv.Atoi(req.Header(fmt.Sprintf("in.%d.eofs", i)))
@@ -695,7 +861,7 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 			eofs = 1
 		}
 		pipe.ExpectEOFs(eofs)
-		inPipes = append(inPipes, pipe)
+		j.in = append(j.in, pipe)
 		inAds = append(inAds, ad)
 		extIn[i] = pipe.C
 	}
@@ -703,18 +869,17 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 	// Bind output pipes to the supplied downstream targets.
 	nOut, _ := strconv.Atoi(req.Header("out.count"))
 	if nOut != len(g.ExternalOut) {
-		cleanup()
+		j.abandon()
 		return nil, fmt.Errorf("service: request declares %d outputs, graph has %d",
 			nOut, len(g.ExternalOut))
 	}
 	extOut := make(map[int]chan<- types.Data, nOut)
-	var outPipes []*jxtaserve.OutputPipe
 	var outChans []chan types.Data
 	for i := 0; i < nOut; i++ {
 		label := req.Header(fmt.Sprintf("out.%d.label", i))
 		addr := req.Header(fmt.Sprintf("out.%d.addr", i))
 		if label == "" || addr == "" {
-			cleanup()
+			j.abandon()
 			return nil, fmt.Errorf("service: output %d missing label/addr", i)
 		}
 		target := &advert.Advertisement{
@@ -723,31 +888,32 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		}
 		op, err := s.host.BindOutput(target)
 		if err != nil {
-			cleanup()
-			for _, p := range outPipes {
-				p.Close()
-			}
+			j.abandon()
 			return nil, fmt.Errorf("service: binding output %d (%s): %w", i, label, err)
 		}
-		outPipes = append(outPipes, op)
+		j.out = append(j.out, op)
 		ch := make(chan types.Data, 8)
 		outChans = append(outChans, ch)
 		extOut[i] = ch
 	}
+	// The reply is encoded before the job starts, so a failure here
+	// leaves no job running that no controller will wait for.
+	adsPayload, err := advert.EncodeList(inAds)
+	if err != nil {
+		j.abandon()
+		return nil, err
+	}
 
-	// Register the job and launch it through the resource manager.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		cleanup()
+		j.abandon()
 		return nil, fmt.Errorf("service: %s is shutting down", s.opts.PeerID)
 	}
 	s.nextJob++
 	id := fmt.Sprintf("%s/job-%d", s.opts.PeerID, s.nextJob)
-	j := &job{id: id}
-	s.jobs[id] = j
 	s.mu.Unlock()
-	jobsHosted.Inc()
+	j.id = id
 
 	run := func(ctx context.Context) error {
 		span := s.tracer.Start(traceID, parentSpan, "execute", s.opts.PeerID)
@@ -756,7 +922,7 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		defer span.End()
 		senders := newPipePump()
 		for i, ch := range outChans {
-			senders.forward(ch, outPipes[i:i+1])
+			senders.forward(ch, j.out[i:i+1])
 		}
 		res, err := engine.Run(ctx, g, engine.Options{
 			Iterations:   iterations,
@@ -770,15 +936,12 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 			TraceID:      span.TraceID(),
 			TraceParent:  span.SpanID(),
 		})
-		sendErr := senders.stop()
-		cleanup()
+		sendErr := senders.stop() // closes the output pipes
+		j.closeIn()
 		if err == nil {
 			err = sendErr
 		}
 		span.Fail(err)
-		j.mu.Lock()
-		j.result = res
-		j.mu.Unlock()
 		if res != nil {
 			total := 0
 			for _, n := range res.Processed {
@@ -787,22 +950,25 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 			span.SetAttr("processed", strconv.Itoa(total))
 			s.billing.record(requester, res.Elapsed, total)
 		}
+		// The job ends here, before its handle finishes: a wait woken
+		// by the handle finds the record already built.
+		s.endJob(j, err, res)
 		return err
 	}
 	handle, err := s.rm.Submit(gateway.Job{ID: id, Run: run})
 	if err != nil {
-		cleanup()
-		for _, p := range outPipes {
-			p.Close()
-		}
+		j.abandon()
 		return nil, err
 	}
+	s.mu.Lock()
 	j.handle = handle
-
-	adsPayload, err := advert.EncodeList(inAds)
-	if err != nil {
-		return nil, err
+	if j.ended == nil { // a run that already ended must not rejoin live
+		s.live[id] = j
+		s.jobsLive.Set(float64(len(s.live)))
 	}
+	s.mu.Unlock()
+	s.jobsHosted.Inc()
+
 	reply := &jxtaserve.Message{Payload: adsPayload}
 	reply.SetHeader("job", id)
 	if s.chunks != nil {
@@ -813,49 +979,46 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 	return reply, nil
 }
 
-func (s *Service) findJob(id string) (*job, error) {
+// findJob looks a job up: a live job, or the record of a retained
+// ended one.
+func (s *Service) findJob(id string) (*job, *endedJob, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("service: unknown job %q", id)
+	if j, ok := s.live[id]; ok {
+		return j, nil, nil
 	}
-	return j, nil
+	if e, ok := s.ended[id]; ok {
+		return nil, e, nil
+	}
+	return nil, nil, fmt.Errorf("service: unknown job %q", id)
 }
 
+// handleWait blocks until the job ends and answers from its record, so
+// every wait for the same job — a retry included — gets the same reply.
 func (s *Service) handleWait(req *jxtaserve.Message) (*jxtaserve.Message, error) {
-	j, err := s.findJob(req.Header("job"))
+	j, rec, err := s.findJob(req.Header("job"))
 	if err != nil {
 		return nil, err
 	}
-	if err := j.handle.Wait(); err != nil {
-		return nil, err
+	if j != nil {
+		rec = s.settle(j, j.handle.Wait())
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	reply := &jxtaserve.Message{}
-	reply.SetHeader("state", j.handle.State().String())
-	if j.result != nil {
-		total := 0
-		for task, n := range j.result.Processed {
-			reply.SetHeader("proc."+task, strconv.Itoa(n))
-			total += n
-		}
-		reply.SetHeader("processed", strconv.Itoa(total))
-		reply.SetHeader("elapsedMicros", strconv.FormatInt(j.result.Elapsed.Microseconds(), 10))
-		// Ship the stateful units' checkpoints back so the caller can
-		// migrate the computation to another peer.
-		reply.Payload = encodeRunPayload(nil, j.result.State)
-	}
-	return reply, nil
+	return rec.reply()
 }
 
+// handleCancel cancels a live job; cancelling an ended one is a no-op.
 func (s *Service) handleCancel(req *jxtaserve.Message) (*jxtaserve.Message, error) {
-	j, err := s.findJob(req.Header("job"))
+	j, _, err := s.findJob(req.Header("job"))
 	if err != nil {
 		return nil, err
 	}
-	j.handle.Cancel()
+	if j != nil {
+		j.handle.Cancel()
+		// A job cancelled before it ran never reaches its run's end.
+		if j.handle.State().Terminal() {
+			s.settle(j, j.handle.Wait())
+		}
+	}
 	return &jxtaserve.Message{}, nil
 }
 

@@ -164,6 +164,7 @@ func TestMetricsAndTracesEndpoints(t *testing.T) {
 	for _, series := range []string{
 		"# TYPE service_despatches_total counter",
 		"service_jobs_hosted_total",
+		"service_jobs_live",
 		"jxtaserve_messages_sent_total",
 		"mcode_store_hits_total",
 	} {

@@ -34,6 +34,7 @@ for series in \
     jxtaserve_bytes_recv_total \
     service_despatches_total \
     service_jobs_hosted_total \
+    service_jobs_live \
     service_heartbeats_total \
     mcode_store_hits_total \
     engine_cow_clones_total \
