@@ -83,14 +83,18 @@ metrics-smoke:
 	./tools/metrics_smoke.sh
 
 # Content-addressed data tier: the chunkstore/manifest unit and fuzz
-# suites, ring chunk placement, and the end-to-end farm battery —
-# manifest despatch, the >= 50% controller-egress reduction under
-# quorum, the legacy streaming fallback, the peer fetch rung, and the
-# dead-replica chaos case. Then a short run of the egress benchmark
-# pair so the streaming-vs-manifest byte counts stay visible in CI logs.
+# suites, ring chunk placement (one copy asked, failover past a dead
+# owner), and the end-to-end farm battery — manifest despatch, the
+# >= 50% controller-egress reduction under quorum, the legacy streaming
+# fallback, the peer fetch rung, the dead-replica chaos case, manifests
+# naming only the ring owners that acked, and the quorum output path
+# (carrier and address ballots, commit by fetch, fetch failure, legacy
+# voters as carriers, each byte moved once). Then a short run of the
+# egress benchmark pair so the streaming-vs-manifest egress and ingress
+# byte counts stay visible in CI logs.
 datastore-smoke:
-	go test ./internal/chunkstore/ ./internal/overlay/ -run 'TestChunk|TestManifest|FuzzChunk' -count=1
-	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestFarmLegacyPeerStreamsPayloads|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica' -count=1 -v
+	go test ./internal/chunkstore/ ./internal/overlay/ -run 'TestChunk|TestManifest|FuzzChunk|TestPutChunk' -count=1
+	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestFarmLegacyPeerStreamsPayloads|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestResultDigestProperties|TestCarrierAndAddressBallotsAgree|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineCarrierCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumLegacyDonorIsCarrier|TestQuorumFarmMovesEachByteOnce' -count=1 -v
 	go test -run '^$$' -bench 'BenchmarkFarmEgress' -benchtime 5x .
 
 # Multi-tenant despatch plane: the 2-shard × 3-tenant smoke scenario
@@ -108,10 +112,12 @@ tenant-smoke:
 	go test ./internal/experiments/ -run 'TestEveryExperimentRunsAndHoldsShape/T7' -count=1
 
 # Deterministic byzantine chaos harness: seeded simnet with a corrupting
-# peer and a dead peer, quorum voting, breaker and score assertions via
-# the metrics registry. Seeds are fixed, so a failure is reproducible.
+# peer and a dead peer, quorum voting (streamed ballots, and with the
+# data tier on, carrier and address ballots), breaker and score
+# assertions via the metrics registry. Seeds are fixed, so a failure is
+# reproducible.
 chaos-smoke:
-	go test ./internal/service/ -run 'TestChaos|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser' -count=1 -v
+	go test ./internal/service/ -run 'TestChaos|TestChaosByzantineQuorumDataTier|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser' -count=1 -v
 
 # Graceful-lifecycle battery under the race detector: the lifecycle
 # runner/supervisor and crash-safe snapshot unit suites, a drain under

@@ -4,15 +4,19 @@ package consumergrid_test
 // run the identical quorum farm on the identical simnet topology; the
 // only variable is whether farm inputs travel as streamed payloads
 // (once per voter) or as chunk manifests resolved through donor caches
-// and the super-peer ring. The egress-B/op custom metric is the
-// controller's data-plane bytes per farm — the number the tier exists
-// to cut, tracked by the benchreg snapshots.
+// and the super-peer ring, and whether every voter streams its outputs
+// home or one carrier does while the others send content addresses.
+// The egress-B/op custom metric is the controller's data-plane bytes
+// per farm — the number the tier exists to cut, tracked by the benchreg
+// snapshots — and ingress-B/op is the bytes it received on farm output
+// pipes.
 
 import (
 	"context"
 	"math/rand"
 	"testing"
 
+	"consumergrid/internal/jxtaserve"
 	"consumergrid/internal/service"
 	"consumergrid/internal/simnet"
 	"consumergrid/internal/taskgraph"
@@ -24,7 +28,9 @@ import (
 func benchService(b *testing.B, n *simnet.Network, id string, opts service.Options) *service.Service {
 	b.Helper()
 	opts.PeerID = id
-	opts.Transport = n.Peer(id)
+	if opts.Transport == nil {
+		opts.Transport = n.Peer(id)
+	}
 	s, err := service.New(opts)
 	if err != nil {
 		b.Fatal(err)
@@ -67,7 +73,11 @@ func egressChunks() [][]types.Data {
 
 func benchFarmEgress(b *testing.B, prefix string, dataTier bool) {
 	n := simnet.New()
-	ctlOpts := service.Options{DataTier: service.DataTierOptions{Enable: dataTier}}
+	tap := simnet.NewTap(n.Peer(prefix + "ctl"))
+	ctlOpts := service.Options{
+		Transport: tap,
+		DataTier:  service.DataTierOptions{Enable: dataTier},
+	}
 	if dataTier {
 		super := benchService(b, n, prefix+"super", service.Options{
 			Overlay: &service.OverlayOptions{SuperPeer: true, Replication: 1, SweepInterval: -1},
@@ -90,6 +100,7 @@ func benchFarmEgress(b *testing.B, prefix string, dataTier bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var egress int64
+	ingressBefore := tap.Recv(jxtaserve.KindPipeData)
 	for i := 0; i < b.N; i++ {
 		before := ctl.Resilience().Snapshot().FarmEgressBytes
 		rep, err := ctl.FarmChunks(context.Background(), chunks, service.FarmOptions{
@@ -106,6 +117,7 @@ func benchFarmEgress(b *testing.B, prefix string, dataTier bool) {
 		egress += ctl.Resilience().Snapshot().FarmEgressBytes - before
 	}
 	b.ReportMetric(float64(egress)/float64(b.N), "egress-B/op")
+	b.ReportMetric(float64(tap.Recv(jxtaserve.KindPipeData)-ingressBefore)/float64(b.N), "ingress-B/op")
 }
 
 func BenchmarkFarmEgressStreaming(b *testing.B) { benchFarmEgress(b, "ebs-", false) }

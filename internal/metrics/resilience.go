@@ -15,13 +15,16 @@ type ResilienceStats struct {
 	// Speculation and quorum accounting (the untrusted-peer layer):
 	// backup attempts launched past the straggler threshold, races a
 	// backup won, outputs thrown away because a racing sibling committed
-	// first, chunks committed by majority vote, and quorum votes where a
-	// peer's result digest disagreed with the majority.
+	// first, chunks committed by majority vote, quorum votes where a
+	// peer's result digest disagreed with the majority, and committed
+	// outputs the controller fetched by content address because no
+	// agreeing voter had streamed them.
 	SpeculationLaunches Counter
 	SpeculationWins     Counter
 	SpeculationWaste    Counter
 	QuorumCommits       Counter
 	QuorumDisagreements Counter
+	QuorumFetches       Counter
 	// FarmEgressBytes counts the controller's data-plane bytes per farm:
 	// streamed payloads on the legacy path; manifests, ring write-through
 	// replicas, and controller-direct chunk serves on the data-tier path.
@@ -42,6 +45,7 @@ type ResilienceSnapshot struct {
 	SpeculationWaste    int64
 	QuorumCommits       int64
 	QuorumDisagreements int64
+	QuorumFetches       int64
 	FarmEgressBytes     int64
 }
 
@@ -58,6 +62,7 @@ func (s *ResilienceStats) Snapshot() ResilienceSnapshot {
 		SpeculationWaste:    s.SpeculationWaste.Value(),
 		QuorumCommits:       s.QuorumCommits.Value(),
 		QuorumDisagreements: s.QuorumDisagreements.Value(),
+		QuorumFetches:       s.QuorumFetches.Value(),
 		FarmEgressBytes:     s.FarmEgressBytes.Value(),
 	}
 }

@@ -1,8 +1,8 @@
 // Chunk replica placement on the super-peer ring. The discovery
 // overlay already gives every key a consistent-hash home and R-way
 // replication; the data tier reuses exactly that machinery for
-// content-addressed chunks: a controller write-throughs each chunk to
-// the ring owners of its digest, and donors fetch from those owners
+// content-addressed chunks: a controller writes each chunk to ring
+// owners of its digest, and donors fetch from the owners that acked
 // over the chunk-fetch wire conversation before falling back to each
 // other or the controller.
 //
@@ -59,30 +59,33 @@ func (s *SuperPeer) handleChunkPut(req *jxtaserve.Message) (*jxtaserve.Message, 
 }
 
 // ChunkOwners reports the ring addresses responsible for a digest, in
-// placement order — what a controller embeds in manifests as the ring
-// rungs of the fetch ladder.
+// placement order.
 func (c *Client) ChunkOwners(digest string) []string {
 	return c.opts.Ring.Owners(ChunkKey(digest), c.opts.Replication)
 }
 
-// PutChunk write-throughs one chunk to every ring owner of its digest.
-// Chunks are immutable, so unlike adverts there is no version to
-// coordinate: the client writes each replica directly and best-effort —
-// a missed replica only shortens the fetch ladder, the controller-
-// direct rung still resolves the digest. Returns how many replicas
-// acknowledged.
-func (c *Client) PutChunk(digest string, data []byte) (int, error) {
+// PutChunk writes one chunk to `copies` ring owners of its digest. It
+// tries the owners in placement order and moves to the next one when a
+// write fails, and returns the owners that acknowledged — exactly the
+// ring rungs a manifest may name. Chunks are immutable, so unlike
+// adverts there is no version to coordinate. Fewer acks than asked is
+// not an error: a missed replica only shortens the fetch ladder, and
+// the controller-direct rung still resolves the digest.
+func (c *Client) PutChunk(digest string, data []byte, copies int) ([]string, error) {
 	owners := c.ChunkOwners(digest)
 	if len(owners) == 0 {
-		return 0, fmt.Errorf("overlay: no super-peers on the ring")
+		return nil, fmt.Errorf("overlay: no super-peers on the ring")
 	}
 	headers := map[string]string{
 		"digest": digest,
 		"size":   strconv.Itoa(len(data)),
 	}
-	acked := 0
+	var acked []string
 	var lastErr error
 	for _, addr := range owners {
+		if len(acked) >= copies {
+			break
+		}
 		if _, err := c.host.Request(addr, methodChunkPut, data, headers); err != nil {
 			c.health.ReportFailure(addr)
 			lastErr = err
@@ -90,10 +93,10 @@ func (c *Client) PutChunk(digest string, data []byte) (int, error) {
 			continue
 		}
 		c.health.ReportSuccess(addr, 0)
-		acked++
+		acked = append(acked, addr)
 	}
-	if acked == 0 {
-		return 0, lastErr
+	if len(acked) == 0 {
+		return nil, lastErr
 	}
 	return acked, nil
 }

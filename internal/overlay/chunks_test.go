@@ -62,17 +62,16 @@ func TestPutChunkReplicatesToRingOwners(t *testing.T) {
 	data := []byte("immutable chunk bytes")
 	digest := chunkstore.Digest(data)
 
-	acked, err := cl.PutChunk(digest, data)
+	acked, err := cl.PutChunk(digest, data, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acked != 2 {
-		t.Fatalf("acked = %d, want 2 replicas", acked)
-	}
-
 	owners := cl.ChunkOwners(digest)
 	if len(owners) != 2 {
 		t.Fatalf("owners = %v", owners)
+	}
+	if len(acked) != 2 || acked[0] != owners[0] || acked[1] != owners[1] {
+		t.Fatalf("acked = %v, want both owners %v in placement order", acked, owners)
 	}
 	isOwner := map[string]bool{}
 	for _, addr := range owners {
@@ -104,7 +103,7 @@ func TestPutChunkReplicatesToRingOwners(t *testing.T) {
 func TestPutChunkRejectsCorruptPayload(t *testing.T) {
 	c := newChunkCluster(t, 2, 2)
 	cl := c.client("controller", 2)
-	if _, err := cl.PutChunk(chunkstore.Digest([]byte("real")), []byte("fake")); err == nil {
+	if _, err := cl.PutChunk(chunkstore.Digest([]byte("real")), []byte("fake"), 2); err == nil {
 		t.Fatal("corrupt chunk.put was accepted")
 	}
 	for i := range c.vaults {
@@ -120,7 +119,7 @@ func TestPutChunkWithoutVaultRefused(t *testing.T) {
 	c := newCluster(t, 2, 2, time.Now)
 	cl := c.client("controller", 2)
 	data := []byte("x")
-	if _, err := cl.PutChunk(chunkstore.Digest(data), data); err == nil {
+	if _, err := cl.PutChunk(chunkstore.Digest(data), data, 2); err == nil {
 		t.Fatal("chunk.put accepted by vault-less super")
 	}
 }
@@ -132,18 +131,72 @@ func TestPutChunkSurvivesDeadReplica(t *testing.T) {
 	digest := chunkstore.Digest(data)
 
 	owners := cl.ChunkOwners(digest)
-	// Kill the primary owner; the write-through still lands on the
-	// surviving replica and reports one ack.
-	for i, h := range c.hosts {
-		if h.Addr() == owners[0] {
-			c.net.Kill(fmt.Sprintf("super-%d", i))
-		}
-	}
-	acked, err := cl.PutChunk(digest, data)
+	// Kill the primary owner; the write still lands on the surviving
+	// replica and reports it as the one ack.
+	c.killOwner(owners[0])
+	acked, err := cl.PutChunk(digest, data, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acked != 1 {
-		t.Fatalf("acked = %d, want 1 (primary dead)", acked)
+	if len(acked) != 1 || acked[0] != owners[1] {
+		t.Fatalf("acked = %v, want only the live owner %s (primary dead)", acked, owners[1])
+	}
+}
+
+// TestPutChunkOneCopyStopsAtFirstAck: asking for one copy writes to the
+// primary owner only, so the second owner never sees the bytes.
+func TestPutChunkOneCopyStopsAtFirstAck(t *testing.T) {
+	c := newChunkCluster(t, 3, 2)
+	cl := c.client("controller", 2)
+	data := []byte("one ring copy")
+	digest := chunkstore.Digest(data)
+
+	owners := cl.ChunkOwners(digest)
+	acked, err := cl.PutChunk(digest, data, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(acked) != 1 || acked[0] != owners[0] {
+		t.Fatalf("acked = %v, want the primary %s alone", acked, owners[0])
+	}
+	for i, h := range c.hosts {
+		if _, held := c.vaults[i].Get(digest); held != (h.Addr() == owners[0]) {
+			t.Fatalf("super %d (%s) held=%v; only the primary should", i, h.Addr(), held)
+		}
+	}
+}
+
+// TestPutChunkOneCopyFailsOver: with the primary owner dead, one copy
+// asked is one copy written — on the next owner in placement order.
+func TestPutChunkOneCopyFailsOver(t *testing.T) {
+	c := newChunkCluster(t, 3, 2)
+	cl := c.client("controller", 2)
+	data := []byte("one copy, primary dead")
+	digest := chunkstore.Digest(data)
+
+	owners := cl.ChunkOwners(digest)
+	c.killOwner(owners[0])
+	acked, err := cl.PutChunk(digest, data, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(acked) != 1 || acked[0] != owners[1] {
+		t.Fatalf("acked = %v, want the next owner %s", acked, owners[1])
+	}
+	for i, h := range c.hosts {
+		if h.Addr() == owners[1] {
+			if _, held := c.vaults[i].Get(digest); !held {
+				t.Fatalf("next owner %s does not hold the chunk", owners[1])
+			}
+		}
+	}
+}
+
+// killOwner kills the super listening at addr.
+func (c *chunkCluster) killOwner(addr string) {
+	for i, h := range c.hosts {
+		if h.Addr() == addr {
+			c.net.Kill(fmt.Sprintf("super-%d", i))
+		}
 	}
 }

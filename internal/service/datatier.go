@@ -6,10 +6,13 @@
 // and finally the controller itself. The capability is negotiated per
 // despatch: a donor that runs the data tier tags its triana.run reply,
 // and a controller only sends manifests to peers that did — legacy
-// peers keep receiving streamed payloads, byte for byte as before.
+// peers keep receiving streamed payloads, byte for byte as before. On
+// the way back, a quorum voter asked for addresses keeps its outputs in
+// its chunk LRU and sends their content addresses instead (farm.go).
 package service
 
 import (
+	"bytes"
 	"strconv"
 	"sync"
 	"time"
@@ -21,6 +24,15 @@ import (
 // capChunkstore is the triana.run reply header a data-tier donor sets;
 // its absence is what makes a legacy peer fall back to streaming.
 const capChunkstore = "chunkstore"
+
+// hdrOutputs in a triana.run request asks a data-tier donor to send its
+// outputs as content addresses (value outputsAddress); the donor echoes
+// it in its reply when it does. A donor without a chunk store ignores
+// the request and streams its outputs.
+const (
+	hdrOutputs     = "outputs"
+	outputsAddress = "address"
+)
 
 // maxPeerHints bounds the donor hints embedded per manifest item.
 const maxPeerHints = 3
@@ -104,15 +116,34 @@ func (s *Service) resolveManifest(payload []byte) ([][]byte, error) {
 	return out, nil
 }
 
+// addressEncoder returns an address voter's output encoder: it keeps
+// each output's canonical bytes in the chunk LRU, where the controller
+// can fetch them by content address, and sends only that address. The
+// encoder marshals into a scratch buffer it reuses, so each output pipe
+// needs its own, and the LRU gets an exact copy: the store's budget is
+// charged by length and would not see a buffer's spare capacity.
+func (s *Service) addressEncoder() func(types.Data) ([]byte, error) {
+	var buf bytes.Buffer
+	return func(d types.Data) ([]byte, error) {
+		buf.Reset()
+		if err := types.MarshalInto(&buf, d); err != nil {
+			return nil, err
+		}
+		a := addressOf(buf.Bytes())
+		s.chunks.Put(a.digest(), bytes.Clone(buf.Bytes()))
+		return types.Marshal(addressItem(a))
+	}
+}
+
 func (s *Service) fetchChunkWire(addr, digest string) ([]byte, error) {
 	return s.host.FetchChunk(addr, digest, s.chunkFetchTimeout)
 }
 
 // farmManifests is a controller's per-farm manifest state: the digests
-// and canonical payloads of every chunk (pinned locally for the
-// controller-direct rung and write-through replicated to the ring),
-// plus the donors observed to have resolved each digest — the peer
-// hints later manifests carry.
+// of every chunk (their payloads pinned locally for the
+// controller-direct rung and written to the ring) with the ring owners
+// holding each, plus the donors observed to have resolved each digest —
+// the peer hints later manifests carry.
 type farmManifests struct {
 	s      *Service
 	origin string
@@ -123,15 +154,16 @@ type farmManifests struct {
 }
 
 type manifestEntry struct {
-	digest  string
-	payload []byte
-	ring    []string
+	digest string
+	ring   []string // the ring owners that acked the digest's write
 }
 
 // prepareFarmManifests digests every chunk datum, pins the payloads in
-// the controller's own store, and write-throughs each unique digest to
-// its ring owners. Replication bytes are controller egress — the point
-// is that they are paid once per digest, not once per attempt.
+// the controller's own store, and writes each unique digest to
+// max(1, R−1) ring owners: while the farm runs the controller's pin is
+// one of the chunk's R copies. Manifests name only the owners that
+// acked as ring rungs. Replication bytes are controller egress, paid
+// once per digest, not once per attempt.
 func (s *Service) prepareFarmManifests(chunks [][]manifestDatum) *farmManifests {
 	fm := &farmManifests{
 		s:      s,
@@ -139,27 +171,28 @@ func (s *Service) prepareFarmManifests(chunks [][]manifestDatum) *farmManifests 
 		chunks: make([][]manifestEntry, len(chunks)),
 		hints:  make(map[string][]string),
 	}
-	seen := make(map[string]bool)
+	copies := 0
+	if s.overlay != nil {
+		copies = max(1, s.overlay.Stats().Replication-1)
+	}
+	rings := make(map[string][]string)
 	for c, chunk := range chunks {
 		entries := make([]manifestEntry, len(chunk))
 		for i, d := range chunk {
-			e := manifestEntry{digest: d.digest, payload: d.payload}
-			if s.overlay != nil {
-				e.ring = s.overlay.ChunkOwners(d.digest)
-			}
-			entries[i] = e
-			if seen[d.digest] {
-				continue
-			}
-			seen[d.digest] = true
-			s.chunks.Pin(d.digest, d.payload)
-			if s.overlay != nil {
-				if acked, err := s.overlay.PutChunk(d.digest, d.payload); err == nil {
-					s.resStats.FarmEgressBytes.Add(int64(acked) * int64(len(d.payload)))
-				} else {
-					s.logf("service: farm chunk replicate %.12s: %v", d.digest, err)
+			ring, seen := rings[d.digest]
+			if !seen {
+				s.chunks.Pin(d.digest, d.payload)
+				if s.overlay != nil {
+					acked, err := s.overlay.PutChunk(d.digest, d.payload, copies)
+					if err != nil {
+						s.logf("service: farm chunk replicate %.12s: %v", d.digest, err)
+					}
+					s.resStats.FarmEgressBytes.Add(int64(len(acked)) * int64(len(d.payload)))
+					ring = acked
 				}
+				rings[d.digest] = ring
 			}
+			entries[i] = manifestEntry{digest: d.digest, ring: ring}
 		}
 		fm.chunks[c] = entries
 	}

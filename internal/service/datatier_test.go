@@ -3,8 +3,9 @@ package service
 // The data-tier acceptance battery: manifest despatch end to end over a
 // super-peer ring, the legacy streaming fallback against a donor that
 // never negotiated the tier, the peer-to-peer rung of the fetch ladder,
-// and the chaos case — the ring replica holding a farm's chunks dies
-// mid-farm and the controller-direct fallback carries the rest.
+// the chaos case — the ring replica holding a farm's chunks dies
+// mid-farm and the controller-direct fallback carries the rest — and a
+// manifest naming only the ring owners that acked a chunk's write.
 
 import (
 	"testing"
@@ -15,36 +16,60 @@ import (
 	"consumergrid/internal/types"
 )
 
-// dataTierNet builds a controller plus donors with the chunk tier on,
-// and optionally a super-peer ring of one for chunk placement. Labels
-// are prefixed per test: the process-global metrics registry keys
-// series by peer.
-func dataTierNet(t *testing.T, n *simnet.Network, prefix string, withRing bool, donorTier []bool) (ctl *Service, donors []*Service, peers []PeerRef) {
+// tierNet is a data-tier grid: a controller, donors and an optional
+// super-peer ring, every participant's transport tapped so tests can
+// count what crossed the wire by message kind.
+type tierNet struct {
+	ctl    *Service
+	donors []*Service
+	peers  []PeerRef
+	supers []*Service
+	taps   map[string]*simnet.Tap // by peer label
+}
+
+// dataTierNet builds a controller plus donors (donorTier[i] turns the
+// chunk tier on for donor i) and a ring of `supers` super-peers at
+// R = supers for chunk placement (0: no ring). Labels are prefixed per
+// test: the process-global metrics registry keys series by peer.
+func dataTierNet(t *testing.T, n *simnet.Network, prefix string, supers int, donorTier []bool) *tierNet {
 	t.Helper()
+	tn := &tierNet{taps: make(map[string]*simnet.Tap)}
+	tap := func(label string) *simnet.Tap {
+		tp := simnet.NewTap(n.Peer(label))
+		tn.taps[label] = tp
+		return tp
+	}
 	var superAddrs []string
-	if withRing {
-		sp := newService(t, n.Peer(prefix+"super"), prefix+"super", Options{
-			Overlay: &OverlayOptions{SuperPeer: true, Replication: 1, SweepInterval: -1},
+	for i := 0; i < supers; i++ {
+		label := prefix + "super"
+		if i > 0 {
+			label += string(rune('1' + i))
+		}
+		sp := newService(t, tap(label), label, Options{
+			Overlay: &OverlayOptions{
+				SuperPeers: superAddrs, SuperPeer: true, Replication: supers, SweepInterval: -1,
+			},
 		})
-		superAddrs = []string{sp.Addr()}
+		tn.supers = append(tn.supers, sp)
+		superAddrs = append(superAddrs, sp.Addr())
 	}
 	ctlOpts := Options{
 		Resilience: chaosResilience(),
 		DataTier:   DataTierOptions{Enable: true},
 	}
-	if withRing {
-		ctlOpts.Overlay = &OverlayOptions{SuperPeers: superAddrs, Replication: 1}
+	if supers > 0 {
+		ctlOpts.Overlay = &OverlayOptions{SuperPeers: superAddrs, Replication: supers}
 	}
-	ctl = newService(t, n.Peer(prefix+"ctl"), prefix+"ctl", ctlOpts)
+	tn.ctl = newService(t, tap(prefix+"ctl"), prefix+"ctl", ctlOpts)
 	for i, tier := range donorTier {
 		label := prefix + "w" + string(rune('1'+i))
-		w := newService(t, n.Peer(label), label, Options{
+		w := newService(t, tap(label), label, Options{
 			DataTier: DataTierOptions{Enable: tier},
 		})
-		donors = append(donors, w)
-		peers = append(peers, PeerRef{ID: label, Addr: w.Addr()})
+		tn.donors = append(tn.donors, w)
+		tn.peers = append(tn.peers, PeerRef{ID: label, Addr: w.Addr()})
 	}
-	return ctl, donors, peers
+	return tn
 }
 
 // streamingEgressBaseline farms the same chunks over plain streaming
@@ -85,7 +110,8 @@ func TestFarmManifestDespatch(t *testing.T) {
 	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
 
 	n := simnet.New()
-	ctl, donors, peers := dataTierNet(t, n, "dt-", true, []bool{true, true})
+	tn := dataTierNet(t, n, "dt-", 1, []bool{true, true})
+	ctl, donors, peers := tn.ctl, tn.donors, tn.peers
 	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{})
 	assertSameOutputs(t, rep.Outputs, want)
 
@@ -119,7 +145,8 @@ func TestFarmEgressReduction(t *testing.T) {
 	want, streamEgress := streamingEgressBaseline(t, chunks, FarmOptions{Quorum: 3})
 
 	n := simnet.New()
-	ctl, _, peers := dataTierNet(t, n, "eg-", true, []bool{true, true, true})
+	tn := dataTierNet(t, n, "eg-", 1, []bool{true, true, true})
+	ctl, peers := tn.ctl, tn.peers
 	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{Quorum: 3})
 	assertSameOutputs(t, rep.Outputs, want)
 
@@ -143,7 +170,8 @@ func TestFarmLegacyPeerStreamsPayloads(t *testing.T) {
 	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
 
 	n := simnet.New()
-	ctl, donors, peers := dataTierNet(t, n, "lg-", false, []bool{false, false})
+	tn := dataTierNet(t, n, "lg-", 0, []bool{false, false})
+	ctl, donors, peers := tn.ctl, tn.donors, tn.peers
 	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{})
 	assertSameOutputs(t, rep.Outputs, want)
 
@@ -228,7 +256,8 @@ func TestFarmSurvivesDeadChunkReplica(t *testing.T) {
 	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
 
 	n := simnet.New()
-	ctl, donors, peers := dataTierNet(t, n, "dr-", true, []bool{true, true})
+	tn := dataTierNet(t, n, "dr-", 1, []bool{true, true})
+	ctl, donors, peers := tn.ctl, tn.donors, tn.peers
 	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{
 		AfterChunk: func(c int) {
 			if c == 0 {
@@ -249,4 +278,32 @@ func TestFarmSurvivesDeadChunkReplica(t *testing.T) {
 		t.Error("no controller-direct fetches despite a dead ring replica; the fallback never engaged")
 	}
 	t.Logf("ring=%d controller=%d after replica death", ring, origin)
+}
+
+// TestFarmManifestSkipsFailedRingOwner: one of two supers is dead when
+// the farm starts. The controller's write to it fails, so no manifest
+// names it as a ring rung: outputs match the reference and no donor
+// fetch ever goes to the dead super.
+func TestFarmManifestSkipsFailedRingOwner(t *testing.T) {
+	chunks := chaosChunks(chaosSeed, 4, 5)
+	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
+
+	n := simnet.New()
+	tn := dataTierNet(t, n, "fo-", 2, []bool{true, true})
+	dead := tn.supers[1].Addr()
+	n.Kill("fo-super2")
+	rep := runChaosFarm(t, tn.ctl, tn.peers, chunks, FarmOptions{})
+	assertSameOutputs(t, rep.Outputs, want)
+
+	var ring int64
+	for i, d := range tn.donors {
+		if dials := tn.taps[tn.peers[i].ID].Dialed(dead); dials != 0 {
+			t.Errorf("donor %s dialled the dead super %d times: a manifest named an owner that never got the chunk",
+				tn.peers[i].ID, dials)
+		}
+		ring += d.ChunkStore().Snapshot().FetchRing
+	}
+	if ring == 0 {
+		t.Error("no chunk came from the live ring owner")
+	}
 }

@@ -55,6 +55,9 @@ type RemotePart struct {
 	// lands on the despatch span so traces show which electorate the
 	// part belonged to. Empty means the despatch was not group-scoped.
 	Group string
+	// addressOutputs asks the hosting peer to send each output's content
+	// address instead of its bytes (a quorum's non-carrier voter).
+	addressOutputs bool
 }
 
 // RemoteJob is a despatched part awaiting completion.
@@ -72,6 +75,9 @@ type RemoteJob struct {
 	// content-addressed data tier in its run reply; a capable controller
 	// may send this job chunk manifests instead of streamed payloads.
 	ChunkCapable bool
+	// addressed records that the hosting peer honoured addressOutputs:
+	// its output pipes carry address items, not data.
+	addressed bool
 }
 
 // Despatch ships a part to its peer: the remote service fetches modules
@@ -124,6 +130,9 @@ func (s *Service) despatchCtx(ctx context.Context, part RemotePart, codeAddr str
 	if part.Tenant != "" {
 		headers["tenant"] = part.Tenant
 	}
+	if part.addressOutputs {
+		headers[hdrOutputs] = outputsAddress
+	}
 	for i, label := range part.InLabels {
 		headers[fmt.Sprintf("in.%d.label", i)] = label
 		if i < len(part.InEOFs) && part.InEOFs[i] > 0 {
@@ -162,6 +171,7 @@ func (s *Service) despatchCtx(ctx context.Context, part RemotePart, codeAddr str
 		Part: part, JobID: reply.Header("job"), InAds: ads,
 		TraceID: despatch.TraceID(), despatchSpan: despatch.SpanID(),
 		ChunkCapable: reply.Header(capChunkstore) != "",
+		addressed:    part.addressOutputs && reply.Header(hdrOutputs) == outputsAddress,
 	}, nil
 }
 
@@ -430,7 +440,7 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 		ch := make(chan types.Data, distPipeBuffer)
 		extOut[j] = ch
 		// Round-robin across replicas; single target for pipelines.
-		bridges.forward(ch, outs)
+		bridges.forward(ch, outs, types.Marshal)
 	}
 
 	// Run the local portion.
@@ -527,9 +537,11 @@ func (w *remoteWaits) abandon() {
 
 // pipePump forwards engine output channels into output pipes: the
 // hosting side's one pipe per output and RunDistributed's round-robin
-// over replicas alike. Each forwarder keeps the first send error,
-// drains its channel after a failure so the engine never blocks, and
-// closes its pipes when done.
+// over replicas alike. Each datum goes through an encoder: types.Marshal,
+// or for a quorum's address voter Service.addressEncoder, which sends
+// the content address instead. Each forwarder keeps the first send
+// error, drains its channel after a failure so the engine never blocks,
+// and closes its pipes when done.
 type pipePump struct {
 	wg   sync.WaitGroup
 	once sync.Once
@@ -545,7 +557,7 @@ type pipePump struct {
 func newPipePump() *pipePump { return &pipePump{quit: make(chan struct{})} }
 
 // forward pumps ch into outs, round-robin, until ch closes or stop.
-func (p *pipePump) forward(ch <-chan types.Data, outs []*jxtaserve.OutputPipe) {
+func (p *pipePump) forward(ch <-chan types.Data, outs []*jxtaserve.OutputPipe, encode func(types.Data) ([]byte, error)) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
@@ -558,7 +570,11 @@ func (p *pipePump) forward(ch <-chan types.Data, outs []*jxtaserve.OutputPipe) {
 		send := func(d types.Data) bool {
 			op := outs[i%len(outs)]
 			i++
-			if err := op.Send(d); err != nil {
+			payload, err := encode(d)
+			if err == nil {
+				err = op.SendRaw(payload)
+			}
+			if err != nil {
 				p.mu.Lock()
 				if p.err == nil {
 					p.err = err

@@ -23,12 +23,44 @@
 // StragglerFactor, or SpeculateAfter before history exists — whose
 // firing launches a backup on the next-healthiest peer.
 //
-// Deciding: every clean full-length result is a ballot. K = 1 commits
-// the first ballot at once and abandons its racers. K > 1 tallies
-// result digests only when nothing is in flight, so the outcome is
-// independent of arrival order: a majority (K/2+1) commits, an
-// inconclusive vote widens the electorate by exactly one fresh voter
-// with prior ballots live, and no budget or candidate left is terminal.
+// Carrier: an attempt carries — streams its outputs home — when the
+// chunk needs one vote, or when no other carrier attempt of the chunk is
+// running or has voted. Any other attempt asks for addresses in the
+// despatch envelope, and only if the controller has a chunk store. A
+// donor without one ignores the request, streams its outputs and is
+// treated as a carrier. An address voter keeps its outputs in its own
+// bounded chunk LRU, so a clean chunk brings one copy of its outputs
+// home however many voters it needs.
+//
+// Ballot: every clean full-length result is a ballot. Its digest
+// hashes the per-output content addresses (the SHA-256 of the
+// types.Marshal bytes, which the chunk store names in hex) plus the
+// sorted state frames, so a carrier's ballot and an address ballot of
+// the same result compare equal. The controller computes a carrier's
+// addresses from the data it received; it never takes a digest a donor
+// claims for bytes it was sent.
+//
+// Deciding: K = 1 commits the first ballot at once and abandons its
+// racers. K > 1 tallies ballot digests only when nothing is in flight,
+// so the outcome is independent of arrival order: a majority (K/2+1)
+// commits, an inconclusive vote widens the electorate by exactly one
+// fresh voter with prior ballots live, and no budget or candidate left
+// is terminal.
+//
+// Commit: a majority with an agreeing carrier commits the carrier's
+// outputs. A majority with none fetches each output through
+// chunkstore.Fetch, the agreeing voters as peer rungs — the fetch checks
+// the bytes against their address — then decodes and commits, counting
+// service_quorum_fetches_total. If no agreeing voter serves the bytes,
+// those ballots become failed attempts with no byzantine penalty, and
+// topping up and widening take over.
+//
+// Wire form: an address travels as one pipe.data frame per output, so
+// len(got) == len(chunk), the waste counts and simnet's byzantine model
+// (a flipped pipe.data tail byte) hold unchanged. The item is a Text of
+// the raw 32 address bytes: its encoding ends in them, so a flipped
+// tail byte still decodes, into a ballot that disagrees.
+//
 // The books close once per chunk: agreeing voters earn a success,
 // voters outside the plurality take the byzantine penalty (§3.8's
 // hostile peer), and every non-committed ballot's outputs are waste.
@@ -45,6 +77,7 @@ import (
 	"time"
 
 	"consumergrid/internal/capgroup"
+	"consumergrid/internal/chunkstore"
 	"consumergrid/internal/taskgraph"
 	"consumergrid/internal/types"
 )
@@ -250,11 +283,17 @@ type farmAttempt struct {
 	start  time.Time
 	phase  attemptPhase
 
-	// The ballot, once voted: a clean, full-length result. digest is
-	// computed only when votes > 1; with one vote required every ballot
-	// agrees.
+	// carrier marks an attempt that streams its outputs (or, asked for
+	// addresses, streamed them anyway); any other voter's got holds
+	// address items.
+	carrier bool
+
+	// The ballot, once voted: a clean, full-length result. addrs and
+	// digest are computed only when votes > 1; with one vote required
+	// every ballot agrees.
 	got      []types.Data
 	newState map[string][]byte
+	addrs    []address
 	digest   string
 	elapsed  time.Duration
 }
@@ -270,10 +309,11 @@ const (
 // farmResult is one attempt's terminal report, delivered on the chunk
 // coordinator's results channel.
 type farmResult struct {
-	idx      int
-	got      []types.Data
-	newState map[string][]byte
-	err      error
+	idx       int
+	got       []types.Data
+	newState  map[string][]byte
+	addressed bool // got holds address items
+	err       error
 }
 
 // FarmChunks streams chunks of work through the body on the given
@@ -473,6 +513,11 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 		// outcome is independent of arrival order.
 		if cr.running == 0 || (cr.votes == 1 && cr.ballots > 0) {
 			plurality, winner := cr.tally()
+			if winner >= 0 && !cr.attempts[winner].carrier && !cr.fetchOutputs(plurality, winner) {
+				// No agreeing voter served its outputs: those
+				// ballots failed, so top up and decide again.
+				continue
+			}
 			if winner >= 0 {
 				cr.abandon(true)
 				cr.settle(plurality, winner)
@@ -542,10 +587,22 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 			if r.err == nil && len(r.got) != len(chunk) {
 				r.err = errors.New("short result")
 			}
+			if !r.addressed {
+				// Asked for addresses but streamed anyway: a donor
+				// without the data tier is a carrier.
+				a.carrier = true
+			}
 			if r.err == nil && cr.votes > 1 {
 				// Only a vote needs the digest; a lone ballot has
 				// nothing to be compared with.
-				a.digest, r.err = resultDigest(r.got, r.newState)
+				if r.addressed {
+					a.addrs, r.err = itemAddresses(r.got)
+				} else {
+					a.addrs, r.err = outputAddresses(r.got)
+				}
+				if r.err == nil {
+					a.digest = resultDigest(a.addrs, r.newState)
+				}
 			}
 			if r.err != nil {
 				// The peer is free to be picked again.
@@ -613,6 +670,7 @@ func (cr *chunkRun) launch(backup bool) (bool, error) {
 			s.health.ReportSuccess(peer.ID, time.Since(start))
 		}
 		idx := len(cr.attempts)
+		carry := cr.votes == 1 || s.chunks == nil || !cr.carrierLive()
 		if backup {
 			cr.backups++
 		} else if idx-cr.backups >= cr.votes {
@@ -622,12 +680,12 @@ func (cr *chunkRun) launch(backup bool) (bool, error) {
 			s.resStats.Redespatches.Inc()
 		}
 		actx, cancel := context.WithCancel(cr.ctx)
-		cr.attempts = append(cr.attempts, farmAttempt{peer: peer, cancel: cancel, backup: backup, start: time.Now()})
+		cr.attempts = append(cr.attempts, farmAttempt{peer: peer, cancel: cancel, backup: backup, start: time.Now(), carrier: carry})
 		cr.running++
 		go func() {
-			got, newState, err := cr.attempt(actx, peer, idx)
+			got, newState, addressed, err := cr.attempt(actx, peer, idx, carry)
 			cancel()
-			cr.results <- farmResult{idx: idx, got: got, newState: newState, err: err}
+			cr.results <- farmResult{idx: idx, got: got, newState: newState, addressed: addressed, err: err}
 		}()
 		if cr.opts.Speculate && cr.votes == 1 {
 			if cr.straggler != nil {
@@ -646,6 +704,17 @@ func (cr *chunkRun) launch(backup bool) (bool, error) {
 func (cr *chunkRun) busy(peerID string) bool {
 	for i := range cr.attempts {
 		if a := &cr.attempts[i]; a.peer.ID == peerID && a.phase != attemptFailed {
+			return true
+		}
+	}
+	return false
+}
+
+// carrierLive reports whether a carrier attempt of this chunk is running
+// or has voted.
+func (cr *chunkRun) carrierLive() bool {
+	for i := range cr.attempts {
+		if a := &cr.attempts[i]; a.carrier && a.phase != attemptFailed {
 			return true
 		}
 	}
@@ -694,8 +763,9 @@ func (s *Service) stragglerThreshold(peerID string, opts FarmOptions) time.Durat
 }
 
 // tally counts the ballots by digest. plurality is the most-voted
-// digest (ties to the smaller); winner is the earliest-launched attempt
-// carrying it when it has reached the majority votes/2+1, else -1.
+// digest (ties to the smaller). Once it has the majority votes/2+1,
+// winner is the earliest-launched carrier voting for it, or failing one
+// the earliest-launched address voter; otherwise winner is -1.
 func (cr *chunkRun) tally() (plurality string, winner int) {
 	best := 0
 	for i := range cr.attempts {
@@ -710,13 +780,68 @@ func (cr *chunkRun) tally() (plurality string, winner int) {
 			}
 		}
 		if n > best || (n == best && a.digest < plurality) {
-			plurality, best, winner = a.digest, n, i
+			plurality, best = a.digest, n
 		}
 	}
+	winner = -1
 	if best < cr.votes/2+1 {
-		winner = -1
+		return plurality, winner
+	}
+	for i := range cr.attempts {
+		if a := &cr.attempts[i]; a.phase == attemptVoted && a.digest == plurality {
+			if a.carrier {
+				return plurality, i
+			}
+			if winner < 0 {
+				winner = i
+			}
+		}
 	}
 	return plurality, winner
+}
+
+// fetchOutputs completes a majority no carrier agreed with: it fetches
+// each of the winner's outputs by content address, the agreeing voters
+// as peer rungs, and decodes them into the winner's ballot. If none
+// serves the bytes, every agreeing ballot becomes a failed attempt — a
+// plain failure, not the byzantine penalty — and it reports false.
+func (cr *chunkRun) fetchOutputs(plurality string, winner int) bool {
+	s := cr.s
+	var sources []chunkstore.Source
+	for i := range cr.attempts {
+		if a := &cr.attempts[i]; a.phase == attemptVoted && a.digest == plurality {
+			sources = append(sources, chunkstore.Source{Addr: a.peer.Addr, Class: chunkstore.SourcePeer})
+		}
+	}
+	w := &cr.attempts[winner]
+	got := make([]types.Data, len(w.addrs))
+	var err error
+	for i, addr := range w.addrs {
+		var p []byte
+		if p, _, err = s.chunks.Fetch(addr.digest(), sources, s.fetchChunkWire); err != nil {
+			break
+		}
+		var d types.Data
+		if d, err = types.Unmarshal(p); err != nil {
+			break
+		}
+		got[i] = types.Seal(d)
+	}
+	if err == nil {
+		w.got = got
+		s.resStats.QuorumFetches.Add(int64(len(got)))
+		return true
+	}
+	s.logf("service: farm %d chunk %d quorum: no agreeing voter served its outputs: %v", cr.id, cr.c, err)
+	for i := range cr.attempts {
+		if a := &cr.attempts[i]; a.phase == attemptVoted && a.digest == plurality {
+			a.phase = attemptFailed
+			cr.ballots--
+			s.health.ReportFailure(a.peer.ID)
+			cr.waste(len(a.got), false)
+		}
+	}
+	return false
 }
 
 // settle closes the chunk's books — once, at commit (winner is the
@@ -788,11 +913,13 @@ func (cr *chunkRun) abandon(specRace bool) {
 
 // attempt runs the chunk on one peer: despatch with restored state,
 // stream the chunk in, collect outputs until the sink pipe closes, then
-// fetch the completion state. Every pipe label is scoped to the
-// (farm, chunk, attempt) triple so residue from a lost attempt can
-// never leak into a later one — racing attempts of the same chunk get
-// distinct attempt indices and therefore disjoint pipes.
-func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int) ([]types.Data, map[string][]byte, error) {
+// fetch the completion state. A non-carrier asks for addresses;
+// addressed reports that the peer honoured that, so got holds address
+// items. Every pipe label is scoped to the (farm, chunk, attempt)
+// triple so residue from a lost attempt can never leak into a later
+// one — racing attempts of the same chunk get distinct attempt indices
+// and therefore disjoint pipes.
+func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int, carry bool) (got []types.Data, newState map[string][]byte, addressed bool, err error) {
 	s, opts, c := cr.s, cr.opts, cr.c
 	attemptCtx, cancel := context.WithTimeout(ctx, opts.AttemptTimeout)
 	defer cancel()
@@ -808,7 +935,7 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int) ([]types.D
 	prefix := fmt.Sprintf("farm/%s/%d/c%d/a%d", s.opts.PeerID, cr.id, c, a)
 	pipe, _, err := s.host.OpenInput(prefix+"/out", len(cr.chunk)+1)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	defer pipe.Close()
 	pipe.ExpectEOFs(1)
@@ -823,14 +950,16 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int) ([]types.D
 		RestoreState: cr.state,
 		Tenant:       opts.Tenant,
 		Group:        opts.Group,
+
+		addressOutputs: !carry,
 	}, opts.CodeAddr)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 
 	out, err := s.host.BindOutput(job.InAds[0])
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	// Feed the chunk. With the data tier negotiated on both ends, one
 	// manifest frame replaces the payload stream: the donor resolves the
@@ -875,7 +1004,6 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int) ([]types.D
 	// Collect until the remote signals EOF (pipe.C closes) or the
 	// attempt dies. A worker that vanishes breaks its output conn, which
 	// counts as its EOF, so this loop always terminates.
-	var got []types.Data
 collect:
 	for {
 		select {
@@ -894,14 +1022,14 @@ collect:
 		if !cancelled {
 			s.CancelRemote(job)
 		}
-		return got, nil, err
+		return got, nil, job.addressed, err
 	}
 	if sendErr != nil {
-		return got, nil, sendErr
+		return got, nil, job.addressed, sendErr
 	}
-	_, newState, err := s.waitRemoteStateCtx(attemptCtx, job)
+	_, newState, err = s.waitRemoteStateCtx(attemptCtx, job)
 	if err != nil {
-		return got, nil, err
+		return got, nil, job.addressed, err
 	}
-	return got, newState, nil
+	return got, newState, job.addressed, nil
 }

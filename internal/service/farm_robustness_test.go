@@ -23,13 +23,20 @@ import (
 // labels (the process-global metrics registry keys gauges by
 // observer/peer, so labels must not collide across tests).
 func quorumNet(t *testing.T, n *simnet.Network, prefix string, healthOpts health.Options) (ctl *Service, peers []PeerRef) {
+	return quorumNetTier(t, n, prefix, healthOpts, DataTierOptions{})
+}
+
+// quorumNetTier is quorumNet with the given data tier on the controller
+// and every worker.
+func quorumNetTier(t *testing.T, n *simnet.Network, prefix string, healthOpts health.Options, tier DataTierOptions) (ctl *Service, peers []PeerRef) {
 	t.Helper()
 	ctl = newService(t, n.Peer(prefix+"ctl"), prefix+"ctl", Options{
 		Resilience: chaosResilience(),
 		Health:     healthOpts,
+		DataTier:   tier,
 	})
 	for _, label := range []string{"w1", "w2", "w3", "w4"} {
-		w := newService(t, n.Peer(prefix+label), prefix+label, Options{})
+		w := newService(t, n.Peer(prefix+label), prefix+label, Options{DataTier: tier})
 		peers = append(peers, PeerRef{ID: prefix + label, Addr: w.Addr()})
 	}
 	return ctl, peers
@@ -43,21 +50,38 @@ func quorumNet(t *testing.T, n *simnet.Network, prefix string, healthOpts health
 // and the dead peer's breaker opens, all observable through the metrics
 // registry.
 func TestChaosByzantineQuorum(t *testing.T) {
+	chaosByzantineQuorum(t, "q-", DataTierOptions{})
+}
+
+// TestChaosByzantineQuorumDataTier is the same scenario with the data
+// tier on everywhere, so only one voter per chunk streams its outputs:
+// the corrupter carries chunk 0 (committed by fetching the address
+// voters' outputs) and votes by address once its score has sunk.
+func TestChaosByzantineQuorumDataTier(t *testing.T) {
+	if fetches := chaosByzantineQuorum(t, "qd-", DataTierOptions{Enable: true}); fetches == 0 {
+		t.Error("no chunk was committed by fetch: the corrupter never carried")
+	}
+}
+
+// chaosByzantineQuorum runs the scenario and reports the controller's
+// quorum output fetches.
+func chaosByzantineQuorum(t *testing.T, prefix string, tier DataTierOptions) int64 {
 	const nChunks, perChunk = 4, 5
 	chunks := chaosChunks(chaosSeed, nChunks, perChunk)
 
 	// Clean reference run: same topology, no faults, no quorum.
 	refNet := simnet.New()
-	refCtl, refPeers := quorumNet(t, refNet, "qref-", health.Options{})
+	refCtl, refPeers := quorumNet(t, refNet, prefix+"ref-", health.Options{})
 	want := runChaosFarm(t, refCtl, refPeers, chunks, FarmOptions{})
 
 	n := simnet.New()
 	n.FaultSeed(7)
-	ctl, peers := quorumNet(t, n, "q-", health.Options{})
-	// q-w1 is byzantine: every pipe.data payload crossing its links is
-	// corrupted in flight. q-w2 is dead before the farm starts.
-	n.SetLinkFaults("q-w1", simnet.LinkFaults{CorruptEvery: 1})
-	n.Kill("q-w2")
+	ctl, peers := quorumNetTier(t, n, prefix, health.Options{}, tier)
+	byz, dead := prefix+"w1", prefix+"w2"
+	// w1 is byzantine: every pipe.data payload crossing its links is
+	// corrupted in flight. w2 is dead before the farm starts.
+	n.SetLinkFaults(byz, simnet.LinkFaults{CorruptEvery: 1})
+	n.Kill(dead)
 
 	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{
 		Quorum:    3,
@@ -77,28 +101,29 @@ func TestChaosByzantineQuorum(t *testing.T) {
 		t.Errorf("quorum disagreements = %d (report) / %d (stats), want >= 2 and equal",
 			rep.QuorumDisagreements, snap.QuorumDisagreements)
 	}
-	if rep.PeerChunks["q-w1"] != 0 {
-		t.Errorf("byzantine peer committed %d chunks", rep.PeerChunks["q-w1"])
+	if rep.PeerChunks[byz] != 0 {
+		t.Errorf("byzantine peer committed %d chunks", rep.PeerChunks[byz])
 	}
 
-	// The byzantine penalty must have pushed q-w1 below the suspicion
+	// The byzantine penalty must have pushed w1 below the suspicion
 	// threshold, and the dead peer's breaker must be open — asserted via
 	// the registry gauges the /resilience page renders.
 	score := metrics.Default().Gauge(
-		metrics.Series("health_peer_score", "observer", "q-ctl", "peer", "q-w1")).Value()
+		metrics.Series("health_peer_score", "observer", prefix+"ctl", "peer", byz)).Value()
 	if score >= 0.5 {
 		t.Errorf("byzantine peer score = %v, want < 0.5", score)
 	}
-	if !ctl.Health().Suspect("q-w1") {
+	if !ctl.Health().Suspect(byz) {
 		t.Error("byzantine peer not marked suspect")
 	}
 	breaker := metrics.Default().Gauge(
-		metrics.Series("health_breaker_state", "observer", "q-ctl", "peer", "q-w2")).Value()
+		metrics.Series("health_breaker_state", "observer", prefix+"ctl", "peer", dead)).Value()
 	if breaker != float64(health.Open) {
 		t.Errorf("dead peer breaker gauge = %v, want %v (open)", breaker, float64(health.Open))
 	}
-	t.Logf("corrupted=%d disagreements=%d redespatches=%d wasted=%d peers=%v",
-		n.Corrupted(), rep.QuorumDisagreements, rep.Redespatches, rep.WastedOutputs, rep.PeerChunks)
+	t.Logf("corrupted=%d disagreements=%d redespatches=%d wasted=%d fetches=%d peers=%v",
+		n.Corrupted(), rep.QuorumDisagreements, rep.Redespatches, rep.WastedOutputs, snap.QuorumFetches, rep.PeerChunks)
+	return snap.QuorumFetches
 }
 
 // TestFarmSkipsDeclaredDeadPeer is the regression for the consult-dead-

@@ -43,5 +43,6 @@ func registerResilience(peerID string, st *metrics.ResilienceStats) {
 	reg.RegisterCounter(metrics.Series("service_speculation_waste_total", "peer", peerID), &st.SpeculationWaste)
 	reg.RegisterCounter(metrics.Series("service_quorum_commits_total", "peer", peerID), &st.QuorumCommits)
 	reg.RegisterCounter(metrics.Series("service_quorum_disagreements_total", "peer", peerID), &st.QuorumDisagreements)
+	reg.RegisterCounter(metrics.Series("service_quorum_fetches_total", "peer", peerID), &st.QuorumFetches)
 	reg.RegisterCounter(metrics.Series("service_farm_egress_bytes_total", "peer", peerID), &st.FarmEgressBytes)
 }

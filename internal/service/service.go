@@ -896,6 +896,10 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		outChans = append(outChans, ch)
 		extOut[i] = ch
 	}
+	// A quorum voter asked for addresses keeps its outputs in the chunk
+	// LRU and sends their content addresses; without a chunk store the
+	// request is ignored and the outputs stream.
+	addressed := req.Header(hdrOutputs) == outputsAddress && s.chunks != nil
 	// The reply is encoded before the job starts, so a failure here
 	// leaves no job running that no controller will wait for.
 	adsPayload, err := advert.EncodeList(inAds)
@@ -922,7 +926,11 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		defer span.End()
 		senders := newPipePump()
 		for i, ch := range outChans {
-			senders.forward(ch, j.out[i:i+1])
+			encode := types.Marshal
+			if addressed {
+				encode = s.addressEncoder()
+			}
+			senders.forward(ch, j.out[i:i+1], encode)
 		}
 		res, err := engine.Run(ctx, g, engine.Options{
 			Iterations:   iterations,
@@ -975,6 +983,9 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		// Advertise the data tier: a capable controller may send chunk
 		// manifests to this job's input pipes instead of streaming.
 		reply.SetHeader(capChunkstore, "1")
+	}
+	if addressed {
+		reply.SetHeader(hdrOutputs, outputsAddress)
 	}
 	return reply, nil
 }

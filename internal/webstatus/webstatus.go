@@ -184,6 +184,7 @@ func resilienceTable(b *strings.Builder, svc *service.Service) {
 		{"speculation waste", snap.SpeculationWaste},
 		{"quorum commits", snap.QuorumCommits},
 		{"quorum disagreements", snap.QuorumDisagreements},
+		{"quorum output fetches", snap.QuorumFetches},
 		{"farm egress bytes", snap.FarmEgressBytes},
 	}
 	for _, r := range rows {
