@@ -77,8 +77,9 @@ wire-conformance:
 
 # Observability smoke: boot a real daemon, scrape /metrics, and assert
 # the core series families are listed (they register eagerly, so a
-# fresh daemon must already expose them). Fails if the daemon dies, the
-# scrape fails, or any series family is missing.
+# fresh daemon must already expose them), and that -pprof answers.
+# Fails if the daemon dies, the scrape fails, any series family is
+# missing, or pprof does not serve.
 metrics-smoke:
 	./tools/metrics_smoke.sh
 
@@ -120,7 +121,7 @@ chaos-smoke:
 	go test ./internal/service/ -run 'TestChaos|TestChaosByzantineQuorumDataTier|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser' -count=1 -v
 
 # Graceful-lifecycle battery under the race detector: the lifecycle
-# runner/supervisor and crash-safe snapshot unit suites, a drain under
+# state-machine and crash-safe snapshot unit suites, a drain under
 # live 4-tenant farm load (zero in-flight failures, ErrDraining for
 # late farms, adverts retracted, super-peer handoff), a donor draining
 # mid-job finishing it with no redespatch, a drain waiting for a run

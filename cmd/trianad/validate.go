@@ -1,9 +1,9 @@
 // Startup flag validation. The daemon used to accept nonsensical
 // values silently — a negative -replication, a negative -chunk-cache,
-// a -wire-window of 0 (which would stall every stream) — and either
-// misbehave at runtime or quietly substitute a default. Now every
-// numeric knob is range-checked up front and the daemon fails fast
-// with a message naming the flag, before any socket is opened.
+// a zero -advert-ttl — and either misbehave at runtime or quietly
+// substitute a default. Now every numeric knob is range-checked up
+// front and the daemon fails fast with a message naming the flag,
+// before any socket is opened.
 package main
 
 import (
@@ -19,21 +19,16 @@ import (
 // a plain struct so the table test can exercise every rule without
 // touching the flag package or starting a daemon.
 type daemonConfig struct {
-	Replication     int
-	ChunkCache      int64
-	WireWindow      int
-	CPUMHz          int
-	RAMMB           int
-	RPCAttempts     int
-	HeartbeatMisses int
-	BatchSlots      int
-	CodeBudget      int64
-	MemLimit        int64
-	AdvertTTL       time.Duration
-	Tenants         string
-	TenantWeight    int
-	Caps            string
-	RequireCaps     string
+	Replication int
+	ChunkCache  int64
+	CPUMHz      int
+	RAMMB       int
+	BatchSlots  int
+	CodeBudget  int64
+	AdvertTTL   time.Duration
+	Tenants     string
+	Caps        string
+	RequireCaps string
 }
 
 // validate rejects out-of-range flag values with a message naming the
@@ -47,20 +42,11 @@ func (c daemonConfig) validate() error {
 	if c.ChunkCache < 0 {
 		return fmt.Errorf("-chunk-cache must be >= 0 bytes (0 = default 64 MiB), got %d", c.ChunkCache)
 	}
-	if c.WireWindow <= 0 {
-		return fmt.Errorf("-wire-window must be positive (a window of %d frames would stall every stream)", c.WireWindow)
-	}
 	if c.CPUMHz <= 0 {
 		return fmt.Errorf("-cpu must be a positive MHz figure, got %d", c.CPUMHz)
 	}
 	if c.RAMMB < 0 {
 		return fmt.Errorf("-ram must be >= 0 MB, got %d", c.RAMMB)
-	}
-	if c.RPCAttempts < 0 {
-		return fmt.Errorf("-rpc-attempts must be >= 0 (0 = default), got %d", c.RPCAttempts)
-	}
-	if c.HeartbeatMisses < 0 {
-		return fmt.Errorf("-heartbeat-misses must be >= 0 (0 = default), got %d", c.HeartbeatMisses)
 	}
 	if c.BatchSlots < 0 {
 		return fmt.Errorf("-batch-slots must be >= 0 (0 = fork gateway), got %d", c.BatchSlots)
@@ -68,14 +54,8 @@ func (c daemonConfig) validate() error {
 	if c.CodeBudget < 0 {
 		return fmt.Errorf("-code-budget must be >= 0 bytes (0 = unlimited), got %d", c.CodeBudget)
 	}
-	if c.MemLimit < 0 {
-		return fmt.Errorf("-mem-limit must be >= 0 bytes (0 = unlimited), got %d", c.MemLimit)
-	}
 	if c.AdvertTTL <= 0 {
 		return fmt.Errorf("-advert-ttl must be positive, got %v", c.AdvertTTL)
-	}
-	if c.TenantWeight <= 0 {
-		return fmt.Errorf("-tenant-weight must be positive, got %d", c.TenantWeight)
 	}
 	if _, err := parseTenants(c.Tenants); err != nil {
 		return err

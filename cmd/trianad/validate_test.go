@@ -10,21 +10,16 @@ import (
 // one field at a time.
 func goodConfig() daemonConfig {
 	return daemonConfig{
-		Replication:     2,
-		ChunkCache:      64 << 20,
-		WireWindow:      64,
-		CPUMHz:          1000,
-		RAMMB:           512,
-		RPCAttempts:     3,
-		HeartbeatMisses: 3,
-		BatchSlots:      2,
-		CodeBudget:      1 << 20,
-		MemLimit:        1 << 30,
-		AdvertTTL:       time.Minute,
-		Tenants:         "alice:4,bob:1",
-		TenantWeight:    1,
-		Caps:            "gpu=none,zone=eu",
-		RequireCaps:     "units=r-1a2b3c4d",
+		Replication: 2,
+		ChunkCache:  64 << 20,
+		CPUMHz:      1000,
+		RAMMB:       512,
+		BatchSlots:  2,
+		CodeBudget:  1 << 20,
+		AdvertTTL:   time.Minute,
+		Tenants:     "alice:4,bob:1",
+		Caps:        "gpu=none,zone=eu",
+		RequireCaps: "units=r-1a2b3c4d",
 	}
 }
 
@@ -39,23 +34,16 @@ func TestValidateRejectsNonsense(t *testing.T) {
 	}{
 		{"valid baseline", func(c *daemonConfig) {}, ""},
 		{"zero-default knobs stay legal", func(c *daemonConfig) {
-			c.Replication, c.ChunkCache, c.RPCAttempts = 0, 0, 0
-			c.HeartbeatMisses, c.BatchSlots, c.CodeBudget, c.MemLimit = 0, 0, 0, 0
+			c.Replication, c.ChunkCache, c.BatchSlots, c.CodeBudget = 0, 0, 0, 0
 			c.RAMMB, c.Tenants = 0, ""
 		}, ""},
 		{"negative replication", func(c *daemonConfig) { c.Replication = -1 }, "-replication"},
 		{"negative chunk cache", func(c *daemonConfig) { c.ChunkCache = -1 }, "-chunk-cache"},
-		{"zero wire window", func(c *daemonConfig) { c.WireWindow = 0 }, "-wire-window"},
-		{"negative wire window", func(c *daemonConfig) { c.WireWindow = -8 }, "-wire-window"},
 		{"zero cpu", func(c *daemonConfig) { c.CPUMHz = 0 }, "-cpu"},
 		{"negative ram", func(c *daemonConfig) { c.RAMMB = -1 }, "-ram"},
-		{"negative rpc attempts", func(c *daemonConfig) { c.RPCAttempts = -2 }, "-rpc-attempts"},
-		{"negative heartbeat misses", func(c *daemonConfig) { c.HeartbeatMisses = -1 }, "-heartbeat-misses"},
 		{"negative batch slots", func(c *daemonConfig) { c.BatchSlots = -4 }, "-batch-slots"},
 		{"negative code budget", func(c *daemonConfig) { c.CodeBudget = -1 }, "-code-budget"},
-		{"negative mem limit", func(c *daemonConfig) { c.MemLimit = -1 }, "-mem-limit"},
 		{"zero advert ttl", func(c *daemonConfig) { c.AdvertTTL = 0 }, "-advert-ttl"},
-		{"zero tenant weight", func(c *daemonConfig) { c.TenantWeight = 0 }, "-tenant-weight"},
 		{"malformed tenant spec", func(c *daemonConfig) { c.Tenants = "alice" }, "-tenants"},
 		{"non-numeric tenant weight", func(c *daemonConfig) { c.Tenants = "alice:fast" }, "-tenants"},
 		{"zero tenant spec weight", func(c *daemonConfig) { c.Tenants = "alice:0" }, "-tenants"},

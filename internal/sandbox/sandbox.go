@@ -57,7 +57,8 @@ type Policy struct {
 	// deliberately.
 	FSRoot string
 	// MaxMemory bounds the bytes a workflow may hold via Alloc at any one
-	// time; 0 means unlimited.
+	// time; 0 means unlimited. No unit calls Alloc, so nothing charges
+	// this budget today: it bounds only code that asks for it.
 	MaxMemory int64
 	// MaxCPU bounds the total CPU time charged via ChargeCPU; 0 means
 	// unlimited.

@@ -40,6 +40,10 @@ import (
 // need to name tenants and keep working unchanged.
 const DefaultTenant = "default"
 
+// defaultTenantWeight is the fair-share weight of a tenant not named in
+// Options.Tenants.
+const defaultTenantWeight = 1
+
 // errAdmissionClosed is the single "service shutting down" outcome.
 var errAdmissionClosed = errors.New("service: shutting down")
 
@@ -91,34 +95,30 @@ type tenantQueue struct {
 
 // admission is the fair-share despatch scheduler.
 type admission struct {
-	mu        sync.Mutex
-	limit     int
-	closed    bool
-	draining  bool // beginFarm refuses; slot acquires keep working
-	farms     int  // farms between beginFarm and endFarm
-	inflight  int  // total slots in use, across tenants
-	waiting   int  // total live queued waiters, across tenants
-	vtime     uint64
-	owner     string // peer ID, labels the per-tenant series
-	defWeight int
-	tenants   map[string]*tenantQueue
+	mu       sync.Mutex
+	limit    int
+	closed   bool
+	draining bool // beginFarm refuses; slot acquires keep working
+	farms    int  // farms between beginFarm and endFarm
+	inflight int  // total slots in use, across tenants
+	waiting  int  // total live queued waiters, across tenants
+	vtime    uint64
+	owner    string // peer ID, labels the per-tenant series
+	tenants  map[string]*tenantQueue
 }
 
 // newAdmission builds the scheduler. weights seeds the configured
 // tenants (plus the default tenant) so their metric series register
-// eagerly; unknown tenants are admitted on first use at defWeight.
-func newAdmission(limit int, owner string, weights map[string]int, defWeight int) *admission {
+// eagerly; unknown tenants are admitted on first use at
+// defaultTenantWeight.
+func newAdmission(limit int, owner string, weights map[string]int) *admission {
 	if limit <= 0 {
 		limit = defaultMaxInflightDespatches
 	}
-	if defWeight <= 0 {
-		defWeight = 1
-	}
 	a := &admission{
-		limit:     limit,
-		owner:     owner,
-		defWeight: defWeight,
-		tenants:   make(map[string]*tenantQueue),
+		limit:   limit,
+		owner:   owner,
+		tenants: make(map[string]*tenantQueue),
 	}
 	a.queueLocked(DefaultTenant)
 	for name, w := range weights {
@@ -155,8 +155,8 @@ func (a *admission) queueLocked(tenant string) *tenantQueue {
 	reg := metrics.Default()
 	q := &tenantQueue{
 		name:      tenant,
-		weight:    a.defWeight,
-		stride:    strideFor(a.defWeight),
+		weight:    defaultTenantWeight,
+		stride:    strideFor(defaultTenantWeight),
 		pass:      a.vtime,
 		admitsC:   reg.Counter(metrics.Series("service_tenant_admits_total", "peer", a.owner, "tenant", tenant)),
 		inflightG: reg.Gauge(metrics.Series("service_tenant_inflight", "peer", a.owner, "tenant", tenant)),

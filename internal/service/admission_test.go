@@ -37,7 +37,7 @@ func awaitQueued(t *testing.T, a *admission, tenant string, want int) {
 // per release, so one farm could win many slots in a row while the
 // other starved.
 func TestAdmissionFIFOWithinTenant(t *testing.T) {
-	a := newAdmission(1, "adm-fifo", nil, 0)
+	a := newAdmission(1, "adm-fifo", nil)
 	defer a.close()
 
 	// Hold the only slot so every subsequent acquire queues.
@@ -93,7 +93,7 @@ func TestAdmissionFIFOWithinTenant(t *testing.T) {
 // schedule is deterministic (ties break by name), so the first 15
 // grants split exactly 10/5.
 func TestAdmissionWeightedShares(t *testing.T) {
-	a := newAdmission(1, "adm-weighted", map[string]int{"alice": 2, "bob": 1}, 0)
+	a := newAdmission(1, "adm-weighted", map[string]int{"alice": 2, "bob": 1})
 	defer a.close()
 
 	if err := a.acquire(context.Background(), nil, "seed"); err != nil {
@@ -144,7 +144,7 @@ func TestAdmissionWeightedShares(t *testing.T) {
 // (speculative launches) nor a fresh blocking acquire may jump the
 // line, even when a slot is momentarily free.
 func TestAdmissionNoBarging(t *testing.T) {
-	a := newAdmission(2, "adm-barge", nil, 0)
+	a := newAdmission(2, "adm-barge", nil)
 	defer a.close()
 
 	if err := a.acquire(context.Background(), nil, "t"); err != nil {
@@ -183,7 +183,7 @@ func TestAdmissionNoBarging(t *testing.T) {
 // no slot and no queue position afterwards, and the scheduler keeps
 // granting normally.
 func TestAdmissionContextCancelReleasesNothing(t *testing.T) {
-	a := newAdmission(1, "adm-cancel", nil, 0)
+	a := newAdmission(1, "adm-cancel", nil)
 	defer a.close()
 
 	if err := a.acquire(context.Background(), nil, "t"); err != nil {
@@ -225,7 +225,7 @@ func TestAdmissionOutcomeExactness(t *testing.T) {
 		goroutines = 8
 		iters      = 200
 	)
-	a := newAdmission(3, "adm-exact", nil, 0)
+	a := newAdmission(3, "adm-exact", nil)
 
 	var grantsBy [tenantsN]atomic.Int64
 	var cancelledN, closedN atomic.Int64
@@ -320,7 +320,7 @@ func TestAdmissionOutcomeExactness(t *testing.T) {
 // the shutdown outcome, books no admit for them, and slots already
 // granted still release cleanly afterwards.
 func TestAdmissionCloseWakesWaiters(t *testing.T) {
-	a := newAdmission(1, "adm-close", nil, 0)
+	a := newAdmission(1, "adm-close", nil)
 	if err := a.acquire(context.Background(), nil, "t"); err != nil {
 		t.Fatal(err)
 	}

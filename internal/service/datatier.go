@@ -37,6 +37,10 @@ const (
 // maxPeerHints bounds the donor hints embedded per manifest item.
 const maxPeerHints = 3
 
+// chunkFetchTimeout bounds one chunk fetch from one source; the ladder
+// moves to the next rung on expiry.
+const chunkFetchTimeout = 2 * time.Second
+
 // DataTierOptions opts a daemon into the content-addressed chunk tier.
 type DataTierOptions struct {
 	// Enable turns the tier on: the daemon caches chunks, resolves
@@ -45,9 +49,6 @@ type DataTierOptions struct {
 	Enable bool
 	// CacheBytes bounds the per-peer LRU chunk cache (default 64 MiB).
 	CacheBytes int64
-	// FetchTimeout bounds one chunk fetch from one source; the ladder
-	// moves to the next rung on expiry (default 2s).
-	FetchTimeout time.Duration
 }
 
 // setupDataTier creates the peer's chunk store and installs the wire
@@ -55,10 +56,6 @@ type DataTierOptions struct {
 // pipe.manifest frames. Also run for super-peers regardless of Enable,
 // so every ring member can hold chunk replicas.
 func (s *Service) setupDataTier(o DataTierOptions) {
-	s.chunkFetchTimeout = o.FetchTimeout
-	if s.chunkFetchTimeout <= 0 {
-		s.chunkFetchTimeout = 2 * time.Second
-	}
 	s.chunks = chunkstore.New(chunkstore.Options{
 		MaxBytes: o.CacheBytes,
 		Owner:    s.opts.PeerID,
@@ -136,7 +133,7 @@ func (s *Service) addressEncoder() func(types.Data) ([]byte, error) {
 }
 
 func (s *Service) fetchChunkWire(addr, digest string) ([]byte, error) {
-	return s.host.FetchChunk(addr, digest, s.chunkFetchTimeout)
+	return s.host.FetchChunk(addr, digest, chunkFetchTimeout)
 }
 
 // farmManifests is a controller's per-farm manifest state: the digests
@@ -163,8 +160,9 @@ type manifestEntry struct {
 // max(1, R−1) ring owners: while the farm runs the controller's pin is
 // one of the chunk's R copies. Manifests name only the owners that
 // acked as ring rungs. Replication bytes are controller egress, paid
-// once per digest, not once per attempt.
-func (s *Service) prepareFarmManifests(chunks [][]manifestDatum) *farmManifests {
+// once per digest, not once per attempt, and charged to the farm's
+// tenant as well as to the service.
+func (s *Service) prepareFarmManifests(chunks [][]manifestDatum, tstats *tenantFarmStats) *farmManifests {
 	fm := &farmManifests{
 		s:      s,
 		origin: s.Addr(),
@@ -187,7 +185,9 @@ func (s *Service) prepareFarmManifests(chunks [][]manifestDatum) *farmManifests 
 					if err != nil {
 						s.logf("service: farm chunk replicate %.12s: %v", d.digest, err)
 					}
-					s.resStats.FarmEgressBytes.Add(int64(len(acked)) * int64(len(d.payload)))
+					sent := int64(len(acked)) * int64(len(d.payload))
+					s.resStats.FarmEgressBytes.Add(sent)
+					tstats.egress.Add(sent)
 					ring = acked
 				}
 				rings[d.digest] = ring

@@ -133,8 +133,11 @@ type FarmOptions struct {
 
 	// Tenant names the submitting tenant: admission slots are charged to
 	// its fair-share queue, the identity rides every despatch envelope,
-	// and the farm's committed chunks and egress bytes land on
-	// tenant-labelled series. Empty means DefaultTenant.
+	// and the farm's committed chunks and egress bytes (streamed
+	// payloads, manifests and ring write-through) land on
+	// tenant-labelled series. Controller-direct serves of pinned chunks
+	// stay on the service series only: a pin can be shared by several
+	// farms. Empty means DefaultTenant.
 	Tenant string
 
 	// Group, when set, commits the farm to one capability group: only
@@ -388,7 +391,7 @@ func (s *Service) FarmChunks(ctx context.Context, chunks [][]types.Data, opts Fa
 		return nil, err
 	}
 	if s.chunks != nil {
-		fr.manifests = s.prepareFarmManifests(fr.datums)
+		fr.manifests = s.prepareFarmManifests(fr.datums, fr.tstats)
 		defer fr.manifests.release()
 	}
 	fr.id = s.nextRunID.Add(1)

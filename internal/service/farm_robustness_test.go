@@ -293,7 +293,7 @@ func TestFarmContextCancelMidChunk(t *testing.T) {
 // over-budget acquire waits until a slot frees or the context dies,
 // and tryAcquire never waits.
 func TestAdmissionControl(t *testing.T) {
-	a := newAdmission(1, "adm-test", nil, 0)
+	a := newAdmission(1, "adm-test", nil)
 	if err := a.acquire(context.Background(), nil, ""); err != nil {
 		t.Fatal(err)
 	}

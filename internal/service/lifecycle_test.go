@@ -56,7 +56,7 @@ func TestLifecycleStateRefusesBackwardMoves(t *testing.T) {
 // with the typed sentinel but keeps granting despatch slots, so farms
 // registered before the drain can finish their remaining chunks.
 func TestAdmissionDrainGatesFarmsNotSlots(t *testing.T) {
-	a := newAdmission(2, "drain-unit", nil, 1)
+	a := newAdmission(2, "drain-unit", nil)
 	defer a.close()
 	if err := a.beginFarm("alice"); err != nil {
 		t.Fatalf("beginFarm before drain: %v", err)

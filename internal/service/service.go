@@ -97,11 +97,8 @@ type Options struct {
 	// Tenants seeds the fair-share admission scheduler with named
 	// tenants and their weights (a tenant with weight 2 drains its
 	// despatch backlog twice as fast as one with weight 1). Tenants not
-	// listed here are admitted on first use at TenantDefaultWeight.
+	// listed here are admitted on first use at weight 1.
 	Tenants map[string]int
-	// TenantDefaultWeight is the weight assumed for tenants not listed
-	// in Tenants (default 1).
-	TenantDefaultWeight int
 	// Caps adds or overrides pairs in the peer's derived capability set
 	// (trianad -caps): the set — unit-registry version, CPU class,
 	// memory class, sandbox summary, data-tier support, plus these —
@@ -169,8 +166,7 @@ type Service struct {
 	overlay      *overlay.Client    // nil unless Options.Overlay set
 	overlaySuper *overlay.SuperPeer // nil unless also a ring member
 
-	chunks            *chunkstore.Store // nil unless the data tier is on
-	chunkFetchTimeout time.Duration
+	chunks *chunkstore.Store // nil unless the data tier is on
 
 	caps     capgroup.Set // derived capability set (see capgroup)
 	groupKey string       // caps.Key(), fixed for the daemon's lifetime
@@ -404,7 +400,7 @@ func New(opts Options) (*Service, error) {
 	healthOpts := opts.Health
 	healthOpts.Owner = opts.PeerID
 	s.health = health.New(healthOpts)
-	s.admit = newAdmission(opts.MaxInflightDespatches, opts.PeerID, opts.Tenants, opts.TenantDefaultWeight)
+	s.admit = newAdmission(opts.MaxInflightDespatches, opts.PeerID, opts.Tenants)
 	if len(opts.Certified) > 0 {
 		s.certified = make(map[string]bool, len(opts.Certified))
 		for _, u := range opts.Certified {

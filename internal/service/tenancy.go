@@ -85,7 +85,7 @@ type SchedTenantResult struct {
 func SchedulerTrial(owner string, tenants map[string]int, budget, streamsPerTenant,
 	despatchesPerStream int, svcTime time.Duration, seed int64) []SchedTenantResult {
 
-	adm := newAdmission(budget, owner, tenants, 0)
+	adm := newAdmission(budget, owner, tenants)
 	defer adm.close()
 
 	names := make([]string, 0, len(tenants))

@@ -227,3 +227,39 @@ func TestTenantHeaderPropagation(t *testing.T) {
 		t.Fatal("no despatch span on the controller carries the tenant")
 	}
 }
+
+// TestTenantEgressCountsRingWriteThrough: on the data-tier path a
+// farm's controller egress is its ring write-through plus its
+// manifests, and the tenant is charged for both. On a healthy ring no
+// donor falls back to the controller-direct rung (the one egress kept
+// off tenant series), so the farm's tenant delta must equal the
+// service delta exactly.
+func TestTenantEgressCountsRingWriteThrough(t *testing.T) {
+	n := simnet.New()
+	tn := dataTierNet(t, n, "te-", 1, []bool{true, true})
+	ctlID := "te-ctl"
+	svcBefore := tn.ctl.Resilience().Snapshot().FarmEgressBytes
+	tenBefore := tenantCounter("service_tenant_farm_egress_bytes_total", ctlID, "t")
+
+	runChaosFarm(t, tn.ctl, tn.peers, bigChunks(chaosSeed, 4, 2, 512), FarmOptions{Tenant: "t"})
+
+	var ring int64
+	for _, d := range tn.donors {
+		snap := d.ChunkStore().Snapshot()
+		if snap.FetchController != 0 {
+			t.Fatalf("donor %s fetched %d chunks from the controller on a healthy ring", d.opts.PeerID, snap.FetchController)
+		}
+		ring += snap.FetchRing
+	}
+	if ring == 0 {
+		t.Fatal("no donor fetched from the ring; the write-through path never ran")
+	}
+	svcDelta := tn.ctl.Resilience().Snapshot().FarmEgressBytes - svcBefore
+	tenDelta := tenantCounter("service_tenant_farm_egress_bytes_total", ctlID, "t") - tenBefore
+	if svcDelta == 0 {
+		t.Fatal("farm recorded no controller egress")
+	}
+	if tenDelta != svcDelta {
+		t.Fatalf("tenant t charged %d egress bytes, service counted %d: ring write-through is missing from the tenant series", tenDelta, svcDelta)
+	}
+}

@@ -197,29 +197,6 @@ func Marshal(d Data) ([]byte, error) {
 	return buf.b, nil
 }
 
-// AppendTo appends the wire encoding of d (type-name header included) to
-// dst and returns the extended slice, letting callers reuse scratch
-// buffers across iterations. The per-type size estimate is consulted to
-// grow dst at most once.
-func AppendTo(dst []byte, d Data) ([]byte, error) {
-	if d == nil {
-		return dst, errors.New("types: cannot encode nil Data")
-	}
-	name := d.TypeName()
-	if want := len(dst) + estimateSize(name); cap(dst) < want {
-		grown := make([]byte, len(dst), want)
-		copy(grown, dst)
-		dst = grown
-	}
-	buf := writerBuf{b: dst}
-	start := len(dst)
-	if err := Write(&buf, d); err != nil {
-		return dst, err
-	}
-	observeSize(name, len(buf.b)-start)
-	return buf.b, nil
-}
-
 // MarshalInto encodes d into buf (which is first grown to the per-type
 // size estimate), so per-iteration encoders can hold one bytes.Buffer
 // and amortise the allocation entirely.

@@ -362,12 +362,3 @@ func writeHTML(w http.ResponseWriter, s string) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprint(w, s)
 }
-
-// Serve starts the status server on addr in a background goroutine and
-// returns the listener's close function. It exists for trianad; tests
-// use Handler with httptest.
-func Serve(addr string, svc *service.Service) (*http.Server, error) {
-	srv := &http.Server{Addr: addr, Handler: Handler(svc)}
-	go srv.ListenAndServe()
-	return srv, nil
-}

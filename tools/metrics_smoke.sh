@@ -1,19 +1,22 @@
 #!/bin/sh
-# Boots trianad with the status server, scrapes /metrics, and asserts
-# the core eagerly-registered series families are present. Used by
-# `make metrics-smoke` and the CI smoke step.
+# Boots trianad with the status and profiling servers, scrapes /metrics,
+# and asserts the core eagerly-registered series families are present
+# and that pprof answers. Used by `make metrics-smoke` and the CI smoke
+# step.
 set -eu
 
 PORT="${METRICS_SMOKE_PORT:-18080}"
+PPROF_PORT="${METRICS_SMOKE_PPROF_PORT:-18081}"
 BIN="$(mktemp -d)/trianad"
 OUT="$(mktemp)"
 trap 'kill "$PID" 2>/dev/null || true; rm -f "$OUT"; rm -rf "$(dirname "$BIN")"' EXIT
 
 go build -o "$BIN" ./cmd/trianad
-"$BIN" -listen 127.0.0.1:0 -http "127.0.0.1:$PORT" &
+"$BIN" -listen 127.0.0.1:0 -http "127.0.0.1:$PORT" -pprof "127.0.0.1:$PPROF_PORT" &
 PID=$!
 
-# Poll until the status server answers (the daemon binds asynchronously).
+# Poll until the status server answers: the daemon starts in the
+# background, and binds both ports only after parsing its flags.
 i=0
 until curl -fsS "http://127.0.0.1:$PORT/metrics" >"$OUT" 2>/dev/null; do
     i=$((i + 1))
@@ -58,6 +61,12 @@ done
 # /traces must answer too, even with no despatches yet.
 if ! curl -fsS "http://127.0.0.1:$PORT/traces" >/dev/null; then
     echo "metrics-smoke: /traces not serving" >&2
+    status=1
+fi
+
+# So must pprof: trianad serves it before logging that it is up.
+if ! curl -fsS "http://127.0.0.1:$PPROF_PORT/debug/pprof/cmdline" >/dev/null; then
+    echo "metrics-smoke: pprof not serving on port $PPROF_PORT" >&2
     status=1
 fi
 
