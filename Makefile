@@ -67,12 +67,16 @@ bench-smoke:
 # fuzz pass over the binary decoder and both round-trip targets, the
 # full dialler×listener interop matrix, and the mux invariants (FIFO,
 # credit bounds, reset isolation, goroutine leaks) under the race
-# detector. Run with -update after a deliberate wire change to
+# detector; then the typed-data codec's golden encodings, its
+# decode∘encode fixpoint counterexamples and a fuzz pass over that
+# fixpoint. Run with -update after a deliberate wire change to
 # regenerate the golden fixtures.
 wire-conformance:
 	go test ./internal/jxtaserve/ -run 'TestGolden|TestInterop|TestReadBinaryMessageRejects' -count=1
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzReadBinaryMessage -fuzztime 10s
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzBinaryMessageRoundTrip -fuzztime 10s
+	go test ./internal/types/ -run 'TestGolden|TestFixpoint' -count=1
+	go test ./internal/types/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s
 	go test -race ./internal/jxtaserve/ ./internal/simnet/ -run 'TestMux' -count=1
 
 # Observability smoke: boot a real daemon, scrape /metrics, and assert

@@ -1,7 +1,8 @@
 // Package frame owns the uvarint length-prefixed record: the one data
-// format in which the daemon's in-memory payloads (run payloads, chunk
-// manifests, advert lists, super-peer sync replies, module bundles, the
-// binary wire envelope) and checkpoint sections are written.
+// format in which the daemon's in-memory payloads (typed data values,
+// run payloads, chunk manifests, advert lists, super-peer sync replies,
+// module bundles, the binary wire envelope) and checkpoint sections are
+// written.
 //
 // Every byte a peer decodes comes from a stranger's machine, so the
 // Reader states the decoding rules once:
@@ -23,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 )
@@ -45,6 +47,24 @@ func AppendBytes(b, p []byte) []byte { return append(AppendUvarint(b, uint64(len
 // AppendString appends s behind its uvarint length.
 func AppendString(b []byte, s string) []byte {
 	return append(AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// AppendFloat64 appends f as its little-endian IEEE-754 bit pattern.
+func AppendFloat64(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+// AppendFloat64s appends xs behind its uvarint count. When b lacks the
+// room it grows once, to exactly the length needed.
+func AppendFloat64s(b []byte, xs []float64) []byte {
+	b = AppendUvarint(b, uint64(len(xs)))
+	if need := len(b) + 8*len(xs); need > cap(b) {
+		b = append(make([]byte, 0, need), b...)
+	}
+	for _, f := range xs {
+		b = AppendFloat64(b, f)
+	}
+	return b
 }
 
 // UvarintLen is the encoded size of x.
@@ -171,6 +191,26 @@ func (r *Reader) Uint64() uint64 {
 	x := binary.LittleEndian.Uint64(r.b)
 	r.b = r.b[8:]
 	return x
+}
+
+// Float64 reads a float written by AppendFloat64, bit for bit.
+func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
+
+// Float64s reads a slice written by AppendFloat64s into a fresh slice.
+// Its count is bounded by Count(8), so it may size the allocation.
+func (r *Reader) Float64s() []float64 {
+	n := r.Count(8)
+	if r.err != nil {
+		return nil
+	}
+	xs := make([]float64, n)
+	b := r.b
+	for i := range xs {
+		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+	}
+	r.b = b
+	return xs
 }
 
 // Byte reads one byte.

@@ -3,6 +3,7 @@ package frame
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -45,6 +46,36 @@ func TestAppendAndReadRoundTrip(t *testing.T) {
 	}
 }
 
+func TestFloat64sRoundTrip(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8000000000001)
+	xs := []float64{nan, math.Inf(-1), math.Copysign(0, -1), 2.5}
+	b := AppendFloat64s(AppendFloat64(nil, nan), xs)
+	b = AppendFloat64s(b, nil)
+	r := NewReader(b)
+	if got := r.Float64(); math.Float64bits(got) != math.Float64bits(nan) {
+		t.Errorf("Float64 = %x", math.Float64bits(got))
+	}
+	got := r.Float64s()
+	if len(got) != len(xs) {
+		t.Fatalf("Float64s = %v", got)
+	}
+	for i := range xs {
+		if math.Float64bits(got[i]) != math.Float64bits(xs[i]) {
+			t.Errorf("element %d: %x, want %x", i, math.Float64bits(got[i]), math.Float64bits(xs[i]))
+		}
+	}
+	if empty := r.Float64s(); len(empty) != 0 {
+		t.Errorf("empty Float64s = %v", empty)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatalf("Done = %v", err)
+	}
+	b[9] = 0xaa // the first element's first byte: the result is a copy
+	if math.Float64bits(got[0]) != math.Float64bits(nan) {
+		t.Error("Float64s aliases its input")
+	}
+}
+
 func TestUvarintLen(t *testing.T) {
 	for _, x := range []uint64{0, 1, 127, 128, 16383, 16384, 1 << 35, 1<<63 - 1, 1 << 63, ^uint64(0)} {
 		if got, want := UvarintLen(x), len(AppendUvarint(nil, x)); got != want {
@@ -77,6 +108,8 @@ func TestReaderRejects(t *testing.T) {
 		{"length over max", AppendString(nil, "toolong"), func(r *Reader) { r.String(3) }, ErrTooLong},
 		{"length beyond bytes left", []byte{5, 'a', 'b'}, func(r *Reader) { r.Bytes(16) }, ErrTruncated},
 		{"short uint64", []byte{1, 2, 3}, func(r *Reader) { r.Uint64() }, ErrTruncated},
+		{"short float64", []byte{1, 2, 3}, func(r *Reader) { r.Float64() }, ErrTruncated},
+		{"float count beyond bytes left", AppendFloat64(AppendUvarint(nil, 2), 1), func(r *Reader) { r.Float64s() }, ErrCount},
 		{"no byte", nil, func(r *Reader) { r.Byte() }, ErrTruncated},
 		{"trailing bytes", []byte{1, 2}, func(r *Reader) { r.Byte() }, ErrTrailing},
 		{"sticky", []byte{0x80, 0x00, 1, 2, 3}, func(r *Reader) {

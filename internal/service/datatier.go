@@ -120,14 +120,13 @@ func (s *Service) resolveManifest(payload []byte) ([][]byte, error) {
 // needs its own, and the LRU gets an exact copy: the store's budget is
 // charged by length and would not see a buffer's spare capacity.
 func (s *Service) addressEncoder() func(types.Data) ([]byte, error) {
-	var buf bytes.Buffer
-	return func(d types.Data) ([]byte, error) {
-		buf.Reset()
-		if err := types.MarshalInto(&buf, d); err != nil {
+	var buf []byte
+	return func(d types.Data) (_ []byte, err error) {
+		if buf, err = types.AppendMarshal(buf[:0], d); err != nil {
 			return nil, err
 		}
-		a := addressOf(buf.Bytes())
-		s.chunks.Put(a.digest(), bytes.Clone(buf.Bytes()))
+		a := addressOf(buf)
+		s.chunks.Put(a.digest(), bytes.Clone(buf))
 		return types.Marshal(addressItem(a))
 	}
 }

@@ -1,8 +1,10 @@
 package types
 
 import (
-	"io"
+	"errors"
 	"sort"
+
+	"consumergrid/internal/frame"
 )
 
 // NameControl is the registered name of ControlSignal.
@@ -90,13 +92,8 @@ func (c *ControlSignal) SetAttr(key, val string) {
 	c.Attributes[key] = val
 }
 
-func (c *ControlSignal) encode(w io.Writer) error {
-	if _, err := w.Write([]byte{byte(c.Kind)}); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, c.Seq); err != nil {
-		return err
-	}
+func (c *ControlSignal) encode(b []byte) ([]byte, error) {
+	b = frame.AppendUvarint(append(b, byte(c.Kind)), c.Seq)
 	// Encode attributes in sorted key order so encoding is deterministic
 	// (property tests compare encoded forms).
 	keys := make([]string, 0, len(c.Attributes))
@@ -104,46 +101,30 @@ func (c *ControlSignal) encode(w io.Writer) error {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	if err := writeUvarint(w, uint64(len(keys))); err != nil {
-		return err
-	}
+	b = frame.AppendUvarint(b, uint64(len(keys)))
 	for _, k := range keys {
-		if err := writeString(w, k); err != nil {
-			return err
-		}
-		if err := writeString(w, c.Attributes[k]); err != nil {
-			return err
-		}
+		b = frame.AppendString(frame.AppendString(b, k), c.Attributes[k])
 	}
-	return nil
+	return b, nil
 }
 
-func decodeControl(r io.Reader) (Data, error) {
-	var kb [1]byte
-	if _, err := io.ReadFull(r, kb[:]); err != nil {
-		return nil, err
-	}
-	seq, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	n, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	// n is untrusted, so it sizes nothing: SetAttr grows the map one
-	// decoded entry at a time.
-	c := &ControlSignal{Kind: ControlKind(kb[0]), Seq: seq}
-	for i := uint64(0); i < n; i++ {
-		k, err := readString(r, maxCellLen)
-		if err != nil {
-			return nil, err
-		}
-		v, err := readString(r, maxCellLen)
-		if err != nil {
-			return nil, err
+var errAttrOrder = errors.New("types: control attribute keys not strictly increasing")
+
+// decodeControl requires strictly increasing keys, the order encode
+// writes, so a datum has one encoding.
+func decodeControl(r *frame.Reader) Data {
+	c := &ControlSignal{Kind: ControlKind(r.Byte()), Seq: r.Uvarint()}
+	// The count is bounded by the bytes left, but it still sizes
+	// nothing: SetAttr grows the map one decoded entry at a time.
+	n := r.Count(2)
+	prev := ""
+	for i := 0; i < n && r.Err() == nil; i++ {
+		k, v := r.String(maxCellLen), r.String(maxCellLen)
+		if i > 0 && k <= prev {
+			r.Fail(errAttrOrder)
 		}
 		c.SetAttr(k, v)
+		prev = k
 	}
-	return c, nil
+	return c
 }

@@ -6,19 +6,25 @@
 // crosses peer boundaries.
 //
 // The zero value of every concrete type is usable; the codec round-trips
-// every type exactly (floats bit-for-bit).
+// every type exactly (floats bit-for-bit). Values are written with the
+// frame package's Append helpers and read through one frame.Reader, so a
+// datum from an untrusted peer meets the same rules as every other
+// record: minimal uvarints, bounded lengths, and counts the bytes left
+// can back. Decoding is canonical (Marshal∘Unmarshal is the identity on
+// every input Unmarshal accepts), and decoded values never alias the
+// input bytes.
 package types
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"consumergrid/internal/frame"
 )
 
 // Data is the interface satisfied by every value that can travel along a
@@ -40,13 +46,14 @@ type Data interface {
 	// cloned; holders must go through Mutable before writing.
 	Immutable() bool
 
-	// encode writes the body of the value (without the type-name header)
-	// to w.
-	encode(w io.Writer) error
+	// encode appends the body of the value (without the type-name
+	// header) to b.
+	encode(b []byte) ([]byte, error)
 }
 
-// decoder reconstructs a value body previously written by encode.
-type decoder func(r io.Reader) (Data, error)
+// decoder reads a value body written by encode. It reads straight
+// through and leaves failures on r, whose error is sticky.
+type decoder func(r *frame.Reader) Data
 
 // registry holds the known types, their decoders and the subtype relation.
 type registry struct {
@@ -141,86 +148,43 @@ func CompatibleAny(out string, accepted []string) bool {
 // The body layout is type-specific; all integers are unsigned varints and
 // all floats are IEEE-754 little-endian bit patterns.
 
-// ErrUnknownType is returned by Read when the stream names a type that has
-// not been registered in this process.
+// ErrUnknownType is returned by Unmarshal when the input names a type
+// that has not been registered in this process.
 var ErrUnknownType = errors.New("types: unknown type name in stream")
 
-// maxNameLen bounds the type-name header so a corrupt stream cannot force
-// a huge allocation.
+// maxNameLen bounds the type-name header.
 const maxNameLen = 256
 
-// maxSliceLen bounds decoded slice lengths (1 Gi elements) for the same
-// reason.
-const maxSliceLen = 1 << 30
+// Marshal encodes d, including its type-name header, to a fresh byte
+// slice. The slice is preallocated from a running per-type size
+// estimate, so steady-state encoding of same-shaped values performs a
+// single allocation instead of a geometric append-growth chain.
+func Marshal(d Data) ([]byte, error) { return AppendMarshal(nil, d) }
 
-// Write encodes d, including its type-name header, to w.
-func Write(w io.Writer, d Data) error {
-	if d == nil {
-		return errors.New("types: cannot encode nil Data")
-	}
-	name := d.TypeName()
-	if err := writeString(w, name); err != nil {
-		return err
-	}
-	return d.encode(w)
-}
-
-// Read decodes one value previously written by Write.
-func Read(r io.Reader) (Data, error) {
-	name, err := readString(r, maxNameLen)
-	if err != nil {
-		return nil, err
-	}
-	reg.mu.RLock()
-	dec, ok := reg.decoders[name]
-	reg.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownType, name)
-	}
-	return dec(r)
-}
-
-// Marshal encodes d to a fresh byte slice. The slice is preallocated
-// from a running per-type size estimate, so steady-state encoding of
-// same-shaped values performs a single allocation instead of a
-// geometric append-growth chain.
-func Marshal(d Data) ([]byte, error) {
+// AppendMarshal appends the encoding Marshal returns to b, first growing
+// b to the per-type size estimate, so an encoder that reuses one buffer
+// amortises the allocation entirely.
+func AppendMarshal(b []byte, d Data) ([]byte, error) {
 	if d == nil {
 		return nil, errors.New("types: cannot encode nil Data")
 	}
 	name := d.TypeName()
-	buf := writerBuf{b: make([]byte, 0, estimateSize(name))}
-	if err := Write(&buf, d); err != nil {
+	start := len(b)
+	b, err := d.encode(frame.AppendString(slices.Grow(b, estimateSize(name)), name))
+	if err != nil {
 		return nil, err
 	}
-	observeSize(name, len(buf.b))
-	return buf.b, nil
-}
-
-// MarshalInto encodes d into buf (which is first grown to the per-type
-// size estimate), so per-iteration encoders can hold one bytes.Buffer
-// and amortise the allocation entirely.
-func MarshalInto(buf *bytes.Buffer, d Data) error {
-	if d == nil {
-		return errors.New("types: cannot encode nil Data")
-	}
-	name := d.TypeName()
-	buf.Grow(estimateSize(name))
-	start := buf.Len()
-	if err := Write(buf, d); err != nil {
-		return err
-	}
-	observeSize(name, buf.Len()-start)
-	return nil
+	observeSize(name, len(b)-start)
+	return b, nil
 }
 
 // --- running size estimate per type ----------------------------------------
 //
-// The codec keeps a smoothed per-type estimate of encoded sizes so the
-// Marshal family can preallocate. Workloads are overwhelmingly
-// homogeneous per type (fixed-size SampleSet chunks, fixed-geometry
-// images), so a simple EMA with headroom converges after a couple of
-// values and stays exact from then on.
+// The codec keeps a smoothed per-type estimate of encoded sizes so
+// Marshal can preallocate. Workloads are overwhelmingly homogeneous per
+// type (fixed-size SampleSet chunks, fixed-geometry images), so a simple
+// EMA with headroom converges after a couple of values and stays exact
+// from then on.
 
 var sizeEstimates sync.Map // type name -> *atomic.Int64 (smoothed bytes)
 
@@ -249,275 +213,56 @@ func observeSize(name string, n int) {
 	e.CompareAndSwap(old, (3*old+int64(n))/4)
 }
 
-// Unmarshal decodes a value from p, requiring that the whole of p is
+// Unmarshal decodes one value from p, requiring that the whole of p is
 // consumed.
 func Unmarshal(p []byte) (Data, error) {
-	r := &readerBuf{b: p}
-	d, err := Read(r)
-	if err != nil {
+	r := frame.NewReader(p)
+	d := Decode(&r)
+	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	if r.off != len(p) {
-		return nil, fmt.Errorf("types: %d trailing bytes after value", len(p)-r.off)
 	}
 	return d, nil
 }
 
-type writerBuf struct{ b []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// writeF64s is the zero-copy fast path used by writeF64Slice: it grows
-// the underlying slice once and encodes elements directly into it,
-// skipping the chunked staging buffer.
-func (w *writerBuf) writeF64s(xs []float64) {
-	off := len(w.b)
-	need := off + len(xs)*8
-	if cap(w.b) < need {
-		grown := make([]byte, off, need)
-		copy(grown, w.b)
-		w.b = grown
-	}
-	w.b = w.b[:need]
-	for _, v := range xs {
-		binary.LittleEndian.PutUint64(w.b[off:], math.Float64bits(v))
-		off += 8
-	}
-}
-
-type readerBuf struct {
-	b   []byte
-	off int
-}
-
-func (r *readerBuf) Read(p []byte) (int, error) {
-	if r.off >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.off:])
-	r.off += n
-	return n, nil
-}
-
-// ReadByte lets binary.ReadUvarint consume the buffer without the
-// byteReaderAdapter allocation.
-func (r *readerBuf) ReadByte() (byte, error) {
-	if r.off >= len(r.b) {
-		return 0, io.EOF
-	}
-	c := r.b[r.off]
-	r.off++
-	return c, nil
-}
-
-// readF64s decodes directly from the backing slice, skipping the
-// chunked staging buffer.
-func (r *readerBuf) readF64s(dst []float64) error {
-	need := len(dst) * 8
-	if len(r.b)-r.off < need {
-		return io.ErrUnexpectedEOF
-	}
-	b := r.b[r.off:]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	r.off += need
-	return nil
-}
-
-// --- primitive helpers -----------------------------------------------------
-
-func writeUvarint(w io.Writer, v uint64) error {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	_, err := w.Write(tmp[:n])
-	return err
-}
-
-func readUvarint(r io.Reader) (uint64, error) {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		br = &byteReaderAdapter{r: r}
-	}
-	return binary.ReadUvarint(br)
-}
-
-type byteReaderAdapter struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func (a *byteReaderAdapter) ReadByte() (byte, error) {
-	_, err := io.ReadFull(a.r, a.buf[:])
-	return a.buf[0], err
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := writeUvarint(w, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readString(r io.Reader, max int) (string, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(max) {
-		return "", fmt.Errorf("types: string length %d exceeds limit %d", n, max)
-	}
-	if rb, ok := r.(*readerBuf); ok {
-		if uint64(len(rb.b)-rb.off) < n {
-			return "", io.ErrUnexpectedEOF
-		}
-		s := string(rb.b[rb.off : rb.off+int(n)])
-		rb.off += int(n)
-		return s, nil
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func writeF64(w io.Writer, f float64) error {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(f))
-	_, err := w.Write(tmp[:])
-	return err
-}
-
-func readF64(r io.Reader) (float64, error) {
-	var tmp [8]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(tmp[:])), nil
-}
-
-func writeF64Slice(w io.Writer, xs []float64) error {
-	if err := writeUvarint(w, uint64(len(xs))); err != nil {
-		return err
-	}
-	if wb, ok := w.(*writerBuf); ok {
-		wb.writeF64s(xs)
+// Decode reads one value, type-name header first, from r, so a reader
+// of several concatenated values decodes them in sequence. A failure is
+// left on r and the result is then nil.
+func Decode(r *frame.Reader) Data {
+	name := r.Bytes(maxNameLen)
+	if r.Err() != nil {
 		return nil
 	}
-	// Encode in chunks to amortise Write calls without allocating the
-	// whole payload at once for very large sample sets.
-	const chunk = 1024
-	var tmp [chunk * 8]byte
-	for len(xs) > 0 {
-		n := len(xs)
-		if n > chunk {
-			n = chunk
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(tmp[i*8:], math.Float64bits(xs[i]))
-		}
-		if _, err := w.Write(tmp[:n*8]); err != nil {
-			return err
-		}
-		xs = xs[n:]
+	reg.mu.RLock()
+	dec, ok := reg.decoders[string(name)]
+	reg.mu.RUnlock()
+	if !ok {
+		r.Fail(fmt.Errorf("%w: %q", ErrUnknownType, name))
+		return nil
+	}
+	if d := dec(r); r.Err() == nil {
+		return d
 	}
 	return nil
 }
 
-func readF64Slice(r io.Reader) ([]float64, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return nil, err
+// readInt reads an int field written as a uvarint of uint64(v). A value
+// this platform's int cannot hold fails, so the field re-encodes to the
+// bytes it was read from.
+func readInt(r *frame.Reader) int {
+	x := r.Uvarint()
+	if v := int(x); uint64(v) == x {
+		return v
 	}
-	if n > maxSliceLen {
-		return nil, fmt.Errorf("types: slice length %d exceeds limit", n)
-	}
-	if rb, ok := r.(*readerBuf); ok {
-		// Bound the allocation by what the buffer can actually hold, so
-		// a corrupt in-memory frame cannot force a huge make.
-		if uint64(len(rb.b)-rb.off) < n*8 {
-			return nil, io.ErrUnexpectedEOF
-		}
-		xs := make([]float64, n)
-		if err := rb.readF64s(xs); err != nil {
-			return nil, err
-		}
-		return xs, nil
-	}
-	xs := make([]float64, n)
-	const chunk = 1024
-	var tmp [chunk * 8]byte
-	for i := uint64(0); i < n; {
-		want := n - i
-		if want > chunk {
-			want = chunk
-		}
-		if _, err := io.ReadFull(r, tmp[:want*8]); err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < want; j++ {
-			xs[i+j] = math.Float64frombits(binary.LittleEndian.Uint64(tmp[j*8:]))
-		}
-		i += want
-	}
-	return xs, nil
+	r.Fail(fmt.Errorf("types: integer %d out of range", x))
+	return 0
 }
 
-func writeStringSlice(w io.Writer, ss []string) error {
-	if err := writeUvarint(w, uint64(len(ss))); err != nil {
-		return err
+// shapeHolds reports whether a rows x cols shape is non-negative and
+// has exactly n cells, without the product overflowing.
+func shapeHolds(rows, cols, n int) bool {
+	if rows < 0 || cols < 0 {
+		return false
 	}
-	for _, s := range ss {
-		if err := writeString(w, s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readStringSlice(r io.Reader, maxEach int) ([]string, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxSliceLen {
-		return nil, fmt.Errorf("types: slice length %d exceeds limit", n)
-	}
-	hint, err := sizeHint(r, n, 1)
-	if err != nil {
-		return nil, err
-	}
-	ss := make([]string, 0, hint)
-	for i := uint64(0); i < n; i++ {
-		s, err := readString(r, maxEach)
-		if err != nil {
-			return nil, err
-		}
-		ss = append(ss, s)
-	}
-	return ss, nil
-}
-
-// streamHint caps the size hint for a count read from a stream, whose
-// remaining length is unknown; the slice grows by append past it.
-const streamHint = 64
-
-// sizeHint turns a decoded count of elements, each at least minEach
-// (≥ 1) bytes long, into an allocation hint. An in-memory buffer fails
-// a count its remaining bytes cannot hold; a stream gets at most
-// streamHint, so a lying count costs no more than the bytes that
-// actually arrive.
-func sizeHint(r io.Reader, n uint64, minEach int) (int, error) {
-	if rb, ok := r.(*readerBuf); ok {
-		if n > uint64((len(rb.b)-rb.off)/minEach) {
-			return 0, io.ErrUnexpectedEOF
-		}
-		return int(n), nil
-	}
-	return int(min(n, streamHint)), nil
+	hi, lo := bits.Mul(uint(rows), uint(cols))
+	return hi == 0 && lo == uint(n)
 }

@@ -2,14 +2,14 @@ package types
 
 import (
 	"bytes"
-	"fmt"
-	"io"
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"testing/quick"
+
+	"consumergrid/internal/frame"
 )
 
 func roundTrip(t *testing.T, d Data) Data {
@@ -321,11 +321,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		t.Error("empty buffer should fail")
 	}
 	// Unknown type name.
-	var buf writerBuf
-	if err := writeString(&buf, "no.such.Type"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Unmarshal(buf.b); err == nil || !strings.Contains(err.Error(), "unknown type") {
+	if _, err := Unmarshal(frame.AppendString(nil, "no.such.Type")); !errors.Is(err, ErrUnknownType) {
 		t.Errorf("unknown type error = %v", err)
 	}
 	// Trailing garbage.
@@ -341,12 +337,8 @@ func TestUnmarshalErrors(t *testing.T) {
 		t.Error("truncated value should fail")
 	}
 	// Oversized declared name length.
-	var huge writerBuf
-	if err := writeUvarint(&huge, 1<<40); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Unmarshal(huge.b); err == nil {
-		t.Error("oversized name length should fail")
+	if _, err := Unmarshal(frame.AppendUvarint(nil, 1<<40)); !errors.Is(err, frame.ErrTooLong) {
+		t.Errorf("oversized name length error = %v", err)
 	}
 }
 
@@ -354,27 +346,27 @@ func TestUnmarshalErrors(t *testing.T) {
 // (every ControlSignal in a pipe.data frame), so an attribute count the
 // bytes cannot back must fail without reserving room for it.
 func TestControlSignalHostileAttrCount(t *testing.T) {
-	var frame writerBuf
-	writeString(&frame, NameControl)
-	frame.b = append(frame.b, byte(CtlRewire))
-	writeUvarint(&frame, 1)        // seq
-	writeUvarint(&frame, 30000000) // claimed attributes
+	b := append(frame.AppendString(nil, NameControl), byte(CtlRewire))
+	b = frame.AppendUvarint(b, 1)        // seq
+	b = frame.AppendUvarint(b, 30000000) // claimed attributes
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := Unmarshal(frame.b)
+	_, err := Unmarshal(b)
 	runtime.ReadMemStats(&after)
 	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
-		t.Fatalf("%d-byte frame claiming 30M attributes allocated %d bytes", len(frame.b), n)
+		t.Fatalf("%d-byte frame claiming 30M attributes allocated %d bytes", len(b), n)
 	}
 	if err == nil {
 		t.Fatal("frame with an attribute count it cannot back decoded")
 	}
 }
 
-func TestWriteNil(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, nil); err == nil {
-		t.Fatal("Write(nil) should fail")
+func TestMarshalNil(t *testing.T) {
+	if _, err := Marshal(nil); err == nil {
+		t.Fatal("Marshal(nil) should fail")
+	}
+	if _, err := AppendMarshal(nil, nil); err == nil {
+		t.Fatal("AppendMarshal(nil) should fail")
 	}
 }
 
@@ -596,21 +588,21 @@ func TestFloatsAndLikeWithNonFamily(t *testing.T) {
 // TestTableHostileCounts: a table frame is untrusted, so neither a
 // column count nor a row count the bytes cannot back may reserve room.
 func TestTableHostileCounts(t *testing.T) {
-	frames := map[string]func(w *writerBuf){
-		"columns":           func(w *writerBuf) { writeUvarint(w, 1<<24) },
-		"rows":              func(w *writerBuf) { writeStringSlice(w, []string{"a"}); writeUvarint(w, 1<<24) },
-		"rows of no column": func(w *writerBuf) { writeUvarint(w, 0); writeUvarint(w, 1<<24) },
+	frames := map[string]func(b []byte) []byte{
+		"columns": func(b []byte) []byte { return frame.AppendUvarint(b, 1<<24) },
+		"rows": func(b []byte) []byte {
+			return frame.AppendUvarint(frame.AppendString(frame.AppendUvarint(b, 1), "a"), 1<<24)
+		},
+		"rows of no column": func(b []byte) []byte { return frame.AppendUvarint(frame.AppendUvarint(b, 0), 1<<24) },
 	}
 	for name, body := range frames {
-		var frame writerBuf
-		writeString(&frame, NameTable)
-		body(&frame)
+		b := body(frame.AppendString(nil, NameTable))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := Unmarshal(frame.b)
+		_, err := Unmarshal(b)
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
-			t.Errorf("%s: %d-byte frame allocated %d bytes", name, len(frame.b), n)
+			t.Errorf("%s: %d-byte frame allocated %d bytes", name, len(b), n)
 		}
 		if err == nil {
 			t.Errorf("%s: frame with a count it cannot back decoded", name)
@@ -627,25 +619,5 @@ func TestZeroColumnTable(t *testing.T) {
 	got := roundTrip(t, &Table{}).(*Table)
 	if len(got.Columns) != 0 || len(got.Rows) != 0 {
 		t.Errorf("empty table round-tripped to %+v", got)
-	}
-}
-
-// TestStreamedTableGrowsPastHint: a table read from a stream, where
-// the bytes left are unknown, still decodes in full past the size hint.
-func TestStreamedTableGrowsPastHint(t *testing.T) {
-	tab := &Table{Columns: []string{"i"}}
-	for i := 0; i < 3*streamHint; i++ {
-		tab.Rows = append(tab.Rows, []string{fmt.Sprint(i)})
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, tab); err != nil {
-		t.Fatal(err)
-	}
-	d, err := Read(struct{ io.Reader }{&buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(d.(*Table).Rows, tab.Rows) {
-		t.Error("streamed table lost rows")
 	}
 }

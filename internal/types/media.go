@@ -3,8 +3,9 @@ package types
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
+
+	"consumergrid/internal/frame"
 )
 
 // Registered type names for the media/tabular family.
@@ -59,10 +60,9 @@ func (im *Image) At(x, y int) float64 { return im.Pix[y*im.W+x] }
 // Set assigns the intensity at (x, y).
 func (im *Image) Set(x, y int, v float64) { im.Pix[y*im.W+x] = v }
 
-// Valid reports whether the pixel count matches the declared shape.
-func (im *Image) Valid() bool {
-	return im.W >= 0 && im.H >= 0 && len(im.Pix) == im.W*im.H
-}
+// Valid reports whether the pixel count matches the declared shape. A
+// shape whose W*H overflows is never valid.
+func (im *Image) Valid() bool { return shapeHolds(im.W, im.H, len(im.Pix)) }
 
 // MaxIntensity returns the largest pixel value (0 for an empty image).
 func (im *Image) MaxIntensity() float64 {
@@ -75,46 +75,24 @@ func (im *Image) MaxIntensity() float64 {
 	return max
 }
 
-func (im *Image) encode(w io.Writer) error {
-	if !im.Valid() {
-		return fmt.Errorf("types: image shape %dx%d does not match %d pixels",
-			im.W, im.H, len(im.Pix))
-	}
-	if err := writeUvarint(w, uint64(im.W)); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(im.H)); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(im.Frame)); err != nil {
-		return err
-	}
-	return writeF64Slice(w, im.Pix)
+func (im *Image) shapeErr() error {
+	return fmt.Errorf("types: image shape %dx%d does not match %d pixels", im.W, im.H, len(im.Pix))
 }
 
-func decodeImage(r io.Reader) (Data, error) {
-	wv, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	hv, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	fv, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	pix, err := readF64Slice(r)
-	if err != nil {
-		return nil, err
-	}
-	im := &Image{W: int(wv), H: int(hv), Frame: int(fv), Pix: pix}
+func (im *Image) encode(b []byte) ([]byte, error) {
 	if !im.Valid() {
-		return nil, fmt.Errorf("types: image shape %dx%d does not match %d pixels",
-			im.W, im.H, len(im.Pix))
+		return nil, im.shapeErr()
 	}
-	return im, nil
+	b = frame.AppendUvarint(frame.AppendUvarint(b, uint64(im.W)), uint64(im.H))
+	return frame.AppendFloat64s(frame.AppendUvarint(b, uint64(im.Frame)), im.Pix), nil
+}
+
+func decodeImage(r *frame.Reader) Data {
+	im := &Image{W: readInt(r), H: readInt(r), Frame: readInt(r), Pix: r.Float64s()}
+	if r.Err() == nil && !im.Valid() {
+		r.Fail(im.shapeErr())
+	}
+	return im
 }
 
 // Text carries a string payload between text-processing units and is the
@@ -127,18 +105,12 @@ type Text struct {
 func (t *Text) TypeName() string { return NameText }
 func (t *Text) Clone() Data      { return &Text{S: t.S} }
 
-func (t *Text) encode(w io.Writer) error { return writeString(w, t.S) }
+func (t *Text) encode(b []byte) ([]byte, error) { return frame.AppendString(b, t.S), nil }
 
 // maxTextLen bounds decoded text payloads (64 MiB).
 const maxTextLen = 64 << 20
 
-func decodeText(r io.Reader) (Data, error) {
-	s, err := readString(r, maxTextLen)
-	if err != nil {
-		return nil, err
-	}
-	return &Text{S: s}, nil
-}
+func decodeText(r *frame.Reader) Data { return &Text{S: r.String(maxTextLen)} }
 
 // Table is a simple relational result set: named columns and string cells.
 // It is what the Case-3 database pipeline's data-access service emits and
@@ -186,63 +158,52 @@ func (t *Table) Valid() bool {
 
 const maxCellLen = 1 << 20
 
-func (t *Table) encode(w io.Writer) error {
+func (t *Table) encode(b []byte) ([]byte, error) {
 	if !t.Valid() {
-		return fmt.Errorf("types: ragged table (want %d columns)", len(t.Columns))
+		return nil, fmt.Errorf("types: ragged table (want %d columns)", len(t.Columns))
 	}
 	if len(t.Columns) == 0 && len(t.Rows) > 0 {
-		return errRowsWithoutColumns
+		return nil, errRowsWithoutColumns
 	}
-	if err := writeStringSlice(w, t.Columns); err != nil {
-		return err
+	b = frame.AppendUvarint(b, uint64(len(t.Columns)))
+	for _, col := range t.Columns {
+		b = frame.AppendString(b, col)
 	}
-	if err := writeUvarint(w, uint64(len(t.Rows))); err != nil {
-		return err
-	}
+	b = frame.AppendUvarint(b, uint64(len(t.Rows)))
 	for _, row := range t.Rows {
 		for _, cell := range row {
-			if err := writeString(w, cell); err != nil {
-				return err
-			}
+			b = frame.AppendString(b, cell)
 		}
 	}
-	return nil
+	return b, nil
 }
 
 // errRowsWithoutColumns rejects, on both encode and decode, a table
 // whose rows carry no cells: its row count would be backed by no bytes.
 var errRowsWithoutColumns = errors.New("types: table has rows but no columns")
 
-func decodeTable(r io.Reader) (Data, error) {
-	cols, err := readStringSlice(r, maxCellLen)
-	if err != nil {
-		return nil, err
+func decodeTable(r *frame.Reader) Data {
+	t := &Table{Columns: readStrings(r, r.Count(1))}
+	// Each row holds len(Columns) cells of at least one byte each.
+	n := r.Count(max(len(t.Columns), 1))
+	if len(t.Columns) == 0 && n > 0 {
+		r.Fail(errRowsWithoutColumns)
+		return t
 	}
-	nRows, err := readUvarint(r)
-	if err != nil {
-		return nil, err
+	t.Rows = make([][]string, n)
+	for i := range t.Rows {
+		t.Rows[i] = readStrings(r, len(t.Columns))
 	}
-	if nRows > maxSliceLen {
-		return nil, fmt.Errorf("types: table row count %d exceeds limit", nRows)
+	return t
+}
+
+// readStrings reads n cells; n must already be bounded by the bytes left.
+func readStrings(r *frame.Reader, n int) []string {
+	ss := make([]string, n)
+	for i := range ss {
+		ss[i] = r.String(maxCellLen)
 	}
-	if len(cols) == 0 && nRows > 0 {
-		return nil, errRowsWithoutColumns
-	}
-	hint, err := sizeHint(r, nRows, max(len(cols), 1))
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Columns: cols, Rows: make([][]string, 0, hint)}
-	for i := uint64(0); i < nRows; i++ {
-		row := make([]string, len(cols))
-		for j := range row {
-			if row[j], err = readString(r, maxCellLen); err != nil {
-				return nil, err
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return ss
 }
 
 // ParticleSet is a snapshot of an N-body/SPH simulation at one instant:
@@ -316,41 +277,24 @@ func (p *ParticleSet) Bounds() (minX, maxX, minY, maxY, minZ, maxZ float64) {
 	return
 }
 
-func (p *ParticleSet) encode(w io.Writer) error {
+var errRaggedParticles = errors.New("types: ragged particle set")
+
+func (p *ParticleSet) encode(b []byte) ([]byte, error) {
 	if !p.Valid() {
-		return fmt.Errorf("types: ragged particle set")
+		return nil, errRaggedParticles
 	}
-	if err := writeF64(w, p.Time); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(p.Frame)); err != nil {
-		return err
-	}
+	b = frame.AppendUvarint(frame.AppendFloat64(b, p.Time), uint64(p.Frame))
 	for _, arr := range [][]float64{p.X, p.Y, p.Z, p.Mass, p.Smoothing} {
-		if err := writeF64Slice(w, arr); err != nil {
-			return err
-		}
+		b = frame.AppendFloat64s(b, arr)
 	}
-	return nil
+	return b, nil
 }
 
-func decodeParticleSet(r io.Reader) (Data, error) {
-	tm, err := readF64(r)
-	if err != nil {
-		return nil, err
-	}
-	fv, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	p := &ParticleSet{Time: tm, Frame: int(fv)}
-	for _, dst := range []*[]float64{&p.X, &p.Y, &p.Z, &p.Mass, &p.Smoothing} {
-		if *dst, err = readF64Slice(r); err != nil {
-			return nil, err
-		}
-	}
+func decodeParticleSet(r *frame.Reader) Data {
+	p := &ParticleSet{Time: r.Float64(), Frame: readInt(r),
+		X: r.Float64s(), Y: r.Float64s(), Z: r.Float64s(), Mass: r.Float64s(), Smoothing: r.Float64s()}
 	if !p.Valid() {
-		return nil, fmt.Errorf("types: ragged particle set in stream")
+		r.Fail(errRaggedParticles)
 	}
-	return p, nil
+	return p
 }

@@ -3,9 +3,10 @@ package types
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/cmplx"
+
+	"consumergrid/internal/frame"
 )
 
 // Registered type names for the numeric family. The dotted style follows
@@ -74,15 +75,9 @@ func (v *Vec) Mean() float64 {
 	return v.Sum() / float64(len(v.Values))
 }
 
-func (v *Vec) encode(w io.Writer) error { return writeF64Slice(w, v.Values) }
+func (v *Vec) encode(b []byte) ([]byte, error) { return frame.AppendFloat64s(b, v.Values), nil }
 
-func decodeVec(r io.Reader) (Data, error) {
-	xs, err := readF64Slice(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Vec{Values: xs}, nil
-}
+func decodeVec(r *frame.Reader) Data { return &Vec{Values: r.Float64s()} }
 
 // Const is a single scalar value, used by parameter-producing units and by
 // reductions (e.g. the verification stage of the database pipeline).
@@ -91,17 +86,12 @@ type Const struct {
 	Value float64
 }
 
-func (c *Const) TypeName() string         { return NameConst }
-func (c *Const) Clone() Data              { return &Const{Value: c.Value} }
-func (c *Const) encode(w io.Writer) error { return writeF64(w, c.Value) }
+func (c *Const) TypeName() string { return NameConst }
+func (c *Const) Clone() Data      { return &Const{Value: c.Value} }
 
-func decodeConst(r io.Reader) (Data, error) {
-	f, err := readF64(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Const{Value: f}, nil
-}
+func (c *Const) encode(b []byte) ([]byte, error) { return frame.AppendFloat64(b, c.Value), nil }
+
+func decodeConst(r *frame.Reader) Data { return &Const{Value: r.Float64()} }
 
 // SampleSet is a uniformly-sampled time series: the payload of the paper's
 // Figure 1 workflow and of the GEO600 inspiral scenario (2000 samples/s,
@@ -153,30 +143,13 @@ func (s *SampleSet) RMS() float64 {
 	return math.Sqrt(sum / float64(len(s.Samples)))
 }
 
-func (s *SampleSet) encode(w io.Writer) error {
-	if err := writeF64(w, s.SamplingRate); err != nil {
-		return err
-	}
-	if err := writeF64(w, s.Start); err != nil {
-		return err
-	}
-	return writeF64Slice(w, s.Samples)
+func (s *SampleSet) encode(b []byte) ([]byte, error) {
+	b = frame.AppendFloat64(frame.AppendFloat64(b, s.SamplingRate), s.Start)
+	return frame.AppendFloat64s(b, s.Samples), nil
 }
 
-func decodeSampleSet(r io.Reader) (Data, error) {
-	rate, err := readF64(r)
-	if err != nil {
-		return nil, err
-	}
-	start, err := readF64(r)
-	if err != nil {
-		return nil, err
-	}
-	xs, err := readF64Slice(r)
-	if err != nil {
-		return nil, err
-	}
-	return &SampleSet{SamplingRate: rate, Start: start, Samples: xs}, nil
+func decodeSampleSet(r *frame.Reader) Data {
+	return &SampleSet{SamplingRate: r.Float64(), Start: r.Float64(), Samples: r.Float64s()}
 }
 
 // Spectrum is a one-sided real power (or amplitude) spectrum with uniform
@@ -223,23 +196,12 @@ func (s *Spectrum) PeakFrequency() float64 {
 	return (float64(i) + 0.5) * s.Resolution
 }
 
-func (s *Spectrum) encode(w io.Writer) error {
-	if err := writeF64(w, s.Resolution); err != nil {
-		return err
-	}
-	return writeF64Slice(w, s.Amplitudes)
+func (s *Spectrum) encode(b []byte) ([]byte, error) {
+	return frame.AppendFloat64s(frame.AppendFloat64(b, s.Resolution), s.Amplitudes), nil
 }
 
-func decodeSpectrum(r io.Reader) (Data, error) {
-	res, err := readF64(r)
-	if err != nil {
-		return nil, err
-	}
-	xs, err := readF64Slice(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Spectrum{Resolution: res, Amplitudes: xs}, nil
+func decodeSpectrum(r *frame.Reader) Data {
+	return &Spectrum{Resolution: r.Float64(), Amplitudes: r.Float64s()}
 }
 
 // ComplexSpectrum is a full complex FFT result, kept in split re/im form so
@@ -275,36 +237,22 @@ func (s *ComplexSpectrum) Abs(i int) float64 { return cmplx.Abs(s.At(i)) }
 // Valid reports whether the re and im slices agree in length.
 func (s *ComplexSpectrum) Valid() bool { return len(s.Re) == len(s.Im) }
 
-func (s *ComplexSpectrum) encode(w io.Writer) error {
+var errReImMismatch = errors.New("types: ComplexSpectrum re/im length mismatch")
+
+func (s *ComplexSpectrum) encode(b []byte) ([]byte, error) {
 	if !s.Valid() {
-		return errors.New("types: ComplexSpectrum re/im length mismatch")
+		return nil, errReImMismatch
 	}
-	if err := writeF64(w, s.Resolution); err != nil {
-		return err
-	}
-	if err := writeF64Slice(w, s.Re); err != nil {
-		return err
-	}
-	return writeF64Slice(w, s.Im)
+	b = frame.AppendFloat64s(frame.AppendFloat64(b, s.Resolution), s.Re)
+	return frame.AppendFloat64s(b, s.Im), nil
 }
 
-func decodeComplexSpectrum(r io.Reader) (Data, error) {
-	res, err := readF64(r)
-	if err != nil {
-		return nil, err
+func decodeComplexSpectrum(r *frame.Reader) Data {
+	s := &ComplexSpectrum{Resolution: r.Float64(), Re: r.Float64s(), Im: r.Float64s()}
+	if !s.Valid() {
+		r.Fail(errReImMismatch)
 	}
-	re, err := readF64Slice(r)
-	if err != nil {
-		return nil, err
-	}
-	im, err := readF64Slice(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(re) != len(im) {
-		return nil, errors.New("types: ComplexSpectrum re/im length mismatch in stream")
-	}
-	return &ComplexSpectrum{Resolution: res, Re: re, Im: im}, nil
+	return s
 }
 
 // Matrix is a dense row-major matrix of float64 values.
@@ -337,44 +285,28 @@ func (m *Matrix) At(r, c int) float64 { return m.Cells[r*m.Cols+c] }
 // Set assigns the element at (r, c).
 func (m *Matrix) Set(r, c int, v float64) { m.Cells[r*m.Cols+c] = v }
 
-// Valid reports whether the cell count matches the declared shape.
-func (m *Matrix) Valid() bool {
-	return m.Rows >= 0 && m.Cols >= 0 && len(m.Cells) == m.Rows*m.Cols
+// Valid reports whether the cell count matches the declared shape. A
+// shape whose Rows*Cols overflows is never valid.
+func (m *Matrix) Valid() bool { return shapeHolds(m.Rows, m.Cols, len(m.Cells)) }
+
+func (m *Matrix) shapeErr() error {
+	return fmt.Errorf("types: matrix shape %dx%d does not match %d cells", m.Rows, m.Cols, len(m.Cells))
 }
 
-func (m *Matrix) encode(w io.Writer) error {
+func (m *Matrix) encode(b []byte) ([]byte, error) {
 	if !m.Valid() {
-		return fmt.Errorf("types: matrix shape %dx%d does not match %d cells",
-			m.Rows, m.Cols, len(m.Cells))
+		return nil, m.shapeErr()
 	}
-	if err := writeUvarint(w, uint64(m.Rows)); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(m.Cols)); err != nil {
-		return err
-	}
-	return writeF64Slice(w, m.Cells)
+	b = frame.AppendUvarint(frame.AppendUvarint(b, uint64(m.Rows)), uint64(m.Cols))
+	return frame.AppendFloat64s(b, m.Cells), nil
 }
 
-func decodeMatrix(r io.Reader) (Data, error) {
-	rows, err := readUvarint(r)
-	if err != nil {
-		return nil, err
+func decodeMatrix(r *frame.Reader) Data {
+	m := &Matrix{Rows: readInt(r), Cols: readInt(r), Cells: r.Float64s()}
+	if r.Err() == nil && !m.Valid() {
+		r.Fail(m.shapeErr())
 	}
-	cols, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	cells, err := readF64Slice(r)
-	if err != nil {
-		return nil, err
-	}
-	m := &Matrix{Rows: int(rows), Cols: int(cols), Cells: cells}
-	if !m.Valid() {
-		return nil, fmt.Errorf("types: matrix shape %dx%d does not match %d cells",
-			m.Rows, m.Cols, len(m.Cells))
-	}
-	return m, nil
+	return m
 }
 
 // Histogram is a binned distribution with uniform bin width, produced by
@@ -419,28 +351,11 @@ func (h *Histogram) Add(v float64) {
 	h.Counts[i]++
 }
 
-func (h *Histogram) encode(w io.Writer) error {
-	if err := writeF64(w, h.Lo); err != nil {
-		return err
-	}
-	if err := writeF64(w, h.Width); err != nil {
-		return err
-	}
-	return writeF64Slice(w, h.Counts)
+func (h *Histogram) encode(b []byte) ([]byte, error) {
+	b = frame.AppendFloat64(frame.AppendFloat64(b, h.Lo), h.Width)
+	return frame.AppendFloat64s(b, h.Counts), nil
 }
 
-func decodeHistogram(r io.Reader) (Data, error) {
-	lo, err := readF64(r)
-	if err != nil {
-		return nil, err
-	}
-	width, err := readF64(r)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := readF64Slice(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Histogram{Lo: lo, Width: width, Counts: counts}, nil
+func decodeHistogram(r *frame.Reader) Data {
+	return &Histogram{Lo: r.Float64(), Width: r.Float64(), Counts: r.Float64s()}
 }

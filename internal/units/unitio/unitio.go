@@ -5,13 +5,13 @@
 package unitio
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"sync"
 
+	"consumergrid/internal/frame"
 	"consumergrid/internal/types"
 	"consumergrid/internal/units"
 )
@@ -180,7 +180,8 @@ func (g *Grapher) RenderASCII(rows, cols int) string {
 	return b.String()
 }
 
-// DataReader streams encoded data from a sandboxed file.
+// DataReader replays the data encoded, one after another, in a
+// sandboxed file.
 type DataReader struct {
 	path string
 	data []types.Data
@@ -212,18 +213,20 @@ func (r *DataReader) Process(ctx *units.Context, in []types.Data) ([]types.Data,
 		if err != nil {
 			return nil, err
 		}
-		defer rc.Close()
-		for {
-			d, err := types.Read(rc)
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("unitio: reading %s: %w", r.path, err)
-			}
-			r.data = append(r.data, d)
+		b, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			return nil, err
 		}
-		r.read = true
+		var data []types.Data
+		fr := frame.NewReader(b)
+		for fr.Len() > 0 {
+			data = append(data, types.Decode(&fr))
+		}
+		if err := fr.Err(); err != nil {
+			return nil, fmt.Errorf("unitio: reading %s: %w", r.path, err)
+		}
+		r.data, r.read = data, true
 	}
 	if r.next >= len(r.data) {
 		return nil, fmt.Errorf("unitio: %s exhausted after %d data", r.path, len(r.data))
@@ -263,7 +266,11 @@ func (w *DataWriter) Process(ctx *units.Context, in []types.Data) ([]types.Data,
 	if err != nil {
 		return nil, err
 	}
-	if err := types.Write(wc, in[0]); err != nil {
+	b, err := types.Marshal(in[0])
+	if err == nil {
+		_, err = wc.Write(b)
+	}
+	if err != nil {
 		wc.Close()
 		return nil, fmt.Errorf("unitio: writing %s: %w", name, err)
 	}
