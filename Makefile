@@ -87,19 +87,26 @@ wire-conformance:
 metrics-smoke:
 	./tools/metrics_smoke.sh
 
-# Content-addressed data tier: the chunkstore/manifest unit and fuzz
-# suites, ring chunk placement (one copy asked, failover past a dead
-# owner), and the end-to-end farm battery — manifest despatch, the
-# >= 50% controller-egress reduction under quorum, the legacy streaming
-# fallback, the peer fetch rung, the dead-replica chaos case, manifests
-# naming only the ring owners that acked, and the quorum output path
-# (carrier and address ballots, commit by fetch, fetch failure, legacy
-# voters as carriers, each byte moved once). Then a short run of the
-# egress benchmark pair so the streaming-vs-manifest egress and ingress
-# byte counts stay visible in CI logs.
+# Content-addressed data tier: the whole chunkstore package (store,
+# fetch ladder, manifest codec, pin release and restore), ring chunk
+# placement (one copy asked, failover past a dead owner), a 10 s pass
+# of the manifest decoder fuzzer, and the end-to-end farm battery —
+# manifest despatch, the >= 50% controller-egress reduction under
+# quorum, the legacy streaming fallback, the peer fetch rung, the
+# dead-replica chaos case, manifests naming only the ring owners that
+# acked, tiny datums riding the manifest by value, a mixed chunk
+# putting only its by-reference digests, the controller dropping a
+# farm's inputs when it ends and after a resumed restart, and the
+# quorum output path (carrier and address ballots, commit by fetch,
+# fetch failure, legacy voters as carriers, each byte moved once).
+# Then a short run of the egress benchmark pair so the
+# streaming-vs-manifest egress and ingress byte counts stay visible in
+# CI logs.
 datastore-smoke:
-	go test ./internal/chunkstore/ ./internal/overlay/ -run 'TestChunk|TestManifest|FuzzChunk|TestPutChunk' -count=1
-	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestFarmLegacyPeerStreamsPayloads|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestResultDigestProperties|TestCarrierAndAddressBallotsAgree|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineCarrierCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumLegacyDonorIsCarrier|TestQuorumFarmMovesEachByteOnce' -count=1 -v
+	go test ./internal/chunkstore/ -count=1
+	go test ./internal/overlay/ -run 'TestChunk|TestManifest|TestPutChunk' -count=1
+	go test ./internal/chunkstore/ -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 10s
+	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestFarmLegacyPeerStreamsPayloads|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestCarrierAndAddressBallotsAgree|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineCarrierCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumLegacyDonorIsCarrier|TestQuorumFarmMovesEachByteOnce' -count=1 -v
 	go test -run '^$$' -bench 'BenchmarkFarmEgress' -benchtime 5x .
 
 # Multi-tenant despatch plane: the 2-shard × 3-tenant smoke scenario

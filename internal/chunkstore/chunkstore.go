@@ -12,7 +12,12 @@
 // to hold it, and finally the controller itself. Speculative backups
 // and quorum voters for the same chunk therefore hit the cache (or
 // coalesce onto one in-flight fetch) instead of forcing the controller
-// to re-stream the same bytes per attempt.
+// to re-stream the same bytes per attempt. A pinned entry stays until
+// its last pin drops, and then leaves the store.
+//
+// A datum no longer than its own hex digest (MaxInline bytes) is not
+// addressed at all: the manifest carries it by value, so it never
+// enters a Store.
 package chunkstore
 
 import (
@@ -220,8 +225,10 @@ func (s *Store) Pin(digest string, data []byte) {
 	s.putLocked(digest, data, true)
 }
 
-// Unpin releases one pin; when the last pin drops the entry rejoins
-// the LRU and becomes evictable under the byte budget.
+// Unpin releases one pin; when the last pin drops the entry leaves the
+// store. Whoever pinned a chunk was its reason to be resident: a
+// finished farm's stragglers are reaped before it releases, and the
+// next farm pins its own payloads, so nothing would read it again.
 func (s *Store) Unpin(digest string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -229,13 +236,9 @@ func (s *Store) Unpin(digest string) {
 	if !ok || e.pins == 0 {
 		return
 	}
-	e.pins--
-	if e.pins == 0 {
-		e.elem = s.lru.PushFront(e)
-		s.bytes += charge(len(e.data))
-		s.evictLocked()
+	if e.pins--; e.pins == 0 {
+		delete(s.entries, digest)
 	}
-	s.cacheBytes.Set(float64(s.bytes))
 }
 
 func (s *Store) putLocked(digest string, data []byte, pin bool) {

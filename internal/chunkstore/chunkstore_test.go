@@ -1,6 +1,7 @@
 package chunkstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -125,13 +126,32 @@ func TestStorePinExemptFromEviction(t *testing.T) {
 	if s.Bytes() > budget {
 		t.Fatalf("unpinned bytes %d over budget", s.Bytes())
 	}
-	// After Unpin the oversized chunk rejoins the LRU and, being over
-	// budget on its own, is evicted by the next insertion pressure.
 	s.Unpin(pinDg)
-	dg, data := chunkOf(60, 0xEE)
-	s.Put(dg, data)
 	if _, ok := s.Get(pinDg); ok {
-		t.Fatalf("unpinned oversized chunk survived the budget")
+		t.Fatalf("unpinned chunk is still resident")
+	}
+}
+
+// TestStoreUnpinDropsLastPin: pins nest, and the entry leaves the store
+// when its last pin drops — it does not rejoin the LRU, whatever was
+// cached before the first pin.
+func TestStoreUnpinDropsLastPin(t *testing.T) {
+	s := newTestStore(t, 1<<20)
+	dg, data := chunkOf(100, 7)
+	s.Put(dg, data)
+	s.Pin(dg, data)
+	s.Pin(dg, data)
+	s.Unpin(dg)
+	if _, pinned, ok := s.Lookup(dg); !ok || !pinned {
+		t.Fatalf("after one of two unpins: ok=%v pinned=%v, want a pinned entry", ok, pinned)
+	}
+	s.Unpin(dg)
+	if s.Len() != 0 || s.Bytes() != 0 {
+		t.Fatalf("after the last unpin the store holds %d entries, %d bytes", s.Len(), s.Bytes())
+	}
+	s.Unpin(dg) // unpinning an absent digest is a no-op
+	if snap := s.Snapshot(); snap.Evictions != 0 {
+		t.Fatalf("dropping a released pin counted %d evictions", snap.Evictions)
 	}
 }
 
@@ -255,8 +275,11 @@ func TestManifestRoundTrip(t *testing.T) {
 		Origin: "127.0.0.1:7000",
 		Items: []Item{
 			{Digest: Digest([]byte("a")), Ring: []string{"127.0.0.1:7200", "127.0.0.1:7201"}, Peers: []string{"127.0.0.1:7301"}},
+			{Data: []byte("tiny datum")},
 			{Digest: Digest([]byte("b"))},
+			{Data: bytes.Repeat([]byte{0xAB}, MaxInline)},
 			{Digest: Digest([]byte("c")), Peers: []string{"127.0.0.1:7302", "127.0.0.1:7303"}},
+			{Data: []byte{0}},
 		},
 	}
 	back, err := DecodeManifest(EncodeManifest(m))
@@ -268,7 +291,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	for i, it := range back.Items {
 		want := m.Items[i]
-		if it.Digest != want.Digest || fmt.Sprint(it.Ring) != fmt.Sprint(want.Ring) || fmt.Sprint(it.Peers) != fmt.Sprint(want.Peers) {
+		if it.Digest != want.Digest || fmt.Sprint(it.Ring) != fmt.Sprint(want.Ring) ||
+			fmt.Sprint(it.Peers) != fmt.Sprint(want.Peers) || !bytes.Equal(it.Data, want.Data) {
 			t.Fatalf("item %d: got %+v want %+v", i, it, want)
 		}
 	}
@@ -306,10 +330,36 @@ func TestDecodeManifestRejects(t *testing.T) {
 		"truncated item":   good[:len(good)-3],
 		"trailing bytes":   append(append([]byte{}, good...), 0xAA),
 		"empty digest":     {manifestVersion, 0, 1, 0, 0, 0},
+		"empty by-value":   {manifestVersion, 0, 1, 0, 0},
+		"oversized by-value": EncodeManifest(&Manifest{Items: []Item{
+			{Data: bytes.Repeat([]byte{1}, MaxInline+1)},
+		}}),
 	}
 	for name, p := range cases {
 		if _, err := DecodeManifest(p); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+}
+
+// TestRestorePinnedLoadsUnpinned: a checkpointed pin set comes back as
+// ordinary cache entries — servable, but pinned by no one, so it is not
+// exported again and counts against the budget.
+func TestRestorePinnedLoadsUnpinned(t *testing.T) {
+	src := newTestStore(t, 1<<20)
+	dg, data := chunkOf(100, 9)
+	src.Pin(dg, data)
+	dst := newTestStore(t, 1<<20)
+	if n, err := dst.RestorePinned(src.ExportPinned()); err != nil || n != 1 {
+		t.Fatalf("RestorePinned = %d, %v; want 1 chunk", n, err)
+	}
+	if got, pinned, ok := dst.Lookup(dg); !ok || pinned || !bytes.Equal(got, data) {
+		t.Fatalf("restored chunk: ok=%v pinned=%v", ok, pinned)
+	}
+	if dst.Bytes() != charge(len(data)) {
+		t.Fatalf("restored chunk charges %d bytes, want %d", dst.Bytes(), charge(len(data)))
+	}
+	if b := dst.ExportPinned(); !bytes.Equal(b, []byte{0}) {
+		t.Fatalf("restored store re-exports pins %x, want none", b)
 	}
 }

@@ -1,13 +1,16 @@
 // The chunk manifest: what a controller sends instead of payload
-// bytes. One manifest describes one farm chunk — the ordered digest
-// list the donor must materialise, plus per-digest fetch hints (ring
-// replica addresses, donors observed to hold the chunk) and the
-// controller's own address as the fallback of last resort. The binary
+// bytes. One manifest describes one farm chunk — the ordered list of
+// datums the donor must materialise. A datum longer than MaxInline
+// travels by reference: its digest plus fetch hints (ring replica
+// addresses, donors observed to hold the chunk), with the controller's
+// own address as the fallback of last resort. A datum no longer than
+// its own hex digest travels by value, its bytes inline. The binary
 // layout is uvarint length-prefixed, version-tagged, and bounded on
 // decode so a hostile manifest cannot balloon allocation.
 package chunkstore
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"consumergrid/internal/frame"
@@ -23,13 +26,22 @@ type Manifest struct {
 	Items []Item
 }
 
-// Item is one datum of the chunk: its content digest and where to look
-// for it before falling back to the origin.
+// Item is one datum of the chunk. A by-reference item carries its
+// content digest and where to look for it before falling back to the
+// origin; a by-value item carries the datum's bytes in Data and nothing
+// else.
 type Item struct {
 	Digest string
 	Ring   []string // super-peer replicas, consistent-hash placed
 	Peers  []string // donors that resolved this digest earlier
+	Data   []byte   // by value: 1..MaxInline bytes, Digest empty
 }
+
+// MaxInline is the longest datum a manifest carries by value: the
+// length of a hex digest. A by-value item is never larger than the
+// digest a by-reference item must carry anyway, so inlining it costs
+// the manifest nothing and saves the pin, the ring put and the fetch.
+const MaxInline = 2 * sha256.Size
 
 // Sources flattens an item's hints into the fetch ladder order the
 // Store consumes: ring replicas, then peer hints, then the origin.
@@ -58,10 +70,16 @@ const (
 	maxManifestHints = 256
 )
 
-// EncodeManifest renders a manifest to its wire payload.
+// EncodeManifest renders a manifest to its wire payload. A by-value
+// item is an empty digest followed by its length-prefixed bytes; a
+// by-reference item is its digest followed by the two hint lists.
 func EncodeManifest(m *Manifest) []byte {
 	size := 1 + frame.StringLen(m.Origin) + frame.UvarintLen(uint64(len(m.Items)))
 	for _, it := range m.Items {
+		if it.Digest == "" {
+			size += 1 + frame.UvarintLen(uint64(len(it.Data))) + len(it.Data)
+			continue
+		}
 		size += frame.StringLen(it.Digest) + frame.UvarintLen(uint64(len(it.Ring))) + frame.UvarintLen(uint64(len(it.Peers)))
 		for _, a := range it.Ring {
 			size += frame.StringLen(a)
@@ -76,6 +94,10 @@ func EncodeManifest(m *Manifest) []byte {
 	out = frame.AppendUvarint(out, uint64(len(m.Items)))
 	for _, it := range m.Items {
 		out = frame.AppendString(out, it.Digest)
+		if it.Digest == "" {
+			out = frame.AppendBytes(out, it.Data)
+			continue
+		}
 		out = frame.AppendUvarint(out, uint64(len(it.Ring)))
 		for _, a := range it.Ring {
 			out = frame.AppendString(out, a)
@@ -88,8 +110,9 @@ func EncodeManifest(m *Manifest) []byte {
 	return out
 }
 
-// DecodeManifest parses a wire payload, rejecting unknown versions and
-// anything that exceeds the decode bounds.
+// DecodeManifest parses a wire payload, rejecting unknown versions,
+// anything that exceeds the decode bounds, and by-value items outside
+// 1..MaxInline bytes. A by-value item's Data is a view into p.
 func DecodeManifest(p []byte) (*Manifest, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("chunkstore: empty manifest")
@@ -99,8 +122,9 @@ func DecodeManifest(p []byte) (*Manifest, error) {
 	}
 	r := frame.NewReader(p[1:])
 	m := &Manifest{Origin: r.String(maxManifestAddr)}
-	// An item is at least a digest and two hint counts.
-	n := r.Count(4)
+	// An item is at least an empty digest and one inline byte, or a
+	// digest and two hint counts.
+	n := r.Count(3)
 	if n > maxManifestItems {
 		return nil, fmt.Errorf("chunkstore: manifest lists %d items (max %d)", n, maxManifestItems)
 	}
@@ -108,7 +132,10 @@ func DecodeManifest(p []byte) (*Manifest, error) {
 	for i := range m.Items {
 		it := &m.Items[i]
 		if it.Digest = r.String(maxManifestAddr); it.Digest == "" {
-			r.Fail(fmt.Errorf("item %d: empty digest", i))
+			if it.Data = r.Bytes(MaxInline); r.Err() == nil && len(it.Data) == 0 {
+				r.Fail(fmt.Errorf("item %d: empty by-value datum", i))
+			}
+			continue
 		}
 		it.Ring = readAddrList(&r)
 		it.Peers = readAddrList(&r)

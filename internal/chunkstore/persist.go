@@ -23,7 +23,7 @@ func (s *Store) Digests() []string {
 // entry) for the daemon's crash-safe checkpoint. Only pinned entries
 // go to disk: they are the chunks live farms depend on the controller
 // to serve; the unpinned LRU is just cache and refills on demand.
-// Nested pins flatten to one — on restore the set is re-pinned once.
+// Nested pins flatten to one entry.
 func (s *Store) ExportPinned() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -41,10 +41,13 @@ func (s *Store) ExportPinned() []byte {
 	return out
 }
 
-// RestorePinned re-pins a set exported by ExportPinned, verifying each
-// payload against its digest (a checkpoint restored from disk gets the
-// same distrust as bytes fetched from a peer). Returns how many chunks
-// were restored.
+// RestorePinned loads a set exported by ExportPinned as unpinned cache
+// entries, verifying each payload against its digest (a checkpoint
+// restored from disk gets the same distrust as bytes fetched from a
+// peer). No farm of this process holds their pins: a resumed farm pins
+// its own payloads, and a farm never resumed must not keep its chunks
+// exempt from the budget forever. Returns how many chunks were
+// restored.
 func (s *Store) RestorePinned(b []byte) (int, error) {
 	r := frame.NewReader(b)
 	count := r.Count(2)
@@ -58,7 +61,7 @@ func (s *Store) RestorePinned(b []byte) (int, error) {
 			s.digestMismatch.Inc()
 			return restored, fmt.Errorf("chunkstore: restored chunk %s hashes to %s", short(dig), short(got))
 		}
-		s.Pin(dig, append([]byte(nil), data...))
+		s.Put(dig, append([]byte(nil), data...))
 	}
 	if err := r.Err(); err != nil {
 		return restored, fmt.Errorf("chunkstore: pinned set: %w", err)

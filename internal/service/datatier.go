@@ -3,12 +3,15 @@
 // manifest (ordered digest list plus fetch hints), which the donor
 // materialises through the chunkstore fallback ladder — local cache,
 // super-peer ring replica, a donor that resolved the digest earlier,
-// and finally the controller itself. The capability is negotiated per
-// despatch: a donor that runs the data tier tags its triana.run reply,
-// and a controller only sends manifests to peers that did — legacy
-// peers keep receiving streamed payloads, byte for byte as before. On
-// the way back, a quorum voter asked for addresses keeps its outputs in
-// its chunk LRU and sends their content addresses instead (farm.go).
+// and finally the controller itself. A datum no longer than
+// chunkstore.MaxInline rides the manifest by value instead: it is
+// never digested, pinned, put to the ring or fetched. The capability
+// is negotiated per despatch: a donor that runs the data tier tags its
+// triana.run reply, and a controller only sends manifests to peers
+// that did — legacy peers keep receiving streamed payloads, byte for
+// byte as before. On the way back, a quorum voter asked for addresses
+// keeps its outputs in its chunk LRU and sends their content addresses
+// instead (farm.go).
 package service
 
 import (
@@ -86,7 +89,8 @@ func (s *Service) serveChunk(digest string) ([]byte, bool) {
 }
 
 // resolveManifest is the donor-side fetch ladder: decode the manifest
-// and materialise every digest, in order, through the chunk store.
+// and materialise every item, in order — a by-value item as the bytes
+// it carries, a digest through the chunk store.
 func (s *Service) resolveManifest(payload []byte) ([][]byte, error) {
 	man, err := chunkstore.DecodeManifest(payload)
 	if err != nil {
@@ -98,6 +102,10 @@ func (s *Service) resolveManifest(payload []byte) ([][]byte, error) {
 	fetched := 0
 	out := make([][]byte, 0, len(man.Items))
 	for _, it := range man.Items {
+		if it.Digest == "" {
+			out = append(out, it.Data)
+			continue
+		}
 		data, class, err := s.chunks.Fetch(it.Digest, man.Sources(it), s.fetchChunkWire)
 		if err != nil {
 			span.Fail(err)
@@ -135,11 +143,11 @@ func (s *Service) fetchChunkWire(addr, digest string) ([]byte, error) {
 	return s.host.FetchChunk(addr, digest, chunkFetchTimeout)
 }
 
-// farmManifests is a controller's per-farm manifest state: the digests
-// of every chunk (their payloads pinned locally for the
-// controller-direct rung and written to the ring) with the ring owners
-// holding each, plus the donors observed to have resolved each digest —
-// the peer hints later manifests carry.
+// farmManifests is a controller's per-farm manifest state: every
+// chunk's by-value datums and by-reference digests (their payloads
+// pinned locally for the controller-direct rung and written to the
+// ring) with the ring owners holding each, plus the donors observed to
+// have resolved each digest — the peer hints later manifests carry.
 type farmManifests struct {
 	s      *Service
 	origin string
@@ -149,18 +157,22 @@ type farmManifests struct {
 	hints map[string][]string // digest -> donor addrs, capped
 }
 
+// manifestEntry is one datum of a chunk's manifest: a digest with the
+// ring owners that acked its write, or (digest empty) the datum itself.
 type manifestEntry struct {
 	digest string
 	ring   []string // the ring owners that acked the digest's write
+	data   []byte   // a by-value datum's canonical bytes
 }
 
-// prepareFarmManifests digests every chunk datum, pins the payloads in
-// the controller's own store, and writes each unique digest to
+// prepareFarmManifests pins every by-reference datum's payload in the
+// controller's own store and writes each unique digest to
 // max(1, R−1) ring owners: while the farm runs the controller's pin is
 // one of the chunk's R copies. Manifests name only the owners that
 // acked as ring rungs. Replication bytes are controller egress, paid
 // once per digest, not once per attempt, and charged to the farm's
-// tenant as well as to the service.
+// tenant as well as to the service. By-value datums skip all of this:
+// the manifest itself carries them to every attempt.
 func (s *Service) prepareFarmManifests(chunks [][]manifestDatum, tstats *tenantFarmStats) *farmManifests {
 	fm := &farmManifests{
 		s:      s,
@@ -176,6 +188,10 @@ func (s *Service) prepareFarmManifests(chunks [][]manifestDatum, tstats *tenantF
 	for c, chunk := range chunks {
 		entries := make([]manifestEntry, len(chunk))
 		for i, d := range chunk {
+			if d.digest == "" {
+				entries[i] = manifestEntry{data: d.payload}
+				continue
+			}
 			ring, seen := rings[d.digest]
 			if !seen {
 				s.chunks.Pin(d.digest, d.payload)
@@ -198,13 +214,15 @@ func (s *Service) prepareFarmManifests(chunks [][]manifestDatum, tstats *tenantF
 	return fm
 }
 
-// release unpins the farm's chunks; the LRU may keep serving them to
-// stragglers until pressure evicts them.
+// release unpins the farm's chunks once each, which drops them from
+// the controller's store unless another live farm pins them too: the
+// farm's stragglers are reaped before it returns, so no one is left to
+// fetch them.
 func (fm *farmManifests) release() {
 	seen := make(map[string]bool)
 	for _, chunk := range fm.chunks {
 		for _, e := range chunk {
-			if !seen[e.digest] {
+			if e.digest != "" && !seen[e.digest] {
 				seen[e.digest] = true
 				fm.s.chunks.Unpin(e.digest)
 			}
@@ -220,6 +238,10 @@ func (fm *farmManifests) manifestFor(c int, excludeAddr string) []byte {
 	defer fm.mu.Unlock()
 	m := &chunkstore.Manifest{Origin: fm.origin, Items: make([]chunkstore.Item, len(fm.chunks[c]))}
 	for i, e := range fm.chunks[c] {
+		if e.digest == "" {
+			m.Items[i] = chunkstore.Item{Data: e.data}
+			continue
+		}
 		var peers []string
 		for _, addr := range fm.hints[e.digest] {
 			if addr != excludeAddr {
@@ -241,6 +263,9 @@ func (fm *farmManifests) recordResolved(c int, donorAddr string) {
 	fm.mu.Lock()
 	defer fm.mu.Unlock()
 	for _, e := range fm.chunks[c] {
+		if e.digest == "" {
+			continue
+		}
 		hints := fm.hints[e.digest]
 		known := false
 		for _, a := range hints {
@@ -256,11 +281,12 @@ func (fm *farmManifests) recordResolved(c int, donorAddr string) {
 }
 
 // digestFarmChunks canonically encodes every datum once, up front: the
-// same bytes feed the digest, the pin, the ring replica and (on the
-// legacy path) the stream, so a chunk's identity is fixed before the
-// first attempt.
+// same bytes feed the digest, the pin, the ring replica, the by-value
+// manifest item and (on the legacy path) the stream, so a chunk's
+// identity is fixed before the first attempt. A datum of at most
+// chunkstore.MaxInline bytes travels by value and gets no digest.
 type manifestDatum struct {
-	digest  string
+	digest  string // empty: by value
 	payload []byte
 }
 
@@ -269,11 +295,14 @@ func digestFarmChunks(chunks [][]types.Data) ([][]manifestDatum, error) {
 	for c, chunk := range chunks {
 		ds := make([]manifestDatum, len(chunk))
 		for i, d := range chunk {
-			digest, payload, err := chunkstore.DigestData(d)
+			payload, err := types.Marshal(d)
 			if err != nil {
 				return nil, err
 			}
-			ds[i] = manifestDatum{digest: digest, payload: payload}
+			ds[i].payload = payload
+			if len(payload) > chunkstore.MaxInline {
+				ds[i].digest = chunkstore.Digest(payload)
+			}
 		}
 		out[c] = ds
 	}

@@ -4,16 +4,25 @@ package service
 // super-peer ring, the legacy streaming fallback against a donor that
 // never negotiated the tier, the peer-to-peer rung of the fetch ladder,
 // the chaos case — the ring replica holding a farm's chunks dies
-// mid-farm and the controller-direct fallback carries the rest — and a
-// manifest naming only the ring owners that acked a chunk's write.
+// mid-farm and the controller-direct fallback carries the rest — a
+// manifest naming only the ring owners that acked a chunk's write,
+// tiny datums riding the manifest by value, and the controller holding
+// nothing of a farm's inputs once the farm is over.
 
 import (
+	"context"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"consumergrid/internal/chunkstore"
+	"consumergrid/internal/jxtaserve"
 	"consumergrid/internal/simnet"
+	"consumergrid/internal/taskgraph"
 	"consumergrid/internal/types"
+	"consumergrid/internal/units"
+	"consumergrid/internal/units/mathx"
 )
 
 // tierNet is a data-tier grid: a controller, donors and an optional
@@ -101,12 +110,16 @@ func bigChunks(seed int64, nChunks, perChunk, bins int) [][]types.Data {
 	return chunks
 }
 
+// ladderBins widens a spectrum past chunkstore.MaxInline, so every
+// datum of the fetch-ladder tests travels by reference.
+const ladderBins = 64
+
 // TestFarmManifestDespatch is the plain-farm manifest path: with the
 // tier negotiated everywhere and a ring for placement, a farm's outputs
 // are identical to the streaming run's and every chunk is resolved
 // through the fetch ladder rather than the controller's stream.
 func TestFarmManifestDespatch(t *testing.T) {
-	chunks := chaosChunks(chaosSeed, 4, 5)
+	chunks := bigChunks(chaosSeed, 4, 5, ladderBins)
 	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
 
 	n := simnet.New()
@@ -166,13 +179,20 @@ func TestFarmEgressReduction(t *testing.T) {
 // controller streams payloads exactly as before and the farm completes
 // with identical outputs.
 func TestFarmLegacyPeerStreamsPayloads(t *testing.T) {
-	chunks := chaosChunks(chaosSeed, 3, 4)
+	chunks := bigChunks(chaosSeed, 3, 4, ladderBins)
 	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
 
 	n := simnet.New()
 	tn := dataTierNet(t, n, "lg-", 0, []bool{false, false})
 	ctl, donors, peers := tn.ctl, tn.donors, tn.peers
-	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{})
+	pinned := 0
+	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{
+		AfterChunk: func(c int) {
+			if c == 0 {
+				pinned = ctl.ChunkStore().Len()
+			}
+		},
+	})
 	assertSameOutputs(t, rep.Outputs, want)
 
 	for i, d := range donors {
@@ -196,7 +216,7 @@ func TestFarmLegacyPeerStreamsPayloads(t *testing.T) {
 	if egress < payloadBytes {
 		t.Errorf("controller egress %d < one full streaming pass %d", egress, payloadBytes)
 	}
-	if got := ctl.ChunkStore().Snapshot(); got.Entries == 0 {
+	if pinned == 0 {
 		t.Error("controller did not pin its farm chunks")
 	}
 }
@@ -252,7 +272,7 @@ func TestResolveManifestPeerRung(t *testing.T) {
 // rung times out, and the controller-direct fallback completes the farm
 // with outputs identical to the fault-free run.
 func TestFarmSurvivesDeadChunkReplica(t *testing.T) {
-	chunks := chaosChunks(chaosSeed, 4, 5)
+	chunks := bigChunks(chaosSeed, 4, 5, ladderBins)
 	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
 
 	n := simnet.New()
@@ -285,7 +305,7 @@ func TestFarmSurvivesDeadChunkReplica(t *testing.T) {
 // names it as a ring rung: outputs match the reference and no donor
 // fetch ever goes to the dead super.
 func TestFarmManifestSkipsFailedRingOwner(t *testing.T) {
-	chunks := chaosChunks(chaosSeed, 4, 5)
+	chunks := bigChunks(chaosSeed, 4, 5, ladderBins)
 	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
 
 	n := simnet.New()
@@ -305,5 +325,209 @@ func TestFarmManifestSkipsFailedRingOwner(t *testing.T) {
 	}
 	if ring == 0 {
 		t.Error("no chunk came from the live ring owner")
+	}
+}
+
+// TestFarmTinyDatumsTravelByValue: every datum of chaosChunks (a 2-bin
+// spectrum, 47 bytes) is shorter than its own hex digest, so it rides
+// the manifest by value. The outputs match the streaming run, the
+// manifests were despatched, and no byte went to the ring, no donor
+// sent a chunk.fetch, and the controller pinned nothing.
+func TestFarmTinyDatumsTravelByValue(t *testing.T) {
+	chunks := chaosChunks(chaosSeed, 4, 5)
+	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
+
+	n := simnet.New()
+	tn := dataTierNet(t, n, "bv-", 1, []bool{true, true})
+	pinned := -1
+	rep := runChaosFarm(t, tn.ctl, tn.peers, chunks, FarmOptions{
+		AfterChunk: func(c int) {
+			if c == 0 {
+				pinned = tn.ctl.ChunkStore().Len()
+			}
+		},
+	})
+	assertSameOutputs(t, rep.Outputs, want)
+
+	ctlTap := tn.taps["bv-ctl"]
+	if n := ctlTap.SentMsgs(jxtaserve.KindPipeManifest); n == 0 {
+		t.Fatal("no manifest was despatched; the farm streamed its inputs")
+	}
+	if n, b := ctlTap.SentMsgs("rpc/overlay.chunk.put"), ctlTap.Sent("rpc/overlay.chunk.put"); n != 0 || b != 0 {
+		t.Errorf("controller sent %d chunk.put requests (%d bytes) for by-value datums", n, b)
+	}
+	for i, d := range tn.donors {
+		if n := tn.taps[tn.peers[i].ID].SentMsgs(jxtaserve.KindChunkFetch); n != 0 {
+			t.Errorf("donor %s sent %d chunk.fetch requests", tn.peers[i].ID, n)
+		}
+		if snap := d.ChunkStore().Snapshot(); snap.Entries != 0 || snap.Misses != 0 {
+			t.Errorf("donor %s store: %d entries, %d misses; by-value items must not touch it",
+				tn.peers[i].ID, snap.Entries, snap.Misses)
+		}
+	}
+	if pinned != 0 {
+		t.Errorf("controller held %d chunks mid-farm, want 0", pinned)
+	}
+}
+
+// TestFarmMixedChunkPutsOnlyReferences: a farm whose chunks mix tiny
+// and wide datums writes exactly its by-reference digests to the ring,
+// one put each, and every datum comes back negated in order. The body
+// is the stateless Negate, since AccumStat cannot mix spectrum widths.
+func TestFarmMixedChunkPutsOnlyReferences(t *testing.T) {
+	// Every other datum is widened past chunkstore.MaxInline.
+	chunks := chaosChunks(chaosSeed, 3, 4)
+	wide := bigChunks(chaosSeed, 3, 4, ladderBins)
+	refs := make(map[string]bool)
+	var want []types.Data
+	for c := range chunks {
+		for i := range chunks[c] {
+			if i%2 == 1 {
+				chunks[c][i] = wide[c][i]
+				digest, _, err := chunkstore.DigestData(wide[c][i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				refs[digest] = true
+			}
+			sp := chunks[c][i].(*types.Spectrum)
+			neg := &types.Spectrum{Resolution: sp.Resolution, Amplitudes: make([]float64, len(sp.Amplitudes))}
+			for b, a := range sp.Amplitudes {
+				neg.Amplitudes[b] = -a
+			}
+			want = append(want, neg)
+		}
+	}
+
+	n := simnet.New()
+	tn := dataTierNet(t, n, "mx-", 1, []bool{true, true})
+	rep, err := tn.ctl.FarmChunks(context.Background(), chunks, FarmOptions{
+		Body:           func() *taskgraph.Graph { return negateBody(t) },
+		Peers:          tn.peers,
+		AttemptTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("farm failed: %v", err)
+	}
+	assertSameOutputs(t, rep.Outputs, want)
+
+	if puts := tn.taps["mx-ctl"].SentMsgs("rpc/overlay.chunk.put"); puts != len(refs) {
+		t.Errorf("controller sent %d chunk.put requests, want one per by-reference digest (%d)", puts, len(refs))
+	}
+	held := tn.supers[0].ChunkStore().Digests()
+	for _, d := range held {
+		if !refs[d] {
+			t.Errorf("ring replica holds %.12s, which is no by-reference digest of the farm", d)
+		}
+	}
+	if len(held) != len(refs) {
+		t.Errorf("ring replica holds %d digests, want %d", len(held), len(refs))
+	}
+}
+
+// negateBody is a one-task group body around the stateless Negate unit.
+func negateBody(t *testing.T) *taskgraph.Graph {
+	t.Helper()
+	g := taskgraph.New("negatebody")
+	task, err := units.NewTask("Negate", mathx.NameNegate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.MustAdd(task)
+	g.ExternalIn = []taskgraph.Endpoint{{Task: "Negate", Node: 0}}
+	g.ExternalOut = []taskgraph.Endpoint{{Task: "Negate", Node: 0}}
+	return g
+}
+
+// TestFarmReleaseDropsControllerInputs: once FarmChunks returns, the
+// controller's store holds none of the farm's input digests. The pins
+// kept them servable while the farm ran; nothing reads them after.
+func TestFarmReleaseDropsControllerInputs(t *testing.T) {
+	chunks := bigChunks(chaosSeed, 3, 4, ladderBins)
+	n := simnet.New()
+	tn := dataTierNet(t, n, "rl-", 1, []bool{true, true})
+	runChaosFarm(t, tn.ctl, tn.peers, chunks, FarmOptions{Quorum: 2})
+
+	store := tn.ctl.ChunkStore()
+	for _, chunk := range chunks {
+		for _, d := range chunk {
+			digest, _, err := chunkstore.DigestData(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := store.Get(digest); ok {
+				t.Errorf("controller still holds input %.12s after the farm", digest)
+			}
+		}
+	}
+}
+
+// TestRestoredPinsReleaseWithResumedFarm: a controller crashes after a
+// per-commit checkpoint, which holds the farm's pinned inputs. The
+// restarted daemon restores them unpinned, the resumed farm pins and
+// releases its own, and once it completes nothing is left pinned.
+func TestRestoredPinsReleaseWithResumedFarm(t *testing.T) {
+	chunks := bigChunks(chaosSeed, 4, 3, ladderBins)
+	stateDir, crashDir := t.TempDir(), t.TempDir()
+	opts := Options{
+		Resilience: chaosResilience(), StateDir: stateDir, CheckpointInterval: -1,
+		DataTier: DataTierOptions{Enable: true},
+	}
+	incarnation := func(n *simnet.Network, opts Options) (*Service, []PeerRef) {
+		ctl := newService(t, n.Peer("rp-ctl"), "rp-ctl", opts)
+		var peers []PeerRef
+		for _, label := range []string{"rp-w1", "rp-w2"} {
+			w := newService(t, n.Peer(label), label, Options{DataTier: DataTierOptions{Enable: true}})
+			peers = append(peers, PeerRef{ID: label, Addr: w.Addr()})
+		}
+		return ctl, peers
+	}
+	farm := func(ctx context.Context, ctl *Service, peers []PeerRef, after func(int)) (*FarmReport, error) {
+		return ctl.FarmChunks(ctx, chunks, FarmOptions{
+			Body:           func() *taskgraph.Graph { return accumBody(t) },
+			Peers:          peers,
+			AttemptTimeout: 10 * time.Second,
+			ResumeKey:      "rp-farm",
+			AfterChunk:     after,
+		})
+	}
+
+	// Incarnation 1 dies right after chunk 1's checkpoint: the state
+	// file as it stood then is what a kill would leave on disk.
+	ctl1, peers1 := incarnation(simnet.New(), opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := farm(ctx, ctl1, peers1, func(c int) {
+		if c != 1 {
+			return
+		}
+		b, err := os.ReadFile(filepath.Join(stateDir, stateFileName))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(crashDir, stateFileName), b, 0o600)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		cancel()
+	}); err == nil {
+		t.Fatal("crashed incarnation reported a completed farm")
+	}
+	ctl1.Close()
+
+	opts.StateDir = crashDir
+	ctl2, peers2 := incarnation(simnet.New(), opts)
+	if ctl2.ChunkStore().Len() == 0 {
+		t.Fatal("the checkpoint restored no chunks; the test cannot see a leaked pin")
+	}
+	rep, err := farm(context.Background(), ctl2, peers2, nil)
+	if err != nil {
+		t.Fatalf("resumed farm failed: %v", err)
+	}
+	if rep.ResumedChunks != 2 {
+		t.Fatalf("resumed %d chunks from the journal, want 2", rep.ResumedChunks)
+	}
+	if b := ctl2.ChunkStore().ExportPinned(); len(b) != 1 || b[0] != 0 {
+		t.Errorf("after the resumed farm completed the controller still pins chunks (%d-byte export, %d resident)",
+			len(b), ctl2.ChunkStore().Len())
 	}
 }

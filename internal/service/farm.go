@@ -233,8 +233,8 @@ type farmRun struct {
 	// max(1, Quorum). Plain and speculative farming are votes == 1.
 	votes int
 
-	// datums holds every chunk's canonical payloads (and digests),
-	// computed once per farm; manifests is the data-tier state when the
+	// datums holds every chunk's canonical payloads (and the digests
+	// of those too long to travel by value), computed once per farm; manifests is the data-tier state when the
 	// controller runs the chunk store; tstats caches the tenant's farm
 	// series.
 	datums    [][]manifestDatum
@@ -383,9 +383,10 @@ func (s *Service) FarmChunks(ctx context.Context, chunks [][]types.Data, opts Fa
 	fr.tstats = s.tenantFarm(opts.Tenant)
 	fr.tstats.farms.Inc()
 	// Canonically encode every datum once: the payloads feed the digests,
-	// the attempt streams, and (data tier on) the pinned chunks and ring
-	// replicas — so re-despatches and speculative backups never re-pay
-	// the marshal, and a chunk's identity is fixed before attempt one.
+	// the attempt streams, and (data tier on) the by-value manifest
+	// items, pinned chunks and ring replicas — so re-despatches and
+	// speculative backups never re-pay the marshal, and a chunk's
+	// identity is fixed before attempt one.
 	var err error
 	if fr.datums, err = digestFarmChunks(chunks); err != nil {
 		return nil, err

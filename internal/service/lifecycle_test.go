@@ -382,9 +382,10 @@ func TestDrainTimesOutOnUnboundHostedJob(t *testing.T) {
 }
 
 // TestCheckpointRestoreRoundTrip: a daemon's billing ledger, health
-// view, pinned chunks and super-peer advert store all survive a
-// checkpointed shutdown and appear in a fresh daemon started over the
-// same state dir — no re-discovery, no re-publish.
+// view, pinned chunks (restored as cache entries) and super-peer advert
+// store all survive a checkpointed shutdown and appear in a fresh
+// daemon started over the same state dir — no re-discovery, no
+// re-publish.
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	tr := jxtaserve.NewInProc()
 	ctlDir, donorDir := t.TempDir(), t.TempDir()

@@ -122,9 +122,10 @@ type Options struct {
 	// downgrades per peer).
 	Wire jxtaserve.WireOptions
 	// DataTier opts the daemon into the content-addressed chunk tier:
-	// farm inputs travel as digest manifests resolved through donor
-	// caches and ring replicas instead of being re-streamed by the
-	// controller per attempt. Off by default; trianad turns it on. Peers
+	// farm inputs travel as manifests — tiny datums by value, the rest
+	// by digest, resolved through donor caches and ring replicas —
+	// instead of being re-streamed by the controller per attempt. Off
+	// by default; trianad turns it on. Peers
 	// negotiate per despatch, so mixed grids interoperate (a legacy donor
 	// still gets streamed payloads).
 	DataTier DataTierOptions

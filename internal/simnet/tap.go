@@ -7,7 +7,8 @@ import (
 )
 
 // Tap wraps one peer's transport and tallies the payload bytes of every
-// message the peer sends and receives, by message kind. An RPC request
+// message the peer sends and receives, by message kind, and the number
+// of messages it sends. An RPC request
 // counts under "rpc/<method>", so a chunk replica write
 // ("rpc/overlay.chunk.put") is told apart from a job despatch. Dialled
 // addresses are counted too, so a test can prove a peer never contacted
@@ -19,6 +20,7 @@ type Tap struct {
 	mu     sync.Mutex
 	sent   map[string]int64
 	recv   map[string]int64
+	sentN  map[string]int
 	dialed map[string]int
 }
 
@@ -28,6 +30,7 @@ func NewTap(inner jxtaserve.Transport) *Tap {
 		inner:  inner,
 		sent:   make(map[string]int64),
 		recv:   make(map[string]int64),
+		sentN:  make(map[string]int),
 		dialed: make(map[string]int),
 	}
 }
@@ -37,6 +40,14 @@ func (t *Tap) Sent(kind string) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.sent[kind]
+}
+
+// SentMsgs reports how many messages of the kind were sent — the count
+// that matters for kinds whose payload is empty, such as chunk.fetch.
+func (t *Tap) SentMsgs(kind string) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sentN[kind]
 }
 
 // Recv reports the payload bytes received in messages of the kind.
@@ -72,13 +83,18 @@ func (t *Tap) Dial(addr string) (jxtaserve.Conn, error) {
 	return &tapConn{Conn: c, tap: t}, nil
 }
 
-func (t *Tap) count(into map[string]int64, m *jxtaserve.Message) {
+func (t *Tap) count(sent bool, m *jxtaserve.Message) {
 	kind := m.Kind
 	if kind == jxtaserve.KindRPC {
 		kind += "/" + m.Header("method")
 	}
 	t.mu.Lock()
-	into[kind] += int64(len(m.Payload))
+	if sent {
+		t.sent[kind] += int64(len(m.Payload))
+		t.sentN[kind]++
+	} else {
+		t.recv[kind] += int64(len(m.Payload))
+	}
 	t.mu.Unlock()
 }
 
@@ -103,7 +119,7 @@ type tapConn struct {
 func (c *tapConn) Send(m *jxtaserve.Message) error {
 	err := c.Conn.Send(m)
 	if err == nil {
-		c.tap.count(c.tap.sent, m)
+		c.tap.count(true, m)
 	}
 	return err
 }
@@ -111,7 +127,7 @@ func (c *tapConn) Send(m *jxtaserve.Message) error {
 func (c *tapConn) Recv() (*jxtaserve.Message, error) {
 	m, err := c.Conn.Recv()
 	if err == nil {
-		c.tap.count(c.tap.recv, m)
+		c.tap.count(false, m)
 	}
 	return m, err
 }
