@@ -69,14 +69,18 @@ bench-smoke:
 # credit bounds, reset isolation, goroutine leaks) under the race
 # detector; then the typed-data codec's golden encodings, its
 # decode∘encode fixpoint counterexamples and a fuzz pass over that
-# fixpoint. Run with -update after a deliberate wire change to
-# regenerate the golden fixtures.
+# fixpoint; and the triana.run payload codec's canonical-form tests and
+# a fuzz pass asserting every accepted payload re-encodes to its bytes.
+# Run with -update after a deliberate wire change to regenerate the
+# golden fixtures.
 wire-conformance:
 	go test ./internal/jxtaserve/ -run 'TestGolden|TestInterop|TestReadBinaryMessageRejects' -count=1
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzReadBinaryMessage -fuzztime 10s
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzBinaryMessageRoundTrip -fuzztime 10s
 	go test ./internal/types/ -run 'TestGolden|TestFixpoint' -count=1
 	go test ./internal/types/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s
+	go test ./internal/service/ -run 'TestRunPayload' -count=1
+	go test ./internal/service/ -run '^$$' -fuzz FuzzDecodeRunPayload -fuzztime 10s
 	go test -race ./internal/jxtaserve/ ./internal/simnet/ -run 'TestMux' -count=1
 
 # Observability smoke: boot a real daemon, scrape /metrics, and assert
@@ -94,7 +98,9 @@ metrics-smoke:
 # manifest despatch, the >= 50% controller-egress reduction under
 # quorum, the legacy streaming fallback, the peer fetch rung, the
 # dead-replica chaos case, manifests naming only the ring owners that
-# acked, tiny datums riding the manifest by value, a mixed chunk
+# acked, tiny datums riding the manifest by value in the triana.run
+# request, an unresolvable manifest failing its job on the wait reply,
+# a donor parsing a repeated body once, a mixed chunk
 # putting only its by-reference digests, the controller dropping a
 # farm's inputs when it ends and after a resumed restart, and the
 # quorum output path (carrier and address ballots, commit by fetch,
@@ -106,7 +112,7 @@ datastore-smoke:
 	go test ./internal/chunkstore/ -count=1
 	go test ./internal/overlay/ -run 'TestChunk|TestManifest|TestPutChunk' -count=1
 	go test ./internal/chunkstore/ -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 10s
-	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestFarmLegacyPeerStreamsPayloads|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestCarrierAndAddressBallotsAgree|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineCarrierCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumLegacyDonorIsCarrier|TestQuorumFarmMovesEachByteOnce' -count=1 -v
+	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestFarmLegacyPeerStreamsPayloads|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestCarrierAndAddressBallotsAgree|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineCarrierCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumLegacyDonorIsCarrier|TestQuorumFarmMovesEachByteOnce|TestUnresolvableManifestFailsOnWait|TestDonorParsesEachBodyOnce' -count=1 -v
 	go test -run '^$$' -bench 'BenchmarkFarmEgress' -benchtime 5x .
 
 # Multi-tenant despatch plane: the 2-shard × 3-tenant smoke scenario

@@ -133,14 +133,15 @@ func (r *Reader) Count(minEach int) int {
 }
 
 // DecimalCount is Count for a count written as a length-prefixed
-// decimal string.
+// decimal string, in the one form strconv.Itoa writes: a leading zero
+// fails like an overlong uvarint does.
 func (r *Reader) DecimalCount(minEach int) int {
 	s := r.Bytes(20)
 	if r.err != nil {
 		return 0
 	}
 	n, err := strconv.ParseUint(string(s), 10, 64)
-	if err != nil {
+	if err != nil || len(s) > 1 && s[0] == '0' {
 		r.Fail(fmt.Errorf("frame: bad decimal count %q", s))
 		return 0
 	}

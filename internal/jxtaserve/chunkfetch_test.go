@@ -4,13 +4,11 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"consumergrid/internal/types"
 )
 
-// The chunk-fetch conversation and the manifest pipe frame, exercised
-// over the raw transport and over the mux (where each fetch is one
-// stream on the shared connection).
+// The chunk-fetch conversation, exercised over the raw transport and
+// over the mux (where each fetch is one stream on the shared
+// connection).
 
 func testChunkFetch(t *testing.T, tr Transport) {
 	holder, fetcher := newHostPair(t, tr)
@@ -62,96 +60,5 @@ func TestChunkFetchDialError(t *testing.T) {
 	var dialErr *DialError
 	if _, err := h.FetchChunk("127.0.0.1:1", "dg", time.Second); !errors.As(err, &dialErr) {
 		t.Fatalf("err = %v, want *DialError", err)
-	}
-}
-
-// TestPipeManifestDelivery drives a manifest through a bound pipe: the
-// receiving host's resolver materialises the digests and the pipe
-// delivers them in order, exactly as if the bytes had been streamed.
-func TestPipeManifestDelivery(t *testing.T) {
-	recv, send := newHostPair(t, TCP{})
-	payloads := make(map[string][]byte)
-	mustPayload := func(v float64) (digest string, manifestEntry string) {
-		p, err := types.Marshal(&types.Spectrum{Resolution: 1, Amplitudes: []float64{v}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dg := "dg-" + string(rune('a'+len(payloads)))
-		payloads[dg] = p
-		return dg, dg
-	}
-	dgA, _ := mustPayload(1)
-	dgB, _ := mustPayload(2)
-
-	recv.SetManifestResolver(func(manifest []byte) ([][]byte, error) {
-		// The test manifest payload is a comma-free digest list: one
-		// digest per 4 bytes ("dg-a"). Real services install the
-		// chunkstore decoder here.
-		var out [][]byte
-		for i := 0; i+4 <= len(manifest); i += 4 {
-			dg := string(manifest[i : i+4])
-			p, ok := payloads[dg]
-			if !ok {
-				return nil, errors.New("unknown digest " + dg)
-			}
-			out = append(out, p)
-		}
-		return out, nil
-	})
-
-	pipe, ad, err := recv.OpenInput("farm/manifest/in", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe.ExpectEOFs(1)
-	out, err := send.BindOutput(ad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.SendManifest([]byte(dgA + dgB)); err != nil {
-		t.Fatal(err)
-	}
-	out.Close()
-
-	var got []types.Data
-	for d := range pipe.C {
-		got = append(got, d)
-	}
-	if len(got) != 2 {
-		t.Fatalf("delivered %d data, want 2", len(got))
-	}
-	for i, want := range []float64{1, 2} {
-		sp, ok := got[i].(*types.Spectrum)
-		if !ok || sp.Amplitudes[0] != want {
-			t.Fatalf("datum %d = %#v, want amplitude %v", i, got[i], want)
-		}
-	}
-}
-
-// TestPipeManifestWithoutResolver asserts the receiver severs the pipe
-// (counting the producer's EOF) instead of wedging when a manifest
-// arrives and no resolver is installed — the failure mode of a
-// misbehaving producer that skipped capability negotiation.
-func TestPipeManifestWithoutResolver(t *testing.T) {
-	recv, send := newHostPair(t, TCP{})
-	pipe, ad, err := recv.OpenInput("farm/no-resolver/in", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe.ExpectEOFs(1)
-	out, err := send.BindOutput(ad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.SendManifest([]byte("anything"))
-	defer out.Close()
-
-	select {
-	case _, ok := <-pipe.C:
-		if ok {
-			t.Fatal("manifest delivered data with no resolver installed")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("pipe never closed after unresolvable manifest")
 	}
 }

@@ -79,14 +79,28 @@ func goldenCases() []struct {
 			Headers: map[string]string{"digest": "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"},
 			Payload: []byte("the chunk bytes, verbatim"),
 		}},
-		{"pipe-manifest", &Message{
-			Kind:    KindPipeManifest,
-			Headers: map[string]string{"pipe": "farm/ctrl/1/c0/a0/in"},
-			// A hand-laid chunkstore manifest payload: version 1, origin
-			// "o", one item with digest "d", one ring addr "r", no peers.
-			// Laid out literally so this fixture does not depend on the
-			// chunkstore encoder.
-			Payload: []byte{1, 1, 'o', 1, 1, 'd', 1, 1, 'r', 0},
+		{"run-manifest", &Message{
+			// A data-tier farm attempt: one triana.run whose payload
+			// carries the chunk's manifest after the state, flagged by
+			// the inputs header.
+			Kind: KindRPC,
+			Headers: map[string]string{
+				"method":      "triana.run",
+				"inputs":      "manifest",
+				"iterations":  "1",
+				"seed":        "0",
+				"in.count":    "1",
+				"in.0.label":  "farm/ctrl/1/c0/a0/in",
+				"out.count":   "1",
+				"out.0.label": "farm/ctrl/1/c0/a0/out",
+				"out.0.addr":  "ctrl:7000",
+			},
+			// A hand-laid run payload: graph document "<g/>", state
+			// count "0", then a chunkstore manifest (version 1, origin
+			// "o", one item with digest "d", one ring addr "r", no
+			// peers). Laid out literally so this fixture depends on
+			// neither the service nor the chunkstore encoder.
+			Payload: []byte{4, '<', 'g', '/', '>', 1, '0', 10, 1, 1, 'o', 1, 1, 'd', 1, 1, 'r', 0},
 		}},
 	}
 }

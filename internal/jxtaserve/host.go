@@ -25,7 +25,6 @@ type Host struct {
 	handlers map[string]Handler    // by rpc method
 	quiesced map[string]bool       // methods refused while draining
 	source   ChunkSource           // answers chunk.fetch conns
-	resolver ManifestResolver      // materialises pipe.manifest frames
 	closed   bool
 	wg       sync.WaitGroup
 }
@@ -38,12 +37,6 @@ type Handler func(req *Message) (*Message, error)
 // returned bytes are shipped verbatim; fetchers verify them against the
 // digest, so a source never needs to be trusted.
 type ChunkSource func(digest string) ([]byte, bool)
-
-// ManifestResolver turns a pipe.manifest payload into the ordered
-// marshalled data payloads it names — the donor-side fetch ladder. A
-// service installs it when its data tier is enabled; a pipe producer
-// must not send manifests to hosts that have not advertised one.
-type ManifestResolver func(manifest []byte) ([][]byte, error)
 
 // NewHost starts a host for peerID listening at addr on the transport.
 func NewHost(peerID string, tr Transport, addr string) (*Host, error) {
@@ -164,32 +157,6 @@ func (h *Host) servePipe(conn Conn, name string) {
 			if !pipe.deliver(types.Seal(d)) {
 				return // pipe closed locally
 			}
-		case KindPipeManifest:
-			// The manifest replaces a run of pipe.data frames: resolve
-			// every digest through the installed ladder and deliver the
-			// materialised data in order, sealed exactly as streamed
-			// payloads are. Any failure severs the conversation — the
-			// producer detects the short stream the same way it detects
-			// a vanished peer.
-			h.mu.Lock()
-			resolve := h.resolver
-			h.mu.Unlock()
-			if resolve == nil {
-				return
-			}
-			payloads, err := resolve(m.Payload)
-			if err != nil {
-				return
-			}
-			for _, payload := range payloads {
-				d, err := types.Unmarshal(payload)
-				if err != nil {
-					return
-				}
-				if !pipe.deliver(types.Seal(d)) {
-					return
-				}
-			}
 		case KindPipeEOF:
 			return
 		default:
@@ -238,14 +205,6 @@ func (h *Host) HasChunkSource() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.source != nil
-}
-
-// SetManifestResolver installs the fetch ladder pipe.manifest frames
-// are materialised through.
-func (h *Host) SetManifestResolver(fn ManifestResolver) {
-	h.mu.Lock()
-	h.resolver = fn
-	h.mu.Unlock()
 }
 
 // FetchChunk dials a peer and asks for one chunk by digest. The timeout
@@ -546,15 +505,6 @@ func (p *OutputPipe) SendRaw(payload []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.conn.Send(&Message{Kind: KindPipeData, Payload: payload})
-}
-
-// SendManifest ships an encoded chunk manifest in place of streamed
-// data. Only send to a host whose service advertised a manifest
-// resolver; anyone else severs the pipe.
-func (p *OutputPipe) SendManifest(manifest []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.conn.Send(&Message{Kind: KindPipeManifest, Payload: manifest})
 }
 
 // Close signals end-of-stream to the remote input pipe, then tears the

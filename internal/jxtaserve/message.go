@@ -36,13 +36,11 @@ const (
 	KindRPCReply = "rpc.reply" // payload: response body
 	KindRPCError = "rpc.error" // headers: error
 
-	// Content-addressed data tier (the chunkstore): a manifest replaces
-	// streamed pipe.data frames with an ordered digest list the receiver
-	// resolves itself, and chunk.fetch/chunk.data are the one-shot
-	// digest-lookup conversation any peer with a chunk source answers.
-	KindPipeManifest = "pipe.manifest" // payload: encoded chunkstore manifest
-	KindChunkFetch   = "chunk.fetch"   // headers: digest, from; asks for one chunk
-	KindChunkData    = "chunk.data"    // headers: digest; payload: the chunk bytes
+	// Content-addressed data tier (the chunkstore): chunk.fetch and
+	// chunk.data are the one-shot digest-lookup conversation any peer
+	// with a chunk source answers.
+	KindChunkFetch = "chunk.fetch" // headers: digest, from; asks for one chunk
+	KindChunkData  = "chunk.data"  // headers: digest; payload: the chunk bytes
 )
 
 // Message is one framed unit on a connection.

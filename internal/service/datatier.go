@@ -1,32 +1,41 @@
 // The service side of the content-addressed data tier: the controller
 // stops streaming farm payloads per attempt and instead ships a chunk
-// manifest (ordered digest list plus fetch hints), which the donor
-// materialises through the chunkstore fallback ladder — local cache,
-// super-peer ring replica, a donor that resolved the digest earlier,
-// and finally the controller itself. A datum no longer than
-// chunkstore.MaxInline rides the manifest by value instead: it is
-// never digested, pinned, put to the ring or fetched. The capability
-// is negotiated per despatch: a donor that runs the data tier tags its
-// triana.run reply, and a controller only sends manifests to peers
-// that did — legacy peers keep receiving streamed payloads, byte for
-// byte as before. On the way back, a quorum voter asked for addresses
-// keeps its outputs in its chunk LRU and sends their content addresses
-// instead (farm.go).
+// manifest (ordered digest list plus fetch hints) inside the triana.run
+// request itself, which the donor's job materialises through the
+// chunkstore fallback ladder — local cache, super-peer ring replica, a
+// donor that resolved the digest earlier, and finally the controller
+// itself. A datum no longer than chunkstore.MaxInline rides the
+// manifest by value instead: it is never digested, pinned, put to the
+// ring or fetched. The capability is negotiated per despatch: the
+// request says it carries a manifest, and a data-tier donor running a
+// one-input body takes it, opens no input pipe and echoes the header.
+// A donor without the tier, or of an earlier release, ignores the
+// section and opens its pipe; with no echo the controller streams
+// payloads, byte for byte as before. On the way back, a quorum voter
+// asked for addresses keeps its outputs in its chunk LRU and sends
+// their content addresses instead (farm.go).
 package service
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"sync"
 	"time"
 
 	"consumergrid/internal/chunkstore"
+	"consumergrid/internal/trace"
 	"consumergrid/internal/types"
 )
 
-// capChunkstore is the triana.run reply header a data-tier donor sets;
-// its absence is what makes a legacy peer fall back to streaming.
-const capChunkstore = "chunkstore"
+// hdrInputs in a triana.run request (value inputsManifest) says the run
+// payload carries the chunk's manifest after the state. A donor that
+// takes the manifest echoes the header in its reply, and returns no
+// input-pipe advert.
+const (
+	hdrInputs      = "inputs"
+	inputsManifest = "manifest"
+)
 
 // hdrOutputs in a triana.run request asks a data-tier donor to send its
 // outputs as content addresses (value outputsAddress); the donor echoes
@@ -55,9 +64,9 @@ type DataTierOptions struct {
 }
 
 // setupDataTier creates the peer's chunk store and installs the wire
-// hooks: the store answers chunk.fetch conversations and materialises
-// pipe.manifest frames. Also run for super-peers regardless of Enable,
-// so every ring member can hold chunk replicas.
+// hook through which the store answers chunk.fetch conversations. Also
+// run for super-peers regardless of Enable, so every ring member can
+// hold chunk replicas.
 func (s *Service) setupDataTier(o DataTierOptions) {
 	s.chunks = chunkstore.New(chunkstore.Options{
 		MaxBytes: o.CacheBytes,
@@ -65,7 +74,6 @@ func (s *Service) setupDataTier(o DataTierOptions) {
 		Logf:     s.opts.Logf,
 	})
 	s.host.SetChunkSource(s.serveChunk)
-	s.host.SetManifestResolver(s.resolveManifest)
 }
 
 // ChunkStore exposes the daemon's chunk cache; nil when the data tier
@@ -90,18 +98,23 @@ func (s *Service) serveChunk(digest string) ([]byte, bool) {
 
 // resolveManifest is the donor-side fetch ladder: decode the manifest
 // and materialise every item, in order — a by-value item as the bytes
-// it carries, a digest through the chunk store.
-func (s *Service) resolveManifest(payload []byte) ([][]byte, error) {
+// it carries, a digest through the chunk store. It stops between items
+// once ctx is done. Its chunk.resolve span is a child of parent.
+func (s *Service) resolveManifest(ctx context.Context, payload []byte, parent *trace.Active) ([][]byte, error) {
 	man, err := chunkstore.DecodeManifest(payload)
 	if err != nil {
 		return nil, err
 	}
-	span := s.tracer.Start("", "", "chunk.resolve", s.opts.PeerID)
+	span := s.tracer.Start(parent.TraceID(), parent.SpanID(), "chunk.resolve", s.opts.PeerID)
 	span.SetAttr("items", strconv.Itoa(len(man.Items)))
 	defer span.End()
 	fetched := 0
 	out := make([][]byte, 0, len(man.Items))
 	for _, it := range man.Items {
+		if err := ctx.Err(); err != nil {
+			span.Fail(err)
+			return nil, err
+		}
 		if it.Digest == "" {
 			out = append(out, it.Data)
 			continue
@@ -119,6 +132,28 @@ func (s *Service) resolveManifest(payload []byte) ([][]byte, error) {
 	}
 	span.SetAttr("fetched", strconv.Itoa(fetched))
 	return out, nil
+}
+
+// manifestInput is a hosted job's input when it took its request's
+// manifest: every datum resolved, decoded and sealed — exactly as a
+// pipe delivers streamed data — before the engine starts, queued on a
+// closed channel. A datum that cannot be resolved or decoded fails the
+// job, and the wait reply carries the error.
+func (s *Service) manifestInput(ctx context.Context, manifest []byte, parent *trace.Active) (<-chan types.Data, error) {
+	payloads, err := s.resolveManifest(ctx, manifest, parent)
+	if err != nil {
+		return nil, err
+	}
+	in := make(chan types.Data, len(payloads))
+	defer close(in)
+	for _, p := range payloads {
+		d, err := types.Unmarshal(p)
+		if err != nil {
+			return nil, err
+		}
+		in <- types.Seal(d)
+	}
+	return in, nil
 }
 
 // addressEncoder returns an address voter's output encoder: it keeps

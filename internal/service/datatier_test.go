@@ -11,8 +11,12 @@ package service
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,6 +38,49 @@ type tierNet struct {
 	peers  []PeerRef
 	supers []*Service
 	taps   map[string]*simnet.Tap // by peer label
+	// runManifests reads the manifest sections of the controller's
+	// triana.run requests.
+	runManifests *runManifestTap
+}
+
+// runManifestTap wraps a transport and sums the manifest sections of
+// the triana.run requests sent over it.
+type runManifestTap struct {
+	jxtaserve.Transport
+	mu    sync.Mutex
+	runs  int   // requests that carried a manifest
+	bytes int64 // their manifest sections
+}
+
+func (m *runManifestTap) Dial(addr string) (jxtaserve.Conn, error) {
+	c, err := m.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &runManifestConn{Conn: c, tap: m}, nil
+}
+
+func (m *runManifestTap) read() (runs int, bytes int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.runs, m.bytes
+}
+
+type runManifestConn struct {
+	jxtaserve.Conn
+	tap *runManifestTap
+}
+
+func (c *runManifestConn) Send(msg *jxtaserve.Message) error {
+	if msg.Kind == jxtaserve.KindRPC && msg.Header("method") == MethodRun && msg.Header(hdrInputs) == inputsManifest {
+		if _, _, man, err := decodeRunPayload(msg.Payload, true); err == nil {
+			c.tap.mu.Lock()
+			c.tap.runs++
+			c.tap.bytes += int64(len(man))
+			c.tap.mu.Unlock()
+		}
+	}
+	return c.Conn.Send(msg)
 }
 
 // dataTierNet builds a controller plus donors (donorTier[i] turns the
@@ -69,7 +116,8 @@ func dataTierNet(t *testing.T, n *simnet.Network, prefix string, supers int, don
 	if supers > 0 {
 		ctlOpts.Overlay = &OverlayOptions{SuperPeers: superAddrs, Replication: supers}
 	}
-	tn.ctl = newService(t, tap(prefix+"ctl"), prefix+"ctl", ctlOpts)
+	tn.runManifests = &runManifestTap{Transport: tap(prefix + "ctl")}
+	tn.ctl = newService(t, tn.runManifests, prefix+"ctl", ctlOpts)
 	for i, tier := range donorTier {
 		label := prefix + "w" + string(rune('1'+i))
 		w := newService(t, tap(label), label, Options{
@@ -244,7 +292,7 @@ func TestResolveManifestPeerRung(t *testing.T) {
 		m.Items = append(m.Items, chunkstore.Item{Digest: digest, Peers: []string{a.Addr()}})
 	}
 
-	payloads, err := b.resolveManifest(chunkstore.EncodeManifest(m))
+	payloads, err := b.resolveManifest(context.Background(), chunkstore.EncodeManifest(m), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +306,7 @@ func TestResolveManifestPeerRung(t *testing.T) {
 	if snap.FetchRing != 0 || snap.FetchController != 0 {
 		t.Errorf("ladder skipped the peer rung: ring=%d controller=%d", snap.FetchRing, snap.FetchController)
 	}
-	if _, err := b.resolveManifest(chunkstore.EncodeManifest(m)); err != nil {
+	if _, err := b.resolveManifest(context.Background(), chunkstore.EncodeManifest(m), nil); err != nil {
 		t.Fatal(err)
 	}
 	if snap := b.ChunkStore().Snapshot(); snap.Hits != int64(len(data)) {
@@ -330,8 +378,11 @@ func TestFarmManifestSkipsFailedRingOwner(t *testing.T) {
 
 // TestFarmTinyDatumsTravelByValue: every datum of chaosChunks (a 2-bin
 // spectrum, 47 bytes) is shorter than its own hex digest, so it rides
-// the manifest by value. The outputs match the streaming run, the
-// manifests were despatched, and no byte went to the ring, no donor
+// the manifest by value. The outputs match the streaming run; every
+// attempt was one triana.run carrying its manifest, so the controller
+// opened no input pipe of a donor's — it sent no pipe.data and no
+// pipe.eof, and its only pipe.bind frames acknowledge the donors'
+// output pipes, one per attempt; no byte went to the ring, no donor
 // sent a chunk.fetch, and the controller pinned nothing.
 func TestFarmTinyDatumsTravelByValue(t *testing.T) {
 	chunks := chaosChunks(chaosSeed, 4, 5)
@@ -350,8 +401,17 @@ func TestFarmTinyDatumsTravelByValue(t *testing.T) {
 	assertSameOutputs(t, rep.Outputs, want)
 
 	ctlTap := tn.taps["bv-ctl"]
-	if n := ctlTap.SentMsgs(jxtaserve.KindPipeManifest); n == 0 {
-		t.Fatal("no manifest was despatched; the farm streamed its inputs")
+	attempts := ctlTap.SentMsgs("rpc/" + MethodRun)
+	if runs, b := tn.runManifests.read(); runs != attempts || b == 0 {
+		t.Fatalf("%d of %d triana.run requests carried a manifest (%d bytes)", runs, attempts, b)
+	}
+	for _, kind := range []string{jxtaserve.KindPipeData, jxtaserve.KindPipeEOF} {
+		if n := ctlTap.SentMsgs(kind); n != 0 {
+			t.Errorf("controller sent %d %s frames; the farm streamed its inputs", n, kind)
+		}
+	}
+	if n := ctlTap.SentMsgs(jxtaserve.KindPipeBind); n != attempts {
+		t.Errorf("controller sent %d pipe.bind frames for %d attempts, want one output-pipe ack each", n, attempts)
 	}
 	if n, b := ctlTap.SentMsgs("rpc/overlay.chunk.put"), ctlTap.Sent("rpc/overlay.chunk.put"); n != 0 || b != 0 {
 		t.Errorf("controller sent %d chunk.put requests (%d bytes) for by-value datums", n, b)
@@ -359,6 +419,9 @@ func TestFarmTinyDatumsTravelByValue(t *testing.T) {
 	for i, d := range tn.donors {
 		if n := tn.taps[tn.peers[i].ID].SentMsgs(jxtaserve.KindChunkFetch); n != 0 {
 			t.Errorf("donor %s sent %d chunk.fetch requests", tn.peers[i].ID, n)
+		}
+		if n := tn.taps[tn.peers[i].ID].Recv(jxtaserve.KindPipeBind); n != 0 {
+			t.Errorf("donor %s was bound %d times; it opened an input pipe", tn.peers[i].ID, n)
 		}
 		if snap := d.ChunkStore().Snapshot(); snap.Entries != 0 || snap.Misses != 0 {
 			t.Errorf("donor %s store: %d entries, %d misses; by-value items must not touch it",
@@ -529,5 +592,107 @@ func TestRestoredPinsReleaseWithResumedFarm(t *testing.T) {
 	if b := ctl2.ChunkStore().ExportPinned(); len(b) != 1 || b[0] != 0 {
 		t.Errorf("after the resumed farm completed the controller still pins chunks (%d-byte export, %d resident)",
 			len(b), ctl2.ChunkStore().Len())
+	}
+}
+
+// fetchRefuser is a donor transport on which no chunk.fetch can be
+// sent, so the donor resolves no by-reference manifest item.
+type fetchRefuser struct{ jxtaserve.Transport }
+
+func (f fetchRefuser) Dial(addr string) (jxtaserve.Conn, error) {
+	c, err := f.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return fetchRefuserConn{c}, nil
+}
+
+type fetchRefuserConn struct{ jxtaserve.Conn }
+
+func (c fetchRefuserConn) Send(m *jxtaserve.Message) error {
+	if m.Kind == jxtaserve.KindChunkFetch {
+		return errors.New("chunk.fetch refused")
+	}
+	return c.Conn.Send(m)
+}
+
+// TestUnresolvableManifestFailsOnWait: a donor that took a manifest it
+// cannot resolve ends its job with the resolve error, and the wait
+// reply carries it (not a severed pipe and a short result). In a farm,
+// that attempt fails and the chunk is redespatched to a donor that can.
+func TestUnresolvableManifestFailsOnWait(t *testing.T) {
+	n := simnet.New()
+	var mu sync.Mutex
+	var logs []string
+	ctl := newService(t, n.Peer("um-ctl"), "um-ctl", Options{
+		Resilience: chaosResilience(),
+		DataTier:   DataTierOptions{Enable: true},
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	w1 := newService(t, fetchRefuser{n.Peer("um-w1")}, "um-w1", Options{DataTier: DataTierOptions{Enable: true}})
+	w2 := newService(t, n.Peer("um-w2"), "um-w2", Options{DataTier: DataTierOptions{Enable: true}})
+	peers := []PeerRef{{ID: "um-w1", Addr: w1.Addr()}, {ID: "um-w2", Addr: w2.Addr()}}
+
+	// One despatch, by hand: the manifest names a digest nobody holds.
+	sink, _, err := ctl.Host().OpenInput("um-sink", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	sink.ExpectEOFs(1)
+	digest, _, err := chunkstore.DigestData(bigChunks(chaosSeed, 1, 1, ladderBins)[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := ctl.Despatch(RemotePart{
+		Peer:       peers[1],
+		Body:       accumBody(t),
+		InLabels:   []string{"um-in"},
+		OutTargets: []PipeTarget{{Label: "um-sink", Addr: ctl.Addr()}},
+		Iterations: 1,
+		manifest: chunkstore.EncodeManifest(&chunkstore.Manifest{
+			Origin: ctl.Addr(), Items: []chunkstore.Item{{Digest: digest}},
+		}),
+	}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !job.manifested || len(job.InAds) != 0 {
+		t.Fatalf("donor did not take the manifest (echoed %v, %d input adverts)", job.manifested, len(job.InAds))
+	}
+	if _, err := ctl.WaitRemote(job); err == nil || !strings.Contains(err.Error(), chunkstore.ErrNotFound.Error()) {
+		t.Fatalf("wait on an unresolvable manifest: err = %v, want the resolve error (%v)", err, chunkstore.ErrNotFound)
+	}
+	for range sink.C {
+		t.Error("a job that resolved no input sent an output")
+	}
+
+	// A farm: w1 ranks first and cannot fetch, so its attempt fails
+	// with the resolve error and w2 commits the chunk.
+	chunks := bigChunks(chaosSeed, 1, 4, ladderBins)
+	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
+	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{})
+	assertSameOutputs(t, rep.Outputs, want)
+	if rep.Redespatches != 1 || rep.PeerChunks["um-w2"] != 1 {
+		t.Errorf("redespatches = %d, chunks by peer = %v; want w1's attempt failed and w2's committed",
+			rep.Redespatches, rep.PeerChunks)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	failed := false
+	for _, l := range logs {
+		if strings.Contains(l, "attempt") && strings.Contains(l, "um-w1 failed") {
+			failed = true
+			if !strings.Contains(l, chunkstore.ErrNotFound.Error()) {
+				t.Errorf("w1's attempt failed for another reason: %s", l)
+			}
+		}
+	}
+	if !failed {
+		t.Errorf("no failed attempt on um-w1 was logged: %q", logs)
 	}
 }

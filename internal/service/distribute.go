@@ -58,6 +58,13 @@ type RemotePart struct {
 	// addressOutputs asks the hosting peer to send each output's content
 	// address instead of its bytes (a quorum's non-carrier voter).
 	addressOutputs bool
+	// bodyXML, when set, is Body already encoded: a farm encodes its
+	// body once and every attempt sends the same bytes.
+	bodyXML []byte
+	// manifest, when set, is the encoded chunk manifest of a one-input
+	// body's input, carried in the request. A data-tier donor resolves
+	// it itself and opens no input pipe; any other donor ignores it.
+	manifest []byte
 }
 
 // RemoteJob is a despatched part awaiting completion.
@@ -65,16 +72,16 @@ type RemoteJob struct {
 	Part  RemotePart
 	JobID string
 	// InAds are the remote service's input-pipe advertisements, aligned
-	// with Part.InLabels; upstream producers bind to them.
+	// with Part.InLabels; upstream producers bind to them. Empty when the
+	// service took the part's manifest instead.
 	InAds []*advert.Advertisement
 	// TraceID and despatchSpan carry the despatch trace context so the
 	// result-collection span joins the same tree.
 	TraceID      string
 	despatchSpan string
-	// ChunkCapable records that the hosting peer advertised the
-	// content-addressed data tier in its run reply; a capable controller
-	// may send this job chunk manifests instead of streamed payloads.
-	ChunkCapable bool
+	// manifested records that the hosting peer took Part.manifest, so
+	// nothing is streamed to it.
+	manifested bool
 	// addressed records that the hosting peer honoured addressOutputs:
 	// its output pipes carry address items, not data.
 	addressed bool
@@ -100,9 +107,12 @@ func (s *Service) despatchCtx(ctx context.Context, part RemotePart, codeAddr str
 		return nil, fmt.Errorf("service: %d out targets for %d external outputs",
 			len(part.OutTargets), len(part.Body.ExternalOut))
 	}
-	xmlBytes, err := part.Body.EncodeXML()
-	if err != nil {
-		return nil, err
+	xmlBytes := part.bodyXML
+	if xmlBytes == nil {
+		var err error
+		if xmlBytes, err = part.Body.EncodeXML(); err != nil {
+			return nil, err
+		}
 	}
 	// Root span of the despatch lifecycle; the transfer child brackets
 	// the wire exchange and its IDs travel in the request envelope so the
@@ -117,7 +127,7 @@ func (s *Service) despatchCtx(ctx context.Context, part RemotePart, codeAddr str
 	}
 	defer despatch.End()
 	xfer := s.tracer.Start(despatch.TraceID(), despatch.SpanID(), "transfer", s.opts.PeerID)
-	payload := encodeRunPayload(xmlBytes, part.RestoreState)
+	payload := encodeRunPayload(xmlBytes, part.RestoreState, part.manifest)
 	headers := map[string]string{
 		"iterations": strconv.Itoa(part.Iterations),
 		"seed":       strconv.FormatInt(part.Seed, 10),
@@ -132,6 +142,9 @@ func (s *Service) despatchCtx(ctx context.Context, part RemotePart, codeAddr str
 	}
 	if part.addressOutputs {
 		headers[hdrOutputs] = outputsAddress
+	}
+	if part.manifest != nil {
+		headers[hdrInputs] = inputsManifest
 	}
 	for i, label := range part.InLabels {
 		headers[fmt.Sprintf("in.%d.label", i)] = label
@@ -159,9 +172,14 @@ func (s *Service) despatchCtx(ctx context.Context, part RemotePart, codeAddr str
 		despatch.Fail(err)
 		return nil, err
 	}
-	if len(ads) != len(part.InLabels) {
+	manifested := part.manifest != nil && reply.Header(hdrInputs) == inputsManifest
+	wantAds := len(part.InLabels)
+	if manifested {
+		wantAds = 0
+	}
+	if len(ads) != wantAds {
 		err = fmt.Errorf("service: peer %s returned %d pipe adverts for %d inputs",
-			part.Peer.ID, len(ads), len(part.InLabels))
+			part.Peer.ID, len(ads), wantAds)
 		despatch.Fail(err)
 		return nil, err
 	}
@@ -170,8 +188,8 @@ func (s *Service) despatchCtx(ctx context.Context, part RemotePart, codeAddr str
 	return &RemoteJob{
 		Part: part, JobID: reply.Header("job"), InAds: ads,
 		TraceID: despatch.TraceID(), despatchSpan: despatch.SpanID(),
-		ChunkCapable: reply.Header(capChunkstore) != "",
-		addressed:    part.addressOutputs && reply.Header(hdrOutputs) == outputsAddress,
+		manifested: manifested,
+		addressed:  part.addressOutputs && reply.Header(hdrOutputs) == outputsAddress,
 	}, nil
 }
 
@@ -212,7 +230,7 @@ func (s *Service) waitRemoteStateCtx(ctx context.Context, job *RemoteJob) (map[s
 	}
 	var state map[string][]byte
 	if len(reply.Payload) > 0 {
-		if _, state, err = decodeRunPayload(reply.Payload); err != nil {
+		if _, state, _, err = decodeRunPayload(reply.Payload, false); err != nil {
 			return nil, nil, err
 		}
 	}

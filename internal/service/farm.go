@@ -23,6 +23,13 @@
 // StragglerFactor, or SpeculateAfter before history exists — whose
 // firing launches a backup on the next-healthiest peer.
 //
+// Despatch: an attempt is one triana.run request carrying the body,
+// encoded once per farm, the carried state and, when the controller
+// runs the chunk store, the chunk's manifest. A donor that takes the
+// manifest echoes it and resolves the chunk itself, so the attempt only
+// collects outputs; any other donor opened an input pipe, which the
+// attempt binds and streams the chunk's payloads into.
+//
 // Carrier: an attempt carries — streams its outputs home — when the
 // chunk needs one vote, or when no other carrier attempt of the chunk is
 // running or has voted. Any other attempt asks for addresses in the
@@ -91,9 +98,10 @@ var ErrNoQuorumCapacity = errors.New("no quorum capacity within capability group
 
 // FarmOptions configures FarmChunks.
 type FarmOptions struct {
-	// Body builds the group body to despatch — a fresh graph per
-	// attempt, with exactly one external input and one external output
-	// (the streamed farm shape).
+	// Body builds the group body to despatch, with exactly one external
+	// input and one external output (the streamed farm shape). FarmChunks
+	// calls it once per farm and encodes the graph once: every attempt
+	// sends the same bytes.
 	Body func() *taskgraph.Graph
 	// Peers are the candidate workers. Selection orders them by live
 	// health (score, then latency); the listed order only breaks ties
@@ -233,13 +241,20 @@ type farmRun struct {
 	// max(1, Quorum). Plain and speculative farming are votes == 1.
 	votes int
 
-	// datums holds every chunk's canonical payloads (and the digests
-	// of those too long to travel by value), computed once per farm; manifests is the data-tier state when the
-	// controller runs the chunk store; tstats caches the tenant's farm
-	// series.
+	// body and bodyXML are opts.Body() and its encoding, made once per
+	// farm. datums holds every chunk's canonical payloads (and the
+	// digests of those too long to travel by value), computed once per
+	// farm; manifests is the data-tier state when the controller runs
+	// the chunk store; tstats caches the tenant's farm series.
+	body      *taskgraph.Graph
+	bodyXML   []byte
 	datums    [][]manifestDatum
 	manifests *farmManifests
 	tstats    *tenantFarmStats
+
+	// scratch is the buffer carrier outputs are encoded into to be
+	// hashed; only the chunk coordinator touches it.
+	scratch []byte
 
 	// ids and byID are the eligible candidates — the group-filtered
 	// subset of opts.Peers (all of them when no group is committed) —
@@ -389,6 +404,10 @@ func (s *Service) FarmChunks(ctx context.Context, chunks [][]types.Data, opts Fa
 	// identity is fixed before attempt one.
 	var err error
 	if fr.datums, err = digestFarmChunks(chunks); err != nil {
+		return nil, err
+	}
+	fr.body = opts.Body()
+	if fr.bodyXML, err = fr.body.EncodeXML(); err != nil {
 		return nil, err
 	}
 	if s.chunks != nil {
@@ -602,7 +621,7 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 				if r.addressed {
 					a.addrs, r.err = itemAddresses(r.got)
 				} else {
-					a.addrs, r.err = outputAddresses(r.got)
+					a.addrs, r.err = outputAddresses(r.got, &fr.scratch)
 				}
 				if r.err == nil {
 					a.digest = resultDigest(a.addrs, r.newState)
@@ -915,14 +934,15 @@ func (cr *chunkRun) abandon(specRace bool) {
 	}()
 }
 
-// attempt runs the chunk on one peer: despatch with restored state,
-// stream the chunk in, collect outputs until the sink pipe closes, then
-// fetch the completion state. A non-carrier asks for addresses;
-// addressed reports that the peer honoured that, so got holds address
-// items. Every pipe label is scoped to the (farm, chunk, attempt)
-// triple so residue from a lost attempt can never leak into a later
-// one — racing attempts of the same chunk get distinct attempt indices
-// and therefore disjoint pipes.
+// attempt runs the chunk on one peer: despatch with restored state and
+// (data tier on) the chunk's manifest, stream the chunk in if the peer
+// did not take the manifest, collect outputs until the sink pipe
+// closes, then fetch the completion state. A non-carrier asks for
+// addresses; addressed reports that the peer honoured that, so got
+// holds address items. Every pipe label is scoped to the (farm, chunk,
+// attempt) triple so residue from a lost attempt can never leak into a
+// later one — racing attempts of the same chunk get distinct attempt
+// indices and therefore disjoint pipes.
 func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int, carry bool) (got []types.Data, newState map[string][]byte, addressed bool, err error) {
 	s, opts, c := cr.s, cr.opts, cr.c
 	attemptCtx, cancel := context.WithTimeout(ctx, opts.AttemptTimeout)
@@ -944,9 +964,9 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int, carry bool
 	defer pipe.Close()
 	pipe.ExpectEOFs(1)
 
-	job, err := s.despatchCtx(attemptCtx, RemotePart{
+	part := RemotePart{
 		Peer:         peer,
-		Body:         opts.Body(),
+		Body:         cr.body,
 		InLabels:     []string{prefix + "/in"},
 		OutTargets:   []PipeTarget{{Label: prefix + "/out", Addr: s.Addr()}},
 		Iterations:   1,
@@ -956,32 +976,34 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int, carry bool
 		Group:        opts.Group,
 
 		addressOutputs: !carry,
-	}, opts.CodeAddr)
+		bodyXML:        cr.bodyXML,
+	}
+	if cr.manifests != nil {
+		// The chunk's manifest rides the request: a data-tier donor
+		// resolves it through its cache, the ring, sibling donors, and
+		// only then the controller — that ladder, not this attempt, is
+		// the data plane.
+		part.manifest = cr.manifests.manifestFor(c, peer.Addr)
+	}
+	job, err := s.despatchCtx(attemptCtx, part, opts.CodeAddr)
 	if err != nil {
 		return nil, nil, false, err
 	}
-
-	out, err := s.host.BindOutput(job.InAds[0])
-	if err != nil {
-		return nil, nil, false, err
+	if part.manifest != nil {
+		s.resStats.FarmEgressBytes.Add(int64(len(part.manifest)))
+		cr.tstats.egress.Add(int64(len(part.manifest)))
 	}
-	// Feed the chunk. With the data tier negotiated on both ends, one
-	// manifest frame replaces the payload stream: the donor resolves the
-	// digests through its cache, the ring, sibling donors, and only then
-	// the controller — that ladder, not this loop, is now the data plane.
-	// A legacy peer (or a farm on a controller without the tier) still
-	// gets the payloads streamed, checking the context between items so
-	// an abandoned attempt stops feeding the loser promptly.
 	var sendErr error
-	if cr.manifests != nil && job.ChunkCapable {
-		if attemptCtx.Err() == nil {
-			payload := cr.manifests.manifestFor(c, peer.Addr)
-			if sendErr = out.SendManifest(payload); sendErr == nil {
-				s.resStats.FarmEgressBytes.Add(int64(len(payload)))
-				cr.tstats.egress.Add(int64(len(payload)))
-			}
+	cancelled := false
+	if !job.manifested {
+		// The peer opened an input pipe — it runs no data tier, or the
+		// controller runs none — so the payloads are streamed, checking
+		// the context between items so an abandoned attempt stops
+		// feeding the loser promptly.
+		out, err := s.host.BindOutput(job.InAds[0])
+		if err != nil {
+			return nil, nil, false, err
 		}
-	} else {
 		for _, d := range cr.datums[c] {
 			if attemptCtx.Err() != nil {
 				break
@@ -992,18 +1014,17 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int, carry bool
 			s.resStats.FarmEgressBytes.Add(int64(len(d.payload)))
 			cr.tstats.egress.Add(int64(len(d.payload)))
 		}
+		// Abandoned mid-stream: cancel the remote job before signalling
+		// end-of-stream — the worker must not mistake the truncated input
+		// for a short-but-complete chunk and commit a partial result as
+		// done. CancelRemote is a synchronous RPC, so the verdict lands
+		// before the EOF does.
+		if attemptCtx.Err() != nil {
+			s.CancelRemote(job)
+			cancelled = true
+		}
+		out.Close()
 	}
-	// Abandoned mid-stream: cancel the remote job before signalling
-	// end-of-stream — the worker must not mistake the truncated input
-	// for a short-but-complete chunk and commit a partial result as
-	// done. CancelRemote is a synchronous RPC, so the verdict lands
-	// before the EOF does.
-	cancelled := false
-	if attemptCtx.Err() != nil {
-		s.CancelRemote(job)
-		cancelled = true
-	}
-	out.Close()
 
 	// Collect until the remote signals EOF (pipe.C closes) or the
 	// attempt dies. A worker that vanishes breaks its output conn, which

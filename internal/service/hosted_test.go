@@ -49,7 +49,7 @@ func TestHandleRunClosingReleasesPipes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := &jxtaserve.Message{Payload: encodeRunPayload(xml, nil)}
+	req := &jxtaserve.Message{Payload: encodeRunPayload(xml, nil, nil)}
 	req.SetHeader("from", "hc-ctl")
 	req.SetHeader("in.count", "1")
 	req.SetHeader("in.0.label", "hc-in")
@@ -308,7 +308,7 @@ func TestWaitAfterEndIsIdempotent(t *testing.T) {
 	n.SetLinkFaults(peer.Addr, simnet.LinkFaults{Latency: time.Nanosecond})
 	n.SetLinkFaults("wi-w", simnet.LinkFaults{DropEvery: 2})
 	want := waitRaw(t, ctl, peer.Addr, w2.JobID)
-	_, wantState, err := decodeRunPayload(want.Payload)
+	_, wantState, _, err := decodeRunPayload(want.Payload, false)
 	if err != nil || len(wantState) == 0 {
 		t.Fatalf("stateful job's wait carried no checkpoint (%v)", err)
 	}
@@ -486,4 +486,94 @@ func TestHostedJobCancelledWhenDistributedRunFails(t *testing.T) {
 	if jobs := w.Jobs(); len(jobs) != 1 || jobs[0].State != gateway.Canceled {
 		t.Fatalf("the donor lists %+v, want one canceled job", jobs)
 	}
+}
+
+// TestDonorParsesEachBodyOnce: a farm despatches its body once per
+// chunk, and the donor parses it once — the memo entry the first
+// despatch made serves every later one. Each job gets a clone, so a job
+// that mutates its graph leaves the next job's untouched. A document
+// that fails to parse is not kept, and distinct bodies past the bound
+// do not grow the memo.
+func TestDonorParsesEachBodyOnce(t *testing.T) {
+	n := simnet.New()
+	ctl := newService(t, n.Peer("po-ctl"), "po-ctl", Options{Resilience: chaosResilience()})
+	w := newService(t, n.Peer("po-w"), "po-w", Options{})
+	body := accumBody(t)
+	xml, err := body.EncodeXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	memoised := func() (*taskgraph.Graph, int) {
+		w.bodies.mu.Lock()
+		defer w.bodies.mu.Unlock()
+		return w.bodies.graphs[string(xml)], len(w.bodies.graphs)
+	}
+
+	var first *taskgraph.Graph
+	rep := runChaosFarm(t, ctl, []PeerRef{{ID: "po-w", Addr: w.Addr()}}, chaosChunks(chaosSeed, 4, 3), FarmOptions{
+		AfterChunk: func(c int) {
+			if c == 0 {
+				first, _ = memoised()
+			}
+		},
+	})
+	if rep.PeerChunks["po-w"] != 4 || rep.Redespatches != 0 {
+		t.Fatalf("chunks by peer %v, %d redespatches; want 4 clean despatches", rep.PeerChunks, rep.Redespatches)
+	}
+	if g, held := memoised(); first == nil || g != first || held != 1 {
+		t.Fatalf("donor re-parsed its body (first parse %p, now %p, %d bodies held)", first, g, held)
+	}
+
+	a, err := w.bodies.parse(xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Name = "mutated"
+	a.Tasks[0].SetParam("x", "y")
+	b, err := w.bodies.parse(xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == first || b == first || b.Name != body.Name || b.Tasks[0].Param("x", "") != "" || first.Name != body.Name {
+		t.Error("a job's mutation of its graph reached the memo or the next job")
+	}
+
+	if _, err := w.bodies.parse([]byte("<taskgraph")); err == nil {
+		t.Fatal("a truncated document parsed")
+	}
+	if _, held := memoised(); held != 1 {
+		t.Errorf("memo holds %d bodies after a failed parse, want 1", held)
+	}
+	for i := 0; i < 2*maxParsedBodies; i++ {
+		body.Name = "po-" + strconv.Itoa(i)
+		x, err := body.EncodeXML()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.bodies.parse(x); err != nil {
+			t.Fatal(err)
+		}
+		if _, held := memoised(); held > maxParsedBodies {
+			t.Fatalf("memo holds %d bodies, over its bound %d", held, maxParsedBodies)
+		}
+	}
+
+	// Concurrent run handlers share the memo: lookups, inserts and the
+	// start-over race, and each caller mutates only its own clone.
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 3*maxParsedBodies; k++ {
+				g, err := w.bodies.parse([]byte(`<taskgraph name="po-` + strconv.Itoa(k) + `"></taskgraph>`))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				g.Name = "mutated"
+			}
+		}()
+	}
+	wg.Wait()
 }

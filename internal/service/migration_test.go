@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"consumergrid/internal/frame"
@@ -117,34 +119,89 @@ func TestMigrationAcrossPeers(t *testing.T) {
 func TestRunPayloadCodec(t *testing.T) {
 	graph := []byte("<taskgraph/>")
 	state := map[string][]byte{"A": {1, 2, 3}, "B": nil, "C": {0xFF}}
-	p := encodeRunPayload(graph, state)
-	g2, s2, err := decodeRunPayload(p)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		manifest []byte
+	}{
+		{"state-only", nil},
+		{"manifest", []byte{1, 1, 'o', 1, 0, 2, 'h', 'i'}},
+		{"empty manifest", []byte{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			withManifest := tc.manifest != nil
+			p := encodeRunPayload(graph, state, tc.manifest)
+			g2, s2, m2, err := decodeRunPayload(p, withManifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(g2) != string(graph) {
+				t.Errorf("graph = %q", g2)
+			}
+			if len(s2) != 3 || string(s2["A"]) != "\x01\x02\x03" || len(s2["B"]) != 0 || s2["C"][0] != 0xFF {
+				t.Errorf("state = %v", s2)
+			}
+			if string(m2) != string(tc.manifest) || (m2 == nil) != !withManifest {
+				t.Errorf("manifest = %v, want %v", m2, tc.manifest)
+			}
+			// The decoder is canonical: no strict prefix decodes, and
+			// neither does junk after the last section.
+			for i := 0; i < len(p); i++ {
+				if _, _, _, err := decodeRunPayload(p[:i], withManifest); err == nil {
+					t.Errorf("%d-byte prefix of a %d-byte payload decoded", i, len(p))
+				}
+			}
+			junk := append(p[:len(p):len(p)], 0)
+			if _, _, _, err := decodeRunPayload(junk, withManifest); !errors.Is(err, frame.ErrTrailing) {
+				t.Errorf("payload with a junk byte after its last section: err = %v, want %v", err, frame.ErrTrailing)
+			}
+		})
 	}
-	if string(g2) != string(graph) {
-		t.Errorf("graph = %q", g2)
-	}
-	if len(s2) != 3 || string(s2["A"]) != "\x01\x02\x03" || len(s2["B"]) != 0 || s2["C"][0] != 0xFF {
-		t.Errorf("state = %v", s2)
+	// The inputs header decides whether a manifest section is read: a
+	// manifest form read without it has trailing bytes.
+	if _, _, _, err := decodeRunPayload(encodeRunPayload(graph, state, []byte{0}), false); !errors.Is(err, frame.ErrTrailing) {
+		t.Errorf("manifest form read as state-only: err = %v, want %v", err, frame.ErrTrailing)
 	}
 	// Empty state round-trips to nil map.
-	p2 := encodeRunPayload(graph, nil)
-	_, s3, err := decodeRunPayload(p2)
-	if err != nil || s3 != nil {
+	if _, s3, _, err := decodeRunPayload(encodeRunPayload(graph, nil, nil), false); err != nil || s3 != nil {
 		t.Errorf("empty state = %v, %v", s3, err)
 	}
-	// Truncation errors, never panics.
-	for i := 0; i < len(p); i++ {
-		if _, _, err := decodeRunPayload(p[:i]); err == nil && i < len(p)-1 {
-			// Some prefixes may parse if they happen to frame validly;
-			// only the complete payload must parse cleanly.
-			_ = err
-		}
-	}
-	if _, _, err := decodeRunPayload(nil); err == nil {
+	if _, _, _, err := decodeRunPayload(nil, false); err == nil {
 		t.Error("nil payload parsed")
 	}
+	// Forms the encoder never writes fail: state keys out of order or
+	// repeated, and a count with a leading zero.
+	pair := func(b []byte, k string) []byte { return frame.AppendBytes(frame.AppendString(b, k), nil) }
+	for name, p := range map[string][]byte{
+		"keys out of order": pair(pair(frame.AppendString(frame.AppendBytes(nil, graph), "2"), "B"), "A"),
+		"repeated key":      pair(pair(frame.AppendString(frame.AppendBytes(nil, graph), "2"), "A"), "A"),
+		"leading zero":      pair(frame.AppendString(frame.AppendBytes(nil, graph), "01"), "A"),
+	} {
+		if _, _, _, err := decodeRunPayload(p, false); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+// FuzzDecodeRunPayload: a run payload is untrusted (a donor's
+// triana.run request, a controller's triana.wait reply), and its
+// decoder is canonical — whatever it accepts, with or without the
+// manifest section, re-encodes to the same bytes.
+func FuzzDecodeRunPayload(f *testing.F) {
+	graph := []byte("<taskgraph/>")
+	state := map[string][]byte{"A": {1, 2, 3}, "B": nil}
+	f.Add(encodeRunPayload(graph, nil, nil), false)
+	f.Add(encodeRunPayload(graph, state, nil), false)
+	f.Add(encodeRunPayload(nil, state, []byte{}), true)
+	f.Add(encodeRunPayload(graph, state, []byte{1, 1, 'o', 1, 0, 2, 'h', 'i'}), true)
+	f.Fuzz(func(t *testing.T, p []byte, withManifest bool) {
+		g, s, m, err := decodeRunPayload(p, withManifest)
+		if err != nil {
+			return
+		}
+		if again := encodeRunPayload(g, s, m); !bytes.Equal(again, p) {
+			t.Fatalf("accepted payload %x re-encodes to %x", p, again)
+		}
+	})
 }
 
 // hostileCountBound is what decoding a few-byte frame that claims tens
@@ -159,7 +216,7 @@ const hostileCountBound = 1 << 20
 func TestRunPayloadHostileStateCount(t *testing.T) {
 	p := frame.AppendString(frame.AppendBytes(nil, nil), "30000000")
 	var err error
-	if n := allocatedBy(func() { _, _, err = decodeRunPayload(p) }); n > hostileCountBound {
+	if n := allocatedBy(func() { _, _, _, err = decodeRunPayload(p, true) }); n > hostileCountBound {
 		t.Fatalf("%d-byte payload claiming 30M state entries allocated %d bytes", len(p), n)
 	}
 	if err == nil {

@@ -68,15 +68,18 @@ func resultDigest(addrs []address, state map[string][]byte) string {
 }
 
 // outputAddresses computes a carrier's content addresses from the
-// outputs the controller received. Unencodable data fails the ballot —
-// it can never agree with anything and counts as a failed attempt.
-func outputAddresses(outs []types.Data) ([]address, error) {
+// outputs the controller received, encoding each into *scratch, which
+// it grows as needed and callers reuse across ballots. Unencodable data
+// fails the ballot — it can never agree with anything and counts as a
+// failed attempt.
+func outputAddresses(outs []types.Data, scratch *[]byte) ([]address, error) {
 	addrs := make([]address, len(outs))
 	for i, d := range outs {
-		p, err := types.Marshal(d)
+		p, err := types.AppendMarshal((*scratch)[:0], d)
 		if err != nil {
 			return nil, err
 		}
+		*scratch = p
 		addrs[i] = addressOf(p)
 	}
 	return addrs, nil

@@ -230,7 +230,7 @@ func TestQuorumFarmMovesEachByteOnce(t *testing.T) {
 			inBytes += int64(len(p))
 		}
 	}
-	manifests := ctlTap.Sent(jxtaserve.KindPipeManifest)
+	_, manifests := tn.runManifests.read() // they ride triana.run
 	wantEgress := inBytes + manifests
 	egress := ctlTap.Sent("rpc/overlay.chunk.put") + manifests +
 		ctlTap.Sent(jxtaserve.KindChunkData) + ctlTap.Sent(jxtaserve.KindPipeData)

@@ -10,7 +10,7 @@ import (
 // mustAddresses is outputAddresses for outputs the test knows encode.
 func mustAddresses(t *testing.T, outs []types.Data) []address {
 	t.Helper()
-	addrs, err := outputAddresses(outs)
+	addrs, err := outputAddresses(outs, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,9 @@ func TestCarrierAndAddressBallotsAgree(t *testing.T) {
 
 // TestBallotDigestSeesEveryFlippedBit: one flipped bit in any output
 // (in its canonical encoding, as the wire carries it) or in any state
-// value changes the ballot digest.
+// value changes the ballot digest. Every ballot is hashed through one
+// reused scratch buffer, as the chunk coordinator hashes them, and the
+// unmutated ballot still digests to base through it afterwards.
 func TestBallotDigestSeesEveryFlippedBit(t *testing.T) {
 	outs := []types.Data{
 		&types.Spectrum{Resolution: 1, Amplitudes: []float64{1, 2}},
@@ -141,6 +143,7 @@ func TestBallotDigestSeesEveryFlippedBit(t *testing.T) {
 	}
 	state := map[string][]byte{"a": {0x10, 0x20}, "b": {0x30}}
 	base := resultDigest(mustAddresses(t, outs), state)
+	var scratch []byte
 
 	for o, d := range outs {
 		p, err := types.Marshal(d)
@@ -156,7 +159,7 @@ func TestBallotDigestSeesEveryFlippedBit(t *testing.T) {
 			}
 			mutated := append([]types.Data(nil), outs...)
 			mutated[o] = flipped
-			addrs, err := outputAddresses(mutated)
+			addrs, err := outputAddresses(mutated, &scratch)
 			if err != nil {
 				continue
 			}
@@ -164,6 +167,9 @@ func TestBallotDigestSeesEveryFlippedBit(t *testing.T) {
 				t.Fatalf("output %d bit %d flipped, digest unchanged", o, bit)
 			}
 		}
+	}
+	if addrs, err := outputAddresses(outs, &scratch); err != nil || resultDigest(addrs, state) != base {
+		t.Fatalf("ballot hashed through the reused scratch buffer digests differently (%v)", err)
 	}
 	for k, v := range state {
 		for bit := 0; bit < 8*len(v); bit++ {
@@ -206,7 +212,7 @@ func FuzzResultDigest(f *testing.F) {
 				}
 			}
 		}
-		addrs, err := outputAddresses(outs)
+		addrs, err := outputAddresses(outs, new([]byte))
 		if err != nil {
 			return
 		}

@@ -17,6 +17,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -173,6 +174,7 @@ type Service struct {
 	groupKey string       // caps.Key(), fixed for the daemon's lifetime
 
 	tracer *trace.Recorder // span recorder for despatch lifecycles
+	bodies bodyMemo        // parsed triana.run bodies
 
 	tenantFarmMu sync.Mutex
 	tenantFarms  map[string]*tenantFarmStats // by tenant; see tenancy.go
@@ -296,7 +298,7 @@ func newEndedJob(id string, err error, res *engine.Result) *endedJob {
 		rec.headers["elapsedMicros"] = strconv.FormatInt(res.Elapsed.Microseconds(), 10)
 		// Ship the stateful units' checkpoints back so the caller can
 		// migrate the computation to another peer.
-		rec.payload = encodeRunPayload(nil, res.State)
+		rec.payload = encodeRunPayload(nil, res.State, nil)
 	}
 	return rec
 }
@@ -726,11 +728,13 @@ func (s *Service) exitRun() {
 
 // --- remote execution protocol ----------------------------------------------
 
-// runPayload frames the triana.run request body: the graph XML plus an
-// optional map of task-name -> checkpoint blob, enabling the §3.6.2
-// migration path ("a check-pointing mechanism may also be employed to
-// migrate computation if necessary").
-func encodeRunPayload(graphXML []byte, state map[string][]byte) []byte {
+// encodeRunPayload frames the triana.run request body: the graph XML
+// plus an optional map of task-name -> checkpoint blob, enabling the
+// §3.6.2 migration path ("a check-pointing mechanism may also be
+// employed to migrate computation if necessary"). A non-nil manifest
+// follows the state as one more section; the request's inputs header
+// says it is there. A wait reply carries the state alone.
+func encodeRunPayload(graphXML []byte, state map[string][]byte, manifest []byte) []byte {
 	out := frame.AppendBytes(nil, graphXML)
 	keys := make([]string, 0, len(state))
 	for k := range state {
@@ -742,23 +746,79 @@ func encodeRunPayload(graphXML []byte, state map[string][]byte) []byte {
 		out = frame.AppendString(out, k)
 		out = frame.AppendBytes(out, state[k])
 	}
+	if manifest != nil {
+		out = frame.AppendBytes(out, manifest)
+	}
 	return out
 }
 
-func decodeRunPayload(p []byte) (graphXML []byte, state map[string][]byte, err error) {
+var errStateOrder = errors.New("state keys not in strictly ascending order")
+
+// decodeRunPayload is encodeRunPayload's canonical inverse: it reads
+// the manifest section only when withManifest says the payload has one,
+// and it fails on anything the encoder would not have written — state
+// keys out of order or repeated, or bytes left over — so every payload
+// it accepts re-encodes to the same bytes.
+func decodeRunPayload(p []byte, withManifest bool) (graphXML []byte, state map[string][]byte, manifest []byte, err error) {
 	r := frame.NewReader(p)
 	graphXML = r.Bytes(len(p))
 	if count := r.DecimalCount(2); count > 0 {
 		state = make(map[string][]byte, count)
-		for i := 0; i < count && r.Err() == nil; i++ {
+		for i, prev := 0, ""; i < count && r.Err() == nil; i++ {
 			k := r.String(len(p))
-			state[k] = r.Bytes(len(p))
+			if i > 0 && k <= prev {
+				r.Fail(errStateOrder)
+			}
+			state[k], prev = r.Bytes(len(p)), k
 		}
 	}
-	if err := r.Err(); err != nil {
-		return nil, nil, fmt.Errorf("service: run payload: %w", err)
+	if withManifest {
+		manifest = r.Bytes(len(p))
 	}
-	return graphXML, state, nil
+	if err := r.Done(); err != nil {
+		return nil, nil, nil, fmt.Errorf("service: run payload: %w", err)
+	}
+	return graphXML, state, manifest, nil
+}
+
+// Bounds of a Service's parsed-body memo: how many distinct bodies it
+// holds, and the longest document it keeps. A farm despatches one body
+// over and over, so a handful of entries covers every farm a donor
+// serves at once.
+const (
+	maxParsedBodies   = 16
+	maxParsedBodySize = 64 << 10
+)
+
+// bodyMemo maps exact body XML to its parsed, validated graph, so a
+// donor parses each distinct body once however often it is despatched.
+// When full it starts over. A document that fails to parse is not kept.
+type bodyMemo struct {
+	mu     sync.Mutex
+	graphs map[string]*taskgraph.Graph
+}
+
+// parse returns a graph of the job's own: a clone of the memoised parse.
+func (m *bodyMemo) parse(graphXML []byte) (*taskgraph.Graph, error) {
+	m.mu.Lock()
+	g, ok := m.graphs[string(graphXML)]
+	m.mu.Unlock()
+	if !ok {
+		var err error
+		if g, err = taskgraph.ParseXML(graphXML); err != nil {
+			return nil, err
+		}
+		if len(graphXML) > maxParsedBodySize {
+			return g, nil
+		}
+		m.mu.Lock()
+		if m.graphs == nil || len(m.graphs) >= maxParsedBodies {
+			m.graphs = make(map[string]*taskgraph.Graph, maxParsedBodies)
+		}
+		m.graphs[string(graphXML)] = g
+		m.mu.Unlock()
+	}
+	return g.Clone(), nil
 }
 
 // collectUnits gathers unit -> version over a graph, recursing groups.
@@ -777,11 +837,11 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		return nil, err
 	}
 	defer s.exitRun()
-	graphXML, restoreState, err := decodeRunPayload(req.Payload)
+	graphXML, restoreState, manifest, err := decodeRunPayload(req.Payload, req.Header(hdrInputs) == inputsManifest)
 	if err != nil {
 		return nil, err
 	}
-	g, err := taskgraph.ParseXML(graphXML)
+	g, err := s.bodies.parse(graphXML)
 	if err != nil {
 		return nil, err
 	}
@@ -833,16 +893,22 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 	}
 
 	// Open input pipes for the graph's external inputs, named by the
-	// boundary connection labels supplied in the request.
+	// boundary connection labels supplied in the request — unless a
+	// data-tier donor takes the manifest the request carries for a
+	// one-input body: then the job resolves its input itself and no
+	// pipe is opened.
 	nIn, _ := strconv.Atoi(req.Header("in.count"))
 	if nIn != len(g.ExternalIn) {
 		return nil, fmt.Errorf("service: request declares %d inputs, graph has %d",
 			nIn, len(g.ExternalIn))
 	}
+	if s.chunks == nil || nIn != 1 {
+		manifest = nil
+	}
 	extIn := make(map[int]<-chan types.Data, nIn)
 	j := &job{}
 	var inAds []*advert.Advertisement
-	for i := 0; i < nIn; i++ {
+	for i := 0; i < nIn && manifest == nil; i++ {
 		label := req.Header(fmt.Sprintf("in.%d.label", i))
 		if label == "" {
 			j.abandon()
@@ -921,6 +987,10 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		span.SetAttr("job", id)
 		span.SetAttr("tenant", tenant)
 		defer span.End()
+		var err error
+		if manifest != nil {
+			extIn[0], err = s.manifestInput(ctx, manifest, span)
+		}
 		senders := newPipePump()
 		for i, ch := range outChans {
 			encode := types.Marshal
@@ -929,18 +999,21 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 			}
 			senders.forward(ch, j.out[i:i+1], encode)
 		}
-		res, err := engine.Run(ctx, g, engine.Options{
-			Iterations:   iterations,
-			Seed:         seed,
-			Sandbox:      sandbox.New(s.opts.Sandbox),
-			Logf:         s.opts.Logf,
-			ExternalIn:   extIn,
-			ExternalOut:  extOut,
-			RestoreState: restoreState,
-			Trace:        s.tracer,
-			TraceID:      span.TraceID(),
-			TraceParent:  span.SpanID(),
-		})
+		var res *engine.Result
+		if err == nil {
+			res, err = engine.Run(ctx, g, engine.Options{
+				Iterations:   iterations,
+				Seed:         seed,
+				Sandbox:      sandbox.New(s.opts.Sandbox),
+				Logf:         s.opts.Logf,
+				ExternalIn:   extIn,
+				ExternalOut:  extOut,
+				RestoreState: restoreState,
+				Trace:        s.tracer,
+				TraceID:      span.TraceID(),
+				TraceParent:  span.SpanID(),
+			})
+		}
 		sendErr := senders.stop() // closes the output pipes
 		j.closeIn()
 		if err == nil {
@@ -976,10 +1049,9 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 
 	reply := &jxtaserve.Message{Payload: adsPayload}
 	reply.SetHeader("job", id)
-	if s.chunks != nil {
-		// Advertise the data tier: a capable controller may send chunk
-		// manifests to this job's input pipes instead of streaming.
-		reply.SetHeader(capChunkstore, "1")
+	if manifest != nil {
+		// The echo tells the controller it has nothing to stream.
+		reply.SetHeader(hdrInputs, inputsManifest)
 	}
 	if addressed {
 		reply.SetHeader(hdrOutputs, outputsAddress)
