@@ -96,23 +96,23 @@ metrics-smoke:
 # placement (one copy asked, failover past a dead owner), a 10 s pass
 # of the manifest decoder fuzzer, and the end-to-end farm battery —
 # manifest despatch, the >= 50% controller-egress reduction under
-# quorum, the legacy streaming fallback, the peer fetch rung, the
+# quorum against the analytic cost of streaming, the peer fetch rung, the
 # dead-replica chaos case, manifests naming only the ring owners that
 # acked, tiny datums riding the manifest by value in the triana.run
-# request, an unresolvable manifest failing its job on the wait reply,
+# request, a manifest for a body without one input refused, an
+# unresolvable manifest failing its job on the wait reply,
 # a donor parsing a repeated body once, a mixed chunk
 # putting only its by-reference digests, the controller dropping a
 # farm's inputs when it ends and after a resumed restart, and the
 # quorum output path (carrier and address ballots, commit by fetch,
-# fetch failure, legacy voters as carriers, each byte moved once).
-# Then a short run of the egress benchmark pair so the
-# streaming-vs-manifest egress and ingress byte counts stay visible in
-# CI logs.
+# fetch failure, each byte moved once). Then a short run of the egress
+# benchmark so the controller's egress and ingress byte counts stay
+# visible in CI logs.
 datastore-smoke:
 	go test ./internal/chunkstore/ -count=1
 	go test ./internal/overlay/ -run 'TestChunk|TestManifest|TestPutChunk' -count=1
 	go test ./internal/chunkstore/ -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 10s
-	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestFarmLegacyPeerStreamsPayloads|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestCarrierAndAddressBallotsAgree|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineCarrierCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumLegacyDonorIsCarrier|TestQuorumFarmMovesEachByteOnce|TestUnresolvableManifestFailsOnWait|TestDonorParsesEachBodyOnce' -count=1 -v
+	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestCarrierAndAddressBallotsAgree|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineCarrierCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumFarmMovesEachByteOnce|TestManifestNeedsOneInputBody|TestUnresolvableManifestFailsOnWait|TestDonorParsesEachBodyOnce' -count=1 -v
 	go test -run '^$$' -bench 'BenchmarkFarmEgress' -benchtime 5x .
 
 # Multi-tenant despatch plane: the 2-shard × 3-tenant smoke scenario
@@ -130,12 +130,12 @@ tenant-smoke:
 	go test ./internal/experiments/ -run 'TestEveryExperimentRunsAndHoldsShape/T7' -count=1
 
 # Deterministic byzantine chaos harness: seeded simnet with a corrupting
-# peer and a dead peer, quorum voting (streamed ballots, and with the
-# data tier on, carrier and address ballots), breaker and score
-# assertions via the metrics registry. Seeds are fixed, so a failure is
+# peer and a dead peer, quorum voting (carrier and address ballots,
+# commit by fetch), breaker and score assertions via the metrics
+# registry. Seeds are fixed, so a failure is
 # reproducible.
 chaos-smoke:
-	go test ./internal/service/ -run 'TestChaos|TestChaosByzantineQuorumDataTier|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser' -count=1 -v
+	go test ./internal/service/ -run 'TestChaos|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser' -count=1 -v
 
 # Graceful-lifecycle battery under the race detector: the lifecycle
 # state-machine and crash-safe snapshot unit suites, a drain under

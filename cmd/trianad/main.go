@@ -189,7 +189,7 @@ func run() (code int) {
 		Addr:               *listen,
 		Overlay:            overlayOpts,
 		Wire:               jxtaserve.WireOptions{Mux: true, Binary: true},
-		DataTier:           service.DataTierOptions{Enable: true, CacheBytes: *chunkCache},
+		DataTier:           service.DataTierOptions{CacheBytes: *chunkCache},
 		Sandbox:            pol,
 		RM:                 rm,
 		Tenants:            tenantWeights,

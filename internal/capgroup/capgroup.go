@@ -1,7 +1,7 @@
 // Package capgroup implements capability identity groups: every peer
 // derives a typed, canonically-ordered capability set (unit-registry
-// version, CPU class, memory class, sandbox capabilities, data-tier
-// support, plus operator extras) and hashes its canonical form into a
+// version, CPU class, memory class, sandbox capabilities, plus operator
+// extras) and hashes its canonical form into a
 // stable group key. Peers with equal sets share a key, so despatch can
 // target "any member of group G" knowing the members are
 // interchangeable for the workload — and a quorum electorate drawn from
@@ -43,8 +43,6 @@ const (
 	KeyMem = "mem"
 	// KeySandbox summarises the sandbox permissions hosted work gets.
 	KeySandbox = "sandbox"
-	// KeyDataTier records content-addressed chunk-tier support.
-	KeyDataTier = "datatier"
 )
 
 // Service-advert attribute names for the capability set.
@@ -115,7 +113,6 @@ type Profile struct {
 	CPUMHz    int
 	FreeRAMMB int
 	Sandbox   sandbox.Policy
-	DataTier  bool
 	// Extra adds or overrides pairs (operator-supplied -caps): a key
 	// matching a derived one replaces it, anything else rides along.
 	Extra map[string]string
@@ -130,10 +127,6 @@ func Derive(p Profile) Set {
 		KeyCPUClass: CPUClass(p.CPUMHz),
 		KeyMem:      MemClass(p.FreeRAMMB),
 		KeySandbox:  SandboxClass(p.Sandbox),
-		KeyDataTier: "off",
-	}
-	if p.DataTier {
-		s[KeyDataTier] = "on"
 	}
 	for k, v := range p.Extra {
 		s[k] = v

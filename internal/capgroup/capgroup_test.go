@@ -71,12 +71,12 @@ func TestDeriveClasses(t *testing.T) {
 		t.Errorf("SandboxClass = %q, want sorted joined perms", got)
 	}
 
-	s := Derive(Profile{CPUMHz: 1200, FreeRAMMB: 600, DataTier: true,
+	s := Derive(Profile{CPUMHz: 1200, FreeRAMMB: 600,
 		Extra: map[string]string{"gpu": "none", KeyCPUClass: "pinned"}})
 	if s[KeyCPUClass] != "pinned" {
 		t.Errorf("Extra must override derived keys, got %q", s[KeyCPUClass])
 	}
-	if s[KeyMem] != "512MB" || s[KeyDataTier] != "on" || s["gpu"] != "none" {
+	if s[KeyMem] != "512MB" || s["gpu"] != "none" {
 		t.Errorf("Derive = %v", s)
 	}
 	if !strings.HasPrefix(s[KeyUnits], "r-") {
@@ -127,7 +127,7 @@ func serviceAd(peerID string, caps Set, cpuMHz int) *advert.Advertisement {
 }
 
 func TestAdvertRoundTrip(t *testing.T) {
-	caps := Derive(Profile{CPUMHz: 2000, FreeRAMMB: 512, DataTier: true})
+	caps := Derive(Profile{CPUMHz: 2000, FreeRAMMB: 512})
 	ad := serviceAd("worker-a", caps, 2000)
 	if ad.Attr(AttrGroupKey) != caps.Key() || ad.Attr(AttrCap+KeyUnits) != caps[KeyUnits] {
 		t.Fatalf("stamped advert attributes = %v", ad.Attributes)

@@ -244,7 +244,8 @@ type FarmOptions struct {
 	// Discovery filters candidate workers (Iterations is ignored).
 	Discovery RunOptions
 	// Body builds the farmed group body (one external input, one
-	// external output) — fresh per attempt.
+	// external output). The farm calls it once and sends its encoding
+	// with every attempt.
 	Body func() *taskgraph.Graph
 	// ChunkAttempts, AttemptTimeout, Heartbeat, Seed and AfterChunk
 	// forward to service.FarmOptions.

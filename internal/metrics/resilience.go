@@ -26,9 +26,9 @@ type ResilienceStats struct {
 	QuorumDisagreements Counter
 	QuorumFetches       Counter
 	// FarmEgressBytes counts the controller's data-plane bytes per farm:
-	// streamed payloads on the legacy path; manifests, ring write-through
-	// replicas, and controller-direct chunk serves on the data-tier path.
-	// The content-addressed tier exists to drive this number down.
+	// manifests, ring write-through replicas, and controller-direct
+	// chunk serves. The content-addressed tier exists to drive this
+	// number down.
 	FarmEgressBytes Counter
 }
 

@@ -80,13 +80,13 @@ func runChaosFarm(t *testing.T, ctl *Service, peers []PeerRef, chunks [][]types.
 	return rep
 }
 
-// faultFreeBaseline computes the reference output stream on a pristine
-// network at the same seed.
-func faultFreeBaseline(t *testing.T, seed int64, nChunks, perChunk int) []types.Data {
+// faultFreeBaseline computes the reference output stream of a plain
+// farm of the chunks on a pristine network.
+func faultFreeBaseline(t *testing.T, chunks [][]types.Data) []types.Data {
 	t.Helper()
 	n := simnet.New()
 	ctl, peers := chaosNet(t, n)
-	rep := runChaosFarm(t, ctl, peers, chaosChunks(seed, nChunks, perChunk), FarmOptions{})
+	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{})
 	if rep.Redespatches != 0 || rep.WastedOutputs != 0 {
 		t.Fatalf("fault-free run reported recovery work: %+v", rep)
 	}
@@ -126,7 +126,7 @@ const (
 // dropped, breaking its connection. The farm must still deliver the
 // exact fault-free output stream.
 func TestChaosDropFaults(t *testing.T) {
-	want := faultFreeBaseline(t, chaosSeed, chaosChunksN, chaosPerChunk)
+	want := faultFreeBaseline(t, chaosChunks(chaosSeed, chaosChunksN, chaosPerChunk))
 
 	n := simnet.New()
 	ctl, peers := chaosNet(t, n)
@@ -144,7 +144,7 @@ func TestChaosDropFaults(t *testing.T) {
 // TestChaosDelayJitter: seeded per-message latency + jitter on every
 // link. Slower, but nothing may change in the results.
 func TestChaosDelayJitter(t *testing.T) {
-	want := faultFreeBaseline(t, chaosSeed, chaosChunksN, chaosPerChunk)
+	want := faultFreeBaseline(t, chaosChunks(chaosSeed, chaosChunksN, chaosPerChunk))
 
 	n := simnet.New()
 	n.FaultSeed(42)
@@ -162,7 +162,7 @@ func TestChaosDelayJitter(t *testing.T) {
 // worker, so the first chunk must re-despatch across the split to a
 // reachable peer; the partition heals mid-run.
 func TestChaosPartition(t *testing.T) {
-	want := faultFreeBaseline(t, chaosSeed, chaosChunksN, chaosPerChunk)
+	want := faultFreeBaseline(t, chaosChunks(chaosSeed, chaosChunksN, chaosPerChunk))
 
 	n := simnet.New()
 	ctl, peers := chaosNet(t, n)
@@ -183,7 +183,7 @@ func TestChaosPartition(t *testing.T) {
 // work to the surviving peers, restore the checkpoint, and produce the
 // identical stream.
 func TestChaosKillMidRun(t *testing.T) {
-	want := faultFreeBaseline(t, chaosSeed, chaosChunksN, chaosPerChunk)
+	want := faultFreeBaseline(t, chaosChunks(chaosSeed, chaosChunksN, chaosPerChunk))
 
 	n := simnet.New()
 	ctl, peers := chaosNet(t, n)
@@ -215,7 +215,7 @@ func TestChaosKillMidRun(t *testing.T) {
 // downtime lands mid-run, forcing at least one re-despatch; the output
 // stream must still match the fault-free run exactly.
 func TestChaosChurnTraceKillRestart(t *testing.T) {
-	want := faultFreeBaseline(t, chaosSeed, 6, chaosPerChunk)
+	want := faultFreeBaseline(t, chaosChunks(chaosSeed, 6, chaosPerChunk))
 
 	n := simnet.New()
 	ctl, peers := chaosNet(t, n)
@@ -349,7 +349,7 @@ func TestRunErrorsDoNotRetry(t *testing.T) {
 // resumed run despatches only the remaining chunks — nothing is
 // double-billed to the donors.
 func TestRestartRecoveryResumesCheckpointedFarm(t *testing.T) {
-	want := faultFreeBaseline(t, chaosSeed, chaosChunksN, chaosPerChunk)
+	want := faultFreeBaseline(t, chaosChunks(chaosSeed, chaosChunksN, chaosPerChunk))
 	stateDir := t.TempDir()
 	chunks := chaosChunks(chaosSeed, chaosChunksN, chaosPerChunk)
 

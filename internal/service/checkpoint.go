@@ -64,9 +64,7 @@ func (s *Service) CheckpointNow() error {
 	snap.Set(ckptBilling, s.billing.export())
 	snap.Set(ckptHealth, s.health.Export())
 	snap.Set(ckptFarms, s.farms.export())
-	if s.chunks != nil {
-		snap.Set(ckptPins, s.chunks.ExportPinned())
-	}
+	snap.Set(ckptPins, s.chunks.ExportPinned())
 	if s.overlaySuper != nil {
 		snap.Set(ckptAdverts, s.overlaySuper.ExportEntries())
 	}
@@ -123,7 +121,7 @@ func (s *Service) restoreCheckpoint() error {
 			span.SetAttr("farms", fmt.Sprint(n))
 		}
 	}
-	if b, ok := snap.Get(ckptPins); ok && s.chunks != nil {
+	if b, ok := snap.Get(ckptPins); ok {
 		if n, err := s.chunks.RestorePinned(b); err != nil {
 			s.logf("service: %s: restoring chunk pins: %v", s.opts.PeerID, err)
 		} else {

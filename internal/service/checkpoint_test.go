@@ -34,8 +34,7 @@ func TestBillingRestoreRejectsOverlongUvarint(t *testing.T) {
 func fixtureOptions(dir string) Options {
 	return Options{
 		StateDir: dir, CheckpointInterval: -1,
-		DataTier: DataTierOptions{Enable: true},
-		Overlay:  &OverlayOptions{SuperPeer: true, Replication: 1, SyncInterval: -1, SweepInterval: -1},
+		Overlay: &OverlayOptions{SuperPeer: true, Replication: 1, SyncInterval: -1, SweepInterval: -1},
 	}
 }
 

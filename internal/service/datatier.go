@@ -1,19 +1,16 @@
-// The service side of the content-addressed data tier: the controller
-// stops streaming farm payloads per attempt and instead ships a chunk
-// manifest (ordered digest list plus fetch hints) inside the triana.run
-// request itself, which the donor's job materialises through the
-// chunkstore fallback ladder — local cache, super-peer ring replica, a
-// donor that resolved the digest earlier, and finally the controller
-// itself. A datum no longer than chunkstore.MaxInline rides the
-// manifest by value instead: it is never digested, pinned, put to the
-// ring or fetched. The capability is negotiated per despatch: the
-// request says it carries a manifest, and a data-tier donor running a
-// one-input body takes it, opens no input pipe and echoes the header.
-// A donor without the tier, or of an earlier release, ignores the
-// section and opens its pipe; with no echo the controller streams
-// payloads, byte for byte as before. On the way back, a quorum voter
-// asked for addresses keeps its outputs in its chunk LRU and sends
-// their content addresses instead (farm.go).
+// The service side of the content-addressed data tier, which every
+// daemon runs: a farm never streams its payloads per attempt. The
+// controller ships each chunk's manifest (ordered digest list plus
+// fetch hints) inside the triana.run request itself, and the donor's
+// job materialises it through the chunkstore fallback ladder — local
+// cache, super-peer ring replica, a donor that resolved the digest
+// earlier, and finally the controller itself. A datum no longer than
+// chunkstore.MaxInline rides the manifest by value instead: it is never
+// digested, pinned, put to the ring or fetched. The request's inputs
+// header says the manifest is there; the donor opens no input pipe for
+// it and refuses a manifest for any body but a one-input one. On the
+// way back, a quorum voter asked for addresses keeps its outputs in its
+// chunk LRU and sends their content addresses instead (farm.go).
 package service
 
 import (
@@ -29,18 +26,15 @@ import (
 )
 
 // hdrInputs in a triana.run request (value inputsManifest) says the run
-// payload carries the chunk's manifest after the state. A donor that
-// takes the manifest echoes the header in its reply, and returns no
-// input-pipe advert.
+// payload carries the chunk's manifest after the state: the donor opens
+// no input pipe and returns no input-pipe advert.
 const (
 	hdrInputs      = "inputs"
 	inputsManifest = "manifest"
 )
 
-// hdrOutputs in a triana.run request asks a data-tier donor to send its
-// outputs as content addresses (value outputsAddress); the donor echoes
-// it in its reply when it does. A donor without a chunk store ignores
-// the request and streams its outputs.
+// hdrOutputs in a triana.run request asks the donor to send its outputs
+// as content addresses (value outputsAddress).
 const (
 	hdrOutputs     = "outputs"
 	outputsAddress = "address"
@@ -53,20 +47,16 @@ const maxPeerHints = 3
 // moves to the next rung on expiry.
 const chunkFetchTimeout = 2 * time.Second
 
-// DataTierOptions opts a daemon into the content-addressed chunk tier.
+// DataTierOptions tunes the daemon's content-addressed chunk tier.
 type DataTierOptions struct {
-	// Enable turns the tier on: the daemon caches chunks, resolves
-	// manifests, serves chunk fetches, and (as a controller) despatches
-	// manifests to capable donors.
+	// Deprecated: ignored. Every daemon runs the tier.
 	Enable bool
 	// CacheBytes bounds the per-peer LRU chunk cache (default 64 MiB).
 	CacheBytes int64
 }
 
 // setupDataTier creates the peer's chunk store and installs the wire
-// hook through which the store answers chunk.fetch conversations. Also
-// run for super-peers regardless of Enable, so every ring member can
-// hold chunk replicas.
+// hook through which the store answers chunk.fetch conversations.
 func (s *Service) setupDataTier(o DataTierOptions) {
 	s.chunks = chunkstore.New(chunkstore.Options{
 		MaxBytes: o.CacheBytes,
@@ -76,8 +66,7 @@ func (s *Service) setupDataTier(o DataTierOptions) {
 	s.host.SetChunkSource(s.serveChunk)
 }
 
-// ChunkStore exposes the daemon's chunk cache; nil when the data tier
-// is off.
+// ChunkStore exposes the daemon's chunk cache.
 func (s *Service) ChunkStore() *chunkstore.Store { return s.chunks }
 
 // serveChunk answers a chunk.fetch conversation from the local store.
@@ -200,15 +189,18 @@ type manifestEntry struct {
 	data   []byte   // a by-value datum's canonical bytes
 }
 
-// prepareFarmManifests pins every by-reference datum's payload in the
-// controller's own store and writes each unique digest to
-// max(1, R−1) ring owners: while the farm runs the controller's pin is
-// one of the chunk's R copies. Manifests name only the owners that
-// acked as ring rungs. Replication bytes are controller egress, paid
-// once per digest, not once per attempt, and charged to the farm's
-// tenant as well as to the service. By-value datums skip all of this:
-// the manifest itself carries them to every attempt.
-func (s *Service) prepareFarmManifests(chunks [][]manifestDatum, tstats *tenantFarmStats) *farmManifests {
+// prepareFarmManifests canonically encodes every datum once, up front,
+// so a chunk's identity is fixed before the first attempt and
+// re-despatches and speculative backups never re-pay the marshal. A
+// datum of at most chunkstore.MaxInline bytes becomes a by-value entry:
+// the manifest itself carries it to every attempt. Any other is pinned
+// in the controller's own store for the controller-direct rung, and
+// each unique digest is written to max(1, R−1) ring owners: while the
+// farm runs the controller's pin is one of the chunk's R copies.
+// Manifests name only the owners that acked as ring rungs. Replication
+// bytes are controller egress, paid once per digest, not once per
+// attempt, and charged to the farm's tenant as well as to the service.
+func (s *Service) prepareFarmManifests(chunks [][]types.Data, tstats *tenantFarmStats) (*farmManifests, error) {
 	fm := &farmManifests{
 		s:      s,
 		origin: s.Addr(),
@@ -222,31 +214,37 @@ func (s *Service) prepareFarmManifests(chunks [][]manifestDatum, tstats *tenantF
 	rings := make(map[string][]string)
 	for c, chunk := range chunks {
 		entries := make([]manifestEntry, len(chunk))
+		fm.chunks[c] = entries
 		for i, d := range chunk {
-			if d.digest == "" {
-				entries[i] = manifestEntry{data: d.payload}
+			payload, err := types.Marshal(d)
+			if err != nil {
+				fm.release()
+				return nil, err
+			}
+			if len(payload) <= chunkstore.MaxInline {
+				entries[i] = manifestEntry{data: payload}
 				continue
 			}
-			ring, seen := rings[d.digest]
+			digest := chunkstore.Digest(payload)
+			ring, seen := rings[digest]
 			if !seen {
-				s.chunks.Pin(d.digest, d.payload)
+				s.chunks.Pin(digest, payload)
 				if s.overlay != nil {
-					acked, err := s.overlay.PutChunk(d.digest, d.payload, copies)
+					acked, err := s.overlay.PutChunk(digest, payload, copies)
 					if err != nil {
-						s.logf("service: farm chunk replicate %.12s: %v", d.digest, err)
+						s.logf("service: farm chunk replicate %.12s: %v", digest, err)
 					}
-					sent := int64(len(acked)) * int64(len(d.payload))
+					sent := int64(len(acked)) * int64(len(payload))
 					s.resStats.FarmEgressBytes.Add(sent)
 					tstats.egress.Add(sent)
 					ring = acked
 				}
-				rings[d.digest] = ring
+				rings[digest] = ring
 			}
-			entries[i] = manifestEntry{digest: d.digest, ring: ring}
+			entries[i] = manifestEntry{digest: digest, ring: ring}
 		}
-		fm.chunks[c] = entries
 	}
-	return fm
+	return fm, nil
 }
 
 // release unpins the farm's chunks once each, which drops them from
@@ -313,33 +311,4 @@ func (fm *farmManifests) recordResolved(c int, donorAddr string) {
 			fm.hints[e.digest] = append(hints, donorAddr)
 		}
 	}
-}
-
-// digestFarmChunks canonically encodes every datum once, up front: the
-// same bytes feed the digest, the pin, the ring replica, the by-value
-// manifest item and (on the legacy path) the stream, so a chunk's
-// identity is fixed before the first attempt. A datum of at most
-// chunkstore.MaxInline bytes travels by value and gets no digest.
-type manifestDatum struct {
-	digest  string // empty: by value
-	payload []byte
-}
-
-func digestFarmChunks(chunks [][]types.Data) ([][]manifestDatum, error) {
-	out := make([][]manifestDatum, len(chunks))
-	for c, chunk := range chunks {
-		ds := make([]manifestDatum, len(chunk))
-		for i, d := range chunk {
-			payload, err := types.Marshal(d)
-			if err != nil {
-				return nil, err
-			}
-			ds[i].payload = payload
-			if len(payload) > chunkstore.MaxInline {
-				ds[i].digest = chunkstore.Digest(payload)
-			}
-		}
-		out[c] = ds
-	}
-	return out, nil
 }

@@ -62,8 +62,8 @@ type RemotePart struct {
 	// body once and every attempt sends the same bytes.
 	bodyXML []byte
 	// manifest, when set, is the encoded chunk manifest of a one-input
-	// body's input, carried in the request. A data-tier donor resolves
-	// it itself and opens no input pipe; any other donor ignores it.
+	// body's input, carried in the request. The donor resolves it
+	// itself and opens no input pipe.
 	manifest []byte
 }
 
@@ -73,18 +73,12 @@ type RemoteJob struct {
 	JobID string
 	// InAds are the remote service's input-pipe advertisements, aligned
 	// with Part.InLabels; upstream producers bind to them. Empty when the
-	// service took the part's manifest instead.
+	// part carries a manifest.
 	InAds []*advert.Advertisement
 	// TraceID and despatchSpan carry the despatch trace context so the
 	// result-collection span joins the same tree.
 	TraceID      string
 	despatchSpan string
-	// manifested records that the hosting peer took Part.manifest, so
-	// nothing is streamed to it.
-	manifested bool
-	// addressed records that the hosting peer honoured addressOutputs:
-	// its output pipes carry address items, not data.
-	addressed bool
 }
 
 // Despatch ships a part to its peer: the remote service fetches modules
@@ -172,9 +166,8 @@ func (s *Service) despatchCtx(ctx context.Context, part RemotePart, codeAddr str
 		despatch.Fail(err)
 		return nil, err
 	}
-	manifested := part.manifest != nil && reply.Header(hdrInputs) == inputsManifest
 	wantAds := len(part.InLabels)
-	if manifested {
+	if part.manifest != nil {
 		wantAds = 0
 	}
 	if len(ads) != wantAds {
@@ -188,8 +181,6 @@ func (s *Service) despatchCtx(ctx context.Context, part RemotePart, codeAddr str
 	return &RemoteJob{
 		Part: part, JobID: reply.Header("job"), InAds: ads,
 		TraceID: despatch.TraceID(), despatchSpan: despatch.SpanID(),
-		manifested: manifested,
-		addressed:  part.addressOutputs && reply.Header(hdrOutputs) == outputsAddress,
 	}, nil
 }
 

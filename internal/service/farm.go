@@ -24,18 +24,15 @@
 // firing launches a backup on the next-healthiest peer.
 //
 // Despatch: an attempt is one triana.run request carrying the body,
-// encoded once per farm, the carried state and, when the controller
-// runs the chunk store, the chunk's manifest. A donor that takes the
-// manifest echoes it and resolves the chunk itself, so the attempt only
-// collects outputs; any other donor opened an input pipe, which the
-// attempt binds and streams the chunk's payloads into.
+// encoded once per farm, the carried state and the chunk's manifest.
+// The donor resolves the chunk itself (datatier.go), so the attempt
+// only collects outputs: data moves one way, controller to donor in
+// the request and donor to controller on the output pipe.
 //
 // Carrier: an attempt carries — streams its outputs home — when the
 // chunk needs one vote, or when no other carrier attempt of the chunk is
 // running or has voted. Any other attempt asks for addresses in the
-// despatch envelope, and only if the controller has a chunk store. A
-// donor without one ignores the request, streams its outputs and is
-// treated as a carrier. An address voter keeps its outputs in its own
+// despatch envelope. An address voter keeps its outputs in its own
 // bounded chunk LRU, so a clean chunk brings one copy of its outputs
 // home however many voters it needs.
 //
@@ -99,9 +96,9 @@ var ErrNoQuorumCapacity = errors.New("no quorum capacity within capability group
 // FarmOptions configures FarmChunks.
 type FarmOptions struct {
 	// Body builds the group body to despatch, with exactly one external
-	// input and one external output (the streamed farm shape). FarmChunks
-	// calls it once per farm and encodes the graph once: every attempt
-	// sends the same bytes.
+	// input and one external output; FarmChunks refuses any other shape
+	// before it despatches anything. It calls Body once per farm and
+	// encodes the graph once: every attempt sends the same bytes.
 	Body func() *taskgraph.Graph
 	// Peers are the candidate workers. Selection orders them by live
 	// health (score, then latency); the listed order only breaks ties
@@ -141,8 +138,8 @@ type FarmOptions struct {
 
 	// Tenant names the submitting tenant: admission slots are charged to
 	// its fair-share queue, the identity rides every despatch envelope,
-	// and the farm's committed chunks and egress bytes (streamed
-	// payloads, manifests and ring write-through) land on
+	// and the farm's committed chunks and egress bytes (manifests and
+	// ring write-through) land on
 	// tenant-labelled series. Controller-direct serves of pinned chunks
 	// stay on the service series only: a pin can be shared by several
 	// farms. Empty means DefaultTenant.
@@ -242,13 +239,10 @@ type farmRun struct {
 	votes int
 
 	// body and bodyXML are opts.Body() and its encoding, made once per
-	// farm. datums holds every chunk's canonical payloads (and the
-	// digests of those too long to travel by value), computed once per
-	// farm; manifests is the data-tier state when the controller runs
-	// the chunk store; tstats caches the tenant's farm series.
+	// farm; manifests holds every chunk's manifest entries; tstats
+	// caches the tenant's farm series.
 	body      *taskgraph.Graph
 	bodyXML   []byte
-	datums    [][]manifestDatum
 	manifests *farmManifests
 	tstats    *tenantFarmStats
 
@@ -285,10 +279,11 @@ type chunkRun struct {
 
 	results  chan farmResult
 	attempts []farmAttempt
-	running  int // attempts in flight, each holding an admission slot
-	ballots  int // attempts that voted
-	backups  int // attempts launched by the straggler timer
-	spent    int // of ChunkAttempts: launches plus failed probes
+	running  int   // attempts in flight, each holding an admission slot
+	ballots  int   // attempts that voted
+	backups  int   // attempts launched by the straggler timer
+	spent    int   // of ChunkAttempts: launches plus failed probes
+	lastErr  error // the most recent failed attempt's error
 
 	straggler *time.Timer
 }
@@ -301,9 +296,8 @@ type farmAttempt struct {
 	start  time.Time
 	phase  attemptPhase
 
-	// carrier marks an attempt that streams its outputs (or, asked for
-	// addresses, streamed them anyway); any other voter's got holds
-	// address items.
+	// carrier marks an attempt that streams its outputs; any other
+	// voter's got holds address items.
 	carrier bool
 
 	// The ballot, once voted: a clean, full-length result. addrs and
@@ -327,11 +321,10 @@ const (
 // farmResult is one attempt's terminal report, delivered on the chunk
 // coordinator's results channel.
 type farmResult struct {
-	idx       int
-	got       []types.Data
-	newState  map[string][]byte
-	addressed bool // got holds address items
-	err       error
+	idx      int
+	got      []types.Data
+	newState map[string][]byte
+	err      error
 }
 
 // FarmChunks streams chunks of work through the body on the given
@@ -385,6 +378,18 @@ func (s *Service) FarmChunks(ctx context.Context, chunks [][]types.Data, opts Fa
 		return nil, fmt.Errorf("service: FarmChunks Quorum %d exceeds the %d members of group %s: %w",
 			opts.Quorum, len(fr.ids), opts.Group, ErrNoQuorumCapacity)
 	}
+	// The body's shape is checked before anything is admitted or
+	// despatched: a wrong shape would fail every attempt locally and
+	// blame healthy donors for it.
+	fr.body = opts.Body()
+	if len(fr.body.ExternalIn) != 1 || len(fr.body.ExternalOut) != 1 {
+		return nil, fmt.Errorf("service: FarmChunks body has %d external inputs and %d outputs, needs exactly one of each",
+			len(fr.body.ExternalIn), len(fr.body.ExternalOut))
+	}
+	var err error
+	if fr.bodyXML, err = fr.body.EncodeXML(); err != nil {
+		return nil, err
+	}
 	opts = opts.withFarmDefaults(s.res)
 	fr.opts = opts
 	// Register with the admission scheduler before any slot is taken: a
@@ -397,23 +402,10 @@ func (s *Service) FarmChunks(ctx context.Context, chunks [][]types.Data, opts Fa
 	defer s.admit.endFarm()
 	fr.tstats = s.tenantFarm(opts.Tenant)
 	fr.tstats.farms.Inc()
-	// Canonically encode every datum once: the payloads feed the digests,
-	// the attempt streams, and (data tier on) the by-value manifest
-	// items, pinned chunks and ring replicas — so re-despatches and
-	// speculative backups never re-pay the marshal, and a chunk's
-	// identity is fixed before attempt one.
-	var err error
-	if fr.datums, err = digestFarmChunks(chunks); err != nil {
+	if fr.manifests, err = s.prepareFarmManifests(chunks, fr.tstats); err != nil {
 		return nil, err
 	}
-	fr.body = opts.Body()
-	if fr.bodyXML, err = fr.body.EncodeXML(); err != nil {
-		return nil, err
-	}
-	if s.chunks != nil {
-		fr.manifests = s.prepareFarmManifests(fr.datums, fr.tstats)
-		defer fr.manifests.release()
-	}
+	defer fr.manifests.release()
 	fr.id = s.nextRunID.Add(1)
 	report := fr.report
 	var state map[string][]byte
@@ -565,6 +557,12 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 			if !launched {
 				// Terminal: no budget or no fresh candidate.
 				cr.settle(plurality, -1)
+				if cr.votes == 1 {
+					// No ballot ever arrived, so the last attempt's
+					// failure is the cause.
+					return farmAttempt{}, fmt.Errorf("service: farm chunk %d failed after %d attempts: %w",
+						c, cr.spent, cr.lastErr)
+				}
 				if fr.opts.Group != "" && len(fr.ids) < len(fr.opts.Peers) && cr.spent < fr.opts.ChunkAttempts {
 					// Budget remained but every fresh in-group voter is
 					// spent: the out-of-group candidates were deliberately
@@ -610,18 +608,13 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 			if r.err == nil && len(r.got) != len(chunk) {
 				r.err = errors.New("short result")
 			}
-			if !r.addressed {
-				// Asked for addresses but streamed anyway: a donor
-				// without the data tier is a carrier.
-				a.carrier = true
-			}
 			if r.err == nil && cr.votes > 1 {
 				// Only a vote needs the digest; a lone ballot has
 				// nothing to be compared with.
-				if r.addressed {
-					a.addrs, r.err = itemAddresses(r.got)
-				} else {
+				if a.carrier {
 					a.addrs, r.err = outputAddresses(r.got, &fr.scratch)
+				} else {
+					a.addrs, r.err = itemAddresses(r.got)
 				}
 				if r.err == nil {
 					a.digest = resultDigest(a.addrs, r.newState)
@@ -630,6 +623,7 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 			if r.err != nil {
 				// The peer is free to be picked again.
 				a.phase = attemptFailed
+				cr.lastErr = r.err
 				s.health.ReportFailure(a.peer.ID)
 				fr.waste(len(r.got), false)
 				s.logf("service: farm %d chunk %d attempt %d on %s failed (%d/%d outputs): %v",
@@ -639,12 +633,10 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 			// The peer stays busy: it has voted.
 			a.phase, a.got, a.newState, a.elapsed = attemptVoted, r.got, r.newState, time.Since(a.start)
 			cr.ballots++
-			if fr.manifests != nil {
-				// A voter resolved the chunk's digests even before the
-				// vote commits — later attempts can fetch from it
-				// instead of the controller.
-				fr.manifests.recordResolved(c, a.peer.Addr)
-			}
+			// A voter resolved the chunk's digests even before the vote
+			// commits — later attempts can fetch from it instead of the
+			// controller.
+			fr.manifests.recordResolved(c, a.peer.Addr)
 		}
 	}
 }
@@ -687,13 +679,14 @@ func (cr *chunkRun) launch(backup bool) (bool, error) {
 			if _, err := s.host.RequestTimeout(peer.Addr, MethodPing, nil, nil, s.res.HeartbeatTimeout); err != nil {
 				s.health.ReportFailure(peer.ID)
 				s.admit.release(tenant)
+				cr.lastErr = err
 				s.logf("service: farm %d chunk %d probe of %s failed: %v", cr.id, cr.c, peer.ID, err)
 				continue
 			}
 			s.health.ReportSuccess(peer.ID, time.Since(start))
 		}
 		idx := len(cr.attempts)
-		carry := cr.votes == 1 || s.chunks == nil || !cr.carrierLive()
+		carry := cr.votes == 1 || !cr.carrierLive()
 		if backup {
 			cr.backups++
 		} else if idx-cr.backups >= cr.votes {
@@ -706,9 +699,9 @@ func (cr *chunkRun) launch(backup bool) (bool, error) {
 		cr.attempts = append(cr.attempts, farmAttempt{peer: peer, cancel: cancel, backup: backup, start: time.Now(), carrier: carry})
 		cr.running++
 		go func() {
-			got, newState, addressed, err := cr.attempt(actx, peer, idx, carry)
+			got, newState, err := cr.attempt(actx, peer, idx, carry)
 			cancel()
-			cr.results <- farmResult{idx: idx, got: got, newState: newState, addressed: addressed, err: err}
+			cr.results <- farmResult{idx: idx, got: got, newState: newState, err: err}
 		}()
 		if cr.opts.Speculate && cr.votes == 1 {
 			if cr.straggler != nil {
@@ -935,15 +928,13 @@ func (cr *chunkRun) abandon(specRace bool) {
 }
 
 // attempt runs the chunk on one peer: despatch with restored state and
-// (data tier on) the chunk's manifest, stream the chunk in if the peer
-// did not take the manifest, collect outputs until the sink pipe
-// closes, then fetch the completion state. A non-carrier asks for
-// addresses; addressed reports that the peer honoured that, so got
-// holds address items. Every pipe label is scoped to the (farm, chunk,
-// attempt) triple so residue from a lost attempt can never leak into a
-// later one — racing attempts of the same chunk get distinct attempt
-// indices and therefore disjoint pipes.
-func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int, carry bool) (got []types.Data, newState map[string][]byte, addressed bool, err error) {
+// the chunk's manifest, collect outputs until the sink pipe closes,
+// then fetch the completion state. A non-carrier asks for addresses, so
+// got holds address items. Every pipe label is scoped to the (farm,
+// chunk, attempt) triple so residue from a lost attempt can never leak
+// into a later one — racing attempts of the same chunk get distinct
+// attempt indices and therefore disjoint pipes.
+func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int, carry bool) (got []types.Data, newState map[string][]byte, err error) {
 	s, opts, c := cr.s, cr.opts, cr.c
 	attemptCtx, cancel := context.WithTimeout(ctx, opts.AttemptTimeout)
 	defer cancel()
@@ -959,12 +950,16 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int, carry bool
 	prefix := fmt.Sprintf("farm/%s/%d/c%d/a%d", s.opts.PeerID, cr.id, c, a)
 	pipe, _, err := s.host.OpenInput(prefix+"/out", len(cr.chunk)+1)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	defer pipe.Close()
 	pipe.ExpectEOFs(1)
 
-	part := RemotePart{
+	// The chunk's manifest rides the request: the donor resolves it
+	// through its cache, the ring, sibling donors, and only then the
+	// controller — that ladder, not this attempt, is the data plane.
+	manifest := cr.manifests.manifestFor(c, peer.Addr)
+	job, err := s.despatchCtx(attemptCtx, RemotePart{
 		Peer:         peer,
 		Body:         cr.body,
 		InLabels:     []string{prefix + "/in"},
@@ -977,84 +972,48 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int, carry bool
 
 		addressOutputs: !carry,
 		bodyXML:        cr.bodyXML,
-	}
-	if cr.manifests != nil {
-		// The chunk's manifest rides the request: a data-tier donor
-		// resolves it through its cache, the ring, sibling donors, and
-		// only then the controller — that ladder, not this attempt, is
-		// the data plane.
-		part.manifest = cr.manifests.manifestFor(c, peer.Addr)
-	}
-	job, err := s.despatchCtx(attemptCtx, part, opts.CodeAddr)
+		manifest:       manifest,
+	}, opts.CodeAddr)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	if part.manifest != nil {
-		s.resStats.FarmEgressBytes.Add(int64(len(part.manifest)))
-		cr.tstats.egress.Add(int64(len(part.manifest)))
-	}
-	var sendErr error
-	cancelled := false
-	if !job.manifested {
-		// The peer opened an input pipe — it runs no data tier, or the
-		// controller runs none — so the payloads are streamed, checking
-		// the context between items so an abandoned attempt stops
-		// feeding the loser promptly.
-		out, err := s.host.BindOutput(job.InAds[0])
-		if err != nil {
-			return nil, nil, false, err
-		}
-		for _, d := range cr.datums[c] {
-			if attemptCtx.Err() != nil {
-				break
-			}
-			if sendErr = out.SendRaw(d.payload); sendErr != nil {
-				break
-			}
-			s.resStats.FarmEgressBytes.Add(int64(len(d.payload)))
-			cr.tstats.egress.Add(int64(len(d.payload)))
-		}
-		// Abandoned mid-stream: cancel the remote job before signalling
-		// end-of-stream — the worker must not mistake the truncated input
-		// for a short-but-complete chunk and commit a partial result as
-		// done. CancelRemote is a synchronous RPC, so the verdict lands
-		// before the EOF does.
-		if attemptCtx.Err() != nil {
-			s.CancelRemote(job)
-			cancelled = true
-		}
-		out.Close()
-	}
+	s.resStats.FarmEgressBytes.Add(int64(len(manifest)))
+	cr.tstats.egress.Add(int64(len(manifest)))
 
 	// Collect until the remote signals EOF (pipe.C closes) or the
 	// attempt dies. A worker that vanishes breaks its output conn, which
-	// counts as its EOF, so this loop always terminates.
-collect:
-	for {
-		select {
-		case d, ok := <-pipe.C:
-			if !ok {
-				break collect
-			}
-			got = append(got, d)
-		case <-attemptCtx.Done():
-			break collect
-		}
-	}
-	if err := attemptCtx.Err(); err != nil {
+	// counts as its EOF, so this always terminates.
+	if !collect(attemptCtx, pipe.C, &got) {
 		// Abandoned attempt (timeout, dead verdict, or a racing sibling
-		// committed first): tell the peer to stop, best effort.
-		if !cancelled {
-			s.CancelRemote(job)
+		// committed first): tell the peer to stop, best effort. Once the
+		// cancel has landed, read what the donor sent before it stopped,
+		// so the waste books count every output it produced.
+		if s.CancelRemote(job) == nil {
+			drainCtx, stop := context.WithTimeout(context.Background(), s.res.RequestTimeout)
+			collect(drainCtx, pipe.C, &got)
+			stop()
 		}
-		return got, nil, job.addressed, err
-	}
-	if sendErr != nil {
-		return got, nil, job.addressed, sendErr
+		return got, nil, attemptCtx.Err()
 	}
 	_, newState, err = s.waitRemoteStateCtx(attemptCtx, job)
 	if err != nil {
-		return got, nil, job.addressed, err
+		return got, nil, err
 	}
-	return got, newState, job.addressed, nil
+	return got, newState, nil
+}
+
+// collect appends what arrives on in to got until in closes, reporting
+// true, or ctx ends first, reporting false.
+func collect(ctx context.Context, in <-chan types.Data, got *[]types.Data) bool {
+	for {
+		select {
+		case d, ok := <-in:
+			if !ok {
+				return true
+			}
+			*got = append(*got, d)
+		case <-ctx.Done():
+			return false
+		}
+	}
 }

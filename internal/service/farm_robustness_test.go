@@ -9,6 +9,7 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,20 +24,13 @@ import (
 // labels (the process-global metrics registry keys gauges by
 // observer/peer, so labels must not collide across tests).
 func quorumNet(t *testing.T, n *simnet.Network, prefix string, healthOpts health.Options) (ctl *Service, peers []PeerRef) {
-	return quorumNetTier(t, n, prefix, healthOpts, DataTierOptions{})
-}
-
-// quorumNetTier is quorumNet with the given data tier on the controller
-// and every worker.
-func quorumNetTier(t *testing.T, n *simnet.Network, prefix string, healthOpts health.Options, tier DataTierOptions) (ctl *Service, peers []PeerRef) {
 	t.Helper()
 	ctl = newService(t, n.Peer(prefix+"ctl"), prefix+"ctl", Options{
 		Resilience: chaosResilience(),
 		Health:     healthOpts,
-		DataTier:   tier,
 	})
 	for _, label := range []string{"w1", "w2", "w3", "w4"} {
-		w := newService(t, n.Peer(prefix+label), prefix+label, Options{DataTier: tier})
+		w := newService(t, n.Peer(prefix+label), prefix+label, Options{})
 		peers = append(peers, PeerRef{ID: prefix + label, Addr: w.Addr()})
 	}
 	return ctl, peers
@@ -48,24 +42,11 @@ func quorumNetTier(t *testing.T, n *simnet.Network, prefix string, healthOpts he
 // majority-agreed outputs — identical to a clean run — while the
 // byzantine peer's health score collapses below the suspicion threshold
 // and the dead peer's breaker opens, all observable through the metrics
-// registry.
+// registry. Only one voter per chunk streams its outputs: the corrupter
+// carries chunk 0, which commits by fetching the address voters'
+// outputs, and votes by address once its score has sunk.
 func TestChaosByzantineQuorum(t *testing.T) {
-	chaosByzantineQuorum(t, "q-", DataTierOptions{})
-}
-
-// TestChaosByzantineQuorumDataTier is the same scenario with the data
-// tier on everywhere, so only one voter per chunk streams its outputs:
-// the corrupter carries chunk 0 (committed by fetching the address
-// voters' outputs) and votes by address once its score has sunk.
-func TestChaosByzantineQuorumDataTier(t *testing.T) {
-	if fetches := chaosByzantineQuorum(t, "qd-", DataTierOptions{Enable: true}); fetches == 0 {
-		t.Error("no chunk was committed by fetch: the corrupter never carried")
-	}
-}
-
-// chaosByzantineQuorum runs the scenario and reports the controller's
-// quorum output fetches.
-func chaosByzantineQuorum(t *testing.T, prefix string, tier DataTierOptions) int64 {
+	const prefix = "q-"
 	const nChunks, perChunk = 4, 5
 	chunks := chaosChunks(chaosSeed, nChunks, perChunk)
 
@@ -76,7 +57,7 @@ func chaosByzantineQuorum(t *testing.T, prefix string, tier DataTierOptions) int
 
 	n := simnet.New()
 	n.FaultSeed(7)
-	ctl, peers := quorumNetTier(t, n, prefix, health.Options{}, tier)
+	ctl, peers := quorumNet(t, n, prefix, health.Options{})
 	byz, dead := prefix+"w1", prefix+"w2"
 	// w1 is byzantine: every pipe.data payload crossing its links is
 	// corrupted in flight. w2 is dead before the farm starts.
@@ -121,9 +102,11 @@ func chaosByzantineQuorum(t *testing.T, prefix string, tier DataTierOptions) int
 	if breaker != float64(health.Open) {
 		t.Errorf("dead peer breaker gauge = %v, want %v (open)", breaker, float64(health.Open))
 	}
+	if snap.QuorumFetches == 0 {
+		t.Error("no chunk was committed by fetch: the corrupter never carried")
+	}
 	t.Logf("corrupted=%d disagreements=%d redespatches=%d wasted=%d fetches=%d peers=%v",
 		n.Corrupted(), rep.QuorumDisagreements, rep.Redespatches, rep.WastedOutputs, snap.QuorumFetches, rep.PeerChunks)
-	return snap.QuorumFetches
 }
 
 // TestFarmSkipsDeclaredDeadPeer is the regression for the consult-dead-
@@ -556,5 +539,62 @@ func TestLatencyFeedsSpeculationThreshold(t *testing.T) {
 	}
 	if got := ctl.stragglerThreshold("lt-nohistory", opts); got != time.Hour {
 		t.Errorf("no-history threshold = %v, want the SpeculateAfter fallback", got)
+	}
+}
+
+// TestFarmRejectsBodyShape: a body without exactly one external input
+// and one external output is refused before anything is admitted or
+// despatched, so no healthy donor is blamed for it.
+func TestFarmRejectsBodyShape(t *testing.T) {
+	n := simnet.New()
+	tap := simnet.NewTap(n.Peer("bs-ctl"))
+	ctl := newService(t, tap, "bs-ctl", Options{Resilience: chaosResilience()})
+	var peers []PeerRef
+	for _, label := range []string{"bs-w1", "bs-w2", "bs-w3"} {
+		w := newService(t, n.Peer(label), label, Options{})
+		peers = append(peers, PeerRef{ID: label, Addr: w.Addr()})
+	}
+	_, err := ctl.FarmChunks(context.Background(), chaosChunks(chaosSeed, 2, 3), FarmOptions{
+		Body: func() *taskgraph.Graph {
+			g := accumBody(t)
+			g.ExternalOut = nil
+			return g
+		},
+		Peers: peers,
+	})
+	if err == nil || !strings.Contains(err.Error(), "needs exactly one of each") {
+		t.Fatalf("farm of a 0-output body: err = %v, want the shape refusal", err)
+	}
+	if runs := tap.SentMsgs("rpc/" + MethodRun); runs != 0 {
+		t.Errorf("%d despatches for a refused body", runs)
+	}
+	for _, p := range peers {
+		if score := ctl.Health().Score(p.ID); score != 1 {
+			t.Errorf("%s score = %v after a refused farm, want 1", p.ID, score)
+		}
+	}
+	if _, inflight := ctl.admit.counts(); inflight != 0 {
+		t.Errorf("%d admission slots held after a refused farm", inflight)
+	}
+}
+
+// TestFarmErrorNamesCause: when every attempt of a plain farm fails,
+// the terminal error wraps the last attempt's, so a grid of busy
+// donors reads as busy.
+func TestFarmErrorNamesCause(t *testing.T) {
+	n := simnet.New()
+	ctl := newService(t, n.Peer("fc-ctl"), "fc-ctl", Options{Resilience: chaosResilience()})
+	var peers []PeerRef
+	for _, label := range []string{"fc-w1", "fc-w2"} {
+		w := newService(t, n.Peer(label), label, Options{})
+		w.SetAvailable(false)
+		peers = append(peers, PeerRef{ID: label, Addr: w.Addr()})
+	}
+	_, err := ctl.FarmChunks(context.Background(), chaosChunks(chaosSeed, 1, 3), FarmOptions{
+		Body:  func() *taskgraph.Graph { return accumBody(t) },
+		Peers: peers,
+	})
+	if err == nil || !strings.Contains(err.Error(), "busy") {
+		t.Fatalf("farm over busy donors: err = %v, want the donors' busy refusal", err)
 	}
 }

@@ -391,8 +391,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	ctlDir, donorDir := t.TempDir(), t.TempDir()
 	ctlOpts := Options{
 		StateDir: ctlDir, CheckpointInterval: -1,
-		DataTier: DataTierOptions{Enable: true},
-		Overlay:  &OverlayOptions{SuperPeer: true, Replication: 1, SyncInterval: -1, SweepInterval: -1},
+		Overlay: &OverlayOptions{SuperPeer: true, Replication: 1, SyncInterval: -1, SweepInterval: -1},
 	}
 	ctl := newService(t, tr, "ck-ctl", ctlOpts)
 	donor := newService(t, tr, "ck-w1", Options{StateDir: donorDir, CheckpointInterval: -1})

@@ -41,20 +41,17 @@ func (s *Service) setupOverlay(o *OverlayOptions) error {
 		if syncInterval == 0 {
 			syncInterval = 15 * time.Second
 		}
-		superOpts := overlay.SuperOptions{
+		super, err := overlay.NewSuper(s.host, overlay.SuperOptions{
 			Ring:          ring,
 			Replication:   o.Replication,
 			SyncInterval:  syncInterval,
 			SweepInterval: o.SweepInterval,
-			Tracer:        s.tracer,
-			Logf:          s.opts.Logf,
-		}
-		if s.chunks != nil {
 			// The super's chunk cache doubles as its ring vault, so
 			// controllers can place farm chunk replicas here.
-			superOpts.Chunks = s.chunks
-		}
-		super, err := overlay.NewSuper(s.host, superOpts)
+			Chunks: s.chunks,
+			Tracer: s.tracer,
+			Logf:   s.opts.Logf,
+		})
 		if err != nil {
 			return err
 		}

@@ -28,10 +28,10 @@ import (
 func TestQuorumByzantineCarrierCommitsByFetch(t *testing.T) {
 	const nChunks, perChunk = 2, 4
 	chunks := chaosChunks(chaosSeed, nChunks, perChunk)
-	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
+	want := faultFreeBaseline(t, chunks)
 
 	n := simnet.New()
-	tn := dataTierNet(t, n, "bc-", 1, []bool{true, true, true})
+	tn := dataTierNet(t, n, "bc-", 1, 3)
 	n.SetLinkFaults("bc-w1", simnet.LinkFaults{CorruptEvery: 1})
 	rep := runChaosFarm(t, tn.ctl, tn.peers, chunks, FarmOptions{Quorum: 3})
 
@@ -102,7 +102,7 @@ func (c *waitReplyConn) Recv() (*jxtaserve.Message, error) {
 func TestQuorumFetchFailureWidens(t *testing.T) {
 	const perChunk = 4
 	chunks := chaosChunks(chaosSeed, 1, perChunk)
-	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
+	want := faultFreeBaseline(t, chunks)
 
 	n := simnet.New()
 	labels := map[string]string{} // addr -> donor label
@@ -118,11 +118,10 @@ func TestQuorumFetchFailureWidens(t *testing.T) {
 	}}
 	ctl := newService(t, hook, "ff-ctl", Options{
 		Resilience: chaosResilience(),
-		DataTier:   DataTierOptions{Enable: true},
 	})
 	var peers []PeerRef
 	for _, label := range []string{"ff-w1", "ff-w2", "ff-w3", "ff-w4", "ff-w5"} {
-		w := newService(t, n.Peer(label), label, Options{DataTier: DataTierOptions{Enable: true}})
+		w := newService(t, n.Peer(label), label, Options{})
 		labels[w.Addr()] = label
 		peers = append(peers, PeerRef{ID: label, Addr: w.Addr()})
 	}
@@ -170,52 +169,16 @@ func TestQuorumFetchFailureWidens(t *testing.T) {
 	}
 }
 
-// TestQuorumLegacyDonorIsCarrier: two of the three voters run without
-// the data tier, so they ignore the request for addresses and stream
-// their outputs. They count as carriers: the controller commits their
-// streamed outputs (it could not fetch from them) while the corrupting
-// data-tier carrier is outvoted.
-func TestQuorumLegacyDonorIsCarrier(t *testing.T) {
-	chunks := chaosChunks(chaosSeed, 2, 4)
-	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
-
-	n := simnet.New()
-	tn := dataTierNet(t, n, "lc-", 1, []bool{true, false, false})
-	n.SetLinkFaults("lc-w1", simnet.LinkFaults{CorruptEvery: 1})
-	rep := runChaosFarm(t, tn.ctl, tn.peers, chunks, FarmOptions{Quorum: 3})
-
-	assertSameOutputs(t, rep.Outputs, want)
-	if rep.PeerChunks["lc-w1"] != 0 {
-		t.Errorf("corrupting carrier committed %d chunks", rep.PeerChunks["lc-w1"])
-	}
-	if got := tn.ctl.Resilience().Snapshot().QuorumFetches; got != 0 {
-		t.Errorf("quorum fetches = %d; legacy voters stream, nothing to fetch", got)
-	}
-	// Every voter streamed full outputs: three copies per output came
-	// home, not one plus addresses.
-	var outBytes int64
-	for _, d := range rep.Outputs {
-		p, err := types.Marshal(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outBytes += int64(len(p))
-	}
-	if got := tn.taps["lc-ctl"].Recv(jxtaserve.KindPipeData); got < 3*outBytes {
-		t.Errorf("controller received %d pipe.data bytes, want >= %d (three streamed copies)", got, 3*outBytes)
-	}
-}
-
 // TestQuorumFarmMovesEachByteOnce is the wire accounting of a clean
 // Quorum: 3 farm over an R=2 ring: every input crosses the controller's
 // link once (one ring copy; the controller's pin is the other), and
 // each output comes home once, the other two voters sending addresses.
 func TestQuorumFarmMovesEachByteOnce(t *testing.T) {
 	chunks := bigChunks(chaosSeed, 3, 4, 2048)
-	want, _ := streamingEgressBaseline(t, chunks, FarmOptions{})
+	want := faultFreeBaseline(t, chunks)
 
 	n := simnet.New()
-	tn := dataTierNet(t, n, "mo-", 2, []bool{true, true, true})
+	tn := dataTierNet(t, n, "mo-", 2, 3)
 	rep := runChaosFarm(t, tn.ctl, tn.peers, chunks, FarmOptions{Quorum: 3})
 	assertSameOutputs(t, rep.Outputs, want)
 	ctlTap := tn.taps["mo-ctl"]

@@ -102,7 +102,7 @@ type Options struct {
 	Tenants map[string]int
 	// Caps adds or overrides pairs in the peer's derived capability set
 	// (trianad -caps): the set — unit-registry version, CPU class,
-	// memory class, sandbox summary, data-tier support, plus these —
+	// memory class, sandbox summary, plus these —
 	// canonicalises into the peer's capability-group key, advertised
 	// alongside the service advert so despatch can target "any member
 	// of group G".
@@ -122,13 +122,10 @@ type Options struct {
 	// way, XML-only and unmuxed peers still interoperate (the handshake
 	// downgrades per peer).
 	Wire jxtaserve.WireOptions
-	// DataTier opts the daemon into the content-addressed chunk tier:
+	// DataTier tunes the content-addressed chunk tier every daemon runs:
 	// farm inputs travel as manifests — tiny datums by value, the rest
-	// by digest, resolved through donor caches and ring replicas —
-	// instead of being re-streamed by the controller per attempt. Off
-	// by default; trianad turns it on. Peers
-	// negotiate per despatch, so mixed grids interoperate (a legacy donor
-	// still gets streamed payloads).
+	// by digest, resolved through donor caches and ring replicas — and
+	// are never streamed by the controller.
 	DataTier DataTierOptions
 	// StateDir, when set, enables crash-safe state: the billing ledger,
 	// advert store, chunk-pin set, per-peer health state and resumable
@@ -168,7 +165,7 @@ type Service struct {
 	overlay      *overlay.Client    // nil unless Options.Overlay set
 	overlaySuper *overlay.SuperPeer // nil unless also a ring member
 
-	chunks *chunkstore.Store // nil unless the data tier is on
+	chunks *chunkstore.Store // the data tier's chunk cache and pins
 
 	caps     capgroup.Set // derived capability set (see capgroup)
 	groupKey string       // caps.Key(), fixed for the daemon's lifetime
@@ -280,18 +277,16 @@ type endedJob struct {
 // be nil (a job cancelled before it ran, or a run that failed early).
 func newEndedJob(id string, err error, res *engine.Result) *endedJob {
 	rec := &endedJob{id: id, state: gateway.StateOf(err)}
-	if res != nil {
-		for _, n := range res.Processed {
-			rec.processed += n
-		}
-	}
 	if rec.state != gateway.Done {
+		// A job that did not finish reports no processed count: what
+		// its engine processed need not have reached anyone.
 		rec.err = err
 		return rec
 	}
 	rec.headers = map[string]string{"state": rec.state.String()}
 	if res != nil {
 		for task, n := range res.Processed {
+			rec.processed += n
 			rec.headers["proc."+task] = strconv.Itoa(n)
 		}
 		rec.headers["processed"] = strconv.Itoa(rec.processed)
@@ -415,21 +410,15 @@ func New(opts Options) (*Service, error) {
 		s.rm = gateway.NewFork()
 		s.ownRM = true
 	}
-	// Super-peers join the data tier even when not explicitly enabled:
-	// a ring member must be able to hold chunk replicas for the farms
-	// that place them there.
-	if opts.DataTier.Enable || (opts.Overlay != nil && opts.Overlay.SuperPeer) {
-		s.setupDataTier(opts.DataTier)
-	}
+	s.setupDataTier(opts.DataTier)
 	// The capability identity is fixed at start: derived from the
-	// profile (registry version, CPU/memory class, sandbox, data tier)
-	// plus operator extras, and hashed into the group key the peer
+	// profile (registry version, CPU/memory class, sandbox) plus
+	// operator extras, and hashed into the group key the peer
 	// advertises membership of.
 	s.caps = capgroup.Derive(capgroup.Profile{
 		CPUMHz:    opts.CPUMHz,
 		FreeRAMMB: opts.FreeRAMMB,
 		Sandbox:   opts.Sandbox,
-		DataTier:  s.chunks != nil,
 		Extra:     opts.Caps,
 	})
 	s.groupKey = s.caps.Key()
@@ -893,17 +882,16 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 	}
 
 	// Open input pipes for the graph's external inputs, named by the
-	// boundary connection labels supplied in the request — unless a
-	// data-tier donor takes the manifest the request carries for a
-	// one-input body: then the job resolves its input itself and no
-	// pipe is opened.
+	// boundary connection labels supplied in the request — unless the
+	// request carries a manifest for a one-input body: then the job
+	// resolves its input itself and no pipe is opened.
 	nIn, _ := strconv.Atoi(req.Header("in.count"))
 	if nIn != len(g.ExternalIn) {
 		return nil, fmt.Errorf("service: request declares %d inputs, graph has %d",
 			nIn, len(g.ExternalIn))
 	}
-	if s.chunks == nil || nIn != 1 {
-		manifest = nil
+	if manifest != nil && nIn != 1 {
+		return nil, fmt.Errorf("service: a manifest needs a one-input body, request declares %d inputs", nIn)
 	}
 	extIn := make(map[int]<-chan types.Data, nIn)
 	j := &job{}
@@ -960,9 +948,8 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		extOut[i] = ch
 	}
 	// A quorum voter asked for addresses keeps its outputs in the chunk
-	// LRU and sends their content addresses; without a chunk store the
-	// request is ignored and the outputs stream.
-	addressed := req.Header(hdrOutputs) == outputsAddress && s.chunks != nil
+	// LRU and sends their content addresses.
+	addressed := req.Header(hdrOutputs) == outputsAddress
 	// The reply is encoded before the job starts, so a failure here
 	// leaves no job running that no controller will wait for.
 	adsPayload, err := advert.EncodeList(inAds)
@@ -1019,6 +1006,11 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		if err == nil {
 			err = sendErr
 		}
+		if ctx.Err() != nil {
+			// Cancelled, however the run noticed: a cancel landing while
+			// outputs drain surfaces as the pump's send error.
+			err = ctx.Err()
+		}
 		span.Fail(err)
 		if res != nil {
 			total := 0
@@ -1049,13 +1041,6 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 
 	reply := &jxtaserve.Message{Payload: adsPayload}
 	reply.SetHeader("job", id)
-	if manifest != nil {
-		// The echo tells the controller it has nothing to stream.
-		reply.SetHeader(hdrInputs, inputsManifest)
-	}
-	if addressed {
-		reply.SetHeader(hdrOutputs, outputsAddress)
-	}
 	return reply, nil
 }
 

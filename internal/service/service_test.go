@@ -458,9 +458,8 @@ func TestClosedServiceIsCollected(t *testing.T) {
 	freed := func() chan struct{} {
 		d, err := New(Options{
 			PeerID: "gc-donor", Transport: jxtaserve.TCP{}, Addr: "127.0.0.1:0",
-			Overlay:  ring,
-			Wire:     jxtaserve.WireOptions{Mux: true, Binary: true},
-			DataTier: DataTierOptions{Enable: true},
+			Overlay: ring,
+			Wire:    jxtaserve.WireOptions{Mux: true, Binary: true},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -236,7 +236,7 @@ func TestTenantHeaderPropagation(t *testing.T) {
 // service delta exactly.
 func TestTenantEgressCountsRingWriteThrough(t *testing.T) {
 	n := simnet.New()
-	tn := dataTierNet(t, n, "te-", 1, []bool{true, true})
+	tn := dataTierNet(t, n, "te-", 1, 2)
 	ctlID := "te-ctl"
 	svcBefore := tn.ctl.Resilience().Snapshot().FarmEgressBytes
 	tenBefore := tenantCounter("service_tenant_farm_egress_bytes_total", ctlID, "t")

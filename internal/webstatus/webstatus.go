@@ -220,11 +220,7 @@ func tenantTable(b *strings.Builder, svc *service.Service) {
 // chunks actually came from, and how many controller bytes the ladder
 // saved.
 func chunkstoreTable(b *strings.Builder, svc *service.Service) {
-	st := svc.ChunkStore()
-	if st == nil {
-		return
-	}
-	snap := st.Snapshot()
+	snap := svc.ChunkStore().Snapshot()
 	b.WriteString("<h2>chunk store</h2>" +
 		"<table><tr><th>counter</th><th>value</th></tr>")
 	rows := []struct {
