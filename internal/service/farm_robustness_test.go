@@ -15,6 +15,7 @@ import (
 
 	"consumergrid/internal/gateway"
 	"consumergrid/internal/health"
+	"consumergrid/internal/jxtaserve"
 	"consumergrid/internal/metrics"
 	"consumergrid/internal/simnet"
 	"consumergrid/internal/taskgraph"
@@ -25,7 +26,13 @@ import (
 // observer/peer, so labels must not collide across tests).
 func quorumNet(t *testing.T, n *simnet.Network, prefix string, healthOpts health.Options) (ctl *Service, peers []PeerRef) {
 	t.Helper()
-	ctl = newService(t, n.Peer(prefix+"ctl"), prefix+"ctl", Options{
+	return quorumNetOn(t, n, n.Peer(prefix+"ctl"), prefix, healthOpts)
+}
+
+// quorumNetOn is quorumNet with the controller on the given transport.
+func quorumNetOn(t *testing.T, n *simnet.Network, ctlTr jxtaserve.Transport, prefix string, healthOpts health.Options) (ctl *Service, peers []PeerRef) {
+	t.Helper()
+	ctl = newService(t, ctlTr, prefix+"ctl", Options{
 		Resilience: chaosResilience(),
 		Health:     healthOpts,
 	})
@@ -42,11 +49,38 @@ func quorumNet(t *testing.T, n *simnet.Network, prefix string, healthOpts health
 // majority-agreed outputs — identical to a clean run — while the
 // byzantine peer's health score collapses below the suspicion threshold
 // and the dead peer's breaker opens, all observable through the metrics
-// registry. Only one voter per chunk streams its outputs: the corrupter
-// carries chunk 0, which commits by fetching the address voters'
-// outputs, and votes by address once its score has sunk.
+// registry.
 func TestChaosByzantineQuorum(t *testing.T) {
-	const prefix = "q-"
+	n := simnet.New()
+	chaosByzantineQuorum(t, n, n.Peer("q-ctl"), "q-")
+}
+
+// TestChaosByzantineQuorumDataTier runs the same scenario with the
+// controller's transport tapped, to check the data tier's side of it.
+// Only one voter per chunk streams its outputs: the corrupter carries
+// chunk 0, which commits by fetching the address voters' outputs, and
+// votes by address once its score has sunk. The controller streams no
+// chunk inputs — they ride the triana.run manifests — so every
+// pipe.data message crosses its links one way, donor to controller.
+func TestChaosByzantineQuorumDataTier(t *testing.T) {
+	const prefix = "qd-"
+	n := simnet.New()
+	tap := simnet.NewTap(n.Peer(prefix + "ctl"))
+	snap := chaosByzantineQuorum(t, n, tap, prefix)
+	if sent := tap.SentMsgs(jxtaserve.KindPipeData); sent != 0 {
+		t.Errorf("controller sent %d pipe.data messages, want 0: inputs ride the manifest", sent)
+	}
+	if got := tap.SentMsgs(jxtaserve.KindChunkFetch); int64(got) < snap.QuorumFetches {
+		t.Errorf("controller sent %d chunk.fetch requests for %d fetched outputs", got, snap.QuorumFetches)
+	}
+	t.Logf("pipe.data recv=%dB chunk.fetch sent=%d run sent=%d", tap.Recv(jxtaserve.KindPipeData),
+		tap.SentMsgs(jxtaserve.KindChunkFetch), tap.SentMsgs(jxtaserve.KindRPC+"/"+MethodRun))
+}
+
+// chaosByzantineQuorum runs the acceptance scenario on n, with the
+// controller on ctlTr, and returns the controller's resilience stats.
+func chaosByzantineQuorum(t *testing.T, n *simnet.Network, ctlTr jxtaserve.Transport, prefix string) metrics.ResilienceSnapshot {
+	t.Helper()
 	const nChunks, perChunk = 4, 5
 	chunks := chaosChunks(chaosSeed, nChunks, perChunk)
 
@@ -55,9 +89,8 @@ func TestChaosByzantineQuorum(t *testing.T) {
 	refCtl, refPeers := quorumNet(t, refNet, prefix+"ref-", health.Options{})
 	want := runChaosFarm(t, refCtl, refPeers, chunks, FarmOptions{})
 
-	n := simnet.New()
 	n.FaultSeed(7)
-	ctl, peers := quorumNet(t, n, prefix, health.Options{})
+	ctl, peers := quorumNetOn(t, n, ctlTr, prefix, health.Options{})
 	byz, dead := prefix+"w1", prefix+"w2"
 	// w1 is byzantine: every pipe.data payload crossing its links is
 	// corrupted in flight. w2 is dead before the farm starts.
@@ -107,6 +140,7 @@ func TestChaosByzantineQuorum(t *testing.T) {
 	}
 	t.Logf("corrupted=%d disagreements=%d redespatches=%d wasted=%d fetches=%d peers=%v",
 		n.Corrupted(), rep.QuorumDisagreements, rep.Redespatches, rep.WastedOutputs, snap.QuorumFetches, rep.PeerChunks)
+	return snap
 }
 
 // TestFarmSkipsDeclaredDeadPeer is the regression for the consult-dead-
