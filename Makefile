@@ -3,7 +3,7 @@
 
 GOFLAGS ?=
 
-.PHONY: build test test-386 layering race race-resilience bench bench-smoke gridbench gridbench-compare metrics-smoke chaos-smoke overlay-smoke wire-conformance datastore-smoke tenant-smoke drain-smoke groups-smoke
+.PHONY: build test test-386 layering run-lists race race-resilience bench bench-smoke gridbench gridbench-compare metrics-smoke chaos-smoke overlay-smoke wire-conformance datastore-smoke tenant-smoke drain-smoke groups-smoke
 
 build:
 	go build ./...
@@ -28,6 +28,13 @@ layering:
 	@if grep -rnE --include='*.go' 'advert\.(New)?Cache\b' internal/service internal/controller internal/core cmd; then \
 		echo "layering: a daemon path references advert.Cache; Service.Discover answers from the ring alone"; exit 1; \
 	fi
+
+# The smoke targets below name their tests by hand. Every literal
+# Test... name in a -run alternation must match a test `go test -list`
+# finds in that line's packages: a renamed or deleted test would
+# otherwise drop out of its list silently while the line still passes.
+run-lists:
+	./tools/run_lists.sh Makefile
 
 race:
 	go test -race ./internal/engine/... ./internal/jxtaserve/... ./internal/dsp/...
@@ -103,16 +110,17 @@ metrics-smoke:
 # unresolvable manifest failing its job on the wait reply,
 # a donor parsing a repeated body once, a mixed chunk
 # putting only its by-reference digests, the controller dropping a
-# farm's inputs when it ends and after a resumed restart, and the
-# quorum output path (carrier and address ballots, commit by fetch,
-# fetch failure, each byte moved once). Then a short run of the egress
+# farm's inputs when it ends (caching none of its outputs) and after a
+# resumed restart, and the quorum output path (by-value and
+# by-reference ballots in the wait reply, commit by fetch, fetch
+# failure, each byte moved once). Then a short run of the egress
 # benchmark so the controller's egress and ingress byte counts stay
 # visible in CI logs.
 datastore-smoke:
 	go test ./internal/chunkstore/ -count=1
-	go test ./internal/overlay/ -run 'TestChunk|TestManifest|TestPutChunk' -count=1
+	go test ./internal/overlay/ -run 'TestPutChunk' -count=1
 	go test ./internal/chunkstore/ -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 10s
-	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestCarrierAndAddressBallotsAgree|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineCarrierCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumFarmMovesEachByteOnce|TestManifestNeedsOneInputBody|TestUnresolvableManifestFailsOnWait|TestDonorParsesEachBodyOnce' -count=1 -v
+	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestValueAndAddressBallotsAgree|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineVoterCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumFarmMovesEachByteOnce|TestManifestNeedsOneInputBody|TestUnresolvableManifestFailsOnWait|TestDonorParsesEachBodyOnce' -count=1 -v
 	go test -run '^$$' -bench 'BenchmarkFarmEgress' -benchtime 5x .
 
 # Multi-tenant despatch plane: the 2-shard × 3-tenant smoke scenario
@@ -130,7 +138,7 @@ tenant-smoke:
 	go test ./internal/experiments/ -run 'TestEveryExperimentRunsAndHoldsShape/T7' -count=1
 
 # Deterministic byzantine chaos harness: seeded simnet with a corrupting
-# peer and a dead peer, quorum voting (carrier and address ballots,
+# peer and a dead peer, quorum voting (ballots in the wait reply,
 # commit by fetch), breaker and score assertions via the metrics
 # registry. Seeds are fixed, so a failure is
 # reproducible.
@@ -141,8 +149,9 @@ chaos-smoke:
 # state-machine and crash-safe snapshot unit suites, a drain under
 # live 4-tenant farm load (zero in-flight failures, ErrDraining for
 # late farms, adverts retracted, super-peer handoff), a donor draining
-# mid-job finishing it with no redespatch, a drain waiting for a run
-# handler still binding pipes, a job with an unbound input holding a
+# mid-job finishing it with no redespatch, a drain waiting for ended
+# jobs' results to be collected, a drain waiting for a run handler
+# still binding pipes, a job with an unbound input holding a
 # drain to its timeout, crash-restart
 # resume from the -state-dir checkpoint with byte-identical outputs,
 # wire-level method quiescing, 50 Start->Drain->Stop cycles without a
@@ -153,7 +162,7 @@ chaos-smoke:
 drain-smoke:
 	go test -race ./internal/lifecycle/ -count=1
 	go test ./internal/service/ -run '^$$' -fuzz FuzzCheckpointSections -fuzztime 10s
-	go test -race ./internal/service/ -run 'TestAdmissionDrainGatesFarmsNotSlots|TestDrainUnderTenantLoad|TestDrainWaitsForHostedJobs|TestDrainWaitsForRunHandlers|TestDrainTimesOutOnUnboundHostedJob|TestDrainRPCReportsProgress|TestCheckpointRestoreRoundTrip|TestCheckpointRestoresParentSnapshot|TestBillingRestoreRejectsOverlongUvarint|TestRestartRecoveryResumesCheckpointedFarm|TestLifecycleCyclesDoNotLeakGoroutines' -count=1 -v
+	go test -race ./internal/service/ -run 'TestAdmissionDrainGatesFarmsNotSlots|TestDrainUnderTenantLoad|TestDrainWaitsForHostedJobs|TestDrainWaitsForResultCollection|TestDrainWaitsForRunHandlers|TestDrainTimesOutOnUnboundHostedJob|TestDrainRPCReportsProgress|TestCheckpointRestoreRoundTrip|TestCheckpointRestoresParentSnapshot|TestBillingRestoreRejectsOverlongUvarint|TestRestartRecoveryResumesCheckpointedFarm|TestLifecycleCyclesDoNotLeakGoroutines' -count=1 -v
 	go test -race ./internal/jxtaserve/ -run 'TestQuiesce' -count=1
 	go test -race ./internal/webstatus/ -run 'TestProbesFlipOnDrain' -count=1
 

@@ -2,13 +2,16 @@ package consumergrid_test
 
 // Controller-egress bench for the content-addressed data tier: a
 // quorum farm whose inputs travel as chunk manifests resolved through
-// donor caches and the super-peer ring, and whose outputs come home
-// from one carrier while the other voters send content addresses. The
-// egress-B/op custom metric is the controller's data-plane bytes per
-// farm — the number the tier exists to cut, tracked by the benchreg
-// snapshots — and ingress-B/op is the bytes it received on farm output
-// pipes. Streaming every voter its chunk would cost 3 × Σ input bytes
-// per farm (~148.6k B here).
+// donor caches and the super-peer ring, and whose outputs come home in
+// every voter's wait reply as content addresses, each committed output
+// then fetched once. The egress-B/op custom metric is the controller's
+// data-plane bytes per farm — the number the tier exists to cut,
+// tracked by the benchreg snapshots — and ingress-B/op is the
+// chunk.data bytes it received: the committed outputs it fetched. In
+// the analytic model, streaming every voter its chunk costs 3 × Σ input
+// bytes per farm (~148.6k B here) each way; the tier pays about one
+// pass of the inputs out and one of the outputs back. The result lists
+// and carried state ride the wait replies and are not counted.
 
 import (
 	"context"
@@ -92,7 +95,7 @@ func BenchmarkFarmEgressDataTier(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var egress int64
-	ingressBefore := tap.Recv(jxtaserve.KindPipeData)
+	ingressBefore := tap.Recv(jxtaserve.KindChunkData)
 	for i := 0; i < b.N; i++ {
 		before := ctl.Resilience().Snapshot().FarmEgressBytes
 		rep, err := ctl.FarmChunks(context.Background(), chunks, service.FarmOptions{
@@ -109,5 +112,5 @@ func BenchmarkFarmEgressDataTier(b *testing.B) {
 		egress += ctl.Resilience().Snapshot().FarmEgressBytes - before
 	}
 	b.ReportMetric(float64(egress)/float64(b.N), "egress-B/op")
-	b.ReportMetric(float64(tap.Recv(jxtaserve.KindPipeData)-ingressBefore)/float64(b.N), "ingress-B/op")
+	b.ReportMetric(float64(tap.Recv(jxtaserve.KindChunkData)-ingressBefore)/float64(b.N), "ingress-B/op")
 }

@@ -458,6 +458,7 @@ func cmdDrain(args []string) error {
 	fmt.Printf("adverts retracted: %s\n", reply.Header("advertsRetracted"))
 	fmt.Printf("handoff adverts:   %s\n", reply.Header("handoffAdverts"))
 	fmt.Printf("handoff chunks:    %s\n", reply.Header("handoffChunks"))
+	fmt.Printf("uncollected:       %s\n", reply.Header("uncollected"))
 	fmt.Printf("drained cleanly:   %s\n", reply.Header("drained"))
 	return nil
 }

@@ -252,8 +252,8 @@ func run() (code int) {
 	select {
 	case <-svc.BeginDrain(*drainTimeout):
 		rep := svc.DrainReport()
-		log.Printf("trianad: drain complete (adverts retracted %d, handoff %d adverts / %d chunks, clean=%v); shutting down",
-			rep.AdvertsRetracted, rep.HandoffAdverts, rep.HandoffChunks, rep.Drained)
+		log.Printf("trianad: drain complete (adverts retracted %d, handoff %d adverts / %d chunks, %d results uncollected, clean=%v); shutting down",
+			rep.AdvertsRetracted, rep.HandoffAdverts, rep.HandoffChunks, rep.Uncollected, rep.Drained)
 		return 0
 	case second := <-sig:
 		log.Printf("trianad: %v during drain — fast abort", second)

@@ -332,6 +332,18 @@ func (s *Store) Fetch(digest string, sources []Source, fetch FetchFunc) ([]byte,
 	s.mu.Unlock()
 
 	c.data, c.class, c.err = s.fetchLadder(digest, sources, fetch)
+	if c.err == nil {
+		switch c.class {
+		case SourceRing:
+			s.fetchRing.Inc()
+			s.bytesSaved.Add(int64(len(c.data)))
+		case SourcePeer:
+			s.fetchPeer.Inc()
+			s.bytesSaved.Add(int64(len(c.data)))
+		default:
+			s.fetchController.Inc()
+		}
+	}
 
 	s.mu.Lock()
 	delete(s.inflight, digest)
@@ -341,6 +353,17 @@ func (s *Store) Fetch(digest string, sources []Source, fetch FetchFunc) ([]byte,
 	s.mu.Unlock()
 	close(c.done)
 	return c.data, c.class, c.err
+}
+
+// FetchThrough resolves a digest from the sources as Fetch does,
+// verifying the bytes against it, but neither consults nor fills the
+// cache: for a caller that decodes the bytes and keeps only the result,
+// so the store would hold a second copy of what the caller holds. Such
+// a fetch is not a rung of the input ladder, so only a digest mismatch
+// is counted.
+func (s *Store) FetchThrough(digest string, sources []Source, fetch FetchFunc) ([]byte, error) {
+	data, _, err := s.fetchLadder(digest, sources, fetch)
+	return data, err
 }
 
 func (s *Store) fetchLadder(digest string, sources []Source, fetch FetchFunc) ([]byte, string, error) {
@@ -363,16 +386,6 @@ func (s *Store) fetchLadder(digest string, sources []Source, fetch FetchFunc) ([
 			s.logf("chunkstore: fetch %s from %s (%s): digest mismatch", short(digest), src.Addr, src.Class)
 			lastErr = fmt.Errorf("chunkstore: %s from %s: digest mismatch", short(digest), src.Addr)
 			continue
-		}
-		switch src.Class {
-		case SourceRing:
-			s.fetchRing.Inc()
-			s.bytesSaved.Add(int64(len(data)))
-		case SourcePeer:
-			s.fetchPeer.Inc()
-			s.bytesSaved.Add(int64(len(data)))
-		default:
-			s.fetchController.Inc()
 		}
 		return data, src.Class, nil
 	}

@@ -43,6 +43,12 @@ const (
 	KindChunkData  = "chunk.data"  // headers: digest; payload: the chunk bytes
 )
 
+// HeaderResults, on an rpc.reply, says its payload ends in a job's
+// result list; its value is the item count. A farm's outputs come home
+// this way (triana.wait), so the simulated network's byzantine fault
+// keys on it.
+const HeaderResults = "results"
+
 // Message is one framed unit on a connection.
 type Message struct {
 	Kind    string

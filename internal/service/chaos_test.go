@@ -124,15 +124,17 @@ const (
 
 // TestChaosDropFaults: every 13th message on every link direction is
 // dropped, breaking its connection. The farm must still deliver the
-// exact fault-free output stream.
+// exact fault-free output stream. Its datums are wide, so donors fetch
+// them by reference and their results come home by reference: an
+// attempt is a handful of messages, and the fetches are most of them.
 func TestChaosDropFaults(t *testing.T) {
-	want := faultFreeBaseline(t, chaosChunks(chaosSeed, chaosChunksN, chaosPerChunk))
+	chunks := bigChunks(chaosSeed, chaosChunksN, chaosPerChunk, ladderBins)
+	want := faultFreeBaseline(t, chunks)
 
 	n := simnet.New()
 	ctl, peers := chaosNet(t, n)
 	n.SetLinkFaults("*", simnet.LinkFaults{DropEvery: 13})
-	rep := runChaosFarm(t, ctl, peers, chaosChunks(chaosSeed, chaosChunksN, chaosPerChunk),
-		FarmOptions{ChunkAttempts: 24})
+	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{ChunkAttempts: 24})
 
 	if n.Dropped() == 0 {
 		t.Fatal("fault injection never fired; the test exercised nothing")

@@ -1,16 +1,18 @@
 // The service side of the content-addressed data tier, which every
-// daemon runs: a farm never streams its payloads per attempt. The
-// controller ships each chunk's manifest (ordered digest list plus
-// fetch hints) inside the triana.run request itself, and the donor's
-// job materialises it through the chunkstore fallback ladder — local
-// cache, super-peer ring replica, a donor that resolved the digest
-// earlier, and finally the controller itself. A datum no longer than
-// chunkstore.MaxInline rides the manifest by value instead: it is never
-// digested, pinned, put to the ring or fetched. The request's inputs
-// header says the manifest is there; the donor opens no input pipe for
-// it and refuses a manifest for any body but a one-input one. On the
-// way back, a quorum voter asked for addresses keeps its outputs in its
-// chunk LRU and sends their content addresses instead (farm.go).
+// daemon runs: a farm never streams its payloads per attempt, either
+// way. The controller ships each chunk's manifest (ordered digest list
+// plus fetch hints) inside the triana.run request itself, and the
+// donor's job materialises it through the chunkstore fallback ladder —
+// local cache, super-peer ring replica, a donor that resolved the
+// digest earlier, and finally the controller itself. A datum no longer
+// than chunkstore.MaxInline rides the manifest by value instead: it is
+// never digested, pinned, put to the ring or fetched. The request's
+// inputs header says the manifest is there; the donor opens no pipe and
+// refuses a manifest for any body but a one-input, one-output one. On
+// the way back the job's outputs ride its triana.wait reply as a result
+// list (quorum.go) by the same rule: a short output by value, any other
+// as its content address, the bytes kept in the donor's chunk LRU until
+// the controller fetches the committed ones (farm.go).
 package service
 
 import (
@@ -26,18 +28,12 @@ import (
 )
 
 // hdrInputs in a triana.run request (value inputsManifest) says the run
-// payload carries the chunk's manifest after the state: the donor opens
-// no input pipe and returns no input-pipe advert.
+// payload carries the chunk's manifest after the state. Such a request
+// is a farm part: the donor opens no pipe, returns no input-pipe advert,
+// and answers the job's wait with its result list.
 const (
 	hdrInputs      = "inputs"
 	inputsManifest = "manifest"
-)
-
-// hdrOutputs in a triana.run request asks the donor to send its outputs
-// as content addresses (value outputsAddress).
-const (
-	hdrOutputs     = "outputs"
-	outputsAddress = "address"
 )
 
 // maxPeerHints bounds the donor hints embedded per manifest item.
@@ -145,22 +141,49 @@ func (s *Service) manifestInput(ctx context.Context, manifest []byte, parent *tr
 	return in, nil
 }
 
-// addressEncoder returns an address voter's output encoder: it keeps
-// each output's canonical bytes in the chunk LRU, where the controller
-// can fetch them by content address, and sends only that address. The
-// encoder marshals into a scratch buffer it reuses, so each output pipe
-// needs its own, and the LRU gets an exact copy: the store's budget is
-// charged by length and would not see a buffer's spare capacity.
-func (s *Service) addressEncoder() func(types.Data) ([]byte, error) {
-	var buf []byte
-	return func(d types.Data) (_ []byte, err error) {
-		if buf, err = types.AppendMarshal(buf[:0], d); err != nil {
-			return nil, err
-		}
-		a := addressOf(buf)
-		s.chunks.Put(a.digest(), bytes.Clone(buf))
-		return types.Marshal(addressItem(a))
+// resultList collects a farm job's outputs into the result list its
+// wait reply ends in. Each output is marshalled once, into a pooled
+// scratch buffer: one of at most chunkstore.MaxInline bytes is listed
+// by value; any other is listed by content address and kept in the
+// donor's chunk LRU, where the controller fetches it if a vote commits
+// it. The LRU gets an exact copy: the store's budget is charged by
+// length and would not see a buffer's spare capacity. No pin and no new
+// retention bound: the LRU's own budget applies. A draining donor lists
+// every output by value: it will not be there to serve the fetch. One
+// goroutine fills a list.
+type resultList struct {
+	s     *Service
+	n     int
+	items []byte // non-nil: an empty list is still a list
+}
+
+func (s *Service) newResultList() *resultList {
+	return &resultList{s: s, items: []byte{}}
+}
+
+// marshalScratch pools the buffers outputs are marshalled into.
+var marshalScratch sync.Pool
+
+func (l *resultList) add(d types.Data) error {
+	buf, _ := marshalScratch.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
 	}
+	defer marshalScratch.Put(buf)
+	p, err := types.AppendMarshal((*buf)[:0], d)
+	if err != nil {
+		return err
+	}
+	*buf = p
+	if len(p) <= chunkstore.MaxInline || l.s.Draining() {
+		l.items = appendResultItem(l.items, itemValue, p)
+	} else {
+		a := addressOf(p)
+		l.s.chunks.Put(a.digest(), bytes.Clone(p))
+		l.items = appendResultItem(l.items, itemAddress, a[:])
+	}
+	l.n++
+	return nil
 }
 
 func (s *Service) fetchChunkWire(addr, digest string) ([]byte, error) {

@@ -50,6 +50,7 @@ type runManifestTap struct {
 	mu    sync.Mutex
 	runs  int   // requests that carried a manifest
 	bytes int64 // their manifest sections
+	piped int   // requests that named a pipe (an in.N.* or out.N.* header)
 }
 
 func (m *runManifestTap) Dial(addr string) (jxtaserve.Conn, error) {
@@ -66,19 +67,34 @@ func (m *runManifestTap) read() (runs int, bytes int64) {
 	return m.runs, m.bytes
 }
 
+// pipedRuns counts the triana.run requests that named a pipe.
+func (m *runManifestTap) pipedRuns() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.piped
+}
+
 type runManifestConn struct {
 	jxtaserve.Conn
 	tap *runManifestTap
 }
 
 func (c *runManifestConn) Send(msg *jxtaserve.Message) error {
-	if msg.Kind == jxtaserve.KindRPC && msg.Header("method") == MethodRun && msg.Header(hdrInputs) == inputsManifest {
-		if _, _, man, err := decodeRunPayload(msg.Payload, true); err == nil {
-			c.tap.mu.Lock()
-			c.tap.runs++
-			c.tap.bytes += int64(len(man))
-			c.tap.mu.Unlock()
+	if msg.Kind == jxtaserve.KindRPC && msg.Header("method") == MethodRun {
+		c.tap.mu.Lock()
+		for k := range msg.Headers {
+			if (strings.HasPrefix(k, "in.") || strings.HasPrefix(k, "out.")) && !strings.HasSuffix(k, ".count") {
+				c.tap.piped++
+				break
+			}
 		}
+		if msg.Header(hdrInputs) == inputsManifest {
+			if _, _, man, err := decodeRunPayload(msg.Payload, true); err == nil {
+				c.tap.runs++
+				c.tap.bytes += int64(len(man))
+			}
+		}
+		c.tap.mu.Unlock()
 	}
 	return c.Conn.Send(msg)
 }
@@ -330,12 +346,12 @@ func TestFarmManifestSkipsFailedRingOwner(t *testing.T) {
 
 // TestFarmTinyDatumsTravelByValue: every datum of chaosChunks (a 2-bin
 // spectrum, 47 bytes) is shorter than its own hex digest, so it rides
-// the manifest by value. The outputs match the streaming run; every
-// attempt was one triana.run carrying its manifest, so the controller
-// opened no input pipe of a donor's — it sent no pipe.data and no
-// pipe.eof, and its only pipe.bind frames acknowledge the donors'
-// output pipes, one per attempt; no byte went to the ring, no donor
-// sent a chunk.fetch, and the controller pinned nothing.
+// the manifest by value on the way out and the wait reply by value on
+// the way back. The outputs match the plain run; every attempt was one
+// triana.run carrying its manifest and naming no pipe, then one
+// triana.wait — no pipe.bind, pipe.data or pipe.eof frame crossed the
+// controller's link either way; no byte went to the ring, no peer sent
+// a chunk.fetch, and the controller pinned and cached nothing.
 func TestFarmTinyDatumsTravelByValue(t *testing.T) {
 	chunks := chaosChunks(chaosSeed, 4, 5)
 	want := faultFreeBaseline(t, chunks)
@@ -357,13 +373,22 @@ func TestFarmTinyDatumsTravelByValue(t *testing.T) {
 	if runs, b := tn.runManifests.read(); runs != attempts || b == 0 {
 		t.Fatalf("%d of %d triana.run requests carried a manifest (%d bytes)", runs, attempts, b)
 	}
-	for _, kind := range []string{jxtaserve.KindPipeData, jxtaserve.KindPipeEOF} {
-		if n := ctlTap.SentMsgs(kind); n != 0 {
-			t.Errorf("controller sent %d %s frames; the farm streamed its inputs", n, kind)
+	if n := tn.runManifests.pipedRuns(); n != 0 {
+		t.Errorf("%d of %d triana.run requests named a pipe (in.N.* or out.N.* headers)", n, attempts)
+	}
+	if waits := ctlTap.SentMsgs("rpc/" + MethodWait); waits != attempts {
+		t.Errorf("controller sent %d triana.wait requests for %d attempts", waits, attempts)
+	}
+	for _, kind := range []string{jxtaserve.KindPipeBind, jxtaserve.KindPipeData, jxtaserve.KindPipeEOF} {
+		if n, m := ctlTap.SentMsgs(kind), ctlTap.RecvMsgs(kind); n != 0 || m != 0 {
+			t.Errorf("controller sent %d and received %d %s frames; the farm opened a pipe", n, m, kind)
 		}
 	}
-	if n := ctlTap.SentMsgs(jxtaserve.KindPipeBind); n != attempts {
-		t.Errorf("controller sent %d pipe.bind frames for %d attempts, want one output-pipe ack each", n, attempts)
+	if n := ctlTap.SentMsgs(jxtaserve.KindChunkFetch); n != 0 {
+		t.Errorf("controller sent %d chunk.fetch requests for by-value outputs", n)
+	}
+	if snap := tn.ctl.ChunkStore().Snapshot(); snap.Entries != 0 {
+		t.Errorf("controller store holds %d entries after the farm", snap.Entries)
 	}
 	if n, b := ctlTap.SentMsgs("rpc/overlay.chunk.put"), ctlTap.Sent("rpc/overlay.chunk.put"); n != 0 || b != 0 {
 		t.Errorf("controller sent %d chunk.put requests (%d bytes) for by-value datums", n, b)
@@ -454,14 +479,19 @@ func negateBody(t *testing.T) *taskgraph.Graph {
 	return g
 }
 
-// TestFarmReleaseDropsControllerInputs: once FarmChunks returns, the
-// controller's store holds none of the farm's input digests. The pins
-// kept them servable while the farm ran; nothing reads them after.
+// TestFarmReleaseDropsControllerInputs: once a 3-voter farm of wide
+// datums returns, the controller's store holds none of the farm's input
+// digests — the pins kept them servable while the farm ran; nothing
+// reads them after — and caches nothing: the outputs it fetched to
+// commit live in the report, not a second time in its LRU.
 func TestFarmReleaseDropsControllerInputs(t *testing.T) {
 	chunks := bigChunks(chaosSeed, 3, 4, ladderBins)
 	n := simnet.New()
-	tn := dataTierNet(t, n, "rl-", 1, 2)
-	runChaosFarm(t, tn.ctl, tn.peers, chunks, FarmOptions{Quorum: 2})
+	tn := dataTierNet(t, n, "rl-", 1, 3)
+	runChaosFarm(t, tn.ctl, tn.peers, chunks, FarmOptions{Quorum: 3})
+	if got := tn.ctl.Resilience().Snapshot().QuorumFetches; got == 0 {
+		t.Fatal("no output was fetched; the test cannot see a cached copy")
+	}
 
 	store := tn.ctl.ChunkStore()
 	for _, chunk := range chunks {
@@ -474,6 +504,9 @@ func TestFarmReleaseDropsControllerInputs(t *testing.T) {
 				t.Errorf("controller still holds input %.12s after the farm", digest)
 			}
 		}
+	}
+	if b := store.Bytes(); b != 0 {
+		t.Errorf("controller's chunk cache holds %d bytes after the farm, want 0", b)
 	}
 }
 
@@ -569,8 +602,8 @@ func (c fetchRefuserConn) Send(m *jxtaserve.Message) error {
 
 // TestUnresolvableManifestFailsOnWait: a donor that took a manifest it
 // cannot resolve ends its job with the resolve error, and the wait
-// reply carries it (not a severed pipe and a short result). In a farm,
-// that attempt fails and the chunk is redespatched to a donor that can.
+// reply carries it (not a short result). In a farm, that attempt fails
+// and the chunk is redespatched to a donor that can.
 func TestUnresolvableManifestFailsOnWait(t *testing.T) {
 	n := simnet.New()
 	var mu sync.Mutex
@@ -588,12 +621,6 @@ func TestUnresolvableManifestFailsOnWait(t *testing.T) {
 	peers := []PeerRef{{ID: "um-w1", Addr: w1.Addr()}, {ID: "um-w2", Addr: w2.Addr()}}
 
 	// One despatch, by hand: the manifest names a digest nobody holds.
-	sink, _, err := ctl.Host().OpenInput("um-sink", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	sink.ExpectEOFs(1)
 	digest, _, err := chunkstore.DigestData(bigChunks(chaosSeed, 1, 1, ladderBins)[0][0])
 	if err != nil {
 		t.Fatal(err)
@@ -601,8 +628,6 @@ func TestUnresolvableManifestFailsOnWait(t *testing.T) {
 	job, err := ctl.Despatch(RemotePart{
 		Peer:       peers[1],
 		Body:       accumBody(t),
-		InLabels:   []string{"um-in"},
-		OutTargets: []PipeTarget{{Label: "um-sink", Addr: ctl.Addr()}},
 		Iterations: 1,
 		manifest: chunkstore.EncodeManifest(&chunkstore.Manifest{
 			Origin: ctl.Addr(), Items: []chunkstore.Item{{Digest: digest}},
@@ -616,9 +641,6 @@ func TestUnresolvableManifestFailsOnWait(t *testing.T) {
 	}
 	if _, err := ctl.WaitRemote(job); err == nil || !strings.Contains(err.Error(), chunkstore.ErrNotFound.Error()) {
 		t.Fatalf("wait on an unresolvable manifest: err = %v, want the resolve error (%v)", err, chunkstore.ErrNotFound)
-	}
-	for range sink.C {
-		t.Error("a job that resolved no input sent an output")
 	}
 
 	// A farm: w1 ranks first and cannot fetch, so its attempt fails
@@ -648,30 +670,27 @@ func TestUnresolvableManifestFailsOnWait(t *testing.T) {
 }
 
 // TestManifestNeedsOneInputBody: a triana.run that carries a manifest
-// for a body without exactly one input is refused, not run with the
-// manifest dropped.
+// for a body without exactly one input and one output is refused, not
+// run with the manifest dropped or an output nowhere to go.
 func TestManifestNeedsOneInputBody(t *testing.T) {
 	n := simnet.New()
 	ctl := newService(t, n.Peer("mi-ctl"), "mi-ctl", Options{Resilience: chaosResilience()})
 	w := newService(t, n.Peer("mi-w1"), "mi-w1", Options{})
-	sink, _, err := ctl.Host().OpenInput("mi-sink", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	body := accumBody(t)
-	body.ExternalIn = nil
-	_, err = ctl.Despatch(RemotePart{
-		Peer:       PeerRef{ID: "mi-w1", Addr: w.Addr()},
-		Body:       body,
-		OutTargets: []PipeTarget{{Label: "mi-sink", Addr: ctl.Addr()}},
-		Iterations: 1,
-		manifest:   chunkstore.EncodeManifest(&chunkstore.Manifest{Origin: ctl.Addr()}),
-	}, "")
-	if err == nil || !strings.Contains(err.Error(), "one-input body") {
-		t.Fatalf("manifest for a 0-input body: err = %v, want the refusal", err)
+	noInput, noOutput := accumBody(t), accumBody(t)
+	noInput.ExternalIn = nil
+	noOutput.ExternalOut = nil
+	for name, body := range map[string]*taskgraph.Graph{"0-input": noInput, "0-output": noOutput} {
+		_, err := ctl.Despatch(RemotePart{
+			Peer:       PeerRef{ID: "mi-w1", Addr: w.Addr()},
+			Body:       body,
+			Iterations: 1,
+			manifest:   chunkstore.EncodeManifest(&chunkstore.Manifest{Origin: ctl.Addr()}),
+		}, "")
+		if err == nil || !strings.Contains(err.Error(), "one-input body with one output") {
+			t.Fatalf("manifest for a %s body: err = %v, want the refusal", name, err)
+		}
 	}
 	if w.liveJobs() != 0 {
-		t.Errorf("donor runs %d jobs after refusing the request", w.liveJobs())
+		t.Errorf("donor runs %d jobs after refusing the requests", w.liveJobs())
 	}
 }

@@ -35,7 +35,8 @@ type RemotePart struct {
 	Body *taskgraph.Graph
 	// InLabels names the pipe each external input listens on (aligned
 	// with Body.ExternalIn). InEOFs[i] is the number of producers that
-	// will bind to input i (defaults to 1 when nil).
+	// will bind to input i (defaults to 1 when nil). A part carrying a
+	// manifest has no pipes and leaves these and OutTargets unset.
 	InLabels []string
 	InEOFs   []int
 	// OutTargets names where each external output sends (aligned with
@@ -55,15 +56,13 @@ type RemotePart struct {
 	// lands on the despatch span so traces show which electorate the
 	// part belonged to. Empty means the despatch was not group-scoped.
 	Group string
-	// addressOutputs asks the hosting peer to send each output's content
-	// address instead of its bytes (a quorum's non-carrier voter).
-	addressOutputs bool
 	// bodyXML, when set, is Body already encoded: a farm encodes its
 	// body once and every attempt sends the same bytes.
 	bodyXML []byte
-	// manifest, when set, is the encoded chunk manifest of a one-input
-	// body's input, carried in the request. The donor resolves it
-	// itself and opens no input pipe.
+	// manifest, when set, is the encoded chunk manifest of a one-input,
+	// one-output body's input, carried in the request: a farm part. The
+	// donor resolves it itself, opens no pipe, and returns the output's
+	// result list in the wait reply.
 	manifest []byte
 }
 
@@ -93,11 +92,12 @@ func (s *Service) Despatch(part RemotePart, codeAddr string) (*RemoteJob, error)
 }
 
 func (s *Service) despatchCtx(ctx context.Context, part RemotePart, codeAddr string) (*RemoteJob, error) {
-	if len(part.InLabels) != len(part.Body.ExternalIn) {
+	// A manifest part names no pipes: the donor checks its body's shape.
+	if part.manifest == nil && len(part.InLabels) != len(part.Body.ExternalIn) {
 		return nil, fmt.Errorf("service: %d in labels for %d external inputs",
 			len(part.InLabels), len(part.Body.ExternalIn))
 	}
-	if len(part.OutTargets) != len(part.Body.ExternalOut) {
+	if part.manifest == nil && len(part.OutTargets) != len(part.Body.ExternalOut) {
 		return nil, fmt.Errorf("service: %d out targets for %d external outputs",
 			len(part.OutTargets), len(part.Body.ExternalOut))
 	}
@@ -125,17 +125,14 @@ func (s *Service) despatchCtx(ctx context.Context, part RemotePart, codeAddr str
 	headers := map[string]string{
 		"iterations": strconv.Itoa(part.Iterations),
 		"seed":       strconv.FormatInt(part.Seed, 10),
-		"in.count":   strconv.Itoa(len(part.InLabels)),
-		"out.count":  strconv.Itoa(len(part.OutTargets)),
+		"in.count":   strconv.Itoa(len(part.Body.ExternalIn)),
+		"out.count":  strconv.Itoa(len(part.Body.ExternalOut)),
 	}
 	if codeAddr != "" {
 		headers["codeAddr"] = codeAddr
 	}
 	if part.Tenant != "" {
 		headers["tenant"] = part.Tenant
-	}
-	if part.addressOutputs {
-		headers[hdrOutputs] = outputsAddress
 	}
 	if part.manifest != nil {
 		headers[hdrInputs] = inputsManifest
@@ -166,11 +163,7 @@ func (s *Service) despatchCtx(ctx context.Context, part RemotePart, codeAddr str
 		despatch.Fail(err)
 		return nil, err
 	}
-	wantAds := len(part.InLabels)
-	if part.manifest != nil {
-		wantAds = 0
-	}
-	if len(ads) != wantAds {
+	if wantAds := len(part.InLabels); len(ads) != wantAds {
 		err = fmt.Errorf("service: peer %s returned %d pipe adverts for %d inputs",
 			part.Peer.ID, len(ads), wantAds)
 		despatch.Fail(err)
@@ -194,14 +187,22 @@ func (s *Service) WaitRemote(job *RemoteJob) (map[string]int, error) {
 // WaitRemoteState additionally returns the stateful units' checkpoints,
 // ready to feed another Despatch's RestoreState — the migration handoff.
 func (s *Service) WaitRemoteState(job *RemoteJob) (map[string]int, map[string][]byte, error) {
-	return s.waitRemoteStateCtx(context.Background(), job)
+	res, err := s.waitRemote(context.Background(), job)
+	return res.counts, res.state, err
 }
 
-// waitRemoteStateCtx is WaitRemoteState bounded by a context: the wait
+// remoteResult is a decoded wait reply.
+type remoteResult struct {
+	counts map[string]int    // per-task processed counts
+	state  map[string][]byte // the stateful units' checkpoints
+	items  []resultItem      // a farm part's result list
+}
+
+// waitRemote waits for a despatched job, bounded by a context: the wait
 // RPC blocks as long as the job runs (no per-attempt deadline), so the
 // failure detector or attempt timeout cancels it through ctx. Waits are
 // idempotent, so broken conversations retry.
-func (s *Service) waitRemoteStateCtx(ctx context.Context, job *RemoteJob) (map[string]int, map[string][]byte, error) {
+func (s *Service) waitRemote(ctx context.Context, job *RemoteJob) (remoteResult, error) {
 	span := s.tracer.Start(job.TraceID, job.despatchSpan, "result", s.opts.PeerID)
 	span.SetAttr("job", job.JobID)
 	defer span.End()
@@ -209,23 +210,28 @@ func (s *Service) waitRemoteStateCtx(ctx context.Context, job *RemoteJob) (map[s
 		map[string]string{"job": job.JobID}, true, 0)
 	if err != nil {
 		span.Fail(err)
-		return nil, nil, err
+		return remoteResult{}, err
 	}
 	span.SetAttr("processed", reply.Header("processed"))
-	counts := make(map[string]int)
+	res := remoteResult{counts: make(map[string]int)}
 	for k, v := range reply.Headers {
 		if len(k) > 5 && k[:5] == "proc." {
 			n, _ := strconv.Atoi(v)
-			counts[k[5:]] = n
+			res.counts[k[5:]] = n
 		}
 	}
-	var state map[string][]byte
-	if len(reply.Payload) > 0 {
-		if _, state, _, err = decodeRunPayload(reply.Payload, false); err != nil {
-			return nil, nil, err
+	withResults := reply.Header(jxtaserve.HeaderResults) != ""
+	if len(reply.Payload) > 0 || withResults {
+		var results []byte
+		if _, res.state, results, err = decodeRunPayload(reply.Payload, withResults); err == nil && withResults {
+			res.items, err = decodeResults(results)
+		}
+		if err != nil {
+			span.Fail(err)
+			return remoteResult{}, err
 		}
 	}
-	return counts, state, nil
+	return res, nil
 }
 
 // CancelRemote cancels a despatched job. Cancels are idempotent and
@@ -449,7 +455,7 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 		ch := make(chan types.Data, distPipeBuffer)
 		extOut[j] = ch
 		// Round-robin across replicas; single target for pipelines.
-		bridges.forward(ch, outs, types.Marshal)
+		bridges.forward(ch, outs, nil)
 	}
 
 	// Run the local portion.
@@ -506,13 +512,13 @@ func (w *remoteWaits) start(job *RemoteJob) {
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
-		counts, _, err := w.s.waitRemoteStateCtx(w.ctx, job)
+		res, err := w.s.waitRemote(w.ctx, job)
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		if err != nil && w.err == nil {
 			w.err = err
 		}
-		if counts == nil {
+		if err != nil {
 			return
 		}
 		merged := w.remote[job.Part.Peer.ID]
@@ -520,7 +526,7 @@ func (w *remoteWaits) start(job *RemoteJob) {
 			merged = make(map[string]int)
 			w.remote[job.Part.Peer.ID] = merged
 		}
-		for task, n := range counts {
+		for task, n := range res.counts {
 			merged[task] += n
 		}
 	}()
@@ -544,13 +550,11 @@ func (w *remoteWaits) abandon() {
 	w.wg.Wait()
 }
 
-// pipePump forwards engine output channels into output pipes: the
+// pipePump forwards engine output channels into output pipes — the
 // hosting side's one pipe per output and RunDistributed's round-robin
-// over replicas alike. Each datum goes through an encoder: types.Marshal,
-// or for a quorum's address voter Service.addressEncoder, which sends
-// the content address instead. Each forwarder keeps the first send
-// error, drains its channel after a failure so the engine never blocks,
-// and closes its pipes when done.
+// over replicas alike — or into a farm job's result list. Each
+// forwarder keeps the first send error, drains its channel after a
+// failure so the engine never blocks, and closes its pipes when done.
 type pipePump struct {
 	wg   sync.WaitGroup
 	once sync.Once
@@ -565,8 +569,9 @@ type pipePump struct {
 
 func newPipePump() *pipePump { return &pipePump{quit: make(chan struct{})} }
 
-// forward pumps ch into outs, round-robin, until ch closes or stop.
-func (p *pipePump) forward(ch <-chan types.Data, outs []*jxtaserve.OutputPipe, encode func(types.Data) ([]byte, error)) {
+// forward pumps ch into outs, round-robin, each datum marshalled once
+// — or, with results set, into that list — until ch closes or stop.
+func (p *pipePump) forward(ch <-chan types.Data, outs []*jxtaserve.OutputPipe, results *resultList) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
@@ -577,11 +582,15 @@ func (p *pipePump) forward(ch <-chan types.Data, outs []*jxtaserve.OutputPipe, e
 		}()
 		i := 0
 		send := func(d types.Data) bool {
-			op := outs[i%len(outs)]
-			i++
-			payload, err := encode(d)
-			if err == nil {
-				err = op.SendRaw(payload)
+			var err error
+			if results != nil {
+				err = results.add(d)
+			} else {
+				var payload []byte
+				if payload, err = types.Marshal(d); err == nil {
+					err = outs[i%len(outs)].SendRaw(payload)
+					i++
+				}
 			}
 			if err != nil {
 				p.mu.Lock()

@@ -24,25 +24,20 @@
 // firing launches a backup on the next-healthiest peer.
 //
 // Despatch: an attempt is one triana.run request carrying the body,
-// encoded once per farm, the carried state and the chunk's manifest.
-// The donor resolves the chunk itself (datatier.go), so the attempt
-// only collects outputs: data moves one way, controller to donor in
-// the request and donor to controller on the output pipe.
-//
-// Carrier: an attempt carries — streams its outputs home — when the
-// chunk needs one vote, or when no other carrier attempt of the chunk is
-// running or has voted. Any other attempt asks for addresses in the
-// despatch envelope. An address voter keeps its outputs in its own
-// bounded chunk LRU, so a clean chunk brings one copy of its outputs
-// home however many voters it needs.
+// encoded once per farm, the carried state and the chunk's manifest,
+// then one triana.wait. The donor resolves the chunk itself
+// (datatier.go), and the wait reply brings the job's outputs home as a
+// result list (quorum.go): an output of at most chunkstore.MaxInline
+// bytes by value, any other as its raw content address, its bytes left
+// in the donor's chunk LRU. The attempt opens no pipe: data moves out
+// in the request and back in the reply.
 //
 // Ballot: every clean full-length result is a ballot. Its digest
 // hashes the per-output content addresses (the SHA-256 of the
 // types.Marshal bytes, which the chunk store names in hex) plus the
-// sorted state frames, so a carrier's ballot and an address ballot of
-// the same result compare equal. The controller computes a carrier's
-// addresses from the data it received; it never takes a digest a donor
-// claims for bytes it was sent.
+// sorted state frames, so a by-value and a by-reference ballot of the
+// same result compare equal. The controller hashes by-value bytes
+// itself; it never takes a digest a donor claims for bytes it was sent.
 //
 // Deciding: K = 1 commits the first ballot at once and abandons its
 // racers. K > 1 tallies ballot digests only when nothing is in flight,
@@ -51,19 +46,14 @@
 // fresh voter with prior ballots live, and no budget or candidate left
 // is terminal.
 //
-// Commit: a majority with an agreeing carrier commits the carrier's
-// outputs. A majority with none fetches each output through
-// chunkstore.Fetch, the agreeing voters as peer rungs — the fetch checks
-// the bytes against their address — then decodes and commits, counting
-// service_quorum_fetches_total. If no agreeing voter serves the bytes,
-// those ballots become failed attempts with no byzantine penalty, and
-// topping up and widening take over.
-//
-// Wire form: an address travels as one pipe.data frame per output, so
-// len(got) == len(chunk), the waste counts and simnet's byzantine model
-// (a flipped pipe.data tail byte) hold unchanged. The item is a Text of
-// the raw 32 address bytes: its encoding ends in them, so a flipped
-// tail byte still decodes, into a ballot that disagrees.
+// Commit: the winner's by-value items are decoded and committed as
+// they came. Each by-reference item is fetched through
+// chunkstore.FetchThrough, the agreeing voters as peer rungs — the
+// fetch checks the bytes against their address, and the controller
+// keeps no copy — then decoded and committed, counting
+// service_quorum_fetches_total. If an output cannot be had, the
+// agreeing ballots become failed attempts with no byzantine penalty,
+// and topping up and widening take over.
 //
 // The books close once per chunk: agreeing voters earn a success,
 // voters outside the plurality take the byzantine penalty (§3.8's
@@ -246,10 +236,6 @@ type farmRun struct {
 	manifests *farmManifests
 	tstats    *tenantFarmStats
 
-	// scratch is the buffer carrier outputs are encoded into to be
-	// hashed; only the chunk coordinator touches it.
-	scratch []byte
-
 	// ids and byID are the eligible candidates — the group-filtered
 	// subset of opts.Peers (all of them when no group is committed) —
 	// in the shape selection ranks, built once per farm.
@@ -296,18 +282,14 @@ type farmAttempt struct {
 	start  time.Time
 	phase  attemptPhase
 
-	// carrier marks an attempt that streams its outputs; any other
-	// voter's got holds address items.
-	carrier bool
-
-	// The ballot, once voted: a clean, full-length result. addrs and
-	// digest are computed only when votes > 1; with one vote required
-	// every ballot agrees.
-	got      []types.Data
+	// The ballot, once voted: a clean, full-length result. digest is
+	// computed only when votes > 1; with one vote required every ballot
+	// agrees. got holds the decoded outputs once the ballot commits.
+	items    []resultItem
 	newState map[string][]byte
-	addrs    []address
 	digest   string
 	elapsed  time.Duration
+	got      []types.Data
 }
 
 type attemptPhase int
@@ -322,7 +304,7 @@ const (
 // coordinator's results channel.
 type farmResult struct {
 	idx      int
-	got      []types.Data
+	items    []resultItem
 	newState map[string][]byte
 	err      error
 }
@@ -528,8 +510,8 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 		// outcome is independent of arrival order.
 		if cr.running == 0 || (cr.votes == 1 && cr.ballots > 0) {
 			plurality, winner := cr.tally()
-			if winner >= 0 && !cr.attempts[winner].carrier && !cr.fetchOutputs(plurality, winner) {
-				// No agreeing voter served its outputs: those
+			if winner >= 0 && !cr.commitOutputs(plurality, winner) {
+				// The winner's outputs could not be had: the agreeing
 				// ballots failed, so top up and decide again.
 				continue
 			}
@@ -605,33 +587,26 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 			a := &cr.attempts[r.idx]
 			cr.running--
 			s.admit.release(tenant)
-			if r.err == nil && len(r.got) != len(chunk) {
+			if r.err == nil && len(r.items) != len(chunk) {
 				r.err = errors.New("short result")
 			}
 			if r.err == nil && cr.votes > 1 {
 				// Only a vote needs the digest; a lone ballot has
 				// nothing to be compared with.
-				if a.carrier {
-					a.addrs, r.err = outputAddresses(r.got, &fr.scratch)
-				} else {
-					a.addrs, r.err = itemAddresses(r.got)
-				}
-				if r.err == nil {
-					a.digest = resultDigest(a.addrs, r.newState)
-				}
+				a.digest = resultDigest(ballotAddresses(r.items), r.newState)
 			}
 			if r.err != nil {
 				// The peer is free to be picked again.
 				a.phase = attemptFailed
 				cr.lastErr = r.err
 				s.health.ReportFailure(a.peer.ID)
-				fr.waste(len(r.got), false)
+				fr.waste(len(r.items), false)
 				s.logf("service: farm %d chunk %d attempt %d on %s failed (%d/%d outputs): %v",
-					fr.id, c, r.idx, a.peer.ID, len(r.got), len(chunk), r.err)
+					fr.id, c, r.idx, a.peer.ID, len(r.items), len(chunk), r.err)
 				continue
 			}
 			// The peer stays busy: it has voted.
-			a.phase, a.got, a.newState, a.elapsed = attemptVoted, r.got, r.newState, time.Since(a.start)
+			a.phase, a.items, a.newState, a.elapsed = attemptVoted, r.items, r.newState, time.Since(a.start)
 			cr.ballots++
 			// A voter resolved the chunk's digests even before the vote
 			// commits — later attempts can fetch from it instead of the
@@ -686,7 +661,6 @@ func (cr *chunkRun) launch(backup bool) (bool, error) {
 			s.health.ReportSuccess(peer.ID, time.Since(start))
 		}
 		idx := len(cr.attempts)
-		carry := cr.votes == 1 || !cr.carrierLive()
 		if backup {
 			cr.backups++
 		} else if idx-cr.backups >= cr.votes {
@@ -696,12 +670,12 @@ func (cr *chunkRun) launch(backup bool) (bool, error) {
 			s.resStats.Redespatches.Inc()
 		}
 		actx, cancel := context.WithCancel(cr.ctx)
-		cr.attempts = append(cr.attempts, farmAttempt{peer: peer, cancel: cancel, backup: backup, start: time.Now(), carrier: carry})
+		cr.attempts = append(cr.attempts, farmAttempt{peer: peer, cancel: cancel, backup: backup, start: time.Now()})
 		cr.running++
 		go func() {
-			got, newState, err := cr.attempt(actx, peer, idx, carry)
+			items, newState, err := cr.attempt(actx, peer)
 			cancel()
-			cr.results <- farmResult{idx: idx, got: got, newState: newState, err: err}
+			cr.results <- farmResult{idx: idx, items: items, newState: newState, err: err}
 		}()
 		if cr.opts.Speculate && cr.votes == 1 {
 			if cr.straggler != nil {
@@ -720,17 +694,6 @@ func (cr *chunkRun) launch(backup bool) (bool, error) {
 func (cr *chunkRun) busy(peerID string) bool {
 	for i := range cr.attempts {
 		if a := &cr.attempts[i]; a.peer.ID == peerID && a.phase != attemptFailed {
-			return true
-		}
-	}
-	return false
-}
-
-// carrierLive reports whether a carrier attempt of this chunk is running
-// or has voted.
-func (cr *chunkRun) carrierLive() bool {
-	for i := range cr.attempts {
-		if a := &cr.attempts[i]; a.carrier && a.phase != attemptFailed {
 			return true
 		}
 	}
@@ -780,8 +743,8 @@ func (s *Service) stragglerThreshold(peerID string, opts FarmOptions) time.Durat
 
 // tally counts the ballots by digest. plurality is the most-voted
 // digest (ties to the smaller). Once it has the majority votes/2+1,
-// winner is the earliest-launched carrier voting for it, or failing one
-// the earliest-launched address voter; otherwise winner is -1.
+// winner is the earliest-launched attempt voting for it; otherwise
+// winner is -1.
 func (cr *chunkRun) tally() (plurality string, winner int) {
 	best := 0
 	for i := range cr.attempts {
@@ -799,29 +762,24 @@ func (cr *chunkRun) tally() (plurality string, winner int) {
 			plurality, best = a.digest, n
 		}
 	}
-	winner = -1
 	if best < cr.votes/2+1 {
-		return plurality, winner
+		return plurality, -1
 	}
 	for i := range cr.attempts {
 		if a := &cr.attempts[i]; a.phase == attemptVoted && a.digest == plurality {
-			if a.carrier {
-				return plurality, i
-			}
-			if winner < 0 {
-				winner = i
-			}
+			return plurality, i
 		}
 	}
-	return plurality, winner
+	return plurality, -1
 }
 
-// fetchOutputs completes a majority no carrier agreed with: it fetches
-// each of the winner's outputs by content address, the agreeing voters
-// as peer rungs, and decodes them into the winner's ballot. If none
-// serves the bytes, every agreeing ballot becomes a failed attempt — a
-// plain failure, not the byzantine penalty — and it reports false.
-func (cr *chunkRun) fetchOutputs(plurality string, winner int) bool {
+// commitOutputs decodes the winner's outputs into its ballot: a
+// by-value item from the bytes the ballot carried, a by-reference one
+// after fetching it by content address, the agreeing voters as peer
+// rungs. If an output cannot be had, every agreeing ballot becomes a
+// failed attempt — a plain failure, not the byzantine penalty — and it
+// reports false.
+func (cr *chunkRun) commitOutputs(plurality string, winner int) bool {
 	s := cr.s
 	var sources []chunkstore.Source
 	for i := range cr.attempts {
@@ -830,12 +788,16 @@ func (cr *chunkRun) fetchOutputs(plurality string, winner int) bool {
 		}
 	}
 	w := &cr.attempts[winner]
-	got := make([]types.Data, len(w.addrs))
+	got := make([]types.Data, len(w.items))
+	fetched := 0
 	var err error
-	for i, addr := range w.addrs {
-		var p []byte
-		if p, _, err = s.chunks.Fetch(addr.digest(), sources, s.fetchChunkWire); err != nil {
-			break
+	for i, it := range w.items {
+		p := it.value
+		if p == nil {
+			if p, err = s.chunks.FetchThrough(it.addr.digest(), sources, s.fetchChunkWire); err != nil {
+				break
+			}
+			fetched++
 		}
 		var d types.Data
 		if d, err = types.Unmarshal(p); err != nil {
@@ -845,16 +807,17 @@ func (cr *chunkRun) fetchOutputs(plurality string, winner int) bool {
 	}
 	if err == nil {
 		w.got = got
-		s.resStats.QuorumFetches.Add(int64(len(got)))
+		s.resStats.QuorumFetches.Add(int64(fetched))
 		return true
 	}
-	s.logf("service: farm %d chunk %d quorum: no agreeing voter served its outputs: %v", cr.id, cr.c, err)
+	s.logf("service: farm %d chunk %d: the agreeing voters' outputs could not be had: %v", cr.id, cr.c, err)
+	cr.lastErr = err
 	for i := range cr.attempts {
 		if a := &cr.attempts[i]; a.phase == attemptVoted && a.digest == plurality {
 			a.phase = attemptFailed
 			cr.ballots--
 			s.health.ReportFailure(a.peer.ID)
-			cr.waste(len(a.got), false)
+			cr.waste(len(a.items), false)
 		}
 	}
 	return false
@@ -884,7 +847,7 @@ func (cr *chunkRun) settle(plurality string, winner int) {
 			s.health.ReportSuccess(a.peer.ID, a.elapsed)
 		}
 		if i != winner {
-			cr.waste(len(a.got), false)
+			cr.waste(len(a.items), false)
 		}
 	}
 }
@@ -922,19 +885,19 @@ func (cr *chunkRun) abandon(specRace bool) {
 		for i := 0; i < remaining; i++ {
 			r := <-cr.results
 			cr.s.admit.release(cr.opts.Tenant)
-			cr.waste(len(r.got), specRace)
+			cr.waste(len(r.items), specRace)
 		}
 	}()
 }
 
 // attempt runs the chunk on one peer: despatch with restored state and
-// the chunk's manifest, collect outputs until the sink pipe closes,
-// then fetch the completion state. A non-carrier asks for addresses, so
-// got holds address items. Every pipe label is scoped to the (farm,
-// chunk, attempt) triple so residue from a lost attempt can never leak
-// into a later one — racing attempts of the same chunk get distinct
-// attempt indices and therefore disjoint pipes.
-func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int, carry bool) (got []types.Data, newState map[string][]byte, err error) {
+// the chunk's manifest, then wait for the job's reply, which carries
+// its result list and completion state. An abandoned attempt (timeout,
+// dead verdict, or a racing sibling committed first) cancels its remote
+// job, best effort; once the cancel has landed, one more wait reads the
+// job's record, so the waste books count the outputs of a job that
+// finished before the cancel reached it.
+func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef) ([]resultItem, map[string][]byte, error) {
 	s, opts, c := cr.s, cr.opts, cr.c
 	attemptCtx, cancel := context.WithTimeout(ctx, opts.AttemptTimeout)
 	defer cancel()
@@ -947,14 +910,6 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int, carry bool
 		defer stop()
 	}
 
-	prefix := fmt.Sprintf("farm/%s/%d/c%d/a%d", s.opts.PeerID, cr.id, c, a)
-	pipe, _, err := s.host.OpenInput(prefix+"/out", len(cr.chunk)+1)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer pipe.Close()
-	pipe.ExpectEOFs(1)
-
 	// The chunk's manifest rides the request: the donor resolves it
 	// through its cache, the ring, sibling donors, and only then the
 	// controller — that ladder, not this attempt, is the data plane.
@@ -962,17 +917,14 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int, carry bool
 	job, err := s.despatchCtx(attemptCtx, RemotePart{
 		Peer:         peer,
 		Body:         cr.body,
-		InLabels:     []string{prefix + "/in"},
-		OutTargets:   []PipeTarget{{Label: prefix + "/out", Addr: s.Addr()}},
 		Iterations:   1,
 		Seed:         opts.Seed,
 		RestoreState: cr.state,
 		Tenant:       opts.Tenant,
 		Group:        opts.Group,
 
-		addressOutputs: !carry,
-		bodyXML:        cr.bodyXML,
-		manifest:       manifest,
+		bodyXML:  cr.bodyXML,
+		manifest: manifest,
 	}, opts.CodeAddr)
 	if err != nil {
 		return nil, nil, err
@@ -980,40 +932,17 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef, a int, carry bool
 	s.resStats.FarmEgressBytes.Add(int64(len(manifest)))
 	cr.tstats.egress.Add(int64(len(manifest)))
 
-	// Collect until the remote signals EOF (pipe.C closes) or the
-	// attempt dies. A worker that vanishes breaks its output conn, which
-	// counts as its EOF, so this always terminates.
-	if !collect(attemptCtx, pipe.C, &got) {
-		// Abandoned attempt (timeout, dead verdict, or a racing sibling
-		// committed first): tell the peer to stop, best effort. Once the
-		// cancel has landed, read what the donor sent before it stopped,
-		// so the waste books count every output it produced.
+	res, err := s.waitRemote(attemptCtx, job)
+	if err != nil && attemptCtx.Err() != nil {
 		if s.CancelRemote(job) == nil {
-			drainCtx, stop := context.WithTimeout(context.Background(), s.res.RequestTimeout)
-			collect(drainCtx, pipe.C, &got)
+			waitCtx, stop := context.WithTimeout(context.Background(), s.res.RequestTimeout)
+			res, _ = s.waitRemote(waitCtx, job)
 			stop()
 		}
-		return got, nil, attemptCtx.Err()
+		return res.items, nil, attemptCtx.Err()
 	}
-	_, newState, err = s.waitRemoteStateCtx(attemptCtx, job)
 	if err != nil {
-		return got, nil, err
+		return nil, nil, err
 	}
-	return got, newState, nil
-}
-
-// collect appends what arrives on in to got until in closes, reporting
-// true, or ctx ends first, reporting false.
-func collect(ctx context.Context, in <-chan types.Data, got *[]types.Data) bool {
-	for {
-		select {
-		case d, ok := <-in:
-			if !ok {
-				return true
-			}
-			*got = append(*got, d)
-		case <-ctx.Done():
-			return false
-		}
-	}
+	return res.items, res.state, nil
 }

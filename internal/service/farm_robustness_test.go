@@ -44,8 +44,8 @@ func quorumNetOn(t *testing.T, n *simnet.Network, ctlTr jxtaserve.Transport, pre
 }
 
 // TestChaosByzantineQuorum is the acceptance scenario: a seeded simnet
-// with one byzantine peer (every pipe payload on its links silently
-// corrupted) and one dead peer. A Quorum:3 farm must commit only
+// with one byzantine peer (every result it returns silently corrupted)
+// and one dead peer. A Quorum:3 farm must commit only
 // majority-agreed outputs — identical to a clean run — while the
 // byzantine peer's health score collapses below the suspicion threshold
 // and the dead peer's breaker opens, all observable through the metrics
@@ -57,11 +57,9 @@ func TestChaosByzantineQuorum(t *testing.T) {
 
 // TestChaosByzantineQuorumDataTier runs the same scenario with the
 // controller's transport tapped, to check the data tier's side of it.
-// Only one voter per chunk streams its outputs: the corrupter carries
-// chunk 0, which commits by fetching the address voters' outputs, and
-// votes by address once its score has sunk. The controller streams no
-// chunk inputs — they ride the triana.run manifests — so every
-// pipe.data message crosses its links one way, donor to controller.
+// No voter streams anything: the controller sends no pipe.data — the
+// chunk inputs ride the triana.run manifests — and every committed
+// output is fetched by content address, one chunk.fetch at least each.
 func TestChaosByzantineQuorumDataTier(t *testing.T) {
 	const prefix = "qd-"
 	n := simnet.New()
@@ -73,16 +71,18 @@ func TestChaosByzantineQuorumDataTier(t *testing.T) {
 	if got := tap.SentMsgs(jxtaserve.KindChunkFetch); int64(got) < snap.QuorumFetches {
 		t.Errorf("controller sent %d chunk.fetch requests for %d fetched outputs", got, snap.QuorumFetches)
 	}
-	t.Logf("pipe.data recv=%dB chunk.fetch sent=%d run sent=%d", tap.Recv(jxtaserve.KindPipeData),
+	t.Logf("chunk.data recv=%dB chunk.fetch sent=%d run sent=%d", tap.Recv(jxtaserve.KindChunkData),
 		tap.SentMsgs(jxtaserve.KindChunkFetch), tap.SentMsgs(jxtaserve.KindRPC+"/"+MethodRun))
 }
 
 // chaosByzantineQuorum runs the acceptance scenario on n, with the
 // controller on ctlTr, and returns the controller's resilience stats.
+// Its datums are wide, so every result comes home by reference and
+// every commit fetches.
 func chaosByzantineQuorum(t *testing.T, n *simnet.Network, ctlTr jxtaserve.Transport, prefix string) metrics.ResilienceSnapshot {
 	t.Helper()
 	const nChunks, perChunk = 4, 5
-	chunks := chaosChunks(chaosSeed, nChunks, perChunk)
+	chunks := bigChunks(chaosSeed, nChunks, perChunk, ladderBins)
 
 	// Clean reference run: same topology, no faults, no quorum.
 	refNet := simnet.New()
@@ -92,8 +92,8 @@ func chaosByzantineQuorum(t *testing.T, n *simnet.Network, ctlTr jxtaserve.Trans
 	n.FaultSeed(7)
 	ctl, peers := quorumNetOn(t, n, ctlTr, prefix, health.Options{})
 	byz, dead := prefix+"w1", prefix+"w2"
-	// w1 is byzantine: every pipe.data payload crossing its links is
-	// corrupted in flight. w2 is dead before the farm starts.
+	// w1 is byzantine: every result it returns is corrupted in flight.
+	// w2 is dead before the farm starts.
 	n.SetLinkFaults(byz, simnet.LinkFaults{CorruptEvery: 1})
 	n.Kill(dead)
 
@@ -136,7 +136,7 @@ func chaosByzantineQuorum(t *testing.T, n *simnet.Network, ctlTr jxtaserve.Trans
 		t.Errorf("dead peer breaker gauge = %v, want %v (open)", breaker, float64(health.Open))
 	}
 	if snap.QuorumFetches == 0 {
-		t.Error("no chunk was committed by fetch: the corrupter never carried")
+		t.Error("no chunk was committed by fetch")
 	}
 	t.Logf("corrupted=%d disagreements=%d redespatches=%d wasted=%d fetches=%d peers=%v",
 		n.Corrupted(), rep.QuorumDisagreements, rep.Redespatches, rep.WastedOutputs, snap.QuorumFetches, rep.PeerChunks)
@@ -208,9 +208,10 @@ func TestSpeculationWinsAndCancelsLoser(t *testing.T) {
 	// then expect to see cancelled.
 	n.SetLinkFaults("sp-w1", simnet.LinkFaults{Latency: 30 * time.Millisecond})
 
-	// 10 items × 30ms means sp-w1 is still streaming inputs when the
-	// backup commits, so the cancel catches its job mid-flight.
-	chunks := chaosChunks(chaosSeed, 1, 10)
+	// 10 wide items, each fetched by reference at 30ms a message, mean
+	// sp-w1 is still fetching inputs when the backup commits, so the
+	// cancel catches its job mid-flight.
+	chunks := bigChunks(chaosSeed, 1, 10, ladderBins)
 	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{
 		Speculate:      true,
 		SpeculateAfter: 200 * time.Millisecond,
@@ -402,11 +403,11 @@ func TestQuorumSplitVoteWidensAndCommits(t *testing.T) {
 
 	n := simnet.New()
 	ctl, peers := quorumNet(t, n, "sv-", health.Options{})
-	// sv-w2 and sv-w3 lie at different cadences, so their digests
-	// disagree with the honest result AND with each other: the first
-	// round (sv-w1..w3 in rank order) is a guaranteed three-way split.
+	// sv-w2 and sv-w3 tell different lies, so their digests disagree
+	// with the honest result AND with each other: the first round
+	// (sv-w1..w3 in rank order) is a guaranteed three-way split.
 	n.SetLinkFaults("sv-w2", simnet.LinkFaults{CorruptEvery: 1})
-	n.SetLinkFaults("sv-w3", simnet.LinkFaults{CorruptEvery: 2})
+	n.SetLinkFaults("sv-w3", simnet.LinkFaults{CorruptEvery: 1, CorruptMask: 0x0f})
 
 	type outcome struct {
 		rep *FarmReport
@@ -469,11 +470,11 @@ func TestQuorumTerminalSplitFailsAndPenalizes(t *testing.T) {
 		w := newService(t, n.Peer(label), label, Options{})
 		peers = append(peers, PeerRef{ID: label, Addr: w.Addr()})
 	}
-	// All three corrupt at different cadences: three ballots, three
-	// digests, majority of 2 unreachable.
+	// All three tell different lies: three ballots, three digests,
+	// majority of 2 unreachable.
 	n.SetLinkFaults("ts-w1", simnet.LinkFaults{CorruptEvery: 1})
-	n.SetLinkFaults("ts-w2", simnet.LinkFaults{CorruptEvery: 2})
-	n.SetLinkFaults("ts-w3", simnet.LinkFaults{CorruptEvery: 3})
+	n.SetLinkFaults("ts-w2", simnet.LinkFaults{CorruptEvery: 1, CorruptMask: 0x0f})
+	n.SetLinkFaults("ts-w3", simnet.LinkFaults{CorruptEvery: 1, CorruptMask: 0xf0})
 
 	type outcome struct {
 		rep *FarmReport

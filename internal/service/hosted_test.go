@@ -141,7 +141,7 @@ func TestHostedJobRetentionByteCap(t *testing.T) {
 	w := newService(t, jxtaserve.NewInProc(), "hp-w", Options{})
 	end := func(id string, stateBytes int) {
 		res := &engine.Result{State: map[string][]byte{"Accum": make([]byte, stateBytes)}}
-		w.endJob(&job{id: id}, nil, res)
+		w.endJob(&job{id: id}, nil, res, nil)
 	}
 	const blob = maxEndedPayloadBytes / 4
 	for i := 0; i < 6; i++ {
@@ -442,7 +442,7 @@ func TestHostedJobEvictionDuringDistributedRun(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		for i := 0; i < maxEndedJobs; i++ {
-			w.endJob(&job{id: "hd-w/filler-" + strconv.Itoa(i)}, nil, nil)
+			w.endJob(&job{id: "hd-w/filler-" + strconv.Itoa(i)}, nil, nil, nil)
 		}
 	}
 	gateHook.Store(&hook)

@@ -25,7 +25,7 @@ const DefaultDrainTimeout = 30 * time.Second
 // lifecycleMetrics are the daemon-lifecycle series, registered eagerly
 // in New so a fresh daemon's first scrape lists them.
 type lifecycleMetrics struct {
-	drainInflight *metrics.Gauge     // farms + slots + hosted jobs still live during a drain
+	drainInflight *metrics.Gauge     // farms + slots + hosted jobs + uncollected results during a drain
 	ckptTotal     *metrics.Counter   // state_checkpoint_total
 	ckptErrors    *metrics.Counter   // state_checkpoint_errors_total
 	ckptBytes     *metrics.Counter   // state_checkpoint_bytes_total
@@ -73,8 +73,13 @@ type DrainReport struct {
 	HandoffAdverts int
 	HandoffChunks  int
 	// Drained is true when every in-flight farm, despatch slot and
-	// hosted job finished inside the drain timeout.
+	// hosted job finished, and every finished job's results were
+	// collected, inside the drain timeout.
 	Drained bool
+	// Uncollected counts the finished jobs whose results no triana.wait
+	// had collected when the drain stopped waiting: a farm's outputs
+	// ride the wait reply, so each is a chunk its controller lost.
+	Uncollected int
 }
 
 // drainState tracks one daemon's single drain.
@@ -97,7 +102,8 @@ type drainState struct {
 //     and hosted jobs to finish — in-flight farms still acquire slots
 //     for their remaining chunks, so they complete rather than fail,
 //     and jobs this daemon accepted run to their end instead of being
-//     cancelled by the Close that follows the drain;
+//     cancelled by the Close that follows the drain — and for each
+//     finished job's results to be collected by a triana.wait;
 //  4. hand off super-peer store entries and chunk replicas to ring
 //     successors;
 //  5. write a final state checkpoint.
@@ -159,12 +165,15 @@ func (s *Service) drain(timeout time.Duration) {
 
 	// 3. Finish in-flight work. Farms registered before the drain keep
 	// acquiring slots, and hosted jobs run on, as do run handlers that
-	// got past the quiesce; we wait for all of them, feeding the
-	// progress gauge.
+	// got past the quiesce; we wait for all of them, and for the wait
+	// that collects each finished job's results, feeding the progress
+	// gauge. A job ends before its wait is answered, so its end alone
+	// would let the Close that follows cut its results off.
 	rep.Drained = s.admit.await(timeout, func(farms, inflight int) bool {
 		hosted := s.hostedWork()
-		s.lcMetrics.drainInflight.Set(float64(farms + inflight + hosted))
-		return farms == 0 && inflight == 0 && hosted == 0
+		rep.Uncollected = s.uncollected()
+		s.lcMetrics.drainInflight.Set(float64(farms + inflight + hosted + rep.Uncollected))
+		return farms == 0 && inflight == 0 && hosted == 0 && rep.Uncollected == 0
 	})
 	if !rep.Drained {
 		s.logf("service: %s drain: timeout after %v with work in flight", s.opts.PeerID, timeout)
@@ -192,8 +201,9 @@ func (s *Service) drain(timeout time.Duration) {
 	span.SetAttr("handoff_adverts", strconv.Itoa(rep.HandoffAdverts))
 	span.SetAttr("handoff_chunks", strconv.Itoa(rep.HandoffChunks))
 	span.SetAttr("drained", strconv.FormatBool(rep.Drained))
-	s.logf("service: %s drained (adverts retracted %d, handoff %d adverts / %d chunks, clean=%v)",
-		s.opts.PeerID, rep.AdvertsRetracted, rep.HandoffAdverts, rep.HandoffChunks, rep.Drained)
+	span.SetAttr("uncollected", strconv.Itoa(rep.Uncollected))
+	s.logf("service: %s drained (adverts retracted %d, handoff %d adverts / %d chunks, %d results uncollected, clean=%v)",
+		s.opts.PeerID, rep.AdvertsRetracted, rep.HandoffAdverts, rep.HandoffChunks, rep.Uncollected, rep.Drained)
 }
 
 func (d *drainState) setReport(rep DrainReport) {
@@ -230,6 +240,7 @@ func (s *Service) handleDrain(req *jxtaserve.Message) (*jxtaserve.Message, error
 	reply.SetHeader("advertsRetracted", strconv.Itoa(rep.AdvertsRetracted))
 	reply.SetHeader("handoffAdverts", strconv.Itoa(rep.HandoffAdverts))
 	reply.SetHeader("handoffChunks", strconv.Itoa(rep.HandoffChunks))
+	reply.SetHeader("uncollected", strconv.Itoa(rep.Uncollected))
 	reply.SetHeader("drained", strconv.FormatBool(rep.Drained))
 	return reply, nil
 }

@@ -211,12 +211,14 @@ func TestDrainWaitsForHostedJobs(t *testing.T) {
 		w := newService(t, n.Peer(label), label, Options{})
 		workers = append(workers, w)
 		peers = append(peers, PeerRef{ID: label, Addr: w.Addr()})
-		// Every frame a donor sends takes 20ms, so its job outlives the
-		// drain's start by several frames; requests to it stay fast.
+		// Every frame a donor sends takes 20ms, so its job, fetching its
+		// wide inputs, outlives the drain's start by several frames, and
+		// its wait reply lands after the job ends; requests to it stay
+		// fast.
 		n.SetLinkFaults(w.Addr(), simnet.LinkFaults{Latency: time.Nanosecond})
 		n.SetLinkFaults(label, simnet.LinkFaults{Latency: 20 * time.Millisecond})
 	}
-	chunks := chaosChunks(3, 1, 4)
+	chunks := bigChunks(3, 1, 4, ladderBins)
 	type outcome struct {
 		rep *FarmReport
 		err error
@@ -264,6 +266,63 @@ func TestDrainWaitsForHostedJobs(t *testing.T) {
 	}
 	if len(got.rep.Outputs) != len(chunks[0]) {
 		t.Fatalf("farm committed %d outputs, want %d", len(got.rep.Outputs), len(chunks[0]))
+	}
+}
+
+// TestDrainWaitsForResultCollection: a farm job's outputs ride its wait
+// reply, so a job that has ended still holds a chunk until a triana.wait
+// collects it. A drain does not complete on the jobs' ends alone: it
+// waits for their waits, and one whose results nobody collects times
+// out and reports them uncollected.
+func TestDrainWaitsForResultCollection(t *testing.T) {
+	tr := jxtaserve.NewInProc()
+	ctl := newService(t, tr, "drc-ctl", Options{})
+	item, err := types.Marshal(&types.Spectrum{Resolution: 1, Amplitudes: []float64{3, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	despatch := func(w *Service) *RemoteJob {
+		t.Helper()
+		job, err := ctl.Despatch(RemotePart{
+			Peer: PeerRef{ID: w.PeerID(), Addr: w.Addr()}, Body: accumBody(t), Iterations: 1,
+			manifest: chunkstore.EncodeManifest(&chunkstore.Manifest{
+				Origin: ctl.Addr(), Items: []chunkstore.Item{{Data: item}},
+			}),
+		}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+
+	// Collected during the drain: the drain waits for both waits.
+	w := newService(t, tr, "drc-w1", Options{})
+	jobs := []*RemoteJob{despatch(w), despatch(w)}
+	eventually(t, "both jobs to end", func() bool { return w.liveJobs() == 0 })
+	done := w.BeginDrain(10 * time.Second)
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-done:
+		t.Fatal("the drain completed with two ended jobs' results uncollected")
+	default:
+	}
+	for _, job := range jobs {
+		if _, err := ctl.WaitRemote(job); err != nil {
+			t.Fatalf("collecting a drained donor's results: %v", err)
+		}
+	}
+	<-done
+	if rep := w.DrainReport(); !rep.Drained || rep.Uncollected != 0 {
+		t.Fatalf("drain after every result was collected: %+v, want drained with none uncollected", rep)
+	}
+
+	// Never collected: the drain times out and says so.
+	w2 := newService(t, tr, "drc-w2", Options{})
+	despatch(w2)
+	eventually(t, "the job to end", func() bool { return w2.liveJobs() == 0 })
+	<-w2.BeginDrain(100 * time.Millisecond)
+	if rep := w2.DrainReport(); rep.Drained || rep.Uncollected != 1 {
+		t.Fatalf("drain with one result never collected: %+v, want not drained, 1 uncollected", rep)
 	}
 }
 

@@ -163,17 +163,18 @@ func TestCloseReapsBackgroundGoroutines(t *testing.T) {
 		t.Fatal("despatch to unreachable peer succeeded")
 	}
 
-	// Racing speculative attempts: a slow straggler loses to a backup
-	// mid-stream, so its attempt goroutine, sender, heartbeat detector
-	// and remote job all go through the abandoned-loser path. FarmChunks
-	// reaps the losers before returning; Close must find nothing extra.
+	// Racing speculative attempts: a slow straggler, fetching its wide
+	// inputs over a crawling link, loses to a backup mid-flight, so its
+	// attempt goroutine, heartbeat detector and remote job all go
+	// through the abandoned-loser path. FarmChunks reaps the losers
+	// before returning; Close must find nothing extra.
 	n := simnet.New()
 	raceCtl := newService(t, n.Peer("leak-race-ctl"), "leak-race-ctl",
 		Options{Resilience: chaosResilience()})
 	raceW1 := newService(t, n.Peer("leak-race-w1"), "leak-race-w1", Options{})
 	raceW2 := newService(t, n.Peer("leak-race-w2"), "leak-race-w2", Options{})
 	n.SetLinkFaults("leak-race-w1", simnet.LinkFaults{Latency: 20 * time.Millisecond})
-	rep, err := raceCtl.FarmChunks(context.Background(), chaosChunks(1, 1, 8), FarmOptions{
+	rep, err := raceCtl.FarmChunks(context.Background(), bigChunks(1, 1, 8, ladderBins), FarmOptions{
 		Body:           func() *taskgraph.Graph { return accumBody(t) },
 		Peers:          []PeerRef{{ID: "leak-race-w1", Addr: raceW1.Addr()}, {ID: "leak-race-w2", Addr: raceW2.Addr()}},
 		Heartbeat:      true,

@@ -1,17 +1,22 @@
-// Result digests for quorum voting. Two peers agree on a chunk iff
-// their ballots hash to the same digest: each output's content address
-// (the SHA-256 of its canonical wire encoding, which the chunk store
-// names in hex) in order, then the checkpoint state as sorted key/value
-// frames.
-// Semantically identical results always match and a single flipped
-// payload byte never does. Length-prefixed framing keeps the encoding
-// injective: no concatenation of fields can collide with a different
-// split of the same bytes.
+// Result lists and the digests quorums vote on. A farm job's outputs
+// come home in its triana.wait reply as a result list: each output's
+// canonical wire encoding by value when it is at most
+// chunkstore.MaxInline bytes (any output, from a draining donor),
+// otherwise its raw 32-byte content address (the SHA-256 of that
+// encoding, which the chunk store names in hex), the bytes staying in
+// the donor's chunk LRU until the controller fetches them. The list
+// ends in value or address bytes, so a flipped tail byte still decodes,
+// into a ballot that disagrees.
 //
-// A carrier's ballot and an address voter's ballot of the same result
-// compare equal: the controller computes a carrier's addresses from the
-// outputs it received, and an address voter sends only the addresses,
-// one address item per output (see farm.go).
+// Two peers agree on a chunk iff their ballots hash to the same digest:
+// each output's content address in order — taken as sent for a
+// by-reference item, computed by the controller for a by-value one —
+// then the checkpoint state as sorted key/value frames. A by-value
+// ballot and a by-reference ballot of the same result therefore compare
+// equal. Semantically identical results always match and a single
+// flipped payload byte never does. Length-prefixed framing keeps the
+// encoding injective: no concatenation of fields can collide with a
+// different split of the same bytes.
 package service
 
 import (
@@ -21,7 +26,7 @@ import (
 	"errors"
 	"sort"
 
-	"consumergrid/internal/types"
+	"consumergrid/internal/frame"
 )
 
 // address is an output's content address: the SHA-256 of its canonical
@@ -33,6 +38,71 @@ func addressOf(p []byte) address { return sha256.Sum256(p) }
 // digest is the address as the chunk store names it
 // (chunkstore.Digest of the same bytes).
 func (a address) digest() string { return hex.EncodeToString(a[:]) }
+
+// Result item tags: the byte each item of a result list starts with.
+const (
+	itemValue   byte = 'v' // then the output's canonical bytes, framed
+	itemAddress byte = 'a' // then its content address, framed
+)
+
+// resultItem is one output of a result list: its canonical bytes (a
+// by-value item) or, with value nil, its content address.
+type resultItem struct {
+	value []byte
+	addr  address
+}
+
+// appendResultItem appends one item: a tag, then the framed bytes.
+func appendResultItem(b []byte, tag byte, p []byte) []byte {
+	return frame.AppendBytes(append(b, tag), p)
+}
+
+var errResultItem = errors.New("result list: malformed item")
+
+// decodeResults reads a result list back. A by-value item's bytes alias
+// p. Anything but a well-formed sequence of items — an unknown tag, an
+// empty value, an address of the wrong length, a truncated frame —
+// fails the whole list.
+func decodeResults(p []byte) ([]resultItem, error) {
+	r := frame.NewReader(p)
+	var items []resultItem
+	for r.Len() > 0 && r.Err() == nil {
+		switch r.Byte() {
+		case itemValue:
+			v := r.Bytes(len(p))
+			if r.Err() == nil && len(v) == 0 {
+				r.Fail(errResultItem)
+			}
+			items = append(items, resultItem{value: v})
+		case itemAddress:
+			var it resultItem
+			if a := r.Bytes(len(it.addr)); r.Err() == nil && copy(it.addr[:], a) != len(it.addr) {
+				r.Fail(errResultItem)
+			}
+			items = append(items, it)
+		default:
+			r.Fail(errResultItem)
+		}
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return items, nil
+}
+
+// ballotAddresses is a ballot's per-output content addresses: as sent
+// for a by-reference item, hashed from the bytes for a by-value one.
+func ballotAddresses(items []resultItem) []address {
+	addrs := make([]address, len(items))
+	for i, it := range items {
+		if it.value != nil {
+			addrs[i] = addressOf(it.value)
+		} else {
+			addrs[i] = it.addr
+		}
+	}
+	return addrs
+}
 
 // resultDigest canonically hashes one ballot: the per-output content
 // addresses in order, then the checkpoint state as sorted key/value
@@ -65,43 +135,4 @@ func resultDigest(addrs []address, state map[string][]byte) string {
 		writeFrame(state[k])
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// outputAddresses computes a carrier's content addresses from the
-// outputs the controller received, encoding each into *scratch, which
-// it grows as needed and callers reuse across ballots. Unencodable data
-// fails the ballot — it can never agree with anything and counts as a
-// failed attempt.
-func outputAddresses(outs []types.Data, scratch *[]byte) ([]address, error) {
-	addrs := make([]address, len(outs))
-	for i, d := range outs {
-		p, err := types.AppendMarshal((*scratch)[:0], d)
-		if err != nil {
-			return nil, err
-		}
-		*scratch = p
-		addrs[i] = addressOf(p)
-	}
-	return addrs, nil
-}
-
-// addressItem is the datum an address voter sends in place of one
-// output: a Text holding the raw address bytes, whose encoding ends in
-// those bytes. A flipped tail byte therefore still decodes, into a
-// ballot that disagrees.
-func addressItem(a address) types.Data { return &types.Text{S: string(a[:])} }
-
-var errNotAddress = errors.New("address voter sent an item that is not a content address")
-
-// itemAddresses reads an address voter's ballot back from its items.
-func itemAddresses(items []types.Data) ([]address, error) {
-	addrs := make([]address, len(items))
-	for i, d := range items {
-		t, ok := d.(*types.Text)
-		if !ok || len(t.S) != len(address{}) {
-			return nil, errNotAddress
-		}
-		copy(addrs[i][:], t.S)
-	}
-	return addrs, nil
 }

@@ -1,9 +1,8 @@
 package service
 
-// The quorum output path with the data tier on: one carrier streams a
-// chunk's outputs home, the other voters send content addresses, and a
-// majority no carrier agreed with is committed by fetching the outputs
-// from the agreeing voters.
+// The quorum output path: every voter's wait reply carries its result
+// list, wide outputs as content addresses, and a majority commits by
+// fetching those outputs from the agreeing voters.
 
 import (
 	"context"
@@ -20,14 +19,15 @@ import (
 	"consumergrid/internal/types"
 )
 
-// TestQuorumByzantineCarrierCommitsByFetch: the first-ranked voter,
-// and so chunk 0's carrier, corrupts every pipe payload it sends. The
-// two address voters agree, so chunk 0 commits by fetching their
-// outputs; later chunks rank the corrupter last, where it votes by
-// address and is outvoted by a clean carrier.
-func TestQuorumByzantineCarrierCommitsByFetch(t *testing.T) {
+// TestQuorumByzantineVoterCommitsByFetch: one of the three voters, the
+// first-ranked, corrupts every result it returns. Its outputs are wide,
+// so its result list is content addresses, and the flipped tail byte
+// lands in the last of them. The two honest voters agree, so each chunk
+// commits by fetching their outputs, and the corrupter is outvoted in
+// every chunk.
+func TestQuorumByzantineVoterCommitsByFetch(t *testing.T) {
 	const nChunks, perChunk = 2, 4
-	chunks := chaosChunks(chaosSeed, nChunks, perChunk)
+	chunks := bigChunks(chaosSeed, nChunks, perChunk, ladderBins)
 	want := faultFreeBaseline(t, chunks)
 
 	n := simnet.New()
@@ -40,12 +40,12 @@ func TestQuorumByzantineCarrierCommitsByFetch(t *testing.T) {
 	}
 	assertSameOutputs(t, rep.Outputs, want)
 	if rep.PeerChunks["bc-w1"] != 0 {
-		t.Errorf("corrupting carrier committed %d chunks", rep.PeerChunks["bc-w1"])
+		t.Errorf("corrupting voter committed %d chunks", rep.PeerChunks["bc-w1"])
 	}
 	snap := tn.ctl.Resilience().Snapshot()
-	if snap.QuorumFetches != perChunk {
-		t.Errorf("quorum fetches = %d, want %d (chunk 0's outputs, fetched from its address voters)",
-			snap.QuorumFetches, perChunk)
+	if snap.QuorumFetches != nChunks*perChunk {
+		t.Errorf("quorum fetches = %d, want %d (every output, fetched once from an agreeing voter)",
+			snap.QuorumFetches, nChunks*perChunk)
 	}
 	series := metrics.Default().Counter(metrics.Series("service_quorum_fetches_total", "peer", "bc-ctl")).Value()
 	if series != snap.QuorumFetches {
@@ -94,14 +94,15 @@ func (c *waitReplyConn) Recv() (*jxtaserve.Message, error) {
 	return m, err
 }
 
-// TestQuorumFetchFailureWidens: the corrupter carries; the two address
-// voters agree, and each is killed the moment its ballot is in. Their
-// outputs cannot be fetched, so their ballots fail — with no byzantine
-// penalty — and the chunk tops up with fresh voters. Either those
-// commit the clean result or the chunk ends in the no-majority error.
+// TestQuorumFetchFailureWidens: the corrupter votes first; the two
+// honest voters agree, and each is killed the moment its ballot is in.
+// Their outputs are wide, so they stayed in the voters' chunk LRUs and
+// cannot be fetched: their ballots fail — with no byzantine penalty —
+// and the chunk tops up with fresh voters. Either those commit the
+// clean result or the chunk ends in the no-majority error.
 func TestQuorumFetchFailureWidens(t *testing.T) {
 	const perChunk = 4
-	chunks := chaosChunks(chaosSeed, 1, perChunk)
+	chunks := bigChunks(chaosSeed, 1, perChunk, ladderBins)
 	want := faultFreeBaseline(t, chunks)
 
 	n := simnet.New()
@@ -138,7 +139,7 @@ func TestQuorumFetchFailureWidens(t *testing.T) {
 	bothKilled := killed["ff-w2"] && killed["ff-w3"]
 	mu.Unlock()
 	if !bothKilled {
-		t.Fatal("the address voters were not killed after voting")
+		t.Fatal("the honest voters were not killed after voting")
 	}
 	switch {
 	case err == nil:
@@ -172,7 +173,8 @@ func TestQuorumFetchFailureWidens(t *testing.T) {
 // TestQuorumFarmMovesEachByteOnce is the wire accounting of a clean
 // Quorum: 3 farm over an R=2 ring: every input crosses the controller's
 // link once (one ring copy; the controller's pin is the other), and
-// each output comes home once, the other two voters sending addresses.
+// each output comes home once, as the chunk.data answering the one
+// fetch its commit makes; the three wait replies carry only addresses.
 func TestQuorumFarmMovesEachByteOnce(t *testing.T) {
 	chunks := bigChunks(chaosSeed, 3, 4, 2048)
 	want := faultFreeBaseline(t, chunks)
@@ -200,25 +202,23 @@ func TestQuorumFarmMovesEachByteOnce(t *testing.T) {
 	within(t, "controller egress on the wire", egress, wantEgress)
 	within(t, "FarmEgressBytes", tn.ctl.Resilience().Snapshot().FarmEgressBytes, wantEgress)
 
-	var outBytes, itemBytes int64
+	var outBytes int64
 	for _, d := range rep.Outputs {
 		p, err := types.Marshal(d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		outBytes += int64(len(p))
-		ip, err := types.Marshal(addressItem(addressOf(p)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		itemBytes += 2 * int64(len(ip)) // two address voters per output
 	}
-	within(t, "controller-bound pipe.data", ctlTap.Recv(jxtaserve.KindPipeData), outBytes+itemBytes)
-	if got := tn.ctl.Resilience().Snapshot().QuorumFetches; got != 0 {
-		t.Errorf("quorum fetches = %d on a clean run", got)
+	within(t, "controller-bound chunk.data", ctlTap.Recv(jxtaserve.KindChunkData), outBytes)
+	if got := tn.ctl.Resilience().Snapshot().QuorumFetches; got != int64(len(rep.Outputs)) {
+		t.Errorf("quorum fetches = %d on a clean run, want one per output (%d)", got, len(rep.Outputs))
 	}
-	t.Logf("inputs %d B, manifests %d B, egress %d B; outputs %d B + address items %d B, pipe.data in %d B",
-		inBytes, manifests, egress, outBytes, itemBytes, ctlTap.Recv(jxtaserve.KindPipeData))
+	if n := ctlTap.RecvMsgs(jxtaserve.KindPipeData); n != 0 {
+		t.Errorf("controller received %d pipe.data frames; outputs ride the wait reply", n)
+	}
+	t.Logf("inputs %d B, manifests %d B, egress %d B; outputs %d B, chunk.data in %d B, rpc.reply in %d B",
+		inBytes, manifests, egress, outBytes, ctlTap.Recv(jxtaserve.KindChunkData), ctlTap.Recv(jxtaserve.KindRPCReply))
 }
 
 // within fails the test unless got is within 5% of want.

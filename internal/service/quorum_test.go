@@ -4,17 +4,38 @@ import (
 	"testing"
 
 	"consumergrid/internal/chunkstore"
+	"consumergrid/internal/jxtaserve"
 	"consumergrid/internal/types"
 )
 
-// mustAddresses is outputAddresses for outputs the test knows encode.
+// mustAddresses is the content addresses of outputs the test knows
+// encode.
 func mustAddresses(t *testing.T, outs []types.Data) []address {
 	t.Helper()
-	addrs, err := outputAddresses(outs, new([]byte))
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]address, len(outs))
+	for i, d := range outs {
+		p, err := types.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = addressOf(p)
 	}
 	return addrs
+}
+
+// resultListOf is the result list a job on donor returns for outs.
+func resultListOf(t *testing.T, donor *Service, outs []types.Data) []byte {
+	t.Helper()
+	l := donor.newResultList()
+	for _, d := range outs {
+		if err := l.add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.n != len(outs) {
+		t.Fatalf("list counts %d items for %d outputs", l.n, len(outs))
+	}
+	return l.items
 }
 
 // TestResultDigestProperties: the digest of a ballot's content
@@ -68,74 +89,81 @@ func TestResultDigestProperties(t *testing.T) {
 	}
 }
 
-// TestCarrierAndAddressBallotsAgree: a carrier's ballot (addresses the
-// controller computes from the outputs it received) and an address
-// voter's ballot (addresses read back from its address items, after
-// the wire round trip) of the same outputs and state digest equally.
-func TestCarrierAndAddressBallotsAgree(t *testing.T) {
+// TestValueAndAddressBallotsAgree: a donor lists a short output by
+// value and a wide one by content address, keeping the wide one's bytes
+// in its chunk store. The controller's ballot of that list — addresses
+// hashed from by-value bytes, taken as sent for the rest — digests
+// equally with a ballot of the same outputs all listed by reference. A
+// list with a flipped tail byte, whichever kind of item it ends in,
+// still decodes, into a ballot that disagrees.
+func TestValueAndAddressBallotsAgree(t *testing.T) {
+	wide := &types.Spectrum{Resolution: 1, Amplitudes: make([]float64, 16)}
 	outs := []types.Data{
-		&types.Spectrum{Resolution: 2, Amplitudes: []float64{1.5, -2, 3e9}},
-		&types.Text{S: "not an address"},
-		&types.Vec{Values: nil},
+		&types.Spectrum{Resolution: 2, Amplitudes: []float64{1.5, -2}},
+		wide,
+		&types.Text{S: "short"},
 	}
 	state := map[string][]byte{"Accum": {9, 8, 7}}
+	want := resultDigest(mustAddresses(t, outs), state)
 
-	carrier := resultDigest(mustAddresses(t, outs), state)
-
-	items := make([]types.Data, len(outs))
-	for i, d := range outs {
-		p, err := types.Marshal(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err = types.Marshal(addressItem(addressOf(p)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if items[i], err = types.Unmarshal(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	addrs, err := itemAddresses(items)
+	donor := newService(t, jxtaserve.NewInProc(), "ballots-w", Options{})
+	store := donor.ChunkStore()
+	list := resultListOf(t, donor, outs)
+	items, err := decodeResults(list)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resultDigest(addrs, state); got != carrier {
-		t.Fatalf("address ballot %q != carrier ballot %q for the same result", got, carrier)
+	if len(items) != len(outs) {
+		t.Fatalf("decoded %d items for %d outputs", len(items), len(outs))
+	}
+	for i, it := range items {
+		p, err := types.Marshal(outs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		byValue := len(p) <= chunkstore.MaxInline
+		if (it.value != nil) != byValue {
+			t.Fatalf("output %d (%d bytes) listed by value = %v", i, len(p), it.value != nil)
+		}
+		if !byValue {
+			if held, ok := store.Get(it.addr.digest()); !ok || string(held) != string(p) {
+				t.Fatalf("output %d's bytes are not in the donor's store under its address", i)
+			}
+		}
+	}
+	if got := resultDigest(ballotAddresses(items), state); got != want {
+		t.Fatalf("mixed ballot %q != all-reference ballot %q for the same result", got, want)
 	}
 
-	// The item's encoding ends in the raw address bytes, so simnet's
-	// byzantine fault (a flipped pipe.data tail byte) still decodes, into
-	// a ballot that disagrees.
-	p, err := types.Marshal(items[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	p[len(p)-1] ^= 0xff
-	lie, err := types.Unmarshal(p)
-	if err != nil {
-		t.Fatalf("address item with a flipped tail byte no longer decodes: %v", err)
-	}
-	lied, err := itemAddresses(append([]types.Data{lie}, items[1:]...))
-	if err != nil {
-		t.Fatalf("flipped address item refused: %v", err)
-	}
-	if resultDigest(lied, state) == carrier {
-		t.Error("a flipped address item still agrees")
+	for _, tail := range [][]types.Data{outs, outs[:2]} {
+		l := resultListOf(t, donor, tail)
+		l[len(l)-1] ^= 0xff
+		lied, err := decodeResults(l)
+		if err != nil {
+			t.Fatalf("a result list with a flipped tail byte no longer decodes: %v", err)
+		}
+		if resultDigest(ballotAddresses(lied), state) == resultDigest(mustAddresses(t, tail), state) {
+			t.Errorf("a flipped tail byte after a %T still agrees", tail[len(tail)-1])
+		}
 	}
 
-	// A carrier's output is never read as an address: a Text that is not
-	// 32 bytes, or any other type, is refused.
-	if _, err := itemAddresses(outs); err == nil {
-		t.Error("ordinary outputs accepted as address items")
+	// Malformed lists are refused, never half-read.
+	for name, bad := range map[string][]byte{
+		"unknown tag":   {'x', 1, 1},
+		"empty value":   {itemValue, 0},
+		"short address": appendResultItem(nil, itemAddress, make([]byte, 31)),
+		"long address":  appendResultItem(nil, itemAddress, make([]byte, 33)),
+		"truncated":     list[:len(list)-1],
+	} {
+		if _, err := decodeResults(bad); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }
 
 // TestBallotDigestSeesEveryFlippedBit: one flipped bit in any output
-// (in its canonical encoding, as the wire carries it) or in any state
-// value changes the ballot digest. Every ballot is hashed through one
-// reused scratch buffer, as the chunk coordinator hashes them, and the
-// unmutated ballot still digests to base through it afterwards.
+// (in its canonical encoding, as a by-value item carries it) or in any
+// state value changes the ballot digest.
 func TestBallotDigestSeesEveryFlippedBit(t *testing.T) {
 	outs := []types.Data{
 		&types.Spectrum{Resolution: 1, Amplitudes: []float64{1, 2}},
@@ -143,7 +171,6 @@ func TestBallotDigestSeesEveryFlippedBit(t *testing.T) {
 	}
 	state := map[string][]byte{"a": {0x10, 0x20}, "b": {0x30}}
 	base := resultDigest(mustAddresses(t, outs), state)
-	var scratch []byte
 
 	for o, d := range outs {
 		p, err := types.Marshal(d)
@@ -159,17 +186,10 @@ func TestBallotDigestSeesEveryFlippedBit(t *testing.T) {
 			}
 			mutated := append([]types.Data(nil), outs...)
 			mutated[o] = flipped
-			addrs, err := outputAddresses(mutated, &scratch)
-			if err != nil {
-				continue
-			}
-			if resultDigest(addrs, state) == base {
+			if resultDigest(mustAddresses(t, mutated), state) == base {
 				t.Fatalf("output %d bit %d flipped, digest unchanged", o, bit)
 			}
 		}
-	}
-	if addrs, err := outputAddresses(outs, &scratch); err != nil || resultDigest(addrs, state) != base {
-		t.Fatalf("ballot hashed through the reused scratch buffer digests differently (%v)", err)
 	}
 	for k, v := range state {
 		for bit := 0; bit < 8*len(v); bit++ {
@@ -187,51 +207,57 @@ func TestBallotDigestSeesEveryFlippedBit(t *testing.T) {
 	}
 }
 
-// FuzzResultDigest feeds the comparator adversarial wire payloads — the
-// bytes a byzantine peer actually controls. Whatever arrives (truncated,
-// oversized, bit-flipped), the digest must never panic, and equal inputs
-// must digest equally while payload differences are detected.
+// FuzzResultDigest feeds the result-list decoder and the comparator
+// adversarial wire payloads — the bytes a byzantine peer actually
+// controls. Whatever arrives (truncated, oversized, bit-flipped), the
+// decoder must never panic, a list it accepts must re-encode to its
+// bytes, equal lists must digest equally, and a flipped tail byte must
+// still decode, into a ballot that disagrees.
 func FuzzResultDigest(f *testing.F) {
 	good, _ := types.Marshal(&types.Spectrum{Resolution: 2, Amplitudes: []float64{1, 2}})
-	f.Add(good, "state-key", []byte{1, 2, 3})
+	addr := addressOf(good)
+	list := appendResultItem(appendResultItem(nil, itemValue, good), itemAddress, addr[:])
+	f.Add(list, "state-key", []byte{1, 2, 3})
 	f.Add([]byte{}, "", []byte{})
-	f.Add(good[:len(good)/2], "trunc", []byte(nil))
-	f.Add(append(append([]byte{}, good...), 0xff, 0x00, 0xff), "oversize", []byte{9})
+	f.Add(list[:len(list)/2], "trunc", []byte(nil))
+	f.Add(append(append([]byte{}, list...), 0xff, 0x00, 0xff), "oversize", []byte{9})
 
 	f.Fuzz(func(t *testing.T, payload []byte, key string, sval []byte) {
-		// The quorum path only digests data that survived the wire codec;
-		// replicate that: undecodable payloads are failed attempts, not
-		// ballots. The same payload read as an address voter's item is
-		// either refused or yields a well-formed ballot.
-		var outs []types.Data
-		if d, err := types.Unmarshal(payload); err == nil {
-			outs = append(outs, d)
-			if addrs, err := itemAddresses(outs); err == nil {
-				if item, err := types.Marshal(addressItem(addrs[0])); err != nil || string(item) != string(payload) {
-					t.Fatalf("address item %x does not re-encode to its payload %x (%v)", item, payload, err)
-				}
-			}
-		}
-		addrs, err := outputAddresses(outs, new([]byte))
+		items, err := decodeResults(payload)
 		if err != nil {
 			return
 		}
+		var again []byte
+		for _, it := range items {
+			if it.value != nil {
+				again = appendResultItem(again, itemValue, it.value)
+			} else {
+				again = appendResultItem(again, itemAddress, it.addr[:])
+			}
+		}
+		if string(again) != string(payload) {
+			t.Fatalf("result list %x re-encodes to %x", payload, again)
+		}
 		state := map[string][]byte{key: sval}
-		d1 := resultDigest(addrs, state)
-		if d2 := resultDigest(addrs, state); d1 != d2 {
+		d1 := resultDigest(ballotAddresses(items), state)
+		if d2 := resultDigest(ballotAddresses(items), state); d1 != d2 {
 			t.Fatalf("digest not stable: %q vs %q", d1, d2)
 		}
 		if len(d1) != 64 {
 			t.Fatalf("digest %q is not a sha256 hex string", d1)
 		}
-		// A flipped tail byte in the state — the simnet byzantine fault —
-		// must always be detected.
-		if len(sval) > 0 {
-			corrupt := append([]byte{}, sval...)
-			corrupt[len(corrupt)-1] ^= 0xff
-			if resultDigest(addrs, map[string][]byte{key: corrupt}) == d1 {
-				t.Fatal("digest blind to a flipped state byte")
-			}
+		if len(payload) == 0 {
+			return
+		}
+		// The simnet byzantine fault: a flipped tail byte.
+		lie := append([]byte{}, payload...)
+		lie[len(lie)-1] ^= 0xff
+		lied, err := decodeResults(lie)
+		if err != nil {
+			t.Fatalf("a flipped tail byte no longer decodes: %v", err)
+		}
+		if resultDigest(ballotAddresses(lied), state) == d1 {
+			t.Fatal("digest blind to a flipped tail byte")
 		}
 	})
 }

@@ -271,11 +271,15 @@ type endedJob struct {
 	err     error
 	headers map[string]string
 	payload []byte
+	// collected is set once a wait has been answered from the record;
+	// guarded by Service.mu. A drain waits for every Done record's.
+	collected bool
 }
 
 // newEndedJob builds a job's record from how its run ended; res may
 // be nil (a job cancelled before it ran, or a run that failed early).
-func newEndedJob(id string, err error, res *engine.Result) *endedJob {
+// A farm job's results, when it has any, end the wait reply's payload.
+func newEndedJob(id string, err error, res *engine.Result, results *resultList) *endedJob {
 	rec := &endedJob{id: id, state: gateway.StateOf(err)}
 	if rec.state != gateway.Done {
 		// A job that did not finish reports no processed count: what
@@ -293,7 +297,12 @@ func newEndedJob(id string, err error, res *engine.Result) *endedJob {
 		rec.headers["elapsedMicros"] = strconv.FormatInt(res.Elapsed.Microseconds(), 10)
 		// Ship the stateful units' checkpoints back so the caller can
 		// migrate the computation to another peer.
-		rec.payload = encodeRunPayload(nil, res.State, nil)
+		var section []byte
+		if results != nil {
+			section = results.items
+			rec.headers[jxtaserve.HeaderResults] = strconv.Itoa(results.n)
+		}
+		rec.payload = encodeRunPayload(nil, res.State, section)
 	}
 	return rec
 }
@@ -311,8 +320,8 @@ func (e *endedJob) reply() (*jxtaserve.Message, error) {
 // oldest records past either bound (the newest always stays). Only the
 // first call for a job counts, and reports first; every call returns
 // the job's record.
-func (s *Service) endJob(j *job, err error, res *engine.Result) (rec *endedJob, first bool) {
-	rec = newEndedJob(j.id, err, res)
+func (s *Service) endJob(j *job, err error, res *engine.Result, results *resultList) (rec *endedJob, first bool) {
+	rec = newEndedJob(j.id, err, res, results)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j.ended != nil {
@@ -345,7 +354,7 @@ func (s *Service) settle(j *job, err error) *endedJob {
 	if rec != nil {
 		return rec
 	}
-	rec, first := s.endJob(j, err, nil)
+	rec, first := s.endJob(j, err, nil, nil)
 	if first {
 		j.abandon()
 	}
@@ -693,6 +702,20 @@ func (s *Service) hostedWork() int {
 	return len(s.live) + s.runHandlers
 }
 
+// uncollected counts the retained records of Done jobs that no wait has
+// been answered from: results their controller has not yet collected.
+func (s *Service) uncollected() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, e := range s.endedQ {
+		if e.state == gateway.Done && !e.collected {
+			n++
+		}
+	}
+	return n
+}
+
 // enterRun admits a triana.run handler as hosted work from its first
 // line, so a drain that quiesces triana.run while the handler fetches
 // code or binds pipes waits for the job it may accept. The check and
@@ -720,10 +743,11 @@ func (s *Service) exitRun() {
 // encodeRunPayload frames the triana.run request body: the graph XML
 // plus an optional map of task-name -> checkpoint blob, enabling the
 // §3.6.2 migration path ("a check-pointing mechanism may also be
-// employed to migrate computation if necessary"). A non-nil manifest
-// follows the state as one more section; the request's inputs header
-// says it is there. A wait reply carries the state alone.
-func encodeRunPayload(graphXML []byte, state map[string][]byte, manifest []byte) []byte {
+// employed to migrate computation if necessary"). A non-nil last
+// section follows the state: a farm request's manifest, which its
+// inputs header announces, or a farm job's result list, which its wait
+// reply's results header announces. A wait reply has no graph.
+func encodeRunPayload(graphXML []byte, state map[string][]byte, last []byte) []byte {
 	out := frame.AppendBytes(nil, graphXML)
 	keys := make([]string, 0, len(state))
 	for k := range state {
@@ -735,8 +759,8 @@ func encodeRunPayload(graphXML []byte, state map[string][]byte, manifest []byte)
 		out = frame.AppendString(out, k)
 		out = frame.AppendBytes(out, state[k])
 	}
-	if manifest != nil {
-		out = frame.AppendBytes(out, manifest)
+	if last != nil {
+		out = frame.AppendBytes(out, last)
 	}
 	return out
 }
@@ -744,11 +768,11 @@ func encodeRunPayload(graphXML []byte, state map[string][]byte, manifest []byte)
 var errStateOrder = errors.New("state keys not in strictly ascending order")
 
 // decodeRunPayload is encodeRunPayload's canonical inverse: it reads
-// the manifest section only when withManifest says the payload has one,
-// and it fails on anything the encoder would not have written — state
-// keys out of order or repeated, or bytes left over — so every payload
-// it accepts re-encodes to the same bytes.
-func decodeRunPayload(p []byte, withManifest bool) (graphXML []byte, state map[string][]byte, manifest []byte, err error) {
+// the last section only when withLast says the payload has one, and it
+// fails on anything the encoder would not have written — state keys out
+// of order or repeated, or bytes left over — so every payload it
+// accepts re-encodes to the same bytes.
+func decodeRunPayload(p []byte, withLast bool) (graphXML []byte, state map[string][]byte, last []byte, err error) {
 	r := frame.NewReader(p)
 	graphXML = r.Bytes(len(p))
 	if count := r.DecimalCount(2); count > 0 {
@@ -761,13 +785,13 @@ func decodeRunPayload(p []byte, withManifest bool) (graphXML []byte, state map[s
 			state[k], prev = r.Bytes(len(p)), k
 		}
 	}
-	if withManifest {
-		manifest = r.Bytes(len(p))
+	if withLast {
+		last = r.Bytes(len(p))
 	}
 	if err := r.Done(); err != nil {
 		return nil, nil, nil, fmt.Errorf("service: run payload: %w", err)
 	}
-	return graphXML, state, manifest, nil
+	return graphXML, state, last, nil
 }
 
 // Bounds of a Service's parsed-body memo: how many distinct bodies it
@@ -883,15 +907,22 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 
 	// Open input pipes for the graph's external inputs, named by the
 	// boundary connection labels supplied in the request — unless the
-	// request carries a manifest for a one-input body: then the job
-	// resolves its input itself and no pipe is opened.
+	// request carries a manifest, which makes it a farm part: the job
+	// resolves its one input itself, its one output's items ride the
+	// wait reply, and no pipe is opened or bound.
 	nIn, _ := strconv.Atoi(req.Header("in.count"))
 	if nIn != len(g.ExternalIn) {
 		return nil, fmt.Errorf("service: request declares %d inputs, graph has %d",
 			nIn, len(g.ExternalIn))
 	}
-	if manifest != nil && nIn != 1 {
-		return nil, fmt.Errorf("service: a manifest needs a one-input body, request declares %d inputs", nIn)
+	nOut, _ := strconv.Atoi(req.Header("out.count"))
+	if nOut != len(g.ExternalOut) {
+		return nil, fmt.Errorf("service: request declares %d outputs, graph has %d",
+			nOut, len(g.ExternalOut))
+	}
+	if manifest != nil && (nIn != 1 || nOut != 1) {
+		return nil, fmt.Errorf("service: a manifest needs a one-input body with one output, request declares %d inputs and %d outputs",
+			nIn, nOut)
 	}
 	extIn := make(map[int]<-chan types.Data, nIn)
 	j := &job{}
@@ -917,16 +948,17 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		extIn[i] = pipe.C
 	}
 
-	// Bind output pipes to the supplied downstream targets.
-	nOut, _ := strconv.Atoi(req.Header("out.count"))
-	if nOut != len(g.ExternalOut) {
-		j.abandon()
-		return nil, fmt.Errorf("service: request declares %d outputs, graph has %d",
-			nOut, len(g.ExternalOut))
-	}
+	// Bind output pipes to the supplied downstream targets, or for a farm
+	// part collect the one output into the wait reply's result list.
 	extOut := make(map[int]chan<- types.Data, nOut)
 	var outChans []chan types.Data
 	for i := 0; i < nOut; i++ {
+		ch := make(chan types.Data, 8)
+		outChans = append(outChans, ch)
+		extOut[i] = ch
+		if manifest != nil {
+			continue
+		}
 		label := req.Header(fmt.Sprintf("out.%d.label", i))
 		addr := req.Header(fmt.Sprintf("out.%d.addr", i))
 		if label == "" || addr == "" {
@@ -943,13 +975,7 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 			return nil, fmt.Errorf("service: binding output %d (%s): %w", i, label, err)
 		}
 		j.out = append(j.out, op)
-		ch := make(chan types.Data, 8)
-		outChans = append(outChans, ch)
-		extOut[i] = ch
 	}
-	// A quorum voter asked for addresses keeps its outputs in the chunk
-	// LRU and sends their content addresses.
-	addressed := req.Header(hdrOutputs) == outputsAddress
 	// The reply is encoded before the job starts, so a failure here
 	// leaves no job running that no controller will wait for.
 	adsPayload, err := advert.EncodeList(inAds)
@@ -975,16 +1001,16 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		span.SetAttr("tenant", tenant)
 		defer span.End()
 		var err error
+		var results *resultList
+		senders := newPipePump()
 		if manifest != nil {
 			extIn[0], err = s.manifestInput(ctx, manifest, span)
-		}
-		senders := newPipePump()
-		for i, ch := range outChans {
-			encode := types.Marshal
-			if addressed {
-				encode = s.addressEncoder()
+			results = s.newResultList()
+			senders.forward(outChans[0], nil, results)
+		} else {
+			for i, ch := range outChans {
+				senders.forward(ch, j.out[i:i+1], nil)
 			}
-			senders.forward(ch, j.out[i:i+1], encode)
 		}
 		var res *engine.Result
 		if err == nil {
@@ -1001,7 +1027,7 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 				TraceParent:  span.SpanID(),
 			})
 		}
-		sendErr := senders.stop() // closes the output pipes
+		sendErr := senders.stop() // closes the output pipes, fills results
 		j.closeIn()
 		if err == nil {
 			err = sendErr
@@ -1022,7 +1048,7 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		}
 		// The job ends here, before its handle finishes: a wait woken
 		// by the handle finds the record already built.
-		s.endJob(j, err, res)
+		s.endJob(j, err, res, results)
 		return err
 	}
 	handle, err := s.rm.Submit(gateway.Job{ID: id, Run: run})
@@ -1068,6 +1094,9 @@ func (s *Service) handleWait(req *jxtaserve.Message) (*jxtaserve.Message, error)
 	if j != nil {
 		rec = s.settle(j, j.handle.Wait())
 	}
+	s.mu.Lock()
+	rec.collected = true
+	s.mu.Unlock()
 	return rec.reply()
 }
 

@@ -40,16 +40,21 @@ type LinkFaults struct {
 	Latency time.Duration
 	// Jitter adds a uniform random [0, Jitter) on top of Latency.
 	Jitter time.Duration
-	// CorruptEvery corrupts every n-th pipe.data payload on the link
-	// (deterministic; 0 disables) — the byzantine-peer model: frames
-	// still flow, their contents silently lie. Only pipe.data frames
-	// are touched; control traffic stays intact so the corrupted result
-	// is delivered and committed rather than erroring out, which is
-	// exactly the failure a result quorum must catch.
+	// CorruptEvery corrupts every n-th result-bearing reply on the link
+	// (one marked with jxtaserve.HeaderResults: a farm job's outputs;
+	// deterministic; 0 disables) — the byzantine-peer model: frames
+	// still flow, their contents silently lie. Only those replies are
+	// touched; other traffic stays intact so the corrupted result is
+	// delivered and voted on rather than erroring out, which is exactly
+	// the failure a result quorum must catch.
 	CorruptEvery int64
-	// CorruptProb corrupts each pipe.data payload with this probability
-	// (seeded RNG; see FaultSeed). Counted independently of CorruptEvery.
+	// CorruptProb corrupts each result-bearing reply with this
+	// probability (seeded RNG; see FaultSeed). Counted independently of
+	// CorruptEvery.
 	CorruptProb float64
+	// CorruptMask is what a corruption XORs into the payload's tail byte
+	// (0 means 0xff). Links with different masks tell different lies.
+	CorruptMask byte
 }
 
 // faultRNG is the seeded randomness behind DropProb and Jitter. Each
@@ -224,10 +229,11 @@ func (n *Network) applyFaults(c *conn, m *jxtaserve.Message) (*jxtaserve.Message
 	}
 	*ctr++
 	count := *ctr
-	// The corruption clock ticks only on pipe.data frames, so
-	// CorruptEvery counts payloads, not protocol chatter.
+	// The corruption clock ticks only on result-bearing replies, so
+	// CorruptEvery counts results, not protocol chatter.
 	var dataCount int64
-	if m.Kind == jxtaserve.KindPipeData && (cfg.CorruptEvery > 0 || cfg.CorruptProb > 0) {
+	if m.Kind == jxtaserve.KindRPCReply && m.Header(jxtaserve.HeaderResults) != "" &&
+		(cfg.CorruptEvery > 0 || cfg.CorruptProb > 0) {
 		dctr := n.links[counterKey+"#data"]
 		if dctr == nil {
 			dctr = new(int64)
@@ -272,20 +278,24 @@ func (n *Network) applyFaults(c *conn, m *jxtaserve.Message) (*jxtaserve.Message
 		}
 		if corrupt {
 			n.corrupted.Add(1)
-			m = corruptMessage(m)
+			m = corruptMessage(m, cfg.CorruptMask)
 		}
 	}
 	return m, nil
 }
 
 // corruptMessage returns a copy of the message with the payload's tail
-// byte flipped — the smallest byzantine lie: a frame that still decodes
-// as plausible data (the tail of a numeric payload is value bytes, not
-// framing) yet yields a different result digest at the controller.
-func corruptMessage(m *jxtaserve.Message) *jxtaserve.Message {
+// byte flipped through mask (0 means 0xff) — the smallest byzantine
+// lie: a frame that still decodes (a result list ends in value or
+// address bytes, not framing) yet yields a different result digest at
+// the controller.
+func corruptMessage(m *jxtaserve.Message, mask byte) *jxtaserve.Message {
+	if mask == 0 {
+		mask = 0xff
+	}
 	p := make([]byte, len(m.Payload))
 	copy(p, m.Payload)
-	p[len(p)-1] ^= 0xff
+	p[len(p)-1] ^= mask
 	return &jxtaserve.Message{Kind: m.Kind, Headers: m.Headers, Payload: p, Stream: m.Stream}
 }
 

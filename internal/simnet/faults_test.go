@@ -312,16 +312,25 @@ func TestDriveTraceKillsDuringDownIntervals(t *testing.T) {
 	}
 }
 
-// TestCorruptEveryFlipsPipePayloads: the byzantine fault corrupts
-// exactly every n-th pipe.data payload on the link — frames still
+// resultReply is a result-bearing reply: the message the byzantine
+// fault targets.
+func resultReply(payload []byte) *jxtaserve.Message {
+	m := &jxtaserve.Message{Kind: jxtaserve.KindRPCReply, Payload: payload}
+	m.SetHeader(jxtaserve.HeaderResults, "1")
+	return m
+}
+
+// TestCorruptEveryFlipsResultReplies: the byzantine fault corrupts
+// exactly every n-th result-bearing reply on the link — frames still
 // arrive and still decode-shaped, but the tail byte lies — while every
-// other message kind passes untouched and the sender's buffer is never
-// mutated in place.
-func TestCorruptEveryFlipsPipePayloads(t *testing.T) {
+// other message, pipe.data and unmarked replies included, passes
+// untouched and the sender's buffer is never mutated in place. A mask
+// picks the lie.
+func TestCorruptEveryFlipsResultReplies(t *testing.T) {
 	n := New()
 	// Reflect every payload back under a control kind: the return leg
-	// crosses the byzantine link too, and echoing pipe.data would flip
-	// the tail a second time, cancelling the fault.
+	// crosses the byzantine link too, and echoing a marked reply would
+	// flip the tail a second time, cancelling the fault.
 	l, err := n.Peer("byz").Listen("")
 	if err != nil {
 		t.Fatal(err)
@@ -355,21 +364,24 @@ func TestCorruptEveryFlipsPipePayloads(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Control traffic is never corrupted, whatever the payload.
-	orig := []byte{10, 20, 30}
-	if err := c.Send(&jxtaserve.Message{Kind: "rpc", Payload: orig}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := c.Recv(); err != nil || m.Payload[2] != 30 {
-		t.Fatalf("control payload corrupted: %+v (%v)", m, err)
+	// Other traffic is never corrupted, whatever the payload.
+	for _, kind := range []string{"rpc", jxtaserve.KindPipeData, jxtaserve.KindRPCReply} {
+		orig := []byte{10, 20, 30}
+		if err := c.Send(&jxtaserve.Message{Kind: kind, Payload: orig}); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := c.Recv(); err != nil || m.Payload[2] != 30 {
+			t.Fatalf("%s payload corrupted: %+v (%v)", kind, m, err)
+		}
 	}
 
-	// pipe.data frames: the corruption clock ticks per data frame, so
-	// with CorruptEvery:2 the flips alternate deterministically.
+	// Result-bearing replies: the corruption clock ticks per marked
+	// reply, so with CorruptEvery:2 the flips alternate
+	// deterministically.
 	var gotTails []byte
 	for i := 0; i < 4; i++ {
 		payload := []byte{1, 2, 3}
-		if err := c.Send(&jxtaserve.Message{Kind: jxtaserve.KindPipeData, Payload: payload}); err != nil {
+		if err := c.Send(resultReply(payload)); err != nil {
 			t.Fatal(err)
 		}
 		if payload[2] != 3 {
@@ -389,6 +401,23 @@ func TestCorruptEveryFlipsPipePayloads(t *testing.T) {
 	}
 	if n.Corrupted() != 2 {
 		t.Errorf("Corrupted() = %d, want 2", n.Corrupted())
+	}
+
+	// A mask picks the lie: the next two replies, the second flipped.
+	n.SetLinkFaults("byz", LinkFaults{CorruptEvery: 2, CorruptMask: 0x0f})
+	gotTails = gotTails[:0]
+	for i := 0; i < 2; i++ {
+		if err := c.Send(resultReply([]byte{1, 2, 3})); err != nil {
+			t.Fatal(err)
+		}
+		m, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotTails = append(gotTails, m.Payload[len(m.Payload)-1])
+	}
+	if want := []byte{3, 3 ^ 0x0f}; gotTails[0] != want[0] || gotTails[1] != want[1] {
+		t.Fatalf("masked tails = %v, want %v", gotTails, want)
 	}
 
 	// The connection survived every corruption: byzantine faults are
@@ -418,7 +447,7 @@ func TestCorruptProbSeededReplay(t *testing.T) {
 		defer c.Close()
 		var tails []byte
 		for i := 0; i < 16; i++ {
-			if err := c.Send(&jxtaserve.Message{Kind: jxtaserve.KindPipeData, Payload: []byte{7}}); err != nil {
+			if err := c.Send(resultReply([]byte{7})); err != nil {
 				t.Fatal(err)
 			}
 			m, err := c.Recv()

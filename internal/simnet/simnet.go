@@ -87,8 +87,8 @@ func (n *Network) Bytes() int64 { return n.bytes.Load() }
 // Dropped reports messages lost to injected link faults.
 func (n *Network) Dropped() int64 { return n.dropped.Load() }
 
-// Corrupted reports pipe.data payloads silently corrupted by injected
-// byzantine faults.
+// Corrupted reports result-bearing replies silently corrupted by
+// injected byzantine faults.
 func (n *Network) Corrupted() int64 { return n.corrupted.Load() }
 
 // Dials reports successful Dial calls — the number of underlying

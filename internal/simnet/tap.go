@@ -8,7 +8,7 @@ import (
 
 // Tap wraps one peer's transport and tallies the payload bytes of every
 // message the peer sends and receives, by message kind, and the number
-// of messages it sends. An RPC request
+// of messages each way. An RPC request
 // counts under "rpc/<method>", so a chunk replica write
 // ("rpc/overlay.chunk.put") is told apart from a job despatch. Dialled
 // addresses are counted too, so a test can prove a peer never contacted
@@ -21,6 +21,7 @@ type Tap struct {
 	sent   map[string]int64
 	recv   map[string]int64
 	sentN  map[string]int
+	recvN  map[string]int
 	dialed map[string]int
 }
 
@@ -31,6 +32,7 @@ func NewTap(inner jxtaserve.Transport) *Tap {
 		sent:   make(map[string]int64),
 		recv:   make(map[string]int64),
 		sentN:  make(map[string]int),
+		recvN:  make(map[string]int),
 		dialed: make(map[string]int),
 	}
 }
@@ -48,6 +50,13 @@ func (t *Tap) SentMsgs(kind string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.sentN[kind]
+}
+
+// RecvMsgs reports how many messages of the kind were received.
+func (t *Tap) RecvMsgs(kind string) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.recvN[kind]
 }
 
 // Recv reports the payload bytes received in messages of the kind.
@@ -94,6 +103,7 @@ func (t *Tap) count(sent bool, m *jxtaserve.Message) {
 		t.sentN[kind]++
 	} else {
 		t.recv[kind] += int64(len(m.Payload))
+		t.recvN[kind]++
 	}
 	t.mu.Unlock()
 }
