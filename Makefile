@@ -120,7 +120,7 @@ datastore-smoke:
 	go test ./internal/chunkstore/ -count=1
 	go test ./internal/overlay/ -run 'TestPutChunk' -count=1
 	go test ./internal/chunkstore/ -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 10s
-	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestValueAndAddressBallotsAgree|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineVoterCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumFarmMovesEachByteOnce|TestManifestNeedsOneInputBody|TestUnresolvableManifestFailsOnWait|TestDonorParsesEachBodyOnce' -count=1 -v
+	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestValueAndAddressBallotsAgree|TestWaitRefusesMiscountedResultList|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineVoterCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumFarmOnSmallDonorCaches|TestQuorumFarmMovesEachByteOnce|TestManifestNeedsOneInputBody|TestUnresolvableManifestFailsOnWait|TestDonorParsesEachBodyOnce' -count=1 -v
 	go test -run '^$$' -bench 'BenchmarkFarmEgress' -benchtime 5x .
 
 # Multi-tenant despatch plane: the 2-shard × 3-tenant smoke scenario
@@ -162,7 +162,7 @@ chaos-smoke:
 drain-smoke:
 	go test -race ./internal/lifecycle/ -count=1
 	go test ./internal/service/ -run '^$$' -fuzz FuzzCheckpointSections -fuzztime 10s
-	go test -race ./internal/service/ -run 'TestAdmissionDrainGatesFarmsNotSlots|TestDrainUnderTenantLoad|TestDrainWaitsForHostedJobs|TestDrainWaitsForResultCollection|TestDrainWaitsForRunHandlers|TestDrainTimesOutOnUnboundHostedJob|TestDrainRPCReportsProgress|TestCheckpointRestoreRoundTrip|TestCheckpointRestoresParentSnapshot|TestBillingRestoreRejectsOverlongUvarint|TestRestartRecoveryResumesCheckpointedFarm|TestLifecycleCyclesDoNotLeakGoroutines' -count=1 -v
+	go test -race ./internal/service/ -run 'TestAdmissionDrainGatesFarmsNotSlots|TestDrainUnderTenantLoad|TestDrainWaitsForHostedJobs|TestDrainWaitsForResultCollection|TestDrainWaitsForHeldOutputs|TestDrainWaitsForRunHandlers|TestDrainTimesOutOnUnboundHostedJob|TestDrainRPCReportsProgress|TestCheckpointRestoreRoundTrip|TestCheckpointRestoresParentSnapshot|TestBillingRestoreRejectsOverlongUvarint|TestRestartRecoveryResumesCheckpointedFarm|TestLifecycleCyclesDoNotLeakGoroutines' -count=1 -v
 	go test -race ./internal/jxtaserve/ -run 'TestQuiesce' -count=1
 	go test -race ./internal/webstatus/ -run 'TestProbesFlipOnDrain' -count=1
 

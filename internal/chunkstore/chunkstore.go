@@ -13,7 +13,9 @@
 // and quorum voters for the same chunk therefore hit the cache (or
 // coalesce onto one in-flight fetch) instead of forcing the controller
 // to re-stream the same bytes per attempt. A pinned entry stays until
-// its last pin drops, and then leaves the store.
+// its last pin drops, and then leaves the store. A held entry is
+// charged to the budget like a cached one but is never evicted; when
+// its last hold drops it rejoins the LRU.
 //
 // A datum no longer than its own hex digest (MaxInline bytes) is not
 // addressed at all: the manifest carries it by value, so it never
@@ -107,7 +109,8 @@ type entry struct {
 	digest string
 	data   []byte
 	pins   int
-	elem   *list.Element // nil while pinned (off the LRU list)
+	holds  int
+	elem   *list.Element // nil while pinned or held (off the LRU list)
 }
 
 type call struct {
@@ -125,7 +128,7 @@ type Store struct {
 	mu       sync.Mutex
 	entries  map[string]*entry
 	lru      *list.List // front = most recent
-	bytes    int64      // unpinned charge: payload + entryOverhead per entry
+	bytes    int64      // unpinned charge: payload + entryOverhead per entry, held ones included
 	inflight map[string]*call
 
 	hits, misses    *metrics.Counter
@@ -226,9 +229,10 @@ func (s *Store) Pin(digest string, data []byte) {
 }
 
 // Unpin releases one pin; when the last pin drops the entry leaves the
-// store. Whoever pinned a chunk was its reason to be resident: a
-// finished farm's stragglers are reaped before it releases, and the
-// next farm pins its own payloads, so nothing would read it again.
+// store — unless it is held, and then it is charged again. Whoever
+// pinned a chunk was its reason to be resident: a finished farm's
+// stragglers are reaped before it releases, and the next farm pins its
+// own payloads, so nothing would read it again.
 func (s *Store) Unpin(digest string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -237,16 +241,62 @@ func (s *Store) Unpin(digest string) {
 		return
 	}
 	if e.pins--; e.pins == 0 {
-		delete(s.entries, digest)
+		if e.holds > 0 {
+			s.bytes += charge(len(e.data))
+			s.cacheBytes.Set(float64(s.bytes))
+		} else {
+			delete(s.entries, digest)
+		}
+	}
+}
+
+// Hold inserts a chunk charged to the byte budget, as Put does, but
+// keeps it from eviction until Release: how a donor keeps an output it
+// listed by address servable until its controller is done with it.
+// Holds nest. Making room evicts only cached entries, so held bytes
+// may exceed the budget: the caller bounds them.
+func (s *Store) Hold(digest string, data []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[digest]
+	if !ok {
+		e = &entry{digest: digest, data: data}
+		s.entries[digest] = e
+		s.bytes += charge(len(data))
+	}
+	e.holds++
+	if e.elem != nil {
+		s.lru.Remove(e.elem)
+		e.elem = nil
+	}
+	s.evictLocked()
+	s.cacheBytes.Set(float64(s.bytes))
+}
+
+// Release drops one hold; when the last drops, an unpinned entry
+// rejoins the LRU as its most recent entry.
+func (s *Store) Release(digest string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[digest]
+	if !ok || e.holds == 0 {
+		return
+	}
+	if e.holds--; e.holds == 0 && e.pins == 0 {
+		e.elem = s.lru.PushFront(e)
+		s.evictLocked()
+		s.cacheBytes.Set(float64(s.bytes))
 	}
 }
 
 func (s *Store) putLocked(digest string, data []byte, pin bool) {
 	if e, ok := s.entries[digest]; ok {
 		if pin {
-			if e.pins == 0 && e.elem != nil {
-				s.lru.Remove(e.elem)
-				e.elem = nil
+			if e.pins == 0 {
+				if e.elem != nil {
+					s.lru.Remove(e.elem)
+					e.elem = nil
+				}
 				s.bytes -= charge(len(e.data))
 			}
 			e.pins++
@@ -288,6 +338,9 @@ func (s *Store) Len() int {
 	defer s.mu.Unlock()
 	return len(s.entries)
 }
+
+// Budget is the byte budget the cached and held entries share.
+func (s *Store) Budget() int64 { return s.opts.MaxBytes }
 
 // Bytes reports what the unpinned entries count against the budget:
 // their payload plus entryOverhead each. The chunkstore_cache_bytes

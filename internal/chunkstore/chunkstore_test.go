@@ -363,3 +363,54 @@ func TestRestorePinnedLoadsUnpinned(t *testing.T) {
 		t.Fatalf("restored store re-exports pins %x, want none", b)
 	}
 }
+
+// TestStoreHoldIsChargedButNeverEvicted: a held chunk counts against the
+// budget, so caching around it evicts the other entries, never the held
+// one — even a held chunk larger than the whole budget. When its last
+// hold drops it rejoins the LRU and the budget applies to it again.
+func TestStoreHoldIsChargedButNeverEvicted(t *testing.T) {
+	budget := charge(100)
+	s := newTestStore(t, budget)
+	heldDg, heldData := chunkOf(500, 1)
+	s.Hold(heldDg, heldData)
+	s.Hold(heldDg, heldData)
+	if got := s.Bytes(); got != charge(500) {
+		t.Fatalf("held chunk charges %d bytes, want %d", got, charge(500))
+	}
+	for i := 0; i < 5; i++ {
+		dg, data := chunkOf(60, byte(10+i))
+		s.Put(dg, data)
+	}
+	if data, pinned, ok := s.Lookup(heldDg); !ok || pinned || len(data) != 500 {
+		t.Fatalf("held chunk: ok=%v pinned=%v len=%d, want it resident and unpinned", ok, pinned, len(data))
+	}
+	if s.Len() != 1 {
+		t.Fatalf("store kept %d entries beside an over-budget hold, want only the held one", s.Len())
+	}
+	s.Release(heldDg)
+	if _, ok := s.Get(heldDg); !ok {
+		t.Fatal("the chunk left the store while one hold remained")
+	}
+	s.Release(heldDg)
+	if _, ok := s.Get(heldDg); ok || s.Bytes() != 0 {
+		t.Fatalf("released over-budget chunk: resident=%v bytes=%d, want it evicted", ok, s.Bytes())
+	}
+	s.Release(heldDg) // releasing an absent digest is a no-op
+
+	// A pinned and held chunk is charged only once its pins drop, and
+	// survives them while held.
+	dg, data := chunkOf(50, 2)
+	s.Pin(dg, data)
+	s.Hold(dg, data)
+	if s.Bytes() != 0 {
+		t.Fatalf("pinned, held chunk charges %d bytes, want 0", s.Bytes())
+	}
+	s.Unpin(dg)
+	if _, ok := s.Get(dg); !ok || s.Bytes() != charge(50) {
+		t.Fatalf("after the unpin: resident=%v bytes=%d, want a held entry charging %d", ok, s.Bytes(), charge(50))
+	}
+	s.Release(dg)
+	if _, ok := s.Get(dg); !ok {
+		t.Fatal("a released chunk within budget left the cache")
+	}
+}

@@ -11,8 +11,8 @@
 // refuses a manifest for any body but a one-input, one-output one. On
 // the way back the job's outputs ride its triana.wait reply as a result
 // list (quorum.go) by the same rule: a short output by value, any other
-// as its content address, the bytes kept in the donor's chunk LRU until
-// the controller fetches the committed ones (farm.go).
+// as its content address, the bytes held in the donor's chunk store
+// until the controller is done with them (farm.go).
 package service
 
 import (
@@ -144,22 +144,31 @@ func (s *Service) manifestInput(ctx context.Context, manifest []byte, parent *tr
 // resultList collects a farm job's outputs into the result list its
 // wait reply ends in. Each output is marshalled once, into a pooled
 // scratch buffer: one of at most chunkstore.MaxInline bytes is listed
-// by value; any other is listed by content address and kept in the
-// donor's chunk LRU, where the controller fetches it if a vote commits
-// it. The LRU gets an exact copy: the store's budget is charged by
-// length and would not see a buffer's spare capacity. No pin and no new
-// retention bound: the LRU's own budget applies. A draining donor lists
-// every output by value: it will not be there to serve the fetch. One
+// by value; any other is listed by content address and held in the
+// donor's chunk store, where the controller fetches it if a vote
+// commits it. A hold is charged to the store's budget but never
+// evicted; the job's record keeps it until the controller cancels the
+// ended job or the record leaves the ended FIFO (heldCap). The store
+// gets an exact copy: its budget is charged by length and would not see
+// a buffer's spare capacity. An output that would take the list's held
+// bytes past heldCap is listed by value, as is every output of a
+// draining donor: it will not be there to serve the fetch. One
 // goroutine fills a list.
 type resultList struct {
-	s     *Service
-	n     int
-	items []byte // non-nil: an empty list is still a list
+	s         *Service
+	n         int
+	items     []byte   // non-nil: an empty list is still a list
+	held      []string // digests of the outputs listed by address
+	heldBytes int
 }
 
 func (s *Service) newResultList() *resultList {
 	return &resultList{s: s, items: []byte{}}
 }
+
+// heldCap bounds the output bytes a donor holds for its controllers:
+// half its chunk store's budget, so holds never crowd the cache out.
+func (s *Service) heldCap() int { return int(s.chunks.Budget() / 2) }
 
 // marshalScratch pools the buffers outputs are marshalled into.
 var marshalScratch sync.Pool
@@ -175,15 +184,26 @@ func (l *resultList) add(d types.Data) error {
 		return err
 	}
 	*buf = p
-	if len(p) <= chunkstore.MaxInline || l.s.Draining() {
+	if len(p) <= chunkstore.MaxInline || l.s.Draining() || l.heldBytes+len(p) > l.s.heldCap() {
 		l.items = appendResultItem(l.items, itemValue, p)
 	} else {
 		a := addressOf(p)
-		l.s.chunks.Put(a.digest(), bytes.Clone(p))
+		digest := a.digest()
+		l.s.chunks.Hold(digest, bytes.Clone(p))
+		l.held = append(l.held, digest)
+		l.heldBytes += len(p)
 		l.items = appendResultItem(l.items, itemAddress, a[:])
 	}
 	l.n++
 	return nil
+}
+
+// release drops the list's holds: nobody will fetch its outputs.
+func (l *resultList) release() {
+	for _, digest := range l.held {
+		l.s.chunks.Release(digest)
+	}
+	l.held, l.heldBytes = nil, 0
 }
 
 func (s *Service) fetchChunkWire(addr, digest string) ([]byte, error) {

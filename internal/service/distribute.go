@@ -220,11 +220,16 @@ func (s *Service) waitRemote(ctx context.Context, job *RemoteJob) (remoteResult,
 			res.counts[k[5:]] = n
 		}
 	}
-	withResults := reply.Header(jxtaserve.HeaderResults) != ""
+	// A farm part's reply says how many outputs its result list holds.
+	listed := reply.Header(jxtaserve.HeaderResults)
+	withResults := listed != ""
 	if len(reply.Payload) > 0 || withResults {
 		var results []byte
 		if _, res.state, results, err = decodeRunPayload(reply.Payload, withResults); err == nil && withResults {
 			res.items, err = decodeResults(results)
+			if err == nil && strconv.Itoa(len(res.items)) != listed {
+				err = fmt.Errorf("service: result list holds %d items, its header says %s", len(res.items), listed)
+			}
 		}
 		if err != nil {
 			span.Fail(err)
@@ -455,7 +460,7 @@ func (s *Service) RunDistributed(ctx context.Context, g *taskgraph.Graph, groupN
 		ch := make(chan types.Data, distPipeBuffer)
 		extOut[j] = ch
 		// Round-robin across replicas; single target for pipelines.
-		bridges.forward(ch, outs, nil)
+		bridges.forward(ch, outs)
 	}
 
 	// Run the local portion.
@@ -569,9 +574,9 @@ type pipePump struct {
 
 func newPipePump() *pipePump { return &pipePump{quit: make(chan struct{})} }
 
-// forward pumps ch into outs, round-robin, each datum marshalled once
-// — or, with results set, into that list — until ch closes or stop.
-func (p *pipePump) forward(ch <-chan types.Data, outs []*jxtaserve.OutputPipe, results *resultList) {
+// forward pumps ch into outs, round-robin, each datum marshalled once,
+// until ch closes or stop, then closes outs.
+func (p *pipePump) forward(ch <-chan types.Data, outs []*jxtaserve.OutputPipe) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
@@ -581,63 +586,79 @@ func (p *pipePump) forward(ch <-chan types.Data, outs []*jxtaserve.OutputPipe, r
 			}
 		}()
 		i := 0
-		send := func(d types.Data) bool {
-			var err error
-			if results != nil {
-				err = results.add(d)
-			} else {
-				var payload []byte
-				if payload, err = types.Marshal(d); err == nil {
-					err = outs[i%len(outs)].SendRaw(payload)
-					i++
-				}
+		p.pump(ch, func(d types.Data) error {
+			payload, err := types.Marshal(d)
+			if err == nil {
+				err = outs[i%len(outs)].SendRaw(payload)
+				i++
 			}
-			if err != nil {
-				p.mu.Lock()
-				if p.err == nil {
-					p.err = err
-				}
-				p.mu.Unlock()
-				return false
+			return err
+		})
+	}()
+}
+
+// fill adds ch's data to a farm job's result list until ch closes or
+// stop.
+func (p *pipePump) fill(ch <-chan types.Data, results *resultList) {
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		p.pump(ch, results.add)
+	}()
+}
+
+// pump sends each datum of ch until ch closes or stop, keeping the
+// first send error.
+func (p *pipePump) pump(ch <-chan types.Data, send func(types.Data) error) {
+	for {
+		select {
+		case d, ok := <-ch:
+			if !ok {
+				return
 			}
-			return true
-		}
-		for {
-			select {
-			case d, ok := <-ch:
-				if !ok {
-					return
-				}
-				if !send(d) {
-					// Drain so the engine never blocks, but give up once
-					// it has exited.
-					for {
-						select {
-						case _, ok := <-ch:
-							if !ok {
-								return
-							}
-						case <-p.quit:
-							return
-						}
-					}
-				}
-			case <-p.quit:
-				// Engine done; flush what it buffered before it closed
-				// (or abandoned) the channel.
+			if p.failed(send(d)) {
+				// Drain so the engine never blocks, but give up once
+				// it has exited.
 				for {
 					select {
-					case d, ok := <-ch:
-						if !ok || !send(d) {
+					case _, ok := <-ch:
+						if !ok {
 							return
 						}
-					default:
+					case <-p.quit:
 						return
 					}
 				}
 			}
+		case <-p.quit:
+			// Engine done; flush what it buffered before it closed
+			// (or abandoned) the channel.
+			for {
+				select {
+				case d, ok := <-ch:
+					if !ok || p.failed(send(d)) {
+						return
+					}
+				default:
+					return
+				}
+			}
 		}
-	}()
+	}
+}
+
+// failed keeps err if it is the first send error, reporting whether
+// there was one.
+func (p *pipePump) failed(err error) bool {
+	if err == nil {
+		return false
+	}
+	p.mu.Lock()
+	if p.err == nil {
+		p.err = err
+	}
+	p.mu.Unlock()
+	return true
 }
 
 // stop releases the forwarders, waits for them and reports the first

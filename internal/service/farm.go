@@ -28,8 +28,8 @@
 // then one triana.wait. The donor resolves the chunk itself
 // (datatier.go), and the wait reply brings the job's outputs home as a
 // result list (quorum.go): an output of at most chunkstore.MaxInline
-// bytes by value, any other as its raw content address, its bytes left
-// in the donor's chunk LRU. The attempt opens no pipe: data moves out
+// bytes by value, any other as its raw content address, its bytes held
+// in the donor's chunk store. The attempt opens no pipe: data moves out
 // in the request and back in the reply.
 //
 // Ballot: every clean full-length result is a ballot. Its digest
@@ -58,6 +58,8 @@
 // The books close once per chunk: agreeing voters earn a success,
 // voters outside the plurality take the byzantine penalty (§3.8's
 // hostile peer), and every non-committed ballot's outputs are waste.
+// Once the chunk ends, every ballot that listed an output by address
+// gets one unretried triana.cancel, which releases the donor's holds.
 // Losers are cancelled (their remote jobs too) and reaped before
 // FarmChunks returns.
 package service
@@ -285,6 +287,7 @@ type farmAttempt struct {
 	// The ballot, once voted: a clean, full-length result. digest is
 	// computed only when votes > 1; with one vote required every ballot
 	// agrees. got holds the decoded outputs once the ballot commits.
+	job      *RemoteJob
 	items    []resultItem
 	newState map[string][]byte
 	digest   string
@@ -304,6 +307,7 @@ const (
 // coordinator's results channel.
 type farmResult struct {
 	idx      int
+	job      *RemoteJob // nil if the despatch failed
 	items    []resultItem
 	newState map[string][]byte
 	err      error
@@ -484,6 +488,7 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 	}
 	chunksInflight.Add(1)
 	defer chunksInflight.Add(-1)
+	defer cr.release()
 	defer func() {
 		if cr.straggler != nil {
 			cr.straggler.Stop()
@@ -606,7 +611,7 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 				continue
 			}
 			// The peer stays busy: it has voted.
-			a.phase, a.items, a.newState, a.elapsed = attemptVoted, r.items, r.newState, time.Since(a.start)
+			a.phase, a.job, a.items, a.newState, a.elapsed = attemptVoted, r.job, r.items, r.newState, time.Since(a.start)
 			cr.ballots++
 			// A voter resolved the chunk's digests even before the vote
 			// commits — later attempts can fetch from it instead of the
@@ -673,9 +678,10 @@ func (cr *chunkRun) launch(backup bool) (bool, error) {
 		cr.attempts = append(cr.attempts, farmAttempt{peer: peer, cancel: cancel, backup: backup, start: time.Now()})
 		cr.running++
 		go func() {
-			items, newState, err := cr.attempt(actx, peer)
+			r := cr.attempt(actx, peer)
 			cancel()
-			cr.results <- farmResult{idx: idx, items: items, newState: newState, err: err}
+			r.idx = idx
+			cr.results <- r
 		}()
 		if cr.opts.Speculate && cr.votes == 1 {
 			if cr.straggler != nil {
@@ -852,6 +858,28 @@ func (cr *chunkRun) settle(plurality string, winner int) {
 	}
 }
 
+// release runs once the chunk has ended, however it ended. It cancels
+// the ended job of every ballot that listed outputs by address: the
+// chunk no longer needs them, and a donor drops its holds on an ended
+// job's outputs when the job is cancelled. Off the chunk's path, one
+// unretried cancel each, bounded like a heartbeat ping: a cancel that
+// is lost leaves the holds to the donor's own bound. The reaper group
+// holds FarmChunks open until every cancel has resolved.
+func (cr *chunkRun) release() {
+	for i := range cr.attempts {
+		job := cr.attempts[i].job
+		if job == nil || !byReference(cr.attempts[i].items) {
+			continue
+		}
+		cr.losers.Add(1)
+		go func() {
+			defer cr.losers.Done()
+			cr.s.host.RequestTimeout(job.Part.Peer.Addr, MethodCancel, nil,
+				map[string]string{"job": job.JobID}, cr.s.res.HeartbeatTimeout)
+		}()
+	}
+}
+
 // waste counts outputs that were produced but will never be committed.
 // specRace marks waste caused by a speculative race (vs. a failure, a
 // lost vote or a farm-level cancellation).
@@ -897,7 +925,7 @@ func (cr *chunkRun) abandon(specRace bool) {
 // job, best effort; once the cancel has landed, one more wait reads the
 // job's record, so the waste books count the outputs of a job that
 // finished before the cancel reached it.
-func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef) ([]resultItem, map[string][]byte, error) {
+func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef) farmResult {
 	s, opts, c := cr.s, cr.opts, cr.c
 	attemptCtx, cancel := context.WithTimeout(ctx, opts.AttemptTimeout)
 	defer cancel()
@@ -927,7 +955,7 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef) ([]resultItem, ma
 		manifest: manifest,
 	}, opts.CodeAddr)
 	if err != nil {
-		return nil, nil, err
+		return farmResult{err: err}
 	}
 	s.resStats.FarmEgressBytes.Add(int64(len(manifest)))
 	cr.tstats.egress.Add(int64(len(manifest)))
@@ -938,11 +966,16 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef) ([]resultItem, ma
 			waitCtx, stop := context.WithTimeout(context.Background(), s.res.RequestTimeout)
 			res, _ = s.waitRemote(waitCtx, job)
 			stop()
+			if byReference(res.items) {
+				// The job ended before the cancel landed, holding the
+				// outputs it listed by address: nobody will fetch them.
+				s.CancelRemote(job)
+			}
 		}
-		return res.items, nil, attemptCtx.Err()
+		return farmResult{items: res.items, err: attemptCtx.Err()}
 	}
 	if err != nil {
-		return nil, nil, err
+		return farmResult{err: err}
 	}
-	return res.items, res.state, nil
+	return farmResult{job: job, items: res.items, newState: res.state}
 }

@@ -403,11 +403,12 @@ func TestQuorumSplitVoteWidensAndCommits(t *testing.T) {
 
 	n := simnet.New()
 	ctl, peers := quorumNet(t, n, "sv-", health.Options{})
-	// sv-w2 and sv-w3 tell different lies, so their digests disagree
+	// sv-w2 and sv-w3 tell different lies (simnet derives each link's
+	// lie from its key), so their digests disagree
 	// with the honest result AND with each other: the first round
 	// (sv-w1..w3 in rank order) is a guaranteed three-way split.
 	n.SetLinkFaults("sv-w2", simnet.LinkFaults{CorruptEvery: 1})
-	n.SetLinkFaults("sv-w3", simnet.LinkFaults{CorruptEvery: 1, CorruptMask: 0x0f})
+	n.SetLinkFaults("sv-w3", simnet.LinkFaults{CorruptEvery: 1})
 
 	type outcome struct {
 		rep *FarmReport
@@ -470,11 +471,12 @@ func TestQuorumTerminalSplitFailsAndPenalizes(t *testing.T) {
 		w := newService(t, n.Peer(label), label, Options{})
 		peers = append(peers, PeerRef{ID: label, Addr: w.Addr()})
 	}
-	// All three tell different lies: three ballots, three digests,
+	// All three tell different lies, each its link's own: three
+	// ballots, three digests,
 	// majority of 2 unreachable.
 	n.SetLinkFaults("ts-w1", simnet.LinkFaults{CorruptEvery: 1})
-	n.SetLinkFaults("ts-w2", simnet.LinkFaults{CorruptEvery: 1, CorruptMask: 0x0f})
-	n.SetLinkFaults("ts-w3", simnet.LinkFaults{CorruptEvery: 1, CorruptMask: 0xf0})
+	n.SetLinkFaults("ts-w2", simnet.LinkFaults{CorruptEvery: 1})
+	n.SetLinkFaults("ts-w3", simnet.LinkFaults{CorruptEvery: 1})
 
 	type outcome struct {
 		rep *FarmReport

@@ -76,9 +76,13 @@ type DrainReport struct {
 	// hosted job finished, and every finished job's results were
 	// collected, inside the drain timeout.
 	Drained bool
-	// Uncollected counts the finished jobs whose results no triana.wait
-	// had collected when the drain stopped waiting: a farm's outputs
-	// ride the wait reply, so each is a chunk its controller lost.
+	// Uncollected counts the finished jobs whose results their
+	// controller had not finished collecting when the drain stopped
+	// waiting: no triana.wait had been answered, or the job still held
+	// outputs it listed by address, which the controller releases by
+	// cancelling the ended job. A farm's outputs ride the wait reply or
+	// are fetched from the donor, so each may be a chunk its controller
+	// loses.
 	Uncollected int
 }
 
@@ -103,7 +107,8 @@ type drainState struct {
 //     for their remaining chunks, so they complete rather than fail,
 //     and jobs this daemon accepted run to their end instead of being
 //     cancelled by the Close that follows the drain — and for each
-//     finished job's results to be collected by a triana.wait;
+//     finished job's results to be collected by a triana.wait and
+//     its held outputs released;
 //  4. hand off super-peer store entries and chunk replicas to ring
 //     successors;
 //  5. write a final state checkpoint.

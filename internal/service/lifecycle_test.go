@@ -326,6 +326,78 @@ func TestDrainWaitsForResultCollection(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsForHeldOutputs: a job that ended before the drain
+// began, and whose wait was answered, listed its wide output by
+// address; its controller fetches that output later, after the vote. A
+// drain does not complete while the donor holds the output: the fetch
+// still finds it mid-drain, and the drain completes once the controller
+// cancels the ended job, which releases the hold. A hold never released
+// keeps the drain waiting until its deadline, reported uncollected.
+func TestDrainWaitsForHeldOutputs(t *testing.T) {
+	tr := jxtaserve.NewInProc()
+	ctl := newService(t, tr, "dho-ctl", Options{})
+	wide, err := types.Marshal(bigChunks(chaosSeed, 1, 1, ladderBins)[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := chunkstore.Digest(wide)
+	ctl.ChunkStore().Pin(input, wide)
+	despatch := func(w *Service) (*RemoteJob, remoteResult) {
+		t.Helper()
+		job, err := ctl.Despatch(RemotePart{
+			Peer: PeerRef{ID: w.PeerID(), Addr: w.Addr()}, Body: accumBody(t), Iterations: 1,
+			manifest: chunkstore.EncodeManifest(&chunkstore.Manifest{
+				Origin: ctl.Addr(), Items: []chunkstore.Item{{Digest: input}},
+			}),
+		}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ctl.waitRemote(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.items) != 1 || res.items[0].value != nil {
+			t.Fatalf("result list %+v, want one output listed by address", res.items)
+		}
+		return job, res
+	}
+
+	w := newService(t, tr, "dho-w1", Options{})
+	job, res := despatch(w)
+	done := w.BeginDrain(10 * time.Second)
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-done:
+		t.Fatal("the drain completed while the donor held an output its controller had yet to fetch")
+	default:
+	}
+	digest := res.items[0].addr.digest()
+	got, err := ctl.ChunkStore().FetchThrough(digest,
+		[]chunkstore.Source{{Addr: w.Addr(), Class: chunkstore.SourcePeer}}, ctl.fetchChunkWire)
+	if err != nil {
+		t.Fatalf("fetching the held output mid-drain: %v", err)
+	}
+	if chunkstore.Digest(got) != digest {
+		t.Fatal("the fetched output does not match its address")
+	}
+	if err := ctl.CancelRemote(job); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if rep := w.DrainReport(); !rep.Drained || rep.Uncollected != 0 {
+		t.Fatalf("drain after the hold was released: %+v, want drained with none uncollected", rep)
+	}
+
+	// Never released: the drain times out and says so.
+	w2 := newService(t, tr, "dho-w2", Options{})
+	despatch(w2)
+	<-w2.BeginDrain(100 * time.Millisecond)
+	if rep := w2.DrainReport(); rep.Drained || rep.Uncollected != 1 {
+		t.Fatalf("drain with an output held to the end: %+v, want not drained, 1 uncollected", rep)
+	}
+}
+
 // TestDrainWaitsForRunHandlers: a triana.run handler that got past the
 // wire's quiesce before the drain began is hosted work from its first
 // line. The drain does not complete while the handler binds its pipes,

@@ -3,8 +3,8 @@
 // canonical wire encoding by value when it is at most
 // chunkstore.MaxInline bytes (any output, from a draining donor),
 // otherwise its raw 32-byte content address (the SHA-256 of that
-// encoding, which the chunk store names in hex), the bytes staying in
-// the donor's chunk LRU until the controller fetches them. The list
+// encoding, which the chunk store names in hex), the bytes held in the
+// donor's chunk store until the controller is done with them. The list
 // ends in value or address bytes, so a flipped tail byte still decodes,
 // into a ballot that disagrees.
 //
@@ -88,6 +88,16 @@ func decodeResults(p []byte) ([]resultItem, error) {
 		return nil, err
 	}
 	return items, nil
+}
+
+// byReference reports whether a result list lists any output by address.
+func byReference(items []resultItem) bool {
+	for _, it := range items {
+		if it.value == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // ballotAddresses is a ballot's per-output content addresses: as sent

@@ -56,6 +56,56 @@ func TestQuorumByzantineVoterCommitsByFetch(t *testing.T) {
 	}
 }
 
+// TestQuorumFarmOnSmallDonorCaches: donors whose chunk stores are
+// small beside the outputs still commit every chunk, with no
+// redespatch. The first two ranked donors hold what fits under half
+// their budget and list the rest by value; their held outputs survive
+// the cache traffic around them until the commit fetches them. The
+// third's budget is below one output, so it lists every output by
+// value, and its ballots agree with the others'. Once the farm returns,
+// the controller has released every hold.
+func TestQuorumFarmOnSmallDonorCaches(t *testing.T) {
+	const nChunks, perChunk = 2, 4
+	chunks := bigChunks(chaosSeed, nChunks, perChunk, 4*ladderBins)
+	want := faultFreeBaseline(t, chunks)
+	wide, err := types.Marshal(chunks[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Half of 4 outputs' worth holds two of a chunk's four outputs.
+	budgets := map[string]int64{"sc-w1": 4 * int64(len(wide)), "sc-w2": 4 * int64(len(wide)), "sc-w3": int64(len(wide))}
+
+	n := simnet.New()
+	ctl := newService(t, n.Peer("sc-ctl"), "sc-ctl", Options{Resilience: chaosResilience()})
+	var donors []*Service
+	var peers []PeerRef
+	for _, label := range []string{"sc-w1", "sc-w2", "sc-w3"} {
+		w := newService(t, n.Peer(label), label, Options{DataTier: DataTierOptions{CacheBytes: budgets[label]}})
+		donors = append(donors, w)
+		peers = append(peers, PeerRef{ID: label, Addr: w.Addr()})
+	}
+	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{Quorum: 3})
+
+	assertSameOutputs(t, rep.Outputs, want)
+	if rep.Redespatches != 0 || rep.QuorumDisagreements != 0 {
+		t.Errorf("redespatches %d, disagreements %d, want none", rep.Redespatches, rep.QuorumDisagreements)
+	}
+	// A chunk whose winner held half its outputs fetches that half. The
+	// first chunk's winner is the first-listed voter, which has no
+	// history to be outranked on; later winners go by health rank.
+	if got := ctl.Resilience().Snapshot().QuorumFetches; got < 2 || got > nChunks*2 || got%2 != 0 {
+		t.Errorf("quorum fetches = %d, want 2 for each chunk a holding voter won, the first at least", got)
+	}
+	for _, w := range donors {
+		if u := w.uncollected(); u != 0 {
+			t.Errorf("%s still holds the outputs of %d jobs after the farm", w.PeerID(), u)
+		}
+		if b, budget := w.ChunkStore().Bytes(), w.ChunkStore().Budget(); b > budget {
+			t.Errorf("%s store charges %d bytes over its %d budget", w.PeerID(), b, budget)
+		}
+	}
+}
+
 // waitReplyHook wraps the controller's transport and runs onWait,
 // synchronously, as each triana.wait reply arrives — after the voter's
 // outputs and state are in, before its ballot is counted.
@@ -96,8 +146,8 @@ func (c *waitReplyConn) Recv() (*jxtaserve.Message, error) {
 
 // TestQuorumFetchFailureWidens: the corrupter votes first; the two
 // honest voters agree, and each is killed the moment its ballot is in.
-// Their outputs are wide, so they stayed in the voters' chunk LRUs and
-// cannot be fetched: their ballots fail — with no byzantine penalty —
+// Their outputs are wide, so they were held in the voters' chunk stores
+// and cannot be fetched: their ballots fail — with no byzantine penalty —
 // and the chunk tops up with fresh voters. Either those commit the
 // clean result or the chunk ends in the no-majority error.
 func TestQuorumFetchFailureWidens(t *testing.T) {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"testing"
 
 	"consumergrid/internal/chunkstore"
@@ -260,4 +261,35 @@ func FuzzResultDigest(f *testing.F) {
 			t.Fatal("digest blind to a flipped tail byte")
 		}
 	})
+}
+
+// TestWaitRefusesMiscountedResultList: the results header says how many
+// outputs the wait reply's list holds, and a reply whose list holds a
+// different number fails the wait, so it never becomes a ballot.
+func TestWaitRefusesMiscountedResultList(t *testing.T) {
+	tr := jxtaserve.NewInProc()
+	ctl := newService(t, tr, "mc-ctl", Options{})
+	donor, err := jxtaserve.NewHost("mc-donor", tr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer donor.Close()
+	list := appendResultItem(nil, itemValue, []byte{1, 2, 3})
+	listed := "1"
+	donor.Handle(MethodWait, func(*jxtaserve.Message) (*jxtaserve.Message, error) {
+		return &jxtaserve.Message{
+			Headers: map[string]string{"state": "done", jxtaserve.HeaderResults: listed},
+			Payload: encodeRunPayload(nil, nil, list),
+		}, nil
+	})
+	job := &RemoteJob{Part: RemotePart{Peer: PeerRef{ID: "mc-donor", Addr: donor.Addr()}}, JobID: "mc/job-1"}
+
+	res, err := ctl.waitRemote(context.Background(), job)
+	if err != nil || len(res.items) != 1 {
+		t.Fatalf("a list of one item counted as one: items %d, err %v", len(res.items), err)
+	}
+	listed = "2"
+	if _, err := ctl.waitRemote(context.Background(), job); err == nil {
+		t.Fatal("a list of one item the header counts as two was accepted")
+	}
 }

@@ -194,7 +194,8 @@ type Service struct {
 
 	// Hosted jobs (see job and endedJob): live holds only jobs that
 	// have not ended; an ended job leaves only its compact record, kept
-	// in a FIFO bounded by maxEndedJobs and maxEndedPayloadBytes.
+	// in a FIFO bounded by maxEndedJobs, maxEndedPayloadBytes and
+	// heldCap.
 	// runHandlers counts triana.run handlers in flight, whose job is not
 	// yet live (see enterRun).
 	mu           sync.Mutex
@@ -203,6 +204,7 @@ type Service struct {
 	ended        map[string]*endedJob
 	endedQ       []*endedJob // oldest first
 	endedPayload int         // payload bytes endedQ retains
+	endedHeld    int         // output bytes endedQ's records hold in the chunk store
 	nextJob      int
 	closed       bool
 	jobsHosted   *metrics.Counter // service_jobs_hosted_total{peer}
@@ -225,7 +227,8 @@ func (s *Service) goBG(f func()) {
 // the chunk runner turns into a redespatch. Both bounds are per daemon:
 // the count keeps a job for well over the wait's retry window at farm
 // rates, and the byte cap bounds the checkpoint payloads stateful bulk
-// bodies return.
+// bodies return. A third bound, heldCap, applies to the outputs the
+// records hold in the chunk store for their controllers to fetch.
 const (
 	maxEndedJobs         = 256
 	maxEndedPayloadBytes = 4 << 20
@@ -271,21 +274,32 @@ type endedJob struct {
 	err     error
 	headers map[string]string
 	payload []byte
-	// collected is set once a wait has been answered from the record;
-	// guarded by Service.mu. A drain waits for every Done record's.
+	// collected is set once a wait has been answered from the record,
+	// and held is the result list whose outputs the record holds in the
+	// chunk store until its controller cancels the ended job; both
+	// guarded by Service.mu. A drain waits until every Done record is
+	// collected and holds nothing.
 	collected bool
+	held      *resultList
 }
 
 // newEndedJob builds a job's record from how its run ended; res may
 // be nil (a job cancelled before it ran, or a run that failed early).
-// A farm job's results, when it has any, end the wait reply's payload.
+// A farm job's results, when it has any, end the wait reply's payload,
+// and the record takes over the list's holds.
 func newEndedJob(id string, err error, res *engine.Result, results *resultList) *endedJob {
 	rec := &endedJob{id: id, state: gateway.StateOf(err)}
 	if rec.state != gateway.Done {
 		// A job that did not finish reports no processed count: what
 		// its engine processed need not have reached anyone.
 		rec.err = err
+		if results != nil {
+			results.release()
+		}
 		return rec
+	}
+	if results != nil && results.held != nil {
+		rec.held = results
 	}
 	rec.headers = map[string]string{"state": rec.state.String()}
 	if res != nil {
@@ -325,6 +339,9 @@ func (s *Service) endJob(j *job, err error, res *engine.Result, results *resultL
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j.ended != nil {
+		if rec.held != nil {
+			rec.held.release()
+		}
 		return j.ended, false
 	}
 	j.ended = rec
@@ -333,14 +350,30 @@ func (s *Service) endJob(j *job, err error, res *engine.Result, results *resultL
 	s.ended[rec.id] = rec
 	s.endedQ = append(s.endedQ, rec)
 	s.endedPayload += len(rec.payload)
-	for len(s.endedQ) > 1 && (len(s.endedQ) > maxEndedJobs || s.endedPayload > maxEndedPayloadBytes) {
+	if rec.held != nil {
+		s.endedHeld += rec.held.heldBytes
+	}
+	for len(s.endedQ) > 1 && (len(s.endedQ) > maxEndedJobs || s.endedPayload > maxEndedPayloadBytes ||
+		s.endedHeld > s.heldCap()) {
 		old := s.endedQ[0]
 		s.endedQ[0] = nil
 		s.endedQ = s.endedQ[1:]
 		s.endedPayload -= len(old.payload)
+		s.dropHeldLocked(old)
 		delete(s.ended, old.id)
 	}
 	return rec, true
+}
+
+// dropHeldLocked releases the outputs rec holds in the chunk store: its
+// controller is done with them, or the record is leaving the FIFO.
+// Callers hold s.mu.
+func (s *Service) dropHeldLocked(rec *endedJob) {
+	if rec.held != nil {
+		s.endedHeld -= rec.held.heldBytes
+		rec.held.release()
+		rec.held = nil
+	}
 }
 
 // settle returns the record of a job whose handle has finished. A job
@@ -702,14 +735,16 @@ func (s *Service) hostedWork() int {
 	return len(s.live) + s.runHandlers
 }
 
-// uncollected counts the retained records of Done jobs that no wait has
-// been answered from: results their controller has not yet collected.
+// uncollected counts the retained records of Done jobs whose results
+// their controller has not finished collecting: no wait has been
+// answered from the record, or it still holds outputs it listed by
+// address, which the controller may yet fetch.
 func (s *Service) uncollected() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
 	for _, e := range s.endedQ {
-		if e.state == gateway.Done && !e.collected {
+		if e.state == gateway.Done && (!e.collected || e.held != nil) {
 			n++
 		}
 	}
@@ -1006,10 +1041,10 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 		if manifest != nil {
 			extIn[0], err = s.manifestInput(ctx, manifest, span)
 			results = s.newResultList()
-			senders.forward(outChans[0], nil, results)
+			senders.fill(outChans[0], results)
 		} else {
 			for i, ch := range outChans {
-				senders.forward(ch, j.out[i:i+1], nil)
+				senders.forward(ch, j.out[i:i+1])
 			}
 		}
 		var res *engine.Result
@@ -1100,11 +1135,17 @@ func (s *Service) handleWait(req *jxtaserve.Message) (*jxtaserve.Message, error)
 	return rec.reply()
 }
 
-// handleCancel cancels a live job; cancelling an ended one is a no-op.
+// handleCancel cancels a live job. Cancelling an ended one releases
+// the outputs its record holds: the controller is done with them.
 func (s *Service) handleCancel(req *jxtaserve.Message) (*jxtaserve.Message, error) {
-	j, _, err := s.findJob(req.Header("job"))
+	j, rec, err := s.findJob(req.Header("job"))
 	if err != nil {
 		return nil, err
+	}
+	if rec != nil {
+		s.mu.Lock()
+		s.dropHeldLocked(rec)
+		s.mu.Unlock()
 	}
 	if j != nil {
 		j.handle.Cancel()

@@ -50,11 +50,10 @@ type LinkFaults struct {
 	CorruptEvery int64
 	// CorruptProb corrupts each result-bearing reply with this
 	// probability (seeded RNG; see FaultSeed). Counted independently of
-	// CorruptEvery.
+	// CorruptEvery. A corruption XORs a byte derived from the link key
+	// into the payload's tail byte (lieMask), so byzantine peers on
+	// different links tell different lies.
 	CorruptProb float64
-	// CorruptMask is what a corruption XORs into the payload's tail byte
-	// (0 means 0xff). Links with different masks tell different lies.
-	CorruptMask byte
 }
 
 // faultRNG is the seeded randomness behind DropProb and Jitter. Each
@@ -278,21 +277,31 @@ func (n *Network) applyFaults(c *conn, m *jxtaserve.Message) (*jxtaserve.Message
 		}
 		if corrupt {
 			n.corrupted.Add(1)
-			m = corruptMessage(m, cfg.CorruptMask)
+			m = corruptMessage(m, lieMask(key))
 		}
 	}
 	return m, nil
 }
 
-// corruptMessage returns a copy of the message with the payload's tail
-// byte flipped through mask (0 means 0xff) — the smallest byzantine
-// lie: a frame that still decodes (a result list ends in value or
-// address bytes, not framing) yet yields a different result digest at
-// the controller.
-func corruptMessage(m *jxtaserve.Message, mask byte) *jxtaserve.Message {
-	if mask == 0 {
-		mask = 0xff
+// lieMask is what a corruption on the link keyed key XORs into the
+// payload's tail byte: the first non-zero byte of the key's FNV-1a
+// hash, so two liars disagree with the truth and with each other.
+func lieMask(key string) byte {
+	h := fnv.New32a()
+	h.Write([]byte(key))
+	for v := h.Sum32(); v != 0; v >>= 8 {
+		if b := byte(v); b != 0 {
+			return b
+		}
 	}
+	return 0xff
+}
+
+// corruptMessage returns a copy of the message with the payload's tail
+// byte flipped through mask — the smallest byzantine lie: a frame that
+// still decodes (a result list ends in value or address bytes, not
+// framing) yet yields a different result digest at the controller.
+func corruptMessage(m *jxtaserve.Message, mask byte) *jxtaserve.Message {
 	p := make([]byte, len(m.Payload))
 	copy(p, m.Payload)
 	p[len(p)-1] ^= mask

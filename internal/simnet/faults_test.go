@@ -324,8 +324,8 @@ func resultReply(payload []byte) *jxtaserve.Message {
 // exactly every n-th result-bearing reply on the link — frames still
 // arrive and still decode-shaped, but the tail byte lies — while every
 // other message, pipe.data and unmarked replies included, passes
-// untouched and the sender's buffer is never mutated in place. A mask
-// picks the lie.
+// untouched and the sender's buffer is never mutated in place. The lie
+// is the link's own: liars on different links disagree.
 func TestCorruptEveryFlipsResultReplies(t *testing.T) {
 	n := New()
 	// Reflect every payload back under a control kind: the return leg
@@ -393,7 +393,11 @@ func TestCorruptEveryFlipsResultReplies(t *testing.T) {
 		}
 		gotTails = append(gotTails, m.Payload[len(m.Payload)-1])
 	}
-	want := []byte{3, 3 ^ 0xff, 3, 3 ^ 0xff}
+	lie := 3 ^ lieMask("byz")
+	if lie == 3 {
+		t.Fatal("the link's lie flips nothing")
+	}
+	want := []byte{3, lie, 3, lie}
 	for i := range want {
 		if gotTails[i] != want[i] {
 			t.Fatalf("tails = %v, want %v", gotTails, want)
@@ -403,21 +407,17 @@ func TestCorruptEveryFlipsResultReplies(t *testing.T) {
 		t.Errorf("Corrupted() = %d, want 2", n.Corrupted())
 	}
 
-	// A mask picks the lie: the next two replies, the second flipped.
-	n.SetLinkFaults("byz", LinkFaults{CorruptEvery: 2, CorruptMask: 0x0f})
-	gotTails = gotTails[:0]
-	for i := 0; i < 2; i++ {
-		if err := c.Send(resultReply([]byte{1, 2, 3})); err != nil {
-			t.Fatal(err)
+	// Liars on different links tell different lies: the byzantine
+	// service tests rely on these keys splitting their votes.
+	for _, keys := range [][]string{{"byz", "cli"}, {"sv-w2", "sv-w3"}, {"ts-w1", "ts-w2", "ts-w3"}} {
+		seen := make(map[byte]string)
+		for _, k := range keys {
+			m := lieMask(k)
+			if other, dup := seen[m]; dup || m == 0 {
+				t.Fatalf("links %q and %q tell the same lie (mask %#x)", other, k, m)
+			}
+			seen[m] = k
 		}
-		m, err := c.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotTails = append(gotTails, m.Payload[len(m.Payload)-1])
-	}
-	if want := []byte{3, 3 ^ 0x0f}; gotTails[0] != want[0] || gotTails[1] != want[1] {
-		t.Fatalf("masked tails = %v, want %v", gotTails, want)
 	}
 
 	// The connection survived every corruption: byzantine faults are
