@@ -36,8 +36,13 @@ layering:
 run-lists:
 	./tools/run_lists.sh Makefile
 
+# The bank reduction and the in-place element-wise units race their
+# own workers and fan-out edges: every template visited once with the
+# collecting path's values, the matched filter's table and allocation
+# bound, and a sealed input left intact while an owned one is taken.
 race:
 	go test -race ./internal/engine/... ./internal/jxtaserve/... ./internal/dsp/...
+	go test -race ./internal/dsp/ ./internal/units/signal/ ./internal/units/mathx/ -run 'TestCrossCorrelateEach|TestMatchedFilterTableUnchanged|TestMatchedFilterAllocBound|TestElementwisePreservesConcreteType|TestElementwiseInPlaceUnderFanOut' -count=1
 
 # Race detector over the concurrency-heavy resilience stack: the chunk
 # runner, the health tracker, and the fault-injecting network — then the
@@ -75,8 +80,9 @@ bench-smoke:
 # full dialler×listener interop matrix, and the mux invariants (FIFO,
 # credit bounds, reset isolation, goroutine leaks) under the race
 # detector; then the typed-data codec's golden encodings, its
-# decode∘encode fixpoint counterexamples and a fuzz pass over that
-# fixpoint; and the triana.run payload codec's canonical-form tests and
+# decode∘encode fixpoint counterexamples, its exact sizing (Size is
+# the length Marshal writes) and a fuzz pass over that fixpoint, which
+# checks the size too; and the triana.run payload codec's canonical-form tests and
 # a fuzz pass asserting every accepted payload re-encodes to its bytes.
 # Run with -update after a deliberate wire change to regenerate the
 # golden fixtures.
@@ -84,7 +90,7 @@ wire-conformance:
 	go test ./internal/jxtaserve/ -run 'TestGolden|TestInterop|TestReadBinaryMessageRejects' -count=1
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzReadBinaryMessage -fuzztime 10s
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzBinaryMessageRoundTrip -fuzztime 10s
-	go test ./internal/types/ -run 'TestGolden|TestFixpoint' -count=1
+	go test ./internal/types/ -run 'TestGolden|TestFixpoint|TestSizeMatchesMarshal' -count=1
 	go test ./internal/types/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s
 	go test ./internal/service/ -run 'TestRunPayload' -count=1
 	go test ./internal/service/ -run '^$$' -fuzz FuzzDecodeRunPayload -fuzztime 10s
@@ -113,14 +119,15 @@ metrics-smoke:
 # farm's inputs when it ends (caching none of its outputs) and after a
 # resumed restart, and the quorum output path (by-value and
 # by-reference ballots in the wait reply, commit by fetch, fetch
-# failure, each byte moved once). Then a short run of the egress
+# failure, each byte moved once), and an in-place farm unit leaving
+# every chunk store's bytes intact. Then a short run of the egress
 # benchmark so the controller's egress and ingress byte counts stay
 # visible in CI logs.
 datastore-smoke:
 	go test ./internal/chunkstore/ -count=1
 	go test ./internal/overlay/ -run 'TestPutChunk' -count=1
 	go test ./internal/chunkstore/ -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 10s
-	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestValueAndAddressBallotsAgree|TestWaitRefusesMiscountedResultList|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineVoterCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumFarmOnSmallDonorCaches|TestQuorumFarmMovesEachByteOnce|TestManifestNeedsOneInputBody|TestUnresolvableManifestFailsOnWait|TestDonorParsesEachBodyOnce' -count=1 -v
+	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestValueAndAddressBallotsAgree|TestWaitRefusesMiscountedResultList|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineVoterCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumFarmOnSmallDonorCaches|TestQuorumFarmMovesEachByteOnce|TestManifestNeedsOneInputBody|TestUnresolvableManifestFailsOnWait|TestDonorParsesEachBodyOnce|TestInPlaceFarmUnitLeavesChunkStoreIntact' -count=1 -v
 	go test -run '^$$' -bench 'BenchmarkFarmEgress' -benchtime 5x .
 
 # Multi-tenant despatch plane: the 2-shard × 3-tenant smoke scenario

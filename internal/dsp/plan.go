@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -191,10 +192,11 @@ func bluesteinPlanFor(n int, inverse bool) *bluesteinPlan {
 }
 
 // cscratch recycles the complex work arrays the Bluestein and
-// correlation paths need; slabs grow to the largest length seen and are
-// zeroed by the borrower. It is a bounded free list, not a sync.Pool: a
-// pool sheds a GC-timing-dependent share of its slabs at every
-// collection, so the live heap after the same work moved by whole
+// correlation paths need: a bank run borrows one for the signal's
+// shared transform and one per worker. Slabs grow to the largest length
+// seen and are zeroed by the borrower. It is a bounded free list, not a
+// sync.Pool: a pool sheds a GC-timing-dependent share of its slabs at
+// every collection, so the live heap after the same work moved by whole
 // 512 KiB correlation slabs from run to run. The list keeps up to
 // maxCScratch slabs for the life of the process; a borrow beyond them
 // allocates, and its slab is dropped on return when the list is full.
@@ -227,42 +229,63 @@ func putCScratch(sp *[]complex128) {
 }
 
 // CrossCorrelateBank correlates one signal against every template in the
-// bank, sharing the signal's FFT across all of them and fanning the
-// per-template work across GOMAXPROCS workers. Output order is
-// deterministic: out[i] corresponds to bank[i] and matches
-// CrossCorrelate(x, bank[i]) up to rounding. This is the §3.6.2 matched
-// filter inner loop: one detector stretch, hundreds of inspiral
-// templates. Cancellation is checked between templates, so engine
-// shutdown interrupts a long bank run; a nil ctx never cancels.
+// bank and returns every series: out[i] corresponds to bank[i] and
+// matches CrossCorrelate(x, bank[i]) up to rounding. It collects what
+// CrossCorrelateEach visits, so it holds the whole bank's output at
+// once; a caller that reduces each series should use Each instead.
 func CrossCorrelateBank(ctx context.Context, x []float64, bank [][]float64) ([][]float64, error) {
+	out := make([][]float64, len(bank))
+	err := CrossCorrelateEach(ctx, x, bank, func(i int, corr []float64) {
+		out[i] = slices.Clone(corr)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// CrossCorrelateEach correlates one signal against every template in the
+// bank, sharing the signal's FFT across all of them and fanning the
+// per-template work across GOMAXPROCS workers. This is the §3.6.2
+// matched filter inner loop: one detector stretch, hundreds of inspiral
+// templates. Each worker inverts into its own scratch and hands
+// template i's series to visit(i, corr), once per template, from the
+// worker that computed it: visits run concurrently and in no fixed
+// order, and corr is the worker's buffer, valid only for the call. The
+// values are those CrossCorrelateBank returns, bit for bit. The signal's
+// transform and the workers' complex work arrays are borrowed from the
+// cscratch list, so a run allocates one real series per worker and
+// keeps nothing. Cancellation is checked between templates, so engine
+// shutdown interrupts a long bank run and Each returns ctx.Err(); a nil
+// ctx never cancels.
+func CrossCorrelateEach(ctx context.Context, x []float64, bank [][]float64, visit func(i int, corr []float64)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if len(x) == 0 {
-		return nil, fmt.Errorf("dsp: empty signal to CrossCorrelateBank")
+		return fmt.Errorf("dsp: empty signal to correlate against a bank")
 	}
-	maxLen := 0
+	maxLen, minLen := 0, len(x)
 	for i, h := range bank {
 		if len(h) == 0 {
-			return nil, fmt.Errorf("dsp: empty template %d in bank", i)
+			return fmt.Errorf("dsp: empty template %d in bank", i)
 		}
 		if len(h) > len(x) {
-			return nil, fmt.Errorf("dsp: template %d length %d exceeds signal length %d",
+			return fmt.Errorf("dsp: template %d length %d exceeds signal length %d",
 				i, len(h), len(x))
 		}
-		if len(h) > maxLen {
-			maxLen = len(h)
-		}
+		maxLen = max(maxLen, len(h))
+		minLen = min(minLen, len(h))
 	}
-	out := make([][]float64, len(bank))
 	if len(bank) == 0 {
-		return out, nil
+		return nil
 	}
 	// One padded length serves every template: padding a linear
 	// convolution beyond its minimum length only appends zeros.
 	m := NextPow2(len(x) + maxLen - 1)
 	p := planFor(m)
-	fx := make([]complex128, m)
+	fxp, fx := getCScratch(m)
+	defer putCScratch(fxp)
 	for i, v := range x {
 		fx[i] = complex(v, 0)
 	}
@@ -280,6 +303,7 @@ func CrossCorrelateBank(ctx context.Context, x []float64, bank [][]float64) ([][
 			defer wg.Done()
 			sp, scratch := getCScratch(m)
 			defer putCScratch(sp)
+			series := make([]float64, len(x)-minLen+1)
 			inv := 1 / float64(m)
 			for i := range idx {
 				if ctx.Err() != nil {
@@ -297,13 +321,12 @@ func CrossCorrelateBank(ctx context.Context, x []float64, bank [][]float64) ([][
 					scratch[j] *= fx[j]
 				}
 				p.execute(scratch, true)
-				nOut := len(x) - len(h) + 1
-				res := make([]float64, nOut)
+				corr := series[:len(x)-len(h)+1]
 				off := len(h) - 1
-				for l := 0; l < nOut; l++ {
-					res[l] = real(scratch[off+l]) * inv
+				for l := range corr {
+					corr[l] = real(scratch[off+l]) * inv
 				}
-				out[i] = res
+				visit(i, corr)
 			}
 		}()
 	}
@@ -317,8 +340,5 @@ feed:
 	}
 	close(idx)
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return ctx.Err()
 }

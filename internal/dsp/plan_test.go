@@ -2,9 +2,11 @@ package dsp
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -92,6 +94,78 @@ func TestCrossCorrelateBankErrors(t *testing.T) {
 	out, err := CrossCorrelateBank(context.Background(), x, nil)
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty bank: %v, %v", out, err)
+	}
+}
+
+func TestCrossCorrelateEachVisitsEveryTemplateOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	x := make([]float64, 700)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	bank := make([][]float64, 23)
+	for i := range bank {
+		h := make([]float64, 3+17*i)
+		for j := range h {
+			h[j] = rng.NormFloat64()
+		}
+		bank[i] = h
+	}
+	want, err := CrossCorrelateBank(context.Background(), x, bank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Visits run concurrently on the workers; each writes only its own
+	// template's slot, so the race detector sees any overlap.
+	visits := make([]int, len(bank))
+	got := make([][]float64, len(bank))
+	err = CrossCorrelateEach(context.Background(), x, bank, func(i int, corr []float64) {
+		visits[i]++
+		got[i] = append([]float64(nil), corr...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range bank {
+		if visits[i] != 1 {
+			t.Fatalf("template %d visited %d times", i, visits[i])
+		}
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("template %d: %d lags, want %d", i, len(got[i]), len(want[i]))
+		}
+		for l := range want[i] {
+			if math.Float64bits(got[i][l]) != math.Float64bits(want[i][l]) {
+				t.Fatalf("template %d lag %d: %g, Bank has %g", i, l, got[i][l], want[i][l])
+			}
+		}
+	}
+}
+
+func TestCrossCorrelateEachReturnsCtxErr(t *testing.T) {
+	// Two workers: a template already handed out when the cancel lands
+	// still finishes, so a wide pool could take the whole bank first.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	x := make([]float64, 4096)
+	bank := make([][]float64, 64)
+	for i := range bank {
+		bank[i] = make([]float64, 256)
+		bank[i][0] = 1
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var seen atomic.Int32
+	err := CrossCorrelateEach(ctx, x, bank, func(int, []float64) {
+		if seen.Add(1) == 2 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if n := seen.Load(); n >= int32(len(bank)) {
+		t.Errorf("cancelled run still visited all %d templates", n)
+	}
+	if _, err := CrossCorrelateBank(ctx, x, bank); !errors.Is(err, context.Canceled) {
+		t.Errorf("Bank on a cancelled context returned %v", err)
 	}
 }
 

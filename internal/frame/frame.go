@@ -73,6 +73,9 @@ func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // StringLen is the encoded size of s behind its length.
 func StringLen(s string) int { return UvarintLen(uint64(len(s))) + len(s) }
 
+// Float64sLen is the encoded size of xs behind its count.
+func Float64sLen(xs []float64) int { return UvarintLen(uint64(len(xs))) + 8*len(xs) }
+
 // Reader decodes records from a byte slice. It is a plain value meant
 // to live on the decoder's stack.
 type Reader struct {

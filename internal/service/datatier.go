@@ -16,13 +16,13 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"strconv"
 	"sync"
 	"time"
 
 	"consumergrid/internal/chunkstore"
+	"consumergrid/internal/frame"
 	"consumergrid/internal/trace"
 	"consumergrid/internal/types"
 )
@@ -120,10 +120,12 @@ func (s *Service) resolveManifest(ctx context.Context, payload []byte, parent *t
 }
 
 // manifestInput is a hosted job's input when it took its request's
-// manifest: every datum resolved, decoded and sealed — exactly as a
-// pipe delivers streamed data — before the engine starts, queued on a
-// closed channel. A datum that cannot be resolved or decoded fails the
-// job, and the wait reply carries the error.
+// manifest: every datum resolved and decoded before the engine starts,
+// queued on a closed channel. A datum is left unsealed: it aliases none
+// of the bytes it was decoded from (the chunk store keeps those), and it
+// goes to the body's one ExternalIn endpoint, so the job owns it and a
+// unit may compute in place on it. A datum that cannot be resolved or
+// decoded fails the job, and the wait reply carries the error.
 func (s *Service) manifestInput(ctx context.Context, manifest []byte, parent *trace.Active) (<-chan types.Data, error) {
 	payloads, err := s.resolveManifest(ctx, manifest, parent)
 	if err != nil {
@@ -136,22 +138,21 @@ func (s *Service) manifestInput(ctx context.Context, manifest []byte, parent *tr
 		if err != nil {
 			return nil, err
 		}
-		in <- types.Seal(d)
+		in <- d
 	}
 	return in, nil
 }
 
 // resultList collects a farm job's outputs into the result list its
-// wait reply ends in. Each output is marshalled once, into a pooled
-// scratch buffer: one of at most chunkstore.MaxInline bytes is listed
-// by value; any other is listed by content address and held in the
-// donor's chunk store, where the controller fetches it if a vote
-// commits it. A hold is charged to the store's budget but never
-// evicted; the job's record keeps it until the controller cancels the
-// ended job or the record leaves the ended FIFO (heldCap). The store
-// gets an exact copy: its budget is charged by length and would not see
-// a buffer's spare capacity. An output that would take the list's held
-// bytes past heldCap is listed by value, as is every output of a
+// wait reply ends in. Each output is marshalled once, sized exactly by
+// types.Size: one of at most chunkstore.MaxInline bytes is marshalled
+// straight into the list, by value; any other into a buffer of its own
+// length, listed by content address and held in the donor's chunk
+// store, where the controller fetches it if a vote commits it. A hold
+// is charged to the store's budget but never evicted; the job's record
+// keeps it until the controller cancels the ended job or the record
+// leaves the ended FIFO (heldCap). An output that would take the list's
+// held bytes past heldCap is listed by value, as is every output of a
 // draining donor: it will not be there to serve the fetch. One
 // goroutine fills a list.
 type resultList struct {
@@ -170,28 +171,25 @@ func (s *Service) newResultList() *resultList {
 // half its chunk store's budget, so holds never crowd the cache out.
 func (s *Service) heldCap() int { return int(s.chunks.Budget() / 2) }
 
-// marshalScratch pools the buffers outputs are marshalled into.
-var marshalScratch sync.Pool
-
 func (l *resultList) add(d types.Data) error {
-	buf, _ := marshalScratch.Get().(*[]byte)
-	if buf == nil {
-		buf = new([]byte)
-	}
-	defer marshalScratch.Put(buf)
-	p, err := types.AppendMarshal((*buf)[:0], d)
-	if err != nil {
-		return err
-	}
-	*buf = p
-	if len(p) <= chunkstore.MaxInline || l.s.Draining() || l.heldBytes+len(p) > l.s.heldCap() {
-		l.items = appendResultItem(l.items, itemValue, p)
+	n := types.Size(d)
+	if n <= chunkstore.MaxInline || l.s.Draining() || l.heldBytes+n > l.s.heldCap() {
+		// The item appendResultItem writes, marshalled in place.
+		items, err := types.AppendMarshal(frame.AppendUvarint(append(l.items, itemValue), uint64(n)), d)
+		if err != nil {
+			return err
+		}
+		l.items = items
 	} else {
+		p, err := types.AppendMarshal(make([]byte, 0, n), d)
+		if err != nil {
+			return err
+		}
 		a := addressOf(p)
 		digest := a.digest()
-		l.s.chunks.Hold(digest, bytes.Clone(p))
+		l.s.chunks.Hold(digest, p)
 		l.held = append(l.held, digest)
-		l.heldBytes += len(p)
+		l.heldBytes += n
 		l.items = appendResultItem(l.items, itemAddress, a[:])
 	}
 	l.n++

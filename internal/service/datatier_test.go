@@ -465,6 +465,62 @@ func TestFarmMixedChunkPutsOnlyReferences(t *testing.T) {
 	}
 }
 
+// TestInPlaceFarmUnitLeavesChunkStoreIntact: a farm part owns its
+// decoded input, so Negate computes in place on it. The bytes it was
+// decoded from stay in the chunk stores that resolved, replicated and
+// served them, and no store may see the unit's writes: after a wide
+// Quorum: 3 Negate farm, every entry in every store still hashes to its
+// digest, and the outputs are the inputs negated.
+func TestInPlaceFarmUnitLeavesChunkStoreIntact(t *testing.T) {
+	chunks := bigChunks(chaosSeed, 3, 4, ladderBins)
+	var want []types.Data
+	for _, chunk := range chunks {
+		for _, d := range chunk {
+			neg := d.Clone().(*types.Spectrum)
+			for b := range neg.Amplitudes {
+				neg.Amplitudes[b] = -neg.Amplitudes[b]
+			}
+			want = append(want, neg)
+		}
+	}
+
+	n := simnet.New()
+	tn := dataTierNet(t, n, "ip-", 1, 3)
+	rep, err := tn.ctl.FarmChunks(context.Background(), chunks, FarmOptions{
+		Body:           func() *taskgraph.Graph { return negateBody(t) },
+		Peers:          tn.peers,
+		Quorum:         3,
+		AttemptTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("farm failed: %v", err)
+	}
+	assertSameOutputs(t, rep.Outputs, want)
+
+	stores := map[string]*chunkstore.Store{"ip-ctl": tn.ctl.ChunkStore(), "ip-super": tn.supers[0].ChunkStore()}
+	for i, d := range tn.donors {
+		stores[tn.peers[i].ID] = d.ChunkStore()
+	}
+	donorEntries := 0
+	for name, store := range stores {
+		for _, digest := range store.Digests() {
+			data, ok := store.Get(digest)
+			if !ok {
+				continue // evicted since Digests listed it
+			}
+			if got := chunkstore.Digest(data); got != digest {
+				t.Errorf("%s holds %.12s whose bytes now hash to %.12s", name, digest, got)
+			}
+			if name != "ip-ctl" && name != "ip-super" {
+				donorEntries++
+			}
+		}
+	}
+	if donorEntries == 0 {
+		t.Fatal("no donor store holds an entry; the test saw no resolved input")
+	}
+}
+
 // negateBody is a one-task group body around the stateless Negate unit.
 func negateBody(t *testing.T) *taskgraph.Graph {
 	t.Helper()

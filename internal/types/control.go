@@ -108,6 +108,14 @@ func (c *ControlSignal) encode(b []byte) ([]byte, error) {
 	return b, nil
 }
 
+func (c *ControlSignal) size() int {
+	n := 1 + frame.UvarintLen(c.Seq) + frame.UvarintLen(uint64(len(c.Attributes)))
+	for k, v := range c.Attributes {
+		n += frame.StringLen(k) + frame.StringLen(v)
+	}
+	return n
+}
+
 var errAttrOrder = errors.New("types: control attribute keys not strictly increasing")
 
 // decodeControl requires strictly increasing keys, the order encode

@@ -22,7 +22,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"consumergrid/internal/frame"
 )
@@ -49,6 +48,9 @@ type Data interface {
 	// encode appends the body of the value (without the type-name
 	// header) to b.
 	encode(b []byte) ([]byte, error)
+
+	// size is the exact length of the body encode appends.
+	size() int
 }
 
 // decoder reads a value body written by encode. It reads straight
@@ -156,61 +158,26 @@ var ErrUnknownType = errors.New("types: unknown type name in stream")
 const maxNameLen = 256
 
 // Marshal encodes d, including its type-name header, to a fresh byte
-// slice. The slice is preallocated from a running per-type size
-// estimate, so steady-state encoding of same-shaped values performs a
-// single allocation instead of a geometric append-growth chain.
+// slice of exactly Size(d) bytes: one allocation, no growth.
 func Marshal(d Data) ([]byte, error) { return AppendMarshal(nil, d) }
 
-// AppendMarshal appends the encoding Marshal returns to b, first growing
-// b to the per-type size estimate, so an encoder that reuses one buffer
-// amortises the allocation entirely.
+// AppendMarshal appends the encoding Marshal returns to b, growing b
+// once by exactly Size(d) when it lacks the room.
 func AppendMarshal(b []byte, d Data) ([]byte, error) {
 	if d == nil {
 		return nil, errors.New("types: cannot encode nil Data")
 	}
-	name := d.TypeName()
-	start := len(b)
-	b, err := d.encode(frame.AppendString(slices.Grow(b, estimateSize(name)), name))
-	if err != nil {
-		return nil, err
-	}
-	observeSize(name, len(b)-start)
-	return b, nil
+	return d.encode(frame.AppendString(slices.Grow(b, Size(d)), d.TypeName()))
 }
 
-// --- running size estimate per type ----------------------------------------
-//
-// The codec keeps a smoothed per-type estimate of encoded sizes so
-// Marshal can preallocate. Workloads are overwhelmingly homogeneous per
-// type (fixed-size SampleSet chunks, fixed-geometry images), so a simple
-// EMA with headroom converges after a couple of values and stays exact
-// from then on.
-
-var sizeEstimates sync.Map // type name -> *atomic.Int64 (smoothed bytes)
-
-func estimateSize(name string) int {
-	if v, ok := sizeEstimates.Load(name); ok {
-		if est := v.(*atomic.Int64).Load(); est > 0 {
-			// Headroom absorbs small payload growth between updates.
-			return int(est) + int(est)>>3 + 16
-		}
+// Size is the length of d's encoding, type-name header included:
+// len(Marshal(d)) for every d Marshal accepts, computed without
+// encoding. Size(nil) is 0.
+func Size(d Data) int {
+	if d == nil {
+		return 0
 	}
-	return 64
-}
-
-func observeSize(name string, n int) {
-	v, ok := sizeEstimates.Load(name)
-	if !ok {
-		e := new(atomic.Int64)
-		e.Store(int64(n))
-		if v, ok = sizeEstimates.LoadOrStore(name, e); !ok {
-			return
-		}
-	}
-	e := v.(*atomic.Int64)
-	old := e.Load()
-	// 3:1 EMA; a lost race just means one observation is skipped.
-	e.CompareAndSwap(old, (3*old+int64(n))/4)
+	return frame.StringLen(d.TypeName()) + d.size()
 }
 
 // Unmarshal decodes one value from p, requiring that the whole of p is

@@ -11,12 +11,16 @@ import (
 	"consumergrid/internal/frame"
 )
 
-// checkFixpoint fails unless p is rejected or re-encodes to itself.
+// checkFixpoint fails unless p is rejected or re-encodes to itself,
+// and Size reads its length off the decoded value.
 func checkFixpoint(t *testing.T, p []byte) {
 	t.Helper()
 	d, err := Unmarshal(p)
 	if err != nil {
 		return
+	}
+	if n := Size(d); n != len(p) {
+		t.Fatalf("accepted %x (%d bytes) but Size says %d", p, len(p), n)
 	}
 	again, err := Marshal(d)
 	if err != nil {

@@ -103,3 +103,38 @@ func TestGoldenEncodings(t *testing.T) {
 		}
 	}
 }
+
+// TestSizeMatchesMarshal: Size is the exact length Marshal writes, for
+// every fixture and every committed golden encoding, so AppendMarshal
+// grows its buffer once and never again.
+func TestSizeMatchesMarshal(t *testing.T) {
+	for _, f := range goldenFixtures() {
+		p, err := Marshal(f.d)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", f.name, err)
+		}
+		if n := Size(f.d); n != len(p) {
+			t.Errorf("%s: Size %d, Marshal wrote %d bytes", f.name, n, len(p))
+		}
+	}
+	paths, err := filepath.Glob(filepath.Join("testdata", "golden", "*.bin"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no golden encodings: %v", err)
+	}
+	for _, path := range paths {
+		p, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Unmarshal(p)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if n := Size(d); n != len(p) {
+			t.Errorf("%s: Size %d, encoding is %d bytes", path, n, len(p))
+		}
+	}
+	if Size(nil) != 0 {
+		t.Error("Size(nil) is not 0")
+	}
+}

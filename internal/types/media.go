@@ -87,6 +87,11 @@ func (im *Image) encode(b []byte) ([]byte, error) {
 	return frame.AppendFloat64s(frame.AppendUvarint(b, uint64(im.Frame)), im.Pix), nil
 }
 
+func (im *Image) size() int {
+	return frame.UvarintLen(uint64(im.W)) + frame.UvarintLen(uint64(im.H)) +
+		frame.UvarintLen(uint64(im.Frame)) + frame.Float64sLen(im.Pix)
+}
+
 func decodeImage(r *frame.Reader) Data {
 	im := &Image{W: readInt(r), H: readInt(r), Frame: readInt(r), Pix: r.Float64s()}
 	if r.Err() == nil && !im.Valid() {
@@ -106,6 +111,8 @@ func (t *Text) TypeName() string { return NameText }
 func (t *Text) Clone() Data      { return &Text{S: t.S} }
 
 func (t *Text) encode(b []byte) ([]byte, error) { return frame.AppendString(b, t.S), nil }
+
+func (t *Text) size() int { return frame.StringLen(t.S) }
 
 // maxTextLen bounds decoded text payloads (64 MiB).
 const maxTextLen = 64 << 20
@@ -176,6 +183,19 @@ func (t *Table) encode(b []byte) ([]byte, error) {
 		}
 	}
 	return b, nil
+}
+
+func (t *Table) size() int {
+	n := frame.UvarintLen(uint64(len(t.Columns))) + frame.UvarintLen(uint64(len(t.Rows)))
+	for _, col := range t.Columns {
+		n += frame.StringLen(col)
+	}
+	for _, row := range t.Rows {
+		for _, cell := range row {
+			n += frame.StringLen(cell)
+		}
+	}
+	return n
 }
 
 // errRowsWithoutColumns rejects, on both encode and decode, a table
@@ -288,6 +308,14 @@ func (p *ParticleSet) encode(b []byte) ([]byte, error) {
 		b = frame.AppendFloat64s(b, arr)
 	}
 	return b, nil
+}
+
+func (p *ParticleSet) size() int {
+	n := 8 + frame.UvarintLen(uint64(p.Frame))
+	for _, arr := range [][]float64{p.X, p.Y, p.Z, p.Mass, p.Smoothing} {
+		n += frame.Float64sLen(arr)
+	}
+	return n
 }
 
 func decodeParticleSet(r *frame.Reader) Data {

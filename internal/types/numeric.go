@@ -77,6 +77,8 @@ func (v *Vec) Mean() float64 {
 
 func (v *Vec) encode(b []byte) ([]byte, error) { return frame.AppendFloat64s(b, v.Values), nil }
 
+func (v *Vec) size() int { return frame.Float64sLen(v.Values) }
+
 func decodeVec(r *frame.Reader) Data { return &Vec{Values: r.Float64s()} }
 
 // Const is a single scalar value, used by parameter-producing units and by
@@ -90,6 +92,8 @@ func (c *Const) TypeName() string { return NameConst }
 func (c *Const) Clone() Data      { return &Const{Value: c.Value} }
 
 func (c *Const) encode(b []byte) ([]byte, error) { return frame.AppendFloat64(b, c.Value), nil }
+
+func (c *Const) size() int { return 8 }
 
 func decodeConst(r *frame.Reader) Data { return &Const{Value: r.Float64()} }
 
@@ -148,6 +152,8 @@ func (s *SampleSet) encode(b []byte) ([]byte, error) {
 	return frame.AppendFloat64s(b, s.Samples), nil
 }
 
+func (s *SampleSet) size() int { return 16 + frame.Float64sLen(s.Samples) }
+
 func decodeSampleSet(r *frame.Reader) Data {
 	return &SampleSet{SamplingRate: r.Float64(), Start: r.Float64(), Samples: r.Float64s()}
 }
@@ -200,6 +206,8 @@ func (s *Spectrum) encode(b []byte) ([]byte, error) {
 	return frame.AppendFloat64s(frame.AppendFloat64(b, s.Resolution), s.Amplitudes), nil
 }
 
+func (s *Spectrum) size() int { return 8 + frame.Float64sLen(s.Amplitudes) }
+
 func decodeSpectrum(r *frame.Reader) Data {
 	return &Spectrum{Resolution: r.Float64(), Amplitudes: r.Float64s()}
 }
@@ -246,6 +254,8 @@ func (s *ComplexSpectrum) encode(b []byte) ([]byte, error) {
 	b = frame.AppendFloat64s(frame.AppendFloat64(b, s.Resolution), s.Re)
 	return frame.AppendFloat64s(b, s.Im), nil
 }
+
+func (s *ComplexSpectrum) size() int { return 8 + frame.Float64sLen(s.Re) + frame.Float64sLen(s.Im) }
 
 func decodeComplexSpectrum(r *frame.Reader) Data {
 	s := &ComplexSpectrum{Resolution: r.Float64(), Re: r.Float64s(), Im: r.Float64s()}
@@ -299,6 +309,10 @@ func (m *Matrix) encode(b []byte) ([]byte, error) {
 	}
 	b = frame.AppendUvarint(frame.AppendUvarint(b, uint64(m.Rows)), uint64(m.Cols))
 	return frame.AppendFloat64s(b, m.Cells), nil
+}
+
+func (m *Matrix) size() int {
+	return frame.UvarintLen(uint64(m.Rows)) + frame.UvarintLen(uint64(m.Cols)) + frame.Float64sLen(m.Cells)
 }
 
 func decodeMatrix(r *frame.Reader) Data {
@@ -355,6 +369,8 @@ func (h *Histogram) encode(b []byte) ([]byte, error) {
 	b = frame.AppendFloat64(frame.AppendFloat64(b, h.Lo), h.Width)
 	return frame.AppendFloat64s(b, h.Counts), nil
 }
+
+func (h *Histogram) size() int { return 16 + frame.Float64sLen(h.Counts) }
 
 func decodeHistogram(r *frame.Reader) Data {
 	return &Histogram{Lo: r.Float64(), Width: r.Float64(), Counts: r.Float64s()}

@@ -9,7 +9,10 @@ import (
 )
 
 // Element-wise unary units over the Vec family. Each preserves the
-// input's concrete type (a scaled SampleSet keeps its sampling rate).
+// input's concrete type (a scaled SampleSet keeps its sampling rate) and
+// works in place: it takes its input through types.Mutable, so an
+// unsealed input it owns becomes its output and only a sealed one is
+// copied.
 const (
 	NameAbs        = "triana.mathx.Abs"
 	NameSquare     = "triana.mathx.Square"
@@ -32,7 +35,7 @@ const (
 // elementwise implements a stateless unary map over the numeric payload.
 type elementwise struct {
 	name string
-	// apply transforms the copied payload in place; cfg carries Init-time
+	// apply transforms the owned payload in place; u carries Init-time
 	// parameters for units that need them.
 	apply func(u *elementwise, xs []float64)
 	// lo/hi are Clip's bounds.
@@ -65,14 +68,13 @@ func (e *elementwise) Process(ctx *units.Context, in []types.Data) ([]types.Data
 	if err := units.CheckArity(e.name, 1, in); err != nil {
 		return nil, err
 	}
-	xs, err := vecInput(e.name, in[0])
-	if err != nil {
+	if _, err := vecInput(e.name, in[0]); err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	e.apply(e, out)
-	return []types.Data{types.LikeWith(in[0], out)}, nil
+	out := types.Mutable(in[0])
+	xs, _ := types.Floats(out)
+	e.apply(e, xs)
+	return []types.Data{out}, nil
 }
 
 // reduction implements a Vec -> Const fold.

@@ -1,10 +1,13 @@
 package mathx
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
 
+	"consumergrid/internal/engine"
+	"consumergrid/internal/taskgraph"
 	"consumergrid/internal/types"
 	"consumergrid/internal/units"
 )
@@ -73,14 +76,76 @@ func TestElementwiseSpecialFunctions(t *testing.T) {
 }
 
 func TestElementwisePreservesConcreteType(t *testing.T) {
-	s := types.NewSampleSet(2000, []float64{-1, 2})
-	out := run1(t, mustNew(t, NameAbs, nil), s)
+	// A sealed input is shared: the unit copies it and leaves it
+	// bit-identical.
+	sealed := types.Seal(types.NewSampleSet(2000, []float64{-1, 2})).(*types.SampleSet)
+	out := run1(t, mustNew(t, NameAbs, nil), sealed)
 	ss, ok := out.(*types.SampleSet)
 	if !ok || ss.SamplingRate != 2000 {
 		t.Fatalf("Abs lost SampleSet identity: %T", out)
 	}
-	if s.Samples[0] != -1 {
-		t.Error("input mutated")
+	if ss == sealed || ss.Immutable() {
+		t.Fatal("Abs returned its sealed input, not a private copy")
+	}
+	if math.Float64bits(sealed.Samples[0]) != math.Float64bits(-1) || sealed.Samples[1] != 2 {
+		t.Errorf("sealed input mutated: %v", sealed.Samples)
+	}
+	if ss.Samples[0] != 1 || ss.Samples[1] != 2 {
+		t.Errorf("Abs = %v", ss.Samples)
+	}
+
+	// An unsealed input is the unit's own: it is taken over and becomes
+	// the output, metadata and all.
+	owned := &types.Histogram{Lo: -3, Width: 0.5, Counts: []float64{-1, 2}}
+	out = run1(t, mustNew(t, NameNegate, nil), owned)
+	if out != types.Data(owned) {
+		t.Fatalf("Negate copied an unsealed input it owns: got %T %p, gave %p", out, out, owned)
+	}
+	if owned.Lo != -3 || owned.Width != 0.5 || owned.Counts[0] != 1 || owned.Counts[1] != -2 {
+		t.Errorf("Negate in place = %+v", owned)
+	}
+}
+
+// TestElementwiseInPlaceUnderFanOut checks the other half of the
+// in-place rule: an unsealed producer feeding two in-place units hands
+// each its own value, so neither sees the other's writes.
+func TestElementwiseInPlaceUnderFanOut(t *testing.T) {
+	g := taskgraph.New("fanout")
+	for _, task := range []struct{ name, unit string }{
+		{"Abs", NameAbs}, {"NegA", NameNegate}, {"NegB", NameNegate},
+	} {
+		tk, err := units.NewTask(task.name, task.unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.MustAdd(tk)
+	}
+	g.ConnectNamed("Abs", 0, "NegA", 0)
+	g.ConnectNamed("Abs", 0, "NegB", 0)
+	g.ExternalIn = []taskgraph.Endpoint{{Task: "Abs", Node: 0}}
+	g.ExternalOut = []taskgraph.Endpoint{{Task: "NegA", Node: 0}, {Task: "NegB", Node: 0}}
+
+	in := make(chan types.Data, 1)
+	in <- types.NewVec([]float64{-1, 2, -3})
+	close(in)
+	outA, outB := make(chan types.Data, 1), make(chan types.Data, 1)
+	if _, err := engine.Run(context.Background(), g, engine.Options{
+		Iterations:  1, // ignored: an externally fed task runs until close
+		ExternalIn:  map[int]<-chan types.Data{0: in},
+		ExternalOut: map[int]chan<- types.Data{0: outA, 1: outB},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	a, b := <-outA, <-outB
+	if a == b {
+		t.Fatal("both Negates returned the same value")
+	}
+	want := []float64{-1, -2, -3}
+	for _, d := range []types.Data{a, b} {
+		xs, _ := types.Floats(d)
+		if !reflect.DeepEqual(xs, want) {
+			t.Errorf("Negate of |x| = %v, want %v", xs, want)
+		}
 	}
 }
 

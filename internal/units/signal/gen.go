@@ -673,23 +673,31 @@ func (m *MatchedFilter) Process(ctx *units.Context, in []types.Data) ([]types.Da
 		return nil, ctx.Ctx.Err()
 	}
 	// The whole bank runs against one shared FFT of the signal, fanned
-	// across cores; output order is deterministic per template index.
-	// Passing the run context keeps long bank runs cancelable between
-	// templates under engine shutdown.
-	corrs, err := dsp.CrossCorrelateBank(ctx.Ctx, s.Samples, m.bank)
+	// across cores. Each worker reduces the series it computed to the
+	// two numbers the table keeps, so no series outlives its visit; the
+	// table is built in template order afterwards. Passing the run
+	// context keeps long bank runs cancelable between templates under
+	// engine shutdown.
+	type peak struct {
+		lag int
+		snr float64
+	}
+	peaks := make([]peak, len(m.bank))
+	err := dsp.CrossCorrelateEach(ctx.Ctx, s.Samples, m.bank, func(i int, corr []float64) {
+		lag, peakV := 0, 0.0
+		for l, v := range corr {
+			if a := math.Abs(v); a > peakV {
+				lag, peakV = l, a
+			}
+		}
+		peaks[i] = peak{lag, dsp.SNR(corr)}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("signal: %w", err)
 	}
 	tab := &types.Table{Columns: []string{"template", "f0", "peakLag", "snr"}}
-	for i, corr := range corrs {
-		peakLag, peakV := 0, 0.0
-		for l, v := range corr {
-			if a := math.Abs(v); a > peakV {
-				peakLag, peakV = l, a
-			}
-		}
-		snr := dsp.SNR(corr)
-		if snr < m.threshold {
+	for i, pk := range peaks {
+		if pk.snr < m.threshold {
 			continue
 		}
 		frac := 0.0
@@ -700,8 +708,8 @@ func (m *MatchedFilter) Process(ctx *units.Context, in []types.Data) ([]types.Da
 		tab.Rows = append(tab.Rows, []string{
 			fmt.Sprintf("%d", i),
 			fmt.Sprintf("%.3f", f0),
-			fmt.Sprintf("%d", peakLag),
-			fmt.Sprintf("%.4f", snr),
+			fmt.Sprintf("%d", pk.lag),
+			fmt.Sprintf("%.4f", pk.snr),
 		})
 	}
 	return []types.Data{tab}, nil
