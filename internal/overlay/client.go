@@ -55,10 +55,11 @@ const eventBuffer = 64
 // table: the same write reaches the client once per owner pushing it,
 // and must surface exactly once.
 type clientSub struct {
-	id    string
-	query advert.Query
-	ch    chan Event
-	seen  map[string]uint64 // advert ID -> highest delivered version
+	id       string
+	query    advert.Query
+	ch       chan Event
+	seen     map[string]uint64 // advert ID -> highest delivered version
+	decoding map[string]uint64 // advert ID -> highest version a push is decoding
 }
 
 // Client is a peer's handle on the discovery overlay: it publishes the
@@ -354,10 +355,11 @@ func (c *Client) Query(q advert.Query, limit int) ([]*advert.Advertisement, erro
 // delivery; the channel is closed by Unsubscribe or Close.
 func (c *Client) Subscribe(subID string, q advert.Query) (<-chan Event, error) {
 	sub := &clientSub{
-		id:    subID,
-		query: q,
-		ch:    make(chan Event, eventBuffer),
-		seen:  make(map[string]uint64),
+		id:       subID,
+		query:    q,
+		ch:       make(chan Event, eventBuffer),
+		seen:     make(map[string]uint64),
+		decoding: make(map[string]uint64),
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -418,14 +420,30 @@ func (c *Client) handleNotify(req *jxtaserve.Message) (*jxtaserve.Message, error
 	}
 	ev := Event{SubID: subID, ID: id, Version: version, Retracted: req.Header("event") == eventRetract}
 	if !ev.Retracted {
-		// Drop a copy already delivered before paying for its decode.
+		// Drop a copy already delivered, or one whose version another
+		// copy is decoding now, before paying for its decode: the R
+		// owners push each write at once, and a copy that raced the
+		// first past the memo would decode the advert a second time.
 		c.mu.Lock()
-		_, stale := c.stale(subID, id, version)
+		sub, stale := c.stale(subID, id, version)
+		if !stale {
+			if v, ok := sub.decoding[id]; ok && version <= v {
+				c.metrics.deduped.Inc()
+				stale = true
+			} else {
+				sub.decoding[id] = version
+			}
+		}
 		c.mu.Unlock()
 		if stale {
 			return &jxtaserve.Message{}, nil
 		}
 		ad, err := c.memo.decode(req.Payload)
+		c.mu.Lock()
+		if sub.decoding[id] == version {
+			delete(sub.decoding, id)
+		}
+		c.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}

@@ -305,6 +305,42 @@ func TestDuplicatePushSkipsDecode(t *testing.T) {
 	expectQuiet(t, events)
 }
 
+// TestInFlightDuplicatePushSkipsDecode: the R owners push a write at
+// once, so a copy can arrive while the first copy is still decoding. It
+// must be dropped before its decode, which would otherwise repeat the
+// first copy's; a newer version still decodes and is delivered.
+func TestInFlightDuplicatePushSkipsDecode(t *testing.T) {
+	c := newCluster(t, 1, 1, nil)
+	cl := c.client("sub", 1)
+	events, err := cl.Subscribe("watch", trianaQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := richAds()[0]
+	cl.mu.Lock()
+	cl.subs["watch"].decoding[a.ID] = 3 // a first copy of version 3 is decoding
+	cl.mu.Unlock()
+	if _, err := cl.handleNotify(notifyReq(t, "watch", a, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if n := cl.memo.len(); n != 0 {
+		t.Fatalf("the in-flight copy reached the memo (%d adverts): it was decoded", n)
+	}
+	expectQuiet(t, events)
+	if _, err := cl.handleNotify(notifyReq(t, "watch", a, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if ev := waitEvent(t, events); ev.Ad == nil || ev.Version != 4 {
+		t.Fatalf("newer push delivered %+v", ev)
+	}
+	cl.mu.Lock()
+	left, ok := cl.subs["watch"].decoding[a.ID]
+	cl.mu.Unlock()
+	if ok {
+		t.Fatalf("the newer push left a decoding claim for version %d", left)
+	}
+}
+
 // donorGrid stands up two in-process supers at R=2 holding n donor
 // service adverts, and returns the client that published them.
 func donorGrid(tb testing.TB, n int) *Client {
