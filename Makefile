@@ -21,12 +21,21 @@ test-386:
 # overlay, so internal/discovery (the T2/T6 baselines) must stay off the
 # daemon, controller and core import graphs, and no daemon-side package
 # may keep an advert.Cache beside the ring as a second discovery source.
+# One code path: a module bundle is a chunk, so internal/mcode stays off
+# the wire and the registry, and nothing outside bench/ names the old
+# mcode.fetch RPC or an mcode_ series.
 layering:
 	@if go list -deps ./cmd/trianad ./cmd/trianactl ./internal/core ./internal/controller ./internal/service | grep -qx consumergrid/internal/discovery; then \
 		echo "layering: internal/discovery is reachable from a daemon path; only internal/experiments may import it"; exit 1; \
 	fi
 	@if grep -rnE --include='*.go' 'advert\.(New)?Cache\b' internal/service internal/controller internal/core cmd; then \
 		echo "layering: a daemon path references advert.Cache; Service.Discover answers from the ring alone"; exit 1; \
+	fi
+	@if go list -deps ./internal/mcode | grep -qxE 'consumergrid/internal/(jxtaserve|metrics)'; then \
+		echo "layering: internal/mcode reaches jxtaserve or metrics; a bundle is content and travels through the chunk tier"; exit 1; \
+	fi
+	@if grep -rnE --include='*.go' --exclude-dir=bench 'mcode\.fetch|mcode_[a-z]' .; then \
+		echo "layering: mobile code has no RPC or series of its own; bundles are counted by the chunk store"; exit 1; \
 	fi
 
 # The smoke targets below name their tests by hand. Every literal
@@ -127,7 +136,7 @@ datastore-smoke:
 	go test ./internal/chunkstore/ -count=1
 	go test ./internal/overlay/ -run 'TestPutChunk' -count=1
 	go test ./internal/chunkstore/ -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 10s
-	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestValueAndAddressBallotsAgree|TestWaitRefusesMiscountedResultList|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineVoterCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumFarmOnSmallDonorCaches|TestQuorumFarmMovesEachByteOnce|TestManifestNeedsOneInputBody|TestUnresolvableManifestFailsOnWait|TestDonorParsesEachBodyOnce|TestInPlaceFarmUnitLeavesChunkStoreIntact' -count=1 -v
+	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestValueAndAddressBallotsAgree|TestWaitRefusesMiscountedResultList|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineVoterCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumFarmOnSmallDonorCaches|TestQuorumFarmMovesEachByteOnce|TestManifestNeedsOneInputBody|TestUnresolvableManifestFailsOnWait|TestDonorParsesEachBodyOnce|TestInPlaceFarmUnitLeavesChunkStoreIntact|TestOnDemandCodeFetchHappens|TestRunRefusesVersionSkew|TestRunFailsWhenOwnerLacksBundle' -count=1 -v
 	go test -run '^$$' -bench 'BenchmarkFarmEgress' -benchtime 5x .
 
 # Multi-tenant despatch plane: the 2-shard × 3-tenant smoke scenario

@@ -80,8 +80,7 @@ func run() (code int) {
 		group      = flag.String("group", "", "virtual peer group to join")
 		fsRoot     = flag.String("fs-root", "", "grant hosted workflows file access under this directory (default: none)")
 		batchSlots = flag.Int("batch-slots", 0, "run jobs through a slot-limited batch gateway instead of fork (0=fork)")
-		codeBudget = flag.Int64("code-budget", 0, "module cache budget in bytes (0=unlimited; small values model handhelds)")
-		require    = flag.Bool("require-code", false, "refuse units whose module bundles have not been downloaded")
+		require    = flag.Bool("require-code", false, "refuse units whose module bundles are not in the chunk cache and no owner is named")
 		ttl        = flag.Duration("advert-ttl", time.Hour, "service advertisement lifetime")
 		httpAddr   = flag.String("http", "", "serve browser status pages on this address (e.g. 127.0.0.1:8080)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof profiling on this address (off by default)")
@@ -91,7 +90,7 @@ func run() (code int) {
 		superPeer   = flag.Bool("super-peer", false, "serve as an overlay super-peer: store and replicate adverts, push subscriptions, run anti-entropy")
 		replication = flag.Int("replication", 0, "overlay advert replication factor R (0 = default 2)")
 
-		chunkCache = flag.Int64("chunk-cache", 0, "chunk cache budget in bytes (0 = default 64 MiB)")
+		chunkCache = flag.Int64("chunk-cache", 0, "chunk cache budget in bytes, module bundles included (0 = default 64 MiB; small values model handhelds)")
 		tenants    = flag.String("tenants", "", "comma-separated tenant:weight pairs seeding the fair-share despatch scheduler (e.g. alice:4,bob:1); other tenants get weight 1")
 
 		caps        = flag.String("caps", "", "extra capability key=value pairs joined into this peer's capability group identity (e.g. gpu=none,zone=eu)")
@@ -109,7 +108,6 @@ func run() (code int) {
 		CPUMHz:      *cpuMHz,
 		RAMMB:       *ramMB,
 		BatchSlots:  *batchSlots,
-		CodeBudget:  *codeBudget,
 		AdvertTTL:   *ttl,
 		Tenants:     *tenants,
 		Caps:        *caps,
@@ -195,7 +193,6 @@ func run() (code int) {
 		Tenants:            tenantWeights,
 		Caps:               capsMap,
 		RequireCaps:        requireCapsMap,
-		CodeBudget:         *codeBudget,
 		CPUMHz:             *cpuMHz,
 		FreeRAMMB:          *ramMB,
 		PeerGroup:          *group,

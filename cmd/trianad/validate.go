@@ -24,7 +24,6 @@ type daemonConfig struct {
 	CPUMHz      int
 	RAMMB       int
 	BatchSlots  int
-	CodeBudget  int64
 	AdvertTTL   time.Duration
 	Tenants     string
 	Caps        string
@@ -50,9 +49,6 @@ func (c daemonConfig) validate() error {
 	}
 	if c.BatchSlots < 0 {
 		return fmt.Errorf("-batch-slots must be >= 0 (0 = fork gateway), got %d", c.BatchSlots)
-	}
-	if c.CodeBudget < 0 {
-		return fmt.Errorf("-code-budget must be >= 0 bytes (0 = unlimited), got %d", c.CodeBudget)
 	}
 	if c.AdvertTTL <= 0 {
 		return fmt.Errorf("-advert-ttl must be positive, got %v", c.AdvertTTL)

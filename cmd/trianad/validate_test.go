@@ -15,7 +15,6 @@ func goodConfig() daemonConfig {
 		CPUMHz:      1000,
 		RAMMB:       512,
 		BatchSlots:  2,
-		CodeBudget:  1 << 20,
 		AdvertTTL:   time.Minute,
 		Tenants:     "alice:4,bob:1",
 		Caps:        "gpu=none,zone=eu",
@@ -34,7 +33,7 @@ func TestValidateRejectsNonsense(t *testing.T) {
 	}{
 		{"valid baseline", func(c *daemonConfig) {}, ""},
 		{"zero-default knobs stay legal", func(c *daemonConfig) {
-			c.Replication, c.ChunkCache, c.BatchSlots, c.CodeBudget = 0, 0, 0, 0
+			c.Replication, c.ChunkCache, c.BatchSlots = 0, 0, 0
 			c.RAMMB, c.Tenants = 0, ""
 		}, ""},
 		{"negative replication", func(c *daemonConfig) { c.Replication = -1 }, "-replication"},
@@ -42,7 +41,6 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"zero cpu", func(c *daemonConfig) { c.CPUMHz = 0 }, "-cpu"},
 		{"negative ram", func(c *daemonConfig) { c.RAMMB = -1 }, "-ram"},
 		{"negative batch slots", func(c *daemonConfig) { c.BatchSlots = -4 }, "-batch-slots"},
-		{"negative code budget", func(c *daemonConfig) { c.CodeBudget = -1 }, "-code-budget"},
 		{"zero advert ttl", func(c *daemonConfig) { c.AdvertTTL = 0 }, "-advert-ttl"},
 		{"malformed tenant spec", func(c *daemonConfig) { c.Tenants = "alice" }, "-tenants"},
 		{"non-numeric tenant weight", func(c *daemonConfig) { c.Tenants = "alice:fast" }, "-tenants"},

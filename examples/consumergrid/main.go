@@ -34,11 +34,13 @@ import (
 
 func main() {
 	// Donated machines differ: a fast desktop, a mid box, a weak laptop
-	// with a tight module-cache budget (the handheld model).
+	// with a tight chunk-cache budget, module bundles included (the
+	// handheld model).
 	donors := []service.Options{
 		{CPUMHz: 2600, FreeRAMMB: 1024, Sandbox: sandbox.AllowCompute(1 << 30)},
 		{CPUMHz: 1800, FreeRAMMB: 512, Sandbox: sandbox.AllowCompute(512 << 20)},
-		{CPUMHz: 900, FreeRAMMB: 128, Sandbox: sandbox.AllowCompute(128 << 20), CodeBudget: 64 << 10},
+		{CPUMHz: 900, FreeRAMMB: 128, Sandbox: sandbox.AllowCompute(128 << 20),
+			DataTier: service.DataTierOptions{CacheBytes: 64 << 10}},
 	}
 	grid, err := core.NewGrid(core.GridOptions{
 		Transport:   jxtaserve.TCP{},
@@ -76,10 +78,12 @@ func main() {
 	}
 
 	fmt.Printf("\nplan: %s over %v\n", rep.Plan.Kind, rep.Peers)
+	// Figure 1's parts stream over pipes, so every chunk a donor
+	// fetched is a module bundle.
 	for _, w := range grid.Workers {
-		fetches, bytes := w.Fetcher().Fetches()
+		st := w.ChunkStore().Snapshot()
 		fmt.Printf("  %s fetched %d module bundles (%d bytes) on demand\n",
-			w.PeerID(), fetches, bytes)
+			w.PeerID(), st.FetchRing+st.FetchPeer+st.FetchController, st.FetchedBytes)
 	}
 	spec := rep.Result().Unit("Grapher").(*unitio.Grapher).Last().(*types.Spectrum)
 	fmt.Printf("\nrecovered spectrum peak: %.0f Hz after 20 averaged iterations\n",

@@ -319,31 +319,6 @@ func (c *Cache) Put(ad *Advertisement) error {
 	return nil
 }
 
-// Remove deletes the advertisement with the given ID, reporting whether
-// it was present.
-func (c *Cache) Remove(id string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.ads[id]
-	delete(c.ads, id)
-	return ok
-}
-
-// RemovePeer deletes every advertisement from one publisher (used when a
-// peer is observed to have left), returning the number removed.
-func (c *Cache) RemovePeer(peerID string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for id, ad := range c.ads {
-		if ad.PeerID == peerID {
-			delete(c.ads, id)
-			n++
-		}
-	}
-	return n
-}
-
 // Find returns up to limit matching, unexpired advertisements (limit <= 0
 // means unlimited), sorted by ID for determinism.
 func (c *Cache) Find(q Query, limit int) []*Advertisement {
@@ -362,29 +337,6 @@ func (c *Cache) Find(q Query, limit int) []*Advertisement {
 		out = out[:limit]
 	}
 	return out
-}
-
-// Purge drops expired advertisements, returning the number removed.
-func (c *Cache) Purge() int {
-	now := c.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for id, ad := range c.ads {
-		if ad.Expired(now) {
-			delete(c.ads, id)
-			n++
-		}
-	}
-	return n
-}
-
-// Len reports the number of stored advertisements (including expired ones
-// not yet purged).
-func (c *Cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.ads)
 }
 
 // --- list codec ---------------------------------------------------------

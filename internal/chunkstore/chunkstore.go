@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"consumergrid/internal/metrics"
 	"consumergrid/internal/types"
@@ -139,6 +140,7 @@ type Store struct {
 	fetchPeer       *metrics.Counter
 	fetchController *metrics.Counter
 	cacheBytes      *metrics.Gauge
+	fetchedBytes    atomic.Int64 // payload bytes the ladder brought in
 }
 
 // New creates a Store and eagerly registers its metric series, so a
@@ -386,6 +388,7 @@ func (s *Store) Fetch(digest string, sources []Source, fetch FetchFunc) ([]byte,
 
 	c.data, c.class, c.err = s.fetchLadder(digest, sources, fetch)
 	if c.err == nil {
+		s.fetchedBytes.Add(int64(len(c.data)))
 		switch c.class {
 		case SourceRing:
 			s.fetchRing.Inc()
@@ -463,6 +466,7 @@ type Stats struct {
 	FetchRing       int64
 	FetchPeer       int64
 	FetchController int64
+	FetchedBytes    int64 // payload bytes those three fetches brought in
 	BytesSaved      int64
 	Evictions       int64
 	DigestMismatch  int64
@@ -481,6 +485,7 @@ func (s *Store) Snapshot() Stats {
 		FetchRing:       s.fetchRing.Value(),
 		FetchPeer:       s.fetchPeer.Value(),
 		FetchController: s.fetchController.Value(),
+		FetchedBytes:    s.fetchedBytes.Load(),
 		BytesSaved:      s.bytesSaved.Value(),
 		Evictions:       s.evictions.Value(),
 		DigestMismatch:  s.digestMismatch.Value(),

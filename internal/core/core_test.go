@@ -174,13 +174,18 @@ func TestGridOverTCP(t *testing.T) {
 
 func TestGridWithRequireCodeFetchesModules(t *testing.T) {
 	grid := newGrid(t, 1, GridOptions{RequireCode: true})
+	// Series are keyed by peer ID across the process: count the delta.
+	before := grid.Workers[0].ChunkStore().Snapshot()
 	_, err := grid.Run(context.Background(),
 		Figure1Workflow(Figure1Options{Samples: 256}),
 		controller.RunOptions{Iterations: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetches, bytes := grid.Workers[0].Fetcher().Fetches()
+	after := grid.Workers[0].ChunkStore().Snapshot()
+	fetches := after.FetchRing + after.FetchPeer + after.FetchController -
+		(before.FetchRing + before.FetchPeer + before.FetchController)
+	bytes := after.FetchedBytes - before.FetchedBytes
 	if fetches == 0 || bytes == 0 {
 		t.Errorf("no module fetches recorded (%d, %d)", fetches, bytes)
 	}

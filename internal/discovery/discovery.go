@@ -197,9 +197,6 @@ func NewNode(host *jxtaserve.Host, cache *advert.Cache, cfg Config) *Node {
 // Stats exposes the node's traffic counters.
 func (n *Node) Stats() *Stats { return &n.stats }
 
-// Cache exposes the node's advert cache.
-func (n *Node) Cache() *advert.Cache { return n.cache }
-
 // AddNeighbor adds a flood neighbour at runtime.
 func (n *Node) AddNeighbor(addr string) {
 	n.mu.Lock()

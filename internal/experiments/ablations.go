@@ -71,9 +71,10 @@ func A1(cfg Config) (*Result, error) {
 
 // A2 ablates on-demand code download against pre-staged modules: the
 // same application runs on a strict-mobile-code grid twice. The first
-// (cold) run pays the bundle transfers; the second (warm) run's caches
-// make it free. Pre-staging is emulated by the warm state — the paper's
-// alternative of shipping everything ahead of time.
+// (cold) run pays the bundle transfers, counted by the workers' chunk
+// stores; the second (warm) run's caches make it free. Pre-staging is
+// emulated by the warm state — the paper's alternative of shipping
+// everything ahead of time.
 func A2(cfg Config) (*Result, error) {
 	cfg.defaults()
 	grid, err := core.NewGrid(core.GridOptions{Peers: 2, RequireCode: true})
@@ -85,13 +86,18 @@ func A2(cfg Config) (*Result, error) {
 	tab := metrics.NewTable("A2: on-demand vs pre-staged module code",
 		"run", "bundleFetches", "bundleBytes", "wall")
 
-	run := func(label string, seed int64) (int64, error) {
-		var before, beforeBytes int64
+	// Figure 1's parts stream over pipes, so every chunk a worker
+	// fetches is a module bundle.
+	fetched := func() (fetches, bytes int64) {
 		for _, w := range grid.Workers {
-			f, b := w.Fetcher().Fetches()
-			before += f
-			beforeBytes += b
+			st := w.ChunkStore().Snapshot()
+			fetches += st.FetchRing + st.FetchPeer + st.FetchController
+			bytes += st.FetchedBytes
 		}
+		return fetches, bytes
+	}
+	run := func(label string, seed int64) (int64, error) {
+		before, beforeBytes := fetched()
 		start := time.Now()
 		_, err := grid.Run(context.Background(),
 			core.Figure1Workflow(core.Figure1Options{Samples: 1024}),
@@ -100,12 +106,7 @@ func A2(cfg Config) (*Result, error) {
 			return 0, err
 		}
 		wall := time.Since(start)
-		var after, afterBytes int64
-		for _, w := range grid.Workers {
-			f, b := w.Fetcher().Fetches()
-			after += f
-			afterBytes += b
-		}
+		after, afterBytes := fetched()
 		tab.AddRow(label, after-before, afterBytes-beforeBytes, wall)
 		return after - before, nil
 	}

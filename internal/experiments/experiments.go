@@ -161,16 +161,6 @@ func spectralSNR(spec *types.Spectrum, signalHz, rate float64, n int) float64 {
 	return peak / maxBg
 }
 
-// mustMeta panics when a workflow references an unregistered unit — the
-// harness imports the full toolbox, so this is a programming error.
-func mustMeta(unit string) units.Meta {
-	m, ok := units.Lookup(unit)
-	if !ok {
-		panic("experiments: unit not registered: " + unit)
-	}
-	return m
-}
-
 // round2 keeps table floats tidy.
 func round2(x float64) float64 { return math.Round(x*100) / 100 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"consumergrid/internal/advert"
+	"consumergrid/internal/chunkstore"
 	"consumergrid/internal/churn"
 	"consumergrid/internal/controller"
 	"consumergrid/internal/core"
@@ -249,7 +250,9 @@ func runDiscoveryTrial(strategy string, n int, seed int64) (float64, bool, error
 // are cheap relative to module bundles; on-demand fetch is paid once and
 // amortised by the cache; constrained devices trade cache budget for
 // re-fetches ("a resource-constrained device may also decide to
-// selectively download and release executable modules").
+// selectively download and release executable modules"). A bundle
+// travels as a chunk: the owner holds it, the consumer fetches it by
+// digest through its chunk store, and the store's counters count.
 func T3(cfg Config) (*Result, error) {
 	cfg.defaults()
 
@@ -263,13 +266,19 @@ func T3(cfg Config) (*Result, error) {
 		signal.NameWave, signal.NameGaussianNoise,
 		signal.NamePowerSpectrum, signal.NameAccumStat,
 	}
+	// The owner's store holds every bundle, as a despatcher's does.
+	held := chunkstore.New(chunkstore.Options{Registry: metrics.NewRegistry()})
 	var bundleBytes int64
+	var digests []string
 	for _, u := range unitsUsed {
 		b, err := mcode.BundleFor(u)
 		if err != nil {
 			return nil, err
 		}
 		bundleBytes += b.Size()
+		d := chunkstore.Digest(b.Payload)
+		held.Hold(d, b.Payload)
+		digests = append(digests, d)
 	}
 	sizesTab := metrics.NewTable("T3a: graph vs module-bundle transfer size (Figure 1 app)",
 		"artefact", "bytes")
@@ -283,51 +292,58 @@ func T3(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer owner.Close()
-	mcode.Attach(owner)
+	owner.SetChunkSource(held.Get)
 	consumer, err := jxtaserve.NewHost("consumer", tr, "")
 	if err != nil {
 		return nil, err
 	}
 	defer consumer.Close()
-	fetcher := mcode.NewFetcher(consumer, mcode.NewStore(0))
-	fetchTab := metrics.NewTable("T3b: on-demand fetch, cold vs warm",
-		"pass", "fetches", "bytes", "elapsed")
-	for pass, label := range []string{"cold", "warm"} {
-		f0, b0 := fetcher.Fetches()
-		start := time.Now()
-		for _, u := range unitsUsed {
-			m := mustMeta(u)
-			if _, err := fetcher.Ensure(u, m.Version, owner.Addr()); err != nil {
-				return nil, err
+	fromOwner := []chunkstore.Source{{Addr: owner.Addr(), Class: chunkstore.SourceController}}
+	fetch := func(addr, digest string) ([]byte, error) {
+		return consumer.FetchChunk(addr, digest, time.Second)
+	}
+	// ensureAll resolves every bundle through the store and reports the
+	// fetches and bytes that crossed the wire.
+	ensureAll := func(store *chunkstore.Store) (int64, int64, error) {
+		before := store.Snapshot()
+		for _, d := range digests {
+			if _, _, err := store.Fetch(d, fromOwner, fetch); err != nil {
+				return 0, 0, err
 			}
 		}
-		f1, b1 := fetcher.Fetches()
-		fetchTab.AddRow(label, f1-f0, b1-b0, time.Since(start))
-		_ = pass
+		after := store.Snapshot()
+		return after.FetchController - before.FetchController, after.FetchedBytes - before.FetchedBytes, nil
+	}
+	fetchTab := metrics.NewTable("T3b: on-demand fetch, cold vs warm",
+		"pass", "fetches", "bytes", "elapsed")
+	cache := chunkstore.New(chunkstore.Options{Registry: metrics.NewRegistry()})
+	for _, label := range []string{"cold", "warm"} {
+		start := time.Now()
+		fetches, bytes, err := ensureAll(cache)
+		if err != nil {
+			return nil, err
+		}
+		fetchTab.AddRow(label, fetches, bytes, time.Since(start))
 	}
 
 	// (c) Cache-budget sweep: run the fetch cycle for every unit in the
-	// toolbox repeatedly under shrinking budgets; smaller budgets force
-	// evictions and re-fetches.
+	// toolbox repeatedly under shrinking chunk-cache budgets; smaller
+	// budgets force evictions and re-fetches.
 	budgetTab := metrics.NewTable("T3c: constrained-device cache budget sweep",
 		"budgetKiB", "fetches", "evictions")
 	var coldFetches int64
 	shapeOK := true
-	allUnits := unitsUsed
-	for _, budgetKiB := range []int64{0, 64, 16, 8} { // 0 = unlimited
-		store := mcode.NewStore(budgetKiB << 10)
-		f := mcode.NewFetcher(consumer, store)
+	for _, budgetKiB := range []int64{0, 64, 16, 8} { // 0 = the 64 MiB default
+		store := chunkstore.New(chunkstore.Options{MaxBytes: budgetKiB << 10, Registry: metrics.NewRegistry()})
+		var fetches int64
 		for round := 0; round < 3; round++ {
-			for _, u := range allUnits {
-				m := mustMeta(u)
-				if _, err := f.Ensure(u, m.Version, owner.Addr()); err != nil {
-					return nil, err
-				}
+			n, _, err := ensureAll(store)
+			if err != nil {
+				return nil, err
 			}
+			fetches += n
 		}
-		fetches, _ := f.Fetches()
-		_, _, ev := store.Counters()
-		budgetTab.AddRow(budgetKiB, fetches, ev)
+		budgetTab.AddRow(budgetKiB, fetches, store.Snapshot().Evictions)
 		if budgetKiB == 0 {
 			coldFetches = fetches
 		} else if fetches < coldFetches {
@@ -338,8 +354,7 @@ func T3(cfg Config) (*Result, error) {
 	if int64(len(graphXML)) >= bundleBytes {
 		shapeOK = false
 	}
-	warm := fetchTab.Rows()[1]
-	if warm[1] != "0" {
+	if warm := fetchTab.Rows()[1]; warm[1] != "0" {
 		shapeOK = false
 	}
 	return &Result{

@@ -1,8 +1,7 @@
 // Package frame owns the uvarint length-prefixed record: the one data
 // format in which the daemon's in-memory payloads (typed data values,
 // run payloads, chunk manifests, advert lists, super-peer sync replies,
-// module bundles, the binary wire envelope) and checkpoint sections are
-// written.
+// the binary wire envelope) and checkpoint sections are written.
 //
 // Every byte a peer decodes comes from a stranger's machine, so the
 // Reader states the decoding rules once:

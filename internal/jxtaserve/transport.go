@@ -45,7 +45,8 @@ var ErrClosed = errors.New("jxtaserve: closed")
 type TCP struct{}
 
 type tcpListener struct {
-	l net.Listener
+	l    net.Listener
+	addr string // l.Addr().String(), which allocates on every call
 }
 
 type tcpConn struct {
@@ -68,7 +69,7 @@ func (TCP) Listen(addr string) (Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tcpListener{l: l}, nil
+	return &tcpListener{l: l, addr: l.Addr().String()}, nil
 }
 
 // Dial implements Transport.
@@ -102,7 +103,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 }
 
 func (l *tcpListener) Close() error { return l.l.Close() }
-func (l *tcpListener) Addr() string { return l.l.Addr().String() }
+func (l *tcpListener) Addr() string { return l.addr }
 
 func (c *tcpConn) Send(m *Message) error {
 	c.mu.Lock()

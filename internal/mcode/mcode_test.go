@@ -1,14 +1,11 @@
 package mcode
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
-	"consumergrid/internal/jxtaserve"
-	"consumergrid/internal/units"
 	"consumergrid/internal/units/signal"
-
-	_ "consumergrid/internal/units/flow"
 )
 
 func TestBundleForRegisteredUnit(t *testing.T) {
@@ -19,9 +16,6 @@ func TestBundleForRegisteredUnit(t *testing.T) {
 	if b.Unit != signal.NameWave || b.Version == "" {
 		t.Fatalf("bundle = %+v", b)
 	}
-	if !b.Verify() {
-		t.Error("fresh bundle fails verification")
-	}
 	if b.Size() < codeBlockBase {
 		t.Errorf("size = %d, want >= %d", b.Size(), codeBlockBase)
 	}
@@ -30,209 +24,15 @@ func TestBundleForRegisteredUnit(t *testing.T) {
 	}
 	// Deterministic.
 	b2, _ := BundleFor(signal.NameWave)
-	if b.Checksum != b2.Checksum {
+	if !bytes.Equal(b.Payload, b2.Payload) {
 		t.Error("bundles not deterministic")
 	}
 	// Distinct units produce distinct payloads.
 	other, _ := BundleFor(signal.NameFFT)
-	if other.Checksum == b.Checksum {
-		t.Error("different units share checksum")
+	if bytes.Equal(other.Payload, b.Payload) {
+		t.Error("different units share a payload")
 	}
 	if _, err := BundleFor("no.such.Unit"); err == nil {
 		t.Error("unknown unit bundled")
-	}
-}
-
-func TestBundleMarshalRoundTripAndTamper(t *testing.T) {
-	b, _ := BundleFor(signal.NameFFT)
-	wire := b.Marshal()
-	got, err := UnmarshalBundle(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Unit != b.Unit || got.Checksum != b.Checksum || got.Size() != b.Size() {
-		t.Fatalf("round trip = %+v", got)
-	}
-	// Corrupt one payload byte: checksum must catch it.
-	wire[len(wire)-1] ^= 0xFF
-	if _, err := UnmarshalBundle(wire); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Errorf("tampered bundle err = %v", err)
-	}
-	if _, err := UnmarshalBundle(wire[:5]); err == nil {
-		t.Error("truncated bundle parsed")
-	}
-	if _, err := UnmarshalBundle(nil); err == nil {
-		t.Error("empty bundle parsed")
-	}
-}
-
-func TestStoreLRUEviction(t *testing.T) {
-	a, _ := BundleFor(signal.NameWave)
-	b, _ := BundleFor(signal.NameFFT)
-	c, _ := BundleFor(signal.NamePowerSpectrum)
-	budget := a.Size() + b.Size() + c.Size()/2 // fits two, not three
-	s := NewStore(budget)
-	if err := s.Put(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(b); err != nil {
-		t.Fatal(err)
-	}
-	// Touch a so b becomes LRU.
-	if _, ok := s.Get(a.Unit, a.Version); !ok {
-		t.Fatal("a missing")
-	}
-	if err := s.Put(c); err != nil {
-		t.Fatal(err)
-	}
-	if s.Has(b.Unit, b.Version) {
-		t.Error("LRU bundle not evicted")
-	}
-	if !s.Has(a.Unit, a.Version) || !s.Has(c.Unit, c.Version) {
-		t.Error("wrong bundle evicted")
-	}
-	_, _, ev := s.Counters()
-	if ev != 1 {
-		t.Errorf("evictions = %d", ev)
-	}
-	if s.Used() > budget {
-		t.Errorf("used %d > budget %d", s.Used(), budget)
-	}
-}
-
-func TestStoreRejectsOversizedAndUnverified(t *testing.T) {
-	a, _ := BundleFor(signal.NameWave)
-	s := NewStore(10)
-	if err := s.Put(a); err == nil {
-		t.Error("oversized bundle stored")
-	}
-	bad := *a
-	bad.Checksum = "0000000000000000"
-	s2 := NewStore(0)
-	if err := s2.Put(&bad); err == nil {
-		t.Error("unverified bundle stored")
-	}
-}
-
-func TestStoreReplaceAndRemove(t *testing.T) {
-	a, _ := BundleFor(signal.NameWave)
-	s := NewStore(0)
-	s.Put(a)
-	s.Put(a) // replace
-	if s.Len() != 1 || s.Used() != a.Size() {
-		t.Errorf("len=%d used=%d", s.Len(), s.Used())
-	}
-	if !s.Remove(a.Unit, a.Version) || s.Remove(a.Unit, a.Version) {
-		t.Error("Remove semantics")
-	}
-	if s.Used() != 0 {
-		t.Errorf("used after remove = %d", s.Used())
-	}
-	hits, misses, _ := s.Counters()
-	if hits != 0 || misses != 0 {
-		t.Error("Has/Remove affected counters")
-	}
-	if _, ok := s.Get("x", "1"); ok {
-		t.Error("Get on empty store")
-	}
-}
-
-func TestFetcherOnDemandAndCacheHit(t *testing.T) {
-	tr := jxtaserve.NewInProc()
-	owner, err := jxtaserve.NewHost("owner", tr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer owner.Close()
-	srv := Attach(owner)
-
-	consumer, err := jxtaserve.NewHost("consumer", tr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer consumer.Close()
-	f := NewFetcher(consumer, NewStore(0))
-
-	meta, _ := units.Lookup(signal.NameWave)
-	if f.Executable(signal.NameWave) {
-		t.Error("executable before fetch")
-	}
-	b, err := f.Ensure(signal.NameWave, meta.Version, owner.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Verify() || !f.Executable(signal.NameWave) {
-		t.Error("fetched bundle unusable")
-	}
-	// Second Ensure is a cache hit: no new fetch.
-	if _, err := f.Ensure(signal.NameWave, meta.Version, owner.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	fetches, bytes := f.Fetches()
-	if fetches != 1 || bytes != b.Size() {
-		t.Errorf("fetches=%d bytes=%d", fetches, bytes)
-	}
-	served, sBytes := srv.Served()
-	if served != 1 || sBytes < b.Size() {
-		t.Errorf("served=%d bytes=%d", served, sBytes)
-	}
-	// Version skew rejected by the owner.
-	if _, err := f.Ensure(signal.NameWave, "0.0-stale", owner.Addr()); err == nil ||
-		!strings.Contains(err.Error(), "version skew") {
-		t.Errorf("stale version err = %v", err)
-	}
-	// Unknown unit.
-	if _, err := f.Ensure("no.such.Unit", "", owner.Addr()); err == nil {
-		t.Error("unknown unit fetched")
-	}
-	// Empty version fetches latest each time (owner round trip).
-	if _, err := f.Ensure(signal.NameFFT, "", owner.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if !f.Executable(signal.NameFFT) {
-		t.Error("latest fetch not executable")
-	}
-}
-
-func TestEnsureGraphUnits(t *testing.T) {
-	tr := jxtaserve.NewInProc()
-	owner, _ := jxtaserve.NewHost("owner", tr, "")
-	defer owner.Close()
-	Attach(owner)
-	consumer, _ := jxtaserve.NewHost("consumer", tr, "")
-	defer consumer.Close()
-	f := NewFetcher(consumer, NewStore(0))
-
-	want := map[string]string{}
-	for _, u := range []string{signal.NameWave, signal.NameGaussianNoise, signal.NameFFT} {
-		m, _ := units.Lookup(u)
-		want[u] = m.Version
-	}
-	total, err := f.EnsureGraphUnits(want, owner.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total <= 0 {
-		t.Error("no bytes transferred")
-	}
-	// Warm call transfers nothing.
-	total2, err := f.EnsureGraphUnits(want, owner.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total2 != 0 {
-		t.Errorf("warm transfer = %d bytes", total2)
-	}
-	// Failure mid-set is reported.
-	want["ghost.Unit"] = "1.0"
-	if _, err := f.EnsureGraphUnits(want, owner.Addr()); err == nil {
-		t.Error("ghost unit ensured")
-	}
-}
-
-func TestExecutableRequiresRegistryMatch(t *testing.T) {
-	f := NewFetcher(nil, NewStore(0))
-	if f.Executable("no.such.Unit") {
-		t.Error("unknown unit executable")
 	}
 }

@@ -80,13 +80,16 @@ type RemoteJob struct {
 	despatchSpan string
 }
 
-// Despatch ships a part to its peer: the remote service fetches modules
-// from codeAddr (empty disables on-demand code), opens its input pipes
-// and binds its outputs. It returns the job reference carrying the input
-// adverts. Unreachable peers are retried per the resilience policy;
-// because triana.run is not idempotent, only dial failures retry — a
-// conversation that broke after the request was sent fails immediately
-// rather than risk despatching the part twice.
+// Despatch ships a part to its peer: the remote service fetches the
+// module bundles it lacks from codeAddr through the chunk tier (empty
+// disables on-demand code), opens its input pipes and binds its
+// outputs. A despatcher that names itself as codeAddr holds the bundles
+// of the body's units in its chunk store, so it can serve them. It
+// returns the job reference carrying the input adverts. Unreachable
+// peers are retried per the resilience policy; because triana.run is
+// not idempotent, only dial failures retry — a conversation that broke
+// after the request was sent fails immediately rather than risk
+// despatching the part twice.
 func (s *Service) Despatch(part RemotePart, codeAddr string) (*RemoteJob, error) {
 	return s.despatchCtx(context.Background(), part, codeAddr)
 }
@@ -130,6 +133,9 @@ func (s *Service) despatchCtx(ctx context.Context, part RemotePart, codeAddr str
 	}
 	if codeAddr != "" {
 		headers["codeAddr"] = codeAddr
+		if codeAddr == s.Addr() {
+			s.holdCode(part.Body)
+		}
 	}
 	if part.Tenant != "" {
 		headers["tenant"] = part.Tenant

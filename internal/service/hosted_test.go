@@ -506,7 +506,10 @@ func TestDonorParsesEachBodyOnce(t *testing.T) {
 	memoised := func() (*taskgraph.Graph, int) {
 		w.bodies.mu.Lock()
 		defer w.bodies.mu.Unlock()
-		return w.bodies.graphs[string(xml)], len(w.bodies.graphs)
+		if b := w.bodies.bodies[string(xml)]; b != nil {
+			return b.g, len(w.bodies.bodies)
+		}
+		return nil, len(w.bodies.bodies)
 	}
 
 	var first *taskgraph.Graph
@@ -524,13 +527,13 @@ func TestDonorParsesEachBodyOnce(t *testing.T) {
 		t.Fatalf("donor re-parsed its body (first parse %p, now %p, %d bodies held)", first, g, held)
 	}
 
-	a, err := w.bodies.parse(xml)
+	a, _, err := w.bodies.parse(xml)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.Name = "mutated"
 	a.Tasks[0].SetParam("x", "y")
-	b, err := w.bodies.parse(xml)
+	b, _, err := w.bodies.parse(xml)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +541,7 @@ func TestDonorParsesEachBodyOnce(t *testing.T) {
 		t.Error("a job's mutation of its graph reached the memo or the next job")
 	}
 
-	if _, err := w.bodies.parse([]byte("<taskgraph")); err == nil {
+	if _, _, err := w.bodies.parse([]byte("<taskgraph")); err == nil {
 		t.Fatal("a truncated document parsed")
 	}
 	if _, held := memoised(); held != 1 {
@@ -550,7 +553,7 @@ func TestDonorParsesEachBodyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.bodies.parse(x); err != nil {
+		if _, _, err := w.bodies.parse(x); err != nil {
 			t.Fatal(err)
 		}
 		if _, held := memoised(); held > maxParsedBodies {
@@ -566,7 +569,7 @@ func TestDonorParsesEachBodyOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 3*maxParsedBodies; k++ {
-				g, err := w.bodies.parse([]byte(`<taskgraph name="po-` + strconv.Itoa(k) + `"></taskgraph>`))
+				g, _, err := w.bodies.parse([]byte(`<taskgraph name="po-` + strconv.Itoa(k) + `"></taskgraph>`))
 				if err != nil {
 					t.Error(err)
 					return

@@ -4,9 +4,9 @@
 //
 //   - the *server* component is the RPC surface (triana.run / wait /
 //     status / cancel / ping) that accepts task-graph fragments, fetches
-//     their module bundles on demand, wires their boundary connections to
-//     named pipes, and executes them in a sandboxed engine via the local
-//     resource manager;
+//     their module bundles on demand through the chunk tier, wires their
+//     boundary connections to named pipes, and executes them in a
+//     sandboxed engine via the local resource manager;
 //   - the *client* component is the Distribute call used by whichever
 //     peer drives an application — it ships subgraphs to other services
 //     and bridges the local engine to the remote pipes;
@@ -34,7 +34,6 @@ import (
 	"consumergrid/internal/health"
 	"consumergrid/internal/jxtaserve"
 	"consumergrid/internal/lifecycle"
-	"consumergrid/internal/mcode"
 	"consumergrid/internal/metrics"
 	"consumergrid/internal/overlay"
 	"consumergrid/internal/sandbox"
@@ -68,15 +67,14 @@ type Options struct {
 	Sandbox sandbox.Policy
 	// RM launches jobs; nil defaults to a Fork manager.
 	RM gateway.ResourceManager
-	// CodeBudget bounds the module store (0 = unlimited).
-	CodeBudget int64
 	// CPUMHz and FreeRAMMB are the advertised capability attributes.
 	CPUMHz, FreeRAMMB int
 	// PeerGroup names the virtual peer group advertised.
 	PeerGroup string
-	// RequireCode, when set, refuses to execute units whose bundles have
-	// not been fetched (strict mobile-code semantics). The run request's
-	// codeAddr header tells the service where to fetch from.
+	// RequireCode, when set, refuses to execute a unit whose bundle is
+	// not in the chunk store (strict mobile-code semantics) and the run
+	// request names no codeAddr to fetch it from. A run that names one
+	// fetches its missing bundles from there whether or not this is set.
 	RequireCode bool
 	// Certified, when non-empty, restricts execution to the listed unit
 	// names — the paper's mitigation for hostile workloads: "allow users
@@ -143,12 +141,11 @@ type Options struct {
 
 // Service is a running daemon.
 type Service struct {
-	opts    Options
-	host    *jxtaserve.Host
-	muxT    *jxtaserve.MuxTransport // nil unless Options.Wire.Mux
-	fetcher *mcode.Fetcher
-	rm      gateway.ResourceManager
-	ownRM   bool
+	opts  Options
+	host  *jxtaserve.Host
+	muxT  *jxtaserve.MuxTransport // nil unless Options.Wire.Mux
+	rm    gateway.ResourceManager
+	ownRM bool
 
 	billing   *ledger
 	certified map[string]bool // nil = everything allowed
@@ -166,6 +163,9 @@ type Service struct {
 	overlaySuper *overlay.SuperPeer // nil unless also a ring member
 
 	chunks *chunkstore.Store // the data tier's chunk cache and pins
+
+	codeMu   sync.Mutex
+	codeHeld map[unitVersion]bool // bundles held as their owner (code.go)
 
 	caps     capgroup.Set // derived capability set (see capgroup)
 	groupKey string       // caps.Key(), fixed for the daemon's lifetime
@@ -421,7 +421,7 @@ func New(opts Options) (*Service, error) {
 		resStats:    new(metrics.ResilienceStats),
 		host:        host,
 		muxT:        muxT,
-		fetcher:     mcode.NewFetcher(host, mcode.NewStore(opts.CodeBudget)),
+		codeHeld:    make(map[unitVersion]bool),
 		rm:          opts.RM,
 		live:        make(map[string]*job),
 		ended:       make(map[string]*endedJob),
@@ -475,7 +475,6 @@ func New(opts Options) (*Service, error) {
 			return nil, err
 		}
 	}
-	mcode.Attach(host) // every peer can serve the modules it knows
 	host.Handle(MethodRun, s.handleRun)
 	host.Handle(MethodWait, s.handleWait)
 	host.Handle(MethodCancel, s.handleCancel)
@@ -524,9 +523,6 @@ func (s *Service) Host() *jxtaserve.Host { return s.host }
 // despatched to. Its Rank orders every candidate list: the controller's
 // plan, the farm runner and the overlay client's owner walk.
 func (s *Service) Health() *health.Tracker { return s.health }
-
-// Fetcher exposes the module fetcher (for code-distribution metrics).
-func (s *Service) Fetcher() *mcode.Fetcher { return s.fetcher }
 
 // Addr reports the daemon's dialable address.
 func (s *Service) Addr() string { return s.host.Addr() }
@@ -838,46 +834,43 @@ const (
 	maxParsedBodySize = 64 << 10
 )
 
-// bodyMemo maps exact body XML to its parsed, validated graph, so a
-// donor parses each distinct body once however often it is despatched.
-// When full it starts over. A document that fails to parse is not kept.
+// bodyMemo maps exact body XML to its parsed, validated graph and the
+// digests of its units' bundles, so a donor parses each distinct body
+// and bundles its units once however often it is despatched. When full
+// it starts over. A document that fails to parse is not kept.
 type bodyMemo struct {
 	mu     sync.Mutex
-	graphs map[string]*taskgraph.Graph
+	bodies map[string]*parsedBody
 }
 
-// parse returns a graph of the job's own: a clone of the memoised parse.
-func (m *bodyMemo) parse(graphXML []byte) (*taskgraph.Graph, error) {
+type parsedBody struct {
+	g    *taskgraph.Graph
+	code []unitCode // shared, read-only
+}
+
+// parse returns a graph of the job's own, a clone of the memoised
+// parse, and the body's code.
+func (m *bodyMemo) parse(graphXML []byte) (*taskgraph.Graph, []unitCode, error) {
 	m.mu.Lock()
-	g, ok := m.graphs[string(graphXML)]
+	b, ok := m.bodies[string(graphXML)]
 	m.mu.Unlock()
 	if !ok {
-		var err error
-		if g, err = taskgraph.ParseXML(graphXML); err != nil {
-			return nil, err
+		g, err := taskgraph.ParseXML(graphXML)
+		if err != nil {
+			return nil, nil, err
 		}
+		b = &parsedBody{g: g, code: bodyCode(g, nil)}
 		if len(graphXML) > maxParsedBodySize {
-			return g, nil
+			return g, b.code, nil
 		}
 		m.mu.Lock()
-		if m.graphs == nil || len(m.graphs) >= maxParsedBodies {
-			m.graphs = make(map[string]*taskgraph.Graph, maxParsedBodies)
+		if m.bodies == nil || len(m.bodies) >= maxParsedBodies {
+			m.bodies = make(map[string]*parsedBody, maxParsedBodies)
 		}
-		m.graphs[string(graphXML)] = g
+		m.bodies[string(graphXML)] = b
 		m.mu.Unlock()
 	}
-	return g.Clone(), nil
-}
-
-// collectUnits gathers unit -> version over a graph, recursing groups.
-func collectUnits(g *taskgraph.Graph, into map[string]string) {
-	for _, t := range g.Tasks {
-		if t.IsGroup() {
-			collectUnits(t.Group, into)
-			continue
-		}
-		into[t.Unit] = t.Version
-	}
+	return b.g.Clone(), b.code, nil
 }
 
 func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) {
@@ -889,7 +882,7 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 	if err != nil {
 		return nil, err
 	}
-	g, err := s.bodies.parse(graphXML)
+	g, code, err := s.bodies.parse(graphXML)
 	if err != nil {
 		return nil, err
 	}
@@ -913,30 +906,18 @@ func (s *Service) handleRun(req *jxtaserve.Message) (*jxtaserve.Message, error) 
 	// Certified-library policy first: a non-certified unit is rejected
 	// before any code transfer happens (§3.5).
 	if s.certified != nil {
-		want := make(map[string]string)
-		collectUnits(g, want)
-		for unit := range want {
-			if !s.certified[unit] {
-				return nil, fmt.Errorf("service: unit %s is not in %s's certified library", unit, s.opts.PeerID)
+		for _, c := range code {
+			if !s.certified[c.unit] {
+				return nil, fmt.Errorf("service: unit %s is not in %s's certified library", c.unit, s.opts.PeerID)
 			}
 		}
 	}
 
-	// On-demand code download: fetch every referenced module from the
+	// On-demand code download: fetch every missing module from the
 	// owner before execution (§3: dynamic download of code).
-	if codeAddr := req.Header("codeAddr"); codeAddr != "" {
-		want := make(map[string]string)
-		collectUnits(g, want)
-		if _, err := s.fetcher.EnsureGraphUnits(want, codeAddr); err != nil {
+	if codeAddr := req.Header("codeAddr"); codeAddr != "" || s.opts.RequireCode {
+		if err := s.ensureCode(code, codeAddr); err != nil {
 			return nil, err
-		}
-	} else if s.opts.RequireCode {
-		want := make(map[string]string)
-		collectUnits(g, want)
-		for unit := range want {
-			if !s.fetcher.Executable(unit) {
-				return nil, fmt.Errorf("service: module %s not hosted and no codeAddr given", unit)
-			}
 		}
 	}
 

@@ -14,6 +14,7 @@ import (
 	"consumergrid/internal/gateway"
 	"consumergrid/internal/jxtaserve"
 	"consumergrid/internal/policy"
+	"consumergrid/internal/simnet"
 	"consumergrid/internal/taskgraph"
 	"consumergrid/internal/types"
 	"consumergrid/internal/units"
@@ -195,10 +196,20 @@ func TestRunDistributedParallelOverTCP(t *testing.T) {
 	checkRecoveredSignal(t, res, 6)
 }
 
+// bundleFetches reports the chunk fetches a store made from any rung
+// and the bytes they brought in. Series are keyed by peer ID across the
+// process, so callers compare two snapshots.
+func bundleFetches(s *Service) (int64, int64) {
+	st := s.ChunkStore().Snapshot()
+	return st.FetchRing + st.FetchPeer + st.FetchController, st.FetchedBytes
+}
+
 func TestOnDemandCodeFetchHappens(t *testing.T) {
-	tr := jxtaserve.NewInProc()
-	ctl := newService(t, tr, "controller", Options{})
-	worker := newService(t, tr, "worker", Options{RequireCode: true})
+	n := simnet.New()
+	tap := simnet.NewTap(n.Peer("worker"))
+	ctl := newService(t, n.Peer("controller"), "controller", Options{})
+	worker := newService(t, tap, "worker", Options{RequireCode: true})
+	fetches0, bytes0 := bundleFetches(worker)
 
 	g := figure1(t, policy.NameParallel)
 	plan := &policy.Plan{Kind: policy.KindParallel, Replicas: []string{"worker"}}
@@ -209,31 +220,42 @@ func TestOnDemandCodeFetchHappens(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRecoveredSignal(t, res, 3)
-	fetches, bytes := worker.Fetcher().Fetches()
-	if fetches != 2 { // Gaussian + PowerSpec bundles
-		t.Errorf("fetches = %d, want 2", fetches)
+	fetches, bytes := bundleFetches(worker)
+	if fetches-fetches0 != 2 { // Gaussian + PowerSpec bundles
+		t.Errorf("fetches = %d, want 2", fetches-fetches0)
 	}
-	if bytes <= 0 {
+	if bytes-bytes0 <= 0 {
 		t.Error("no code bytes transferred")
 	}
-	// Re-run: warm cache, no new fetches.
+	// Re-run: warm cache, no new fetches, and not one chunk.fetch on
+	// the wire. A warm check is no data-tier cache hit either.
+	coldMsgs := tap.SentMsgs(jxtaserve.KindChunkFetch)
+	coldHits := worker.ChunkStore().Snapshot().Hits
 	if _, err := ctl.RunDistributed(context.Background(), figure1(t, policy.NameParallel),
 		"GroupTask", plan, peers, DistOptions{Iterations: 3, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	fetches2, _ := worker.Fetcher().Fetches()
+	fetches2, _ := bundleFetches(worker)
 	if fetches2 != fetches {
 		t.Errorf("warm run fetched %d more bundles", fetches2-fetches)
 	}
+	if warm := tap.SentMsgs(jxtaserve.KindChunkFetch) - coldMsgs; warm != 0 {
+		t.Errorf("warm run sent %d chunk.fetch messages, want 0", warm)
+	}
+	if hits := worker.ChunkStore().Snapshot().Hits - coldHits; hits != 0 {
+		t.Errorf("warm run counted %d chunk-store hits, want 0", hits)
+	}
 }
 
-func TestRequireCodeWithoutCodeAddrFails(t *testing.T) {
-	tr := jxtaserve.NewInProc()
-	ctl := newService(t, tr, "controller", Options{})
-	worker := newService(t, tr, "worker", Options{RequireCode: true})
-
+// codePart is a one-task PowerSpectrum part from ctl to worker whose
+// body names the given unit version, its output bound to a local sink.
+func codePart(t *testing.T, ctl, worker *Service, version string) RemotePart {
+	t.Helper()
 	body := taskgraph.New("body")
 	task, _ := units.NewTask("PS", signal.NamePowerSpectrum)
+	if version != "" {
+		task.Version = version
+	}
 	body.MustAdd(task)
 	body.ExternalIn = []taskgraph.Endpoint{{Task: "PS", Node: 0}}
 	body.ExternalOut = []taskgraph.Endpoint{{Task: "PS", Node: 0}}
@@ -243,17 +265,56 @@ func TestRequireCodeWithoutCodeAddrFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pipe.Close()
-	part := RemotePart{
-		Peer:       PeerRef{ID: "worker", Addr: worker.Addr()},
+	t.Cleanup(func() { pipe.Close() })
+	return RemotePart{
+		Peer:       PeerRef{ID: worker.PeerID(), Addr: worker.Addr()},
 		Body:       body,
 		InLabels:   []string{"in0"},
 		OutTargets: []PipeTarget{{Label: "sink", Addr: ctl.Addr()}},
 		Iterations: 1,
 	}
-	_, err = ctl.Despatch(part, "") // no codeAddr
+}
+
+func TestRequireCodeWithoutCodeAddrFails(t *testing.T) {
+	tr := jxtaserve.NewInProc()
+	ctl := newService(t, tr, "controller", Options{})
+	worker := newService(t, tr, "worker", Options{RequireCode: true})
+
+	_, err := ctl.Despatch(codePart(t, ctl, worker, ""), "") // no codeAddr
 	if err == nil || !strings.Contains(err.Error(), "not hosted") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestRunRefusesVersionSkew: a body naming a unit version the donor's
+// registry lacks names a bundle no one can verify against it, so the
+// donor refuses the run before it asks anyone for code.
+func TestRunRefusesVersionSkew(t *testing.T) {
+	n := simnet.New()
+	tap := simnet.NewTap(n.Peer("skew-worker"))
+	ctl := newService(t, n.Peer("skew-ctl"), "skew-ctl", Options{})
+	worker := newService(t, tap, "skew-worker", Options{RequireCode: true})
+
+	_, err := ctl.Despatch(codePart(t, ctl, worker, "0.0-stale"), ctl.Addr())
+	if err == nil || !strings.Contains(err.Error(), "version skew") {
+		t.Fatalf("stale version err = %v", err)
+	}
+	if sent := tap.SentMsgs(jxtaserve.KindChunkFetch); sent != 0 {
+		t.Errorf("donor sent %d chunk.fetch messages for a refused body", sent)
+	}
+}
+
+// TestRunFailsWhenOwnerLacksBundle: a codeAddr that holds no bundle for
+// the body's unit fails the run, and the error names the unit.
+func TestRunFailsWhenOwnerLacksBundle(t *testing.T) {
+	tr := jxtaserve.NewInProc()
+	ctl := newService(t, tr, "lack-ctl", Options{})
+	bystander := newService(t, tr, "lack-bystander", Options{})
+	worker := newService(t, tr, "lack-worker", Options{RequireCode: true})
+
+	_, err := ctl.Despatch(codePart(t, ctl, worker, ""), bystander.Addr())
+	if err == nil || !strings.Contains(err.Error(), signal.NamePowerSpectrum) {
+		t.Fatalf("err = %v, want one naming %s", err, signal.NamePowerSpectrum)
 	}
 }
 

@@ -65,8 +65,9 @@ type Task struct {
 	Name string
 	// Unit names the unit implementation, e.g. "triana.signal.Wave".
 	Unit string
-	// Version pins the module bundle version fetched on demand; empty
-	// means "latest from owner".
+	// Version pins the module bundle version fetched on demand: a peer
+	// whose registry has another version refuses the task. Empty means
+	// the registry's version, on owner and donor alike.
 	Version string
 	// Params holds the unit's configuration (frequency, template count…)
 	// as strings, exactly as they appear in the XML.

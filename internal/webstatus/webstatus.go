@@ -45,8 +45,9 @@ func Handler(svc *service.Service) http.Handler {
 		header(&b, "Triana peer "+svc.PeerID())
 		fmt.Fprintf(&b, "<p>peer <b>%s</b> at <code>%s</code></p>",
 			html.EscapeString(svc.PeerID()), html.EscapeString(svc.Addr()))
-		fetches, bytes := svc.Fetcher().Fetches()
-		fmt.Fprintf(&b, "<p>module bundles fetched on demand: %d (%d bytes)</p>", fetches, bytes)
+		snap := svc.ChunkStore().Snapshot()
+		fmt.Fprintf(&b, "<p>chunks fetched on demand, module bundles included: %d (%d bytes)</p>",
+			snap.FetchRing+snap.FetchPeer+snap.FetchController, snap.FetchedBytes)
 		fmt.Fprintf(&b, `<p><a href="/jobs">jobs</a> · <a href="/billing">billing</a> · <a href="/resilience">resilience</a> · <a href="/overlay">overlay</a> · <a href="/groups">groups</a> · <a href="/units">units</a> · <a href="/metrics">metrics</a> · <a href="/traces">traces</a></p>`)
 		jobsTable(&b, svc)
 		resilienceTable(&b, svc)
@@ -217,8 +218,8 @@ func tenantTable(b *strings.Builder, svc *service.Service) {
 }
 
 // chunkstoreTable renders the data-tier cache: where this peer's farm
-// chunks actually came from, and how many controller bytes the ladder
-// saved.
+// chunks and module bundles actually came from, and how many controller
+// bytes the ladder saved.
 func chunkstoreTable(b *strings.Builder, svc *service.Service) {
 	snap := svc.ChunkStore().Snapshot()
 	b.WriteString("<h2>chunk store</h2>" +
@@ -232,6 +233,7 @@ func chunkstoreTable(b *strings.Builder, svc *service.Service) {
 		{"fetches from ring", snap.FetchRing},
 		{"fetches from peers", snap.FetchPeer},
 		{"fetches from controller", snap.FetchController},
+		{"fetched bytes", snap.FetchedBytes},
 		{"controller bytes saved", snap.BytesSaved},
 		{"evictions", snap.Evictions},
 		{"digest mismatches", snap.DigestMismatch},

@@ -166,7 +166,7 @@ func TestMetricsAndTracesEndpoints(t *testing.T) {
 		"service_jobs_hosted_total",
 		"service_jobs_live",
 		"jxtaserve_messages_sent_total",
-		"mcode_store_hits_total",
+		"chunkstore_fetch_total",
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("/metrics missing %q", series)
