@@ -49,9 +49,14 @@ run-lists:
 # own workers and fan-out edges: every template visited once with the
 # collecting path's values, the matched filter's table and allocation
 # bound, and a sealed input left intact while an owned one is taken.
+# Then the lazily built per-request state: the noise stream's golden
+# digest, the replayed retry backoff and its first-attempt byte bound,
+# and trace IDs minted from 16 goroutines, ten times over.
 race:
 	go test -race ./internal/engine/... ./internal/jxtaserve/... ./internal/dsp/...
-	go test -race ./internal/dsp/ ./internal/units/signal/ ./internal/units/mathx/ -run 'TestCrossCorrelateEach|TestMatchedFilterTableUnchanged|TestMatchedFilterAllocBound|TestElementwisePreservesConcreteType|TestElementwiseInPlaceUnderFanOut' -count=1
+	go test -race ./internal/dsp/ ./internal/units/signal/ ./internal/units/mathx/ -run 'TestCrossCorrelateEach|TestMatchedFilterTableUnchanged|TestMatchedFilterAllocBound|TestElementwisePreservesConcreteType|TestElementwiseInPlaceUnderFanOut|TestGaussianNoiseGolden' -count=1
+	go test -race ./internal/service/ -run 'TestRetryJitterReplaysAndIsLazy' -count=1
+	go test -race ./internal/trace/ -run 'TestNewIDFormatAndUniqueness' -count=10
 
 # Race detector over the concurrency-heavy resilience stack: the chunk
 # runner, the health tracker, and the fault-injecting network — then the

@@ -13,8 +13,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -261,7 +259,7 @@ func Run(ctx context.Context, g *taskgraph.Graph, opts Options) (*Result, error)
 			uctx := &units.Context{
 				Ctx:      runCtx,
 				Sandbox:  opts.Sandbox,
-				Rand:     rand.New(rand.NewSource(taskSeed(opts.Seed, t.Name))),
+				Seed:     opts.Seed,
 				TaskName: t.Name,
 				Logf:     opts.Logf,
 			}
@@ -393,12 +391,4 @@ func Run(ctx context.Context, g *taskgraph.Graph, opts Options) (*Result, error)
 		}
 	}
 	return res, nil
-}
-
-// taskSeed derives a per-task seed so distributed and local runs of the
-// same graph produce identical random streams per task.
-func taskSeed(seed int64, taskName string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", seed, taskName)
-	return int64(h.Sum64())
 }

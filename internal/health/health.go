@@ -24,6 +24,7 @@
 package health
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -132,6 +133,8 @@ type Tracker struct {
 
 	mu    sync.Mutex
 	peers map[string]*peer
+	// sorted is latencyQuantile's sort scratch, guarded by mu.
+	sorted [latencyWindow]time.Duration
 }
 
 // New builds a tracker.
@@ -338,13 +341,14 @@ func (t *Tracker) LatencyQuantile(id string, q float64) (time.Duration, bool) {
 	if !okP {
 		return 0, false
 	}
-	d, n := p.latencyQuantile(q)
+	d, n := t.latencyQuantile(p, q)
 	return d, n >= 3
 }
 
-// latencyQuantile returns the q-th quantile of the latency ring and how
-// many samples it was read from (0 if none). Callers hold t.mu.
-func (p *peer) latencyQuantile(q float64) (time.Duration, int) {
+// latencyQuantile returns the q-th quantile of p's latency ring and how
+// many samples it was read from (0 if none). It sorts a copy in the
+// tracker's scratch, so a quantile allocates nothing. Callers hold t.mu.
+func (t *Tracker) latencyQuantile(p *peer, q float64) (time.Duration, int) {
 	n := p.latIdx
 	if p.latFull {
 		n = len(p.latencies)
@@ -352,9 +356,9 @@ func (p *peer) latencyQuantile(q float64) (time.Duration, int) {
 	if n == 0 {
 		return 0, 0
 	}
-	samples := make([]time.Duration, n)
+	samples := t.sorted[:n]
 	copy(samples, p.latencies[:n])
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	slices.Sort(samples)
 	idx := int(q * float64(n))
 	if idx >= n {
 		idx = n - 1
@@ -385,7 +389,7 @@ func (t *Tracker) Rank(peers []string) (usable, gated []string) {
 			t.advance(p)
 			c.score = p.score
 			var n int
-			c.p90, n = p.latencyQuantile(0.9)
+			c.p90, n = t.latencyQuantile(p, 0.9)
 			c.known = n > 0
 			c.gated = p.state == Open
 		}

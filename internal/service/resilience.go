@@ -90,8 +90,10 @@ const retrySeed = 1
 // shared lock on the retry hot path, and no cross-request coupling where
 // one despatch's retries perturb another's schedule — while a given
 // (seed, addr, method) still replays the identical backoff sequence, so
-// tests stay deterministic.
-func (s *Service) jitterRNG(addr, method string) *rand.Rand {
+// tests stay deterministic. requestRetry builds it at the first retry
+// only: seeding one costs a ~4.9 KB allocation, and most requests never
+// retry.
+func jitterRNG(addr, method string) *rand.Rand {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d/%s/%s", retrySeed, addr, method)
 	return rand.New(rand.NewSource(int64(h.Sum64())))
@@ -106,18 +108,21 @@ func (s *Service) requestRetry(ctx context.Context, addr, method string, payload
 	headers map[string]string, idempotent bool, timeout time.Duration) (*jxtaserve.Message, error) {
 
 	var lastErr error
-	rng := s.jitterRNG(addr, method)
+	var rng *rand.Rand
 	delay := s.res.BaseDelay
 	for attempt := 1; attempt <= s.res.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			s.resStats.Retries.Inc()
+			if rng == nil {
+				rng = jitterRNG(addr, method)
+			}
 			// Jittered exponential backoff: sleep 50–100% of the nominal
 			// delay so synchronized retry storms decorrelate.
 			d := delay/2 + time.Duration(rng.Float64()*float64(delay/2))
 			select {
 			case <-ctx.Done():
 				return nil, lastErr
-			case <-time.After(d):
+			case <-s.retryAfter(d):
 			}
 			delay *= 2
 			if delay > s.res.MaxDelay {

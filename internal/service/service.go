@@ -153,6 +153,9 @@ type Service struct {
 	nextRunID atomic.Int64
 
 	res ResilienceOptions // normalized copy of opts.Resilience
+	// retryAfter times each retry's backoff sleep: time.After, which
+	// tests replace to record the schedule without sleeping it.
+	retryAfter func(time.Duration) <-chan time.Time
 	// resStats lives apart from the Service: the process registry binds
 	// its counters, and an embedded value would pin every closed daemon.
 	resStats *metrics.ResilienceStats
@@ -418,6 +421,7 @@ func New(opts Options) (*Service, error) {
 	s := &Service{
 		opts:        opts,
 		res:         opts.Resilience.withDefaults(),
+		retryAfter:  time.After,
 		resStats:    new(metrics.ResilienceStats),
 		host:        host,
 		muxT:        muxT,

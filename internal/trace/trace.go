@@ -13,7 +13,8 @@
 package trace
 
 import (
-	"fmt"
+	"encoding/binary"
+	"encoding/hex"
 	"hash/maphash"
 	"sort"
 	"sync"
@@ -36,15 +37,20 @@ var (
 	idCounter atomic.Uint64
 )
 
-// newID mints a unique hex ID. scope distinguishes trace IDs from span
-// IDs so the two sequences never alias.
+// newID mints a unique ID of 16 lowercase hex digits. scope
+// distinguishes trace IDs from span IDs so the two sequences never
+// alias. The hash input is built on the stack, so the returned string
+// is the only allocation.
 func newID(scope string) string {
-	n := idCounter.Add(1)
-	var h maphash.Hash
-	h.SetSeed(idSeed)
-	h.WriteString(scope)
-	fmt.Fprintf(&h, "%d/%d", n, time.Now().UnixNano())
-	return fmt.Sprintf("%016x", h.Sum64())
+	var in [32]byte
+	b := append(in[:0], scope...)
+	b = binary.LittleEndian.AppendUint64(b, idCounter.Add(1))
+	b = binary.LittleEndian.AppendUint64(b, uint64(time.Now().UnixNano()))
+	var sum [8]byte
+	binary.BigEndian.PutUint64(sum[:], maphash.Bytes(idSeed, b))
+	var id [16]byte
+	hex.Encode(id[:], sum[:])
+	return string(id[:])
 }
 
 // NewTraceID mints a trace identifier for a new despatch.

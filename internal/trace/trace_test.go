@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -166,3 +168,43 @@ func TestFormatSpanError(t *testing.T) {
 type errFake struct{}
 
 func (errFake) Error() string { return "boom" }
+
+// TestNewIDFormatAndUniqueness: IDs minted concurrently in both scopes
+// never repeat, each is exactly 16 lowercase hex digits (headers carry
+// them, so the length is wire bytes), and minting one allocates only
+// the returned string.
+func TestNewIDFormatAndUniqueness(t *testing.T) {
+	const workers, perWorker = 8, 10000
+	format := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	ids := make([][]string, 2*workers)
+	var wg sync.WaitGroup
+	for w := range ids {
+		scope := "trace"
+		if w%2 == 1 {
+			scope = "span"
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				ids[w] = append(ids[w], newID(scope))
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[string]bool, 2*workers*perWorker)
+	for _, batch := range ids {
+		for _, id := range batch {
+			if !format.MatchString(id) {
+				t.Fatalf("ID %q is not 16 lowercase hex digits", id)
+			}
+			if seen[id] {
+				t.Fatalf("ID %q minted twice", id)
+			}
+			seen[id] = true
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { NewTraceID() }); allocs > 1 {
+		t.Errorf("NewTraceID allocates %.1f objects, want at most 1 (the string)", allocs)
+	}
+}

@@ -71,7 +71,7 @@ func TestSmoothReducesVariance(t *testing.T) {
 	ctx := units.TestContext()
 	noisy := make([]float64, 500)
 	for i := range noisy {
-		noisy[i] = ctx.Rand.NormFloat64()
+		noisy[i] = ctx.Rand().NormFloat64()
 	}
 	out := run1(t, mustNew(t, NameSmooth, units.Params{"window": "9"}),
 		&types.SampleSet{SamplingRate: 100, Samples: noisy}).(*types.SampleSet)

@@ -261,7 +261,7 @@ func (g *GaussianNoise) Process(ctx *units.Context, in []types.Data) ([]types.Da
 		return nil, fmt.Errorf("signal: GaussianNoise got %s", in[0].TypeName())
 	}
 	out := &types.SampleSet{SamplingRate: s.SamplingRate, Start: s.Start,
-		Samples: dsp.AddGaussianNoise(s.Samples, g.sigma, ctx.Rand)}
+		Samples: dsp.AddGaussianNoise(s.Samples, g.sigma, ctx.Rand())}
 	return []types.Data{out}, nil
 }
 

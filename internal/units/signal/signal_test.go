@@ -1,6 +1,9 @@
 package signal
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"strconv"
 	"strings"
@@ -87,6 +90,33 @@ func TestWaveInitValidation(t *testing.T) {
 	}
 	if _, err := units.New(NameWave, units.Params{"samples": "-5"}); err == nil {
 		t.Error("negative samples accepted")
+	}
+}
+
+// TestGaussianNoiseGolden pins the noise stream of one task: three
+// iterations for graph seed 42, task "Gaussian". Every experiment
+// figure drawn from noise rests on this stream, so the digest may not
+// move when the way the source is built does.
+func TestGaussianNoiseGolden(t *testing.T) {
+	const golden = "b65ce17c42ba53f79365ec5e90d2561ce8e6094914caa68a5b36af8908a923cd"
+	u := mustNew(t, NameGaussianNoise, units.Params{"sigma": "2.5"})
+	ctx := &units.Context{Seed: 42, TaskName: "Gaussian"}
+	h := sha256.New()
+	for iter := 0; iter < 3; iter++ {
+		in := &types.SampleSet{SamplingRate: 64, Samples: make([]float64, 256)}
+		for i := range in.Samples {
+			in.Samples[i] = math.Sin(float64(iter*256+i) / 8)
+		}
+		out, err := u.Process(ctx, []types.Data{in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range out[0].(*types.SampleSet).Samples {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Errorf("noise digest = %s, want %s", got, golden)
 	}
 }
 

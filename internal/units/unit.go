@@ -13,7 +13,9 @@ package units
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"strconv"
 
 	"consumergrid/internal/sandbox"
 	"consumergrid/internal/types"
@@ -63,15 +65,36 @@ type Context struct {
 	Ctx context.Context
 	// Sandbox gates resource access; never nil during engine runs.
 	Sandbox *sandbox.Sandbox
-	// Rand is the task's deterministic random source, seeded from the
-	// graph seed and the task name so distributed runs reproduce.
-	Rand *rand.Rand
+	// Seed is the graph seed; with TaskName it names the task's random
+	// stream (see Rand).
+	Seed int64
 	// Iteration counts Process invocations for the owning task, from 0.
 	Iteration int
 	// TaskName is the task-graph name of the owning task instance.
 	TaskName string
 	// Logf reports diagnostics to the hosting service's log; may be nil.
 	Logf func(format string, args ...any)
+
+	rng *rand.Rand // built by the first Rand call
+}
+
+// Rand returns the task's deterministic random source, seeded from Seed
+// and TaskName so distributed and local runs of the same graph draw
+// identical streams per task. The source is built on first use: few
+// units draw from it, and each source costs a ~4.9 KB seeding. Like
+// Process, Rand is not safe for concurrent use.
+func (c *Context) Rand() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(taskSeed(c.Seed, c.TaskName)))
+	}
+	return c.rng
+}
+
+// taskSeed hashes "<seed>/<taskName>" with FNV-64a.
+func taskSeed(seed int64, taskName string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(strconv.FormatInt(seed, 10) + "/" + taskName))
+	return int64(h.Sum64())
 }
 
 // Log writes to the context logger when one is attached.
@@ -95,12 +118,13 @@ func (c *Context) Canceled() bool {
 }
 
 // TestContext returns a Context suitable for unit tests: background
-// context, deny-all sandbox, fixed seed.
+// context, deny-all sandbox, and Rand drawing from rand.NewSource(1),
+// the fixed stream unit tests are calibrated against.
 func TestContext() *Context {
 	return &Context{
 		Ctx:     context.Background(),
 		Sandbox: sandbox.New(sandbox.Deny()),
-		Rand:    rand.New(rand.NewSource(1)),
+		rng:     rand.New(rand.NewSource(1)),
 	}
 }
 

@@ -2,7 +2,6 @@ package unitio
 
 import (
 	"context"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,7 +29,7 @@ func fsContext(t *testing.T, root string) *units.Context {
 			Allow:  []sandbox.Permission{sandbox.FSRead, sandbox.FSWrite},
 			FSRoot: root,
 		}),
-		Rand: rand.New(rand.NewSource(1)),
+		Seed: 1,
 	}
 }
 
