@@ -47,14 +47,17 @@ run-lists:
 
 # The bank reduction and the in-place element-wise units race their
 # own workers and fan-out edges: every template visited once with the
-# collecting path's values, the matched filter's table and allocation
-# bound, and a sealed input left intact while an owned one is taken.
+# collecting path's values, paired templates matching the direct sum
+# at any worker count, the matched filter's table and allocation
+# bound, its per-process template bank shared by concurrent jobs, the
+# injected chirp kept across items, and a sealed input left intact
+# while an owned one is taken.
 # Then the lazily built per-request state: the noise stream's golden
 # digest, the replayed retry backoff and its first-attempt byte bound,
 # and trace IDs minted from 16 goroutines, ten times over.
 race:
 	go test -race ./internal/engine/... ./internal/jxtaserve/... ./internal/dsp/...
-	go test -race ./internal/dsp/ ./internal/units/signal/ ./internal/units/mathx/ -run 'TestCrossCorrelateEach|TestMatchedFilterTableUnchanged|TestMatchedFilterAllocBound|TestElementwisePreservesConcreteType|TestElementwiseInPlaceUnderFanOut|TestGaussianNoiseGolden' -count=1
+	go test -race ./internal/dsp/ ./internal/units/signal/ ./internal/units/mathx/ -run 'TestCrossCorrelateEach|TestMatchedFilterTableUnchanged|TestMatchedFilterAllocBound|TestMatchedFilterBankBuiltOncePerProcess|TestInjectChirpBuildsChirpOncePerRate|TestElementwisePreservesConcreteType|TestElementwiseInPlaceUnderFanOut|TestGaussianNoiseGolden' -count=1
 	go test -race ./internal/service/ -run 'TestRetryJitterReplaysAndIsLazy' -count=1
 	go test -race ./internal/trace/ -run 'TestNewIDFormatAndUniqueness' -count=10
 

@@ -49,13 +49,14 @@ func transform(x []complex128, inverse bool) {
 // bluestein converts an arbitrary-length DFT into a convolution of
 // padded power-of-two length (chirp-z transform). The chirp factors and
 // the kernel's FFT come from a cached plan; only the signal-dependent
-// half of the convolution is computed per call, in pooled scratch.
+// half of the convolution is computed per call, in a borrowed workspace.
 func bluestein(x []complex128, inverse bool) {
 	n := len(x)
 	p := bluesteinPlanFor(n, inverse)
 	rp := planFor(p.m)
-	sp, a := getCScratch(p.m)
-	defer putCScratch(sp)
+	ws := getWorkspace(p.m)
+	defer putWorkspace(ws)
+	a := ws.c
 	for k := 0; k < n; k++ {
 		a[k] = x[k] * p.w[k]
 	}

@@ -191,41 +191,66 @@ func bluesteinPlanFor(n int, inverse bool) *bluesteinPlan {
 	return p
 }
 
-// cscratch recycles the complex work arrays the Bluestein and
-// correlation paths need: a bank run borrows one for the signal's
-// shared transform and one per worker. Slabs grow to the largest length
-// seen and are zeroed by the borrower. It is a bounded free list, not a
-// sync.Pool: a pool sheds a GC-timing-dependent share of its slabs at
-// every collection, so the live heap after the same work moved by whole
-// 512 KiB correlation slabs from run to run. The list keeps up to
-// maxCScratch slabs for the life of the process; a borrow beyond them
-// allocates, and its slab is dropped on return when the list is full.
-const maxCScratch = 8
-
-var cscratch = make(chan *[]complex128, maxCScratch)
-
-func getCScratch(n int) (*[]complex128, []complex128) {
-	var sp *[]complex128
-	select {
-	case sp = <-cscratch:
-	default:
-		sp = new([]complex128)
-	}
-	if cap(*sp) < n {
-		*sp = make([]complex128, n)
-	}
-	s := (*sp)[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return sp, s
+// A workspace is the scratch one borrower needs: a complex work array
+// and a real series. A bank run borrows one for the signal's shared
+// transform and one per worker (which inverts into c and hands its
+// series to the visitor from r); a Bluestein transform borrows one for
+// its padded convolution. Both arrays grow to the largest length seen.
+//
+// workspaces is a bounded free list, not a sync.Pool: a pool sheds a
+// GC-timing-dependent share of its entries at every collection, so the
+// live heap after the same work moved by whole slabs from run to run.
+// The list keeps up to maxWorkspaces entries for the life of the
+// process; a borrow beyond them allocates, and its workspace is dropped
+// on return when the list is full. It is a stack, so a run borrows the
+// workspaces the last run returned, already grown to its lengths, and
+// the entries a burst of concurrent runs left behind stay untouched.
+type workspace struct {
+	c []complex128
+	r []float64
 }
 
-func putCScratch(sp *[]complex128) {
-	select {
-	case cscratch <- sp:
-	default:
+const maxWorkspaces = 8
+
+var workspaces = struct {
+	sync.Mutex
+	free []*workspace
+}{free: make([]*workspace, 0, maxWorkspaces)}
+
+// getWorkspace borrows a workspace whose complex array is n zeros.
+func getWorkspace(n int) *workspace {
+	var w *workspace
+	workspaces.Lock()
+	if k := len(workspaces.free); k > 0 {
+		w = workspaces.free[k-1]
+		workspaces.free = workspaces.free[:k-1]
 	}
+	workspaces.Unlock()
+	if w == nil {
+		w = new(workspace)
+	}
+	if cap(w.c) < n {
+		w.c = make([]complex128, n)
+	}
+	w.c = w.c[:n]
+	clear(w.c)
+	return w
+}
+
+// series returns the workspace's real array at length n, unzeroed.
+func (w *workspace) series(n int) []float64 {
+	if cap(w.r) < n {
+		w.r = make([]float64, n)
+	}
+	return w.r[:n]
+}
+
+func putWorkspace(w *workspace) {
+	workspaces.Lock()
+	if len(workspaces.free) < maxWorkspaces {
+		workspaces.free = append(workspaces.free, w)
+	}
+	workspaces.Unlock()
 }
 
 // CrossCorrelateBank correlates one signal against every template in the
@@ -246,18 +271,27 @@ func CrossCorrelateBank(ctx context.Context, x []float64, bank [][]float64) ([][
 
 // CrossCorrelateEach correlates one signal against every template in the
 // bank, sharing the signal's FFT across all of them and fanning the
-// per-template work across GOMAXPROCS workers. This is the §3.6.2
-// matched filter inner loop: one detector stretch, hundreds of inspiral
-// templates. Each worker inverts into its own scratch and hands
-// template i's series to visit(i, corr), once per template, from the
-// worker that computed it: visits run concurrently and in no fixed
-// order, and corr is the worker's buffer, valid only for the call. The
-// values are those CrossCorrelateBank returns, bit for bit. The signal's
-// transform and the workers' complex work arrays are borrowed from the
-// cscratch list, so a run allocates one real series per worker and
-// keeps nothing. Cancellation is checked between templates, so engine
+// work across GOMAXPROCS workers. This is the §3.6.2 matched filter
+// inner loop: one detector stretch, hundreds of inspiral templates.
+// Each worker inverts into its own scratch and hands template i's
+// series to visit(i, corr), once per template, from the worker that
+// computed it: visits run concurrently and in no fixed order, and corr
+// is the worker's buffer, valid only for the call. The values are
+// those CrossCorrelateBank returns, bit for bit, whatever GOMAXPROCS
+// is. Cancellation is checked between template pairs, so engine
 // shutdown interrupts a long bank run and Each returns ctx.Err(); a nil
 // ctx never cancels.
+//
+// Three facts keep the work small. The transforms run at
+// m = NextPow2(len(x)), not at the full linear length: a circular
+// correlation at any m >= len(x) wraps only into the lags outside
+// [len(h)-1, len(x)-1], and those are exactly the lags Each discards.
+// Templates and signal are real, so templates 2k and 2k+1 share one
+// transform as its real and imaginary parts; after the product with
+// the signal's spectrum, one inverse holds template 2k's series in its
+// real part and template 2k+1's in its imaginary part. And every array
+// is borrowed from the workspaces list, so a run allocates only its
+// goroutines and keeps nothing.
 func CrossCorrelateEach(ctx context.Context, x []float64, bank [][]float64, visit func(i int, corr []float64)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -265,7 +299,6 @@ func CrossCorrelateEach(ctx context.Context, x []float64, bank [][]float64, visi
 	if len(x) == 0 {
 		return fmt.Errorf("dsp: empty signal to correlate against a bank")
 	}
-	maxLen, minLen := 0, len(x)
 	for i, h := range bank {
 		if len(h) == 0 {
 			return fmt.Errorf("dsp: empty template %d in bank", i)
@@ -274,66 +307,74 @@ func CrossCorrelateEach(ctx context.Context, x []float64, bank [][]float64, visi
 			return fmt.Errorf("dsp: template %d length %d exceeds signal length %d",
 				i, len(h), len(x))
 		}
-		maxLen = max(maxLen, len(h))
-		minLen = min(minLen, len(h))
 	}
 	if len(bank) == 0 {
 		return nil
 	}
-	// One padded length serves every template: padding a linear
-	// convolution beyond its minimum length only appends zeros.
-	m := NextPow2(len(x) + maxLen - 1)
+	m := NextPow2(len(x))
 	p := planFor(m)
-	fxp, fx := getCScratch(m)
-	defer putCScratch(fxp)
+	sig := getWorkspace(m)
+	defer putWorkspace(sig)
+	fx := sig.c
 	for i, v := range x {
 		fx[i] = complex(v, 0)
 	}
 	p.execute(fx, false)
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(bank) {
-		workers = len(bank)
-	}
+	pairs := (len(bank) + 1) / 2
+	workers := min(runtime.GOMAXPROCS(0), pairs)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sp, scratch := getCScratch(m)
-			defer putCScratch(sp)
-			series := make([]float64, len(x)-minLen+1)
+			ws := getWorkspace(m)
+			defer putWorkspace(ws)
+			scratch := ws.c
+			series := ws.series(len(x))
 			inv := 1 / float64(m)
-			for i := range idx {
+			for k := range idx {
 				if ctx.Err() != nil {
 					continue // drain the feed; the run is abandoned
 				}
-				h := bank[i]
-				for j := range scratch {
-					scratch[j] = 0
+				lo, hi := 2*k, min(2*k+2, len(bank))
+				clear(scratch)
+				for j, v := range bank[lo] {
+					scratch[len(bank[lo])-1-j] = complex(v, 0) // reversed template
 				}
-				for j, v := range h {
-					scratch[len(h)-1-j] = complex(v, 0) // reversed template
+				if hi-lo == 2 {
+					h := bank[lo+1]
+					for j, v := range h {
+						scratch[len(h)-1-j] += complex(0, v)
+					}
 				}
 				p.execute(scratch, false)
 				for j := range scratch {
 					scratch[j] *= fx[j]
 				}
 				p.execute(scratch, true)
-				corr := series[:len(x)-len(h)+1]
-				off := len(h) - 1
-				for l := range corr {
-					corr[l] = real(scratch[off+l]) * inv
+				for i := lo; i < hi; i++ {
+					off := len(bank[i]) - 1
+					corr := series[:len(x)-off]
+					if i == lo {
+						for l := range corr {
+							corr[l] = real(scratch[off+l]) * inv
+						}
+					} else {
+						for l := range corr {
+							corr[l] = imag(scratch[off+l]) * inv
+						}
+					}
+					visit(i, corr)
 				}
-				visit(i, corr)
 			}
 		}()
 	}
 feed:
-	for i := range bank {
+	for k := range pairs {
 		select {
-		case idx <- i:
+		case idx <- k:
 		case <-ctx.Done():
 			break feed
 		}

@@ -141,6 +141,87 @@ func TestCrossCorrelateEachVisitsEveryTemplateOnce(t *testing.T) {
 	}
 }
 
+// eachSeries collects what CrossCorrelateEach visits at the given
+// GOMAXPROCS.
+func eachSeries(t *testing.T, procs int, x []float64, bank [][]float64) [][]float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	out := make([][]float64, len(bank))
+	err := CrossCorrelateEach(context.Background(), x, bank, func(i int, corr []float64) {
+		out[i] = append([]float64(nil), corr...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCrossCorrelateEachPairsMatchDirect covers the paired kernel at the
+// signal's own padded length: odd and even banks (the last template of
+// an odd bank has no partner), templates of different lengths sharing
+// one transform, signals whose length is not a power of two, and a
+// template as long as the signal, whose only lag sits at the very end
+// of the circular result. Every series matches the direct sum, and the
+// values do not depend on how many workers ran.
+func TestCrossCorrelateEachPairsMatchDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	normal := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	cases := []struct {
+		name    string
+		signal  int
+		lengths []int
+	}{
+		{"one", 2049, []int{100}},
+		{"two-mixed", 1000, []int{31, 200}},
+		{"seventeen-mixed", 5000, []int{3, 64, 1200, 17, 500, 999, 2, 250, 1024, 7, 333, 800, 1, 128, 640, 45, 1100}},
+		{"full-length", 777, []int{777, 10, 777}},
+		{"pow2-signal", 4096, []int{4096, 2048, 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			x := normal(c.signal)
+			bank := make([][]float64, len(c.lengths))
+			for i, n := range c.lengths {
+				bank[i] = normal(n)
+			}
+			first := eachSeries(t, 1, x, bank)
+			for i, h := range bank {
+				want := CrossCorrelateDirect(x, h)
+				if len(first[i]) != len(want) {
+					t.Fatalf("template %d: %d lags, want %d", i, len(first[i]), len(want))
+				}
+				scale := 0.0
+				for _, v := range want {
+					scale = max(scale, math.Abs(v))
+				}
+				for l := range want {
+					if d := math.Abs(first[i][l] - want[l]); d > 1e-12*scale {
+						t.Fatalf("template %d (len %d) lag %d: %g vs direct %g (diff %g, scale %g)",
+							i, len(h), l, first[i][l], want[l], d, scale)
+					}
+				}
+			}
+			for _, procs := range []int{1, 4, 1, 4} {
+				again := eachSeries(t, procs, x, bank)
+				for i := range first {
+					for l := range first[i] {
+						if math.Float64bits(again[i][l]) != math.Float64bits(first[i][l]) {
+							t.Fatalf("GOMAXPROCS=%d template %d lag %d: %g != %g",
+								procs, i, l, again[i][l], first[i][l])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestCrossCorrelateEachReturnsCtxErr(t *testing.T) {
 	// Two workers: a template already handed out when the cancel lands
 	// still finishes, so a wide pool could take the whole bank first.
@@ -194,31 +275,54 @@ func TestPlanCacheEviction(t *testing.T) {
 }
 
 func TestCScratchKeepsBoundedSlabsAcrossGC(t *testing.T) {
-	// The free list must hold the same slabs whatever the collector does,
-	// and never more than its bound, so the live heap after a fixed
-	// amount of work repeats.
-	var held []*[]complex128
-	for i := 0; i < maxCScratch+3; i++ {
-		sp, _ := getCScratch(64)
-		held = append(held, sp)
+	// The one workspace list (bank workers, the signal's transform and
+	// Bluestein share it) must hold the same workspaces whatever the
+	// collector does, and never more than its bound, so the live heap
+	// after a fixed amount of work repeats.
+	var held []*workspace
+	for i := 0; i < maxWorkspaces+3; i++ {
+		held = append(held, getWorkspace(64))
 	}
-	for _, sp := range held {
-		putCScratch(sp)
+	for _, w := range held {
+		putWorkspace(w)
 	}
 	runtime.GC()
 	runtime.GC()
-	if n := len(cscratch); n != maxCScratch {
-		t.Fatalf("free list holds %d slabs after two collections, want %d", n, maxCScratch)
+	workspaces.Lock()
+	n := len(workspaces.free)
+	workspaces.Unlock()
+	if n != maxWorkspaces {
+		t.Fatalf("free list holds %d workspaces after two collections, want %d", n, maxWorkspaces)
 	}
-	kept := map[*[]complex128]bool{}
-	for _, sp := range held[:maxCScratch] {
-		kept[sp] = true
+	kept := map[*workspace]bool{}
+	for _, w := range held[:maxWorkspaces] {
+		kept[w] = true
 	}
-	for i := 0; i < maxCScratch; i++ {
-		sp, s := getCScratch(64)
-		if !kept[sp] || len(s) != 64 {
-			t.Fatalf("borrow %d: got a slab the list did not keep (len %d)", i, len(s))
+	for i := 0; i < maxWorkspaces; i++ {
+		w := getWorkspace(64)
+		if !kept[w] || len(w.c) != 64 {
+			t.Fatalf("borrow %d: got a workspace the list did not keep (len %d)", i, len(w.c))
 		}
-		defer putCScratch(sp)
+		defer putWorkspace(w)
+	}
+}
+
+// BenchmarkCrossCorrelateEach runs the §3.6.2 bank a workflow_inspiral
+// donor runs: 16 templates of 2,048 samples against a 16,384-sample
+// stretch, each series reduced in its visit as MatchedFilter does.
+func BenchmarkCrossCorrelateEach(b *testing.B) {
+	x := GaussianNoise(16384, 1, rand.New(rand.NewSource(1)))
+	bank := TemplateBank(16, 2048, 40, 200, 400, 2000)
+	peaks := make([]float64, len(bank))
+	visit := func(i int, corr []float64) { peaks[i] = SNR(corr) }
+	if err := CrossCorrelateEach(context.Background(), x, bank, visit); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if err := CrossCorrelateEach(context.Background(), x, bank, visit); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"consumergrid/internal/dsp"
 	"consumergrid/internal/types"
@@ -554,11 +555,16 @@ func (c *ChirpGen) Process(ctx *units.Context, in []types.Data) ([]types.Data, e
 	return []types.Data{&types.SampleSet{SamplingRate: c.rate, Samples: xs}}, nil
 }
 
-// InjectChirp adds a synthetic event into noise.
+// InjectChirp adds a synthetic event into noise. The chirp depends only
+// on Init's parameters and the stream's sampling rate, so it is built on
+// the first item and kept for the job's later items at the same rate.
 type InjectChirp struct {
 	f0, f1, amp float64
 	length      int
 	offset      int
+
+	chirp     []float64 // dsp.Chirp at chirpRate; nil until first built
+	chirpRate float64
 }
 
 // Name implements Unit.
@@ -585,6 +591,7 @@ func (u *InjectChirp) Init(p units.Params) error {
 	if u.length <= 0 || u.offset < 0 {
 		return fmt.Errorf("signal: InjectChirp needs positive length, non-negative offset")
 	}
+	u.chirp = nil
 	return nil
 }
 
@@ -601,9 +608,11 @@ func (u *InjectChirp) Process(ctx *units.Context, in []types.Data) ([]types.Data
 		return nil, fmt.Errorf("signal: injection [%d,%d) exceeds %d samples",
 			u.offset, u.offset+u.length, len(s.Samples))
 	}
+	if u.chirp == nil || u.chirpRate != s.SamplingRate {
+		u.chirp, u.chirpRate = dsp.Chirp(u.f0, u.f1, s.SamplingRate, u.length), s.SamplingRate
+	}
 	out := types.Mutable(s).(*types.SampleSet)
-	chirp := dsp.Chirp(u.f0, u.f1, s.SamplingRate, u.length)
-	for i, v := range chirp {
+	for i, v := range u.chirp {
 		out.Samples[u.offset+i] += u.amp * v
 	}
 	return []types.Data{out}, nil
@@ -656,8 +665,34 @@ func (m *MatchedFilter) Init(p units.Params) error {
 		return fmt.Errorf("signal: MatchedFilter needs positive templates, templateLen, samplingRate")
 	}
 	m.f0Lo, m.f0Hi = f0Lo, f0Hi
-	m.bank = dsp.TemplateBank(count, length, f0Lo, f0Hi, f1, rate)
+	m.bank = sharedBank(bankKey{count, length, f0Lo, f0Hi, f1, rate})
 	return nil
+}
+
+// bankKey is every parameter dsp.TemplateBank reads.
+type bankKey struct {
+	count, length        int
+	f0Lo, f0Hi, f1, rate float64
+}
+
+// banks memoises the last template bank built in this process. Every
+// job of a search initialises its MatchedFilter with the same
+// parameters, so a donor hosting many jobs builds the bank once; a
+// different parameter set replaces the entry. A bank is never written
+// after it is built, so every unit holding it shares it read-only.
+var banks struct {
+	sync.Mutex
+	key  bankKey
+	bank [][]float64
+}
+
+func sharedBank(k bankKey) [][]float64 {
+	banks.Lock()
+	defer banks.Unlock()
+	if banks.bank == nil || banks.key != k {
+		banks.key, banks.bank = k, dsp.TemplateBank(k.count, k.length, k.f0Lo, k.f0Hi, k.f1, k.rate)
+	}
+	return banks.bank
 }
 
 // Process implements Unit.

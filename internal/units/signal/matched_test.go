@@ -3,9 +3,12 @@ package signal
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 
 	"consumergrid/internal/dsp"
@@ -68,21 +71,119 @@ func processAlloc(t *testing.T, templates int, sig *types.SampleSet) uint64 {
 }
 
 // TestMatchedFilterAllocBound pins the bank reduction's memory: a call
-// keeps one peak and one SNR per template, so it allocates one real
-// series per worker, not one per template, nor a fresh transform of the
-// signal. Collecting every series cost ~2.3 MiB per call at 16
-// templates; the bound is well under that, and a bank three times
-// larger allocates about the same.
+// keeps one peak and one SNR per template, and every complex and real
+// array the kernel touches is a borrowed workspace, so a call allocates
+// only its table, its goroutines and its per-template peaks. One real
+// series per call (112 KiB at 16,384 samples) breaks the bound, and a
+// bank three times larger allocates about the same.
 func TestMatchedFilterAllocBound(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	sig := inspiralStretch(16384)
 	small := processAlloc(t, 16, sig)
-	const bound = 384 << 10
+	const bound = 16 << 10
 	if small > bound {
 		t.Errorf("Process on a 16×2048 bank allocates %d B per call, bound %d", small, bound)
 	}
 	large := processAlloc(t, 48, sig)
 	if large > small+32<<10 {
 		t.Errorf("Process allocates %d B per call on 48 templates against %d on 16: it grows with the bank", large, small)
+	}
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMatchedFilterBankBuiltOncePerProcess pins the bank memo: every job
+// of a search initialises its filter with the same parameters, and a
+// donor builds that 256 KiB bank once, not once per job.
+func TestMatchedFilterBankBuiltOncePerProcess(t *testing.T) {
+	params := units.Params{"templates": "16", "templateLen": "2048"}
+	first := mustNew(t, NameMatchedFilter, params).(*MatchedFilter)
+	var second *MatchedFilter
+	if n := allocated(func() {
+		second = mustNew(t, NameMatchedFilter, params).(*MatchedFilter)
+	}); n >= 16<<10 {
+		t.Errorf("a second Init with the same parameters allocates %d B", n)
+	}
+	if &second.bank[0][0] != &first.bank[0][0] {
+		t.Error("a second Init with the same parameters built its own bank")
+	}
+	other := mustNew(t, NameMatchedFilter, units.Params{"templates": "8", "templateLen": "2048"}).(*MatchedFilter)
+	if other.BankSize() != 8 || &other.bank[0][0] == &first.bank[0][0] {
+		t.Fatalf("other parameters share the first bank (size %d)", other.BankSize())
+	}
+	if want := dsp.TemplateBank(8, 2048, 40, 200, 400, 2000); !reflect.DeepEqual(other.bank, want) {
+		t.Error("the memoised bank differs from dsp.TemplateBank's")
+	}
+
+	// Jobs initialise and run concurrently on a donor; the shared bank
+	// is only read. Two parameter sets alternate, so the entry is
+	// replaced while other units still correlate against the old bank.
+	sig := inspiralStretch(8192)
+	sets := []units.Params{
+		{"templates": "4", "templateLen": "256"},
+		{"templates": "5", "templateLen": "256", "f0Hi": "150"},
+	}
+	want := make([]types.Data, len(sets))
+	for i, p := range sets {
+		want[i] = run1(t, mustNew(t, NameMatchedFilter, p), sig)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 4; r++ {
+				i := (g + r) % len(sets)
+				u, err := units.New(NameMatchedFilter, sets[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				out, err := u.Process(units.TestContext(), []types.Data{sig})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(out[0], want[i]) {
+					t.Errorf("set %d: concurrent table %v, want %v", i, out[0], want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestInjectChirpBuildsChirpOncePerRate pins InjectChirp's kept chirp:
+// a later item at the same rate reuses it, bit for bit, and a new rate
+// rebuilds it.
+func TestInjectChirpBuildsChirpOncePerRate(t *testing.T) {
+	const length, offset, amp = 2048, 100, 3
+	inj := mustNew(t, NameInjectChirp, units.Params{
+		"length": strconv.Itoa(length), "offset": strconv.Itoa(offset), "amplitude": "3"})
+	noise := inspiralStretch(8192).Samples
+	for k, rate := range []float64{2000, 2000, 4000} {
+		in := types.NewSampleSet(rate, noise) // owned: injected in place
+		var out types.Data
+		n := allocated(func() { out = run1(t, inj, in) })
+		if k == 1 && n >= length*8 {
+			t.Errorf("the second item at rate %g allocates %d B, a chirp is %d", rate, n, length*8)
+		}
+		want := append([]float64(nil), noise...)
+		for i, v := range dsp.Chirp(50, 400, rate, length) {
+			want[offset+i] += amp * v
+		}
+		got := out.(*types.SampleSet).Samples
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("item %d (rate %g) sample %d: %g, want %g", k, rate, i, got[i], want[i])
+			}
+		}
 	}
 }
