@@ -125,8 +125,10 @@ metrics-smoke:
 # fetch ladder, manifest codec, pin release and restore), ring chunk
 # placement (one copy asked, failover past a dead owner), a 10 s pass
 # of the manifest decoder fuzzer, and the end-to-end farm battery —
-# manifest despatch, the >= 50% controller-egress reduction under
-# quorum against the analytic cost of streaming, the peer fetch rung, the
+# manifest despatch, the controller's egress under quorum bounded by
+# one pass of the inputs plus the runs' manifests (about half the
+# analytic cost of streaming to two voters a chunk; the bar was a
+# >= 50% cut while a quorum launched three), the peer fetch rung, the
 # dead-replica chaos case, manifests naming only the ring owners that
 # acked, tiny datums riding the manifest by value in the triana.run
 # request, a manifest for a body without one input refused, an
@@ -164,10 +166,12 @@ tenant-smoke:
 # Deterministic byzantine chaos harness: seeded simnet with a corrupting
 # peer and a dead peer, quorum voting (ballots in the wait reply,
 # commit by fetch), breaker and score assertions via the metrics
-# registry. Seeds are fixed, so a failure is
-# reproducible.
+# registry, and the majority-first electorate's exact books (K/2+1
+# voters per clean chunk, one more per widening or replacement) for
+# K = 2, 3, 5 under a corrupter, a dead voter and a split. Seeds are
+# fixed, so a failure is reproducible.
 chaos-smoke:
-	go test ./internal/service/ -run 'TestChaos|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser' -count=1 -v
+	go test ./internal/service/ -run 'TestChaos|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser|TestQuorumMajorityFirstElectorate' -count=1 -v
 
 # Graceful-lifecycle battery under the race detector: the lifecycle
 # state-machine and crash-safe snapshot unit suites, a drain under

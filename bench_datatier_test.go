@@ -7,11 +7,13 @@ package consumergrid_test
 // then fetched once. The egress-B/op custom metric is the controller's
 // data-plane bytes per farm — the number the tier exists to cut,
 // tracked by the benchreg snapshots — and ingress-B/op is the
-// chunk.data bytes it received: the committed outputs it fetched. In
-// the analytic model, streaming every voter its chunk costs 3 × Σ input
-// bytes per farm (~148.6k B here) each way; the tier pays about one
-// pass of the inputs out and one of the outputs back. The result lists
-// and carried state ride the wait replies and are not counted.
+// chunk.data bytes it received: the committed outputs it fetched. A
+// clean quorum-3 chunk launches a majority, two voters, so in the
+// analytic model streaming every voter its chunk costs 2 × Σ input
+// bytes per farm (~99.1k B here) each way; the tier pays one pass of
+// the inputs plus the runs' manifests out (~51.4k B) and one pass of
+// the outputs back. The result lists and carried state ride the wait
+// replies and are not counted.
 
 import (
 	"context"

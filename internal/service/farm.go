@@ -1,8 +1,8 @@
 // Chunked resilient farming: one chunk runner, an attempt-set state
 // machine, over the §3.6.2 checkpointed re-despatch path — the
 // untrusted-consumer-peer layer. Plain, speculative and quorum farming
-// are parameter values of that one machine (votes required K =
-// max(1, Quorum), and a backup policy), not separate loops.
+// are parameter values of that one machine (an electorate of
+// K = max(1, Quorum) voters, and a backup policy), not separate loops.
 //
 // A farmRun holds what is constant across a farm's chunks; a chunkRun
 // is one chunk's attempt set. Its rules, each stated once:
@@ -15,13 +15,15 @@
 // while budget remains. A committed capability group narrows the
 // candidates up front; nothing ever votes from outside it.
 //
-// Launching: primaries launch while ballots + attempts in flight < K
-// and attempt budget remains. The chunk blocks for an admission slot
-// only while it holds none; otherwise a refused slot means "skip now,
-// drain a result, retry". With Speculate (and K = 1) each launch arms a
-// straggler timer — the peer's observed p90 attempt latency ×
-// StragglerFactor, or SpeculateAfter before history exists — whose
-// firing launches a backup on the next-healthiest peer.
+// Launching: primaries launch while ballots + attempts in flight are
+// fewer than a majority, K/2+1, and attempt budget remains: once a
+// majority agrees the other voters could not change the outcome, so
+// they launch only on dissent or failure. The chunk blocks for an
+// admission slot only while it holds none; otherwise a refused slot
+// means "skip now, drain a result, retry". With Speculate (and K = 1)
+// each launch arms a straggler timer — the peer's observed p90 attempt
+// latency × StragglerFactor, or SpeculateAfter before history exists —
+// whose firing launches a backup on the next-healthiest peer.
 //
 // Despatch: an attempt is one triana.run request carrying the body,
 // encoded once per farm, the carried state and the chunk's manifest,
@@ -42,9 +44,9 @@
 // Deciding: K = 1 commits the first ballot at once and abandons its
 // racers. K > 1 tallies ballot digests only when nothing is in flight,
 // so the outcome is independent of arrival order: a majority (K/2+1)
-// commits, an inconclusive vote widens the electorate by exactly one
-// fresh voter with prior ballots live, and no budget or candidate left
-// is terminal.
+// commits, an inconclusive vote — a dissenting or split first
+// electorate — widens it by exactly one fresh voter with prior ballots
+// live, and no budget or candidate left is terminal.
 //
 // Commit: the winner's by-value items are decoded and committed as
 // they came. Each by-reference item is fetched through
@@ -123,9 +125,11 @@ type FarmOptions struct {
 	StragglerFactor float64
 	// MaxSpeculative bounds backup attempts per chunk (default 1).
 	MaxSpeculative int
-	// Quorum, when > 1, despatches each chunk to Quorum peers and
-	// commits only a majority-agreed result digest. Overrides
-	// Speculate for the chunk's launch strategy.
+	// Quorum, when > 1, commits each chunk only on a result digest a
+	// majority (Quorum/2+1) of Quorum voters agree on. It despatches to
+	// that majority first and adds one voter at a time only when they
+	// disagree or fail. Overrides Speculate for the chunk's launch
+	// strategy.
 	Quorum int
 
 	// Tenant names the submitting tenant: admission slots are charged to
@@ -192,7 +196,9 @@ type FarmReport struct {
 	// FinalState is the checkpoint after the last chunk.
 	FinalState map[string][]byte
 	// Redespatches counts non-speculative chunk attempts beyond each
-	// chunk's first.
+	// chunk's first electorate (one attempt, or a quorum's majority):
+	// replacements for failed attempts and voters widening a dissenting
+	// vote.
 	Redespatches int64
 	// WastedOutputs counts outputs discarded from failed, abandoned or
 	// outvoted attempts.
@@ -226,9 +232,10 @@ type farmRun struct {
 	s    *Service
 	opts FarmOptions
 	id   int64
-	// votes is the ballots a chunk needs before it can commit:
-	// max(1, Quorum). Plain and speculative farming are votes == 1.
-	votes int
+	// majority is both the agreeing ballots a chunk needs to commit and
+	// the size of its first electorate: max(1, Quorum)/2+1. Plain and
+	// speculative farming are majority == 1.
+	majority int
 
 	// body and bodyXML are opts.Body() and its encoding, made once per
 	// farm; manifests holds every chunk's manifest entries; tstats
@@ -285,7 +292,7 @@ type farmAttempt struct {
 	phase  attemptPhase
 
 	// The ballot, once voted: a clean, full-length result. digest is
-	// computed only when votes > 1; with one vote required every ballot
+	// computed only when majority > 1; with one vote required every ballot
 	// agrees. got holds the decoded outputs once the ballot commits.
 	job      *RemoteJob
 	items    []resultItem
@@ -332,17 +339,19 @@ func (s *Service) FarmChunks(ctx context.Context, chunks [][]types.Data, opts Fa
 		return nil, fmt.Errorf("service: FarmChunks needs at least one peer")
 	}
 	if opts.Quorum > len(opts.Peers) {
-		// One peer, one vote: a majority of Quorum/2+1 distinct voters can
-		// never form, so reject the configuration up front instead of
-		// burning every chunk's attempt budget discovering it.
+		// One peer, one vote. The first electorate is only a majority,
+		// Quorum/2+1, but a dissenting or split vote widens one fresh
+		// voter at a time and may need all Quorum distinct voters to
+		// reach that majority, so reject the configuration up front
+		// instead of letting a contested chunk discover it.
 		return nil, fmt.Errorf("service: FarmChunks Quorum %d exceeds %d peers — majority unreachable",
 			opts.Quorum, len(opts.Peers))
 	}
 	fr := &farmRun{
-		s:      s,
-		votes:  max(1, opts.Quorum),
-		byID:   make(map[string]PeerRef, len(opts.Peers)),
-		report: &FarmReport{PeerChunks: make(map[string]int)},
+		s:        s,
+		majority: max(1, opts.Quorum)/2 + 1,
+		byID:     make(map[string]PeerRef, len(opts.Peers)),
+		report:   &FarmReport{PeerChunks: make(map[string]int)},
 	}
 	// A committed group narrows the eligible candidates before any
 	// despatch: out-of-group peers are invisible to selection, failover,
@@ -484,7 +493,7 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 		// so attempt goroutines never block on delivery, even after the
 		// coordinator has moved on.
 		results:  make(chan farmResult, fr.opts.ChunkAttempts),
-		attempts: make([]farmAttempt, 0, fr.votes+1),
+		attempts: make([]farmAttempt, 0, fr.majority+1),
 	}
 	chunksInflight.Add(1)
 	defer chunksInflight.Add(-1)
@@ -497,10 +506,12 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 	s, tenant := fr.s, fr.opts.Tenant
 
 	for {
-		// Top up toward the votes required while candidates and budget
-		// remain. An attempt in flight, backup included, is a ballot
-		// that may yet arrive.
-		for cr.ballots+cr.running < cr.votes {
+		// Top up toward a majority while candidates and budget remain:
+		// once a majority agrees, further voters could not change the
+		// outcome, so they launch only when the vote is inconclusive.
+		// An attempt in flight, backup included, is a ballot that may
+		// yet arrive.
+		for cr.ballots+cr.running < cr.majority {
 			launched, err := cr.launch(false)
 			if err != nil {
 				cr.abandon(false)
@@ -513,7 +524,7 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 		// Decide. One vote required: the first ballot commits at once.
 		// More: only when every launched attempt has resolved, so the
 		// outcome is independent of arrival order.
-		if cr.running == 0 || (cr.votes == 1 && cr.ballots > 0) {
+		if cr.running == 0 || (cr.majority == 1 && cr.ballots > 0) {
 			plurality, winner := cr.tally()
 			if winner >= 0 && !cr.commitOutputs(plurality, winner) {
 				// The winner's outputs could not be had: the agreeing
@@ -528,7 +539,7 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 					fr.report.SpeculationWins++
 					s.resStats.SpeculationWins.Inc()
 				}
-				if cr.votes > 1 {
+				if cr.majority > 1 {
 					s.resStats.QuorumCommits.Inc()
 				}
 				return won, nil
@@ -544,7 +555,7 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 			if !launched {
 				// Terminal: no budget or no fresh candidate.
 				cr.settle(plurality, -1)
-				if cr.votes == 1 {
+				if cr.majority == 1 {
 					// No ballot ever arrived, so the last attempt's
 					// failure is the cause.
 					return farmAttempt{}, fmt.Errorf("service: farm chunk %d failed after %d attempts: %w",
@@ -562,7 +573,7 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 				}
 				return farmAttempt{}, fmt.Errorf(
 					"service: farm chunk %d failed after %d attempts: no %d of its %d results agree",
-					c, cr.spent, cr.votes/2+1, cr.ballots)
+					c, cr.spent, cr.majority, cr.ballots)
 			}
 		}
 		var stragglerC <-chan time.Time
@@ -595,7 +606,7 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 			if r.err == nil && len(r.items) != len(chunk) {
 				r.err = errors.New("short result")
 			}
-			if r.err == nil && cr.votes > 1 {
+			if r.err == nil && cr.majority > 1 {
 				// Only a vote needs the digest; a lone ballot has
 				// nothing to be compared with.
 				a.digest = resultDigest(ballotAddresses(r.items), r.newState)
@@ -668,9 +679,9 @@ func (cr *chunkRun) launch(backup bool) (bool, error) {
 		idx := len(cr.attempts)
 		if backup {
 			cr.backups++
-		} else if idx-cr.backups >= cr.votes {
-			// Primaries beyond the first `votes` replace failed or
-			// inconclusive ones.
+		} else if idx-cr.backups >= cr.majority {
+			// Primaries beyond the first majority replace failed ones
+			// or widen an inconclusive vote.
 			cr.report.Redespatches++
 			s.resStats.Redespatches.Inc()
 		}
@@ -683,7 +694,7 @@ func (cr *chunkRun) launch(backup bool) (bool, error) {
 			r.idx = idx
 			cr.results <- r
 		}()
-		if cr.opts.Speculate && cr.votes == 1 {
+		if cr.opts.Speculate && cr.majority == 1 {
 			if cr.straggler != nil {
 				cr.straggler.Stop()
 			}
@@ -748,7 +759,7 @@ func (s *Service) stragglerThreshold(peerID string, opts FarmOptions) time.Durat
 }
 
 // tally counts the ballots by digest. plurality is the most-voted
-// digest (ties to the smaller). Once it has the majority votes/2+1,
+// digest (ties to the smaller). Once it has the majority K/2+1,
 // winner is the earliest-launched attempt voting for it; otherwise
 // winner is -1.
 func (cr *chunkRun) tally() (plurality string, winner int) {
@@ -768,7 +779,7 @@ func (cr *chunkRun) tally() (plurality string, winner int) {
 			plurality, best = a.digest, n
 		}
 	}
-	if best < cr.votes/2+1 {
+	if best < cr.majority {
 		return plurality, -1
 	}
 	for i := range cr.attempts {

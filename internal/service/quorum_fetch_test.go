@@ -22,9 +22,11 @@ import (
 // TestQuorumByzantineVoterCommitsByFetch: one of the three voters, the
 // first-ranked, corrupts every result it returns. Its outputs are wide,
 // so its result list is content addresses, and the flipped tail byte
-// lands in the last of them. The two honest voters agree, so each chunk
-// commits by fetching their outputs, and the corrupter is outvoted in
-// every chunk.
+// lands in the last of them. Chunk 0's first electorate is the
+// corrupter and one honest voter; their split widens to the third, and
+// the two honest voters commit by fetching their outputs. The
+// corrupter is outvoted there and ranked out of chunk 1, whose two
+// honest voters agree at once.
 func TestQuorumByzantineVoterCommitsByFetch(t *testing.T) {
 	const nChunks, perChunk = 2, 4
 	chunks := bigChunks(chaosSeed, nChunks, perChunk, ladderBins)
@@ -51,8 +53,9 @@ func TestQuorumByzantineVoterCommitsByFetch(t *testing.T) {
 	if series != snap.QuorumFetches {
 		t.Errorf("service_quorum_fetches_total = %d, snapshot says %d", series, snap.QuorumFetches)
 	}
-	if rep.QuorumDisagreements != nChunks {
-		t.Errorf("disagreements = %d, want one per chunk from the corrupter", rep.QuorumDisagreements)
+	if rep.QuorumDisagreements != 1 || rep.Redespatches != 1 {
+		t.Errorf("disagreements = %d, redespatches = %d, want 1 and 1: the corrupter, in chunk 0 only",
+			rep.QuorumDisagreements, rep.Redespatches)
 	}
 }
 

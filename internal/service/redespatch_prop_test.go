@@ -28,14 +28,16 @@ import (
 
 func TestRedespatchIdempotencyProperty(t *testing.T) {
 	const nChunks, perChunk = 3, 4
+	// primaries is each chunk's first electorate: one attempt, or a
+	// quorum's majority — two of three voters.
 	modes := []struct {
-		name  string
-		votes int
-		fo    FarmOptions
+		name      string
+		primaries int
+		fo        FarmOptions
 	}{
 		{"plain", 1, FarmOptions{}},
 		{"speculate", 1, FarmOptions{Speculate: true, SpeculateAfter: 30 * time.Millisecond}},
-		{"quorum3", 3, FarmOptions{Quorum: 3}},
+		{"quorum3", 2, FarmOptions{Quorum: 3}},
 	}
 	for _, seed := range []int64{1, 7, 42, 1000003, 987654321} {
 		t.Run(formatSeed(seed), func(t *testing.T) {
@@ -45,7 +47,7 @@ func TestRedespatchIdempotencyProperty(t *testing.T) {
 			ref := runChaosFarm(t, refCtl, refPeers, chunks, FarmOptions{Seed: seed})
 			for _, mode := range modes {
 				t.Run(mode.name, func(t *testing.T) {
-					redespatchUnderFaults(t, seed, chunks, ref, mode.votes, mode.fo)
+					redespatchUnderFaults(t, seed, chunks, ref, mode.primaries, mode.fo)
 				})
 			}
 		})
@@ -56,7 +58,7 @@ func TestRedespatchIdempotencyProperty(t *testing.T) {
 // crawling worker among w2..w4, and the chunk-0 worker dies before
 // chunk 1; three workers stay up, so a quorum of 3 always seats — and
 // checks it against the uninterrupted reference and its own books.
-func redespatchUnderFaults(t *testing.T, seed int64, chunks [][]types.Data, ref *FarmReport, votes int, fo FarmOptions) {
+func redespatchUnderFaults(t *testing.T, seed int64, chunks [][]types.Data, ref *FarmReport, primaries int, fo FarmOptions) {
 	n := simnet.New()
 	ctl := newService(t, n.Peer("rp-ctl"), "rp-ctl", Options{Resilience: chaosResilience()})
 	var peers []PeerRef
@@ -128,7 +130,7 @@ func redespatchUnderFaults(t *testing.T, seed int64, chunks [][]types.Data, ref 
 	// an abandoned one (Canceled).
 	despatched = despatchesTotal.Value() - despatched
 	refused = despatchFailures.Value() - refused
-	launched := int64(len(chunks)*votes) + rep.Redespatches + rep.SpeculationLaunches
+	launched := int64(len(chunks)*primaries) + rep.Redespatches + rep.SpeculationLaunches
 	if despatched+refused != launched {
 		t.Errorf("despatches %d accepted + %d refused != %d launches on the runner's books (%+v)",
 			despatched, refused, launched, rep)

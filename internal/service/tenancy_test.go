@@ -163,9 +163,10 @@ func TestTenantContentionSuite(t *testing.T) {
 		if ts.Inflight != 0 || ts.Queued != 0 {
 			t.Errorf("tenant %s not settled: %d inflight, %d queued", tenant, ts.Inflight, ts.Queued)
 		}
-		// Every chunk needs at least Quorum despatch slots; retries and
-		// replacements only add to that.
-		if min := int64(farmsPer * nChunks * 3); ts.Admits < min {
+		// Every chunk needs at least its first electorate's despatch
+		// slots, a majority of the Quorum (3/2+1 = 2); widening,
+		// retries and replacements only add to that.
+		if min := int64(farmsPer * nChunks * (3/2 + 1)); ts.Admits < min {
 			t.Errorf("tenant %s admits = %d, want >= %d", tenant, ts.Admits, min)
 		}
 		// The registry series and the scheduler's own books are written
