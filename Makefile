@@ -127,10 +127,9 @@ metrics-smoke:
 # of the manifest decoder fuzzer, and the end-to-end farm battery —
 # manifest despatch, the controller's egress under quorum bounded by
 # one pass of the inputs plus the runs' manifests (about half the
-# analytic cost of streaming to two voters a chunk; the bar was a
-# >= 50% cut while a quorum launched three), the peer fetch rung, the
-# dead-replica chaos case, manifests naming only the ring owners that
-# acked, tiny datums riding the manifest by value in the triana.run
+# analytic cost of streaming to two voters a chunk), the peer fetch
+# rung, the dead-replica chaos case, manifests naming only the ring
+# owners that acked, tiny datums riding the manifest by value in the triana.run
 # request, a manifest for a body without one input refused, an
 # unresolvable manifest failing its job on the wait reply,
 # a donor parsing a repeated body once, a mixed chunk

@@ -48,7 +48,7 @@ func quorumNetOn(t *testing.T, n *simnet.Network, ctlTr jxtaserve.Transport, pre
 // and one dead peer. A Quorum:3 farm must commit only
 // majority-agreed outputs — identical to a clean run — while the
 // byzantine peer's health score collapses below the suspicion threshold
-// and the dead peer is tried once and never again, all observable
+// and the dead peer's breaker opens on its one attempt, all observable
 // through the metrics registry.
 func TestChaosByzantineQuorum(t *testing.T) {
 	n := simnet.New()
@@ -92,6 +92,22 @@ func chaosByzantineQuorum(t *testing.T, n *simnet.Network, ctlTr jxtaserve.Trans
 	n.FaultSeed(7)
 	ctl, peers := quorumNetOn(t, n, ctlTr, prefix, health.Options{})
 	byz, dead := prefix+"w1", prefix+"w2"
+	// The dead peer refuses every dial at once, so the despatch's retry
+	// backoff would race the attempt's heartbeat (three 20 ms misses) to
+	// a verdict. Each retry sleep is held until the heartbeat has
+	// declared a peer dead: the heartbeat always wins, and the dead
+	// peer's one attempt ends in both a dead verdict and a failure.
+	declared := ctl.resStats.PeersDeclaredDead.Value
+	ctl.retryAfter = func(d time.Duration) <-chan time.Time {
+		fired := make(chan time.Time, 1)
+		go func() {
+			for give := time.Now().Add(10 * time.Second); declared() == 0 && time.Now().Before(give); {
+				time.Sleep(time.Millisecond)
+			}
+			fired <- <-time.After(d)
+		}()
+		return fired
+	}
 	// w1 is byzantine: every result it returns is corrupted in flight.
 	// w2 is dead before the farm starts.
 	n.SetLinkFaults(byz, simnet.LinkFaults{CorruptEvery: 1})
@@ -137,28 +153,23 @@ func chaosByzantineQuorum(t *testing.T, n *simnet.Network, ctlTr jxtaserve.Trans
 	if !ctl.Health().Suspect(byz) {
 		t.Error("byzantine peer not marked suspect")
 	}
-	// The dead peer failed its one attempt, in chunk 0, and was never
-	// needed again: two agreeing voters commit without a third. Its
-	// gauges read exactly that attempt. The failure alone decays its
-	// score once and leaves the breaker closed, since a breaker opens
-	// on the third consecutive failure. If the heartbeat's third miss
-	// beat the despatch's dial retries to a verdict, the dead verdict
-	// decayed it once more and opened the breaker at once.
-	wantBreaker, wantScore := health.Closed, 0.7
-	switch snap.PeersDeclaredDead {
-	case 0:
-	case 1:
-		wantBreaker, wantScore = health.Open, 0.7*0.7
-	default:
-		t.Errorf("%d peers declared dead, want at most the dead one", snap.PeersDeclaredDead)
+	// The dead peer's one attempt, in chunk 0, earned one dead verdict
+	// and one failure, each decaying its score by 1 − alpha (0.3): the
+	// verdict opens its breaker at once, so it is never tried again.
+	if snap.PeersDeclaredDead != 1 {
+		t.Errorf("%d peers declared dead, want exactly the dead one", snap.PeersDeclaredDead)
+	}
+	wantScore := 1.0
+	for range 2 {
+		wantScore *= 1 - 0.3
 	}
 	breaker := metrics.Default().Gauge(
 		metrics.Series("health_breaker_state", "observer", prefix+"ctl", "peer", dead)).Value()
 	deadScore := metrics.Default().Gauge(
 		metrics.Series("health_peer_score", "observer", prefix+"ctl", "peer", dead)).Value()
-	if breaker != float64(wantBreaker) || deadScore != wantScore {
-		t.Errorf("dead peer breaker gauge = %v, score = %v, want %v and %v (one attempt, %d dead verdicts)",
-			breaker, deadScore, float64(wantBreaker), wantScore, snap.PeersDeclaredDead)
+	if breaker != float64(health.Open) || deadScore != wantScore {
+		t.Errorf("dead peer breaker gauge = %v, score = %v, want %v (open) and %v",
+			breaker, deadScore, float64(health.Open), wantScore)
 	}
 	if snap.QuorumFetches == 0 {
 		t.Error("no chunk was committed by fetch")
