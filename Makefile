@@ -37,6 +37,9 @@ layering:
 	@if grep -rnE --include='*.go' --exclude-dir=bench 'mcode\.fetch|mcode_[a-z]' .; then \
 		echo "layering: mobile code has no RPC or series of its own; bundles are counted by the chunk store"; exit 1; \
 	fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=jxtaserve --exclude-dir=experiments 'jxtaserve\.NewHost\(.*jxtaserve\.TCP\{\}' cmd internal; then \
+		echo "layering: a bare jxtaserve.TCP{} host speaks no session hello; wrap it in jxtaserve.NewMux"; exit 1; \
+	fi
 
 # The smoke targets below name their tests by hand. Every literal
 # Test... name in a -run alternation must match a test `go test -list`
@@ -92,11 +95,11 @@ bench-smoke:
 		-gate 'BenchmarkKernelFFT|BenchmarkCodec' \
 		-benchtime 100ms -threshold 0.25 -no-save
 
-# Wire-protocol conformance: golden frames for both codecs, a short
-# fuzz pass over the binary decoder and both round-trip targets, the
-# full dialler×listener interop matrix, and the mux invariants (FIFO,
-# credit bounds, reset isolation, goroutine leaks) under the race
-# detector; then the typed-data codec's golden encodings, its
+# Wire-protocol conformance: golden frames for both codecs and the
+# session hello, a short fuzz pass over the binary decoder and its
+# round-trip target, the listener's refusal of any first frame but a v1
+# hello, and the mux invariants (FIFO, credit bounds, reset isolation,
+# goroutine leaks) under the race detector; then the typed-data codec's golden encodings, its
 # decode∘encode fixpoint counterexamples, its exact sizing (Size is
 # the length Marshal writes) and a fuzz pass over that fixpoint, which
 # checks the size too; and the triana.run payload codec's canonical-form tests and
@@ -104,7 +107,7 @@ bench-smoke:
 # Run with -update after a deliberate wire change to regenerate the
 # golden fixtures.
 wire-conformance:
-	go test ./internal/jxtaserve/ -run 'TestGolden|TestInterop|TestReadBinaryMessageRejects' -count=1
+	go test ./internal/jxtaserve/ -run 'TestGolden|TestMuxRefusesNonHello|TestReadBinaryMessageRejects' -count=1
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzReadBinaryMessage -fuzztime 10s
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzBinaryMessageRoundTrip -fuzztime 10s
 	go test ./internal/types/ -run 'TestGolden|TestFixpoint|TestSizeMatchesMarshal' -count=1

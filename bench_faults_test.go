@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"consumergrid/internal/jxtaserve"
 	"consumergrid/internal/service"
 	"consumergrid/internal/simnet"
 	"consumergrid/internal/taskgraph"
@@ -57,40 +56,15 @@ func BenchmarkDespatchUnderFaults(b *testing.B) {
 		{"drop-every-13", simnet.LinkFaults{DropEvery: 13}},
 		{"jitter-200us", simnet.LinkFaults{Latency: 100 * time.Microsecond, Jitter: 200 * time.Microsecond}},
 	}
-	// The unsuffixed sub-names now run the multiplexed wire (one shared
-	// connection per peer pair, faults landing per stream), so their
-	// trajectory against older snapshots shows what the mux buys; the
-	// -legacy variants keep the pre-mux dial-per-RPC wire measurable.
-	type variant struct {
-		suffix string
-		wire   jxtaserve.WireOptions
-	}
-	variants := []variant{
-		{"", jxtaserve.WireOptions{Mux: true, Binary: true}},
-		{"-legacy", jxtaserve.WireOptions{}},
-	}
-	var cases []struct {
-		name  string
-		fault simnet.LinkFaults
-		wire  jxtaserve.WireOptions
-	}
-	for _, v := range variants {
-		for _, f := range faults {
-			cases = append(cases, struct {
-				name  string
-				fault simnet.LinkFaults
-				wire  jxtaserve.WireOptions
-			}{f.name + v.suffix, f.fault, v.wire})
-		}
-	}
-	for _, tc := range cases {
+	// Every peer rides the multiplexed wire: one shared connection per
+	// peer pair, faults landing per stream.
+	for _, tc := range faults {
 		b.Run(tc.name, func(b *testing.B) {
 			n := simnet.New()
 			n.FaultSeed(1)
 			newSvc := func(label string) *service.Service {
 				s, err := service.New(service.Options{
 					PeerID: label, Transport: n.Peer(label),
-					Wire: tc.wire,
 					Resilience: service.ResilienceOptions{
 						MaxAttempts: 4,
 						BaseDelay:   2 * time.Millisecond,

@@ -67,60 +67,53 @@ func BenchmarkCodecWireRoundTrip(b *testing.B) {
 
 // BenchmarkWireConnsPerPeer opens four pipes plus RPC traffic between a
 // peer pair per iteration and reports how many raw network connections
-// that cost: 1 with the mux (O(peers)), one per pipe and per RPC without.
+// that cost over the mux: 1 (O(peers), not O(pipes)).
 func BenchmarkWireConnsPerPeer(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		mux  bool
-	}{{"mux", true}, {"legacy", false}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var conns int64
-			for i := 0; i < b.N; i++ {
-				n := simnet.New()
-				wrap := func(tr jxtaserve.Transport) jxtaserve.Transport {
-					if tc.mux {
-						return jxtaserve.NewMux(tr, jxtaserve.WireOptions{Mux: true})
-					}
-					return tr
-				}
-				recv, err := jxtaserve.NewHost("recv", wrap(n.Peer("recv")), "")
-				if err != nil {
-					b.Fatal(err)
-				}
-				send, err := jxtaserve.NewHost("send", wrap(n.Peer("send")), "")
-				if err != nil {
-					b.Fatal(err)
-				}
-				recv.Handle("echo", func(req *jxtaserve.Message) (*jxtaserve.Message, error) {
-					return &jxtaserve.Message{Payload: req.Payload}, nil
-				})
-				datum := types.NewSampleSet(8000, []float64{1, 2, 3})
-				for p := 0; p < 4; p++ {
-					pipe, ad, err := recv.OpenInput(fmt.Sprintf("bench/pipe/%d", p), 4)
-					if err != nil {
-						b.Fatal(err)
-					}
-					out, err := send.BindOutput(ad)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := out.Send(datum); err != nil {
-						b.Fatal(err)
-					}
-					<-pipe.C
-					out.Close()
-					pipe.Close()
-				}
-				for r := 0; r < 3; r++ {
-					if _, err := send.Request(recv.Addr(), "echo", []byte("x"), nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-				conns += n.Dials()
-				send.Close()
-				recv.Close()
+	b.Run("mux", func(b *testing.B) {
+		var conns int64
+		for i := 0; i < b.N; i++ {
+			n := simnet.New()
+			recvTr := jxtaserve.NewMux(n.Peer("recv"), jxtaserve.WireOptions{})
+			sendTr := jxtaserve.NewMux(n.Peer("send"), jxtaserve.WireOptions{})
+			recv, err := jxtaserve.NewHost("recv", recvTr, "")
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(conns)/float64(b.N), "conns/peer-pair")
-		})
-	}
+			send, err := jxtaserve.NewHost("send", sendTr, "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			recv.Handle("echo", func(req *jxtaserve.Message) (*jxtaserve.Message, error) {
+				return &jxtaserve.Message{Payload: req.Payload}, nil
+			})
+			datum := types.NewSampleSet(8000, []float64{1, 2, 3})
+			for p := 0; p < 4; p++ {
+				pipe, ad, err := recv.OpenInput(fmt.Sprintf("bench/pipe/%d", p), 4)
+				if err != nil {
+					b.Fatal(err)
+				}
+				out, err := send.BindOutput(ad)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := out.Send(datum); err != nil {
+					b.Fatal(err)
+				}
+				<-pipe.C
+				out.Close()
+				pipe.Close()
+			}
+			for r := 0; r < 3; r++ {
+				if _, err := send.Request(recv.Addr(), "echo", []byte("x"), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			conns += n.Dials()
+			send.Close()
+			recv.Close()
+			sendTr.Close()
+			recvTr.Close()
+		}
+		b.ReportMetric(float64(conns)/float64(b.N), "conns/peer-pair")
+	})
 }

@@ -195,6 +195,18 @@ func newControlPeer(superRing string) (*service.Service, error) {
 	})
 }
 
+// clientHost opens a bare host for a one-off client conversation, on
+// the one wire every daemon speaks. closeHost closes the host, then the
+// mux its sessions rode on.
+func clientHost(id string) (host *jxtaserve.Host, closeHost func(), err error) {
+	mux := jxtaserve.NewMux(jxtaserve.TCP{}, jxtaserve.WireOptions{})
+	if host, err = jxtaserve.NewHost(id, mux, "127.0.0.1:0"); err != nil {
+		mux.Close()
+		return nil, nil, err
+	}
+	return host, func() { host.Close(); mux.Close() }, nil
+}
+
 func cmdPeers(args []string) error {
 	fs := flag.NewFlagSet("peers", flag.ExitOnError)
 	superRing := fs.String("super-ring", "", "super-peer addresses")
@@ -227,11 +239,11 @@ func cmdPing(args []string) error {
 	if *addr == "" {
 		return fmt.Errorf("-addr required")
 	}
-	host, err := jxtaserve.NewHost("ping", jxtaserve.TCP{}, "127.0.0.1:0")
+	host, closeHost, err := clientHost("ping")
 	if err != nil {
 		return err
 	}
-	defer host.Close()
+	defer closeHost()
 	start := time.Now()
 	reply, err := host.Request(*addr, service.MethodPing, nil, nil)
 	if err != nil {
@@ -279,11 +291,11 @@ func cmdBilling(args []string) error {
 // fetchObservability pulls one observability RPC's text payload from a
 // daemon (metrics and traces share the shape).
 func fetchObservability(addr, method string, headers map[string]string) error {
-	host, err := jxtaserve.NewHost(fmt.Sprintf("observe-%d", os.Getpid()), jxtaserve.TCP{}, "127.0.0.1:0")
+	host, closeHost, err := clientHost(fmt.Sprintf("observe-%d", os.Getpid()))
 	if err != nil {
 		return err
 	}
-	defer host.Close()
+	defer closeHost()
 	reply, err := host.Request(addr, method, nil, headers)
 	if err != nil {
 		return err
@@ -372,11 +384,11 @@ func cmdOverlay(args []string) error {
 	if len(superAddrs) == 0 {
 		return fmt.Errorf("-super-ring required")
 	}
-	host, err := jxtaserve.NewHost(fmt.Sprintf("overlay-%d", os.Getpid()), jxtaserve.TCP{}, "127.0.0.1:0")
+	host, closeHost, err := clientHost(fmt.Sprintf("overlay-%d", os.Getpid()))
 	if err != nil {
 		return err
 	}
-	defer host.Close()
+	defer closeHost()
 	cl, err := overlay.NewClient(host, overlay.ClientOptions{
 		Ring: overlay.NewRing(0, superAddrs...),
 	})
@@ -439,11 +451,11 @@ func cmdDrain(args []string) error {
 	if *addr == "" {
 		return fmt.Errorf("-addr required")
 	}
-	host, err := jxtaserve.NewHost(fmt.Sprintf("drain-%d", os.Getpid()), jxtaserve.TCP{}, "127.0.0.1:0")
+	host, closeHost, err := clientHost(fmt.Sprintf("drain-%d", os.Getpid()))
 	if err != nil {
 		return err
 	}
-	defer host.Close()
+	defer closeHost()
 	headers := map[string]string{"timeout": timeout.String()}
 	if *wait {
 		headers["wait"] = "1"

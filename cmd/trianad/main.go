@@ -186,7 +186,6 @@ func run() (code int) {
 		Transport:          jxtaserve.TCP{},
 		Addr:               *listen,
 		Overlay:            overlayOpts,
-		Wire:               jxtaserve.WireOptions{Mux: true, Binary: true},
 		DataTier:           service.DataTierOptions{CacheBytes: *chunkCache},
 		Sandbox:            pol,
 		RM:                 rm,

@@ -77,6 +77,14 @@ func TestEndToEndProcesses(t *testing.T) {
 	if !strings.Contains(ping, "donor-1") {
 		t.Fatalf("ping output:\n%s", ping)
 	}
+	// The other client hosts: a metrics scrape over the wire, and an
+	// overlay index dump from the ring.
+	if m := run("metrics", "-addr", d1Addr); !strings.Contains(m, "jxtaserve_messages_sent_total") {
+		t.Fatalf("metrics output:\n%s", m)
+	}
+	if ov := run("overlay", "-super-ring", superAddr); !strings.Contains(ov, "donor-1") {
+		t.Fatalf("overlay output:\n%s", ov)
+	}
 	// Export, validate and run the Figure 1 workflow across the donors.
 	wf := filepath.Join(bin, "fig1.xml")
 	run("export", "-example", "figure1", "-out", wf)

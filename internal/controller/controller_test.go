@@ -37,11 +37,14 @@ type testNet struct {
 func newNet(t *testing.T, nWorkers int, workerOpts func(i int) service.Options) *testNet {
 	t.Helper()
 	tr := jxtaserve.NewInProc()
+	// The bare supers speak the services' wire.
+	superTr := jxtaserve.NewMux(tr, jxtaserve.WireOptions{})
+	t.Cleanup(func() { superTr.Close() })
 	ring := overlay.NewRing(0)
 	net := &testNet{}
 	var superAddrs []string
 	for _, id := range []string{"sp-0", "sp-1"} {
-		h, err := jxtaserve.NewHost(id, tr, "")
+		h, err := jxtaserve.NewHost(id, superTr, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,6 @@
-// Binary wire codec v1: the length-prefixed framing that replaces the
-// XML envelope on negotiated connections. The outer shape matches the
-// XML framing — two uvarint lengths, an envelope block, then the raw
+// Binary wire codec v1: the framing every TCP conn speaks from its
+// first byte. The outer shape matches the XML framing kept for the codec
+// benchmarks — two uvarint lengths, an envelope block, then the raw
 // payload — so both codecs share the size limits and the bounded
 // payload reader; only the envelope bytes differ:
 //
@@ -16,10 +16,7 @@
 // harness assert the encode(decode(x)) fixpoint.
 //
 // Unlike the XML envelope, the binary envelope imposes no character
-// repertoire: any byte sequence round-trips. Applications that may be
-// downgraded to an XML session should still keep kinds and headers
-// XML-safe; WriteMessage enforces that on the fallback path exactly as
-// before.
+// repertoire: any byte sequence round-trips.
 //
 // Decoding parses the envelope in place from the pooled slab — kind and
 // header keys are interned from a small fixed vocabulary, so the
@@ -160,14 +157,19 @@ func ReadBinaryMessage(r io.Reader) (*Message, error) {
 // internTab maps the recurring envelope vocabulary (kinds, header keys)
 // to stable strings so decoding doesn't allocate one per frame. Header
 // values stay uncached: they are high-cardinality and would flush the
-// table (same reasoning as the xmlSafe verdict cache).
+// table, evicting the hot vocabulary it exists for.
+const (
+	maxInternLen     = 64
+	maxInternEntries = 4096
+)
+
 var (
 	internMu  sync.RWMutex
 	internTab = make(map[string]string, 64)
 )
 
 func internString(b []byte) string {
-	if len(b) > maxCachedVerdictLen {
+	if len(b) > maxInternLen {
 		return string(b)
 	}
 	internMu.RLock()
@@ -178,7 +180,7 @@ func internString(b []byte) string {
 	}
 	s = string(b)
 	internMu.Lock()
-	if len(internTab) >= maxCachedVerdicts {
+	if len(internTab) >= maxInternEntries {
 		// A hostile peer spraying unique kinds must not grow the table
 		// without bound; dropping it keeps the footprint fixed.
 		internTab = make(map[string]string, 64)

@@ -46,7 +46,7 @@ func testChunkFetch(t *testing.T, tr Transport) {
 
 func TestChunkFetchTCP(t *testing.T) { testChunkFetch(t, TCP{}) }
 func TestChunkFetchMux(t *testing.T) {
-	tr := NewMux(TCP{}, WireOptions{Mux: true, Binary: true})
+	tr := NewMux(TCP{}, WireOptions{})
 	defer tr.Close()
 	testChunkFetch(t, tr)
 }

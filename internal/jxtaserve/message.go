@@ -5,11 +5,13 @@
 // functionality that an application needs and hides the complexity of the
 // details of JXTA from developers."
 //
-// Wire format: every message is an XML envelope (kind + string headers)
-// followed by an opaque binary payload, both length-prefixed. XML keeps
-// the control plane inspectable (the paper encodes requests as XML
-// scripts); payloads carry the binary types codec so bulk data stays
-// compact.
+// Wire format: every message is an envelope (stream, kind and string
+// headers) followed by an opaque payload, both length-prefixed, framed
+// in binary v1 (binary.go) on every TCP conn and multiplexed into
+// streams over one session per peer pair (mux.go). Payloads carry the
+// binary types codec. WriteMessage and ReadMessage frame the same
+// envelope as XML; no peer speaks them any more, and they remain only
+// as the baseline the codec benchmarks compare against.
 package jxtaserve
 
 import (
@@ -22,7 +24,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"unicode/utf8"
 )
 
@@ -54,10 +55,11 @@ type Message struct {
 	Kind    string
 	Headers map[string]string
 	Payload []byte
-	// Stream is the mux stream ID carrying this message; zero means the
-	// message travels unmuxed (a whole-connection conversation). The ID
-	// is framed by both codecs so the demultiplexer on the far side can
-	// route it without touching the header map.
+	// Stream is the mux stream ID carrying this message; zero means it
+	// rides no stream: the session hello, or a conversation on a bare
+	// transport conn. The ID is framed outside the header map, so the
+	// demultiplexer on the far side routes it without touching the
+	// headers.
 	Stream uint64
 }
 
@@ -79,7 +81,7 @@ func (m *Message) SetHeader(key, val string) {
 
 // Limits protecting hosts from malformed or hostile frames.
 const (
-	maxEnvelopeLen = 1 << 20   // 1 MiB of XML headers
+	maxEnvelopeLen = 1 << 20   // 1 MiB of envelope
 	maxPayloadLen  = 256 << 20 // 256 MiB payload
 )
 
@@ -105,43 +107,8 @@ type xmlHeader struct {
 var ErrBadHeader = errors.New("jxtaserve: kind or header not XML-safe")
 
 // xmlSafe reports whether s round-trips through an XML attribute:
-// valid UTF-8 and only characters XML 1.0 permits. Verdicts for short
-// strings are cached; use it ONLY for kinds and header keys, which come
-// from a tiny fixed vocabulary ("pipe.data", "method", ...) that recurs
-// on every frame. Header VALUES go through xmlSafeSlow uncached: they
-// are high-cardinality (sequence numbers, peer IDs), and letting them
-// into the cache would trip the overflow flush and evict the hot
-// vocabulary the cache exists for.
+// valid UTF-8 and only characters XML 1.0 permits.
 func xmlSafe(s string) bool {
-	if len(s) <= maxCachedVerdictLen {
-		if v, ok := xmlSafeCache.Load(s); ok {
-			return v.(bool)
-		}
-		v := xmlSafeSlow(s)
-		if n := xmlSafeCacheLen.Add(1); n > maxCachedVerdicts {
-			// A hostile peer spraying unique kinds/keys must not grow
-			// the cache without bound; dropping it keeps the common
-			// vocabulary hot and the memory footprint fixed.
-			xmlSafeCache.Range(func(k, _ any) bool { xmlSafeCache.Delete(k); return true })
-			xmlSafeCacheLen.Store(0)
-		}
-		xmlSafeCache.Store(s, v)
-		return v
-	}
-	return xmlSafeSlow(s)
-}
-
-const (
-	maxCachedVerdictLen = 64
-	maxCachedVerdicts   = 4096
-)
-
-var (
-	xmlSafeCache    sync.Map
-	xmlSafeCacheLen atomic.Int64
-)
-
-func xmlSafeSlow(s string) bool {
 	if !utf8.ValidString(s) {
 		return false
 	}
@@ -180,7 +147,7 @@ func WriteMessage(w io.Writer, m *Message) error {
 		return ErrBadHeader
 	}
 	for k, v := range m.Headers {
-		if !xmlSafe(k) || !xmlSafeSlow(v) {
+		if !xmlSafe(k) || !xmlSafe(v) {
 			return ErrBadHeader
 		}
 	}

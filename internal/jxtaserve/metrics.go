@@ -12,10 +12,3 @@ var (
 	wireBytesOut = metrics.Default().Counter("jxtaserve_bytes_sent_total")
 	wireBytesIn  = metrics.Default().Counter("jxtaserve_bytes_recv_total")
 )
-
-// negotiatedTotal counts handshake outcomes per protocol, so a fleet
-// that should all be speaking binary/1 shows its downgrades on /metrics:
-// wire_negotiated_total{proto="binary/1"|"xml/1"|"legacy"}.
-func negotiatedTotal(proto string) *metrics.Counter {
-	return metrics.Default().Counter(metrics.Series("wire_negotiated_total", "proto", proto))
-}

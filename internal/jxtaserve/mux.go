@@ -1,24 +1,20 @@
-// Stream multiplexing and wire-protocol negotiation. MuxTransport wraps
-// any Transport so that every Conn handed to callers is a lightweight
-// Stream riding a single underlying connection per peer pair: pipes and
-// RPCs between two peers stop costing one TCP connection each.
+// Stream multiplexing: the one wire every peer speaks. MuxTransport
+// wraps any Transport so that every Conn handed to callers is a
+// lightweight Stream riding a single underlying connection per peer
+// pair: pipes and RPCs between two peers stop costing one TCP
+// connection each.
 //
-// Negotiation happens in-band with the legacy XML framing, so a muxed
-// dialer can talk to any listener ever deployed:
+// A session opens with one mux.hello each way, carrying the wire
+// version and the sender's per-stream receive window:
 //
-//	dialer                         listener
-//	------                         --------
-//	mux.hello{protos,win}  ----->
-//	                       <-----  mux.hello{proto,win}   (muxed peer)
-//	        both switch codec if proto == binary/1
-//	                       <-----  rpc.error              (legacy peer)
-//	        dialer closes, marks addr legacy, redials raw
+//	dialer                   listener
+//	------                   --------
+//	mux.hello{v:1,win}  ----->
+//	                    <-----  mux.hello{v:1,win}
 //
-// A legacy dialer never sends mux.hello, so the muxed listener sees an
-// ordinary first frame (pipe.bind, rpc) and serves the connection
-// unmuxed via a replay wrapper. Binary framing is only offered when the
-// underlying conn can actually switch codecs mid-connection (TCP can;
-// in-process transports pass values and honestly negotiate xml/1).
+// A listener closes, unanswered, any connection whose first frame is
+// not a v1 hello, so no handler ever serves a peer that speaks anything
+// else.
 //
 // Inside a session every frame carries its stream ID, encoded on the
 // wire as id<<1|syn: the low bit marks the opener's first frame, which
@@ -38,45 +34,33 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 )
 
-// Wire-negotiation message kinds (never seen by applications).
+// Session control message kinds (never seen by applications).
 const (
-	KindMuxHello  = "mux.hello" // headers: protos|proto, win
+	KindMuxHello  = "mux.hello" // headers: v, win; opens a session
 	KindMuxReset  = "mux.rst"   // headers: cause; kills one stream
 	KindMuxWindow = "mux.win"   // headers: n; returns n credits to the sender
 )
 
-// Negotiated protocol names, as logged in wire_negotiated_total{proto=...}.
 const (
-	ProtoBinaryV1 = "binary/1" // muxed, binary codec
-	ProtoXMLV1    = "xml/1"    // muxed, XML codec
-	ProtoLegacy   = "legacy"   // unmuxed XML, pre-mux peer
-)
-
-const (
+	wireVersion   = "1"  // the v header of every hello
 	defaultWindow = 64   // per-stream frames in flight before credit blocks
 	maxWindow     = 4096 // cap on what a peer may make us buffer per stream
 	acceptBacklog = 128  // inbound streams awaiting Accept
 )
 
-// WireOptions selects the transport features a peer offers.
+// WireOptions tunes the one wire: binary v1 over the stream mux.
 type WireOptions struct {
-	// Mux multiplexes all conns to a peer over one connection.
+	// Deprecated: ignored. Every peer multiplexes.
 	Mux bool
-	// Binary offers the binary codec during negotiation (TCP only;
-	// transports that cannot switch codecs fall back to muxed XML).
+	// Deprecated: ignored. Every TCP conn frames in binary v1.
 	Binary bool
-	// Window is the per-stream receive window in frames; 0 means
-	// defaultWindow.
+	// Window is the per-stream receive window in frames, advertised in
+	// the session hello; 0 means defaultWindow.
 	Window int
 }
-
-// binarySwitcher is the capability a Conn must have for binary/1 to be
-// offered: switching the wire codec after the XML hello exchange.
-type binarySwitcher interface{ UseBinary() }
 
 // StreamScopedError marks a Send failure whose blast radius is one
 // stream, not the shared connection — simnet's per-stream fault
@@ -132,12 +116,11 @@ type MuxTransport struct {
 // muxPeer serialises dialling per address so concurrent Dials share one
 // handshake instead of racing to open parallel sessions.
 type muxPeer struct {
-	mu     sync.Mutex
-	sess   *session
-	legacy bool // peer rejected mux.hello; dial raw from now on
+	mu   sync.Mutex
+	sess *session
 }
 
-// NewMux wraps inner with stream multiplexing and protocol negotiation.
+// NewMux wraps inner with stream multiplexing.
 func NewMux(inner Transport, opts WireOptions) *MuxTransport {
 	if opts.Window <= 0 {
 		opts.Window = defaultWindow
@@ -165,15 +148,11 @@ func (t *MuxTransport) peer(addr string) *muxPeer {
 	return p
 }
 
-// Dial returns a stream on the (possibly fresh) session to addr, or a
-// raw conn when the peer has proven legacy.
+// Dial returns a stream on the (possibly fresh) session to addr.
 func (t *MuxTransport) Dial(addr string) (Conn, error) {
 	p := t.peer(addr)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.legacy {
-		return t.inner.Dial(addr)
-	}
 	if p.sess != nil && !p.sess.isDead() {
 		if st, err := p.sess.openStream(); err == nil {
 			return st, nil
@@ -186,21 +165,14 @@ func (t *MuxTransport) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	proto, peerWin, err := t.dialHello(raw)
+	peerWin, err := t.dialHello(raw)
 	if err != nil {
 		raw.Close()
 		return nil, err
 	}
-	negotiatedTotal(proto).Inc()
-	if proto == ProtoLegacy {
-		// The peer predates mux.hello: it replied rpc.error and is about
-		// to close this conn. Remember that and redial plain.
-		p.legacy = true
-		raw.Close()
-		return t.inner.Dial(addr)
-	}
 	sess := newSession(raw, true, peerWin, t.opts.Window, nil)
 	sess.onDead = func() {
+		t.untrack(sess)
 		p.mu.Lock()
 		if p.sess == sess {
 			p.sess = nil
@@ -213,49 +185,36 @@ func (t *MuxTransport) Dial(addr string) (Conn, error) {
 	return sess.openStream()
 }
 
-// dialHello runs the dialler half of the negotiation on a fresh conn.
-func (t *MuxTransport) dialHello(raw Conn) (proto string, peerWin int, err error) {
-	offer := ProtoXMLV1
-	sw, canBinary := raw.(binarySwitcher)
-	if t.opts.Binary && canBinary {
-		offer = ProtoBinaryV1 + "," + ProtoXMLV1
-	}
-	hello := &Message{Kind: KindMuxHello}
-	hello.SetHeader("protos", offer)
-	hello.SetHeader("win", strconv.Itoa(t.opts.Window))
-	if err := raw.Send(hello); err != nil {
-		return "", 0, err
+// dialHello runs the dialler half of the handshake on a fresh conn and
+// returns the listener's window.
+func (t *MuxTransport) dialHello(raw Conn) (int, error) {
+	if err := raw.Send(helloFrame(t.opts.Window)); err != nil {
+		return 0, err
 	}
 	reply, err := raw.Recv()
 	if err != nil {
-		// Could be a legacy peer that closed on the unknown kind without
-		// replying, or a genuinely dead link. Don't mark legacy on such
-		// ambiguous evidence — surface the error and let the caller retry.
-		return "", 0, err
+		return 0, err
 	}
-	switch reply.Kind {
-	case KindMuxHello:
-		proto = reply.Header("proto")
-		switch proto {
-		case ProtoBinaryV1:
-			if !canBinary {
-				return "", 0, fmt.Errorf("jxtaserve: peer chose %s on a conn that cannot switch codecs", proto)
-			}
-			sw.UseBinary()
-		case ProtoXMLV1:
-		default:
-			return "", 0, fmt.Errorf("jxtaserve: peer chose unknown protocol %q", proto)
-		}
-		return proto, parseWindow(reply.Header("win")), nil
-	case KindRPCError:
-		return ProtoLegacy, 0, nil
-	default:
-		return "", 0, fmt.Errorf("jxtaserve: unexpected handshake reply %q", reply.Kind)
-	}
+	return helloWindow(reply)
 }
 
-// Listen wraps the inner listener so Accept yields per-stream Conns
-// from muxed peers and plain conns from legacy ones.
+// helloFrame is the session-opening frame both sides send.
+func helloFrame(window int) *Message {
+	return &Message{Kind: KindMuxHello, Headers: map[string]string{
+		"v": wireVersion, "win": strconv.Itoa(window)}}
+}
+
+// helloWindow checks that m is a v1 hello and returns the receive window
+// it advertises.
+func helloWindow(m *Message) (int, error) {
+	if m.Kind != KindMuxHello || m.Header("v") != wireVersion {
+		return 0, fmt.Errorf("jxtaserve: session opened with %s v=%q, want %s v=%s",
+			m.Kind, m.Header("v"), KindMuxHello, wireVersion)
+	}
+	return parseWindow(m.Header("win")), nil
+}
+
+// Listen wraps the inner listener so Accept yields per-stream Conns.
 func (t *MuxTransport) Listen(addr string) (Listener, error) {
 	inner, err := t.inner.Listen(addr)
 	if err != nil {
@@ -339,44 +298,26 @@ func (l *muxListener) run() {
 	}
 }
 
-// serve classifies one inbound connection: muxed peers open with
-// mux.hello, legacy peers open with application traffic.
+// serve opens a session on one inbound connection, or closes it
+// unanswered when its first frame is not a v1 hello.
 func (l *muxListener) serve(raw Conn) {
 	first, err := raw.Recv()
 	if err != nil {
 		raw.Close()
 		return
 	}
-	if first.Kind != KindMuxHello {
-		negotiatedTotal(ProtoLegacy).Inc()
-		l.deliver(&replayConn{Conn: raw, first: first})
-		return
-	}
-	proto := ProtoXMLV1
-	sw, canBinary := raw.(binarySwitcher)
-	if l.t.opts.Binary && canBinary && offersProto(first.Header("protos"), ProtoBinaryV1) {
-		proto = ProtoBinaryV1
-	}
-	reply := &Message{Kind: KindMuxHello}
-	reply.SetHeader("proto", proto)
-	reply.SetHeader("win", strconv.Itoa(l.t.opts.Window))
-	if err := raw.Send(reply); err != nil {
+	peerWin, err := helloWindow(first)
+	if err != nil || raw.Send(helloFrame(l.t.opts.Window)) != nil {
 		raw.Close()
 		return
 	}
-	if proto == ProtoBinaryV1 {
-		// Safe: the session's demux goroutine has not started, so no Recv
-		// is in flight while the codec flips.
-		sw.UseBinary()
-	}
-	negotiatedTotal(proto).Inc()
-	sess := newSession(raw, false, parseWindow(first.Header("win")), l.t.opts.Window, l.deliver)
+	sess := newSession(raw, false, peerWin, l.t.opts.Window, l.deliver)
 	sess.onDead = func() { l.t.untrack(sess) }
 	l.t.track(sess)
 	sess.start()
 }
 
-// deliver queues an accepted conn (stream or legacy) for Accept.
+// deliver queues an accepted stream for Accept.
 func (l *muxListener) deliver(c Conn) {
 	select {
 	case l.acceptCh <- c:
@@ -418,35 +359,6 @@ func (l *muxListener) Close() error {
 }
 
 func (l *muxListener) Addr() string { return l.inner.Addr() }
-
-// replayConn serves a legacy dialler whose first frame was consumed
-// during classification: the first Recv replays it.
-type replayConn struct {
-	Conn
-	mu    sync.Mutex
-	first *Message
-}
-
-func (c *replayConn) Recv() (*Message, error) {
-	c.mu.Lock()
-	if m := c.first; m != nil {
-		c.first = nil
-		c.mu.Unlock()
-		return m, nil
-	}
-	c.mu.Unlock()
-	return c.Conn.Recv()
-}
-
-// offersProto reports whether a comma-separated protos offer includes p.
-func offersProto(offer, p string) bool {
-	for _, o := range strings.Split(offer, ",") {
-		if strings.TrimSpace(o) == p {
-			return true
-		}
-	}
-	return false
-}
 
 // parseWindow decodes a win header, clamped to sane bounds so a hostile
 // hello can neither stall us (0) nor make us buffer unbounded frames.
@@ -802,9 +714,7 @@ func (st *stream) reset(cause error, tellPeer bool) {
 	if tellPeer {
 		rst := &Message{Kind: KindMuxReset, Stream: st.id << 1}
 		if cause != nil && cause != ErrClosed {
-			if msg := cause.Error(); xmlSafeSlow(msg) {
-				rst.SetHeader("cause", msg)
-			}
+			rst.SetHeader("cause", cause.Error())
 		}
 		// Best-effort: a dead session has already reset the peer's side.
 		st.sess.send(rst)

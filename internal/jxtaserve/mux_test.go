@@ -29,15 +29,15 @@ func muxPair(t *testing.T, opts WireOptions) (*MuxTransport, Listener) {
 }
 
 // TestMuxPipeEndToEnd runs the full host/pipe stack over the mux on
-// both transports, binary over TCP and (negotiated) XML in process.
+// both transports: binary frames over TCP, message values in process.
 func TestMuxPipeEndToEnd(t *testing.T) {
 	t.Run("tcp-binary", func(t *testing.T) {
-		tr := NewMux(TCP{}, WireOptions{Mux: true, Binary: true})
+		tr := NewMux(TCP{}, WireOptions{})
 		t.Cleanup(func() { tr.Close() })
 		testPipeEndToEnd(t, tr)
 	})
 	t.Run("inproc-xml", func(t *testing.T) {
-		tr := NewMux(NewInProc(), WireOptions{Mux: true, Binary: true})
+		tr := NewMux(NewInProc(), WireOptions{})
 		t.Cleanup(func() { tr.Close() })
 		testPipeEndToEnd(t, tr)
 	})
@@ -48,7 +48,7 @@ func TestMuxPipeEndToEnd(t *testing.T) {
 // send order even though they all share one connection.
 func TestMuxPerStreamOrdering(t *testing.T) {
 	const streams, frames = 8, 200
-	cli, l := muxPair(t, WireOptions{Mux: true, Window: 16})
+	cli, l := muxPair(t, WireOptions{Window: 16})
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 2*streams)
@@ -111,7 +111,7 @@ func TestMuxCreditNeverNegative(t *testing.T) {
 		window := 1 + rng.Intn(8)
 		frames := 50 + rng.Intn(100)
 		t.Run(fmt.Sprintf("window=%d_frames=%d", window, frames), func(t *testing.T) {
-			cli, l := muxPair(t, WireOptions{Mux: true, Window: window})
+			cli, l := muxPair(t, WireOptions{Window: window})
 			c, err := cli.Dial("srv")
 			if err != nil {
 				t.Fatal(err)
@@ -179,7 +179,7 @@ func TestMuxCreditNeverNegative(t *testing.T) {
 // reset surfacing on the victim as a StreamResetError.
 func TestMuxResetDoesNotStallSiblings(t *testing.T) {
 	const frames = 300
-	cli, l := muxPair(t, WireOptions{Mux: true, Window: 8})
+	cli, l := muxPair(t, WireOptions{Window: 8})
 
 	victim, err := cli.Dial("srv")
 	if err != nil {
@@ -268,8 +268,8 @@ func TestMuxGoroutineLeakOverChurn(t *testing.T) {
 	for wave := 0; wave < 10; wave++ {
 		func() {
 			inner := NewInProc()
-			srv := NewMux(inner, WireOptions{Mux: true, Window: 4})
-			cli := NewMux(inner, WireOptions{Mux: true, Window: 4})
+			srv := NewMux(inner, WireOptions{Window: 4})
+			cli := NewMux(inner, WireOptions{Window: 4})
 			l, err := srv.Listen("srv")
 			if err != nil {
 				t.Fatal(err)
@@ -330,6 +330,43 @@ func TestMuxGoroutineLeakOverChurn(t *testing.T) {
 	}
 }
 
+// TestMuxForgetsDeadSessions: a session whose peer has gone stops
+// being tracked by the dialler's transport, so a long-lived peer that
+// meets many short-lived ones holds only the sessions still alive.
+func TestMuxForgetsDeadSessions(t *testing.T) {
+	inner := NewInProc()
+	cli := NewMux(inner, WireOptions{})
+	t.Cleanup(func() { cli.Close() })
+	for i := 0; i < 8; i++ {
+		srv := NewMux(inner, WireOptions{})
+		l, err := srv.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cli.Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(&Message{Kind: "test.hello"}); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		cli.mu.Lock()
+		n := len(cli.sessions)
+		cli.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions to departed peers still tracked", n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // countingTransport counts Dial calls, standing in for the number of
 // real network connections a transport opens.
 type countingTransport struct {
@@ -350,7 +387,7 @@ func (c *countingTransport) Dial(addr string) (Conn, error) {
 // connection — the O(peers), not O(pipes), property.
 func TestMuxConnsPerPeerStaysFlat(t *testing.T) {
 	counting := &countingTransport{Transport: NewInProc()}
-	tr := NewMux(counting, WireOptions{Mux: true})
+	tr := NewMux(counting, WireOptions{})
 	t.Cleanup(func() { tr.Close() })
 	recv, send := newHostPair(t, tr)
 
@@ -380,5 +417,80 @@ func TestMuxConnsPerPeerStaysFlat(t *testing.T) {
 	}
 	if dials := counting.dials.Load(); dials != 1 {
 		t.Fatalf("4 pipes + 3 RPCs dialled %d connections, want 1 shared session", dials)
+	}
+}
+
+// TestMuxRefusesNonHello pins the one handshake: a listener closes,
+// unanswered, any connection whose first frame is not a v1 hello. Each
+// probe dials the bare TCP transport under a muxed host and sends one
+// first frame — an rpc, a pipe.bind, a hello of another version — and
+// must read end-of-stream: no handler runs, no pipe binds, and the
+// listener's goroutines return to their baseline.
+func TestMuxRefusesNonHello(t *testing.T) {
+	tr := NewMux(TCP{}, WireOptions{})
+	t.Cleanup(func() { tr.Close() })
+	h, err := NewHost("listener", tr, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	var served atomic.Int64
+	h.Handle("probe.echo", func(req *Message) (*Message, error) {
+		served.Add(1)
+		return &Message{Payload: req.Payload}, nil
+	})
+	pipe, _, err := h.OpenInput("probe/sink", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A served bind would count our hang-up as its sender's EOF and
+	// close the pipe.
+	pipe.ExpectEOFs(1)
+	baseline := runtime.NumGoroutine()
+
+	probes := []struct {
+		name  string
+		first *Message
+	}{
+		{"rpc", &Message{Kind: KindRPC, Headers: map[string]string{"method": "probe.echo"}}},
+		{"pipe.bind", &Message{Kind: KindPipeBind, Headers: map[string]string{"pipe": "probe/sink"}}},
+		{"hello-v2", &Message{Kind: KindMuxHello, Headers: map[string]string{"v": "2", "win": "64"}}},
+	}
+	for _, p := range probes {
+		t.Run(p.name, func(t *testing.T) {
+			raw, err := TCP{}.Dial(h.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			var timedOut atomic.Bool
+			timer := time.AfterFunc(5*time.Second, func() { timedOut.Store(true); raw.Close() })
+			defer timer.Stop()
+			if err := raw.Send(p.first); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := raw.Recv(); err == nil {
+				t.Fatalf("listener answered a %s first frame with %s", p.name, m.Kind)
+			}
+			if timedOut.Load() {
+				t.Fatalf("listener kept a conn that opened with %s", p.name)
+			}
+		})
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before the probes, still %d after", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := served.Load(); n != 0 {
+		t.Errorf("handler ran %d times for refused conns", n)
+	}
+	select {
+	case _, open := <-pipe.C:
+		t.Errorf("a refused bind reached the pipe (channel open: %v)", open)
+	default:
 	}
 }

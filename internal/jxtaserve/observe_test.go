@@ -7,7 +7,7 @@ import (
 	"consumergrid/internal/trace"
 )
 
-// Trace context rides the XML envelope headers; the pooled framing path
+// Trace context rides the envelope headers; the binary framing path
 // must carry it byte-exactly so a despatch span on the controller links
 // to the execute span on the host.
 func TestTraceHeadersSurviveFraming(t *testing.T) {
@@ -18,10 +18,10 @@ func TestTraceHeadersSurviveFraming(t *testing.T) {
 	trace.Inject(span, m.SetHeader)
 
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, m); err != nil {
+	if err := WriteBinaryMessage(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMessage(&buf)
+	got, err := ReadBinaryMessage(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestWireCountersAccumulate(t *testing.T) {
 
 	var buf bytes.Buffer
 	m := &Message{Kind: KindPipeData, Payload: []byte("0123456789")}
-	if err := WriteMessage(&buf, m); err != nil {
+	if err := WriteBinaryMessage(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	framed := int64(buf.Len())
-	if _, err := ReadMessage(&buf); err != nil {
+	if _, err := ReadBinaryMessage(&buf); err != nil {
 		t.Fatal(err)
 	}
 

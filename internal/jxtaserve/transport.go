@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 )
 
 // Conn is one bidirectional message stream between two peers. Send and
@@ -41,7 +40,8 @@ var ErrClosed = errors.New("jxtaserve: closed")
 // --- TCP --------------------------------------------------------------------
 
 // TCP is the production transport. Addresses are host:port; Listen with
-// port 0 picks a free port (read it back from Addr).
+// port 0 picks a free port (read it back from Addr). Every conn frames
+// its messages in binary v1 from its first byte.
 type TCP struct{}
 
 type tcpListener struct {
@@ -54,14 +54,7 @@ type tcpConn struct {
 	br *bufio.Reader
 	bw *bufio.Writer
 	mu sync.Mutex // serialises Send (frame integrity)
-	// binary flips the wire codec from XML to binary v1. Set once by the
-	// mux handshake, at a point where no Send or Recv is in flight.
-	binary atomic.Bool
 }
-
-// UseBinary switches subsequent frames to the binary codec, satisfying
-// the mux's binarySwitcher capability check.
-func (c *tcpConn) UseBinary() { c.binary.Store(true) }
 
 // Listen implements Transport.
 func (TCP) Listen(addr string) (Listener, error) {
@@ -81,9 +74,9 @@ func (TCP) Dial(addr string) (Conn, error) {
 	return newTCPConn(c), nil
 }
 
-// bwPool recycles write buffers across connection lifetimes: service
-// hosts churn one short-lived conn per pipe bind, and each bufio.Writer
-// carries a 4 KiB buffer worth reusing. The read side is deliberately
+// bwPool recycles write buffers across connection lifetimes: sessions
+// come and go as donors join and leave, and each bufio.Writer carries a
+// 4 KiB buffer worth reusing. The read side is deliberately
 // not pooled — Close may race with a blocked Recv (that is how callers
 // unblock it), so handing the reader to another conn would alias it.
 var bwPool = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
@@ -111,22 +104,13 @@ func (c *tcpConn) Send(m *Message) error {
 	if c.bw == nil {
 		return ErrClosed
 	}
-	write := WriteMessage
-	if c.binary.Load() {
-		write = WriteBinaryMessage
-	}
-	if err := write(c.bw, m); err != nil {
+	if err := WriteBinaryMessage(c.bw, m); err != nil {
 		return err
 	}
 	return c.bw.Flush()
 }
 
-func (c *tcpConn) Recv() (*Message, error) {
-	if c.binary.Load() {
-		return ReadBinaryMessage(c.br)
-	}
-	return ReadMessage(c.br)
-}
+func (c *tcpConn) Recv() (*Message, error) { return ReadBinaryMessage(c.br) }
 
 func (c *tcpConn) Close() error {
 	err := c.c.Close()

@@ -940,12 +940,20 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef) farmResult {
 	s, opts, c := cr.s, cr.opts, cr.c
 	attemptCtx, cancel := context.WithTimeout(ctx, opts.AttemptTimeout)
 	defer cancel()
+	// Abandoning the attempt does not cut its despatch short: the donor
+	// may already have accepted the run, and only the reply names the
+	// job to cancel. Each RPC keeps its own deadline.
+	despatchCtx := context.WithoutCancel(ctx)
 
 	// The failure detector starts before the despatch so a peer that
 	// dies during (or refuses) the handshake still earns its dead
-	// verdict, opening the breaker for future selection.
+	// verdict, opening the breaker for future selection; the verdict
+	// does cut the despatch.
 	if opts.Heartbeat {
-		stop := s.StartPeerHeartbeat(peer, cancel)
+		var dead context.CancelFunc
+		despatchCtx, dead = context.WithCancel(despatchCtx)
+		defer dead()
+		stop := s.StartPeerHeartbeat(peer, func() { dead(); cancel() })
 		defer stop()
 	}
 
@@ -953,7 +961,7 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef) farmResult {
 	// through its cache, the ring, sibling donors, and only then the
 	// controller — that ladder, not this attempt, is the data plane.
 	manifest := cr.manifests.manifestFor(c, peer.Addr)
-	job, err := s.despatchCtx(attemptCtx, RemotePart{
+	job, err := s.despatchCtx(despatchCtx, RemotePart{
 		Peer:         peer,
 		Body:         cr.body,
 		Iterations:   1,

@@ -642,7 +642,9 @@ func TestLifecycleCyclesDoNotLeakGoroutines(t *testing.T) {
 func TestDrainRPCReportsProgress(t *testing.T) {
 	tr := jxtaserve.NewInProc()
 	svc := newService(t, tr, "rpc-drain", Options{})
-	caller, err := jxtaserve.NewHost("rpc-drain-caller", tr, "")
+	callerTr := jxtaserve.NewMux(tr, jxtaserve.WireOptions{})
+	defer callerTr.Close()
+	caller, err := jxtaserve.NewHost("rpc-drain-caller", callerTr, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,7 +269,9 @@ func FuzzResultDigest(f *testing.F) {
 func TestWaitRefusesMiscountedResultList(t *testing.T) {
 	tr := jxtaserve.NewInProc()
 	ctl := newService(t, tr, "mc-ctl", Options{})
-	donor, err := jxtaserve.NewHost("mc-donor", tr, "")
+	donorTr := jxtaserve.NewMux(tr, jxtaserve.WireOptions{})
+	defer donorTr.Close()
+	donor, err := jxtaserve.NewHost("mc-donor", donorTr, "")
 	if err != nil {
 		t.Fatal(err)
 	}

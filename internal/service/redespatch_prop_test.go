@@ -75,6 +75,14 @@ func redespatchUnderFaults(t *testing.T, seed int64, chunks [][]types.Data, ref 
 	for i, w := range workers {
 		hosted[i] = w.jobsHosted.Value()
 	}
+	// A mux session outlives the farm that opened it, by design: one
+	// demux goroutine per side per peer pair. Open them before the
+	// baseline, so it counts only what the farm itself starts.
+	for _, p := range peers {
+		if _, err := ctl.host.Request(p.Addr, MethodPing, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	goroutines := runtime.NumGoroutine()
 
 	fo.Seed = seed

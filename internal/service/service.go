@@ -114,11 +114,9 @@ type Options struct {
 	// the only way a daemon discovers. Nil leaves the peer standalone:
 	// it publishes nothing and discovers no one.
 	Overlay *OverlayOptions
-	// Wire selects transport features: Wire.Mux multiplexes all traffic
-	// to a peer over one connection, Wire.Binary offers the binary codec
-	// during negotiation. Off by default; trianad turns both on. Either
-	// way, XML-only and unmuxed peers still interoperate (the handshake
-	// downgrades per peer).
+	// Wire tunes the one wire every service speaks: Transport is always
+	// wrapped in the stream mux, so all traffic to a peer rides one
+	// connection (binary v1 framed over TCP). Only Wire.Window is read.
 	Wire jxtaserve.WireOptions
 	// DataTier tunes the content-addressed chunk tier every daemon runs:
 	// farm inputs travel as manifests — tiny datums by value, the rest
@@ -143,7 +141,7 @@ type Options struct {
 type Service struct {
 	opts  Options
 	host  *jxtaserve.Host
-	muxT  *jxtaserve.MuxTransport // nil unless Options.Wire.Mux
+	muxT  *jxtaserve.MuxTransport
 	rm    gateway.ResourceManager
 	ownRM bool
 
@@ -405,17 +403,10 @@ func New(opts Options) (*Service, error) {
 	if opts.Transport == nil {
 		return nil, fmt.Errorf("service: Transport required")
 	}
-	transport := opts.Transport
-	var muxT *jxtaserve.MuxTransport
-	if opts.Wire.Mux {
-		muxT = jxtaserve.NewMux(transport, opts.Wire)
-		transport = muxT
-	}
-	host, err := jxtaserve.NewHost(opts.PeerID, transport, opts.Addr)
+	muxT := jxtaserve.NewMux(opts.Transport, opts.Wire)
+	host, err := jxtaserve.NewHost(opts.PeerID, muxT, opts.Addr)
 	if err != nil {
-		if muxT != nil {
-			muxT.Close()
-		}
+		muxT.Close()
 		return nil, err
 	}
 	s := &Service{
@@ -473,9 +464,7 @@ func New(opts Options) (*Service, error) {
 	if opts.Overlay != nil && (len(opts.Overlay.SuperPeers) > 0 || opts.Overlay.SuperPeer) {
 		if err := s.setupOverlay(opts.Overlay); err != nil {
 			host.Close()
-			if muxT != nil {
-				muxT.Close()
-			}
+			muxT.Close()
 			return nil, err
 		}
 	}
@@ -576,11 +565,9 @@ func (s *Service) Close() error {
 		s.overlaySuper.Close()
 	}
 	err := s.host.Close()
-	if s.muxT != nil {
-		// After the host: host.Close unblocks pipe readers, then the mux
-		// kills the sessions those readers rode on.
-		s.muxT.Close()
-	}
+	// After the host: host.Close unblocks pipe readers, then the mux
+	// kills the sessions those readers rode on.
+	s.muxT.Close()
 	s.bg.Wait()
 	s.lc.SetState(lifecycle.Stopped)
 	return err

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -508,6 +509,45 @@ func TestCloseRejectsNewJobs(t *testing.T) {
 	}
 }
 
+// dialCounter counts the connections a transport opens.
+type dialCounter struct {
+	jxtaserve.Transport
+	dials atomic.Int64
+}
+
+func (d *dialCounter) Dial(addr string) (jxtaserve.Conn, error) {
+	d.dials.Add(1)
+	return d.Transport.Dial(addr)
+}
+
+// TestOptionsServiceRidesTheMux: a service built with no wire options
+// speaks the one wire, over simnet and TCP alike, so three RPCs to a
+// peer ride the one session the first of them opened.
+func TestOptionsServiceRidesTheMux(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		inner jxtaserve.Transport
+		addr  string
+	}{
+		{"simnet", simnet.New().Peer("mux"), ""},
+		{"tcp", jxtaserve.TCP{}, "127.0.0.1:0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &dialCounter{Transport: tc.inner}
+			ctl := newService(t, tr, "mux-ctl", Options{Addr: tc.addr})
+			w := newService(t, tr, "mux-w", Options{Addr: tc.addr})
+			for i := 0; i < 3; i++ {
+				if _, err := ctl.Host().Request(w.Addr(), MethodPing, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := tr.dials.Load(); n != 1 {
+				t.Errorf("3 pings dialled %d connections, want 1 session", n)
+			}
+		})
+	}
+}
+
 // TestClosedServiceIsCollected is the regression for bench finding 2a:
 // a closed daemon must become garbage. The process registry binds each
 // peer's resilience counters, so they cannot live inside the Service.
@@ -520,7 +560,6 @@ func TestClosedServiceIsCollected(t *testing.T) {
 		d, err := New(Options{
 			PeerID: "gc-donor", Transport: jxtaserve.TCP{}, Addr: "127.0.0.1:0",
 			Overlay: ring,
-			Wire:    jxtaserve.WireOptions{Mux: true, Binary: true},
 		})
 		if err != nil {
 			t.Fatal(err)

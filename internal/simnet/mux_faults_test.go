@@ -13,8 +13,8 @@ import (
 // server listener, and a channel of accepted per-stream conns.
 func muxOverSimnet(t *testing.T, n *Network) (*jxtaserve.MuxTransport, jxtaserve.Listener, chan jxtaserve.Conn) {
 	t.Helper()
-	srv := jxtaserve.NewMux(n.Peer("srv"), jxtaserve.WireOptions{Mux: true})
-	cli := jxtaserve.NewMux(n.Peer("cli"), jxtaserve.WireOptions{Mux: true})
+	srv := jxtaserve.NewMux(n.Peer("srv"), jxtaserve.WireOptions{})
+	cli := jxtaserve.NewMux(n.Peer("cli"), jxtaserve.WireOptions{})
 	t.Cleanup(func() { cli.Close(); srv.Close() })
 	l, err := srv.Listen("")
 	if err != nil {

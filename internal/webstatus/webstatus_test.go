@@ -211,7 +211,9 @@ func TestOverlayPage(t *testing.T) {
 	}
 
 	// A seed super (known address) so the second daemon has a ring to join.
-	seedHost, err := jxtaserve.NewHost("seed-super", tr, "")
+	seedTr := jxtaserve.NewMux(tr, jxtaserve.WireOptions{})
+	defer seedTr.Close()
+	seedHost, err := jxtaserve.NewHost("seed-super", seedTr, "")
 	if err != nil {
 		t.Fatal(err)
 	}
