@@ -24,6 +24,9 @@ test-386:
 # One code path: a module bundle is a chunk, so internal/mcode stays off
 # the wire and the registry, and nothing outside bench/ names the old
 # mcode.fetch RPC or an mcode_ series.
+# No dead knobs: WireOptions.Mux/.Binary, DataTierOptions.Enable and
+# RunOptions.PoolShards are ignored and DonorPool.ShardPeers is Peers;
+# they stay for bench/ alone, so no other Go file may set or call them.
 layering:
 	@if go list -deps ./cmd/trianad ./cmd/trianactl ./internal/core ./internal/controller ./internal/service | grep -qx consumergrid/internal/discovery; then \
 		echo "layering: internal/discovery is reachable from a daemon path; only internal/experiments may import it"; exit 1; \
@@ -39,6 +42,9 @@ layering:
 	fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=jxtaserve --exclude-dir=experiments 'jxtaserve\.NewHost\(.*jxtaserve\.TCP\{\}' cmd internal; then \
 		echo "layering: a bare jxtaserve.TCP{} host speaks no session hello; wrap it in jxtaserve.NewMux"; exit 1; \
+	fi
+	@if grep -rnE --include='*.go' --exclude-dir=bench -e '\b(Mux|Binary|Enable|PoolShards):\s*\S' -e '\.(Mux|Binary|Enable|PoolShards)\s*=[^=]' -e '\.ShardPeers\(' . | grep -vE '\bcase\b'; then \
+		echo "layering: an ignored option is set, or ShardPeers is called, outside bench/; the wire, the data tier and the donor pool have one mode each"; exit 1; \
 	fi
 
 # The smoke targets below name their tests by hand. Every literal
@@ -98,7 +104,8 @@ bench-smoke:
 # Wire-protocol conformance: golden frames for both codecs and the
 # session hello, a short fuzz pass over the binary decoder and its
 # round-trip target, the listener's refusal of any first frame but a v1
-# hello, and the mux invariants (FIFO, credit bounds, reset isolation,
+# hello and its hang-up on a dialler that sends none in time, the
+# dialler forgetting each departed peer's entry, and the mux invariants (FIFO, credit bounds, reset isolation,
 # goroutine leaks) under the race detector; then the typed-data codec's golden encodings, its
 # decode∘encode fixpoint counterexamples, its exact sizing (Size is
 # the length Marshal writes) and a fuzz pass over that fixpoint, which
@@ -107,7 +114,7 @@ bench-smoke:
 # Run with -update after a deliberate wire change to regenerate the
 # golden fixtures.
 wire-conformance:
-	go test ./internal/jxtaserve/ -run 'TestGolden|TestMuxRefusesNonHello|TestReadBinaryMessageRejects' -count=1
+	go test ./internal/jxtaserve/ -run 'TestGolden|TestMuxRefusesNonHello|TestMuxHangsUpSilentDialers|TestMuxForgetsDeadPeers|TestReadBinaryMessageRejects' -count=1
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzReadBinaryMessage -fuzztime 10s
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzBinaryMessageRoundTrip -fuzztime 10s
 	go test ./internal/types/ -run 'TestGolden|TestFixpoint|TestSizeMatchesMarshal' -count=1
@@ -151,8 +158,8 @@ datastore-smoke:
 	go test ./internal/service/ -run 'TestFarmManifestDespatch|TestFarmEgressReduction|TestResolveManifestPeerRung|TestFarmSurvivesDeadChunkReplica|TestFarmManifestSkipsFailedRingOwner|TestFarmTinyDatumsTravelByValue|TestFarmMixedChunkPutsOnlyReferences|TestFarmReleaseDropsControllerInputs|TestRestoredPinsReleaseWithResumedFarm|TestResultDigestProperties|TestValueAndAddressBallotsAgree|TestWaitRefusesMiscountedResultList|TestBallotDigestSeesEveryFlippedBit|TestQuorumByzantineVoterCommitsByFetch|TestQuorumFetchFailureWidens|TestQuorumFarmOnSmallDonorCaches|TestQuorumFarmMovesEachByteOnce|TestManifestNeedsOneInputBody|TestUnresolvableManifestFailsOnWait|TestDonorParsesEachBodyOnce|TestInPlaceFarmUnitLeavesChunkStoreIntact|TestOnDemandCodeFetchHappens|TestRunRefusesVersionSkew|TestRunFailsWhenOwnerLacksBundle' -count=1 -v
 	go test -run '^$$' -bench 'BenchmarkFarmEgress' -benchtime 5x .
 
-# Multi-tenant despatch plane: the 2-shard × 3-tenant smoke scenario
-# (concurrent equal-weight farms over a pooled simnet grid, asserting
+# Multi-tenant despatch plane: the 3-tenant smoke scenario
+# (concurrent equal-weight farms over one donor pool on a simnet grid, asserting
 # Jain's fairness index >= 0.9 on admission grants and the presence of
 # tenant-labelled metric families), the fair-share scheduler's own
 # regression battery under -race (FIFO wake order, weighted shares,
@@ -160,7 +167,7 @@ datastore-smoke:
 # contention suite, the daemon flag-validation table, and the T7
 # fairness experiment end to end.
 tenant-smoke:
-	go test ./internal/controller/ -run 'TestTenantSmoke|TestDonorPoolShard|TestDonorPoolDefaultShards|TestThinShardQuorum' -count=1 -v
+	go test ./internal/controller/ -run 'TestTenantSmoke' -count=1 -v
 	go test -race ./internal/service/ -run 'TestAdmission|TestTenant' -count=1
 	go test ./cmd/trianad/ ./internal/policy/ -run 'TestValidate|TestParseTenants|TestJain|TestWeightedJain' -count=1
 	go test ./internal/experiments/ -run 'TestEveryExperimentRunsAndHoldsShape/T7' -count=1

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"consumergrid/internal/advert"
@@ -32,10 +31,6 @@ import (
 type Controller struct {
 	svc  *service.Service
 	logf func(format string, args ...any)
-
-	// farmSeq numbers farm submissions; with the tenant it forms the
-	// key that places each farm on a donor-pool shard.
-	farmSeq atomic.Int64
 
 	mu   sync.Mutex
 	pool *DonorPool
@@ -65,18 +60,16 @@ type RunOptions struct {
 	PeerGroup string
 	// RequireCaps restricts candidates to donors whose capability set
 	// carries every listed key=value pair exactly (trianad
-	// -require-caps). RunFarm resolves it through the donor pool's
-	// group index to one capability group — despatch, speculation and
-	// quorum then stay inside that group — while an empty or unknown
-	// group falls back to the health-ranked whole pool, counted on
-	// capgroup_fallback_total. Pull-path discovery filters service
-	// adverts by the same pairs.
+	// -require-caps). RunFarm resolves it through the capability-group
+	// index of its candidate adverts to one group — despatch,
+	// speculation and quorum then stay inside that group — while an
+	// empty or unknown group falls back to the health-ranked whole
+	// pool, counted on capgroup_fallback_total. Discovery filters
+	// service adverts by the same pairs.
 	RequireCaps map[string]string
 	// ForceLocal skips discovery and runs everything in-process.
 	ForceLocal bool
-	// PoolShards forces the donor-pool shard count. 0 derives one shard
-	// per overlay ring member (shard ownership then agrees with advert
-	// placement); explicit values suit tests and grids with few supers.
+	// Deprecated: ignored. The donor pool has one donor set.
 	PoolShards int
 }
 
@@ -100,13 +93,34 @@ func (r *Report) Result() *engine.Result { return r.Dist.Local }
 // DiscoverPeers queries the discovery layer for usable Triana services,
 // ranked by candidates: strongest advertised CPU first, so the policy
 // gets the strongest peers first, and this controller's own peer
-// excluded.
+// excluded. It always pulls, pool or no pool.
 func (c *Controller) DiscoverPeers(opts RunOptions) ([]service.PeerRef, error) {
 	ads, err := c.svc.Discover(discoveryQuery(opts), 0)
 	if err != nil {
 		return nil, err
 	}
 	return c.candidates(ads, opts), nil
+}
+
+// candidateAdverts is where Run, RunFarm and group resolution get their
+// donor adverts: the running donor pool's, when one of them passes the
+// run's filters, else one discovery pull. It returns the pool whose
+// adverts it returned, nil for a pull.
+func (c *Controller) candidateAdverts(opts RunOptions) ([]*advert.Advertisement, *DonorPool, error) {
+	c.mu.Lock()
+	p := c.pool
+	c.mu.Unlock()
+	q := discoveryQuery(opts)
+	if p != nil {
+		ads := p.adverts()
+		for _, ad := range ads {
+			if ad.PeerID != c.svc.PeerID() && q.Matches(ad) {
+				return ads, p, nil
+			}
+		}
+	}
+	ads, err := c.svc.Discover(q, 0)
+	return ads, nil, err
 }
 
 // candidates is the one routine every candidate list passes through,
@@ -195,11 +209,11 @@ func (c *Controller) Run(ctx context.Context, g *taskgraph.Graph, opts RunOption
 	if err != nil {
 		return nil, err
 	}
-	peerRefs, err := c.DiscoverPeers(opts)
+	ads, _, err := c.candidateAdverts(opts)
 	if err != nil {
 		c.log("controller: discovery failed (%v); running locally", err)
-		peerRefs = nil
 	}
+	peerRefs := c.candidates(ads, opts)
 	ids := make([]string, len(peerRefs))
 	byID := make(map[string]service.PeerRef, len(peerRefs))
 	for i, p := range peerRefs {
@@ -262,10 +276,9 @@ type FarmOptions struct {
 	StragglerFactor float64
 	MaxSpeculative  int
 	Quorum          int
-	// Tenant names the submitting tenant: it picks the farm's donor-pool
-	// shard, charges the fair-share admission queue, and labels the
-	// despatch envelope, spans and metrics. Empty means the default
-	// tenant.
+	// Tenant names the submitting tenant: it charges the fair-share
+	// admission queue and labels the despatch envelope, spans and
+	// metrics. Empty means the default tenant.
 	Tenant string
 }
 
@@ -278,14 +291,7 @@ func (c *Controller) RunFarm(ctx context.Context, chunks [][]types.Data, opts Fa
 	if tenant == "" {
 		tenant = service.DefaultTenant
 	}
-	// A running donor pool already holds push-maintained candidates, so
-	// the per-farm discovery round trip is skipped entirely: the farm's
-	// (tenant, sequence) key hashes onto one pool shard, whose donors
-	// become the candidate set — selection, ranking and despatch then
-	// run shard-locally. An empty pool (or no pool) falls back to a
-	// pull query.
-	farmKey := fmt.Sprintf("tenant/%s/farm/%d", tenant, c.farmSeq.Add(1))
-	peers, group, members, err := c.farmCandidates(farmKey, opts.Discovery, opts.Quorum)
+	peers, group, members, err := c.farmCandidates(opts.Discovery)
 	if err != nil {
 		return nil, fmt.Errorf("controller: farm discovery: %w", err)
 	}
@@ -318,22 +324,17 @@ func (c *Controller) RunFarm(ctx context.Context, chunks [][]types.Data, opts Fa
 	})
 }
 
-// farmCandidates picks one farm's candidate set from the running donor
-// pool's adverts when there is a pool, else from one pull query; either
-// way the list passes through candidates, so the farm's discovery
-// filters hold. With a capability requirement, the group index over the
-// same adverts resolves it to one capability group whose members become
-// the candidates, and the farm commits to that group. No populated
-// matching group falls back to the ungrouped path, counted on
+// farmCandidates picks one farm's candidate set from candidateAdverts,
+// ranked by candidates, so the farm's discovery filters hold. With a
+// capability requirement, the group index over the same adverts
+// resolves it to one capability group whose members become the
+// candidates, and the farm commits to that group. No populated matching
+// group falls back to the ungrouped path, counted on
 // capgroup_fallback_total, so a momentarily empty group never fails a
-// farm. Without a requirement: the farm's pool shard when it can seat
-// the farm's quorum, else the whole pool, else a pull query.
-func (c *Controller) farmCandidates(farmKey string, opts RunOptions, quorum int) (peers []service.PeerRef, group string, members map[string]bool, err error) {
-	c.mu.Lock()
-	p := c.pool
-	c.mu.Unlock()
+// farm.
+func (c *Controller) farmCandidates(opts RunOptions) (peers []service.PeerRef, group string, members map[string]bool, err error) {
 	if len(opts.RequireCaps) > 0 {
-		if key, refs, ok := c.matchGroup(p, opts); ok {
+		if key, refs, ok := c.matchGroup(opts); ok {
 			members = make(map[string]bool, len(refs))
 			for _, r := range refs {
 				members[r.ID] = true
@@ -346,27 +347,22 @@ func (c *Controller) farmCandidates(farmKey string, opts RunOptions, quorum int)
 		// still carrying the cap filters would find nothing either.
 		opts.RequireCaps = nil
 	}
-	if p != nil {
-		if peers = p.shardPeers(farmKey, opts, max(1, quorum)); peers != nil {
-			return peers, "", nil, nil
-		}
-	}
-	peers, err = c.DiscoverPeers(opts)
-	return peers, "", nil, err
+	ads, _, err := c.candidateAdverts(opts)
+	return c.candidates(ads, opts), "", nil, err
 }
 
-// matchGroup resolves opts.RequireCaps over the pool's live group index
-// and adverts or, poolless, over an index of one pull: the first group
-// in best-populated-first match order with a candidate wins, its
-// members ranked by candidates like any other list.
-func (c *Controller) matchGroup(p *DonorPool, opts RunOptions) (string, []service.PeerRef, bool) {
+// matchGroup resolves opts.RequireCaps over candidateAdverts: through
+// the pool's live group index when the adverts are the pool's, else
+// through an index of the pulled adverts. The first group in
+// best-populated-first match order with a candidate wins, its members
+// ranked by candidates like any other list.
+func (c *Controller) matchGroup(opts RunOptions) (string, []service.PeerRef, bool) {
+	// A failed pull leaves the index empty: the caller falls back.
+	ads, p, _ := c.candidateAdverts(opts)
 	var idx *capgroup.Index
-	var ads []*advert.Advertisement
 	if p != nil {
-		idx, ads = p.groups, p.adverts()
+		idx = p.groups
 	} else {
-		// A failed pull leaves the index empty: the caller falls back.
-		ads, _ = c.svc.Discover(discoveryQuery(opts), 0)
 		idx = capgroup.NewIndex()
 		for _, ad := range ads {
 			idx.PutAdvert(ad)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"consumergrid/internal/metrics"
+	"consumergrid/internal/policy"
 	"consumergrid/internal/service"
 	"consumergrid/internal/taskgraph"
 )
@@ -50,14 +51,19 @@ func TestDonorPoolTracksAdverts(t *testing.T) {
 		t.Fatalf("pool order = %v, want strongest CPU first", peers)
 	}
 
-	// RunFarm's pooled peer source is shardPeers; check it reads the pool
-	// and honours the farm's filters. Needing both donors seated takes shard
-	// placement out of the picture: a thinner shard defers to the pool.
-	if got := pool.shardPeers("farm", RunOptions{}, 2); len(got) != 2 {
-		t.Fatalf("shardPeers = %v, want both workers", got)
-	}
-	if got := pool.shardPeers("farm", RunOptions{MinCPUMHz: 2000}, 1); len(got) != 1 || got[0].ID != workerID(1) {
-		t.Fatalf("shardPeers(MinCPUMHz 2000) = %v, want just the strongest", got)
+	// Run's and RunFarm's candidates come from candidateAdverts; check it
+	// reads the pool and that the farm's filters hold on it.
+	for _, tc := range []struct {
+		filter RunOptions
+		want   int
+	}{{RunOptions{}, 2}, {RunOptions{MinCPUMHz: 2000}, 1}} {
+		ads, from, err := net.ctl.candidateAdverts(tc.filter)
+		if err != nil || from != pool {
+			t.Fatalf("candidateAdverts(%+v) read pool %p (err %v), want the running pool", tc.filter, from, err)
+		}
+		if got := net.ctl.candidates(ads, tc.filter); len(got) != tc.want || got[0].ID != workerID(1) {
+			t.Fatalf("pooled candidates(%+v) = %v, want %d led by the strongest", tc.filter, got, tc.want)
+		}
 	}
 
 	// worker-a's advert expires; the sweep's retraction push removes it.
@@ -83,8 +89,8 @@ func TestDonorPoolFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pool.shardPeers("farm", RunOptions{}, 1); got != nil {
-		t.Fatalf("empty pool should defer to pull discovery, got %v", got)
+	if _, from, _ := net.ctl.candidateAdverts(RunOptions{}); from != nil {
+		t.Fatal("empty pool should defer to pull discovery")
 	}
 	// Closing deregisters the pool from the controller.
 	pool.Close()
@@ -98,12 +104,40 @@ func TestDonorPoolFallback(t *testing.T) {
 	if err := net.workers[0].Advertise(time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	peers, _, _, err := net.ctl.farmCandidates("farm", RunOptions{}, 1)
+	peers, _, _, err := net.ctl.farmCandidates(RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(peers) != 1 || peers[0].ID != workerID(0) {
 		t.Fatalf("poolless farm candidates = %v, want worker-a", peers)
+	}
+}
+
+// TestPooledRunSendsNoQuery: with a donor pool running, Run plans over
+// the pool's donors and sends the overlay no query, as RunFarm does.
+func TestPooledRunSendsNoQuery(t *testing.T) {
+	net := newNet(t, 2, nil)
+	pool, err := net.ctl.StartDonorPool(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	advertiseAll(t, net)
+	waitFor(t, "donors pooled", func() bool { return pool.Size() == 2 })
+
+	queries := metrics.Default().Counter(metrics.Series("overlay_client_queries_total", "peer", "controller"))
+	before := queries.Value()
+	rep, err := net.ctl.Run(context.Background(), figure1(t, policy.NameParallel),
+		RunOptions{Iterations: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSignal(t, rep, 4)
+	if len(rep.Peers) != 2 {
+		t.Errorf("pooled run used peers %v, want both donors", rep.Peers)
+	}
+	if n := queries.Value() - before; n != 0 {
+		t.Errorf("pooled Run sent %d overlay queries, want 0", n)
 	}
 }
 

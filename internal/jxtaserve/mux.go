@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"time"
 )
 
 // Session control message kinds (never seen by applications).
@@ -49,6 +50,8 @@ const (
 	defaultWindow = 64   // per-stream frames in flight before credit blocks
 	maxWindow     = 4096 // cap on what a peer may make us buffer per stream
 	acceptBacklog = 128  // inbound streams awaiting Accept
+
+	helloTimeout = 5 * time.Second // a listener's wait for an inbound hello
 )
 
 // WireOptions tunes the one wire: binary v1 over the stream mux.
@@ -103,8 +106,9 @@ func (e *SessionDeadError) Unwrap() error { return e.Err }
 // dialled conns into per-address sessions and demultiplexing accepted
 // connections back into per-stream Conns.
 type MuxTransport struct {
-	inner Transport
-	opts  WireOptions
+	inner     Transport
+	opts      WireOptions
+	helloWait time.Duration // helloTimeout; tests shorten it
 
 	mu       sync.Mutex
 	peers    map[string]*muxPeer
@@ -114,7 +118,8 @@ type MuxTransport struct {
 }
 
 // muxPeer serialises dialling per address so concurrent Dials share one
-// handshake instead of racing to open parallel sessions.
+// handshake instead of racing to open parallel sessions. An entry lives
+// in MuxTransport.peers only while a dial or a live session holds it.
 type muxPeer struct {
 	mu   sync.Mutex
 	sess *session
@@ -129,11 +134,12 @@ func NewMux(inner Transport, opts WireOptions) *MuxTransport {
 		opts.Window = maxWindow
 	}
 	return &MuxTransport{
-		inner:    inner,
-		opts:     opts,
-		peers:    make(map[string]*muxPeer),
-		sessions: make(map[*session]struct{}),
-		lns:      make(map[*muxListener]struct{}),
+		inner:     inner,
+		opts:      opts,
+		helloWait: helloTimeout,
+		peers:     make(map[string]*muxPeer),
+		sessions:  make(map[*session]struct{}),
+		lns:       make(map[*muxListener]struct{}),
 	}
 }
 
@@ -148,10 +154,36 @@ func (t *MuxTransport) peer(addr string) *muxPeer {
 	return p
 }
 
+// forget unmaps p, if addr still maps to it. The caller holds p.mu, so
+// the lock order is Dial's: p.mu before t.mu.
+func (t *MuxTransport) forget(addr string, p *muxPeer) {
+	t.mu.Lock()
+	if t.peers[addr] == p {
+		delete(t.peers, addr)
+	}
+	t.mu.Unlock()
+}
+
+// lockPeer returns addr's entry with its mu held. An entry forgotten
+// while we waited for its lock is passed over for the current one, so
+// there is still one session per peer.
+func (t *MuxTransport) lockPeer(addr string) *muxPeer {
+	for {
+		p := t.peer(addr)
+		p.mu.Lock()
+		t.mu.Lock()
+		mapped := t.peers[addr] == p
+		t.mu.Unlock()
+		if mapped {
+			return p
+		}
+		p.mu.Unlock()
+	}
+}
+
 // Dial returns a stream on the (possibly fresh) session to addr.
 func (t *MuxTransport) Dial(addr string) (Conn, error) {
-	p := t.peer(addr)
-	p.mu.Lock()
+	p := t.lockPeer(addr)
 	defer p.mu.Unlock()
 	if p.sess != nil && !p.sess.isDead() {
 		if st, err := p.sess.openStream(); err == nil {
@@ -163,11 +195,13 @@ func (t *MuxTransport) Dial(addr string) (Conn, error) {
 	p.sess = nil
 	raw, err := t.inner.Dial(addr)
 	if err != nil {
+		t.forget(addr, p)
 		return nil, err
 	}
 	peerWin, err := t.dialHello(raw)
 	if err != nil {
 		raw.Close()
+		t.forget(addr, p)
 		return nil, err
 	}
 	sess := newSession(raw, true, peerWin, t.opts.Window, nil)
@@ -176,11 +210,16 @@ func (t *MuxTransport) Dial(addr string) (Conn, error) {
 		p.mu.Lock()
 		if p.sess == sess {
 			p.sess = nil
+			t.forget(addr, p)
 		}
 		p.mu.Unlock()
 	}
+	if !t.track(sess) {
+		raw.Close()
+		t.forget(addr, p)
+		return nil, ErrClosed
+	}
 	p.sess = sess
-	t.track(sess)
 	sess.start()
 	return sess.openStream()
 }
@@ -233,10 +272,17 @@ func (t *MuxTransport) Listen(addr string) (Listener, error) {
 	return l, nil
 }
 
-func (t *MuxTransport) track(s *session) {
+// track records a new session so Close can kill it, and refuses it once
+// the transport is closed: a handshake that finishes after Close must
+// not leave a session that nothing will kill.
+func (t *MuxTransport) track(s *session) bool {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return false
+	}
 	t.sessions[s] = struct{}{}
-	t.mu.Unlock()
+	return true
 }
 
 func (t *MuxTransport) untrack(s *session) {
@@ -299,10 +345,13 @@ func (l *muxListener) run() {
 }
 
 // serve opens a session on one inbound connection, or closes it
-// unanswered when its first frame is not a v1 hello.
+// unanswered when its first frame is not a v1 hello or does not arrive
+// within helloWait, so a silent dialler cannot hold this goroutine and
+// its socket.
 func (l *muxListener) serve(raw Conn) {
+	hangUp := time.AfterFunc(l.t.helloWait, func() { raw.Close() })
 	first, err := raw.Recv()
-	if err != nil {
+	if !hangUp.Stop() || err != nil {
 		raw.Close()
 		return
 	}
@@ -313,7 +362,10 @@ func (l *muxListener) serve(raw Conn) {
 	}
 	sess := newSession(raw, false, peerWin, l.t.opts.Window, l.deliver)
 	sess.onDead = func() { l.t.untrack(sess) }
-	l.t.track(sess)
+	if !l.t.track(sess) {
+		raw.Close()
+		return
+	}
 	sess.start()
 }
 

@@ -367,6 +367,105 @@ func TestMuxForgetsDeadSessions(t *testing.T) {
 	}
 }
 
+// TestMuxForgetsDeadPeers: the dialler's per-address entries go with
+// their sessions, and a failed dial leaves none behind, so a long-lived
+// peer that meets many short-lived ones maps only the peers still live.
+// Concurrent dials race each peer's departure, so entries are forgotten
+// while other dials wait on them.
+func TestMuxForgetsDeadPeers(t *testing.T) {
+	inner := NewInProc()
+	cli := NewMux(inner, WireOptions{})
+	t.Cleanup(func() { cli.Close() })
+	for i := 0; i < 200; i++ {
+		srv := NewMux(inner, WireOptions{})
+		l, err := srv.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cli.Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(&Message{Kind: "test.hello"}); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Either outcome is fine; only the entries are checked.
+				if c, err := cli.Dial(l.Addr()); err == nil {
+					c.Close()
+				}
+			}()
+		}
+		srv.Close()
+		wg.Wait()
+	}
+	if _, err := cli.Dial("nobody"); err == nil {
+		t.Fatal("dial to an unbound address succeeded")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		cli.mu.Lock()
+		n := len(cli.peers)
+		cli.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d entries for departed peers still mapped", n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestMuxHangsUpSilentDialers: a listener closes a conn whose first
+// frame does not arrive within the hello wait, so diallers that connect
+// and say nothing hold no serve goroutine and no socket.
+func TestMuxHangsUpSilentDialers(t *testing.T) {
+	tr := NewMux(TCP{}, WireOptions{})
+	tr.helloWait = 50 * time.Millisecond
+	t.Cleanup(func() { tr.Close() })
+	l, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+
+	const silent = 20
+	var wg sync.WaitGroup
+	var held atomic.Int64
+	for i := 0; i < silent; i++ {
+		raw, err := TCP{}.Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer raw.Close()
+			timer := time.AfterFunc(5*time.Second, func() { held.Add(1); raw.Close() })
+			defer timer.Stop()
+			if m, err := raw.Recv(); err == nil {
+				t.Errorf("listener sent %s to a silent dialler", m.Kind)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := held.Load(); n != 0 {
+		t.Fatalf("listener held %d of %d silent conns past the hello wait", n, silent)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before the silent conns, still %d after", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // countingTransport counts Dial calls, standing in for the number of
 // real network connections a transport opens.
 type countingTransport struct {
