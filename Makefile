@@ -63,12 +63,15 @@ run-lists:
 # while an owned one is taken.
 # Then the lazily built per-request state: the noise stream's golden
 # digest, the replayed retry backoff and its first-attempt byte bound,
-# and trace IDs minted from 16 goroutines, ten times over.
+# and trace IDs minted from 16 goroutines, ten times over. Last, a
+# super's stored replies racing its writes and a client's shared
+# adverts racing its queries, pushes and publishes, ten times over.
 race:
 	go test -race ./internal/engine/... ./internal/jxtaserve/... ./internal/dsp/...
 	go test -race ./internal/dsp/ ./internal/units/signal/ ./internal/units/mathx/ -run 'TestCrossCorrelateEach|TestMatchedFilterTableUnchanged|TestMatchedFilterAllocBound|TestMatchedFilterBankBuiltOncePerProcess|TestInjectChirpBuildsChirpOncePerRate|TestElementwisePreservesConcreteType|TestElementwiseInPlaceUnderFanOut|TestGaussianNoiseGolden' -count=1
 	go test -race ./internal/service/ -run 'TestRetryJitterReplaysAndIsLazy' -count=1
 	go test -race ./internal/trace/ -run 'TestNewIDFormatAndUniqueness' -count=10
+	go test -race ./internal/overlay/ -run 'TestStoredRepliesUnderConcurrentWrites|TestClientConcurrentQueryNotifyPublish' -count=10
 
 # Race detector over the concurrency-heavy resilience stack: the chunk
 # runner, the health tracker, and the fault-injecting network — then the
@@ -220,9 +223,18 @@ groups-smoke:
 # Discovery-overlay chaos: seeded simnet with 3 super-peers (R=2), one
 # killed mid-run. Asserts every advert published before the kill stays
 # discoverable, failover pushes reach subscribers, and anti-entropy
-# repairs a healed partition. Deterministic seeds. Then the daemon's
-# side: Service.Discover is exactly the ring's answer, and its cost per
-# returned advert stays within budget.
+# repairs a healed partition. Deterministic seeds. Then the read path:
+# a super answers a repeat query from its stored reply until a write, an
+# expiry or a sweep changes the answer, within its count and byte
+# bounds; every write path serves canonical bytes; the client's memo
+# shares one read-only advert per distinct encoding; the query encoder
+# writes encoding/xml's bytes; and a pooled group farm plus a pull leave
+# every shared advert as its donor published it. The allocation budgets
+# (warm query per advert, warm super reply, Service.Discover per advert)
+# run here without the race detector. Last, the daemon's side:
+# Service.Discover is exactly the ring's answer.
 overlay-smoke:
-	go test ./internal/overlay/ -run 'TestChaosSuperPeerFailover|TestAntiEntropyRepairsPartition|TestPublishAndQueryMessageCost|TestQueryAllocBudget' -count=1 -v
+	go test ./internal/overlay/ -run 'TestChaosSuperPeerFailover|TestAntiEntropyRepairsPartition|TestPublishAndQueryMessageCost|TestQueryAllocBudget|TestWarmQueryAllocBudget|TestSuperAnswersRepeatQueriesFromStoredReplies|TestStoredRepliesStayBounded|TestReplyFromOvertakenFindIsNotStored|TestStoredRepliesUnderConcurrentWrites|TestEveryWritePathServesCanonicalBytes|TestQueryResultsShareDecodedAdverts|TestClientConcurrentQueryNotifyPublish' -count=1 -v
+	go test ./internal/advert/ -run 'TestQueryMarshalMatchesEncodingXML|TestQueryXMLRoundTrip|FuzzQueryRoundTrip' -count=1 -v
+	go test ./internal/controller/ -run 'TestSharedAdvertsSurviveFarmAndPull' -count=1 -v
 	go test ./internal/service/ -run 'TestDiscoverIsTheRingsAnswer|TestServiceDiscoverAllocBudget' -count=1 -v

@@ -13,11 +13,13 @@ package advert
 import (
 	"encoding/xml"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"consumergrid/internal/frame"
 )
@@ -241,27 +243,139 @@ type xmlQuery struct {
 	Mins    []xmlAttr `xml:"min"`
 }
 
-// MarshalText renders the query as XML.
+// MarshalText renders the query as XML: byte for byte what xml.Marshal
+// makes of its xmlQuery (which stays the decoder), appended into one
+// buffer sized up front. A controller encodes a query per discovery
+// pull, and an xml.Encoder costs a 4 KiB buffer per call.
 func (q Query) MarshalText() ([]byte, error) {
-	x := xmlQuery{Kind: string(q.Kind), Name: q.Name, PeerID: q.PeerID}
-	keys := make([]string, 0, len(q.Attrs))
+	keys := make([]string, 0, len(q.Attrs)+len(q.MinAttrs))
 	for k := range q.Attrs {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		x.Attrs = append(x.Attrs, xmlAttr{Name: k, Value: q.Attrs[k]})
-	}
-	keys = keys[:0]
+	attrKeys := keys
 	for k := range q.MinAttrs {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		x.Mins = append(x.Mins, xmlAttr{Name: k,
-			Value: strconv.FormatFloat(q.MinAttrs[k], 'g', -1, 64)})
+	minKeys := keys[len(attrKeys):]
+	slices.Sort(attrKeys)
+	slices.Sort(minKeys)
+
+	size := len("<query></query>") + optAttrLen("kind", string(q.Kind)) +
+		optAttrLen("name", q.Name) + optAttrLen("peer", q.PeerID)
+	for _, k := range attrKeys {
+		size += len(`<attr></attr>`) + xmlAttrLen("name", k) + xmlAttrLen("value", q.Attrs[k])
 	}
-	return xml.Marshal(x)
+	for _, k := range minKeys {
+		size += len(`<min></min>`) + xmlAttrLen("name", k) + xmlAttrLen("value", "") + maxFloatLen
+	}
+	out := append(make([]byte, 0, size), "<query"...)
+	out = appendOptAttr(out, "kind", string(q.Kind))
+	out = appendOptAttr(out, "name", q.Name)
+	out = appendOptAttr(out, "peer", q.PeerID)
+	out = append(out, '>')
+	for _, k := range attrKeys {
+		out = append(out, "<attr"...)
+		out = appendXMLAttr(out, "name", k)
+		out = appendXMLAttr(out, "value", q.Attrs[k])
+		out = append(out, "></attr>"...)
+	}
+	for _, k := range minKeys {
+		out = append(out, "<min"...)
+		out = appendXMLAttr(out, "name", k)
+		// A formatted float holds nothing XML escapes.
+		out = append(out, ` value="`...)
+		out = strconv.AppendFloat(out, q.MinAttrs[k], 'g', -1, 64)
+		out = append(out, `"></min>`...)
+	}
+	return append(out, "</query>"...), nil
+}
+
+// maxFloatLen is the longest strconv.FormatFloat(f, 'g', -1, 64), as
+// in "-2.2250738585072014e-308".
+const maxFloatLen = 24
+
+// appendXMLAttr appends ` name="value"`, escaping value as encoding/xml
+// escapes an attribute value.
+func appendXMLAttr(dst []byte, name, value string) []byte {
+	dst = append(dst, ' ')
+	dst = append(dst, name...)
+	dst = append(dst, '=', '"')
+	dst = appendXMLEscaped(dst, value)
+	return append(dst, '"')
+}
+
+// xmlAttrLen is the length appendXMLAttr appends.
+func xmlAttrLen(name, value string) int { return len(name) + 4 + xmlEscapedLen(value) }
+
+// appendOptAttr is appendXMLAttr for an omitempty attribute.
+func appendOptAttr(dst []byte, name, value string) []byte {
+	if value == "" {
+		return dst
+	}
+	return appendXMLAttr(dst, name, value)
+}
+
+func optAttrLen(name, value string) int {
+	if value == "" {
+		return 0
+	}
+	return xmlAttrLen(name, value)
+}
+
+// xmlEscape is what encoding/xml writes in place of the rune r, decoded
+// from width bytes, in an attribute value: a character reference for
+// the markup and whitespace characters, U+FFFD for a byte that is not
+// UTF-8 or a rune XML cannot carry, and "" where it copies r as is.
+func xmlEscape(r rune, width int) string {
+	switch r {
+	case '"':
+		return "&#34;"
+	case '\'':
+		return "&#39;"
+	case '&':
+		return "&amp;"
+	case '<':
+		return "&lt;"
+	case '>':
+		return "&gt;"
+	case '\t':
+		return "&#x9;"
+	case '\n':
+		return "&#xA;"
+	case '\r':
+		return "&#xD;"
+	}
+	if r < 0x20 || r > 0xD7FF && r < 0xE000 || r > 0xFFFD && r < 0x10000 || r > 0x10FFFF ||
+		r == utf8.RuneError && width == 1 {
+		return "\uFFFD"
+	}
+	return ""
+}
+
+func appendXMLEscaped(dst []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		r, width := utf8.DecodeRuneInString(s[i:])
+		i += width
+		if esc := xmlEscape(r, width); esc != "" {
+			dst = append(dst, s[last:i-width]...)
+			dst = append(dst, esc...)
+			last = i
+		}
+	}
+	return append(dst, s[last:]...)
+}
+
+func xmlEscapedLen(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); {
+		r, width := utf8.DecodeRuneInString(s[i:])
+		i += width
+		if esc := xmlEscape(r, width); esc != "" {
+			n += len(esc) - width
+		}
+	}
+	return n
 }
 
 // UnmarshalText parses a query from XML.

@@ -12,8 +12,10 @@ package controller
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -145,11 +147,14 @@ func (c *Controller) candidates(ads []*advert.Advertisement, opts RunOptions) []
 	if len(keep) == 0 {
 		return nil
 	}
-	sort.Slice(keep, func(i, j int) bool {
-		if keep[i].cpu != keep[j].cpu {
-			return keep[i].cpu > keep[j].cpu
+	slices.SortFunc(keep, func(a, b ranked) int {
+		if a.cpu != b.cpu {
+			if a.cpu > b.cpu {
+				return -1
+			}
+			return 1
 		}
-		return keep[i].ad.PeerID < keep[j].ad.PeerID
+		return strings.Compare(a.ad.PeerID, b.ad.PeerID)
 	})
 	refs := make([]service.PeerRef, len(keep))
 	for i, k := range keep {

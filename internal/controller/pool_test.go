@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"consumergrid/internal/advert"
 	"consumergrid/internal/metrics"
 	"consumergrid/internal/policy"
 	"consumergrid/internal/service"
@@ -241,4 +242,59 @@ func TestAdvertTrafficIsOneAdvertPerPeer(t *testing.T) {
 	if _, members := pool.GroupIndex().Counts(); members != 0 {
 		t.Errorf("drained donor still indexed in %d group memberships", members)
 	}
+}
+
+// TestSharedAdvertsSurviveFarmAndPull: the overlay client hands the
+// pool, the farm's candidate routine and the discovery pull one shared
+// advert per donor, read-only. After a pooled RunFarm that resolves a
+// capability group and a DiscoverPeers pull with the same requirement,
+// every advert the pool holds and every advert the pull returned still
+// encodes to what its donor published.
+func TestSharedAdvertsSurviveFarmAndPull(t *testing.T) {
+	net := mixedRing(t)
+	pool, err := net.ctl.StartDonorPool(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	published := make(map[string]string)
+	for _, w := range net.workers {
+		ad := w.ServiceAdvert(time.Hour)
+		b, err := ad.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		published[ad.PeerID] = string(b)
+		if err := w.Overlay().Publish(ad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "donors pooled", func() bool { return pool.Size() == len(net.workers) })
+
+	opts := groupFarmOpts(t, map[string]string{"units": "r-v1"})
+	before := jobCounts(net)
+	rep, err := net.ctl.RunFarm(context.Background(), smokeChunks(3, 2, 0), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGroupOnly(t, net, rep, map[string]bool{workerID(0): true, workerID(1): true}, before)
+	refs, err := net.ctl.DiscoverPeers(opts.Discovery)
+	if err != nil || len(refs) != 2 {
+		t.Fatalf("DiscoverPeers = %v, %v; want the two r-v1 donors", refs, err)
+	}
+	pulled, err := net.ctl.svc.Discover(discoveryQuery(opts.Discovery), 0)
+	if err != nil || len(pulled) != 2 {
+		t.Fatalf("pull = %v, %v", pulled, err)
+	}
+	check := func(where string, ads []*advert.Advertisement) {
+		t.Helper()
+		for _, ad := range ads {
+			b, err := ad.MarshalText()
+			if err != nil || string(b) != published[ad.PeerID] {
+				t.Errorf("%s advert of %s encodes to %q, %v; its donor published %q", where, ad.PeerID, b, err, published[ad.PeerID])
+			}
+		}
+	}
+	check("pooled", pool.adverts())
+	check("pulled", pulled)
 }

@@ -24,6 +24,7 @@
 package health
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -396,18 +397,23 @@ func (t *Tracker) Rank(peers []string) (usable, gated []string) {
 		cands = append(cands, c)
 	}
 	t.mu.Unlock()
-	sort.SliceStable(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
+	slices.SortStableFunc(cands, func(a, b cand) int {
 		if a.score != b.score {
-			return a.score > b.score
+			if a.score > b.score {
+				return -1
+			}
+			return 1
 		}
 		if a.known != b.known {
-			return a.known
+			if a.known {
+				return -1
+			}
+			return 1
 		}
 		if a.known && b.known && a.p90 != b.p90 {
-			return a.p90 < b.p90
+			return cmp.Compare(a.p90, b.p90)
 		}
-		return false
+		return 0
 	})
 	for _, c := range cands {
 		if c.gated {

@@ -3,7 +3,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,7 +23,10 @@ type Event struct {
 	ID        string // advert ID
 	Version   uint64
 	Retracted bool
-	Ad        *advert.Advertisement // nil on retraction
+	// Ad is nil on retraction. It is the client's decoded advert for
+	// the pushed bytes, the same one its queries return for them:
+	// shared and read-only.
+	Ad *advert.Advertisement
 }
 
 // ClientOptions configures an overlay client.
@@ -310,7 +313,9 @@ func (c *Client) askEach(targets []string, method string, payload []byte, header
 // Query asks the overlay for matching adverts. Topic queries cost one
 // RPC to the first live owner; open queries fan out to every super and
 // merge, deduplicating by advert ID. Each distinct advert is decoded
-// once across replies and pushes; the caller owns what it gets.
+// once across replies and pushes, and every query and Event that
+// carries it returns that one advert: the caller owns the slice, not
+// the adverts, which are shared and read-only (Clone one to change it).
 func (c *Client) Query(q advert.Query, limit int) ([]*advert.Advertisement, error) {
 	c.metrics.queries.Inc()
 	payload, err := q.MarshalText()
@@ -511,5 +516,5 @@ func (c *Client) logf(format string, args ...any) {
 }
 
 func sortAds(ads []*advert.Advertisement) {
-	sort.Slice(ads, func(i, j int) bool { return ads[i].ID < ads[j].ID })
+	slices.SortFunc(ads, func(a, b *advert.Advertisement) int { return strings.Compare(a.ID, b.ID) })
 }

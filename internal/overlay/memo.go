@@ -22,7 +22,10 @@ const memoMaxAdvert = 4 << 10
 // adMemo maps exact advert bytes to their decoded advert, so a client
 // decodes each distinct advert once however many query replies and
 // pushes repeat it: supers send every copy of an advert as the same
-// stored bytes. Recency is counted in lookups. Every memoCap/2 lookups
+// stored bytes. Every copy yields the same *advert.Advertisement, shared
+// by all the client's callers and read-only, like a super's Entry.Ad:
+// nothing may write into an advert the memo handed out. Recency is
+// counted in lookups. Every memoCap/2 lookups
 // (or sooner, once the current generation is full) the current
 // generation becomes the previous one and the old previous one is
 // dropped, so an advert no lookup has asked for in the last memoCap/2
@@ -40,8 +43,10 @@ func newAdMemo() *adMemo {
 	}
 }
 
-// decode returns a caller-owned copy of the advert b encodes. A miss
+// decode returns the advert b encodes, shared and read-only. A miss
 // decodes outside the lock; the memo keeps its own copy of the bytes.
+// Two racing misses may decode twice, and the later one's advert is
+// the one kept.
 func (m *adMemo) decode(b []byte) (*advert.Advertisement, error) {
 	if len(b) > memoMaxAdvert {
 		return unmarshalAdvert(b)
@@ -68,7 +73,7 @@ func (m *adMemo) decode(b []byte) (*advert.Advertisement, error) {
 		m.cur[string(b)] = ad
 		m.mu.Unlock()
 	}
-	return ad.Clone(), nil
+	return ad, nil
 }
 
 // rotateIfDue starts a new generation when this one has seen its share

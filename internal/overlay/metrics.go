@@ -13,6 +13,7 @@ type superMetrics struct {
 	publishes     *metrics.Counter
 	replicas      *metrics.Counter
 	queries       *metrics.Counter
+	replyHits     *metrics.Counter // queries answered with a stored reply
 	notifies      *metrics.Counter
 	retractions   *metrics.Counter
 	syncRounds    *metrics.Counter
@@ -35,6 +36,7 @@ func newSuperMetrics(reg *metrics.Registry, owner string) *superMetrics {
 		publishes:     reg.Counter(l("overlay_publishes_total")),
 		replicas:      reg.Counter(l("overlay_replicas_total")),
 		queries:       reg.Counter(l("overlay_queries_total")),
+		replyHits:     reg.Counter(l("overlay_query_reply_hits_total")),
 		notifies:      reg.Counter(l("overlay_notifies_total")),
 		retractions:   reg.Counter(l("overlay_retractions_total")),
 		syncRounds:    reg.Counter(l("overlay_sync_rounds_total")),

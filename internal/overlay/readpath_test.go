@@ -411,12 +411,13 @@ func BenchmarkWarmQuery(b *testing.B) {
 }
 
 // TestQueryAllocBudget gates the cost of a warm topical query end to
-// end, client and super together, per advert returned: a super serves
-// stored bytes and the client decodes each distinct advert once, so the
-// per-advert cost is a clone and a slice slot, not two XML passes.
+// end, client and super together, per advert returned: a super answers
+// a repeat query with its stored reply and the client's memo hands out
+// the adverts it decoded before, so the per-advert cost is a slice slot
+// and a memo lookup, not a clone or an XML pass.
 func TestQueryAllocBudget(t *testing.T) {
 	const adverts = 24
-	const budget = 20 // allocations per returned advert
+	const budget = 2 // allocations per returned advert
 	cl := donorGrid(t, adverts)
 	query := func() {
 		got, err := cl.Query(trianaQuery, 0)
@@ -591,39 +592,60 @@ func TestMemoBoundsRetainedBytes(t *testing.T) {
 	}
 }
 
-// TestQueryResultsAreCallerOwned: the memo hands out copies, so a
-// caller mutating what Query returned cannot change the next answer.
-func TestQueryResultsAreCallerOwned(t *testing.T) {
+// TestQueryResultsShareDecodedAdverts: the memo hands out its decoded
+// advert, not a copy, so two warm queries and a push of the same bytes
+// all return the one *Advertisement, which still encodes to what its
+// publisher published.
+func TestQueryResultsShareDecodedAdverts(t *testing.T) {
 	c := newCluster(t, 1, 1, nil)
 	pub := c.client("pub", 1)
 	want := richAds()[0]
 	if err := pub.Publish(want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := pub.Query(trianaQuery, 0)
-	if err != nil || len(got) != 1 {
-		t.Fatalf("query = %v, %v", got, err)
+	events, err := pub.Subscribe("watch", trianaQuery)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got[0].Name = "mutated"
-	got[0].SetAttr(advert.AttrCPUMHz, "1")
-	got[0].SetAttr("extra", "x")
+	seeded := waitEvent(t, events)
+	first, err := pub.Query(trianaQuery, 0)
+	if err != nil || len(first) != 1 {
+		t.Fatalf("query = %v, %v", first, err)
+	}
 	again, err := pub.Query(trianaQuery, 0)
 	if err != nil || len(again) != 1 {
 		t.Fatalf("query = %v, %v", again, err)
 	}
-	if !reflect.DeepEqual(again[0], want) {
-		t.Fatalf("second query returned %+v, want %+v", again[0], want)
+	if _, err := pub.handleNotify(notifyReq(t, "watch", want, 2)); err != nil {
+		t.Fatal(err)
+	}
+	pushed := waitEvent(t, events)
+	for name, got := range map[string]*advert.Advertisement{"second query": again[0], "seed push": seeded.Ad, "push": pushed.Ad} {
+		if got != first[0] {
+			t.Errorf("%s returned %p, want the first query's %p", name, got, first[0])
+		}
+	}
+	if !reflect.DeepEqual(first[0], want) {
+		t.Fatalf("shared advert %+v, want %+v", first[0], want)
 	}
 }
 
 // TestClientConcurrentQueryNotifyPublish drives one client's Query,
-// handleNotify and Publish from several goroutines at once, with every
-// caller mutating what it received; run it under -race.
+// handleNotify and Publish from several goroutines at once, every
+// caller reading the shared adverts it received; run it under -race.
+// Afterwards every advert the memo holds still encodes to the bytes it
+// was decoded from.
 func TestClientConcurrentQueryNotifyPublish(t *testing.T) {
 	c := newCluster(t, 2, 2, nil)
 	cl := c.client("cl", 2)
 	if _, err := cl.Subscribe("watch", trianaQuery); err != nil {
 		t.Fatal(err)
+	}
+	// Every query finds adverts to read.
+	for i := 0; i < 8; i++ {
+		if err := cl.Publish(serviceAd(fmt.Sprintf("svc-%d", i), "triana", time.Time{})); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const iters = 40
 	var wg sync.WaitGroup
@@ -646,11 +668,9 @@ func TestClientConcurrentQueryNotifyPublish(t *testing.T) {
 				return
 			}
 			for _, a := range got {
-				if a.Name != "triana" {
-					t.Errorf("query returned a mutated advert %+v", a)
+				if a.Name != "triana" || a.Attr(advert.AttrCPUMHz) != "" {
+					t.Errorf("query returned a changed advert %+v", a)
 				}
-				a.Name = "mutated"
-				a.SetAttr("x", "y")
 			}
 		}
 	}()
@@ -665,4 +685,13 @@ func TestClientConcurrentQueryNotifyPublish(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	cl.memo.mu.Lock()
+	defer cl.memo.mu.Unlock()
+	for _, gen := range []map[string]*advert.Advertisement{cl.memo.cur, cl.memo.prev} {
+		for key, a := range gen {
+			if b, err := a.MarshalText(); err != nil || string(b) != key {
+				t.Errorf("memo advert %s encodes to %q, %v; want its key %q", a.ID, b, err, key)
+			}
+		}
+	}
 }

@@ -43,19 +43,59 @@ func (e Entry) digestWord() uint64 {
 	return h
 }
 
-// store is a super-peer's versioned advert table. All methods are safe
-// for concurrent use.
+// store is a super-peer's versioned advert table, plus the encoded
+// replies to recent queries. All methods are safe for concurrent use.
 type store struct {
 	mu      sync.Mutex
 	entries map[string]Entry // by advert ID
 	now     func() time.Time
+
+	// gen counts the writes that changed entries. A reply encoded from
+	// a find at an older generation is never stored, and every write
+	// drops every stored reply.
+	gen        uint64
+	replies    map[replyKey]storedReply
+	replyBytes int // total payload bytes in replies
+}
+
+// The stored replies are bounded in count and bytes. A super is asked
+// a handful of distinct queries (one per discovery filter set in use),
+// and a reply costs its adverts' canonical bytes again, about 0.5 KiB a
+// donor; 1 MiB holds a 2,000-donor reply. A longer reply is never
+// stored: it would be a second copy of most of the store, which the next
+// write throws away.
+const (
+	maxReplies    = 64
+	maxReplyBytes = 1 << 20
+)
+
+// replyKey names a stored reply: the query's raw payload and its
+// limit (0 for none).
+type replyKey struct {
+	limit int
+	query string
+}
+
+// storedReply is an encoded query reply and the time it stops being
+// the answer: the earliest expiry among its matches (zero for never).
+type storedReply struct {
+	payload  []byte
+	deadline time.Time
 }
 
 func newStore(now func() time.Time) *store {
 	if now == nil {
 		now = time.Now
 	}
-	return &store{entries: make(map[string]Entry), now: now}
+	return &store{entries: make(map[string]Entry), now: now, replies: make(map[replyKey]storedReply)}
+}
+
+// changed records a write to entries: it bumps the generation and drops
+// every stored reply. Callers hold s.mu.
+func (s *store) changed() {
+	s.gen++
+	clear(s.replies)
+	s.replyBytes = 0
 }
 
 // put merges an update entry, reporting whether it was accepted (its
@@ -100,6 +140,7 @@ func (s *store) putVersioned(e *Entry) (accepted bool, current uint64) {
 		return false, prev.Version
 	}
 	s.entries[e.ID] = *e
+	s.changed()
 	return true, e.Version
 }
 
@@ -114,21 +155,78 @@ func (s *store) get(id string) (Entry, bool) {
 // find returns up to limit live, unexpired matching entries, sorted by
 // ID. The entries share the store's adverts and bytes: read-only.
 func (s *store) find(q advert.Query, limit int) []Entry {
+	out, _ := s.findAt(q, limit)
+	return out
+}
+
+// findAt is find plus the generation it read the entries at.
+func (s *store) findAt(q advert.Query, limit int) (out []Entry, gen uint64) {
 	now := s.now()
 	s.mu.Lock()
-	var out []Entry
 	for _, e := range s.entries {
 		if e.Tombstone || e.Ad == nil || e.Ad.Expired(now) || !q.Matches(e.Ad) {
 			continue
 		}
 		out = append(out, e)
 	}
+	gen = s.gen
 	s.mu.Unlock()
 	sortEntries(out)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
-	return out
+	return out, gen
+}
+
+// reply returns the stored reply to the raw query payload at limit
+// while it is still the answer: no write since it was stored, and none
+// of its matches expired. The bytes are shared, like an entry's:
+// read-only.
+func (s *store) reply(query []byte, limit int) ([]byte, bool) {
+	now := s.now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.replies[replyKey{limit, string(query)}] // no copy of query
+	if !ok {
+		return nil, false
+	}
+	if !r.deadline.IsZero() && now.After(r.deadline) {
+		delete(s.replies, replyKey{limit, string(query)})
+		s.replyBytes -= len(r.payload)
+		return nil, false
+	}
+	return r.payload, true
+}
+
+// keepReply stores payload as the reply to query at limit, encoded from
+// matches that findAt read at generation gen. It is dropped if a write
+// has come since, or if it is over the byte bound; to make room it
+// evicts other replies, whichever the map yields first.
+func (s *store) keepReply(query []byte, limit int, gen uint64, matches []Entry, payload []byte) {
+	if len(payload) > maxReplyBytes {
+		return
+	}
+	var deadline time.Time
+	for _, e := range matches {
+		if exp := e.Ad.Expires; !exp.IsZero() && (deadline.IsZero() || exp.Before(deadline)) {
+			deadline = exp
+		}
+	}
+	k := replyKey{limit, string(query)}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, racing := s.replies[k]; racing || s.gen != gen {
+		return // a concurrent miss stored the same reply, or it is stale
+	}
+	for ek, r := range s.replies {
+		if len(s.replies) < maxReplies && s.replyBytes+len(payload) <= maxReplyBytes {
+			break
+		}
+		delete(s.replies, ek)
+		s.replyBytes -= len(r.payload)
+	}
+	s.replies[k] = storedReply{payload: payload, deadline: deadline}
+	s.replyBytes += len(payload)
 }
 
 func sortEntries(es []Entry) {
@@ -149,6 +247,9 @@ func (s *store) sweepExpired() []Entry {
 		t := Entry{ID: id, Ad: e.Ad, Version: e.Version + 1, Tombstone: true}
 		s.entries[id] = t
 		swept = append(swept, t)
+	}
+	if len(swept) > 0 {
+		s.changed()
 	}
 	s.mu.Unlock()
 	sortEntries(swept)

@@ -324,15 +324,23 @@ func placementKey(e Entry) string {
 
 func (s *SuperPeer) handleQuery(req *jxtaserve.Message) (*jxtaserve.Message, error) {
 	s.metrics.queries.Inc()
+	limit, _ := strconv.Atoi(req.Header("limit"))
+	limit = max(limit, 0)
+	if payload, ok := s.store.reply(req.Payload, limit); ok {
+		s.metrics.replyHits.Inc()
+		return &jxtaserve.Message{Payload: payload}, nil
+	}
 	var q advert.Query
 	if err := q.UnmarshalText(req.Payload); err != nil {
 		return nil, err
 	}
-	limit, _ := strconv.Atoi(req.Header("limit"))
 	// The reply is the matches' stored bytes in advert's list framing:
-	// no advert is cloned or encoded per query.
-	matches := s.store.find(q, limit)
+	// no advert is cloned or encoded per query, and a repeat of the
+	// query is answered with these very bytes until a write or an
+	// expiry changes the answer.
+	matches, gen := s.store.findAt(q, limit)
 	payload := advert.EncodeRawList(len(matches), func(i int) []byte { return matches[i].xml })
+	s.store.keepReply(req.Payload, limit, gen, matches, payload)
 	return &jxtaserve.Message{Payload: payload}, nil
 }
 
