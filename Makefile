@@ -105,11 +105,14 @@ bench-smoke:
 		-benchtime 100ms -threshold 0.25 -no-save
 
 # Wire-protocol conformance: golden frames for both codecs and the
-# session hello, a short fuzz pass over the binary decoder and its
-# round-trip target, the listener's refusal of any first frame but a v1
-# hello and its hang-up on a dialler that sends none in time, the
-# dialler forgetting each departed peer's entry, and the mux invariants (FIFO, credit bounds, reset isolation,
-# goroutine leaks) under the race detector; then the typed-data codec's golden encodings, its
+# session hello and keepalive, a short fuzz pass over the binary decoder
+# and its round-trip target, the listener's refusal of any first frame
+# but a v1 hello and its hang-up on a dialler that sends none in time,
+# the dialler forgetting each departed peer's entry and failing every
+# dial to a silent listener within the hello wait, session liveness (a
+# silent peer's session dies, a busy one sends no keepalive, an idle
+# one lives on them), and the mux invariants (FIFO, credit bounds, reset
+# isolation, goroutine leaks) under the race detector; then the typed-data codec's golden encodings, its
 # decode∘encode fixpoint counterexamples, its exact sizing (Size is
 # the length Marshal writes) and a fuzz pass over that fixpoint, which
 # checks the size too; and the triana.run payload codec's canonical-form tests and
@@ -117,7 +120,7 @@ bench-smoke:
 # Run with -update after a deliberate wire change to regenerate the
 # golden fixtures.
 wire-conformance:
-	go test ./internal/jxtaserve/ -run 'TestGolden|TestMuxRefusesNonHello|TestMuxHangsUpSilentDialers|TestMuxForgetsDeadPeers|TestReadBinaryMessageRejects' -count=1
+	go test ./internal/jxtaserve/ -run 'TestGolden|TestMuxRefusesNonHello|TestMuxHangsUpSilentDialers|TestMuxForgetsDeadPeers|TestMuxDialBoundedBySilentListener|TestMuxSilentPeerDies|TestMuxBusySessionSendsNoKeepalive|TestMuxIdleSessionStaysAlive|TestReadBinaryMessageRejects' -count=1
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzReadBinaryMessage -fuzztime 10s
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzBinaryMessageRoundTrip -fuzztime 10s
 	go test ./internal/types/ -run 'TestGolden|TestFixpoint|TestSizeMatchesMarshal' -count=1
@@ -180,10 +183,13 @@ tenant-smoke:
 # commit by fetch), breaker and score assertions via the metrics
 # registry, and the majority-first electorate's exact books (K/2+1
 # voters per clean chunk, one more per widening or replacement) for
-# K = 2, 3, 5 under a corrupter, a dead voter and a split. Seeds are
-# fixed, so a failure is reproducible.
+# K = 2, 3, 5 under a corrupter, a dead voter and a split. Then the
+# silent donor: simnet's Freeze, a donor frozen mid-chunk declared dead
+# by its session's silence, and a unit outlasting that detector on an
+# idle session. Seeds are fixed, so a failure is reproducible.
 chaos-smoke:
-	go test ./internal/service/ -run 'TestChaos|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser|TestQuorumMajorityFirstElectorate' -count=1 -v
+	go test ./internal/service/ -run 'TestChaos|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser|TestQuorumMajorityFirstElectorate|TestFarmFrozenDonorDeclaredDead|TestFarmLongUnitOutlivesDetector' -count=1 -v
+	go test ./internal/simnet/ -run 'TestFreezeSilencesWithoutBreaking' -count=1 -v
 
 # Graceful-lifecycle battery under the race detector: the lifecycle
 # state-machine and crash-safe snapshot unit suites, a drain under

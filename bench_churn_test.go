@@ -66,7 +66,6 @@ func BenchmarkFarmUnderChurn(b *testing.B) {
 					Speculate:      spec.on,
 					SpeculateAfter: 30 * time.Millisecond,
 					MaxSpeculative: 2,
-					AttemptTimeout: 30 * time.Second,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -69,8 +69,8 @@ func main() { os.Exit(run()) }
 // draining — aborts fast with a non-zero code.
 //
 // The daemon runs the one configuration gridbench (bench/) measures:
-// the binary multiplexed wire, the chunk data tier, and the library's
-// resilience, heartbeat and anti-entropy defaults.
+// the binary multiplexed wire with its session keepalives, the chunk
+// data tier, and the library's resilience and anti-entropy defaults.
 func run() (code int) {
 	var (
 		listen     = flag.String("listen", "127.0.0.1:0", "TCP address to listen on")

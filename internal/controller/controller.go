@@ -266,13 +266,11 @@ type FarmOptions struct {
 	// external output). The farm calls it once and sends its encoding
 	// with every attempt.
 	Body func() *taskgraph.Graph
-	// ChunkAttempts, AttemptTimeout, Heartbeat, Seed and AfterChunk
-	// forward to service.FarmOptions.
-	ChunkAttempts  int
-	AttemptTimeout time.Duration
-	Heartbeat      bool
-	Seed           int64
-	AfterChunk     func(chunk int)
+	// ChunkAttempts, Seed and AfterChunk forward to
+	// service.FarmOptions.
+	ChunkAttempts int
+	Seed          int64
+	AfterChunk    func(chunk int)
 	// Speculate, SpeculateAfter, StragglerFactor, MaxSpeculative and
 	// Quorum forward the straggler-mitigation and untrusted-peer knobs
 	// to service.FarmOptions.
@@ -314,8 +312,6 @@ func (c *Controller) RunFarm(ctx context.Context, chunks [][]types.Data, opts Fa
 		Peers:           peers,
 		CodeAddr:        c.svc.Addr(),
 		ChunkAttempts:   opts.ChunkAttempts,
-		AttemptTimeout:  opts.AttemptTimeout,
-		Heartbeat:       opts.Heartbeat,
 		Seed:            opts.Seed,
 		AfterChunk:      opts.AfterChunk,
 		Speculate:       opts.Speculate,

@@ -9,7 +9,6 @@ package controller
 import (
 	"context"
 	"testing"
-	"time"
 
 	"consumergrid/internal/capgroup"
 	"consumergrid/internal/metrics"
@@ -33,9 +32,8 @@ func mixedRing(t *testing.T) *testNet {
 func groupFarmOpts(t *testing.T, req map[string]string) FarmOptions {
 	t.Helper()
 	return FarmOptions{
-		Discovery:      RunOptions{RequireCaps: req},
-		Body:           func() *taskgraph.Graph { return smokeBody(t) },
-		AttemptTimeout: 10 * time.Second,
+		Discovery: RunOptions{RequireCaps: req},
+		Body:      func() *taskgraph.Graph { return smokeBody(t) },
 	}
 }
 

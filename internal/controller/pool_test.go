@@ -169,9 +169,8 @@ func TestPooledFarmHonoursDiscoveryFilters(t *testing.T) {
 		{RunOptions{MinFreeRAMMB: 512}, workerID(1)},
 	} {
 		rep, err := net.ctl.RunFarm(context.Background(), smokeChunks(4, 2, 0), FarmOptions{
-			Discovery:      tc.filter,
-			Body:           func() *taskgraph.Graph { return smokeBody(t) },
-			AttemptTimeout: 10 * time.Second,
+			Discovery: tc.filter,
+			Body:      func() *taskgraph.Graph { return smokeBody(t) },
 		})
 		if err != nil {
 			t.Fatalf("farm with %+v: %v", tc.filter, err)

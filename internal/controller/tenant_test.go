@@ -80,9 +80,8 @@ func TestTenantSmoke(t *testing.T) {
 			tenant := fmt.Sprintf("t%d", ti)
 			rep, err := net.ctl.RunFarm(context.Background(),
 				smokeChunks(nChunks, perChunk, float64(10*ti)), FarmOptions{
-					Body:           func() *taskgraph.Graph { return smokeBody(t) },
-					AttemptTimeout: 10 * time.Second,
-					Tenant:         tenant,
+					Body:   func() *taskgraph.Graph { return smokeBody(t) },
+					Tenant: tenant,
 				})
 			if err != nil {
 				t.Errorf("tenant %s farm: %v", tenant, err)

@@ -11,9 +11,9 @@ import (
 
 // The golden-frame conformance suite pins both codecs byte for byte:
 // each representative Message has one committed fixture per codec
-// under testdata/golden (the session hello, which only binary v1 ever
-// frames, has one), and any edit that changes either codec's bytes
-// fails here before it can strand deployed peers.
+// under testdata/golden (the session hello and keepalive, which only
+// binary v1 ever frames, have one each), and any edit that changes
+// either codec's bytes fails here before it can strand deployed peers.
 // Regenerate deliberately with:
 //
 //	go test ./internal/jxtaserve -run TestGoldenFrames -update
@@ -104,6 +104,7 @@ func goldenCases() []struct {
 			Payload: []byte{4, '<', 'g', '/', '>', 1, '0', 10, 1, 1, 'o', 1, 1, 'd', 1, 1, 'r', 0},
 		}},
 		{"mux-hello", helloFrame(defaultWindow)},
+		{"mux-keepalive", &Message{Kind: KindMuxKeepalive}},
 	}
 }
 
@@ -128,7 +129,7 @@ func goldenPath(caseName, codec string) string {
 func TestGoldenFrames(t *testing.T) {
 	for _, tc := range goldenCases() {
 		for _, codec := range goldenCodecs {
-			if codec.name == "xml" && tc.msg.Kind == KindMuxHello {
+			if codec.name == "xml" && (tc.msg.Kind == KindMuxHello || tc.msg.Kind == KindMuxKeepalive) {
 				continue
 			}
 			t.Run(tc.name+"/"+codec.name, func(t *testing.T) {

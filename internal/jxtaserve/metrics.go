@@ -12,3 +12,10 @@ var (
 	wireBytesOut = metrics.Default().Counter("jxtaserve_bytes_sent_total")
 	wireBytesIn  = metrics.Default().Counter("jxtaserve_bytes_recv_total")
 )
+
+// Session liveness (mux.go): keepalives sent by idle sessions, and
+// sessions killed because their peer fell silent.
+var (
+	keepalivesSent   = metrics.Default().Counter(metrics.Series("jxtaserve_keepalives_total", "result", "sent"))
+	keepalivesSilent = metrics.Default().Counter(metrics.Series("jxtaserve_keepalives_total", "result", "silent"))
+)

@@ -26,8 +26,16 @@
 // the peer's advertised window and spends one credit per frame; the
 // receiver returns credit (mux.win) as the application drains its
 // queue. Streams close and reset independently (mux.rst) without
-// disturbing siblings; only an I/O error on the shared connection
-// kills the whole session.
+// disturbing siblings; only an I/O error on the shared connection, or
+// the peer's silence, kills the whole session.
+//
+// The session is the one failure detector (DESIGN §10.4). A session
+// that has sent nothing for keepaliveInterval sends one mux.ka; a
+// session that has received nothing for keepaliveMisses intervals dies
+// with ErrSessionSilent. A busy session sends no keepalive, and the
+// check costs one re-armed timer per session plus a frame flag each
+// way: a powered-off peer, which breaks no connection, is found within
+// (keepaliveMisses+1) intervals.
 package jxtaserve
 
 import (
@@ -35,14 +43,16 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Session control message kinds (never seen by applications).
 const (
-	KindMuxHello  = "mux.hello" // headers: v, win; opens a session
-	KindMuxReset  = "mux.rst"   // headers: cause; kills one stream
-	KindMuxWindow = "mux.win"   // headers: n; returns n credits to the sender
+	KindMuxHello     = "mux.hello" // headers: v, win; opens a session
+	KindMuxReset     = "mux.rst"   // headers: cause; kills one stream
+	KindMuxWindow    = "mux.win"   // headers: n; returns n credits to the sender
+	KindMuxKeepalive = "mux.ka"    // no headers; proves an idle sender alive
 )
 
 const (
@@ -51,8 +61,16 @@ const (
 	maxWindow     = 4096 // cap on what a peer may make us buffer per stream
 	acceptBacklog = 128  // inbound streams awaiting Accept
 
-	helloTimeout = 5 * time.Second // a listener's wait for an inbound hello
+	helloTimeout = 5 * time.Second // bounds each side's hello, and a TCP connect
+
+	keepaliveInterval = time.Second // a session silent this long sends a mux.ka
+	keepaliveMisses   = 3           // intervals with nothing received that kill a session
 )
+
+// ErrSessionSilent is the failure detector's verdict: the peer sent
+// nothing, not even a keepalive, for keepaliveMisses intervals. It
+// reaches callers wrapped in a SessionDeadError; check with errors.Is.
+var ErrSessionSilent = errors.New("jxtaserve: peer silent")
 
 // WireOptions tunes the one wire: binary v1 over the stream mux.
 type WireOptions struct {
@@ -109,6 +127,7 @@ type MuxTransport struct {
 	inner     Transport
 	opts      WireOptions
 	helloWait time.Duration // helloTimeout; tests shorten it
+	kaEvery   time.Duration // keepaliveInterval; tests shorten it
 
 	mu       sync.Mutex
 	peers    map[string]*muxPeer
@@ -123,6 +142,7 @@ type MuxTransport struct {
 type muxPeer struct {
 	mu   sync.Mutex
 	sess *session
+	err  error // the failed handshake that forgot this entry, if any
 }
 
 // NewMux wraps inner with stream multiplexing.
@@ -137,6 +157,7 @@ func NewMux(inner Transport, opts WireOptions) *MuxTransport {
 		inner:     inner,
 		opts:      opts,
 		helloWait: helloTimeout,
+		kaEvery:   keepaliveInterval,
 		peers:     make(map[string]*muxPeer),
 		sessions:  make(map[*session]struct{}),
 		lns:       make(map[*muxListener]struct{}),
@@ -166,8 +187,10 @@ func (t *MuxTransport) forget(addr string, p *muxPeer) {
 
 // lockPeer returns addr's entry with its mu held. An entry forgotten
 // while we waited for its lock is passed over for the current one, so
-// there is still one session per peer.
-func (t *MuxTransport) lockPeer(addr string) *muxPeer {
+// there is still one session per peer — unless a handshake failed on
+// it: then every dial that waited for that handshake shares its error,
+// so N dials to a silent peer cost one hello wait, not N.
+func (t *MuxTransport) lockPeer(addr string) (*muxPeer, error) {
 	for {
 		p := t.peer(addr)
 		p.mu.Lock()
@@ -175,15 +198,24 @@ func (t *MuxTransport) lockPeer(addr string) *muxPeer {
 		mapped := t.peers[addr] == p
 		t.mu.Unlock()
 		if mapped {
-			return p
+			return p, nil
 		}
+		err := p.err
 		p.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
 	}
 }
 
-// Dial returns a stream on the (possibly fresh) session to addr.
+// Dial returns a stream on the (possibly fresh) session to addr. A
+// fresh session's connect and hello are each bounded by helloTimeout,
+// and a failure is a *DialError.
 func (t *MuxTransport) Dial(addr string) (Conn, error) {
-	p := t.lockPeer(addr)
+	p, err := t.lockPeer(addr)
+	if err != nil {
+		return nil, err
+	}
 	defer p.mu.Unlock()
 	if p.sess != nil && !p.sess.isDead() {
 		if st, err := p.sess.openStream(); err == nil {
@@ -193,14 +225,9 @@ func (t *MuxTransport) Dial(addr string) (Conn, error) {
 		// establish a fresh one.
 	}
 	p.sess = nil
-	raw, err := t.inner.Dial(addr)
+	raw, peerWin, err := t.handshake(addr)
 	if err != nil {
-		t.forget(addr, p)
-		return nil, err
-	}
-	peerWin, err := t.dialHello(raw)
-	if err != nil {
-		raw.Close()
+		p.err = err
 		t.forget(addr, p)
 		return nil, err
 	}
@@ -220,21 +247,44 @@ func (t *MuxTransport) Dial(addr string) (Conn, error) {
 		return nil, ErrClosed
 	}
 	p.sess = sess
-	sess.start()
+	sess.start(t.kaEvery)
 	return sess.openStream()
 }
 
-// dialHello runs the dialler half of the handshake on a fresh conn and
-// returns the listener's window.
-func (t *MuxTransport) dialHello(raw Conn) (int, error) {
-	if err := raw.Send(helloFrame(t.opts.Window)); err != nil {
-		return 0, err
+// handshake connects to addr and runs the dialler half of the hello,
+// returning the conn and the listener's window.
+func (t *MuxTransport) handshake(addr string) (Conn, int, error) {
+	raw, err := t.inner.Dial(addr)
+	if err != nil {
+		return nil, 0, &DialError{Addr: addr, Err: err}
 	}
-	reply, err := raw.Recv()
+	win := 0
+	if err = raw.Send(helloFrame(t.opts.Window)); err == nil {
+		win, err = t.recvHello(raw)
+	}
+	if err != nil {
+		raw.Close()
+		return nil, 0, &DialError{Addr: addr, Err: err}
+	}
+	return raw, win, nil
+}
+
+// recvHello reads the peer's hello within helloWait and returns the
+// receive window it advertises. A peer that says nothing in time is
+// hung up on: a dialler that connects and stays silent, or a listener
+// that accepts and never answers (a stopped machine whose kernel still
+// holds the socket, a frozen simnet peer). Neither side's hello wait
+// can hold a goroutine, a socket or a dial longer than that.
+func (t *MuxTransport) recvHello(raw Conn) (int, error) {
+	hangUp := time.AfterFunc(t.helloWait, func() { raw.Close() })
+	m, err := raw.Recv()
+	if !hangUp.Stop() {
+		return 0, fmt.Errorf("no %s within %v", KindMuxHello, t.helloWait)
+	}
 	if err != nil {
 		return 0, err
 	}
-	return helloWindow(reply)
+	return helloWindow(m)
 }
 
 // helloFrame is the session-opening frame both sides send.
@@ -349,13 +399,7 @@ func (l *muxListener) run() {
 // within helloWait, so a silent dialler cannot hold this goroutine and
 // its socket.
 func (l *muxListener) serve(raw Conn) {
-	hangUp := time.AfterFunc(l.t.helloWait, func() { raw.Close() })
-	first, err := raw.Recv()
-	if !hangUp.Stop() || err != nil {
-		raw.Close()
-		return
-	}
-	peerWin, err := helloWindow(first)
+	peerWin, err := l.t.recvHello(raw)
 	if err != nil || raw.Send(helloFrame(l.t.opts.Window)) != nil {
 		raw.Close()
 		return
@@ -366,7 +410,7 @@ func (l *muxListener) serve(raw Conn) {
 		raw.Close()
 		return
 	}
-	sess.start()
+	sess.start(l.t.kaEvery)
 }
 
 // deliver queues an accepted stream for Accept.
@@ -429,7 +473,8 @@ func parseWindow(s string) int {
 
 // session is one multiplexed connection: a single demux goroutine fans
 // inbound frames out to streams; outbound frames from every stream are
-// serialised through writeMu.
+// serialised through writeMu. Its liveness timer (tick) reads and
+// clears two flags that frames set each way.
 type session struct {
 	conn    Conn
 	writeMu sync.Mutex // serialises conn.Send across streams
@@ -441,13 +486,21 @@ type session struct {
 	onStream func(Conn) // inbound stream delivery; nil rejects inbound
 	onDead   func()
 
+	// heard and spoke mark a frame received and sent since the last
+	// tick; our own keepalives do not set spoke. Each is read before it
+	// is written, so a busy session writes it once per tick, not once
+	// per frame.
+	heard, spoke atomic.Bool
+
 	mu      sync.Mutex
 	streams map[uint64]*stream
 	nextID  uint64
 	err     error
+	ka      *time.Timer // the liveness timer, under mu
 
 	dead     chan struct{}
 	deadOnce sync.Once
+	kaQuiet  uint32 // ticks in a row with nothing heard; tick's alone, under mu
 }
 
 func newSession(conn Conn, dialler bool, sendWin, recvWin int, onStream func(Conn)) *session {
@@ -473,9 +526,55 @@ func newSession(conn Conn, dialler bool, sendWin, recvWin int, onStream func(Con
 	return s
 }
 
-// start launches the demux loop; split from newSession so callers can
-// finish wiring callbacks before frames flow.
-func (s *session) start() { go s.demux() }
+// start arms the liveness timer to tick every interval and launches the
+// demux loop; split from newSession so callers can finish wiring
+// callbacks before frames flow.
+func (s *session) start(every time.Duration) {
+	s.mu.Lock()
+	if !s.isDead() {
+		s.ka = time.AfterFunc(every, func() { s.tick(every) })
+	}
+	s.mu.Unlock()
+	go s.demux()
+}
+
+// tick is the failure detector, run by the session's timer every
+// interval. A session that heard nothing for keepaliveMisses ticks in a
+// row dies with ErrSessionSilent; one that sent nothing since the last
+// tick sends a mux.ka. The timer is re-armed before the keepalive goes
+// out, so a send that blocks on a wedged connection cannot stall the
+// detector that will kill it.
+func (s *session) tick(every time.Duration) {
+	s.mu.Lock()
+	if s.isDead() {
+		s.mu.Unlock()
+		return
+	}
+	if s.heard.Swap(false) {
+		s.kaQuiet = 0
+	} else {
+		s.kaQuiet++
+	}
+	silent := s.kaQuiet >= keepaliveMisses
+	if !silent {
+		s.ka.Reset(every)
+	}
+	s.mu.Unlock()
+	if silent {
+		keepalivesSilent.Inc()
+		s.kill(ErrSessionSilent)
+		return
+	}
+	// A sender holding writeMu is putting a frame on the wire anyway.
+	// Best effort, like a credit grant: a broken conn kills the session
+	// through demux.
+	if !s.spoke.Swap(false) && s.writeMu.TryLock() {
+		if s.conn.Send(&Message{Kind: KindMuxKeepalive}) == nil {
+			keepalivesSent.Inc()
+		}
+		s.writeMu.Unlock()
+	}
+}
 
 func (s *session) isDead() bool {
 	select {
@@ -529,6 +628,9 @@ func (s *session) remove(id uint64) {
 
 // send serialises one frame onto the shared connection.
 func (s *session) send(m *Message) error {
+	if !s.spoke.Load() {
+		s.spoke.Store(true)
+	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	return s.conn.Send(m)
@@ -541,6 +643,9 @@ func (s *session) demux() {
 		if err != nil {
 			s.kill(err)
 			return
+		}
+		if !s.heard.Load() {
+			s.heard.Store(true)
 		}
 		// Wire stream field is id<<1|syn; control frames may echo a data
 		// frame's SYN bit (simnet's synthetic resets do), so always mask.
@@ -560,6 +665,8 @@ func (s *session) demux() {
 					st.grant(n)
 				}
 			}
+		case KindMuxKeepalive:
+			// Heard above; that is all a keepalive is for.
 		default:
 			s.dispatch(m)
 		}
@@ -610,6 +717,9 @@ func (s *session) kill(err error) {
 		// also holds s.mu, so every stream either lands in the snapshot
 		// (and resets below) or observes the dead session and refuses.
 		close(s.dead)
+		if s.ka != nil {
+			s.ka.Stop()
+		}
 		streams := make([]*stream, 0, len(s.streams))
 		for _, st := range s.streams {
 			streams = append(streams, st)

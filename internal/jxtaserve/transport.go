@@ -65,9 +65,10 @@ func (TCP) Listen(addr string) (Listener, error) {
 	return &tcpListener{l: l, addr: l.Addr().String()}, nil
 }
 
-// Dial implements Transport.
+// Dial implements Transport. The connect gets helloTimeout, like the
+// hello after it: a peer that never answers the SYN fails the dial.
 func (TCP) Dial(addr string) (Conn, error) {
-	c, err := net.Dial("tcp", addr)
+	c, err := net.DialTimeout("tcp", addr, helloTimeout)
 	if err != nil {
 		return nil, err
 	}

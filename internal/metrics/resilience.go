@@ -2,14 +2,13 @@ package metrics
 
 // ResilienceStats groups the counters the despatch resilience layer
 // maintains: how often RPCs were retried, parts re-despatched to
-// alternate peers, heartbeats missed, peers declared dead, and how many
+// alternate peers, peers declared dead, and how many
 // computed items were discarded as wasted work when a failed attempt's
 // partial output was thrown away (§3.6.2 recovery accounting).
 type ResilienceStats struct {
 	Retries           Counter // RPC attempts beyond the first
 	Redespatches      Counter // parts moved to an alternate peer
-	HeartbeatMisses   Counter // individual heartbeat probes that failed
-	PeersDeclaredDead Counter // failure-detector verdicts
+	PeersDeclaredDead Counter // dead-peer verdicts
 	WastedItems       Counter // outputs discarded from failed attempts
 
 	// Speculation and quorum accounting (the untrusted-peer layer):
@@ -37,7 +36,6 @@ type ResilienceStats struct {
 type ResilienceSnapshot struct {
 	Retries             int64
 	Redespatches        int64
-	HeartbeatMisses     int64
 	PeersDeclaredDead   int64
 	WastedItems         int64
 	SpeculationLaunches int64
@@ -54,7 +52,6 @@ func (s *ResilienceStats) Snapshot() ResilienceSnapshot {
 	return ResilienceSnapshot{
 		Retries:             s.Retries.Value(),
 		Redespatches:        s.Redespatches.Value(),
-		HeartbeatMisses:     s.HeartbeatMisses.Value(),
 		PeersDeclaredDead:   s.PeersDeclaredDead.Value(),
 		WastedItems:         s.WastedItems.Value(),
 		SpeculationLaunches: s.SpeculationLaunches.Value(),

@@ -27,13 +27,10 @@ import (
 // on test timescales.
 func chaosResilience() ResilienceOptions {
 	return ResilienceOptions{
-		RequestTimeout:    2 * time.Second,
-		MaxAttempts:       4,
-		BaseDelay:         10 * time.Millisecond,
-		MaxDelay:          80 * time.Millisecond,
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatTimeout:  200 * time.Millisecond,
-		HeartbeatMisses:   3,
+		RequestTimeout: 2 * time.Second,
+		MaxAttempts:    4,
+		BaseDelay:      10 * time.Millisecond,
+		MaxDelay:       80 * time.Millisecond,
 	}
 }
 
@@ -70,9 +67,6 @@ func runChaosFarm(t *testing.T, ctl *Service, peers []PeerRef, chunks [][]types.
 	t.Helper()
 	fo.Body = func() *taskgraph.Graph { return accumBody(t) }
 	fo.Peers = peers
-	if fo.AttemptTimeout == 0 {
-		fo.AttemptTimeout = 10 * time.Second
-	}
 	rep, err := ctl.FarmChunks(context.Background(), chunks, fo)
 	if err != nil {
 		t.Fatalf("farm failed: %v (report: %+v)", err, rep)
@@ -191,7 +185,6 @@ func TestChaosKillMidRun(t *testing.T) {
 	ctl, peers := chaosNet(t, n)
 	rep := runChaosFarm(t, ctl, peers, chaosChunks(chaosSeed, chaosChunksN, chaosPerChunk),
 		FarmOptions{
-			Heartbeat: true,
 			AfterChunk: func(c int) {
 				if c == 0 {
 					n.Kill("w1")
@@ -238,38 +231,6 @@ func TestChaosChurnTraceKillRestart(t *testing.T) {
 	assertSameOutputs(t, rep.Outputs, want)
 	t.Logf("churn-trace run: redespatches=%d wasted=%d peers=%v",
 		rep.Redespatches, rep.WastedOutputs, rep.PeerChunks)
-}
-
-// TestHeartbeatDetectsDeadPeer: the failure detector declares a killed
-// peer dead after the configured misses and fires its callback once.
-func TestHeartbeatDetectsDeadPeer(t *testing.T) {
-	n := simnet.New()
-	ctl := newService(t, n.Peer("ctl"), "ctl", Options{Resilience: chaosResilience()})
-	w := newService(t, n.Peer("w1"), "w1", Options{})
-
-	// Alive peer: no dead verdict while it responds.
-	dead := make(chan struct{})
-	stop := ctl.StartHeartbeat(w.Addr(), func() { close(dead) })
-	select {
-	case <-dead:
-		t.Fatal("live peer declared dead")
-	case <-time.After(150 * time.Millisecond):
-	}
-
-	n.Kill("w1")
-	select {
-	case <-dead:
-	case <-time.After(5 * time.Second):
-		t.Fatal("killed peer never declared dead")
-	}
-	stop()
-	snap := ctl.Resilience().Snapshot()
-	if snap.HeartbeatMisses < int64(chaosResilience().HeartbeatMisses) {
-		t.Errorf("heartbeat misses = %d", snap.HeartbeatMisses)
-	}
-	if snap.PeersDeclaredDead != 1 {
-		t.Errorf("peers declared dead = %d, want 1", snap.PeersDeclaredDead)
-	}
 }
 
 // TestDespatchRetriesDialFailures: a despatch that first meets a dead
@@ -369,10 +330,9 @@ func TestRestartRecoveryResumesCheckpointedFarm(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, err := ctl1.FarmChunks(ctx, chunks, FarmOptions{
-		Body:           func() *taskgraph.Graph { return accumBody(t) },
-		Peers:          peers1,
-		AttemptTimeout: 10 * time.Second,
-		ResumeKey:      "rr-farm",
+		Body:      func() *taskgraph.Graph { return accumBody(t) },
+		Peers:     peers1,
+		ResumeKey: "rr-farm",
 		AfterChunk: func(c int) {
 			if c == 1 {
 				cancel()
@@ -396,10 +356,9 @@ func TestRestartRecoveryResumesCheckpointedFarm(t *testing.T) {
 		peers2 = append(peers2, PeerRef{ID: label, Addr: w.Addr()})
 	}
 	rep, err := ctl2.FarmChunks(context.Background(), chunks, FarmOptions{
-		Body:           func() *taskgraph.Graph { return accumBody(t) },
-		Peers:          peers2,
-		AttemptTimeout: 10 * time.Second,
-		ResumeKey:      "rr-farm",
+		Body:      func() *taskgraph.Graph { return accumBody(t) },
+		Peers:     peers2,
+		ResumeKey: "rr-farm",
 	})
 	if err != nil {
 		t.Fatalf("resumed farm failed: %v (report %+v)", err, rep)
@@ -420,10 +379,9 @@ func TestRestartRecoveryResumesCheckpointedFarm(t *testing.T) {
 	// Third incarnation: the completed farm's journal was cleared, so
 	// the same key starts fresh rather than replaying stale outputs.
 	rep3, err := ctl2.FarmChunks(context.Background(), chunks, FarmOptions{
-		Body:           func() *taskgraph.Graph { return accumBody(t) },
-		Peers:          peers2,
-		AttemptTimeout: 10 * time.Second,
-		ResumeKey:      "rr-farm",
+		Body:      func() *taskgraph.Graph { return accumBody(t) },
+		Peers:     peers2,
+		ResumeKey: "rr-farm",
 	})
 	if err != nil {
 		t.Fatalf("re-run after completion failed: %v", err)

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"consumergrid/internal/chunkstore"
 	"consumergrid/internal/jxtaserve"
@@ -303,7 +302,6 @@ func TestFarmSurvivesDeadChunkReplica(t *testing.T) {
 				n.Kill("dr-super")
 			}
 		},
-		AttemptTimeout: 20 * time.Second,
 	})
 	assertSameOutputs(t, rep.Outputs, want)
 
@@ -445,9 +443,8 @@ func TestFarmMixedChunkPutsOnlyReferences(t *testing.T) {
 	n := simnet.New()
 	tn := dataTierNet(t, n, "mx-", 1, 2)
 	rep, err := tn.ctl.FarmChunks(context.Background(), chunks, FarmOptions{
-		Body:           func() *taskgraph.Graph { return negateBody(t) },
-		Peers:          tn.peers,
-		AttemptTimeout: 10 * time.Second,
+		Body:  func() *taskgraph.Graph { return negateBody(t) },
+		Peers: tn.peers,
 	})
 	if err != nil {
 		t.Fatalf("farm failed: %v", err)
@@ -490,10 +487,9 @@ func TestInPlaceFarmUnitLeavesChunkStoreIntact(t *testing.T) {
 	n := simnet.New()
 	tn := dataTierNet(t, n, "ip-", 1, 3)
 	rep, err := tn.ctl.FarmChunks(context.Background(), chunks, FarmOptions{
-		Body:           func() *taskgraph.Graph { return negateBody(t) },
-		Peers:          tn.peers,
-		Quorum:         3,
-		AttemptTimeout: 10 * time.Second,
+		Body:   func() *taskgraph.Graph { return negateBody(t) },
+		Peers:  tn.peers,
+		Quorum: 3,
 	})
 	if err != nil {
 		t.Fatalf("farm failed: %v", err)
@@ -590,11 +586,10 @@ func TestRestoredPinsReleaseWithResumedFarm(t *testing.T) {
 	}
 	farm := func(ctx context.Context, ctl *Service, peers []PeerRef, after func(int)) (*FarmReport, error) {
 		return ctl.FarmChunks(ctx, chunks, FarmOptions{
-			Body:           func() *taskgraph.Graph { return accumBody(t) },
-			Peers:          peers,
-			AttemptTimeout: 10 * time.Second,
-			ResumeKey:      "rp-farm",
-			AfterChunk:     after,
+			Body:       func() *taskgraph.Graph { return accumBody(t) },
+			Peers:      peers,
+			ResumeKey:  "rp-farm",
+			AfterChunk: after,
 		})
 	}
 

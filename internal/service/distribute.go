@@ -204,10 +204,10 @@ type remoteResult struct {
 	items  []resultItem      // a farm part's result list
 }
 
-// waitRemote waits for a despatched job, bounded by a context: the wait
-// RPC blocks as long as the job runs (no per-attempt deadline), so the
-// failure detector or attempt timeout cancels it through ctx. Waits are
-// idempotent, so broken conversations retry.
+// waitRemote waits for a despatched job: the wait RPC blocks as long as
+// the job runs, with no deadline. It ends early when the peer's session
+// falls silent (never retried) or the caller cancels ctx. Waits are
+// idempotent, so other broken conversations retry.
 func (s *Service) waitRemote(ctx context.Context, job *RemoteJob) (remoteResult, error) {
 	span := s.tracer.Start(job.TraceID, job.despatchSpan, "result", s.opts.PeerID)
 	span.SetAttr("job", job.JobID)

@@ -9,8 +9,8 @@
 //
 // Selection: candidates are ranked by the live health tracker (EWMA
 // success score, then observed latency). Open-breaker peers are
-// skipped; a heartbeat-declared-dead peer whose cooldown has elapsed is
-// pinged before it gets real work. A gated peer is forced only when the
+// skipped; a peer declared dead whose cooldown has elapsed is pinged
+// before it gets real work. A gated peer is forced only when the
 // chunk has no ballot and nothing in flight, so progress never stalls
 // while budget remains. A committed capability group narrows the
 // candidates up front; nothing ever votes from outside it.
@@ -103,11 +103,6 @@ type FarmOptions struct {
 	// ChunkAttempts bounds despatch attempts per chunk (default
 	// 2×len(Peers), minimum MaxAttempts).
 	ChunkAttempts int
-	// AttemptTimeout bounds one chunk attempt end to end (default 30s).
-	AttemptTimeout time.Duration
-	// Heartbeat runs the failure detector against the attempt's peer,
-	// cancelling the attempt when the peer is declared dead.
-	Heartbeat bool
 	// Seed is passed to every despatched part.
 	Seed int64
 	// AfterChunk, if set, runs after each chunk commits — a test hook for
@@ -171,9 +166,6 @@ func (o FarmOptions) withFarmDefaults(res ResilienceOptions) FarmOptions {
 			o.ChunkAttempts = res.MaxAttempts
 		}
 	}
-	if o.AttemptTimeout <= 0 {
-		o.AttemptTimeout = 30 * time.Second
-	}
 	if o.SpeculateAfter <= 0 {
 		o.SpeculateAfter = 2 * time.Second
 	}
@@ -226,6 +218,11 @@ type FarmReport struct {
 // re-armed: the backup launch was blocked (no admission slot, no free
 // peer), not rejected, so the detector keeps watching.
 const stragglerRetry = 25 * time.Millisecond
+
+// probeTimeout bounds the unretried one-shot RPCs: the ping that probes
+// a peer once declared dead, and the cancel that releases a ballot's
+// holds.
+const probeTimeout = time.Second
 
 // farmRun is what stays constant across one farm's chunks.
 type farmRun struct {
@@ -667,7 +664,7 @@ func (cr *chunkRun) launch(backup bool) (bool, error) {
 			// One unretried ping before real work is committed to a
 			// formerly-dead peer: it is either back or it is not.
 			start := time.Now()
-			if _, err := s.host.RequestTimeout(peer.Addr, MethodPing, nil, nil, s.res.HeartbeatTimeout); err != nil {
+			if _, err := s.host.RequestTimeout(peer.Addr, MethodPing, nil, nil, probeTimeout); err != nil {
 				s.health.ReportFailure(peer.ID)
 				s.admit.release(tenant)
 				cr.lastErr = err
@@ -873,8 +870,8 @@ func (cr *chunkRun) settle(plurality string, winner int) {
 // the ended job of every ballot that listed outputs by address: the
 // chunk no longer needs them, and a donor drops its holds on an ended
 // job's outputs when the job is cancelled. Off the chunk's path, one
-// unretried cancel each, bounded like a heartbeat ping: a cancel that
-// is lost leaves the holds to the donor's own bound. The reaper group
+// unretried cancel each, bounded by probeTimeout: a cancel that is lost
+// leaves the holds to the donor's own bound. The reaper group
 // holds FarmChunks open until every cancel has resolved.
 func (cr *chunkRun) release() {
 	for i := range cr.attempts {
@@ -886,7 +883,7 @@ func (cr *chunkRun) release() {
 		go func() {
 			defer cr.losers.Done()
 			cr.s.host.RequestTimeout(job.Part.Peer.Addr, MethodCancel, nil,
-				map[string]string{"job": job.JobID}, cr.s.res.HeartbeatTimeout)
+				map[string]string{"job": job.JobID}, probeTimeout)
 		}()
 	}
 }
@@ -931,37 +928,24 @@ func (cr *chunkRun) abandon(specRace bool) {
 
 // attempt runs the chunk on one peer: despatch with restored state and
 // the chunk's manifest, then wait for the job's reply, which carries
-// its result list and completion state. An abandoned attempt (timeout,
-// dead verdict, or a racing sibling committed first) cancels its remote
-// job, best effort; once the cancel has landed, one more wait reads the
-// job's record, so the waste books count the outputs of a job that
-// finished before the cancel reached it.
+// its result list and completion state. The attempt holds no deadline:
+// it lasts as long as the peer's session lives and ctx allows. A silent
+// session or a dial refused past the retry budget is this attempt's
+// dead verdict on the peer. An abandoned attempt (a racing sibling
+// committed first, or the farm ended) cancels its remote job, best
+// effort; once the cancel has landed, one more wait reads the job's
+// record, so the waste books count the outputs of a job that finished
+// before the cancel reached it.
 func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef) farmResult {
 	s, opts, c := cr.s, cr.opts, cr.c
-	attemptCtx, cancel := context.WithTimeout(ctx, opts.AttemptTimeout)
-	defer cancel()
-	// Abandoning the attempt does not cut its despatch short: the donor
-	// may already have accepted the run, and only the reply names the
-	// job to cancel. Each RPC keeps its own deadline.
-	despatchCtx := context.WithoutCancel(ctx)
-
-	// The failure detector starts before the despatch so a peer that
-	// dies during (or refuses) the handshake still earns its dead
-	// verdict, opening the breaker for future selection; the verdict
-	// does cut the despatch.
-	if opts.Heartbeat {
-		var dead context.CancelFunc
-		despatchCtx, dead = context.WithCancel(despatchCtx)
-		defer dead()
-		stop := s.StartPeerHeartbeat(peer, func() { dead(); cancel() })
-		defer stop()
-	}
-
 	// The chunk's manifest rides the request: the donor resolves it
 	// through its cache, the ring, sibling donors, and only then the
 	// controller — that ladder, not this attempt, is the data plane.
+	// Abandoning the attempt does not cut its despatch short: the donor
+	// may already have accepted the run, and only the reply names the
+	// job to cancel.
 	manifest := cr.manifests.manifestFor(c, peer.Addr)
-	job, err := s.despatchCtx(despatchCtx, RemotePart{
+	job, err := s.despatchCtx(context.WithoutCancel(ctx), RemotePart{
 		Peer:         peer,
 		Body:         cr.body,
 		Iterations:   1,
@@ -974,13 +958,14 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef) farmResult {
 		manifest: manifest,
 	}, opts.CodeAddr)
 	if err != nil {
+		s.declareDead(peer, err)
 		return farmResult{err: err}
 	}
 	s.resStats.FarmEgressBytes.Add(int64(len(manifest)))
 	cr.tstats.egress.Add(int64(len(manifest)))
 
-	res, err := s.waitRemote(attemptCtx, job)
-	if err != nil && attemptCtx.Err() != nil {
+	res, err := s.waitRemote(ctx, job)
+	if err != nil && ctx.Err() != nil {
 		if s.CancelRemote(job) == nil {
 			waitCtx, stop := context.WithTimeout(context.Background(), s.res.RequestTimeout)
 			res, _ = s.waitRemote(waitCtx, job)
@@ -991,9 +976,10 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef) farmResult {
 				s.CancelRemote(job)
 			}
 		}
-		return farmResult{items: res.items, err: attemptCtx.Err()}
+		return farmResult{items: res.items, err: ctx.Err()}
 	}
 	if err != nil {
+		s.declareDead(peer, err)
 		return farmResult{err: err}
 	}
 	return farmResult{job: job, items: res.items, newState: res.state}

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"consumergrid/internal/capgroup"
 	"consumergrid/internal/health"
@@ -21,9 +20,6 @@ import (
 func groupFarm(t *testing.T, ctl *Service, fo FarmOptions) (*FarmReport, error) {
 	t.Helper()
 	fo.Body = func() *taskgraph.Graph { return accumBody(t) }
-	if fo.AttemptTimeout == 0 {
-		fo.AttemptTimeout = 10 * time.Second
-	}
 	return ctl.FarmChunks(context.Background(), chaosChunks(chaosSeed, 2, 3), fo)
 }
 

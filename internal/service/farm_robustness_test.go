@@ -92,31 +92,14 @@ func chaosByzantineQuorum(t *testing.T, n *simnet.Network, ctlTr jxtaserve.Trans
 	n.FaultSeed(7)
 	ctl, peers := quorumNetOn(t, n, ctlTr, prefix, health.Options{})
 	byz, dead := prefix+"w1", prefix+"w2"
-	// The dead peer refuses every dial at once, so the despatch's retry
-	// backoff would race the attempt's heartbeat (three 20 ms misses) to
-	// a verdict. Each retry sleep is held until the heartbeat has
-	// declared a peer dead: the heartbeat always wins, and the dead
-	// peer's one attempt ends in both a dead verdict and a failure.
-	declared := ctl.resStats.PeersDeclaredDead.Value
-	ctl.retryAfter = func(d time.Duration) <-chan time.Time {
-		fired := make(chan time.Time, 1)
-		go func() {
-			for give := time.Now().Add(10 * time.Second); declared() == 0 && time.Now().Before(give); {
-				time.Sleep(time.Millisecond)
-			}
-			fired <- <-time.After(d)
-		}()
-		return fired
-	}
 	// w1 is byzantine: every result it returns is corrupted in flight.
-	// w2 is dead before the farm starts.
+	// w2 is dead before the farm starts: it refuses every dial at once,
+	// so its one attempt's despatch exhausts the retry budget, and that
+	// attempt alone both declares it dead and books its failure.
 	n.SetLinkFaults(byz, simnet.LinkFaults{CorruptEvery: 1})
 	n.Kill(dead)
 
-	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{
-		Quorum:    3,
-		Heartbeat: true,
-	})
+	rep := runChaosFarm(t, ctl, peers, chunks, FarmOptions{Quorum: 3})
 
 	if n.Corrupted() == 0 {
 		t.Fatal("byzantine fault injection never fired; the test exercised nothing")
@@ -196,7 +179,7 @@ func TestFarmSkipsDeclaredDeadPeer(t *testing.T) {
 		{ID: "ds-w2", Addr: w2.Addr()},
 	}
 
-	// The detector declared ds-w1 dead (simulating an earlier heartbeat
+	// ds-w1 was declared dead (simulating an earlier attempt's
 	// verdict). The farm must route everything to ds-w2 first try.
 	ctl.Health().ReportDead("ds-w1")
 	chunks := chaosChunks(chaosSeed, 3, 4)
@@ -263,8 +246,8 @@ func TestSpeculationWinsAndCancelsLoser(t *testing.T) {
 	}
 
 	// The loser's remote job on the slow worker must be cancelled, not
-	// left running (its heartbeat goroutine is reaped by Close's leak
-	// check, exercised in TestCloseReapsBackgroundGoroutines).
+	// left running (Close's leak check, exercised in
+	// TestCloseReapsBackgroundGoroutines, covers its attempt goroutine).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var canceled bool
@@ -409,10 +392,9 @@ func TestQuorumInsufficientAgreement(t *testing.T) {
 	w := newService(t, tr.Peer("qi-w1"), "qi-w1", Options{})
 
 	_, err := ctl.FarmChunks(context.Background(), chaosChunks(chaosSeed, 1, 2), FarmOptions{
-		Body:           func() *taskgraph.Graph { return accumBody(t) },
-		Peers:          []PeerRef{{ID: "qi-w1", Addr: w.Addr()}},
-		Quorum:         3,
-		AttemptTimeout: 10 * time.Second,
+		Body:   func() *taskgraph.Graph { return accumBody(t) },
+		Peers:  []PeerRef{{ID: "qi-w1", Addr: w.Addr()}},
+		Quorum: 3,
 	})
 	if err == nil {
 		t.Fatal("single-peer Quorum:3 farm committed without a majority")
@@ -453,10 +435,9 @@ func TestQuorumSplitVoteWidensAndCommits(t *testing.T) {
 	done := make(chan outcome, 1)
 	go func() {
 		rep, err := ctl.FarmChunks(context.Background(), chunks, FarmOptions{
-			Body:           func() *taskgraph.Graph { return accumBody(t) },
-			Peers:          peers,
-			Quorum:         3,
-			AttemptTimeout: 10 * time.Second,
+			Body:   func() *taskgraph.Graph { return accumBody(t) },
+			Peers:  peers,
+			Quorum: 3,
 		})
 		done <- outcome{rep, err}
 	}()
@@ -522,10 +503,9 @@ func TestQuorumTerminalSplitFailsAndPenalizes(t *testing.T) {
 	done := make(chan outcome, 1)
 	go func() {
 		rep, err := ctl.FarmChunks(context.Background(), chaosChunks(chaosSeed, 1, 6), FarmOptions{
-			Body:           func() *taskgraph.Graph { return accumBody(t) },
-			Peers:          peers,
-			Quorum:         3,
-			AttemptTimeout: 10 * time.Second,
+			Body:   func() *taskgraph.Graph { return accumBody(t) },
+			Peers:  peers,
+			Quorum: 3,
 		})
 		done <- outcome{rep, err}
 	}()

@@ -145,10 +145,9 @@ func TestDrainUnderTenantLoad(t *testing.T) {
 			first := true
 			reports[i], errs[i] = ctl.FarmChunks(context.Background(),
 				chaosChunks(int64(100+i), 3, 4), FarmOptions{
-					Tenant:         fmt.Sprintf("tenant-%d", i),
-					Body:           func() *taskgraph.Graph { return accumBody(t) },
-					Peers:          peers,
-					AttemptTimeout: 10 * time.Second,
+					Tenant: fmt.Sprintf("tenant-%d", i),
+					Body:   func() *taskgraph.Graph { return accumBody(t) },
+					Peers:  peers,
 					AfterChunk: func(c int) {
 						if first {
 							first = false
@@ -178,7 +177,7 @@ func TestDrainUnderTenantLoad(t *testing.T) {
 	}
 	if _, err := ctl.FarmChunks(context.Background(), chaosChunks(1, 1, 2), FarmOptions{
 		Tenant: "late", Body: func() *taskgraph.Graph { return accumBody(t) },
-		Peers: peers, AttemptTimeout: 5 * time.Second,
+		Peers: peers,
 	}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("farm after drain: err = %v, want ErrDraining", err)
 	}
@@ -226,9 +225,8 @@ func TestDrainWaitsForHostedJobs(t *testing.T) {
 	farmed := make(chan outcome, 1)
 	go func() {
 		rep, err := ctl.FarmChunks(context.Background(), chunks, FarmOptions{
-			Body:           func() *taskgraph.Graph { return accumBody(t) },
-			Peers:          peers,
-			AttemptTimeout: 10 * time.Second,
+			Body:  func() *taskgraph.Graph { return accumBody(t) },
+			Peers: peers,
 		})
 		farmed <- outcome{rep, err}
 	}()

@@ -20,10 +20,6 @@ var (
 	chunksInflight = metrics.Default().Gauge("service_farm_chunks_inflight")
 	// chunksCommitted counts farm chunks whose output was committed.
 	chunksCommitted = metrics.Default().Counter("service_farm_chunks_committed_total")
-	// heartbeatOK / heartbeatMiss split failure-detector probes by
-	// outcome, labelled the Prometheus way.
-	heartbeatOK   = metrics.Default().Counter(metrics.Series("service_heartbeats_total", "result", "ok"))
-	heartbeatMiss = metrics.Default().Counter(metrics.Series("service_heartbeats_total", "result", "miss"))
 	// despatchInflight gauges despatch attempts currently holding an
 	// admission-control slot across every service in the process.
 	despatchInflight = metrics.Default().Gauge("service_despatch_inflight")
@@ -35,7 +31,6 @@ func registerResilience(peerID string, st *metrics.ResilienceStats) {
 	reg := metrics.Default()
 	reg.RegisterCounter(metrics.Series("service_retries_total", "peer", peerID), &st.Retries)
 	reg.RegisterCounter(metrics.Series("service_redespatches_total", "peer", peerID), &st.Redespatches)
-	reg.RegisterCounter(metrics.Series("service_heartbeat_misses_total", "peer", peerID), &st.HeartbeatMisses)
 	reg.RegisterCounter(metrics.Series("service_peers_declared_dead_total", "peer", peerID), &st.PeersDeclaredDead)
 	reg.RegisterCounter(metrics.Series("service_wasted_items_total", "peer", peerID), &st.WastedItems)
 	reg.RegisterCounter(metrics.Series("service_speculation_launched_total", "peer", peerID), &st.SpeculationLaunches)

@@ -133,9 +133,9 @@ func TestObservabilityRPCs(t *testing.T) {
 }
 
 // TestCloseReapsBackgroundGoroutines is the leak regression: a full
-// despatch round plus a heartbeat whose stop function is never called
-// must leave no goroutines behind once both services Close. Before the
-// lifecycle ownership work, output senders and heartbeat loops survived
+// despatch round must leave no goroutines behind once both services
+// Close, the sessions' keepalive timers included. Before the lifecycle
+// ownership work, output senders and failure-detector loops survived
 // their service.
 func TestCloseReapsBackgroundGoroutines(t *testing.T) {
 	tr := jxtaserve.NewInProc()
@@ -143,8 +143,6 @@ func TestCloseReapsBackgroundGoroutines(t *testing.T) {
 
 	ctl := newService(t, tr, "leak-ctl", Options{})
 	w1 := newService(t, tr, "leak-w1", Options{})
-	// Deliberately discard the stop function: Close alone must reap it.
-	_ = ctl.StartHeartbeat(w1.Addr(), func() {})
 
 	g := figure1(t, policy.NameParallel)
 	plan := &policy.Plan{Kind: policy.KindParallel, Replicas: []string{"leak-w1"}}
@@ -165,8 +163,8 @@ func TestCloseReapsBackgroundGoroutines(t *testing.T) {
 
 	// Racing speculative attempts: a slow straggler, fetching its wide
 	// inputs over a crawling link, loses to a backup mid-flight, so its
-	// attempt goroutine, heartbeat detector and remote job all go
-	// through the abandoned-loser path. FarmChunks reaps the losers
+	// attempt goroutine and remote job both go through the
+	// abandoned-loser path. FarmChunks reaps the losers
 	// before returning; Close must find nothing extra.
 	n := simnet.New()
 	raceCtl := newService(t, n.Peer("leak-race-ctl"), "leak-race-ctl",
@@ -177,10 +175,8 @@ func TestCloseReapsBackgroundGoroutines(t *testing.T) {
 	rep, err := raceCtl.FarmChunks(context.Background(), bigChunks(1, 1, 8, ladderBins), FarmOptions{
 		Body:           func() *taskgraph.Graph { return accumBody(t) },
 		Peers:          []PeerRef{{ID: "leak-race-w1", Addr: raceW1.Addr()}, {ID: "leak-race-w2", Addr: raceW2.Addr()}},
-		Heartbeat:      true,
 		Speculate:      true,
 		SpeculateAfter: 100 * time.Millisecond,
-		AttemptTimeout: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("racing farm failed: %v", err)

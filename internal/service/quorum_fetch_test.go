@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"consumergrid/internal/chunkstore"
 	"consumergrid/internal/jxtaserve"
@@ -182,10 +181,9 @@ func TestQuorumFetchFailureWidens(t *testing.T) {
 	n.SetLinkFaults("ff-w1", simnet.LinkFaults{CorruptEvery: 1})
 
 	rep, err := ctl.FarmChunks(context.Background(), chunks, FarmOptions{
-		Quorum:         3,
-		Body:           func() *taskgraph.Graph { return accumBody(t) },
-		Peers:          peers,
-		AttemptTimeout: 10 * time.Second,
+		Quorum: 3,
+		Body:   func() *taskgraph.Graph { return accumBody(t) },
+		Peers:  peers,
 	})
 
 	mu.Lock()

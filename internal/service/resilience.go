@@ -1,7 +1,7 @@
 // Resilient despatch: bounded retries with exponential backoff and
-// jitter around the RPC surface, heartbeat-based failure detection, and
-// a chunked farming loop that re-despatches failed work to alternate
-// peers with checkpointed state restored via the §3.6.2 migration path.
+// jitter around the RPC surface, the dead-peer verdict, and a chunked
+// farming loop that re-despatches failed work to alternate peers with
+// checkpointed state restored via the §3.6.2 migration path.
 //
 // The retry policy is built on jxtaserve's error taxonomy. A *DialError
 // means the request never left this peer, so even the non-idempotent
@@ -13,6 +13,12 @@
 // double-bill (§3.8). FarmChunks recovers from exactly that residue by
 // scoping every attempt to fresh pipe labels and discarding uncommitted
 // output.
+//
+// Failure detection is the mux session's (jxtaserve, DESIGN §10.4): a
+// peer that falls silent kills its session with ErrSessionSilent, which
+// no request retries. A farm attempt that ends in that error, or in
+// dials refused past the whole retry budget, declares its peer dead
+// (declareDead) — the one place a verdict is made.
 package service
 
 import (
@@ -21,20 +27,19 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sync"
 	"time"
 
 	"consumergrid/internal/jxtaserve"
 	"consumergrid/internal/metrics"
 )
 
-// ResilienceOptions tunes retries, deadlines and failure detection for
-// outbound despatch traffic. The zero value selects the defaults noted
-// per field.
+// ResilienceOptions tunes retries and deadlines for outbound despatch
+// traffic; failure detection has no knobs (DESIGN §10.4). The zero
+// value selects the defaults noted per field.
 type ResilienceOptions struct {
 	// RequestTimeout bounds each non-blocking RPC attempt (default 10s).
-	// Blocking job waits never get a per-attempt deadline; they are
-	// cancelled by the failure detector instead.
+	// Blocking job waits never get a deadline: one lasts as long as its
+	// session lives, and ends when the peer falls silent.
 	RequestTimeout time.Duration
 	// MaxAttempts bounds tries per RPC, first included (default 3).
 	MaxAttempts int
@@ -43,12 +48,6 @@ type ResilienceOptions struct {
 	// sleep is jittered to 50–100% of the nominal value.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// HeartbeatInterval spaces failure-detector pings (default 1s);
-	// each ping gets HeartbeatTimeout (default 1s). HeartbeatMisses
-	// consecutive failures declare the peer dead (default 3).
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	HeartbeatMisses   int
 }
 
 // withDefaults fills unset knobs.
@@ -64,15 +63,6 @@ func (r ResilienceOptions) withDefaults() ResilienceOptions {
 	}
 	if r.MaxDelay <= 0 {
 		r.MaxDelay = 500 * time.Millisecond
-	}
-	if r.HeartbeatInterval <= 0 {
-		r.HeartbeatInterval = time.Second
-	}
-	if r.HeartbeatTimeout <= 0 {
-		r.HeartbeatTimeout = time.Second
-	}
-	if r.HeartbeatMisses <= 0 {
-		r.HeartbeatMisses = 3
 	}
 	return r
 }
@@ -102,8 +92,8 @@ func jitterRNG(addr, method string) *rand.Rand {
 // requestRetry performs an RPC with the configured retry policy. Only
 // idempotent methods retry after a conversation broke mid-exchange;
 // non-idempotent ones retry dial failures alone. Remote handler errors
-// (*jxtaserve.RPCError) never retry. timeout bounds each attempt; zero
-// means no per-attempt deadline.
+// (*jxtaserve.RPCError) and a silent peer's dead session never retry.
+// timeout bounds each attempt; zero means no per-attempt deadline.
 func (s *Service) requestRetry(ctx context.Context, addr, method string, payload []byte,
 	headers map[string]string, idempotent bool, timeout time.Duration) (*jxtaserve.Message, error) {
 
@@ -138,6 +128,9 @@ func (s *Service) requestRetry(ctx context.Context, addr, method string, payload
 		if errors.As(err, &rpcErr) {
 			return nil, err // the remote handler ran: its answer is final
 		}
+		if errors.Is(err, jxtaserve.ErrSessionSilent) {
+			return nil, err // the peer is gone: a verdict, not a blip
+		}
 		if !idempotent {
 			var dialErr *jxtaserve.DialError
 			if !errors.As(err, &dialErr) {
@@ -151,51 +144,17 @@ func (s *Service) requestRetry(ctx context.Context, addr, method string, payload
 	return nil, lastErr
 }
 
-// StartHeartbeat probes a peer with triana.ping on the configured
-// interval; after HeartbeatMisses consecutive failures it declares the
-// peer dead, invokes onDead once, and stops. The returned stop function
-// halts the detector (idempotent).
-func (s *Service) StartHeartbeat(addr string, onDead func()) (stop func()) {
-	done := make(chan struct{})
-	var once sync.Once
-	s.goBG(func() {
-		misses := 0
-		ticker := time.NewTicker(s.res.HeartbeatInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-s.shutdown:
-				return
-			case <-ticker.C:
-			}
-			if _, err := s.host.RequestTimeout(addr, MethodPing, nil, nil, s.res.HeartbeatTimeout); err != nil {
-				misses++
-				s.resStats.HeartbeatMisses.Inc()
-				heartbeatMiss.Inc()
-				if misses >= s.res.HeartbeatMisses {
-					s.resStats.PeersDeclaredDead.Inc()
-					s.logf("service: peer at %s declared dead after %d missed heartbeats", addr, misses)
-					onDead()
-					return
-				}
-			} else {
-				misses = 0
-				heartbeatOK.Inc()
-			}
-		}
-	})
-	return func() { once.Do(func() { close(done) }) }
-}
-
-// StartPeerHeartbeat runs the failure detector against a known peer and
-// feeds the dead verdict into the health tracker before invoking
-// onDead, so a heartbeat-declared-dead peer's breaker opens and
-// selection skips it until a successful probe.
-func (s *Service) StartPeerHeartbeat(peer PeerRef, onDead func()) (stop func()) {
-	return s.StartHeartbeat(peer.Addr, func() {
-		s.health.ReportDead(peer.ID)
-		onDead()
-	})
+// declareDead is the one dead-peer verdict: it opens the peer's breaker
+// at once when an attempt's despatch or wait ended because its session
+// went silent, or because its dials were refused past requestRetry's
+// whole budget (a shorter outage is retried through, not judged). Any
+// other error is an ordinary failure, left to the caller's books.
+func (s *Service) declareDead(peer PeerRef, err error) {
+	var dialErr *jxtaserve.DialError
+	if !errors.Is(err, jxtaserve.ErrSessionSilent) && !errors.As(err, &dialErr) {
+		return
+	}
+	s.health.ReportDead(peer.ID)
+	s.resStats.PeersDeclaredDead.Inc()
+	s.logf("service: peer %s at %s declared dead: %v", peer.ID, peer.Addr, err)
 }

@@ -81,8 +81,8 @@ type Options struct {
 	// to only download executables that are selected from a pre-agreed,
 	// certified, software library" (§3.5).
 	Certified []string
-	// Resilience tunes outbound retry, deadline and heartbeat behaviour;
-	// zero values select defaults (see ResilienceOptions).
+	// Resilience tunes outbound retries and deadlines; zero values
+	// select defaults (see ResilienceOptions).
 	Resilience ResilienceOptions
 	// Health tunes the peer-health tracker (EWMA scoring + circuit
 	// breakers) that orders farm and despatch candidates; zero values
@@ -152,7 +152,8 @@ type Service struct {
 
 	res ResilienceOptions // normalized copy of opts.Resilience
 	// retryAfter times each retry's backoff sleep: time.After, which
-	// tests replace to record the schedule without sleeping it.
+	// TestRetryJitterReplaysAndIsLazy replaces to record the schedule
+	// without sleeping it.
 	retryAfter func(time.Duration) <-chan time.Time
 	// resStats lives apart from the Service: the process registry binds
 	// its counters, and an embedded value would pin every closed daemon.
@@ -187,7 +188,7 @@ type Service struct {
 	checkpointMu sync.Mutex  // serialises snapshot writes
 
 	// Goroutine ownership: every background goroutine the service spawns
-	// (advertising, heartbeats, pipe bridges, output senders) registers
+	// (advertising, pipe bridges, output senders) registers
 	// in bg and watches shutdown, so Close reliably reaps them — no
 	// orphans accumulating over a daemon's lifetime.
 	bg       sync.WaitGroup
@@ -524,7 +525,7 @@ func (s *Service) Addr() string { return s.host.Addr() }
 func (s *Service) PeerID() string { return s.opts.PeerID }
 
 // Close stops the daemon: no new jobs, running jobs cancelled, and every
-// background goroutine the service owns (advertising, heartbeats) reaped
+// background goroutine the service owns (advertising, bridges) reaped
 // before Close returns.
 func (s *Service) Close() error {
 	s.mu.Lock()

@@ -121,12 +121,11 @@ func TestTenantContentionSuite(t *testing.T) {
 				tenant := []string{"t0", "t1", "t2"}[ti]
 				rep, err := ctl.FarmChunks(context.Background(),
 					chaosChunks(farmSeed(f), nChunks, perChunk), FarmOptions{
-						Body:           func() *taskgraph.Graph { return accumBody(t) },
-						Peers:          peers,
-						Quorum:         3,
-						ChunkAttempts:  24,
-						AttemptTimeout: 10 * time.Second,
-						Tenant:         tenant,
+						Body:          func() *taskgraph.Graph { return accumBody(t) },
+						Peers:         peers,
+						Quorum:        3,
+						ChunkAttempts: 24,
+						Tenant:        tenant,
 					})
 				if err != nil {
 					t.Errorf("tenant %s farm %d: %v", tenant, fi, err)

@@ -1,7 +1,7 @@
 // Live fault injection for the simulated network: the paper's §3.6.2
 // downtime classes ("connection lost, user intervenes, computational
 // bandwidth not reached") made scriptable against the real protocol
-// stack. Four fault classes are modelled:
+// stack. Five fault classes are modelled:
 //
 //   - message drops (DropProb / DropEvery): a lost frame breaks the
 //     carrying connection, the way a consumer DSL drop kills a TCP
@@ -11,7 +11,11 @@
 //     sever established crossing connections;
 //   - peer kill/restart: every connection a peer is party to breaks and
 //     new dials fail until Restart, optionally replayed from a
-//     churn.Trace so the §3.6.2 availability model drives live faults.
+//     churn.Trace so the §3.6.2 availability model drives live faults;
+//   - peer freeze/thaw: the machine is turned off. Every frame to or
+//     from the peer vanishes, yet no connection breaks and dials still
+//     connect, to meet silence — only the mux's session liveness finds
+//     it.
 package simnet
 
 import (
@@ -337,7 +341,7 @@ func (n *Network) Kill(label string) {
 	})
 	n.mu.Unlock()
 	for _, c := range victims {
-		c.Close()
+		c.hangUp()
 	}
 }
 
@@ -346,6 +350,40 @@ func (n *Network) Restart(label string) {
 	n.mu.Lock()
 	delete(n.down, label)
 	n.mu.Unlock()
+}
+
+// Freeze silences a peer, named by its Peer label, the way a powered-off
+// machine goes quiet: every frame to or from it vanishes from then on,
+// mux control frames included, but no connection breaks — not even one
+// the frozen peer closes itself, which its far end must find silent and
+// hang up — so senders see no error, and dials to it still connect and
+// then hear nothing. Frames it sent before it froze are still
+// delivered. Thaw undoes it.
+func (n *Network) Freeze(label string) {
+	n.mu.Lock()
+	n.frozen[label] = true
+	n.nFrozen.Store(int32(len(n.frozen)))
+	n.mu.Unlock()
+}
+
+// Thaw restores delivery to and from a frozen peer. Frames sent while
+// it was frozen stay lost.
+func (n *Network) Thaw(label string) {
+	n.mu.Lock()
+	delete(n.frozen, label)
+	n.nFrozen.Store(int32(len(n.frozen)))
+	n.mu.Unlock()
+}
+
+// isFrozen reports whether a connection is addressable by a frozen
+// label. With nothing frozen it takes no lock: it runs on every frame.
+func (n *Network) isFrozen(meta connMeta) bool {
+	if n.nFrozen.Load() == 0 {
+		return false
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.frozen[meta.src] || n.frozen[meta.dstAddr] || n.frozen[meta.dstOwner]
 }
 
 // matchConnsLocked snapshots connections matching the predicate.

@@ -471,3 +471,131 @@ func TestCorruptProbSeededReplay(t *testing.T) {
 
 // b2 exists to keep the two runs on separate lines for readable stacks.
 func b2(f func() []byte) []byte { return f() }
+
+// recvLoop reads c until it breaks, handing each frame to the channel.
+func recvLoop(c jxtaserve.Conn) <-chan *jxtaserve.Message {
+	ch := make(chan *jxtaserve.Message, 64)
+	go func() {
+		defer close(ch)
+		for {
+			m, err := c.Recv()
+			if err != nil {
+				return
+			}
+			ch <- m
+		}
+	}()
+	return ch
+}
+
+// quiet reports whether ch delivers nothing, and stays open, for d.
+func quiet(ch <-chan *jxtaserve.Message, d time.Duration) bool {
+	select {
+	case <-ch:
+		return false
+	case <-time.After(d):
+		return true
+	}
+}
+
+// TestFreezeSilencesWithoutBreaking: a frozen peer is the machine that
+// was turned off. Its conns stay open and sends to it succeed, yet
+// nothing is delivered either way, whichever end dialled; dials to it
+// still connect. Thaw restores delivery on the same conns.
+func TestFreezeSilencesWithoutBreaking(t *testing.T) {
+	t.Run("frozen-listener", func(t *testing.T) {
+		n := New()
+		l := echoServer(t, n.Peer("srv"))
+		c, err := n.Peer("cli").Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		got := recvLoop(c)
+		if err := c.Send(&jxtaserve.Message{Kind: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+
+		n.Freeze("srv")
+		if err := c.Send(&jxtaserve.Message{Kind: "x"}); err != nil {
+			t.Fatalf("send to a frozen peer failed: %v (its conns must stay open)", err)
+		}
+		if !quiet(got, 100*time.Millisecond) {
+			t.Fatal("a frozen peer's conn delivered a frame")
+		}
+		c2, err := n.Peer("cli").Dial(l.Addr())
+		if err != nil {
+			t.Fatalf("dial to a frozen peer failed: %v (dials must meet silence, not refusal)", err)
+		}
+		defer c2.Close()
+		if err := c2.Send(&jxtaserve.Message{Kind: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		if !quiet(recvLoop(c2), 100*time.Millisecond) {
+			t.Fatal("a fresh dial to a frozen peer was answered")
+		}
+
+		n.Thaw("srv")
+		if err := c.Send(&jxtaserve.Message{Kind: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case m, ok := <-got:
+			if !ok || m.Kind != "x" {
+				t.Fatalf("after thaw: frame %v, open %v", m, ok)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("thaw did not restore delivery")
+		}
+	})
+	t.Run("frozen-dialler", func(t *testing.T) {
+		// The listener pushes; frames bound for the frozen dialler
+		// vanish on arrival, since the accepted end knows only itself.
+		n := New()
+		l, err := n.Peer("srv").Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		var pushErr error
+		pushed := make(chan struct{})
+		go func() {
+			defer close(pushed)
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			for i := 0; i < 100; i++ {
+				if pushErr = c.Send(&jxtaserve.Message{Kind: "push"}); pushErr != nil {
+					return
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}()
+		c, err := n.Peer("cli").Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := recvLoop(c)
+		<-got
+		n.Freeze("cli")
+		time.Sleep(20 * time.Millisecond) // frames already read may still drain
+		for len(got) > 0 {
+			<-got
+		}
+		if !quiet(got, 100*time.Millisecond) {
+			t.Fatal("a frame reached the frozen dialler")
+		}
+		n.Thaw("cli")
+		if quiet(got, time.Second) {
+			t.Fatal("thaw did not restore delivery to the dialler")
+		}
+		c.Close()
+		<-pushed
+		if pushErr != nil && !errors.Is(pushErr, jxtaserve.ErrClosed) {
+			t.Errorf("pushing to a frozen dialler failed: %v", pushErr)
+		}
+	})
+}

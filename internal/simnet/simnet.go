@@ -32,10 +32,12 @@ type Network struct {
 	dropped   atomic.Int64
 	corrupted atomic.Int64
 	dials     atomic.Int64
+	nFrozen   atomic.Int32 // len(frozen), read lock-free on every frame
 
 	mu     sync.Mutex
 	cut    map[string]bool   // addresses whose links are severed
 	down   map[string]bool   // labels (peer names / addrs) killed via Kill
+	frozen map[string]bool   // peer labels frozen via Freeze
 	owners map[string]string // listener addr -> owning peer label
 	faults map[string]LinkFaults
 	links  map[string]*int64 // per-link Send counters for DropEvery
@@ -68,6 +70,7 @@ func New() *Network {
 		inner:  jxtaserve.NewInProc(),
 		cut:    make(map[string]bool),
 		down:   make(map[string]bool),
+		frozen: make(map[string]bool),
 		owners: make(map[string]string),
 		faults: make(map[string]LinkFaults),
 		links:  make(map[string]*int64),
@@ -118,13 +121,6 @@ func (n *Network) Restore(addr string) {
 	n.mu.Lock()
 	delete(n.cut, addr)
 	n.mu.Unlock()
-}
-
-// isCut reports whether an address is severed.
-func (n *Network) isCut(addr string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cut[addr]
 }
 
 // Peer returns a transport view tagged with a peer label. Connections
@@ -261,6 +257,9 @@ func MessageSize(m *jxtaserve.Message) int64 {
 }
 
 func (c *conn) Send(m *jxtaserve.Message) error {
+	if c.net.isFrozen(c.meta) {
+		return nil // vanishes: a powered-off peer breaks nothing
+	}
 	if m.Kind == jxtaserve.KindMuxHello {
 		c.muxed.Store(true)
 	}
@@ -277,14 +276,34 @@ func (c *conn) Send(m *jxtaserve.Message) error {
 }
 
 func (c *conn) Recv() (*jxtaserve.Message, error) {
-	m, err := c.inner.Recv()
-	if err == nil && m.Kind == jxtaserve.KindMuxHello {
-		c.muxed.Store(true)
+	for {
+		m, err := c.inner.Recv()
+		if err == nil && c.frozenEnd() {
+			// An accepted conn knows only its own end, so a frame bound
+			// for a frozen dialler vanishes here, on arrival.
+			continue
+		}
+		if err == nil && m.Kind == jxtaserve.KindMuxHello {
+			c.muxed.Store(true)
+		}
+		return m, err
 	}
-	return m, err
 }
 
+// Close hangs up both ends — unless this end is a frozen peer's: a
+// powered-off machine hangs up on no one.
 func (c *conn) Close() error {
+	if c.frozenEnd() {
+		return nil
+	}
+	return c.hangUp()
+}
+
+// frozenEnd reports whether this end of the conn belongs to a frozen
+// peer.
+func (c *conn) frozenEnd() bool { return c.net.isFrozen(connMeta{src: c.meta.src}) }
+
+func (c *conn) hangUp() error {
 	c.closeOnce.Do(func() { c.net.unregister(c) })
 	return c.inner.Close()
 }

@@ -177,7 +177,6 @@ func resilienceTable(b *strings.Builder, svc *service.Service) {
 	}{
 		{"rpc retries", snap.Retries},
 		{"re-despatches", snap.Redespatches},
-		{"heartbeat misses", snap.HeartbeatMisses},
 		{"peers declared dead", snap.PeersDeclaredDead},
 		{"wasted outputs", snap.WastedItems},
 		{"speculative launches", snap.SpeculationLaunches},

@@ -38,8 +38,7 @@ for series in \
     service_despatches_total \
     service_jobs_hosted_total \
     service_jobs_live \
-    service_heartbeats_total \
-    mcode_store_hits_total \
+    jxtaserve_keepalives_total \
     engine_cow_clones_total \
     chunkstore_cache_hits_total \
     chunkstore_fetch_total \
