@@ -111,7 +111,8 @@ bench-smoke:
 # the dialler forgetting each departed peer's entry and failing every
 # dial to a silent listener within the hello wait, session liveness (a
 # silent peer's session dies, a busy one sends no keepalive, an idle
-# one lives on them), and the mux invariants (FIFO, credit bounds, reset
+# one lives on them, a frame trickling in byte by byte keeps its
+# session alive), and the mux invariants (FIFO, credit bounds, reset
 # isolation, goroutine leaks) under the race detector; then the typed-data codec's golden encodings, its
 # decode∘encode fixpoint counterexamples, its exact sizing (Size is
 # the length Marshal writes) and a fuzz pass over that fixpoint, which
@@ -120,7 +121,7 @@ bench-smoke:
 # Run with -update after a deliberate wire change to regenerate the
 # golden fixtures.
 wire-conformance:
-	go test ./internal/jxtaserve/ -run 'TestGolden|TestMuxRefusesNonHello|TestMuxHangsUpSilentDialers|TestMuxForgetsDeadPeers|TestMuxDialBoundedBySilentListener|TestMuxSilentPeerDies|TestMuxBusySessionSendsNoKeepalive|TestMuxIdleSessionStaysAlive|TestReadBinaryMessageRejects' -count=1
+	go test ./internal/jxtaserve/ -run 'TestGolden|TestMuxRefusesNonHello|TestMuxHangsUpSilentDialers|TestMuxForgetsDeadPeers|TestMuxDialBoundedBySilentListener|TestMuxSilentPeerDies|TestMuxBusySessionSendsNoKeepalive|TestMuxIdleSessionStaysAlive|TestMuxSlowFrameKeepsSessionAlive|TestReadBinaryMessageRejects' -count=1
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzReadBinaryMessage -fuzztime 10s
 	go test ./internal/jxtaserve/ -run '^$$' -fuzz FuzzBinaryMessageRoundTrip -fuzztime 10s
 	go test ./internal/types/ -run 'TestGolden|TestFixpoint|TestSizeMatchesMarshal' -count=1
@@ -185,10 +186,12 @@ tenant-smoke:
 # voters per clean chunk, one more per widening or replacement) for
 # K = 2, 3, 5 under a corrupter, a dead voter and a split. Then the
 # silent donor: simnet's Freeze, a donor frozen mid-chunk declared dead
-# by its session's silence, and a unit outlasting that detector on an
-# idle session. Seeds are fixed, so a failure is reproducible.
+# by its session's silence, a unit outlasting that detector on an
+# idle session, a live donor withholding its result (recovered only by
+# speculation), and a shutting-down controller judging no peer. Seeds
+# are fixed, so a failure is reproducible.
 chaos-smoke:
-	go test ./internal/service/ -run 'TestChaos|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser|TestQuorumMajorityFirstElectorate|TestFarmFrozenDonorDeclaredDead|TestFarmLongUnitOutlivesDetector' -count=1 -v
+	go test ./internal/service/ -run 'TestChaos|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser|TestQuorumMajorityFirstElectorate|TestFarmFrozenDonorDeclaredDead|TestFarmLongUnitOutlivesDetector|TestFarmWedgedDonorNeedsSpeculation|TestShutdownJudgesNoPeer' -count=1 -v
 	go test ./internal/simnet/ -run 'TestFreezeSilencesWithoutBreaking' -count=1 -v
 
 # Graceful-lifecycle battery under the race detector: the lifecycle

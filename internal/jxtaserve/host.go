@@ -213,7 +213,7 @@ func (h *Host) HasChunkSource() bool {
 func (h *Host) FetchChunk(addr, digest string, timeout time.Duration) ([]byte, error) {
 	conn, err := h.transport.Dial(addr)
 	if err != nil {
-		return nil, dialError(addr, err)
+		return nil, &DialError{Addr: addr, Err: err}
 	}
 	defer conn.Close()
 	if timeout > 0 {

@@ -1,6 +1,7 @@
 package jxtaserve
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync"
@@ -217,10 +218,74 @@ func TestMuxIdleSessionStaysAlive(t *testing.T) {
 	}
 }
 
+// TestMuxSlowFrameKeepsSessionAlive: a frame that takes longer to
+// arrive than a silent session may live — a large chunk over a modem —
+// keeps its session alive, because every byte read off the socket
+// counts as heard, not only a whole frame. The frame is written by
+// hand, a piece every fifth of an interval, over keepaliveMisses+2
+// intervals, with nothing else sent.
+func TestMuxSlowFrameKeepsSessionAlive(t *testing.T) {
+	tr := NewMux(TCP{}, WireOptions{})
+	tr.kaEvery = testKA
+	t.Cleanup(func() { tr.Close() })
+	l, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	payload := bytes.Repeat([]byte("slow"), 256)
+	var wire bytes.Buffer
+	if err := WriteBinaryMessage(&wire, helloFrame(defaultWindow)); err != nil {
+		t.Fatal(err)
+	}
+	hello := wire.Len()
+	// Stream 1 with the SYN bit: the dialler's first frame opens it.
+	if err := WriteBinaryMessage(&wire, &Message{Kind: "test.slow", Stream: 1<<1 | 1, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(wire.Bytes()[:hello]); err != nil {
+		t.Fatal(err)
+	}
+	frame := wire.Bytes()[hello:]
+	pieces := 5 * (keepaliveMisses + 2)
+	step := (len(frame) + pieces - 1) / pieces
+	for len(frame) > 0 {
+		time.Sleep(testKA / 5)
+		n := min(step, len(frame))
+		if _, err := c.Write(frame[:n]); err != nil {
+			t.Fatalf("session hung up mid-frame: %v", err)
+		}
+		frame = frame[n:]
+	}
+
+	got := make(chan []byte, 1)
+	go func() {
+		defer close(got)
+		if st, err := l.Accept(); err == nil {
+			if m, err := st.Recv(); err == nil {
+				got <- m.Payload
+			}
+		}
+	}()
+	select {
+	case p := <-got:
+		if !bytes.Equal(p, payload) {
+			t.Fatalf("slow frame arrived as %d bytes, want the %d sent", len(p), len(payload))
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("slow frame never reached Accept: its session died while it arrived")
+	}
+}
+
 // TestMuxDialBoundedBySilentListener: a listener that accepts and then
 // says nothing — a stopped daemon whose kernel still holds the socket —
-// fails every dial to its address within the hello wait, concurrent
-// ones included, with a *DialError: none waits for the handshake it
+// fails every request to its address within the hello wait, concurrent
+// ones included, with a *DialError: no dial waits for the handshake it
 // queued behind to time out and then runs its own.
 func TestMuxDialBoundedBySilentListener(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -251,6 +316,11 @@ func TestMuxDialBoundedBySilentListener(t *testing.T) {
 	tr := NewMux(TCP{}, WireOptions{})
 	tr.helloWait = 300 * time.Millisecond
 	t.Cleanup(func() { tr.Close() })
+	h, err := NewHost("dialler", tr, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
 
 	// Eight dials queued one behind another would take eight hello waits.
 	const dials = 8
@@ -258,7 +328,7 @@ func TestMuxDialBoundedBySilentListener(t *testing.T) {
 	start := time.Now()
 	for i := 0; i < dials; i++ {
 		go func() {
-			_, err := tr.Dial(ln.Addr().String())
+			_, err := h.Request(ln.Addr().String(), "test.silent", nil, nil)
 			errs <- err
 		}()
 	}
@@ -268,10 +338,10 @@ func TestMuxDialBoundedBySilentListener(t *testing.T) {
 		case err := <-errs:
 			var de *DialError
 			if !errors.As(err, &de) {
-				t.Errorf("dial to a silent listener returned %v, want a *DialError", err)
+				t.Errorf("request to a silent listener returned %v, want a *DialError", err)
 			}
 		case <-time.After(limit + time.Second):
-			t.Fatalf("dial %d to a silent listener still blocked after %v", i, limit+time.Second)
+			t.Fatalf("request %d to a silent listener still blocked after %v", i, limit+time.Second)
 		}
 	}
 	if elapsed := time.Since(start); elapsed > limit {

@@ -209,8 +209,7 @@ func (t *MuxTransport) lockPeer(addr string) (*muxPeer, error) {
 }
 
 // Dial returns a stream on the (possibly fresh) session to addr. A
-// fresh session's connect and hello are each bounded by helloTimeout,
-// and a failure is a *DialError.
+// fresh session's connect and hello are each bounded by helloTimeout.
 func (t *MuxTransport) Dial(addr string) (Conn, error) {
 	p, err := t.lockPeer(addr)
 	if err != nil {
@@ -256,7 +255,7 @@ func (t *MuxTransport) Dial(addr string) (Conn, error) {
 func (t *MuxTransport) handshake(addr string) (Conn, int, error) {
 	raw, err := t.inner.Dial(addr)
 	if err != nil {
-		return nil, 0, &DialError{Addr: addr, Err: err}
+		return nil, 0, err
 	}
 	win := 0
 	if err = raw.Send(helloFrame(t.opts.Window)); err == nil {
@@ -264,7 +263,7 @@ func (t *MuxTransport) handshake(addr string) (Conn, int, error) {
 	}
 	if err != nil {
 		raw.Close()
-		return nil, 0, &DialError{Addr: addr, Err: err}
+		return nil, 0, err
 	}
 	return raw, win, nil
 }
@@ -474,7 +473,7 @@ func parseWindow(s string) int {
 // session is one multiplexed connection: a single demux goroutine fans
 // inbound frames out to streams; outbound frames from every stream are
 // serialised through writeMu. Its liveness timer (tick) reads and
-// clears two flags that frames set each way.
+// clears two flags that traffic sets each way.
 type session struct {
 	conn    Conn
 	writeMu sync.Mutex // serialises conn.Send across streams
@@ -486,10 +485,12 @@ type session struct {
 	onStream func(Conn) // inbound stream delivery; nil rejects inbound
 	onDead   func()
 
-	// heard and spoke mark a frame received and sent since the last
-	// tick; our own keepalives do not set spoke. Each is read before it
-	// is written, so a busy session writes it once per tick, not once
-	// per frame.
+	// heard and spoke mark traffic received and sent since the last
+	// tick; our own keepalives do not set spoke. demux sets heard per
+	// frame, and a TCP conn per socket read, so a frame slower to arrive
+	// than the detector's window (a megabyte over a modem) proves its
+	// sender alive while it arrives. Each is read before it is written,
+	// so a busy session writes it once per tick, not once per frame.
 	heard, spoke atomic.Bool
 
 	mu      sync.Mutex
@@ -522,6 +523,9 @@ func newSession(conn Conn, dialler bool, sendWin, recvWin int, onStream func(Con
 	}
 	if s.recvWin < 1 {
 		s.recvWin = 1
+	}
+	if tc, ok := conn.(*tcpConn); ok {
+		tc.heard = &s.heard // before demux starts reading
 	}
 	return s
 }

@@ -29,16 +29,6 @@ type DialError struct {
 func (e *DialError) Error() string { return fmt.Sprintf("jxtaserve: dial %s: %v", e.Addr, e.Err) }
 func (e *DialError) Unwrap() error { return e.Err }
 
-// dialError types a Dial failure, keeping the *DialError a transport
-// (MuxTransport) already made.
-func dialError(addr string, err error) error {
-	var de *DialError
-	if errors.As(err, &de) {
-		return err
-	}
-	return &DialError{Addr: addr, Err: err}
-}
-
 // RPCError reports that the remote handler ran and returned an error.
 // The failure is semantic, not transport-level: retrying the same
 // request yields the same answer.
@@ -67,7 +57,7 @@ func (h *Host) RequestTimeout(addr, method string, payload []byte, headers map[s
 func (h *Host) RequestCtx(ctx context.Context, addr, method string, payload []byte, headers map[string]string, timeout time.Duration) (*Message, error) {
 	conn, err := h.transport.Dial(addr)
 	if err != nil {
-		return nil, dialError(addr, err)
+		return nil, &DialError{Addr: addr, Err: err}
 	}
 	defer conn.Close()
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // Conn is one bidirectional message stream between two peers. Send and
@@ -50,10 +51,11 @@ type tcpListener struct {
 }
 
 type tcpConn struct {
-	c  net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
-	mu sync.Mutex // serialises Send (frame integrity)
+	c     net.Conn
+	br    *bufio.Reader // reads through Read, below the buffer
+	bw    *bufio.Writer
+	mu    sync.Mutex   // serialises Send (frame integrity)
+	heard *atomic.Bool // the owning mux session's; set by every read that returns bytes
 }
 
 // Listen implements Transport.
@@ -85,7 +87,19 @@ var bwPool = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
 func newTCPConn(c net.Conn) *tcpConn {
 	bw := bwPool.Get().(*bufio.Writer)
 	bw.Reset(c)
-	return &tcpConn{c: c, br: bufio.NewReader(c), bw: bw}
+	tc := &tcpConn{c: c, bw: bw}
+	tc.br = bufio.NewReader(tc)
+	return tc
+}
+
+// Read feeds br from the socket. Any bytes read, even part of a frame,
+// mark the owning session heard.
+func (c *tcpConn) Read(p []byte) (int, error) {
+	n, err := c.c.Read(p)
+	if n > 0 && c.heard != nil && !c.heard.Load() {
+		c.heard.Store(true)
+	}
+	return n, err
 }
 
 func (l *tcpListener) Accept() (Conn, error) {

@@ -62,6 +62,22 @@ func (holdUnit) Process(_ *units.Context, in []types.Data) ([]types.Data, error)
 	return []types.Data{in[0]}, nil
 }
 
+// holdBody returns a farm body of one hold unit.
+func holdBody(t *testing.T) func() *taskgraph.Graph {
+	registerHoldUnit()
+	return func() *taskgraph.Graph {
+		g := taskgraph.New("holdbody")
+		task, err := units.NewTask("Hold", holdUnitName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.MustAdd(task)
+		g.ExternalIn = []taskgraph.Endpoint{{Task: "Hold", Node: 0}}
+		g.ExternalOut = []taskgraph.Endpoint{{Task: "Hold", Node: 0}}
+		return g
+	}
+}
+
 // setHoldHook installs fn for the test's duration.
 func setHoldHook(t *testing.T, fn func()) {
 	holdHook.Store(&fn)
@@ -220,17 +236,7 @@ func TestFarmLongUnitOutlivesDetector(t *testing.T) {
 	chunks := [][]types.Data{{&types.Const{Value: 7}}}
 	start := time.Now()
 	rep, err := ctl.FarmChunks(context.Background(), chunks, FarmOptions{
-		Body: func() *taskgraph.Graph {
-			g := taskgraph.New("holdbody")
-			task, err := units.NewTask("Hold", holdUnitName)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g.MustAdd(task)
-			g.ExternalIn = []taskgraph.Endpoint{{Task: "Hold", Node: 0}}
-			g.ExternalOut = []taskgraph.Endpoint{{Task: "Hold", Node: 0}}
-			return g
-		},
+		Body:  holdBody(t),
 		Peers: []PeerRef{{ID: "lu-w", Addr: w.Addr()}},
 	})
 	if err != nil {
@@ -297,5 +303,84 @@ func TestRunDistributedSilentReplica(t *testing.T) {
 		}
 	case <-time.After(3 * limit):
 		t.Fatalf("run still blocked %v after its replica froze", 3*limit)
+	}
+}
+
+// TestFarmWedgedDonorNeedsSpeculation: a donor whose session stays
+// alive but whose job never answers its triana.wait — a wedged unit, or
+// a byzantine donor withholding its result — is no silent peer, so no
+// verdict ends its attempt and nothing bounds it but the farm's own
+// context. Without Speculate the farm holds past the detector's window
+// until that context ends; with Speculate the straggler timer launches
+// a backup on the other donor, which commits the chunk.
+func TestFarmWedgedDonorNeedsSpeculation(t *testing.T) {
+	release := make(chan struct{})
+	var calls atomic.Int32
+	setHoldHook(t, func() {
+		if calls.Add(1) == 1 {
+			<-release // the first item anywhere wedges its donor's job
+		}
+	})
+	tr := jxtaserve.NewInProc()
+	// A wedged job ignores its cancel, so reaping each abandoned attempt
+	// waits out one RequestTimeout for the job's record; keep that short.
+	ctl := newService(t, tr, "wd-ctl", Options{Resilience: ResilienceOptions{RequestTimeout: 500 * time.Millisecond}})
+	var peers []PeerRef
+	for _, id := range []string{"wd-w1", "wd-w2"} {
+		w := newService(t, tr, id, Options{})
+		peers = append(peers, PeerRef{ID: id, Addr: w.Addr()})
+	}
+	t.Cleanup(func() { close(release) }) // runs before the services close
+	chunks := [][]types.Data{{&types.Const{Value: 7}}}
+
+	bound := silentAfter + time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), bound)
+	defer cancel()
+	start := time.Now()
+	_, err := ctl.FarmChunks(ctx, chunks, FarmOptions{Body: holdBody(t), Peers: peers[:1]})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("farm on a wedged donor ended with %v after %v, want its context's deadline",
+			err, time.Since(start))
+	}
+	if n := ctl.Resilience().Snapshot().PeersDeclaredDead; n != 0 {
+		t.Errorf("a live donor was declared dead %d times", n)
+	}
+
+	calls.Store(0)
+	ctx, cancel = context.WithTimeout(context.Background(), bound)
+	defer cancel()
+	rep, err := ctl.FarmChunks(ctx, chunks, FarmOptions{
+		Body:           holdBody(t),
+		Peers:          peers,
+		Speculate:      true,
+		SpeculateAfter: 200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("speculating farm failed: %v", err)
+	}
+	if rep.SpeculationWins != 1 || len(rep.Outputs) != 1 {
+		t.Errorf("report %+v, want the backup's one output", rep)
+	}
+}
+
+// TestShutdownJudgesNoPeer: a dial refused by our own closed transport
+// — a farm attempt caught by its controller's shutdown — declares no
+// healthy peer dead.
+func TestShutdownJudgesNoPeer(t *testing.T) {
+	tr := jxtaserve.NewInProc()
+	ctl := newService(t, tr, "sd-ctl", Options{})
+	w := newService(t, tr, "sd-w", Options{})
+	ctl.Close()
+	_, err := ctl.requestRetry(context.Background(), w.Addr(), MethodPing, nil, nil, true, time.Second)
+	var dialErr *jxtaserve.DialError
+	if !errors.As(err, &dialErr) || !errors.Is(err, jxtaserve.ErrClosed) {
+		t.Fatalf("request from a closed service returned %v, want a dial error wrapping ErrClosed", err)
+	}
+	ctl.declareDead(PeerRef{ID: "sd-w", Addr: w.Addr()}, err)
+	if n := ctl.Resilience().Snapshot().PeersDeclaredDead; n != 0 {
+		t.Errorf("shutdown declared %d peers dead, want 0", n)
+	}
+	if st := ctl.Health().State("sd-w"); st == health.Open {
+		t.Error("shutdown opened a healthy peer's breaker")
 	}
 }

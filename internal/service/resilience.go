@@ -147,11 +147,13 @@ func (s *Service) requestRetry(ctx context.Context, addr, method string, payload
 // declareDead is the one dead-peer verdict: it opens the peer's breaker
 // at once when an attempt's despatch or wait ended because its session
 // went silent, or because its dials were refused past requestRetry's
-// whole budget (a shorter outage is retried through, not judged). Any
-// other error is an ordinary failure, left to the caller's books.
+// whole budget (a shorter outage is retried through, not judged). A
+// dial our own closed transport refused judges no one, and any other
+// error is an ordinary failure, left to the caller's books.
 func (s *Service) declareDead(peer PeerRef, err error) {
 	var dialErr *jxtaserve.DialError
-	if !errors.Is(err, jxtaserve.ErrSessionSilent) && !errors.As(err, &dialErr) {
+	if !errors.Is(err, jxtaserve.ErrSessionSilent) && !errors.As(err, &dialErr) ||
+		errors.Is(err, jxtaserve.ErrClosed) {
 		return
 	}
 	s.health.ReportDead(peer.ID)
