@@ -27,6 +27,8 @@ test-386:
 # No dead knobs: WireOptions.Mux/.Binary, DataTierOptions.Enable and
 # RunOptions.PoolShards are ignored and DonorPool.ShardPeers is Peers;
 # they stay for bench/ alone, so no other Go file may set or call them.
+# One pure core: the chunk runner's step function (chunkstep.go) reads
+# no clock, takes no context or lock and calls into no other package.
 layering:
 	@if go list -deps ./cmd/trianad ./cmd/trianactl ./internal/core ./internal/controller ./internal/service | grep -qx consumergrid/internal/discovery; then \
 		echo "layering: internal/discovery is reachable from a daemon path; only internal/experiments may import it"; exit 1; \
@@ -45,6 +47,9 @@ layering:
 	fi
 	@if grep -rnE --include='*.go' --exclude-dir=bench -e '\b(Mux|Binary|Enable|PoolShards):\s*\S' -e '\.(Mux|Binary|Enable|PoolShards)\s*=[^=]' -e '\.ShardPeers\(' . | grep -vE '\bcase\b'; then \
 		echo "layering: an ignored option is set, or ShardPeers is called, outside bench/; the wire, the data tier and the donor pool have one mode each"; exit 1; \
+	fi
+	@if sed -n '/^import/,/^)/p' internal/service/chunkstep.go | grep -E '"(time|context|sync|sync/atomic)"|"consumergrid/internal/'; then \
+		echo "layering: internal/service/chunkstep.go imports a clock, a context, a lock or an internal package; the chunk runner's step is pure"; exit 1; \
 	fi
 
 # The smoke targets below name their tests by hand. Every literal
@@ -76,10 +81,11 @@ race:
 # Race detector over the concurrency-heavy resilience stack: the chunk
 # runner, the health tracker, and the fault-injecting network — then the
 # farm suites and the hosted-job lifecycle (reaping, waits after a job
-# ended) three times over, since their interleavings differ run to run.
+# ended) three times over, since their interleavings differ run to run,
+# beside the chunk runner's rules checked over every event order.
 race-resilience:
 	go test -race ./internal/service/... ./internal/simnet/... ./internal/health/...
-	go test -race -count=3 ./internal/service/ -run 'Farm|Quorum|Speculat|Straggler|Chaos|Redespatch|Tenant|Group|HostedJob|WaitAfterEnd'
+	go test -race -count=3 ./internal/service/ -run 'Farm|Quorum|Speculat|Straggler|Chaos|Redespatch|Tenant|Group|HostedJob|WaitAfterEnd|TestChunkStepExhaustive'
 
 # Full benchmark snapshot: runs the whole suite and writes BENCH_<date>.json,
 # comparing against the previous snapshot.
@@ -188,10 +194,12 @@ tenant-smoke:
 # silent donor: simnet's Freeze, a donor frozen mid-chunk declared dead
 # by its session's silence, a unit outlasting that detector on an
 # idle session, a live donor withholding its result (recovered only by
-# speculation), and a shutting-down controller judging no peer. Seeds
-# are fixed, so a failure is reproducible.
+# speculation, its abandoned attempt reaped within probeTimeout), a
+# stopped donor's silent listener costing one hello wait, and a
+# shutting-down controller judging no peer. Seeds are fixed, so a
+# failure is reproducible.
 chaos-smoke:
-	go test ./internal/service/ -run 'TestChaos|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser|TestQuorumMajorityFirstElectorate|TestFarmFrozenDonorDeclaredDead|TestFarmLongUnitOutlivesDetector|TestFarmWedgedDonorNeedsSpeculation|TestShutdownJudgesNoPeer' -count=1 -v
+	go test ./internal/service/ -run 'TestChaos|TestFarmSkipsDeclaredDeadPeer|TestSpeculationWinsAndCancelsLoser|TestQuorumMajorityFirstElectorate|TestFarmFrozenDonorDeclaredDead|TestFarmLongUnitOutlivesDetector|TestFarmWedgedDonorNeedsSpeculation|TestSilentListenerCostsOneHelloWait|TestShutdownJudgesNoPeer' -count=1 -v
 	go test ./internal/simnet/ -run 'TestFreezeSilencesWithoutBreaking' -count=1 -v
 
 # Graceful-lifecycle battery under the race detector: the lifecycle

@@ -65,7 +65,6 @@ func BenchmarkFarmUnderChurn(b *testing.B) {
 					Peers:          peers,
 					Speculate:      spec.on,
 					SpeculateAfter: 30 * time.Millisecond,
-					MaxSpeculative: 2,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -271,14 +271,12 @@ type FarmOptions struct {
 	ChunkAttempts int
 	Seed          int64
 	AfterChunk    func(chunk int)
-	// Speculate, SpeculateAfter, StragglerFactor, MaxSpeculative and
-	// Quorum forward the straggler-mitigation and untrusted-peer knobs
-	// to service.FarmOptions.
-	Speculate       bool
-	SpeculateAfter  time.Duration
-	StragglerFactor float64
-	MaxSpeculative  int
-	Quorum          int
+	// Speculate, SpeculateAfter and Quorum forward the
+	// straggler-mitigation and untrusted-peer knobs to
+	// service.FarmOptions.
+	Speculate      bool
+	SpeculateAfter time.Duration
+	Quorum         int
 	// Tenant names the submitting tenant: it charges the fair-share
 	// admission queue and labels the despatch envelope, spans and
 	// metrics. Empty means the default tenant.
@@ -308,20 +306,18 @@ func (c *Controller) RunFarm(ctx context.Context, chunks [][]types.Data, opts Fa
 		c.log("controller: farming %d chunks for tenant %s over %d peers", len(chunks), tenant, len(peers))
 	}
 	return c.svc.FarmChunks(ctx, chunks, service.FarmOptions{
-		Body:            opts.Body,
-		Peers:           peers,
-		CodeAddr:        c.svc.Addr(),
-		ChunkAttempts:   opts.ChunkAttempts,
-		Seed:            opts.Seed,
-		AfterChunk:      opts.AfterChunk,
-		Speculate:       opts.Speculate,
-		SpeculateAfter:  opts.SpeculateAfter,
-		StragglerFactor: opts.StragglerFactor,
-		MaxSpeculative:  opts.MaxSpeculative,
-		Quorum:          opts.Quorum,
-		Tenant:          tenant,
-		Group:           group,
-		GroupMembers:    members,
+		Body:           opts.Body,
+		Peers:          peers,
+		CodeAddr:       c.svc.Addr(),
+		ChunkAttempts:  opts.ChunkAttempts,
+		Seed:           opts.Seed,
+		AfterChunk:     opts.AfterChunk,
+		Speculate:      opts.Speculate,
+		SpeculateAfter: opts.SpeculateAfter,
+		Quorum:         opts.Quorum,
+		Tenant:         tenant,
+		Group:          group,
+		GroupMembers:   members,
 	})
 }
 

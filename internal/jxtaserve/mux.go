@@ -68,8 +68,10 @@ const (
 )
 
 // ErrSessionSilent is the failure detector's verdict: the peer sent
-// nothing, not even a keepalive, for keepaliveMisses intervals. It
-// reaches callers wrapped in a SessionDeadError; check with errors.Is.
+// nothing, not even a keepalive, for keepaliveMisses intervals, or it
+// took a connect and sent no hello within the hello wait. It reaches
+// callers wrapped in a SessionDeadError or a dial error; check with
+// errors.Is.
 var ErrSessionSilent = errors.New("jxtaserve: peer silent")
 
 // WireOptions tunes the one wire: binary v1 over the stream mux.
@@ -270,15 +272,16 @@ func (t *MuxTransport) handshake(addr string) (Conn, int, error) {
 
 // recvHello reads the peer's hello within helloWait and returns the
 // receive window it advertises. A peer that says nothing in time is
-// hung up on: a dialler that connects and stays silent, or a listener
-// that accepts and never answers (a stopped machine whose kernel still
-// holds the socket, a frozen simnet peer). Neither side's hello wait
-// can hold a goroutine, a socket or a dial longer than that.
+// hung up on, with ErrSessionSilent: a dialler that connects and stays
+// silent, or a listener that accepts and never answers (a stopped
+// machine whose kernel still holds the socket, a frozen simnet peer).
+// Neither side's hello wait can hold a goroutine, a socket or a dial
+// longer than that, and a dial to a silent listener is not retried.
 func (t *MuxTransport) recvHello(raw Conn) (int, error) {
 	hangUp := time.AfterFunc(t.helloWait, func() { raw.Close() })
 	m, err := raw.Recv()
 	if !hangUp.Stop() {
-		return 0, fmt.Errorf("no %s within %v", KindMuxHello, t.helloWait)
+		return 0, fmt.Errorf("no %s within %v: %w", KindMuxHello, t.helloWait, ErrSessionSilent)
 	}
 	if err != nil {
 		return 0, err

@@ -1,29 +1,19 @@
-// Chunked resilient farming: one chunk runner, an attempt-set state
-// machine, over the §3.6.2 checkpointed re-despatch path — the
-// untrusted-consumer-peer layer. Plain, speculative and quorum farming
-// are parameter values of that one machine (an electorate of
-// K = max(1, Quorum) voters, and a backup policy), not separate loops.
+// Chunked resilient farming: one chunk runner over the §3.6.2
+// checkpointed re-despatch path — the untrusted-consumer-peer layer.
+// Plain, speculative and quorum farming are parameter values of one
+// decision core (an electorate of K = max(1, Quorum) voters, and a
+// backup policy), not separate loops. The core's rules are stated once,
+// at chunkCore.step (chunkstep.go); this file is its shell, which runs the
+// core's actions and feeds it events.
 //
 // A farmRun holds what is constant across a farm's chunks; a chunkRun
-// is one chunk's attempt set. Its rules, each stated once:
+// is one chunk's shell around its core.
 //
 // Selection: candidates are ranked by the live health tracker (EWMA
 // success score, then observed latency). Open-breaker peers are
 // skipped; a peer declared dead whose cooldown has elapsed is pinged
-// before it gets real work. A gated peer is forced only when the
-// chunk has no ballot and nothing in flight, so progress never stalls
-// while budget remains. A committed capability group narrows the
+// before it gets real work. A committed capability group narrows the
 // candidates up front; nothing ever votes from outside it.
-//
-// Launching: primaries launch while ballots + attempts in flight are
-// fewer than a majority, K/2+1, and attempt budget remains: once a
-// majority agrees the other voters could not change the outcome, so
-// they launch only on dissent or failure. The chunk blocks for an
-// admission slot only while it holds none; otherwise a refused slot
-// means "skip now, drain a result, retry". With Speculate (and K = 1)
-// each launch arms a straggler timer — the peer's observed p90 attempt
-// latency × StragglerFactor, or SpeculateAfter before history exists —
-// whose firing launches a backup on the next-healthiest peer.
 //
 // Despatch: an attempt is one triana.run request carrying the body,
 // encoded once per farm, the carried state and the chunk's manifest,
@@ -32,7 +22,9 @@
 // result list (quorum.go): an output of at most chunkstore.MaxInline
 // bytes by value, any other as its raw content address, its bytes held
 // in the donor's chunk store. The attempt opens no pipe: data moves out
-// in the request and back in the reply.
+// in the request and back in the reply. With Speculate, the straggler
+// timer is the peer's observed p90 attempt latency × stragglerFactor,
+// or SpeculateAfter before history exists.
 //
 // Ballot: every clean full-length result is a ballot. Its digest
 // hashes the per-output content addresses (the SHA-256 of the
@@ -41,29 +33,14 @@
 // same result compare equal. The controller hashes by-value bytes
 // itself; it never takes a digest a donor claims for bytes it was sent.
 //
-// Deciding: K = 1 commits the first ballot at once and abandons its
-// racers. K > 1 tallies ballot digests only when nothing is in flight,
-// so the outcome is independent of arrival order: a majority (K/2+1)
-// commits, an inconclusive vote — a dissenting or split first
-// electorate — widens it by exactly one fresh voter with prior ballots
-// live, and no budget or candidate left is terminal.
-//
 // Commit: the winner's by-value items are decoded and committed as
 // they came. Each by-reference item is fetched through
 // chunkstore.FetchThrough, the agreeing voters as peer rungs — the
 // fetch checks the bytes against their address, and the controller
 // keeps no copy — then decoded and committed, counting
-// service_quorum_fetches_total. If an output cannot be had, the
-// agreeing ballots become failed attempts with no byzantine penalty,
-// and topping up and widening take over.
-//
-// The books close once per chunk: agreeing voters earn a success,
-// voters outside the plurality take the byzantine penalty (§3.8's
-// hostile peer), and every non-committed ballot's outputs are waste.
-// Once the chunk ends, every ballot that listed an output by address
-// gets one unretried triana.cancel, which releases the donor's holds.
-// Losers are cancelled (their remote jobs too) and reaped before
-// FarmChunks returns.
+// service_quorum_fetches_total. Dropping a ballot is one unretried
+// triana.cancel of its ended job, which releases the donor's holds.
+// Cancelled attempts are reaped before FarmChunks returns.
 package service
 
 import (
@@ -115,11 +92,6 @@ type FarmOptions struct {
 	// SpeculateAfter is the straggler threshold before the peer has
 	// latency history (default 2s).
 	SpeculateAfter time.Duration
-	// StragglerFactor scales the peer's observed p90 attempt latency
-	// into the threshold once history exists (default 2.0).
-	StragglerFactor float64
-	// MaxSpeculative bounds backup attempts per chunk (default 1).
-	MaxSpeculative int
 	// Quorum, when > 1, commits each chunk only on a result digest a
 	// majority (Quorum/2+1) of Quorum voters agree on. It despatches to
 	// that majority first and adds one voter at a time only when they
@@ -169,12 +141,6 @@ func (o FarmOptions) withFarmDefaults(res ResilienceOptions) FarmOptions {
 	if o.SpeculateAfter <= 0 {
 		o.SpeculateAfter = 2 * time.Second
 	}
-	if o.StragglerFactor <= 0 {
-		o.StragglerFactor = 2.0
-	}
-	if o.MaxSpeculative <= 0 {
-		o.MaxSpeculative = 1
-	}
 	if o.Tenant == "" {
 		o.Tenant = DefaultTenant
 	}
@@ -220,9 +186,13 @@ type FarmReport struct {
 const stragglerRetry = 25 * time.Millisecond
 
 // probeTimeout bounds the unretried one-shot RPCs: the ping that probes
-// a peer once declared dead, and the cancel that releases a ballot's
-// holds.
+// a peer once declared dead, the cancel that releases a ballot's holds,
+// and the last wait that reads a cancelled job's record.
 const probeTimeout = time.Second
+
+// stragglerFactor scales a peer's observed p90 attempt latency into its
+// straggler threshold.
+const stragglerFactor = 2.0
 
 // farmRun is what stays constant across one farm's chunks.
 type farmRun struct {
@@ -260,8 +230,8 @@ type farmRun struct {
 	wasted, specWaste atomic.Int64
 }
 
-// chunkRun is one chunk's attempt set: everything launched for the
-// chunk, in launch order, and the budgets left.
+// chunkRun is one chunk's shell around its core: what the shell keeps
+// of each attempt, indexed as the core's table, and the chunk's timer.
 type chunkRun struct {
 	*farmRun
 	ctx   context.Context
@@ -269,43 +239,32 @@ type chunkRun struct {
 	chunk []types.Data
 	state map[string][]byte
 
+	core     chunkCore
 	results  chan farmResult
 	attempts []farmAttempt
-	running  int   // attempts in flight, each holding an admission slot
-	ballots  int   // attempts that voted
-	backups  int   // attempts launched by the straggler timer
-	spent    int   // of ChunkAttempts: launches plus failed probes
 	lastErr  error // the most recent failed attempt's error
+	doneErr  error // why the chunk's context or admission ended it
+	won      int   // the committed attempt
+	err      error // the chunk's failure
+	reap     bool  // cancelled attempts are still running
 
 	straggler *time.Timer
 }
 
-// farmAttempt is the coordinator's record of one launched attempt.
+// farmAttempt is the shell's record of one launched attempt. The ballot
+// fields are set once it voted: a clean, full-length result; got holds
+// the decoded outputs once the ballot commits.
 type farmAttempt struct {
 	peer   PeerRef
 	cancel context.CancelFunc
-	backup bool
 	start  time.Time
-	phase  attemptPhase
 
-	// The ballot, once voted: a clean, full-length result. digest is
-	// computed only when majority > 1; with one vote required every ballot
-	// agrees. got holds the decoded outputs once the ballot commits.
 	job      *RemoteJob
 	items    []resultItem
 	newState map[string][]byte
-	digest   string
 	elapsed  time.Duration
 	got      []types.Data
 }
-
-type attemptPhase int
-
-const (
-	attemptRunning attemptPhase = iota
-	attemptVoted
-	attemptFailed
-)
 
 // farmResult is one attempt's terminal report, delivered on the chunk
 // coordinator's results channel.
@@ -347,20 +306,11 @@ func (s *Service) FarmChunks(ctx context.Context, chunks [][]types.Data, opts Fa
 	fr := &farmRun{
 		s:        s,
 		majority: max(1, opts.Quorum)/2 + 1,
-		byID:     make(map[string]PeerRef, len(opts.Peers)),
 		report:   &FarmReport{PeerChunks: make(map[string]int)},
 	}
-	// A committed group narrows the eligible candidates before any
-	// despatch: out-of-group peers are invisible to selection, failover,
-	// speculation and quorum ballots alike. A quorum that cannot seat
-	// its electorate inside the group fails fast, same reasoning as the
-	// peer-count check above.
-	for _, p := range opts.Peers {
-		if opts.Group == "" || opts.GroupMembers[p.ID] {
-			fr.ids = append(fr.ids, p.ID)
-			fr.byID[p.ID] = p
-		}
-	}
+	// A quorum that cannot seat its electorate inside the group fails
+	// fast, same reasoning as the peer-count check above.
+	fr.ids, fr.byID = eligible(opts.Peers, opts.Group, opts.GroupMembers)
 	if len(fr.ids) == 0 {
 		return nil, fmt.Errorf("service: FarmChunks committed to group %s but no candidate peer is a member",
 			opts.Group)
@@ -481,8 +431,24 @@ func (s *Service) FarmChunks(ctx context.Context, chunks [][]types.Data, opts Fa
 	return report, nil
 }
 
-// runChunk drives chunk c to a committed ballot or a terminal error —
-// the one loop plain, speculative and quorum farming all run.
+// eligible narrows the candidates to a committed group's members
+// before any despatch: out-of-group peers are invisible to selection,
+// failover, speculation and quorum ballots alike.
+func eligible(peers []PeerRef, group string, members map[string]bool) ([]string, map[string]PeerRef) {
+	var ids []string
+	byID := make(map[string]PeerRef, len(peers))
+	for _, p := range peers {
+		if group == "" || members[p.ID] {
+			ids = append(ids, p.ID)
+			byID[p.ID] = p
+		}
+	}
+	return ids, byID
+}
+
+// runChunk drives chunk c to a committed ballot or a terminal error: it
+// steps the chunk's core, runs the actions, and waits for the next
+// event — the one loop plain, speculative and quorum farming all run.
 func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, state map[string][]byte) (farmAttempt, error) {
 	cr := &chunkRun{
 		farmRun: fr, ctx: ctx, c: c, chunk: chunk, state: state,
@@ -491,87 +457,25 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 		// coordinator has moved on.
 		results:  make(chan farmResult, fr.opts.ChunkAttempts),
 		attempts: make([]farmAttempt, 0, fr.majority+1),
+		core:     chunkCore{majority: fr.majority, budget: fr.opts.ChunkAttempts, speculate: fr.opts.Speculate},
 	}
 	chunksInflight.Add(1)
 	defer chunksInflight.Add(-1)
-	defer cr.release()
 	defer func() {
 		if cr.straggler != nil {
 			cr.straggler.Stop()
 		}
 	}()
-	s, tenant := fr.s, fr.opts.Tenant
 
+	ev := event{kind: evStart}
 	for {
-		// Top up toward a majority while candidates and budget remain:
-		// once a majority agrees, further voters could not change the
-		// outcome, so they launch only when the vote is inconclusive.
-		// An attempt in flight, backup included, is a ballot that may
-		// yet arrive.
-		for cr.ballots+cr.running < cr.majority {
-			launched, err := cr.launch(false)
-			if err != nil {
-				cr.abandon(false)
-				return farmAttempt{}, err
-			}
-			if !launched {
-				break
-			}
+		next, answered, ended := cr.run(cr.core.step(ev))
+		if ended {
+			break
 		}
-		// Decide. One vote required: the first ballot commits at once.
-		// More: only when every launched attempt has resolved, so the
-		// outcome is independent of arrival order.
-		if cr.running == 0 || (cr.majority == 1 && cr.ballots > 0) {
-			plurality, winner := cr.tally()
-			if winner >= 0 && !cr.commitOutputs(plurality, winner) {
-				// The winner's outputs could not be had: the agreeing
-				// ballots failed, so top up and decide again.
-				continue
-			}
-			if winner >= 0 {
-				cr.abandon(true)
-				cr.settle(plurality, winner)
-				won := cr.attempts[winner]
-				if won.backup {
-					fr.report.SpeculationWins++
-					s.resStats.SpeculationWins.Inc()
-				}
-				if cr.majority > 1 {
-					s.resStats.QuorumCommits.Inc()
-				}
-				return won, nil
-			}
-			// Inconclusive. Widen the electorate by exactly one fresh
-			// voter — existing ballots stay live (they may yet join a
-			// majority) and their peers stay busy, so every pass either
-			// adds a voter or ends the chunk.
-			launched, err := cr.launch(false)
-			if err != nil {
-				return farmAttempt{}, err
-			}
-			if !launched {
-				// Terminal: no budget or no fresh candidate.
-				cr.settle(plurality, -1)
-				if cr.majority == 1 {
-					// No ballot ever arrived, so the last attempt's
-					// failure is the cause.
-					return farmAttempt{}, fmt.Errorf("service: farm chunk %d failed after %d attempts: %w",
-						c, cr.spent, cr.lastErr)
-				}
-				if fr.opts.Group != "" && len(fr.ids) < len(fr.opts.Peers) && cr.spent < fr.opts.ChunkAttempts {
-					// Budget remained but every fresh in-group voter is
-					// spent: the out-of-group candidates were deliberately
-					// skipped rather than mixed into the electorate, and
-					// the typed error says so.
-					capgroup.CountQuorumCapacity()
-					return farmAttempt{}, fmt.Errorf(
-						"service: farm chunk %d: widening needs a fresh voter but group %s has none left (%d out-of-group candidates skipped): %w",
-						c, fr.opts.Group, len(fr.opts.Peers)-len(fr.ids), ErrNoQuorumCapacity)
-				}
-				return farmAttempt{}, fmt.Errorf(
-					"service: farm chunk %d failed after %d attempts: no %d of its %d results agree",
-					c, cr.spent, cr.majority, cr.ballots)
-			}
+		if answered {
+			ev = next
+			continue
 		}
 		var stragglerC <-chan time.Time
 		if cr.straggler != nil {
@@ -579,139 +483,217 @@ func (fr *farmRun) runChunk(ctx context.Context, c int, chunk []types.Data, stat
 		}
 		select {
 		case <-ctx.Done():
-			cr.abandon(false)
-			return farmAttempt{}, ctx.Err()
+			cr.doneErr = ctx.Err()
+			ev = event{kind: evDone}
 		case <-stragglerC:
-			if cr.backups < fr.opts.MaxSpeculative && cr.running > 0 {
-				// The chunk holds a slot, so this launch never blocks
-				// and cannot fail — it starts a backup or skips.
-				if launched, _ := cr.launch(true); launched {
-					fr.report.SpeculationLaunches++
-					s.resStats.SpeculationLaunches.Inc()
-				} else if cr.spent < fr.opts.ChunkAttempts {
-					// Skipped, not spent: no admission slot or free
-					// peer right now. Re-arm shortly — a slot or a
-					// half-open peer may free while the straggler is
-					// still running.
-					cr.straggler.Reset(stragglerRetry)
-				}
-			}
+			ev = event{kind: evStraggler}
 		case r := <-cr.results:
-			a := &cr.attempts[r.idx]
-			cr.running--
-			s.admit.release(tenant)
-			if r.err == nil && len(r.items) != len(chunk) {
-				r.err = errors.New("short result")
-			}
-			if r.err == nil && cr.majority > 1 {
-				// Only a vote needs the digest; a lone ballot has
-				// nothing to be compared with.
-				a.digest = resultDigest(ballotAddresses(r.items), r.newState)
-			}
-			if r.err != nil {
-				// The peer is free to be picked again.
-				a.phase = attemptFailed
-				cr.lastErr = r.err
-				s.health.ReportFailure(a.peer.ID)
-				fr.waste(len(r.items), false)
-				s.logf("service: farm %d chunk %d attempt %d on %s failed (%d/%d outputs): %v",
-					fr.id, c, r.idx, a.peer.ID, len(r.items), len(chunk), r.err)
-				continue
-			}
-			// The peer stays busy: it has voted.
-			a.phase, a.job, a.items, a.newState, a.elapsed = attemptVoted, r.job, r.items, r.newState, time.Since(a.start)
-			cr.ballots++
-			// A voter resolved the chunk's digests even before the vote
-			// commits — later attempts can fetch from it instead of the
-			// controller.
-			fr.manifests.recordResolved(c, a.peer.Addr)
+			ev = cr.receive(r)
 		}
 	}
+	if cr.reap {
+		// Cancelled attempts keep running until their cancel lands; a
+		// reaper drains them through the core, which from here on is
+		// the reaper's alone.
+		cr.losers.Add(1)
+		go func() {
+			defer cr.losers.Done()
+			for cr.core.running() > 0 {
+				r := <-cr.results
+				cr.run(cr.core.step(event{kind: evFailed, idx: r.idx, items: len(r.items)}))
+			}
+		}()
+	}
+	if cr.err != nil {
+		return farmAttempt{}, cr.err
+	}
+	return cr.attempts[cr.won], nil
 }
 
-// launch starts the chunk on the best admitted candidate, as a primary
-// or a straggler backup. A formerly-dead peer is pinged first; a failed
-// probe releases the slot, spends an attempt and moves to the next
-// candidate. It reports false — skipped, not failed — when no budget,
-// candidate or (for a chunk already holding one) admission slot is
-// available right now.
-func (cr *chunkRun) launch(backup bool) (bool, error) {
-	s, tenant := cr.s, cr.opts.Tenant
-	for cr.spent < cr.opts.ChunkAttempts {
-		holding := cr.running > 0
-		// A gated peer is forced only when the chunk would otherwise
-		// fail outright — never for a backup or a quorum top-up.
-		peer, needsProbe, ok := cr.nextPeer(!holding && cr.ballots == 0)
-		if !ok {
-			return false, nil
-		}
-		// Deadlock discipline: block for a slot only while holding none.
-		// Attempts in flight hold slots that this chunk's own loop
-		// releases when it drains results, so a blocking acquire here
-		// would be hold-and-wait — with a budget below the votes
-		// required, or several farms racing, the despatch plane would
-		// seize. Launches past the first are opportunistic instead:
-		// skip now, drain a result, retry with the freed slot.
-		if holding {
-			if !s.admit.tryAcquire(tenant) {
-				return false, nil
+// run carries out the core's actions. A seek or a fetch is answered at
+// once, and its answer is the next event; ended reports that the chunk
+// committed or failed.
+func (cr *chunkRun) run(acts []action) (answer event, answered, ended bool) {
+	s := cr.s
+	for _, act := range acts {
+		switch act.kind {
+		case actSeek:
+			answer, answered = cr.seek(act), true
+		case actLaunch:
+			cr.launch(act)
+		case actArm:
+			if act.idx < 0 {
+				// Skipped, not spent: a slot or a half-open peer may free
+				// while the straggler is still running.
+				cr.straggler.Reset(stragglerRetry)
+				break
 			}
-		} else if err := s.admit.acquire(cr.ctx, s.shutdown, tenant); err != nil {
-			return false, err
-		}
-		cr.spent++
-		if needsProbe {
-			// One unretried ping before real work is committed to a
-			// formerly-dead peer: it is either back or it is not.
-			start := time.Now()
-			if _, err := s.host.RequestTimeout(peer.Addr, MethodPing, nil, nil, probeTimeout); err != nil {
-				s.health.ReportFailure(peer.ID)
-				s.admit.release(tenant)
-				cr.lastErr = err
-				s.logf("service: farm %d chunk %d probe of %s failed: %v", cr.id, cr.c, peer.ID, err)
-				continue
-			}
-			s.health.ReportSuccess(peer.ID, time.Since(start))
-		}
-		idx := len(cr.attempts)
-		if backup {
-			cr.backups++
-		} else if idx-cr.backups >= cr.majority {
-			// Primaries beyond the first majority replace failed ones
-			// or widen an inconclusive vote.
-			cr.report.Redespatches++
-			s.resStats.Redespatches.Inc()
-		}
-		actx, cancel := context.WithCancel(cr.ctx)
-		cr.attempts = append(cr.attempts, farmAttempt{peer: peer, cancel: cancel, backup: backup, start: time.Now()})
-		cr.running++
-		go func() {
-			r := cr.attempt(actx, peer)
-			cancel()
-			r.idx = idx
-			cr.results <- r
-		}()
-		if cr.opts.Speculate && cr.majority == 1 {
 			if cr.straggler != nil {
 				cr.straggler.Stop()
 			}
-			cr.straggler = time.NewTimer(s.stragglerThreshold(peer.ID, cr.opts))
+			cr.straggler = time.NewTimer(s.stragglerThreshold(cr.attempts[act.idx].peer.ID, cr.opts))
+		case actRelease:
+			s.admit.release(cr.opts.Tenant)
+		case actWaste:
+			// Outputs produced but never to be committed; backup marks
+			// waste a speculative race caused.
+			n := int64(act.n)
+			cr.wasted.Add(n)
+			s.resStats.WastedItems.Add(n)
+			if act.backup {
+				cr.specWaste.Add(n)
+				s.resStats.SpeculationWaste.Add(n)
+			}
+		case actFailed:
+			s.health.ReportFailure(cr.attempts[act.idx].peer.ID)
+		case actAgreed:
+			s.health.ReportSuccess(cr.attempts[act.idx].peer.ID, cr.attempts[act.idx].elapsed)
+		case actDissent:
+			s.health.ReportByzantine(cr.attempts[act.idx].peer.ID)
+			cr.report.QuorumDisagreements++
+			s.resStats.QuorumDisagreements.Inc()
+			s.logf("service: farm %d chunk %d quorum: peer %s voted outside the plurality",
+				cr.id, cr.c, cr.attempts[act.idx].peer.ID)
+		case actFetch:
+			answer, answered = cr.fetch(act.idx), true
+		case actCancel:
+			for i := range cr.attempts {
+				cr.attempts[i].cancel()
+			}
+			cr.reap = true
+		case actDrop:
+			// The chunk no longer needs the ballot's outputs, and a donor
+			// drops its holds on an ended job's outputs when the job is
+			// cancelled. Off the chunk's path, one unretried cancel,
+			// bounded by probeTimeout: a cancel that is lost leaves the
+			// holds to the donor's own bound. The reaper group holds
+			// FarmChunks open until the cancel has resolved.
+			job := cr.attempts[act.idx].job
+			cr.losers.Add(1)
+			go func() {
+				defer cr.losers.Done()
+				s.host.RequestTimeout(job.Part.Peer.Addr, MethodCancel, nil,
+					map[string]string{"job": job.JobID}, probeTimeout)
+			}()
+		case actCommit:
+			ended, cr.won = true, act.idx
+			if cr.core.attempts[act.idx].backup {
+				cr.report.SpeculationWins++
+				s.resStats.SpeculationWins.Inc()
+			}
+			if cr.majority > 1 {
+				s.resStats.QuorumCommits.Inc()
+			}
+		case actFail:
+			ended, cr.err = true, cr.failure(act.cause)
 		}
-		return true, nil
 	}
-	return false, nil
+	return answer, answered, ended
 }
 
-// busy reports whether the peer is already working — or has voted on —
-// this chunk: one peer, one vote. A peer whose attempt failed is free
-// to be picked again.
-func (cr *chunkRun) busy(peerID string) bool {
-	for i := range cr.attempts {
-		if a := &cr.attempts[i]; a.peer.ID == peerID && a.phase != attemptFailed {
-			return true
-		}
+// seek answers the core's request for a candidate and an admission
+// slot. A formerly-dead peer is pinged first, once and unretried: it is
+// either back or it is not.
+func (cr *chunkRun) seek(act action) event {
+	s, tenant := cr.s, cr.opts.Tenant
+	peer, needsProbe, ok := cr.nextPeer(act.gated)
+	if !ok {
+		return event{kind: evExhausted}
 	}
-	return false
+	// Deadlock discipline: block for a slot only while holding none.
+	// Attempts in flight hold slots that this chunk's own loop releases
+	// when it drains results, so a blocking acquire here would be
+	// hold-and-wait — with a budget below the votes required, or
+	// several farms racing, the despatch plane would seize.
+	if !act.block {
+		if !s.admit.tryAcquire(tenant) {
+			return event{kind: evRefused}
+		}
+	} else if err := s.admit.acquire(cr.ctx, s.shutdown, tenant); err != nil {
+		cr.doneErr = err
+		return event{kind: evDone}
+	}
+	if needsProbe {
+		start := time.Now()
+		if _, err := s.host.RequestTimeout(peer.Addr, MethodPing, nil, nil, probeTimeout); err != nil {
+			s.health.ReportFailure(peer.ID)
+			cr.lastErr = err
+			s.logf("service: farm %d chunk %d probe of %s failed: %v", cr.id, cr.c, peer.ID, err)
+			return event{kind: evProbeFailed}
+		}
+		s.health.ReportSuccess(peer.ID, time.Since(start))
+	}
+	return event{kind: evGranted, peer: peer.ID}
+}
+
+// launch starts attempt act.idx on the peer the last seek granted.
+func (cr *chunkRun) launch(act action) {
+	s, idx := cr.s, act.idx
+	if act.backup {
+		cr.report.SpeculationLaunches++
+		s.resStats.SpeculationLaunches.Inc()
+	} else if act.redespatch {
+		cr.report.Redespatches++
+		s.resStats.Redespatches.Inc()
+	}
+	peer := cr.byID[cr.core.attempts[idx].peer]
+	actx, cancel := context.WithCancel(cr.ctx)
+	cr.attempts = append(cr.attempts, farmAttempt{peer: peer, cancel: cancel, start: time.Now()})
+	go func() {
+		r := cr.attempt(actx, peer)
+		cancel()
+		r.idx = idx
+		cr.results <- r
+	}()
+}
+
+// receive turns an attempt's result into the core's event: a clean
+// full-length result is a ballot, anything else a failure.
+func (cr *chunkRun) receive(r farmResult) event {
+	a := &cr.attempts[r.idx]
+	if r.err == nil && len(r.items) != len(cr.chunk) {
+		r.err = errors.New("short result")
+	}
+	if r.err != nil {
+		cr.lastErr = r.err
+		cr.s.logf("service: farm %d chunk %d attempt %d on %s failed (%d/%d outputs): %v",
+			cr.id, cr.c, r.idx, a.peer.ID, len(r.items), len(cr.chunk), r.err)
+		return event{kind: evFailed, idx: r.idx, items: len(r.items)}
+	}
+	a.job, a.items, a.newState, a.elapsed = r.job, r.items, r.newState, time.Since(a.start)
+	// A voter resolved the chunk's digests even before the vote commits
+	// — later attempts can fetch from it instead of the controller.
+	cr.manifests.recordResolved(cr.c, a.peer.Addr)
+	ev := event{kind: evBallot, idx: r.idx, items: len(r.items), byRef: byReference(r.items)}
+	if cr.majority > 1 {
+		// Only a vote needs the digest; a lone ballot has nothing to be
+		// compared with.
+		ev.digest = resultDigest(ballotAddresses(r.items), r.newState)
+	}
+	return ev
+}
+
+// failure is the error a failed chunk returns.
+func (cr *chunkRun) failure(cause failCause) error {
+	fr := cr.farmRun
+	switch {
+	case cause == causeDone:
+		return cr.doneErr
+	case cause == causeNoBallot:
+		// No ballot ever arrived, so the last attempt's failure is the
+		// cause.
+		return fmt.Errorf("service: farm chunk %d failed after %d attempts: %w", cr.c, cr.core.spent, cr.lastErr)
+	case cause == causeNoVoter && fr.opts.Group != "" && len(fr.ids) < len(fr.opts.Peers):
+		// Budget remained but every fresh in-group voter is spent: the
+		// out-of-group candidates were deliberately skipped rather than
+		// mixed into the electorate, and the typed error says so.
+		capgroup.CountQuorumCapacity()
+		return fmt.Errorf(
+			"service: farm chunk %d: widening needs a fresh voter but group %s has none left (%d out-of-group candidates skipped): %w",
+			cr.c, fr.opts.Group, len(fr.opts.Peers)-len(fr.ids), ErrNoQuorumCapacity)
+	}
+	return fmt.Errorf("service: farm chunk %d failed after %d attempts: no %d of its %d results agree",
+		cr.c, cr.core.spent, cr.majority, cr.core.ballots())
 }
 
 // nextPeer picks the best eligible candidate not busy on this chunk.
@@ -723,7 +705,7 @@ func (cr *chunkRun) busy(peerID string) bool {
 func (cr *chunkRun) nextPeer(allowGated bool) (ref PeerRef, needsProbe, ok bool) {
 	usable, gated := cr.s.health.Rank(cr.ids)
 	for _, id := range usable {
-		if cr.busy(id) {
+		if cr.core.busy(id) {
 			continue
 		}
 		if admitted, probe := cr.s.health.Admit(id); admitted {
@@ -732,7 +714,7 @@ func (cr *chunkRun) nextPeer(allowGated bool) (ref PeerRef, needsProbe, ok bool)
 	}
 	if allowGated {
 		for _, id := range gated {
-			if !cr.busy(id) {
+			if !cr.core.busy(id) {
 				return cr.byID[id], false, true
 			}
 		}
@@ -742,63 +724,24 @@ func (cr *chunkRun) nextPeer(allowGated bool) (ref PeerRef, needsProbe, ok bool)
 
 // stragglerThreshold derives the speculation trigger for an attempt on
 // the given peer: its observed p90 attempt latency scaled by
-// StragglerFactor once history exists, the SpeculateAfter fallback
+// stragglerFactor once history exists, the SpeculateAfter fallback
 // before that.
 func (s *Service) stragglerThreshold(peerID string, opts FarmOptions) time.Duration {
 	if p90, ok := s.health.LatencyQuantile(peerID, 0.9); ok {
-		d := time.Duration(float64(p90) * opts.StragglerFactor)
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		return d
+		return max(time.Duration(float64(p90)*stragglerFactor), time.Millisecond)
 	}
 	return opts.SpeculateAfter
 }
 
-// tally counts the ballots by digest. plurality is the most-voted
-// digest (ties to the smaller). Once it has the majority K/2+1,
-// winner is the earliest-launched attempt voting for it; otherwise
-// winner is -1.
-func (cr *chunkRun) tally() (plurality string, winner int) {
-	best := 0
-	for i := range cr.attempts {
-		a := &cr.attempts[i]
-		if a.phase != attemptVoted {
-			continue
-		}
-		n := 0
-		for j := range cr.attempts {
-			if o := &cr.attempts[j]; o.phase == attemptVoted && o.digest == a.digest {
-				n++
-			}
-		}
-		if n > best || (n == best && a.digest < plurality) {
-			plurality, best = a.digest, n
-		}
-	}
-	if best < cr.majority {
-		return plurality, -1
-	}
-	for i := range cr.attempts {
-		if a := &cr.attempts[i]; a.phase == attemptVoted && a.digest == plurality {
-			return plurality, i
-		}
-	}
-	return plurality, -1
-}
-
-// commitOutputs decodes the winner's outputs into its ballot: a
-// by-value item from the bytes the ballot carried, a by-reference one
-// after fetching it by content address, the agreeing voters as peer
-// rungs. If an output cannot be had, every agreeing ballot becomes a
-// failed attempt — a plain failure, not the byzantine penalty — and it
-// reports false.
-func (cr *chunkRun) commitOutputs(plurality string, winner int) bool {
+// fetch decodes the winner's outputs into its ballot: a by-value item
+// from the bytes the ballot carried, a by-reference one after fetching
+// it by content address, the agreeing voters as peer rungs.
+func (cr *chunkRun) fetch(winner int) event {
 	s := cr.s
 	var sources []chunkstore.Source
-	for i := range cr.attempts {
-		if a := &cr.attempts[i]; a.phase == attemptVoted && a.digest == plurality {
-			sources = append(sources, chunkstore.Source{Addr: a.peer.Addr, Class: chunkstore.SourcePeer})
+	for i := range cr.core.attempts {
+		if a := &cr.core.attempts[i]; a.phase == attemptVoted && a.digest == cr.core.plurality {
+			sources = append(sources, chunkstore.Source{Addr: cr.attempts[i].peer.Addr, Class: chunkstore.SourcePeer})
 		}
 	}
 	w := &cr.attempts[winner]
@@ -819,111 +762,14 @@ func (cr *chunkRun) commitOutputs(plurality string, winner int) bool {
 		}
 		got[i] = types.Seal(d)
 	}
-	if err == nil {
-		w.got = got
-		s.resStats.QuorumFetches.Add(int64(fetched))
-		return true
+	if err != nil {
+		s.logf("service: farm %d chunk %d: the agreeing voters' outputs could not be had: %v", cr.id, cr.c, err)
+		cr.lastErr = err
+		return event{kind: evFetchFailed}
 	}
-	s.logf("service: farm %d chunk %d: the agreeing voters' outputs could not be had: %v", cr.id, cr.c, err)
-	cr.lastErr = err
-	for i := range cr.attempts {
-		if a := &cr.attempts[i]; a.phase == attemptVoted && a.digest == plurality {
-			a.phase = attemptFailed
-			cr.ballots--
-			s.health.ReportFailure(a.peer.ID)
-			cr.waste(len(a.items), false)
-		}
-	}
-	return false
-}
-
-// settle closes the chunk's books — once, at commit (winner is the
-// committed attempt) or at terminal failure (winner < 0). Voters that
-// agreed with a committed majority earn their success; voters outside
-// the plurality lost the vote, or kept one from forming, and take the
-// byzantine penalty either way; every ballot but the committed one is
-// discarded work, agreeing duplicates included.
-func (cr *chunkRun) settle(plurality string, winner int) {
-	s := cr.s
-	for i := range cr.attempts {
-		a := &cr.attempts[i]
-		if a.phase != attemptVoted {
-			continue
-		}
-		switch {
-		case a.digest != plurality:
-			s.health.ReportByzantine(a.peer.ID)
-			cr.report.QuorumDisagreements++
-			s.resStats.QuorumDisagreements.Inc()
-			s.logf("service: farm %d chunk %d quorum: peer %s voted outside the plurality",
-				cr.id, cr.c, a.peer.ID)
-		case winner >= 0:
-			s.health.ReportSuccess(a.peer.ID, a.elapsed)
-		}
-		if i != winner {
-			cr.waste(len(a.items), false)
-		}
-	}
-}
-
-// release runs once the chunk has ended, however it ended. It cancels
-// the ended job of every ballot that listed outputs by address: the
-// chunk no longer needs them, and a donor drops its holds on an ended
-// job's outputs when the job is cancelled. Off the chunk's path, one
-// unretried cancel each, bounded by probeTimeout: a cancel that is lost
-// leaves the holds to the donor's own bound. The reaper group
-// holds FarmChunks open until every cancel has resolved.
-func (cr *chunkRun) release() {
-	for i := range cr.attempts {
-		job := cr.attempts[i].job
-		if job == nil || !byReference(cr.attempts[i].items) {
-			continue
-		}
-		cr.losers.Add(1)
-		go func() {
-			defer cr.losers.Done()
-			cr.s.host.RequestTimeout(job.Part.Peer.Addr, MethodCancel, nil,
-				map[string]string{"job": job.JobID}, probeTimeout)
-		}()
-	}
-}
-
-// waste counts outputs that were produced but will never be committed.
-// specRace marks waste caused by a speculative race (vs. a failure, a
-// lost vote or a farm-level cancellation).
-func (fr *farmRun) waste(outputs int, specRace bool) {
-	n := int64(outputs)
-	fr.wasted.Add(n)
-	fr.s.resStats.WastedItems.Add(n)
-	if specRace {
-		fr.specWaste.Add(n)
-		fr.s.resStats.SpeculationWaste.Add(n)
-	}
-}
-
-// abandon cancels every still-running attempt and hands their
-// accounting to a reaper goroutine: waste is tallied and admission
-// slots released as each loser drains, and the farm-level WaitGroup
-// holds FarmChunks open until all are reaped.
-func (cr *chunkRun) abandon(specRace bool) {
-	remaining := cr.running
-	if remaining == 0 {
-		return
-	}
-	for i := range cr.attempts {
-		if a := &cr.attempts[i]; a.phase == attemptRunning {
-			a.cancel()
-		}
-	}
-	cr.losers.Add(1)
-	go func() {
-		defer cr.losers.Done()
-		for i := 0; i < remaining; i++ {
-			r := <-cr.results
-			cr.s.admit.release(cr.opts.Tenant)
-			cr.waste(len(r.items), specRace)
-		}
-	}()
+	w.got = got
+	s.resStats.QuorumFetches.Add(int64(fetched))
+	return event{kind: evFetched}
 }
 
 // attempt runs the chunk on one peer: despatch with restored state and
@@ -935,7 +781,8 @@ func (cr *chunkRun) abandon(specRace bool) {
 // committed first, or the farm ended) cancels its remote job, best
 // effort; once the cancel has landed, one more wait reads the job's
 // record, so the waste books count the outputs of a job that finished
-// before the cancel reached it.
+// before the cancel reached it. That wait is bounded by probeTimeout: a
+// wedged job that ignores its cancel holds FarmChunks no longer.
 func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef) farmResult {
 	s, opts, c := cr.s, cr.opts, cr.c
 	// The chunk's manifest rides the request: the donor resolves it
@@ -967,7 +814,7 @@ func (cr *chunkRun) attempt(ctx context.Context, peer PeerRef) farmResult {
 	res, err := s.waitRemote(ctx, job)
 	if err != nil && ctx.Err() != nil {
 		if s.CancelRemote(job) == nil {
-			waitCtx, stop := context.WithTimeout(context.Background(), s.res.RequestTimeout)
+			waitCtx, stop := context.WithTimeout(context.Background(), probeTimeout)
 			res, _ = s.waitRemote(waitCtx, job)
 			stop()
 			if byReference(res.items) {

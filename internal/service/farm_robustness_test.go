@@ -587,7 +587,7 @@ func TestLatencyFeedsSpeculationThreshold(t *testing.T) {
 	if _, ok := ctl.Health().LatencyQuantile("lt-w1", 0.9); !ok {
 		t.Fatal("farm attempts recorded no latency samples")
 	}
-	opts := FarmOptions{SpeculateAfter: time.Hour, StragglerFactor: 2}.withFarmDefaults(ctl.res)
+	opts := FarmOptions{SpeculateAfter: time.Hour}.withFarmDefaults(ctl.res)
 	if got := ctl.stragglerThreshold("lt-w1", opts); got >= time.Hour {
 		t.Errorf("threshold ignored observed latency: %v", got)
 	}

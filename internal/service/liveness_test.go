@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -312,7 +313,10 @@ func TestRunDistributedSilentReplica(t *testing.T) {
 // verdict ends its attempt and nothing bounds it but the farm's own
 // context. Without Speculate the farm holds past the detector's window
 // until that context ends; with Speculate the straggler timer launches
-// a backup on the other donor, which commits the chunk.
+// a backup on the other donor, which commits the chunk. Either way the
+// abandoned attempt's job ignores its cancel, and reaping it waits one
+// probeTimeout for the job's record, no longer: each phase returns
+// within probeTimeout + 1 s of its context's end or the backup's commit.
 func TestFarmWedgedDonorNeedsSpeculation(t *testing.T) {
 	release := make(chan struct{})
 	var calls atomic.Int32
@@ -322,9 +326,7 @@ func TestFarmWedgedDonorNeedsSpeculation(t *testing.T) {
 		}
 	})
 	tr := jxtaserve.NewInProc()
-	// A wedged job ignores its cancel, so reaping each abandoned attempt
-	// waits out one RequestTimeout for the job's record; keep that short.
-	ctl := newService(t, tr, "wd-ctl", Options{Resilience: ResilienceOptions{RequestTimeout: 500 * time.Millisecond}})
+	ctl := newService(t, tr, "wd-ctl", Options{})
 	var peers []PeerRef
 	for _, id := range []string{"wd-w1", "wd-w2"} {
 		w := newService(t, tr, id, Options{})
@@ -334,6 +336,7 @@ func TestFarmWedgedDonorNeedsSpeculation(t *testing.T) {
 	chunks := [][]types.Data{{&types.Const{Value: 7}}}
 
 	bound := silentAfter + time.Second
+	reaped := probeTimeout + time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), bound)
 	defer cancel()
 	start := time.Now()
@@ -342,6 +345,9 @@ func TestFarmWedgedDonorNeedsSpeculation(t *testing.T) {
 		t.Fatalf("farm on a wedged donor ended with %v after %v, want its context's deadline",
 			err, time.Since(start))
 	}
+	if late := time.Since(start) - bound; late > reaped {
+		t.Errorf("farm returned %v after its context ended, want within %v", late, reaped)
+	}
 	if n := ctl.Resilience().Snapshot().PeersDeclaredDead; n != 0 {
 		t.Errorf("a live donor was declared dead %d times", n)
 	}
@@ -349,17 +355,92 @@ func TestFarmWedgedDonorNeedsSpeculation(t *testing.T) {
 	calls.Store(0)
 	ctx, cancel = context.WithTimeout(context.Background(), bound)
 	defer cancel()
+	var committed time.Time
 	rep, err := ctl.FarmChunks(ctx, chunks, FarmOptions{
 		Body:           holdBody(t),
 		Peers:          peers,
 		Speculate:      true,
 		SpeculateAfter: 200 * time.Millisecond,
+		AfterChunk:     func(int) { committed = time.Now() },
 	})
 	if err != nil {
 		t.Fatalf("speculating farm failed: %v", err)
 	}
+	if late := time.Since(committed); late > reaped {
+		t.Errorf("farm returned %v after the backup committed, want within %v", late, reaped)
+	}
 	if rep.SpeculationWins != 1 || len(rep.Outputs) != 1 {
 		t.Errorf("report %+v, want the backup's one output", rep)
+	}
+}
+
+// helloWait is jxtaserve's hello timeout: how long a dial waits for a
+// connected listener to say hello.
+const helloWait = 5 * time.Second
+
+// TestSilentListenerCostsOneHelloWait: a listener that takes connects
+// and never says hello — a stopped donor whose kernel still accepts —
+// costs a request one hello wait, not MaxAttempts of them. The hello
+// timeout is the session detector's silence verdict: requestRetry does
+// not retry it, and it declares the peer dead. A refused connect still
+// retries.
+func TestSilentListenerCostsOneHelloWait(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range held {
+			c.Close()
+		}
+		mu.Unlock()
+	})
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	ctl := newService(t, jxtaserve.TCP{}, "sl-ctl", Options{Resilience: ResilienceOptions{MaxAttempts: 3}})
+	peer := PeerRef{ID: "sl-w", Addr: ln.Addr().String()}
+
+	start := time.Now()
+	_, err = ctl.requestRetry(context.Background(), peer.Addr, MethodRun, nil, nil, false, 0)
+	elapsed := time.Since(start)
+	if !errors.Is(err, jxtaserve.ErrSessionSilent) {
+		t.Fatalf("request to a silent listener returned %v, want ErrSessionSilent", err)
+	}
+	if limit := helloWait + time.Second; elapsed > limit {
+		t.Errorf("request to a silent listener took %v, want within %v", elapsed, limit)
+	}
+	if n := ctl.Resilience().Snapshot().Retries; n != 0 {
+		t.Errorf("a silent listener was retried %d times", n)
+	}
+	ctl.declareDead(peer, err)
+	if st := ctl.Health().State(peer.ID); st != health.Open {
+		t.Errorf("silent listener's breaker is %v, want open", st)
+	}
+
+	// A refused connect is an outage requestRetry retries through.
+	closed, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	if _, err = ctl.requestRetry(context.Background(), closed.Addr().String(), MethodRun, nil, nil, false, 0); err == nil {
+		t.Fatal("request to a closed port succeeded")
+	}
+	if n := ctl.Resilience().Snapshot().Retries; n != 2 {
+		t.Errorf("a refused connect was retried %d times, want 2", n)
 	}
 }
 
